@@ -155,62 +155,32 @@ let () =
     { Experiments.default_config with
       Experiments.scale = !scale; seed = !seed; domains = !domains }
   in
-  let selected = if !selected = [] then [ "all" ] else List.rev !selected in
+  let selected = List.sort_uniq compare (if !selected = [] then [ "all" ] else !selected) in
   let known =
-    [
-      ("fig10", fun () -> Experiments.fig10_11 config);
-      ("fig11", fun () -> Experiments.fig10_11 config);
-      ("fig12", fun () -> Experiments.fig12_13 config);
-      ("fig13", fun () -> Experiments.fig12_13 config);
-      ("fig14", fun () -> Experiments.fig14 config);
-      ("tab1", fun () -> Experiments.fig14 config);
-      ("ablation", fun () -> Experiments.ablation config);
-      ("parallel", fun () -> Experiments.parallel config);
-      ("perf", fun () -> Experiments.perf config);
-      ("dag", fun () -> Experiments.dag config);
-      ("resilience", fun () -> Experiments.resilience config);
-      ("serving", fun () -> Experiments.serving config);
-      ("overload", fun () -> Experiments.overload config);
-      ("replication", fun () -> Experiments.replication config);
-      ("sharding", fun () -> Experiments.sharding config);
-      ("integrity", fun () -> Experiments.integrity config);
-      ( "smoke",
-        (* Tiny-scale perf + dag + resilience + serving + replication
-           run — the dune runtest hook.  Exercises the whole parallel
-           pipeline (pool, block sweep, pipelined verify, JSON
-           emission), fails on any cross-domain mismatch, asserts the
-           consed join bit-identical with a non-zero memo hit rate on
-           the redundant profile, runs one kill-and-resume scenario
-           asserting the resumed output bit-identical to an
-           uninterrupted run, drives the similarity-search service
-           end-to-end (burst, shed accounting, drain, crash replay),
-           runs a tiny overload-storm rung (fair admission, deadline
-           propagation, goodput under a greedy burst),
-           and runs the replicated cluster through a primary kill,
-           promotion and the randomized failover storm, then the
-           sharded cluster (band-key router over 8 shards, a
-           journal-streaming migration, a killed shard degrading
-           soundly) through the randomized sharded storm, and the
-           integrity machinery (scrub overhead, offline full pass,
-           the randomized bit-rot storm). *)
-        fun () ->
-          let tiny =
-            { config with Experiments.scale = Float.min config.Experiments.scale 0.0625 }
-          in
-          Experiments.perf tiny;
-          Experiments.dag tiny;
-          Experiments.resilience tiny;
-          Experiments.serving tiny;
-          Experiments.overload tiny;
-          Experiments.replication tiny;
-          Experiments.sharding tiny;
-          Experiments.integrity tiny );
-      ("micro", micro);
-      ( "all",
-        fun () ->
-          Experiments.run_all config;
-          micro () );
-    ]
+    List.map (fun (name, run) -> (name, fun () -> run config)) Experiments.experiments
+    @ [
+        ("micro", micro);
+        ( "smoke",
+          (* Tiny-scale perf + dag + resilience run — the dune runtest
+             hook.  Exercises the whole parallel pipeline (pool, block
+             sweep, pipelined verify), fails on any cross-domain
+             mismatch, asserts the consed join bit-identical with a
+             non-zero memo hit rate on the redundant profile, and runs
+             one kill-and-resume scenario asserting the resumed output
+             bit-identical to an uninterrupted run.  Below full scale
+             nothing is written to disk. *)
+          fun () ->
+            let tiny =
+              { config with Experiments.scale = Float.min config.Experiments.scale 0.0625 }
+            in
+            Experiments.perf tiny;
+            Experiments.dag tiny;
+            Experiments.resilience tiny );
+        ( "all",
+          fun () ->
+            Experiments.run_all config;
+            micro () );
+      ]
   in
   List.iter
     (fun name ->
@@ -220,13 +190,4 @@ let () =
         Printf.eprintf "unknown experiment %S; known: %s\n" name
           (String.concat ", " (List.map fst known));
         exit 1)
-    (List.sort_uniq compare selected
-    |> fun l ->
-    (* fig10/fig11 share a runner; drop duplicates that map to the same
-       runner invocation *)
-    if List.mem "all" l then [ "all" ]
-    else if List.mem "fig10" l && List.mem "fig11" l then
-      List.filter (fun x -> x <> "fig11") l
-    else if List.mem "fig12" l && List.mem "fig13" l then
-      List.filter (fun x -> x <> "fig13") l
-    else l)
+    (if List.mem "all" selected then [ "all" ] else selected)

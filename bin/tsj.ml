@@ -1110,12 +1110,10 @@ let bench_cmd =
              ~doc:"OCaml domains for the PartSJ runs (the perf experiment \
                    always compares against the recommended count).")
   in
+  let known = List.map fst Tsj_harness.Experiments.experiments in
   let what =
     Arg.(value & pos_all string [ "all" ] & info [] ~docv:"EXPERIMENT"
-           ~doc:"fig10, fig12, fig14, ablation, parallel, perf, dag, \
-                 streaming, resilience, serving, serving-soak, overload, \
-                 replication, sharding, integrity or all (serving-soak is a \
-                 minute-long sustained-load bench and is not part of all).")
+           ~doc:(String.concat ", " known ^ " or all."))
   in
   let run scale seed jobs what =
     if jobs < 1 then begin
@@ -1128,25 +1126,12 @@ let bench_cmd =
     in
     List.iter
       (fun name ->
-        match name with
-        | "fig10" | "fig11" -> Tsj_harness.Experiments.fig10_11 config
-        | "fig12" | "fig13" -> Tsj_harness.Experiments.fig12_13 config
-        | "fig14" | "tab1" -> Tsj_harness.Experiments.fig14 config
-        | "ablation" -> Tsj_harness.Experiments.ablation config
-        | "parallel" -> Tsj_harness.Experiments.parallel config
-        | "perf" -> Tsj_harness.Experiments.perf config
-        | "dag" -> Tsj_harness.Experiments.dag config
-        | "streaming" -> Tsj_harness.Experiments.streaming config
-        | "resilience" -> Tsj_harness.Experiments.resilience config
-        | "serving" -> Tsj_harness.Experiments.serving config
-        | "serving-soak" -> Tsj_harness.Experiments.serving_soak config
-        | "overload" -> Tsj_harness.Experiments.overload config
-        | "replication" -> Tsj_harness.Experiments.replication config
-        | "sharding" -> Tsj_harness.Experiments.sharding config
-        | "integrity" -> Tsj_harness.Experiments.integrity config
-        | "all" -> Tsj_harness.Experiments.run_all config
-        | other ->
-          Printf.eprintf "tsj: unknown experiment %S\n" other;
+        match List.assoc_opt name Tsj_harness.Experiments.experiments with
+        | Some experiment -> experiment config
+        | None when name = "all" -> Tsj_harness.Experiments.run_all config
+        | None ->
+          Printf.eprintf "tsj: unknown experiment %S; known: %s, all\n" name
+            (String.concat ", " known);
           exit 2)
       what
   in

@@ -17,12 +17,12 @@ type t = {
          by [Tree.equal].  Serves tau = 0 point queries without probing
          or TED: distance 0 is exactly structural equality. *)
   dag : Tsj_tree.Dag.t option;
-      (* hash-consing store shared by every inserted tree.  [add] (the
-         only mutator, and like every index mutation single-writer)
-         interns there; the stored tree becomes the shared structural
-         view, so repeated subtrees across the stream cost one node and
-         the consed preps unlock the kernels' equal-subtree fast path
-         and the cross-pair memo cache. *)
+      (* hash-consing store shared by every inserted tree.  [add] and
+         [insert] (the only mutators, and like every index mutation
+         single-writer) intern there; the stored tree becomes the
+         shared structural view, so repeated subtrees across the stream
+         cost one node and the consed preps unlock the kernels'
+         equal-subtree fast path and the cross-pair memo cache. *)
   mutable n_candidates : int;
   mutable n_indexed : int;
 }
@@ -133,7 +133,10 @@ let find_equal t q =
   | [] -> None
   | ids -> Some (List.fold_left min max_int ids)
 
-let add t tree =
+(* Store [tree] under the next id and index it.  With [verify] it
+   first probes and verifies the earlier trees in its size band and
+   returns its partners; without, it only indexes. *)
+let insert_tree ~verify t tree =
   grow t;
   let id = t.count in
   let tree =
@@ -160,18 +163,20 @@ let add t tree =
   let btree = Binary_tree.of_tree tree in
   let size = btree.Binary_tree.size in
   (* 1. Probe: candidates among all previously inserted trees in the
-     size band, in either direction. *)
-  let pending = band_candidates t ~tau:t.tau btree in
-  (* 2. Verify. *)
-  let my_prep = prep t id in
+     size band, in either direction; 2. verify them. *)
   let results =
-    List.filter_map
-      (fun tj ->
-        t.n_candidates <- t.n_candidates + 1;
-        let d = Ted.bounded_distance_prep my_prep (prep t tj) t.tau in
-        if d <= t.tau then Some (tj, d) else None)
-      pending
-    |> List.sort compare
+    if not verify then []
+    else begin
+      let pending = band_candidates t ~tau:t.tau btree in
+      let my_prep = prep t id in
+      List.filter_map
+        (fun tj ->
+          t.n_candidates <- t.n_candidates + 1;
+          let d = Ted.bounded_distance_prep my_prep (prep t tj) t.tau in
+          if d <= t.tau then Some (tj, d) else None)
+        pending
+      |> List.sort compare
+    end
   in
   (* 3. Index the new tree. *)
   let entry = entry_for t size in
@@ -185,6 +190,10 @@ let add t tree =
       (Subgraph.of_partition ~tree_id:id part)
   end;
   results
+
+let add t tree = insert_tree ~verify:true t tree
+
+let insert t tree = ignore (insert_tree ~verify:false t tree)
 
 (* --- non-mutating queries (the serving path) --- *)
 
@@ -253,12 +262,13 @@ let query ?budget ?(domains = 1) ?tau t q =
            candidate whose cheap lower bound already exceeds τ is
            discarded — it is provably not a result. *)
         degraded := true;
+        let cq = Tsj_ted.Bounds.Compiled.of_tree q in
         for k = lo to n - 1 do
           let tj = cands.(k) in
-          let other = t.trees.(tj) in
-          let lower = Tsj_ted.Bounds.best q other in
+          let other = Tsj_ted.Bounds.Compiled.of_tree t.trees.(tj) in
+          let lower = Tsj_ted.Bounds.Compiled.best cq other in
           if lower <= tau then begin
-            let upper = Tsj_ted.Bounds.upper q other in
+            let upper = Tsj_ted.Bounds.Compiled.upper cq other in
             unverified := (tj, lower, upper) :: !unverified
           end
         done

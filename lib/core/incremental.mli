@@ -35,6 +35,12 @@ val add : t -> Tsj_tree.Tree.t -> (int * int) list
     inserted trees) and returns [(id, distance)] for every earlier tree
     within [τ], sorted by id. *)
 
+val insert : t -> Tsj_tree.Tree.t -> unit
+(** [insert t tree] indexes [tree] exactly as {!add} does but skips
+    finding its partners — for rebuilding an index whose partners were
+    already reported (journal replay, snapshot load, a replica applying
+    the primary's records). *)
+
 val tree : t -> int -> Tsj_tree.Tree.t
 (** @raise Invalid_argument on an unknown id. *)
 

@@ -8,7 +8,6 @@ type config = {
   taus : int list;
   out : out_channel;
   domains : int;  (** domain count for the PartSJ runs (1 = sequential) *)
-  bench_json : string;  (** where {!perf} writes its machine-readable record *)
 }
 
 let default_config =
@@ -18,7 +17,6 @@ let default_config =
     taus = [ 1; 2; 3; 4; 5 ];
     out = stdout;
     domains = 1;
-    bench_json = "BENCH_partsj.json";
   }
 
 (* Laptop-scale default cardinalities per dataset (paper: 100K / 50K /
@@ -418,7 +416,8 @@ let perf config =
     (if lossless then "identical pairs, distances and candidates"
      else "MISMATCH — cascade changed the join output!");
   (* Machine-readable record, hand-rolled (no JSON dependency in the
-     toolchain).  One run object per configuration. *)
+     toolchain).  One run object per configuration; written only at full
+     scale, so a smoke run never overwrites the committed record. *)
   let json_run label ~cascade d (o : Types.output)
       (ph : Tsj_core.Partsj.phase_times) wall =
     let s = o.Types.stats in
@@ -448,27 +447,29 @@ let perf config =
       c.Types.pruned_size c.Types.pruned_labels c.Types.pruned_degrees
       c.Types.pruned_sed c.Types.early_accepted c.Types.kernel_verified
   in
-  let oc = open_out config.bench_json in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"partsj_join\",\n\
-    \  \"dataset\": \"%s\",\n\
-    \  \"n_trees\": %d,\n\
-    \  \"tau\": %d,\n\
-    \  \"seed\": %d,\n\
-    \  \"recommended_domains\": %d,\n\
-    \  \"verify_speedup_cascade\": %.4f,\n\
-    \  \"identical_across_domains\": %b,\n\
-    \  \"cascade_lossless\": %b,\n\
-    \  \"runs\": [\n%s,\n%s,\n%s\n  ]\n\
-     }\n"
-    profile.Profiles.name n tau config.seed measured_domains verify_speedup
-    identical lossless
-    (json_run "baseline_seed_verifier" ~cascade:false 1 ob phb wb)
-    (json_run "cascade" ~cascade:true 1 o1 ph1 w1)
-    (json_run "cascade_parallel" ~cascade:true domains oN phN wN);
-  close_out oc;
-  printf config "  wrote %s\n" config.bench_json;
+  if config.scale >= 1.0 then begin
+    let oc = open_out "BENCH_partsj.json" in
+    Printf.fprintf oc
+      "{\n\
+      \  \"benchmark\": \"partsj_join\",\n\
+      \  \"dataset\": \"%s\",\n\
+      \  \"n_trees\": %d,\n\
+      \  \"tau\": %d,\n\
+      \  \"seed\": %d,\n\
+      \  \"recommended_domains\": %d,\n\
+      \  \"verify_speedup_cascade\": %.4f,\n\
+      \  \"identical_across_domains\": %b,\n\
+      \  \"cascade_lossless\": %b,\n\
+      \  \"runs\": [\n%s,\n%s,\n%s\n  ]\n\
+       }\n"
+      profile.Profiles.name n tau config.seed measured_domains verify_speedup
+      identical lossless
+      (json_run "baseline_seed_verifier" ~cascade:false 1 ob phb wb)
+      (json_run "cascade" ~cascade:true 1 o1 ph1 w1)
+      (json_run "cascade_parallel" ~cascade:true domains oN phN wN);
+    close_out oc;
+    printf config "  wrote BENCH_partsj.json\n"
+  end;
   List.iter
     (fun (label, o) ->
       if not (consistent o) then
@@ -607,38 +608,39 @@ let dag config =
       label d consing wall s.Types.candidate_time_s s.Types.verify_time_s
       s.Types.n_candidates s.Types.n_results h m
   in
-  let oc = open_out "BENCH_dag.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"dag_compression\",\n\
-    \  \"dataset\": \"%s\",\n\
-    \  \"n_trees\": %d,\n\
-    \  \"tau\": %d,\n\
-    \  \"seed\": %d,\n\
-    \  \"interned_subtrees\": %d,\n\
-    \  \"distinct_subtrees\": %d,\n\
-    \  \"subtree_sharing\": %.4f,\n\
-    \  \"words_unshared\": %d,\n\
-    \  \"words_interned\": %d,\n\
-    \  \"memory_ratio\": %.4f,\n\
-    \  \"verify_speedup_consing\": %.4f,\n\
-    \  \"memo_hit_rate\": %.4f,\n\
-    \  \"consing_lossless\": %b,\n\
-    \  \"identical_across_domains\": %b,\n\
-    \  \"runs\": [\n%s,\n%s,\n%s\n  ]\n\
-     }\n"
-    profile.Profiles.name n tau config.seed
-    (Tsj_tree.Dag.interned store)
-    (Tsj_tree.Dag.n_nodes store)
-    (Tsj_tree.Dag.sharing store)
-    words_unshared words_shared memory_ratio verify_speedup hit_rate lossless
-    identical
-    (json_run "consing_off" ~consing:false 1 o_off w_off)
-    (json_run "consing_on" ~consing:true 1 o_on w_on)
-    (json_run "consing_on_parallel" ~consing:true domains o_onN w_onN)
-    ;
-  close_out oc;
-  printf config "  wrote BENCH_dag.json\n";
+  if config.scale >= 1.0 then begin
+    let oc = open_out "BENCH_dag.json" in
+    Printf.fprintf oc
+      "{\n\
+      \  \"benchmark\": \"dag_compression\",\n\
+      \  \"dataset\": \"%s\",\n\
+      \  \"n_trees\": %d,\n\
+      \  \"tau\": %d,\n\
+      \  \"seed\": %d,\n\
+      \  \"interned_subtrees\": %d,\n\
+      \  \"distinct_subtrees\": %d,\n\
+      \  \"subtree_sharing\": %.4f,\n\
+      \  \"words_unshared\": %d,\n\
+      \  \"words_interned\": %d,\n\
+      \  \"memory_ratio\": %.4f,\n\
+      \  \"verify_speedup_consing\": %.4f,\n\
+      \  \"memo_hit_rate\": %.4f,\n\
+      \  \"consing_lossless\": %b,\n\
+      \  \"identical_across_domains\": %b,\n\
+      \  \"runs\": [\n%s,\n%s,\n%s\n  ]\n\
+       }\n"
+      profile.Profiles.name n tau config.seed
+      (Tsj_tree.Dag.interned store)
+      (Tsj_tree.Dag.n_nodes store)
+      (Tsj_tree.Dag.sharing store)
+      words_unshared words_shared memory_ratio verify_speedup hit_rate lossless
+      identical
+      (json_run "consing_off" ~consing:false 1 o_off w_off)
+      (json_run "consing_on" ~consing:true 1 o_on w_on)
+      (json_run "consing_on_parallel" ~consing:true domains o_onN w_onN);
+    close_out oc;
+    printf config "  wrote BENCH_dag.json\n"
+  end;
   if not lossless then failwith "Experiments.dag: consing changed the join output";
   if not identical then failwith "Experiments.dag: results differ across domain counts";
   if hits1 = 0 then
@@ -740,1513 +742,17 @@ let resilience config =
     (List.length r.Faults.truth.Types.pairs)
     (List.length r.Faults.budgeted.Types.quarantined)
 
-(* --- serving: the fault-tolerant similarity-search service --- *)
+let experiments =
+  [
+    ("fig10", fig10_11);
+    ("fig12", fig12_13);
+    ("fig14", fig14);
+    ("ablation", ablation);
+    ("parallel", parallel);
+    ("perf", perf);
+    ("dag", dag);
+    ("streaming", streaming);
+    ("resilience", resilience);
+  ]
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float ((p *. float_of_int (n - 1)) +. 0.5)))
-
-let serving config =
-  Table.heading ~out:config.out
-    "Extension — fault-tolerant serving (deadlines, shedding, drain, crash-safe journal)";
-  let module Server = Tsj_server.Server in
-  let module Store = Tsj_server.Store in
-  let module Client = Tsj_server.Client in
-  let module Protocol = Tsj_server.Protocol in
-  let profile = Profiles.swissprot in
-  let n = max 20 (int_of_float (240.0 *. config.scale)) in
-  let trees = Profiles.instantiate profile ~seed:config.seed ~n in
-  let tau = 2 in
-  let preload = n / 2 in
-  let tmp = Filename.temp_file "tsj_serving" "" in
-  Sys.remove tmp;
-  Unix.mkdir tmp 0o755;
-  let addr = Protocol.Unix_path (Filename.concat tmp "sock") in
-  let dir = Filename.concat tmp "store" in
-  let server_config =
-    { (Server.default_config addr ~tau) with
-      Server.dir = Some dir;
-      domains = config.domains;
-      (* High watermark: the bench measures clean request-path capacity;
-         the shedding contract itself is exercised in the test suite. *)
-      max_inflight = 1024;
-      deadline_s = Some 0.5;
-    }
-  in
-  let fail msg = failwith ("Experiments.serving: " ^ msg) in
-  let ok_or_fail = function Ok v -> v | Error msg -> fail msg in
-  let server = ok_or_fail (Server.create server_config) in
-  let store = Server.store server in
-  for i = 0 to preload - 1 do
-    ignore (Store.add store trees.(i))
-  done;
-  Server.start server;
-  (* Phase 1 — the newline protocol, lock-step: every client holds one
-     connection and fires a mixed ADD/QUERY sequence, one reply per
-     request before the next.  This is the "before" measurement — its
-     throughput is bounded by round-trip latency, not by the server. *)
-  let n_clients = 6 in
-  (* enough requests that the burst both streams in the second half of
-     the dataset (ADDs) and then queries it at least as many times *)
-  let per_client = max 20 ((n - preload) * 2 / n_clients) in
-  let mutex = Mutex.create () in
-  let latencies = ref [] in
-  let answered = ref 0 and busy = ref 0 and errs = ref 0 in
-  let failures = ref [] in
-  let next_add = Atomic.make preload in
-  let client_thread c =
-    match Client.connect addr with
-    | Error msg -> Mutex.protect mutex (fun () -> failures := msg :: !failures)
-    | Ok conn ->
-      let rng = Tsj_util.Prng.create (config.seed + c) in
-      let local = ref [] and a = ref 0 and b = ref 0 and e = ref 0 in
-      for _ = 1 to per_client do
-        let req =
-          let k = Atomic.fetch_and_add next_add 1 in
-          if k < n then Protocol.Add { seq = None; tree = trees.(k) }
-          else Protocol.Query { tau; tree = trees.(Tsj_util.Prng.int rng n) }
-        in
-        let t0 = Tsj_util.Timer.now () in
-        (match Client.request conn req with
-        | Ok resp ->
-          incr a;
-          (match resp with
-          | Protocol.Busy _ -> incr b
-          | Protocol.Err _ -> incr e
-          | _ -> ())
-        | Error msg ->
-          Mutex.protect mutex (fun () -> failures := ("request: " ^ msg) :: !failures));
-        local := (Tsj_util.Timer.now () -. t0) :: !local
-      done;
-      Client.close conn;
-      Mutex.protect mutex (fun () ->
-          latencies := !local @ !latencies;
-          answered := !answered + !a;
-          busy := !busy + !b;
-          errs := !errs + !e)
-  in
-  let (), text_wall =
-    Tsj_util.Timer.wall (fun () ->
-        let threads = List.init n_clients (Thread.create client_thread) in
-        List.iter Thread.join threads)
-  in
-  (match !failures with msg :: _ -> fail msg | [] -> ());
-  let sent = n_clients * per_client in
-  if !answered <> sent then
-    fail (Printf.sprintf "%d of %d requests went unanswered" (sent - !answered) sent);
-  if !errs > 0 then fail "a well-formed request was answered ERR";
-  (* Phase 2 — the same server over the binary framed protocol, with
-     [window] requests pipelined on the connection.  The load generator
-     runs in its own domain: systhreads all share one runtime lock, so a
-     threaded client would measure lock contention, not the request
-     path; and on a small machine one pipelined generator already
-     saturates the server, while several generator domains only add
-     scheduler noise to the tail.  1/128 of requests are ADDs of fresh
-     trees (writes are present but stay out of the p99 bucket; the write
-     path gets its own burst in phase 3); the reads are exact-match
-     point queries (tau = 0) — the request path is under test here, not
-     the join algorithm, which phase 1 and the paper experiments already
-     exercise. *)
-  let bin_clients = 1 in
-  let window = 4 in
-  let bin_per_client = max 1000 (int_of_float (24000.0 *. config.scale)) in
-  let add_pool =
-    Profiles.instantiate profile ~seed:(config.seed + 7919)
-      ~n:(max 64 (bin_clients * bin_per_client / 100))
-  in
-  let next_fresh = Atomic.make 0 in
-  let fsyncs0 = Store.fsyncs store in
-  let bin_conns =
-    Array.init bin_clients (fun _ -> ok_or_fail (Client.Bin.connect addr))
-  in
-  let bin_worker c conn =
-    let rng = Tsj_util.Prng.create (config.seed + 1000 + c) in
-    let pending = Hashtbl.create (2 * window) in
-    let lats = ref [] and acked_adds = ref 0 and bad = ref 0 in
-    let sent = ref 0 in
-    let send_one () =
-      let fresh =
-        if Tsj_util.Prng.int rng 128 = 0 then begin
-          let k = Atomic.fetch_and_add next_fresh 1 in
-          if k < Array.length add_pool then Some add_pool.(k) else None
-        end
-        else None
-      in
-      let is_add = fresh <> None in
-      let req =
-        match fresh with
-        | Some tree -> Protocol.Add { seq = None; tree }
-        | None -> Protocol.Query { tau = 0; tree = trees.(Tsj_util.Prng.int rng n) }
-      in
-      let id = Client.Bin.send conn req in
-      Hashtbl.replace pending id (Tsj_util.Timer.now (), is_add);
-      incr sent
-    in
-    let recv_one () =
-      match Client.Bin.recv conn with
-      | Error msg -> failwith ("binary recv: " ^ msg)
-      | Ok (id, resp) ->
-        (match Hashtbl.find_opt pending id with
-        | None -> failwith "binary reply to an unknown request id"
-        | Some (t0, is_add) ->
-          Hashtbl.remove pending id;
-          lats := (Tsj_util.Timer.now () -. t0) :: !lats;
-          (match resp with
-          | Protocol.Added _ when is_add -> incr acked_adds
-          | Protocol.Hits _ when not is_add -> ()
-          | _ -> incr bad))
-    in
-    while !sent < bin_per_client || Hashtbl.length pending > 0 do
-      while !sent < bin_per_client && Hashtbl.length pending < window do
-        send_one ()
-      done;
-      Client.Bin.flush conn;
-      recv_one ()
-    done;
-    Client.Bin.close conn;
-    (!lats, !acked_adds, !bad)
-  in
-  let bin_results, bin_wall =
-    Tsj_util.Timer.wall (fun () ->
-        Array.mapi (fun c conn -> Domain.spawn (fun () -> bin_worker c conn)) bin_conns
-        |> Array.map Domain.join)
-  in
-  let bin_lats = Array.fold_left (fun acc (l, _, _) -> List.rev_append l acc) [] bin_results in
-  let bin_adds = Array.fold_left (fun acc (_, a, _) -> acc + a) 0 bin_results in
-  let bin_bad = Array.fold_left (fun acc (_, _, b) -> acc + b) 0 bin_results in
-  if bin_bad > 0 then
-    fail (Printf.sprintf "%d binary replies were BUSY/ERR or misattributed" bin_bad);
-  let bin_sent = bin_clients * bin_per_client in
-  let bin_fsyncs = Store.fsyncs store - fsyncs0 in
-  let fsyncs_per_add =
-    if bin_adds = 0 then 0.0 else float_of_int bin_fsyncs /. float_of_int bin_adds
-  in
-  let bin_rps = float_of_int bin_sent /. bin_wall in
-  (* Phase 3 — group commit under a pure write burst: one pipelined
-     client streams ADDs with a deep window, so concurrent ADDs coalesce
-     into batches sharing one journal append + one fsync.  fsyncs per
-     acked ADD is the amortization; 1.0 is the unbatched (lock-step)
-     cost. *)
-  let burst_n = max 256 (int_of_float (2048.0 *. config.scale)) in
-  let burst_window = 64 in
-  let burst_pool =
-    Profiles.instantiate profile ~seed:(config.seed + 104729) ~n:burst_n
-  in
-  let burst_f0 = Store.fsyncs store in
-  let burst_conn = ok_or_fail (Client.Bin.connect addr) in
-  let burst_worker () =
-    let pending = Hashtbl.create (2 * burst_window) in
-    let sent = ref 0 and acked = ref 0 in
-    while !sent < burst_n || Hashtbl.length pending > 0 do
-      while !sent < burst_n && Hashtbl.length pending < burst_window do
-        let id =
-          Client.Bin.send burst_conn
-            (Protocol.Add { seq = None; tree = burst_pool.(!sent) })
-        in
-        Hashtbl.replace pending id ();
-        incr sent
-      done;
-      Client.Bin.flush burst_conn;
-      match Client.Bin.recv burst_conn with
-      | Error msg -> failwith ("burst recv: " ^ msg)
-      | Ok (id, resp) -> (
-        Hashtbl.remove pending id;
-        match resp with Protocol.Added _ -> incr acked | _ -> ())
-    done;
-    Client.Bin.close burst_conn;
-    !acked
-  in
-  let burst_acked, burst_wall =
-    Tsj_util.Timer.wall (fun () -> Domain.join (Domain.spawn burst_worker))
-  in
-  if burst_acked <> burst_n then
-    fail (Printf.sprintf "add burst: only %d of %d ADDs acked" burst_acked burst_n);
-  let burst_fsyncs = Store.fsyncs store - burst_f0 in
-  let burst_fpa = float_of_int burst_fsyncs /. float_of_int burst_acked in
-  let burst_rps = float_of_int burst_n /. burst_wall in
-  let stats =
-    let conn = ok_or_fail (Client.connect addr) in
-    let s =
-      match Client.request conn Protocol.Stats with
-      | Ok (Protocol.Stats_reply s) -> s
-      | Ok _ | Error _ -> fail "STATS request failed"
-    in
-    (* Graceful drain over the wire; flushes snapshot + journal. *)
-    (match Client.request conn Protocol.Drain with
-    | Ok Protocol.Drained -> ()
-    | Ok _ | Error _ -> fail "DRAIN request failed");
-    Client.close conn;
-    s
-  in
-  Server.wait server;
-  if not (Server.drained server) then fail "server did not finish draining";
-  (* A cold start after the drain must see the full index and an empty
-     journal. *)
-  let reopened = ok_or_fail (Store.open_ ~dir ~tau ()) in
-  if Store.n_trees reopened <> stats.Protocol.trees then
-    fail "cold start after drain lost trees";
-  if Store.journal_records reopened <> 0 then
-    fail "drain left journal records behind";
-  Store.close reopened;
-  (* Crash-safety scenario: kill mid-add, restart, compare answers. *)
-  let kill =
-    Faults.run_server_kill_and_restart ~domains:config.domains
-      ~kill_at_add:(preload / 2)
-      ~trees:(Array.sub trees 0 preload)
-      ~queries:(Array.sub trees 0 (min 5 preload))
-      ~tau ()
-  in
-  if not kill.Faults.answers_match then
-    fail "restarted store answers differently from the acknowledged prefix";
-  let sorted = Array.of_list !latencies in
-  Array.sort compare sorted;
-  let ms p = percentile sorted p *. 1000.0 in
-  let bin_sorted = Array.of_list bin_lats in
-  Array.sort compare bin_sorted;
-  let bms p = percentile bin_sorted p *. 1000.0 in
-  let text_rps = float_of_int sent /. text_wall in
-  printf config
-    "\n  (%s profile, %d trees preloaded + %d streamed, tau = %d,\n\
-    \   text: %d clients x %d lock-step requests; binary: %d domains x %d \
-     requests, window %d,\n   max_inflight = %d, deadline = %.1fs)\n"
-    profile.Profiles.name preload (n - preload) tau n_clients per_client
-    bin_clients bin_per_client window
-    server_config.Server.max_inflight
-    (Option.value server_config.Server.deadline_s ~default:0.0);
-  Table.print ~out:config.out
-    ~header:[ "metric"; "value" ]
-    ~align:[ Table.Left; Table.Right ]
-    [
-      [ "requests answered (text + binary)";
-        Printf.sprintf "%d / %d" (!answered + bin_sent) (sent + bin_sent) ];
-      [ "shed (BUSY)"; string_of_int stats.Protocol.shed ];
-      [ "degraded answers"; string_of_int stats.Protocol.degraded ];
-      [ "trees served"; string_of_int stats.Protocol.trees ];
-      [ "text lock-step throughput"; Printf.sprintf "%.0f req/s" text_rps ];
-      [ "text p50 / p99"; Printf.sprintf "%.2f / %.2f ms" (ms 0.50) (ms 0.99) ];
-      [ "binary pipelined throughput"; Printf.sprintf "%.0f req/s" bin_rps ];
-      [ "binary p50 / p99"; Printf.sprintf "%.3f / %.3f ms" (bms 0.50) (bms 0.99) ];
-      [ "binary vs text speedup"; Printf.sprintf "%.1fx" (bin_rps /. text_rps) ];
-      [ "ADD burst throughput"; Printf.sprintf "%.0f add/s" burst_rps ];
-      [ Printf.sprintf "fsyncs per ADD (burst of %d)" burst_n;
-        Printf.sprintf "%.4f (%d / %d)" burst_fpa burst_fsyncs burst_acked ];
-      [ "kill-and-restart"; (if kill.Faults.answers_match then "bit-identical" else "NO") ];
-    ];
-  let oc = open_out "BENCH_serving.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"tsj_serving\",\n\
-    \  \"dataset\": \"%s\",\n\
-    \  \"n_trees\": %d,\n\
-    \  \"preloaded\": %d,\n\
-    \  \"tau\": %d,\n\
-    \  \"seed\": %d,\n\
-    \  \"domains\": %d,\n\
-    \  \"clients\": %d,\n\
-    \  \"requests\": %d,\n\
-    \  \"answered\": %d,\n\
-    \  \"shed\": %d,\n\
-    \  \"degraded\": %d,\n\
-    \  \"errors\": %d,\n\
-    \  \"text_throughput_rps\": %.1f,\n\
-    \  \"text_latency_p50_ms\": %.3f,\n\
-    \  \"text_latency_p95_ms\": %.3f,\n\
-    \  \"text_latency_p99_ms\": %.3f,\n\
-    \  \"binary_clients\": %d,\n\
-    \  \"binary_window\": %d,\n\
-    \  \"binary_requests\": %d,\n\
-    \  \"throughput_rps\": %.1f,\n\
-    \  \"latency_p50_ms\": %.3f,\n\
-    \  \"latency_p95_ms\": %.3f,\n\
-    \  \"latency_p99_ms\": %.3f,\n\
-    \  \"speedup_vs_text\": %.2f,\n\
-    \  \"binary_acked_adds\": %d,\n\
-    \  \"mixed_fsyncs_per_add\": %.4f,\n\
-    \  \"add_burst_requests\": %d,\n\
-    \  \"add_burst_window\": %d,\n\
-    \  \"add_burst_rps\": %.1f,\n\
-    \  \"fsyncs_per_add\": %.4f,\n\
-    \  \"kill_restart_identical\": %b,\n\
-    \  \"drain_clean\": true\n\
-     }\n"
-    profile.Profiles.name n preload tau config.seed config.domains n_clients sent
-    !answered stats.Protocol.shed stats.Protocol.degraded !errs
-    text_rps (ms 0.50) (ms 0.95) (ms 0.99)
-    bin_clients window bin_sent bin_rps
-    (bms 0.50) (bms 0.95) (bms 0.99) (bin_rps /. text_rps)
-    bin_adds fsyncs_per_add
-    burst_n burst_window burst_rps burst_fpa kill.Faults.answers_match;
-  close_out oc;
-  printf config "  wrote BENCH_serving.json\n";
-  (* Tidy the socket/store temp dir. *)
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-      end
-      else try Sys.remove path with Sys_error _ -> ()
-  in
-  rm tmp
-
-(* --- serving-soak: sustained mixed workload at fixed connection
-   counts --- *)
-
-let serving_soak config =
-  Table.heading ~out:config.out
-    "Extension — serving soak (sustained mixed workload, fixed connection counts)";
-  let module Server = Tsj_server.Server in
-  let module Store = Tsj_server.Store in
-  let module Client = Tsj_server.Client in
-  let module Protocol = Tsj_server.Protocol in
-  let profile = Profiles.swissprot in
-  let n = max 20 (int_of_float (240.0 *. config.scale)) in
-  let trees = Profiles.instantiate profile ~seed:config.seed ~n in
-  let tau = 2 in
-  (* 60 s of load at full scale: four rungs of 15 s each; --scale shrinks
-     the rungs proportionally for smoke runs. *)
-  let rung_s = 15.0 *. min 1.0 config.scale in
-  let rungs = [ 1; 2; 4; 8 ] in
-  let window = 16 in
-  let tmp = Filename.temp_file "tsj_soak" "" in
-  Sys.remove tmp;
-  Unix.mkdir tmp 0o755;
-  let addr = Protocol.Unix_path (Filename.concat tmp "sock") in
-  let dir = Filename.concat tmp "store" in
-  let fail msg = failwith ("Experiments.serving_soak: " ^ msg) in
-  let ok_or_fail = function Ok v -> v | Error msg -> fail msg in
-  let server =
-    ok_or_fail
-      (Server.create
-         { (Server.default_config addr ~tau) with
-           Server.dir = Some dir;
-           domains = config.domains;
-           max_inflight = 1024;
-           deadline_s = Some 0.5;
-         })
-  in
-  let store = Server.store server in
-  Array.iter (fun t -> ignore (Store.add store t)) trees;
-  Server.start server;
-  (* Fresh trees for the write side of the mix, shared across rungs; an
-     exhausted pool degrades to pure reads rather than re-adding
-     duplicates (whose partner lists would grow without bound). *)
-  let pool_n = max 256 (int_of_float (8192.0 *. min 1.0 config.scale)) in
-  let add_pool = Profiles.instantiate profile ~seed:(config.seed + 7919) ~n:pool_n in
-  let next_fresh = Atomic.make 0 in
-  let run_rung conns =
-    let fsyncs0 = Store.fsyncs store in
-    let sockets = Array.init conns (fun _ -> ok_or_fail (Client.Bin.connect addr)) in
-    let worker c conn =
-      let rng = Tsj_util.Prng.create (config.seed + 500 + c) in
-      let pending = Hashtbl.create (2 * window) in
-      let lats = ref [] and acked_adds = ref 0 and bad = ref 0 and sent = ref 0 in
-      let deadline = Tsj_util.Timer.now () +. rung_s in
-      let live () = Tsj_util.Timer.now () < deadline in
-      let send_one () =
-        let fresh =
-          if Tsj_util.Prng.int rng 128 = 0 then begin
-            let k = Atomic.fetch_and_add next_fresh 1 in
-            if k < pool_n then Some add_pool.(k) else None
-          end
-          else None
-        in
-        let is_add = fresh <> None in
-        let req =
-          match fresh with
-          | Some tree -> Protocol.Add { seq = None; tree }
-          | None -> Protocol.Query { tau = 0; tree = trees.(Tsj_util.Prng.int rng n) }
-        in
-        let id = Client.Bin.send conn req in
-        Hashtbl.replace pending id (Tsj_util.Timer.now (), is_add);
-        incr sent
-      in
-      let recv_one () =
-        match Client.Bin.recv conn with
-        | Error msg -> failwith ("soak recv: " ^ msg)
-        | Ok (id, resp) ->
-          (match Hashtbl.find_opt pending id with
-          | None -> failwith "soak reply to an unknown request id"
-          | Some (t0, is_add) ->
-            Hashtbl.remove pending id;
-            lats := (Tsj_util.Timer.now () -. t0) :: !lats;
-            (match resp with
-            | Protocol.Added _ when is_add -> incr acked_adds
-            | Protocol.Hits _ when not is_add -> ()
-            | _ -> incr bad))
-      in
-      while live () || Hashtbl.length pending > 0 do
-        while live () && Hashtbl.length pending < window do
-          send_one ()
-        done;
-        Client.Bin.flush conn;
-        if Hashtbl.length pending > 0 then recv_one ()
-      done;
-      Client.Bin.close conn;
-      (!sent, !lats, !acked_adds, !bad)
-    in
-    let results, wall =
-      Tsj_util.Timer.wall (fun () ->
-          Array.mapi (fun c conn -> Domain.spawn (fun () -> worker c conn)) sockets
-          |> Array.map Domain.join)
-    in
-    let sent = Array.fold_left (fun acc (s, _, _, _) -> acc + s) 0 results in
-    let lats = Array.fold_left (fun acc (_, l, _, _) -> List.rev_append l acc) [] results in
-    let adds = Array.fold_left (fun acc (_, _, a, _) -> acc + a) 0 results in
-    let bad = Array.fold_left (fun acc (_, _, _, b) -> acc + b) 0 results in
-    if bad > 0 then
-      fail (Printf.sprintf "%d soak replies were BUSY/ERR or misattributed" bad);
-    let fsyncs = Store.fsyncs store - fsyncs0 in
-    let sorted = Array.of_list lats in
-    Array.sort compare sorted;
-    let p p' = percentile sorted p' *. 1000.0 in
-    ( conns, sent, float_of_int sent /. wall, p 0.50, p 0.99, adds,
-      (if adds = 0 then 0.0 else float_of_int fsyncs /. float_of_int adds) )
-  in
-  let rows = List.map run_rung rungs in
-  (let conn = ok_or_fail (Client.connect addr) in
-   (match Client.request conn Protocol.Drain with
-   | Ok Protocol.Drained -> ()
-   | Ok _ | Error _ -> fail "DRAIN request failed");
-   Client.close conn);
-  Server.wait server;
-  printf config
-    "\n  (%s profile, %d trees preloaded, tau = %d; %.0f s per rung, window %d, \
-     ADDs 1/128)\n"
-    profile.Profiles.name n tau rung_s window;
-  Table.print ~out:config.out
-    ~header:[ "connections"; "requests"; "throughput"; "p50"; "p99"; "fsyncs/ADD" ]
-    ~align:[ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
-    (List.map
-       (fun (conns, sent, rps, p50, p99, adds, fpa) ->
-         [
-           string_of_int conns;
-           string_of_int sent;
-           Printf.sprintf "%.0f req/s" rps;
-           Printf.sprintf "%.3f ms" p50;
-           Printf.sprintf "%.3f ms" p99;
-           (* A rung past the fresh-tree pool runs pure reads; there is
-              no per-ADD figure to report. *)
-           (if adds = 0 then "n/a (no ADDs)" else Printf.sprintf "%.4f" fpa);
-         ])
-       rows);
-  let oc = open_out "BENCH_serving_soak.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"tsj_serving_soak\",\n\
-    \  \"dataset\": \"%s\",\n\
-    \  \"preloaded\": %d,\n\
-    \  \"tau\": %d,\n\
-    \  \"seed\": %d,\n\
-    \  \"rung_seconds\": %.1f,\n\
-    \  \"window\": %d,\n\
-    \  \"rungs\": [\n%s\n  ]\n\
-     }\n"
-    profile.Profiles.name n tau config.seed rung_s window
-    (String.concat ",\n"
-       (List.map
-          (fun (conns, sent, rps, p50, p99, adds, fpa) ->
-            Printf.sprintf
-              "    { \"connections\": %d, \"requests\": %d, \"throughput_rps\": %.1f, \
-               \"latency_p50_ms\": %.3f, \"latency_p99_ms\": %.3f, \"acked_adds\": %d, \
-               \"fsyncs_per_add\": %.4f }"
-              conns sent rps p50 p99 adds fpa)
-          rows));
-  close_out oc;
-  printf config "  wrote BENCH_serving_soak.json\n";
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-      end
-      else try Sys.remove path with Sys_error _ -> ()
-  in
-  rm tmp
-
-(* --- overload: fair admission and deadline propagation under a
-   widening greedy burst --- *)
-
-let overload config =
-  Table.heading ~out:config.out
-    "Extension — overload robustness (fair admission, deadline propagation, \
-     hedged reads)";
-  let fail msg = failwith ("Experiments.overload: " ^ msg) in
-  let profile = Profiles.swissprot in
-  let n = max 16 (int_of_float (64.0 *. config.scale)) in
-  let trees = Profiles.instantiate profile ~seed:config.seed ~n in
-  let queries = Profiles.instantiate profile ~seed:(config.seed + 1) ~n:4 in
-  let tau = 2 in
-  let duration_s = Float.max 0.5 (Float.min 2.0 config.scale) in
-  let rungs = if config.scale < 0.1 then [ 2 ] else [ 1; 2; 5; 10 ] in
-  let results =
-    List.map
-      (fun greedy ->
-        let r =
-          Faults.run_overload_storm ~seed:(config.seed + greedy) ~duration_s
-            ~greedy ~trees ~queries ~tau ()
-        in
-        if not r.Faults.ov_goodput_ok then
-          fail
-            (Printf.sprintf
-               "goodput collapsed at %d greedy clients (%.0f -> %.0f rps)"
-               greedy r.Faults.ov_baseline_rps r.Faults.ov_storm_rps);
-        if not r.Faults.ov_no_starvation then
-          fail (Printf.sprintf "conforming client starved at %d greedy clients" greedy);
-        if r.Faults.ov_late_answers > 0 then
-          fail
-            (Printf.sprintf "%d answers delivered past their deadline"
-               r.Faults.ov_late_answers);
-        if r.Faults.ov_wrong_answers > 0 then fail "overload changed an answer";
-        if r.Faults.ov_hedge_mismatches > 0 then fail "hedge-raced replies diverged";
-        if not (r.Faults.ov_expired_add_rejected && r.Faults.ov_trees_stable) then
-          fail "an expired ADD was not refused cleanly";
-        (greedy, r))
-      rungs
-  in
-  printf config
-    "\n  (%s profile, %d trees, tau = %d, %.1fs per rung; bucket 80 req/s,\n\
-    \   burst 16, watermark 32, 50 ms greedy deadlines, 300 ms idle reaper)\n"
-    profile.Profiles.name n tau duration_s;
-  Table.print ~out:config.out
-    ~header:
-      [ "greedy conns"; "baseline rps"; "storm rps"; "goodput"; "greedy sent";
-        "greedy shed"; "expired"; "reaped" ]
-    ~align:
-      [ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right;
-        Table.Right; Table.Right; Table.Right ]
-    (List.map
-       (fun (greedy, r) ->
-         [
-           string_of_int greedy;
-           Printf.sprintf "%.0f" r.Faults.ov_baseline_rps;
-           Printf.sprintf "%.0f" r.Faults.ov_storm_rps;
-           Printf.sprintf "%.0f%%"
-             (100. *. r.Faults.ov_storm_rps
-             /. Float.max 1e-9 r.Faults.ov_baseline_rps);
-           string_of_int r.Faults.ov_greedy_sent;
-           string_of_int r.Faults.ov_greedy_shed;
-           string_of_int r.Faults.ov_expired;
-           string_of_int r.Faults.ov_reaped;
-         ])
-       results);
-  let oc = open_out "BENCH_overload.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"tsj_overload\",\n\
-    \  \"dataset\": \"%s\",\n\
-    \  \"n_trees\": %d,\n\
-    \  \"tau\": %d,\n\
-    \  \"seed\": %d,\n\
-    \  \"duration_s\": %.2f,\n\
-    \  \"rungs\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    profile.Profiles.name n tau config.seed duration_s
-    (String.concat ",\n"
-       (List.map
-          (fun (greedy, r) ->
-            Printf.sprintf
-              "    { \"greedy\": %d, \"baseline_rps\": %.1f, \"storm_rps\": \
-               %.1f, \"conforming_sent\": %d, \"conforming_answered\": %d, \
-               \"greedy_sent\": %d, \"greedy_answered\": %d, \"greedy_shed\": \
-               %d, \"late_answers\": %d, \"wrong_answers\": %d, \
-               \"hedge_mismatches\": %d, \"expired\": %d, \"reaped\": %d }"
-              greedy r.Faults.ov_baseline_rps r.Faults.ov_storm_rps
-              r.Faults.ov_conforming_sent r.Faults.ov_conforming_answered
-              r.Faults.ov_greedy_sent r.Faults.ov_greedy_answered
-              r.Faults.ov_greedy_shed r.Faults.ov_late_answers
-              r.Faults.ov_wrong_answers r.Faults.ov_hedge_mismatches
-              r.Faults.ov_expired r.Faults.ov_reaped)
-          results));
-  close_out oc;
-  printf config "  wrote BENCH_overload.json\n"
-
-(* --- replication: journal streaming, quorum ACKs, epoch-fenced
-   failover --- *)
-
-let replication config =
-  Table.heading ~out:config.out
-    "Extension — replicated serving (journal streaming, quorum ACKs, epoch-fenced \
-     failover)";
-  let module Server = Tsj_server.Server in
-  let module Store = Tsj_server.Store in
-  let module Client = Tsj_server.Client in
-  let module Protocol = Tsj_server.Protocol in
-  let fail msg = failwith ("Experiments.replication: " ^ msg) in
-  let ok_or_fail = function Ok v -> v | Error msg -> fail msg in
-  let profile = Profiles.swissprot in
-  let n = max 24 (int_of_float (160.0 *. config.scale)) in
-  let trees = Profiles.instantiate profile ~seed:config.seed ~n in
-  let tau = 2 in
-  let tmp = Filename.temp_file "tsj_repl" "" in
-  Sys.remove tmp;
-  Unix.mkdir tmp 0o755;
-  let addr i = Protocol.Unix_path (Filename.concat tmp (Printf.sprintf "sock%d" i)) in
-  let dir i = Filename.concat tmp (Printf.sprintf "store%d" i) in
-  let mk ~primary ~sync_from i =
-    let config' =
-      { (Server.default_config (addr i) ~tau) with
-        Server.dir = Some (dir i);
-        domains = config.domains;
-        quorum = 2;
-        sync_from;
-        primary;
-      }
-    in
-    let server = ok_or_fail (Server.create config') in
-    Server.start server;
-    server
-  in
-  (* one primary, two journal-streaming followers; every ADD is
-     acknowledged only once durable on two of the three nodes *)
-  let p0 = mk ~primary:true ~sync_from:[] 0 in
-  let r1 = mk ~primary:false ~sync_from:[ addr 0 ] 1 in
-  let r2 = mk ~primary:false ~sync_from:[ addr 0; addr 1 ] 2 in
-  let rng = Tsj_util.Prng.create (config.seed + 99) in
-  let fo =
-    Client.Failover.create ~timeout_s:2.0 ~rng [ addr 0; addr 1; addr 2 ]
-  in
-  (* the client-side safe-retry ADD; "quorum not reached" while a
-     follower is still registering is retried here *)
-  let add_acked tree =
-    let deadline = Tsj_util.Timer.now () +. 30.0 in
-    let rec go () =
-      match Client.Failover.add fo tree with
-      | Ok (Protocol.Added { id; _ }) -> id
-      | (Ok (Protocol.Err _) | Ok (Protocol.Fenced _) | Error _)
-        when Tsj_util.Timer.now () < deadline ->
-        Unix.sleepf 0.02;
-        go ()
-      | Ok r -> fail ("ADD not acknowledged: " ^ Protocol.render_response r)
-      | Error msg -> fail ("ADD failed: " ^ msg)
-    in
-    go ()
-  in
-  let preload = n / 2 in
-  (* phase 1: quorum-acked writes into the healthy cluster *)
-  ignore (add_acked trees.(0));
-  let (), pre_wall =
-    Tsj_util.Timer.wall (fun () ->
-        for i = 1 to preload - 1 do
-          ignore (add_acked trees.(i))
-        done)
-  in
-  let pre_rps = float_of_int (preload - 1) /. Float.max 1e-9 pre_wall in
-  (* phase 2: kill -9 the primary mid-service, promote a replica over
-     the wire, and measure abort -> first acknowledged ADD *)
-  Server.abort p0;
-  let t0 = Tsj_util.Timer.now () in
-  (let conn = ok_or_fail (Client.connect (addr 1)) in
-   (match Client.request conn Protocol.Promote with
-   | Ok (Protocol.Promoted e) ->
-     if e <> 1 then fail (Printf.sprintf "promotion at epoch %d, expected 1" e)
-   | Ok r -> fail ("PROMOTE failed: " ^ Protocol.render_response r)
-   | Error msg -> fail ("PROMOTE failed: " ^ msg));
-   Client.close conn);
-  let first_id = add_acked trees.(preload) in
-  let failover_latency = Tsj_util.Timer.now () -. t0 in
-  if first_id <> preload then
-    fail (Printf.sprintf "post-failover ADD got seq %d, expected %d" first_id preload);
-  (* phase 3: post-failover throughput on the surviving pair *)
-  let (), post_wall =
-    Tsj_util.Timer.wall (fun () ->
-        for i = preload + 1 to n - 1 do
-          ignore (add_acked trees.(i))
-        done)
-  in
-  let post_rps = float_of_int (n - preload - 1) /. Float.max 1e-9 post_wall in
-  (* phase 4: both survivors must answer queries bit-identically to a
-     single-node store that never failed *)
-  let reference = ok_or_fail (Store.open_ ~domains:config.domains ~tau ()) in
-  Array.iter (fun tree -> ignore (Store.add reference tree)) trees;
-  let conn1 = ok_or_fail (Client.connect (addr 1)) in
-  let conn2 = ok_or_fail (Client.connect (addr 2)) in
-  let wait_trees conn label =
-    let deadline = Tsj_util.Timer.now () +. 30.0 in
-    let rec go () =
-      match Client.request conn Protocol.Stats with
-      | Ok (Protocol.Stats_reply s) when s.Protocol.trees = n && s.Protocol.epoch = 1 ->
-        ()
-      | Ok _ when Tsj_util.Timer.now () < deadline ->
-        Unix.sleepf 0.02;
-        go ()
-      | Ok _ -> fail (label ^ " never converged")
-      | Error msg -> fail (label ^ " stats failed: " ^ msg)
-    in
-    go ()
-  in
-  wait_trees conn1 "promoted primary";
-  wait_trees conn2 "surviving replica";
-  let queries = Array.init (min 6 n) (fun k -> trees.(k * (n / min 6 n))) in
-  let survivors_identical =
-    Array.for_all
-      (fun q ->
-        let expected = (Store.query reference q).Tsj_core.Incremental.hits in
-        List.for_all
-          (fun conn ->
-            match Client.request conn (Protocol.Query { tau; tree = q }) with
-            | Ok (Protocol.Hits { degraded = false; hits; _ }) -> hits = expected
-            | Ok _ | Error _ -> false)
-          [ conn1; conn2 ])
-      queries
-  in
-  Store.close reference;
-  if not survivors_identical then
-    fail "a survivor answers differently from the unfailed reference";
-  Client.close conn1;
-  Client.close conn2;
-  List.iter
-    (fun s ->
-      (try Server.drain s with _ -> ());
-      try Server.wait s with _ -> ())
-    [ r1; r2; p0 ];
-  (* phase 5: the randomized kill/partition storm, in process *)
-  let storm_trees = Array.sub trees 0 (min 24 n) in
-  let storm =
-    Faults.run_failover_storm ~domains:config.domains ~seed:config.seed ~rounds:30
-      ~trees:storm_trees
-      ~queries:(Array.sub storm_trees 0 (min 4 (Array.length storm_trees)))
-      ~tau ()
-  in
-  if not storm.Faults.acked_preserved then fail "storm lost an acknowledged ADD";
-  if not storm.Faults.single_writer then fail "storm saw two writers in one epoch";
-  if not (storm.Faults.converged && storm.Faults.cluster_answers_match) then
-    fail "storm cluster did not converge to the unfailed reference";
-  (* phase 6: the same storm shape once over the binary wire protocol —
-     framed safe-retry ADDs with explicit seqs against a fresh 3-node
-     cluster, kill -9 of the primary, promotion of the most advanced
-     survivor via a binary PROMOTE frame — checking the two failover
-     invariants end to end through the frames: every acknowledged ADD
-     survives bit-identically, and no epoch has two acking writers. *)
-  let bin_acked_preserved, bin_single_writer =
-    let tmp2 = Filename.temp_file "tsj_binstorm" "" in
-    Sys.remove tmp2;
-    Unix.mkdir tmp2 0o755;
-    let baddr i = Protocol.Unix_path (Filename.concat tmp2 (Printf.sprintf "sock%d" i)) in
-    let bdir i = Filename.concat tmp2 (Printf.sprintf "store%d" i) in
-    let mk ~primary ~sync_from i =
-      let config' =
-        { (Server.default_config (baddr i) ~tau) with
-          Server.dir = Some (bdir i);
-          domains = config.domains;
-          quorum = 2;
-          sync_from;
-          primary;
-        }
-      in
-      let server = ok_or_fail (Server.create config') in
-      Server.start server;
-      server
-    in
-    let nodes =
-      [|
-        mk ~primary:true ~sync_from:[] 0;
-        mk ~primary:false ~sync_from:[ baddr 0; baddr 2 ] 1;
-        mk ~primary:false ~sync_from:[ baddr 0; baddr 1 ] 2;
-      |]
-    in
-    let alive = [| true; true; true |] in
-    let with_bin i f =
-      match Client.Bin.connect ~timeout_s:2.0 (baddr i) with
-      | Error _ as e -> e
-      | Ok b ->
-        let r = f b in
-        Client.Bin.close b;
-        r
-    in
-    let bin_stats i =
-      with_bin i (fun b ->
-          match Client.Bin.request b Protocol.Stats with
-          | Ok (Protocol.Stats_reply s) -> Ok s
-          | Ok r -> Error (Protocol.render_response r)
-          | Error _ as e -> e)
-    in
-    (* (seq, tree, epoch of the acking node, node) *)
-    let acked = ref [] in
-    let current = ref 0 in
-    let add_acked_bin seq tree =
-      let deadline = Tsj_util.Timer.now () +. 30.0 in
-      let rec go () =
-        if Tsj_util.Timer.now () > deadline then
-          fail (Printf.sprintf "binary storm: ADD %d never acknowledged" seq)
-        else begin
-          let i = !current in
-          let outcome =
-            if not alive.(i) then `Rotate
-            else
-              match
-                with_bin i (fun b ->
-                    match Client.Bin.request b (Protocol.Add { seq = Some seq; tree }) with
-                    | Ok (Protocol.Added _) -> (
-                      match Client.Bin.request b Protocol.Stats with
-                      | Ok (Protocol.Stats_reply s) -> Ok (`Acked s.Protocol.epoch)
-                      | Ok _ | Error _ -> Ok (`Acked (-1)))
-                    | Ok (Protocol.Fenced _) -> Ok `Rotate
-                    | Ok (Protocol.Busy _ | Protocol.Err _) -> Ok `Retry
-                    | Ok r -> Error (Protocol.render_response r)
-                    | Error _ as e -> e)
-              with
-              | Ok o -> o
-              | Error _ -> `Rotate
-          in
-          match outcome with
-          | `Acked epoch -> acked := (seq, tree, epoch, i) :: !acked
-          | `Rotate ->
-            current := (i + 1) mod 3;
-            Unix.sleepf 0.02;
-            go ()
-          | `Retry ->
-            Unix.sleepf 0.02;
-            go ()
-        end
-      in
-      go ()
-    in
-    let n_storm = min 18 (Array.length trees) in
-    let half = n_storm / 2 in
-    for k = 0 to half - 1 do
-      add_acked_bin k trees.(k)
-    done;
-    (* kill -9 whichever node holds the write mandate, then promote the
-       most advanced survivor over a binary PROMOTE frame *)
-    let p = !current in
-    Server.abort nodes.(p);
-    alive.(p) <- false;
-    let best =
-      let score i =
-        if not alive.(i) then None
-        else
-          match bin_stats i with
-          | Ok s -> Some (s.Protocol.epoch, s.Protocol.trees)
-          | Error _ -> None
-      in
-      let candidates = List.filter_map (fun i -> Option.map (fun s -> (s, i)) (score i)) [ 0; 1; 2 ] in
-      match List.sort (fun a b -> compare b a) candidates with
-      | (_, i) :: _ -> i
-      | [] -> fail "binary storm: no survivor reachable"
-    in
-    (match
-       with_bin best (fun b -> Client.Bin.request b Protocol.Promote)
-     with
-    | Ok (Protocol.Promoted _) -> ()
-    | Ok r -> fail ("binary storm: PROMOTE answered " ^ Protocol.render_response r)
-    | Error msg -> fail ("binary storm: PROMOTE failed: " ^ msg));
-    current := best;
-    for k = half to n_storm - 1 do
-      add_acked_bin k trees.(k)
-    done;
-    (* heal: both survivors converge, then check the invariants against
-       their stores directly *)
-    let survivors = List.filter (fun i -> alive.(i)) [ 0; 1; 2 ] in
-    List.iter
-      (fun i ->
-        let deadline = Tsj_util.Timer.now () +. 30.0 in
-        let rec go () =
-          match bin_stats i with
-          | Ok s when s.Protocol.trees >= n_storm -> ()
-          | _ when Tsj_util.Timer.now () < deadline ->
-            Unix.sleepf 0.02;
-            go ()
-          | _ -> fail (Printf.sprintf "binary storm: node %d never converged" i)
-        in
-        go ())
-      survivors;
-    let preserved =
-      List.for_all
-        (fun (seq, tree, _, _) ->
-          List.for_all
-            (fun i ->
-              let store = Server.store nodes.(i) in
-              Store.n_trees store > seq
-              && Tsj_tree.Tree.equal tree (Store.tree store seq))
-            survivors)
-        !acked
-    in
-    let single_writer =
-      let by_epoch = Hashtbl.create 4 in
-      List.for_all
-        (fun (_, _, epoch, node) ->
-          epoch < 0
-          ||
-          match Hashtbl.find_opt by_epoch epoch with
-          | None ->
-            Hashtbl.replace by_epoch epoch node;
-            true
-          | Some n' -> n' = node)
-        !acked
-    in
-    Array.iteri
-      (fun i s ->
-        if alive.(i) then (try Server.drain s with _ -> ());
-        try Server.wait s with _ -> ())
-      nodes;
-    let rec rm path =
-      if Sys.file_exists path then
-        if Sys.is_directory path then begin
-          Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-          (try Unix.rmdir path with Unix.Unix_error _ -> ())
-        end
-        else try Sys.remove path with Sys_error _ -> ()
-    in
-    rm tmp2;
-    (preserved, single_writer)
-  in
-  if not bin_acked_preserved then fail "binary-protocol storm lost an acknowledged ADD";
-  if not bin_single_writer then
-    fail "binary-protocol storm saw two writers in one epoch";
-  printf config
-    "\n  (%s profile, %d trees, tau = %d, quorum 2/3, primary killed at %d adds,\n\
-    \   storm: %d rounds, %d chaos points, %d failovers)\n"
-    profile.Profiles.name n tau preload storm.Faults.storm_rounds
-    storm.Faults.chaos_points storm.Faults.failovers;
-  Table.print ~out:config.out
-    ~header:[ "metric"; "value" ]
-    ~align:[ Table.Left; Table.Right ]
-    [
-      [ "quorum-acked ADD rate (healthy)"; Printf.sprintf "%.0f add/s" pre_rps ];
-      [ "failover latency (abort -> acked ADD)";
-        Printf.sprintf "%.1f ms" (failover_latency *. 1000.0) ];
-      [ "quorum-acked ADD rate (post-failover)"; Printf.sprintf "%.0f add/s" post_rps ];
-      [ "survivors vs unfailed reference";
-        (if survivors_identical then "bit-identical" else "NO") ];
-      [ "storm acked ADDs lost";
-        (if storm.Faults.acked_preserved then "0" else "SOME") ];
-      [ "storm writers per epoch"; (if storm.Faults.single_writer then "1" else ">1") ];
-      [ "storm acked / failed ADDs";
-        Printf.sprintf "%d / %d" storm.Faults.acked_adds storm.Faults.failed_adds ];
-      [ "binary-protocol storm acked ADDs lost";
-        (if bin_acked_preserved then "0" else "SOME") ];
-      [ "binary-protocol storm writers per epoch";
-        (if bin_single_writer then "1" else ">1") ];
-    ];
-  let oc = open_out "BENCH_replication.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"tsj_replication\",\n\
-    \  \"dataset\": \"%s\",\n\
-    \  \"n_trees\": %d,\n\
-    \  \"tau\": %d,\n\
-    \  \"seed\": %d,\n\
-    \  \"domains\": %d,\n\
-    \  \"quorum\": 2,\n\
-    \  \"replicas\": 3,\n\
-    \  \"pre_failover_add_rps\": %.1f,\n\
-    \  \"failover_latency_ms\": %.2f,\n\
-    \  \"post_failover_add_rps\": %.1f,\n\
-    \  \"survivors_identical\": %b,\n\
-    \  \"storm_rounds\": %d,\n\
-    \  \"storm_chaos_points\": %d,\n\
-    \  \"storm_failovers\": %d,\n\
-    \  \"storm_acked_adds\": %d,\n\
-    \  \"storm_acked_preserved\": %b,\n\
-    \  \"storm_single_writer\": %b,\n\
-    \  \"storm_converged\": %b,\n\
-    \  \"storm_answers_match\": %b,\n\
-    \  \"binary_storm_acked_preserved\": %b,\n\
-    \  \"binary_storm_single_writer\": %b\n\
-     }\n"
-    profile.Profiles.name n tau config.seed config.domains pre_rps
-    (failover_latency *. 1000.0)
-    post_rps survivors_identical storm.Faults.storm_rounds storm.Faults.chaos_points
-    storm.Faults.failovers storm.Faults.acked_adds storm.Faults.acked_preserved
-    storm.Faults.single_writer storm.Faults.converged
-    storm.Faults.cluster_answers_match bin_acked_preserved bin_single_writer;
-  close_out oc;
-  printf config "  wrote BENCH_replication.json\n";
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-      end
-      else try Sys.remove path with Sys_error _ -> ()
-  in
-  rm tmp
-
-let sharding config =
-  Table.heading ~out:config.out
-    "Extension — sharded serving (band-key routing, scatter-gather degradation, \
-     journal-streaming migration)";
-  let module Server = Tsj_server.Server in
-  let module Store = Tsj_server.Store in
-  let module Protocol = Tsj_server.Protocol in
-  let module Shard = Tsj_server.Shard in
-  let module Router = Tsj_server.Router in
-  let fail msg = failwith ("Experiments.sharding: " ^ msg) in
-  let ok_or_fail = function Ok v -> v | Error msg -> fail msg in
-  let profile = Profiles.swissprot in
-  let n = max 48 (int_of_float (240.0 *. config.scale)) in
-  let trees = Profiles.instantiate profile ~seed:config.seed ~n in
-  let tau = 2 in
-  let shards = 8 in
-  let tmp = Filename.temp_file "tsj_shard" "" in
-  Sys.remove tmp;
-  Unix.mkdir tmp 0o755;
-  let addr i = Protocol.Unix_path (Filename.concat tmp (Printf.sprintf "sock%d" i)) in
-  let dir i = Filename.concat tmp (Printf.sprintf "store%d" i) in
-  let mk ?(primary = true) ?(sync_from = []) i =
-    let config' =
-      { (Server.default_config (addr i) ~tau) with
-        Server.dir = Some (dir i);
-        domains = config.domains;
-        sync_from;
-        primary;
-      }
-    in
-    let server = ok_or_fail (Server.create config') in
-    Server.start server;
-    server
-  in
-  let servers = Array.init shards (fun i -> mk i) in
-  let map = Shard.create ~shards ~tau () in
-  let router =
-    ok_or_fail
-      (Router.create
-         {
-           Router.map;
-           tau;
-           groups = Array.init shards (fun i -> [ addr i ]);
-           timeout_s = 2.0;
-           attempts = 3;
-           ledger = Some (Filename.concat tmp "router.ledger");
-           seed = config.seed;
-           hedge_s = None;
-           margin_ms = 0;
-         })
-  in
-  (* phase 1: load through the router — every ADD is a single-shard
-     write; gids come back dense *)
-  let (), add_wall =
-    Tsj_util.Timer.wall (fun () ->
-        Array.iteri
-          (fun i tree ->
-            let gid, _ = ok_or_fail (Router.add router tree) in
-            if gid <> i then fail (Printf.sprintf "gid %d for add %d" gid i))
-          trees)
-  in
-  let add_rps = float_of_int n /. Float.max 1e-9 add_wall in
-  let residents = Array.make shards 0 in
-  for gid = 0 to n - 1 do
-    match Router.locate router gid with
-    | Some (s, _, _) -> residents.(s) <- residents.(s) + 1
-    | None -> fail (Printf.sprintf "gid %d unbound" gid)
-  done;
-  (* phase 2: reads — the band window bounds the scatter to a constant
-     shard subset; answers must be bit-identical to one unsharded store *)
-  let reference = ok_or_fail (Store.open_ ~domains:config.domains ~tau ()) in
-  Array.iter (fun tree -> ignore (Store.add reference tree)) trees;
-  let nq = min 8 n in
-  let queries = Array.init nq (fun k -> trees.(k * (n / nq))) in
-  let touched = ref 0 and scanned = ref 0 in
-  Array.iter
-    (fun q ->
-      let window = Shard.shards_for map ~tau (Tsj_tree.Tree.size q) in
-      touched := !touched + List.length window;
-      List.iter (fun s -> scanned := !scanned + residents.(s)) window)
-    queries;
-  let avg_shards_touched = float_of_int !touched /. float_of_int nq in
-  let scan_fraction = float_of_int !scanned /. float_of_int (nq * n) in
-  let check_identical label =
-    Array.iter
-      (fun q ->
-        let m = Router.query router ~tau q in
-        let r = Store.query reference q in
-        if m.Router.a_degraded || m.Router.a_hits <> r.Tsj_core.Incremental.hits then
-          fail (label ^ ": sharded answer differs from the unsharded reference");
-        let mk = Router.knn router ~k:3 q in
-        if mk.Router.a_hits <> Store.nearest ~k:3 reference q then
-          fail (label ^ ": sharded knn differs from the unsharded reference"))
-      queries
-  in
-  let (), unsharded_wall =
-    Tsj_util.Timer.wall (fun () ->
-        Array.iter (fun q -> ignore (Store.query reference q)) queries)
-  in
-  let (), sharded_wall =
-    Tsj_util.Timer.wall (fun () ->
-        Array.iter (fun q -> ignore (Router.query router ~tau q)) queries)
-  in
-  check_identical "healthy";
-  (* phase 3: migrate the fullest shard to a fresh node by journal
-     streaming (SYNC from 0), then re-check bit-identity *)
-  let victim = ref 0 in
-  Array.iteri (fun s c -> if c > residents.(!victim) then victim := s) residents;
-  let target = mk ~primary:false ~sync_from:[ addr !victim ] shards in
-  ok_or_fail (Router.migrate router ~shard:!victim ~target:[ addr shards ]);
-  check_identical "post-migration";
-  (try Server.drain servers.(!victim) with _ -> ());
-  (try Server.wait servers.(!victim) with _ -> ());
-  check_identical "post-migration, source retired";
-  (* phase 4: kill a shard outright — queries whose window includes it
-     must degrade soundly (sandwiches covering every true hit), not fail *)
-  let second = ref (if !victim = 0 then 1 else 0) in
-  Array.iteri
-    (fun s c -> if s <> !victim && c > residents.(!second) then second := s)
-    residents;
-  Server.abort servers.(!second);
-  Server.wait servers.(!second);
-  let degraded_count = ref 0 in
-  let degraded_sound =
-    Array.for_all
-      (fun q ->
-        let m = Router.query router ~tau q in
-        let truth = (Store.query reference q).Tsj_core.Incremental.hits in
-        if m.Router.a_degraded then incr degraded_count;
-        List.for_all
-          (fun (gid, d) ->
-            List.mem (gid, d) m.Router.a_hits
-            || List.exists
-                 (fun (g, lo, hi) -> g = gid && lo <= d && d <= hi)
-                 m.Router.a_unverified)
-          truth
-        && List.for_all (fun h -> List.mem h truth) m.Router.a_hits)
-      queries
-  in
-  if not degraded_sound then fail "a degraded answer lost or invented a hit";
-  Store.close reference;
-  (* phase 5: the sharded kill/partition/migration storm, in process *)
-  let storm_trees = Array.sub trees 0 (min 24 n) in
-  let storm =
-    Faults.run_sharded_storm ~domains:config.domains ~seed:config.seed ~rounds:32
-      ~shards:3 ~trees:storm_trees
-      ~queries:(Array.sub storm_trees 0 (min 4 (Array.length storm_trees)))
-      ~tau ()
-  in
-  if not storm.Faults.sh_acked_preserved then fail "storm lost an acknowledged ADD";
-  if not storm.Faults.sh_single_writer then
-    fail "storm saw two writers in one epoch on one shard";
-  if not storm.Faults.sh_degraded_sound then fail "storm served an unsound degraded answer";
-  if not (storm.Faults.sh_converged && storm.Faults.sh_answers_match) then
-    fail "storm cluster did not converge to the unsharded reference";
-  let row label value = [ label; value ] in
-  Table.print ~out:config.out
-    ~header:[ "sharded serving"; "value" ]
-    ~align:[ Table.Left; Table.Right ]
-    [
-      row "shards x trees" (Printf.sprintf "%d x %d" shards n);
-      row "band width (2tau+1)" (string_of_int map.Shard.band);
-      row "add throughput" (Printf.sprintf "%.0f add/s" add_rps);
-      row "avg shards touched per query"
-        (Printf.sprintf "%.2f of %d" avg_shards_touched shards);
-      row "scan fraction vs unsharded" (Printf.sprintf "%.3f" scan_fraction);
-      row "query latency (unsharded lib)"
-        (Printf.sprintf "%.2f ms" (1000.0 *. unsharded_wall /. float_of_int nq));
-      row "query latency (router, wire)"
-        (Printf.sprintf "%.2f ms" (1000.0 *. sharded_wall /. float_of_int nq));
-      row "migration (journal streaming)" "ok";
-      row "degraded answers (1 shard down)"
-        (Printf.sprintf "%d/%d sound" !degraded_count nq);
-      row "storm"
-        (Printf.sprintf "%d rounds, %d acked, %d migrations, all invariants held"
-           storm.Faults.sh_rounds storm.Faults.sh_acked_adds storm.Faults.sh_migrations);
-    ];
-  let oc = open_out "BENCH_sharding.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"dataset\": \"%s\",\n\
-    \  \"n_trees\": %d,\n\
-    \  \"tau\": %d,\n\
-    \  \"seed\": %d,\n\
-    \  \"domains\": %d,\n\
-    \  \"shards\": %d,\n\
-    \  \"band\": %d,\n\
-    \  \"add_rps\": %.1f,\n\
-    \  \"avg_shards_touched\": %.3f,\n\
-    \  \"scan_fraction\": %.4f,\n\
-    \  \"unsharded_query_ms\": %.3f,\n\
-    \  \"sharded_query_ms\": %.3f,\n\
-    \  \"migration_ok\": true,\n\
-    \  \"degraded_sound\": %b,\n\
-    \  \"storm_rounds\": %d,\n\
-    \  \"storm_shards\": %d,\n\
-    \  \"storm_acked_adds\": %d,\n\
-    \  \"storm_failovers\": %d,\n\
-    \  \"storm_migrations\": %d,\n\
-    \  \"storm_acked_preserved\": %b,\n\
-    \  \"storm_single_writer\": %b,\n\
-    \  \"storm_converged\": %b,\n\
-    \  \"storm_degraded_sound\": %b,\n\
-    \  \"storm_answers_match\": %b\n\
-     }\n"
-    profile.Profiles.name n tau config.seed config.domains shards map.Shard.band add_rps
-    avg_shards_touched scan_fraction
-    (1000.0 *. unsharded_wall /. float_of_int nq)
-    (1000.0 *. sharded_wall /. float_of_int nq)
-    degraded_sound storm.Faults.sh_rounds storm.Faults.sh_shards
-    storm.Faults.sh_acked_adds storm.Faults.sh_failovers storm.Faults.sh_migrations
-    storm.Faults.sh_acked_preserved storm.Faults.sh_single_writer
-    storm.Faults.sh_converged storm.Faults.sh_degraded_sound
-    storm.Faults.sh_answers_match;
-  close_out oc;
-  printf config "  wrote BENCH_sharding.json\n";
-  Router.close router;
-  Array.iteri
-    (fun i s ->
-      if i <> !second && i <> !victim then begin
-        (try Server.drain s with _ -> ());
-        try Server.wait s with _ -> ()
-      end)
-    servers;
-  (try Server.drain target with _ -> ());
-  (try Server.wait target with _ -> ());
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-      end
-      else try Sys.remove path with Sys_error _ -> ()
-  in
-  rm tmp
-
-(* --- integrity: scrub overhead under load, bit-rot storm, Merkle
-   anti-entropy frugality --- *)
-
-let integrity config =
-  Table.heading ~out:config.out
-    "Extension — end-to-end integrity (background scrub, Merkle anti-entropy, \
-     self-healing repair)";
-  let module Server = Tsj_server.Server in
-  let module Store = Tsj_server.Store in
-  let module Client = Tsj_server.Client in
-  let module Protocol = Tsj_server.Protocol in
-  let profile = Profiles.swissprot in
-  let n = max 24 (int_of_float (240.0 *. config.scale)) in
-  let trees = Profiles.instantiate profile ~seed:config.seed ~n in
-  let tau = 2 in
-  let fail msg = failwith ("Experiments.integrity: " ^ msg) in
-  let ok_or_fail = function Ok v -> v | Error msg -> fail msg in
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-      end
-      else try Sys.remove path with Sys_error _ -> ()
-  in
-  (* Phase 1 — scrub overhead: the soak workload (pipelined binary
-     queries over fixed connections) against the same preloaded server,
-     once with the scrubber off and once with it re-verifying the
-     whole journal about four times a second (250 ms ticks, budget
-     covering every record — far hotter than a production cadence of
-     tens of seconds, yet the overhead bound must still hold). *)
-  let rung_s = 10.0 *. min 1.0 config.scale in
-  let conns = 4 in
-  let window = 16 in
-  let run_soak ~scrub =
-    let tmp = Filename.temp_file "tsj_integrity" "" in
-    Sys.remove tmp;
-    Unix.mkdir tmp 0o755;
-    let addr = Protocol.Unix_path (Filename.concat tmp "sock") in
-    let server =
-      ok_or_fail
-        (Server.create
-           { (Server.default_config addr ~tau) with
-             Server.dir = Some (Filename.concat tmp "store");
-             domains = config.domains;
-             max_inflight = 1024;
-             deadline_s = Some 0.5;
-             scrub_interval_s = (if scrub then Some 0.25 else None);
-             scrub_budget = 256;
-           })
-    in
-    let store = Server.store server in
-    Array.iter (fun t -> ignore (Store.add store t)) trees;
-    Server.start server;
-    let worker c conn =
-      let rng = Tsj_util.Prng.create (config.seed + 900 + c) in
-      let pending = Hashtbl.create (2 * window) in
-      let sent = ref 0 and bad = ref 0 in
-      let deadline = Tsj_util.Timer.now () +. rung_s in
-      let live () = Tsj_util.Timer.now () < deadline in
-      while live () || Hashtbl.length pending > 0 do
-        while live () && Hashtbl.length pending < window do
-          let req =
-            Protocol.Query { tau = 0; tree = trees.(Tsj_util.Prng.int rng n) }
-          in
-          Hashtbl.replace pending (Client.Bin.send conn req) ();
-          incr sent
-        done;
-        Client.Bin.flush conn;
-        if Hashtbl.length pending > 0 then
-          match Client.Bin.recv conn with
-          | Error msg -> failwith ("integrity soak recv: " ^ msg)
-          | Ok (id, resp) ->
-            Hashtbl.remove pending id;
-            (match resp with Protocol.Hits _ -> () | _ -> incr bad)
-      done;
-      Client.Bin.close conn;
-      (!sent, !bad)
-    in
-    let sockets = Array.init conns (fun _ -> ok_or_fail (Client.Bin.connect addr)) in
-    let results, wall =
-      Tsj_util.Timer.wall (fun () ->
-          Array.mapi (fun c conn -> Domain.spawn (fun () -> worker c conn)) sockets
-          |> Array.map Domain.join)
-    in
-    let sent = Array.fold_left (fun acc (s, _) -> acc + s) 0 results in
-    let bad = Array.fold_left (fun acc (_, b) -> acc + b) 0 results in
-    if bad > 0 then fail (Printf.sprintf "%d soak replies were BUSY/ERR" bad);
-    let stats =
-      let conn = ok_or_fail (Client.connect addr) in
-      let s =
-        match Client.request conn Protocol.Stats with
-        | Ok (Protocol.Stats_reply s) -> s
-        | Ok _ | Error _ -> fail "STATS request failed"
-      in
-      (match Client.request conn Protocol.Drain with
-      | Ok Protocol.Drained -> ()
-      | Ok _ | Error _ -> fail "DRAIN request failed");
-      Client.close conn;
-      s
-    in
-    Server.wait server;
-    rm tmp;
-    (float_of_int sent /. wall, stats)
-  in
-  let rps_off, _ = run_soak ~scrub:false in
-  let rps_on, stats_on = run_soak ~scrub:true in
-  if stats_on.Protocol.scrubbed = 0 then
-    fail "the background scrubber never ran during the scrub-on soak";
-  if stats_on.Protocol.crc_failures > 0 then
-    fail "scrub reported corruption on a healthy store";
-  let overhead_pct = 100.0 *. (rps_off -. rps_on) /. rps_off in
-  (* The < 5% bound only means something once the rungs are long enough
-     to average out scheduler noise. *)
-  if config.scale >= 1.0 && overhead_pct >= 5.0 then
-    fail
-      (Printf.sprintf "background scrub costs %.1f%% of soak throughput (>= 5%%)"
-         overhead_pct);
-  (* Phase 2 — full-pass scrub cost offline: re-verify every record,
-     the epoch header and both seals on a store nobody is querying. *)
-  let scrub_pass_ms =
-    let tmp = Filename.temp_file "tsj_integrity" "" in
-    Sys.remove tmp;
-    Unix.mkdir tmp 0o755;
-    let store = ok_or_fail (Store.open_ ~dir:tmp ~tau ()) in
-    Array.iter (fun t -> ignore (Store.add store t)) trees;
-    let budget = n + 1 in
-    let (), wall =
-      Tsj_util.Timer.wall (fun () ->
-          let a = Store.scrub_step ~budget store in
-          let b = Store.scrub_step ~budget store in
-          if a.Store.sc_findings <> [] || b.Store.sc_findings <> [] then
-            fail "offline scrub found corruption on a healthy store")
-    in
-    Store.close store;
-    rm tmp;
-    1000.0 *. wall
-  in
-  (* Phase 3 — the bit-rot storm: random bit flips in live files,
-     mid-journal rot before restarts, grafted divergence, injected read
-     faults; every corruption must be detected, answers never wrong,
-     anti-entropy must move only the differing ranges. *)
-  let storm =
-    let storm_trees = Profiles.instantiate profile ~seed:(config.seed + 31) ~n:24 in
-    Faults.run_scrub_storm ~domains:config.domains ~seed:config.seed ~rounds:30
-      ~trees:storm_trees
-      ~queries:(Array.sub storm_trees 0 8)
-      ~tau ()
-  in
-  if not storm.Faults.sb_all_detected then
-    fail
-      (Printf.sprintf "scrub storm: %d of %d injected corruptions went undetected"
-         (storm.Faults.sb_flips + storm.Faults.sb_read_faults - storm.Faults.sb_detected)
-         (storm.Faults.sb_flips + storm.Faults.sb_read_faults));
-  if storm.Faults.sb_wrong_answers > 0 then
-    fail (Printf.sprintf "scrub storm: %d wrong answers" storm.Faults.sb_wrong_answers);
-  if not storm.Faults.sb_converged then fail "scrub storm: stores did not converge";
-  if not storm.Faults.sb_transfer_frugal then
-    fail
-      (Printf.sprintf
-         "scrub storm: anti-entropy moved %d records (expected %d, full re-syncs \
-          would move %d)"
-         storm.Faults.sb_transferred storm.Faults.sb_transfer_expected
-         storm.Faults.sb_full_resync_cost);
-  printf config
-    "\n  (%s profile, %d trees preloaded, tau = %d; %.0f s per soak rung, %d \
-     connections, window %d)\n"
-    profile.Profiles.name n tau rung_s conns window;
-  Table.print ~out:config.out
-    ~header:[ "metric"; "value" ]
-    ~align:[ Table.Left; Table.Right ]
-    [
-      [ "soak throughput, scrub off"; Printf.sprintf "%.0f req/s" rps_off ];
-      [ "soak throughput, scrub on (250 ms ticks)"; Printf.sprintf "%.0f req/s" rps_on ];
-      [ "scrub overhead"; Printf.sprintf "%.1f %%" overhead_pct ];
-      [ "records scrubbed during soak"; string_of_int stats_on.Protocol.scrubbed ];
-      [ "full scrub pass (offline)"; Printf.sprintf "%.1f ms" scrub_pass_ms ];
-      [ "storm rounds"; string_of_int storm.Faults.sb_rounds ];
-      [ "storm bit flips / read faults";
-        Printf.sprintf "%d / %d" storm.Faults.sb_flips storm.Faults.sb_read_faults ];
-      [ "storm corruptions detected";
-        Printf.sprintf "%d (all: %b)" storm.Faults.sb_detected storm.Faults.sb_all_detected ];
-      [ "storm scrub repairs / healed / quarantined";
-        Printf.sprintf "%d / %d / %d" storm.Faults.sb_scrub_repairs storm.Faults.sb_healed
-          storm.Faults.sb_quarantined ];
-      [ "anti-entropy records transferred";
-        Printf.sprintf "%d (minimum %d, full re-sync %d)" storm.Faults.sb_transferred
-          storm.Faults.sb_transfer_expected storm.Faults.sb_full_resync_cost ];
-      [ "storm wrong answers"; string_of_int storm.Faults.sb_wrong_answers ];
-      [ "storm converged"; string_of_bool storm.Faults.sb_converged ];
-    ];
-  let oc = open_out "BENCH_integrity.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"tsj_integrity\",\n\
-    \  \"dataset\": \"%s\",\n\
-    \  \"preloaded\": %d,\n\
-    \  \"tau\": %d,\n\
-    \  \"seed\": %d,\n\
-    \  \"rung_seconds\": %.1f,\n\
-    \  \"connections\": %d,\n\
-    \  \"throughput_scrub_off_rps\": %.1f,\n\
-    \  \"throughput_scrub_on_rps\": %.1f,\n\
-    \  \"scrub_overhead_pct\": %.2f,\n\
-    \  \"scrubbed_during_soak\": %d,\n\
-    \  \"full_scrub_pass_ms\": %.2f,\n\
-    \  \"storm_rounds\": %d,\n\
-    \  \"storm_flips\": %d,\n\
-    \  \"storm_read_faults\": %d,\n\
-    \  \"storm_detected\": %d,\n\
-    \  \"storm_all_detected\": %b,\n\
-    \  \"storm_scrub_repairs\": %d,\n\
-    \  \"storm_healed\": %d,\n\
-    \  \"storm_quarantined\": %d,\n\
-    \  \"storm_divergences\": %d,\n\
-    \  \"storm_transferred\": %d,\n\
-    \  \"storm_transfer_expected\": %d,\n\
-    \  \"storm_full_resync_cost\": %d,\n\
-    \  \"storm_transfer_frugal\": %b,\n\
-    \  \"storm_wrong_answers\": %d,\n\
-    \  \"storm_converged\": %b\n\
-     }\n"
-    profile.Profiles.name n tau config.seed rung_s conns rps_off rps_on overhead_pct
-    stats_on.Protocol.scrubbed scrub_pass_ms storm.Faults.sb_rounds storm.Faults.sb_flips
-    storm.Faults.sb_read_faults storm.Faults.sb_detected storm.Faults.sb_all_detected
-    storm.Faults.sb_scrub_repairs storm.Faults.sb_healed storm.Faults.sb_quarantined
-    storm.Faults.sb_divergences storm.Faults.sb_transferred
-    storm.Faults.sb_transfer_expected storm.Faults.sb_full_resync_cost
-    storm.Faults.sb_transfer_frugal storm.Faults.sb_wrong_answers
-    storm.Faults.sb_converged;
-  close_out oc;
-  printf config "  wrote BENCH_integrity.json\n"
-
-let run_all config =
-  fig10_11 config;
-  fig12_13 config;
-  fig14 config;
-  ablation config;
-  parallel config;
-  perf config;
-  dag config;
-  streaming config;
-  resilience config;
-  serving config;
-  overload config;
-  replication config;
-  sharding config;
-  integrity config
+let run_all config = List.iter (fun (_, run) -> run config) experiments

@@ -14,12 +14,10 @@ type config = {
   taus : int list;     (** thresholds for the τ sweeps (paper: 1..5) *)
   out : out_channel;
   domains : int;       (** domain count forwarded to the PartSJ runs *)
-  bench_json : string; (** output path of {!perf}'s machine-readable record *)
 }
 
 val default_config : config
-(** [scale = 1.0], [seed = 42], [taus = 1..5], stdout, [domains = 1],
-    [bench_json = "BENCH_partsj.json"]. *)
+(** [scale = 1.0], [seed = 42], [taus = 1..5], stdout, [domains = 1]. *)
 
 val fig10_11 : config -> unit
 (** Figures 10 and 11: runtime split (candidate generation vs TED) and
@@ -49,8 +47,9 @@ val perf : config -> unit
     τ = 3: runs the join at one domain and at the recommended count,
     prints the wall-time phase split, asserts that result pairs,
     candidate counts and probe statistics are identical across domain
-    counts, and writes the machine-readable record to
-    [config.bench_json].
+    counts, and at [scale >= 1.0] writes the machine-readable record to
+    [BENCH_partsj.json] in the current directory (a smaller run writes
+    nothing, so it never overwrites the committed full-scale record).
     @raise Failure if the two runs disagree. *)
 
 val dag : config -> unit
@@ -59,7 +58,8 @@ val dag : config -> unit
     hash-consing the collection (deep-copied baseline vs interned shared
     views), runs the PartSJ join with consing off/on at 1 and
     [config.domains] domains, reports the verify-time change and the
-    cross-pair memo hit rate, and writes [BENCH_dag.json].
+    cross-pair memo hit rate, and at [scale >= 1.0] writes
+    [BENCH_dag.json].
     @raise Failure if consing changes the join output, the output
     differs across domain counts, the memo never hits, or (at
     [scale >= 1.0]) interning saves less than 2x memory. *)
@@ -77,92 +77,11 @@ val resilience : config -> unit
     completeness up to the quarantined set.
     @raise Failure on any violation. *)
 
-val serving : config -> unit
-(** Extension bench: the fault-tolerant similarity-search service.
-    Runs an in-process [tsj serve] instance over a temp Unix socket in
-    three phases: a lock-step newline-protocol burst (the "before"
-    measurement), a pipelined binary-protocol mixed read/write phase in
-    a dedicated load-generator domain (the headline throughput and
-    latency percentiles), and a pure ADD burst measuring the group-commit
-    amortization (fsyncs per acked ADD).  Asserts every request is
-    answered; then drains over the wire and asserts the cold start sees
-    the full index with an empty journal; then runs a kill-and-restart
-    crash scenario asserting bit-identical answers.  Writes
-    [BENCH_serving.json] with both the before (text) and after (binary)
-    numbers.
-    @raise Failure on any violation. *)
-
-val serving_soak : config -> unit
-(** Extension bench: sustained serving load.  One server, four rungs of
-    fixed connection counts (1, 2, 4, 8), each holding a pipelined mixed
-    read/write workload (1/128 ADDs) for 15 s — 60 s of load at full
-    scale ([scale] shrinks the rungs for smoke runs).  Prints
-    throughput, p50/p99 and fsyncs-per-ADD per rung and writes
-    [BENCH_serving_soak.json].  Not part of {!run_all} (it is a
-    minute-long bench by design); run it via [tsj bench serving-soak].
-    @raise Failure on any violation. *)
-
-val overload : config -> unit
-(** Extension bench: overload robustness.  Runs {!Tsj_harness.Faults}'
-    overload storm at widening greedy-client counts (1, 2, 5, 10 —
-    a single rung below [scale = 0.1]): one token-bucket-limited server,
-    a conforming paced client measured before and inside each storm,
-    greedy pipelined clients firing 50 ms-deadline queries flat out, an
-    idle connection awaiting the reaper and a hedge-race pair.  Prints
-    baseline-vs-storm goodput, shed/expired/reaped counts per rung and
-    writes [BENCH_overload.json].
-    @raise Failure if goodput drops below half of baseline, the
-    conforming client starves or is shed, any answer is late, wrong or
-    hedge-divergent, or an expired ADD reaches the store. *)
-
-val replication : config -> unit
-(** Extension bench: the replicated service.  Starts a
-    primary-plus-two-replica cluster over temp Unix sockets (quorum 2,
-    journal streaming), drives quorum-acked ADDs through the failover
-    client, then [abort]s the primary (kill -9 semantics), promotes a
-    replica over the wire and measures the failover latency (abort to
-    first acknowledged ADD) and post-failover throughput; asserts both
-    survivors answer bit-identically to a single-node store that never
-    failed.  Finishes with the in-process
-    {!Faults.run_failover_storm} (randomized kills and partitions),
-    asserting zero acknowledged ADDs lost and one writer per epoch.
-    Writes [BENCH_replication.json].
-    @raise Failure on any violation. *)
-
-val sharding : config -> unit
-(** Extension bench: the sharded service.  Starts 8 single-node shard
-    servers over temp Unix sockets and a real {!Tsj_server.Router} with
-    a checksummed ledger, loads the dataset through the router (dense
-    gids), and measures: band-window fan-out (average shards touched
-    per query — at most 2 with the default band width), the scanned
-    fraction versus one unsharded store (the sub-linear per-shard query
-    cost), and wire-level query latency, asserting every QUERY/KNN
-    answer bit-identical to an unsharded reference.  Then migrates the
-    fullest shard to a fresh node by journal streaming and re-checks
-    bit-identity; kills another shard outright and checks every
-    degraded answer is sound (no hit lost outside its [lo, hi] sandwich,
-    none invented); finishes with the in-process
-    {!Faults.run_sharded_storm} (randomized kills, partitions,
-    sabotaged migrations and router crashes).  Writes
-    [BENCH_sharding.json].
-    @raise Failure on any violation. *)
-
-val integrity : config -> unit
-(** Extension bench: end-to-end integrity.  Measures the background
-    scrubber's cost under load — the soak workload (pipelined binary
-    queries over 4 connections) against the same preloaded server with
-    the scrubber off and then re-verifying the journal on 10 ms ticks,
-    asserting (at [scale >= 1.0]) the throughput overhead stays below
-    5%% — and the wall time of one full offline scrub pass (every
-    record, the epoch header, both seals).  Finishes with the
-    in-process {!Faults.run_scrub_storm} (random bit flips in live
-    journal/snapshot/seal files, mid-journal rot before restarts,
-    grafted divergent histories, injected read faults), asserting every
-    injected corruption detected, zero wrong answers, convergence after
-    repair, and that Merkle anti-entropy transferred exactly the
-    differing ranges (≪ full re-sync cost).  Writes
-    [BENCH_integrity.json].
-    @raise Failure on any violation. *)
+val experiments : (string * (config -> unit)) list
+(** Every runner above under its command-line name ([fig10] prints
+    Figures 10 and 11, [fig12] Figures 12 and 13, [fig14] Table 1 and
+    Figure 14), in paper order, extensions last.  The bench harness and
+    [tsj bench] dispatch through this list. *)
 
 val run_all : config -> unit
-(** Everything above, in paper order, extensions last. *)
+(** Runs {!experiments} in order. *)

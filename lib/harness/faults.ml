@@ -86,7 +86,6 @@ type server_kill_report = {
   server_killed : bool;
   acked : int;
   expected : int;
-  replayed : int;
   answers_match : bool;
 }
 
@@ -162,10 +161,9 @@ let run_server_kill_and_restart ?(domains = 1) ?(kill_at_add = 1) ?(tear_tail = 
            && (not a.degraded) && (not b.degraded))
          queries
   in
-  let replayed = Tsj_server.Store.n_trees replayed_store in
   Tsj_server.Store.close replayed_store;
   remove_store_dir dir;
-  { server_killed; acked = !acked; expected; replayed; answers_match }
+  { server_killed; acked = !acked; expected; answers_match }
 
 (* --- replicated-cluster failover storm --- *)
 
@@ -178,12 +176,9 @@ module Srouter = Tsj_server.Router
 module Prng = Tsj_util.Prng
 
 type failover_report = {
-  storm_rounds : int;
   chaos_points : int;
   acked_adds : int;
-  failed_adds : int;
   failovers : int;
-  final_epoch : int;
   acked_preserved : bool;
   single_writer : bool;
   converged : bool;
@@ -608,17 +603,13 @@ let run_failover_storm ?(domains = 1) ?(seed = 0xC1A05) ?(rounds = 40) ?(quorum 
   let g = group_create ~id:0 ~active:(ref (-1)) ~quorum ~domains ~tau ~replicas:3 in
   let chaos_points = ref 0
   and acked : (int * Tsj_tree.Tree.t) list ref = ref []
-  and acked_adds = ref 0
-  and failed_adds = ref 0 in
+  and acked_adds = ref 0 in
   let client_add tree =
     match group_client_add g tree with
     | Some (seq, _node) ->
       acked := (seq, tree) :: !acked;
-      incr acked_adds;
-      true
-    | None ->
-      incr failed_adds;
-      false
+      incr acked_adds
+    | None -> ()
   in
   let cleanup () =
     Fault.disarm_all ();
@@ -630,14 +621,14 @@ let run_failover_storm ?(domains = 1) ?(seed = 0xC1A05) ?(rounds = 40) ?(quorum 
         if group_inject_chaos g rng then incr chaos_points;
         let adds = 1 + Prng.int rng 3 in
         for _ = 1 to adds do
-          ignore (client_add (Prng.choice rng trees))
+          client_add (Prng.choice rng trees)
         done;
         Fault.disarm_all ()
       done;
       (* final heal: everyone back, converged, one more acked write *)
       let primary = group_heal g in
       for _ = 1 to 3 do
-        ignore (client_add (Prng.choice rng trees))
+        client_add (Prng.choice rng trees)
       done;
       Array.iter
         (fun node -> if node != primary then ignore (group_resync g primary node))
@@ -667,12 +658,9 @@ let run_failover_storm ?(domains = 1) ?(seed = 0xC1A05) ?(rounds = 40) ?(quorum 
       in
       let cluster_answers_match = Array.for_all node_matches g.sg_nodes in
       {
-        storm_rounds = rounds;
         chaos_points = !chaos_points;
         acked_adds = !acked_adds;
-        failed_adds = !failed_adds;
         failovers = !(g.sg_failovers);
-        final_epoch = Sstore.epoch primary.sn_store;
         acked_preserved;
         single_writer = !(g.sg_single_writer);
         converged;
@@ -682,11 +670,8 @@ let run_failover_storm ?(domains = 1) ?(seed = 0xC1A05) ?(rounds = 40) ?(quorum 
 (* --- sharded-cluster storm --- *)
 
 type sharded_report = {
-  sh_rounds : int;
-  sh_shards : int;
   sh_chaos_points : int;
   sh_acked_adds : int;
-  sh_failed_adds : int;
   sh_failovers : int;
   sh_migrations : int;
   sh_acked_preserved : bool;
@@ -724,7 +709,6 @@ let run_sharded_storm ?(domains = 1) ?(seed = 0x5AAD) ?(rounds = 40) ?(shards = 
   let chaos_points = ref 0
   and acked : (int * int * Tsj_tree.Tree.t) list ref = ref []  (* (shard, lseq, tree) *)
   and acked_adds = ref 0
-  and failed_adds = ref 0
   and migrations = ref 0
   and degraded_sound = ref true in
   let router_cut = Array.make shards false in
@@ -751,10 +735,9 @@ let run_sharded_storm ?(domains = 1) ?(seed = 0x5AAD) ?(rounds = 40) ?(shards = 
   in
   let router_add tree =
     let s = Sshard.shard_of_tree map tree in
-    if router_cut.(s) then incr failed_adds
-    else
+    if not router_cut.(s) then
       match group_client_add groups.(s) tree with
-      | None -> incr failed_adds
+      | None -> ()
       | Some (lseq, node) ->
         incr acked_adds;
         acked := (s, lseq, tree) :: !acked;
@@ -934,11 +917,8 @@ let run_sharded_storm ?(domains = 1) ?(seed = 0x5AAD) ?(rounds = 40) ?(shards = 
           queries
       in
       {
-        sh_rounds = rounds;
-        sh_shards = shards;
         sh_chaos_points = !chaos_points;
         sh_acked_adds = !acked_adds;
-        sh_failed_adds = !failed_adds;
         sh_failovers = Array.fold_left (fun a g -> a + !(g.sg_failovers)) 0 groups;
         sh_migrations = !migrations;
         sh_acked_preserved = acked_preserved;
@@ -965,17 +945,12 @@ let flip_bit path ~bit =
       if Unix.write fd b 0 1 <> 1 then failwith "flip_bit: short write")
 
 type scrub_storm_report = {
-  sb_rounds : int;
   sb_flips : int;
-  sb_read_faults : int;
-  sb_detected : int;
   sb_all_detected : bool;
   sb_scrub_repairs : int;
   sb_healed : int;
   sb_quarantined : int;
-  sb_divergences : int;
   sb_transferred : int;
-  sb_transfer_expected : int;
   sb_full_resync_cost : int;
   sb_transfer_frugal : bool;
   sb_wrong_answers : int;
@@ -1009,10 +984,9 @@ let run_scrub_storm ?(domains = 1) ?(seed = 0x5C12B) ?(rounds = 30) ~trees
   and scrub_repairs = ref 0
   and healed = ref 0
   and quarantined = ref 0
-  and divergences = ref 0
   and transferred = ref 0
-  and transfer_expected = ref 0
   and full_resync_cost = ref 0
+  and transfer_frugal = ref true
   and wrong = ref 0
   and repair_clean = ref true in
   let add tree =
@@ -1121,19 +1095,23 @@ let run_scrub_storm ?(domains = 1) ?(seed = 0x5C12B) ?(rounds = 30) ~trees
         assert_clean st)
   in
   (* pure catch-up / post-divergence convergence via the Merkle digests
-     of the primary, counting transferred records against the true
-     suffix length and a full re-sync's cost *)
+     of the primary.  Each call must transfer exactly the true suffix
+     length [expected]; so whenever the replica kept a prefix
+     ([expected < n_p]) it re-sends less than a full re-sync would.  A
+     replica whose whole journal was quarantined has [expected = n_p],
+     and a full refill is then the exact answer, not a waste. *)
   let anti_entropy ~expected =
     let n_p = Sstore.n_trees !primary in
     full_resync_cost := !full_resync_cost + n_p;
-    transfer_expected := !transfer_expected + expected;
     match
       Tsj_server.Scrub.anti_entropy ~local:!replica ~remote_n:n_p
         ~digest:(fun ~lo ~hi -> Ok (Sstore.digest !primary ~lo ~hi))
         ~fetch:(fun seq -> Ok (Sstore.record_for !primary seq))
     with
     | Error m -> failwith ("scrub storm: anti-entropy: " ^ m)
-    | Ok t -> transferred := !transferred + t
+    | Ok t ->
+      transferred := !transferred + t;
+      if t <> expected then transfer_frugal := false
   in
   (* kind 3: restart the replica over a rotted journal in quarantine
      mode — no heal source, the suffix is moved aside and served
@@ -1179,7 +1157,6 @@ let run_scrub_storm ?(domains = 1) ?(seed = 0x5C12B) ?(rounds = 30) ~trees
         match Sstore.apply_record !replica (Sstore.render_record ~seq:d t) with
         | Ok _ -> ()
         | Error m -> failwith ("scrub storm: graft: " ^ m)));
-      incr divergences;
       anti_entropy ~expected:(Sstore.n_trees !primary - d)
     end
   in
@@ -1252,21 +1229,14 @@ let run_scrub_storm ?(domains = 1) ?(seed = 0x5C12B) ?(rounds = 30) ~trees
         !repair_clean && same !primary && same !replica && answers_match
       in
       {
-        sb_rounds = rounds;
         sb_flips = !flips;
-        sb_read_faults = !read_faults;
-        sb_detected = !detected;
         sb_all_detected = !detected = !flips + !read_faults;
         sb_scrub_repairs = !scrub_repairs;
         sb_healed = !healed;
         sb_quarantined = !quarantined;
-        sb_divergences = !divergences;
         sb_transferred = !transferred;
-        sb_transfer_expected = !transfer_expected;
         sb_full_resync_cost = !full_resync_cost;
-        sb_transfer_frugal =
-          !transferred = !transfer_expected
-          && (!full_resync_cost = 0 || !transferred < !full_resync_cost);
+        sb_transfer_frugal = !transfer_frugal;
         sb_wrong_answers = !wrong;
         sb_converged = converged;
       })
@@ -1277,20 +1247,15 @@ module Sserver = Tsj_server.Server
 module Sclient = Tsj_server.Client
 
 type overload_report = {
-  ov_baseline_rps : float;
-  ov_storm_rps : float;
   ov_goodput_ok : bool;
   ov_conforming_sent : int;
-  ov_conforming_answered : int;
   ov_conforming_shed : int;
   ov_no_starvation : bool;
   ov_greedy_sent : int;
-  ov_greedy_answered : int;
   ov_greedy_shed : int;
   ov_late_answers : int;
   ov_wrong_answers : int;
   ov_hedge_mismatches : int;
-  ov_expired : int;
   ov_reaped : int;
   ov_expired_add_rejected : bool;
   ov_trees_stable : bool;
@@ -1407,13 +1372,12 @@ let run_overload_storm ?(domains = 1) ?(seed = 0x10AD) ?(duration_s = 1.0)
          ERR), so a window of sends is matched by a window of recvs. *)
       let g_mutex = Mutex.create () in
       let greedy_sent = ref 0
-      and greedy_answered = ref 0
       and greedy_shed = ref 0
       and greedy_late = ref 0 in
       let greedy_deadline_ms = 50 in
       let greedy_thread k until () =
         let rng = Prng.create (seed + (17 * (k + 1))) in
-        let sent = ref 0 and answered = ref 0 and shed = ref 0 and late = ref 0 in
+        let sent = ref 0 and shed = ref 0 and late = ref 0 in
         let rec sessions () =
           if now () < until then begin
             (match Sclient.Bin.connect ~timeout_s:1.0 addr with
@@ -1435,9 +1399,8 @@ let run_overload_storm ?(domains = 1) ?(seed = 0x10AD) ?(duration_s = 1.0)
                    Sclient.Bin.flush b;
                    for _ = 1 to window do
                      match Sclient.Bin.recv b with
-                     | Ok (id, Sproto.Hits _) ->
-                       incr answered;
-                       (match Hashtbl.find_opt sent_at id with
+                     | Ok (id, Sproto.Hits _) -> (
+                       match Hashtbl.find_opt sent_at id with
                        | Some t0 ->
                          if
                            now () -. t0
@@ -1458,7 +1421,6 @@ let run_overload_storm ?(domains = 1) ?(seed = 0x10AD) ?(duration_s = 1.0)
         sessions ();
         Mutex.protect g_mutex (fun () ->
             greedy_sent := !greedy_sent + !sent;
-            greedy_answered := !greedy_answered + !answered;
             greedy_shed := !greedy_shed + !shed;
             greedy_late := !greedy_late + !late)
       in
@@ -1498,12 +1460,11 @@ let run_overload_storm ?(domains = 1) ?(seed = 0x10AD) ?(duration_s = 1.0)
       (* phase 1: baseline goodput on the idle server *)
       let rng = Prng.create seed in
       let t_base = now () in
-      let bsent, bans, bshed, blate, bwrong =
+      let _, bans, bshed, blate, bwrong =
         run_conforming ~rng ~until:(t_base +. (duration_s /. 2.))
       in
       let baseline_wall = Float.max 1e-6 (now () -. t_base) in
       let baseline_rps = float_of_int bans /. baseline_wall in
-      ignore bsent;
       (* phase 2: the same client inside the storm *)
       let until = now () +. duration_s in
       let idle = Result.to_option (Sclient.connect addr) in
@@ -1530,20 +1491,15 @@ let run_overload_storm ?(domains = 1) ?(seed = 0x10AD) ?(duration_s = 1.0)
       (match idle with Some c -> Sclient.close c | None -> ());
       let st = Sserver.stats server in
       {
-        ov_baseline_rps = baseline_rps;
-        ov_storm_rps = storm_rps;
         ov_goodput_ok = storm_rps >= 0.5 *. baseline_rps;
         ov_conforming_sent = ssent;
-        ov_conforming_answered = sans;
         ov_conforming_shed = bshed + sshed;
         ov_no_starvation = 2 * sans >= ssent;
         ov_greedy_sent = !greedy_sent;
-        ov_greedy_answered = !greedy_answered;
         ov_greedy_shed = !greedy_shed;
         ov_late_answers = blate + slate + !greedy_late;
         ov_wrong_answers = bwrong + swrong;
         ov_hedge_mismatches = !hedge_mismatch;
-        ov_expired = st.Sproto.expired;
         ov_reaped = st.Sproto.reaped;
         ov_expired_add_rejected = expired_add_rejected;
         ov_trees_stable = st.Sproto.trees = Array.length trees;

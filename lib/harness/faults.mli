@@ -64,11 +64,9 @@ type server_kill_report = {
   expected : int;
       (** adds that must survive the restart: [acked], minus one when the
           journal tail was torn (that record was a partial write) *)
-  replayed : int;  (** trees in the restarted store *)
   answers_match : bool;
-      (** the restarted store answers every probe query bit-identically
-          to a store fed exactly the expected prefix, and
-          [replayed = expected] *)
+      (** the restarted store holds exactly [expected] trees and answers
+          every probe query bit-identically to a store fed that prefix *)
 }
 
 val run_server_kill_and_restart :
@@ -90,15 +88,12 @@ val run_server_kill_and_restart :
     store directory is removed afterwards. *)
 
 type failover_report = {
-  storm_rounds : int;
   chaos_points : int;
       (** kill/partition events injected (one per round) *)
-  acked_adds : int;  (** ADDs the client saw acknowledged *)
-  failed_adds : int;
-      (** ADDs the client gave up on — never acknowledged, so allowed
-          (but not required) to be lost *)
+  acked_adds : int;
+      (** ADDs the client saw acknowledged; the ones it gave up on were
+          never acknowledged, so they may (but need not) be lost *)
   failovers : int;  (** promotions performed by the driver-as-operator *)
-  final_epoch : int;
   acked_preserved : bool;
       (** every acknowledged (seq, tree) is present, bit-identical, at
           [seq] in the healed cluster — the "zero acked ADDs lost"
@@ -140,13 +135,11 @@ val run_failover_storm :
     afterwards. *)
 
 type sharded_report = {
-  sh_rounds : int;
-  sh_shards : int;
   sh_chaos_points : int;  (** chaos events injected (one per round) *)
-  sh_acked_adds : int;  (** router-acked ADDs across all shards *)
-  sh_failed_adds : int;
-      (** ADDs the router gave up on (shard unreachable from the router,
-          or no quorum) — never acknowledged, so allowed to be lost *)
+  sh_acked_adds : int;
+      (** router-acked ADDs across all shards; the ones the router gave
+          up on (shard unreachable, or no quorum) were never
+          acknowledged, so they may be lost *)
   sh_failovers : int;  (** per-shard promotions, summed *)
   sh_migrations : int;
       (** completed journal-streaming shard migrations (sabotaged ones
@@ -204,27 +197,22 @@ val flip_bit : string -> bit:int -> unit
     media rot for the integrity scenarios. *)
 
 type scrub_storm_report = {
-  sb_rounds : int;
   sb_flips : int;  (** bits flipped across live files and restarts *)
-  sb_read_faults : int;  (** injected EIOs on the scrubber's read path *)
-  sb_detected : int;
-      (** injected corruptions the integrity machinery caught (scrub
-          findings, healed/quarantined records, read-fault findings) *)
-  sb_all_detected : bool;  (** [sb_detected = sb_flips + sb_read_faults] *)
+  sb_all_detected : bool;
+      (** every flip and every injected EIO on the scrubber's read path
+          was caught (scrub findings, healed/quarantined records,
+          read-fault findings) *)
   sb_scrub_repairs : int;  (** repairs applied by live scrub cycles *)
   sb_healed : int;  (** records refetched from the primary at reopen *)
   sb_quarantined : int;  (** records/snapshots moved aside as unrepairable *)
-  sb_divergences : int;  (** grafted wrong-history rounds *)
   sb_transferred : int;  (** records re-sent by Merkle anti-entropy *)
-  sb_transfer_expected : int;
-      (** summed true suffix lengths — what a perfectly targeted repair
-          transfers *)
   sb_full_resync_cost : int;
       (** summed store sizes at each anti-entropy call — what full
           re-syncs would have transferred *)
   sb_transfer_frugal : bool;
-      (** [sb_transferred = sb_transfer_expected], and strictly below
-          [sb_full_resync_cost]: repair moved only the differing range *)
+      (** every anti-entropy call transferred exactly the replica's true
+          differing suffix — so strictly less than a full re-sync
+          whenever the replica still held a valid prefix *)
   sb_wrong_answers : int;
       (** probe answers that differed from the never-corrupted reference
           (degraded quarantine answers checked for invented hits) —
@@ -257,18 +245,15 @@ val run_scrub_storm :
     sb_transfer_frugal && sb_wrong_answers = 0 && sb_converged]. *)
 
 type overload_report = {
-  ov_baseline_rps : float;
-      (** conforming-client goodput on the idle server (answers/s) *)
-  ov_storm_rps : float;  (** the same client's goodput inside the storm *)
-  ov_goodput_ok : bool;  (** [ov_storm_rps >= 0.5 *. ov_baseline_rps] *)
+  ov_goodput_ok : bool;
+      (** the conforming client's goodput (answers/s) inside the storm is
+          at least half of its goodput on the idle server *)
   ov_conforming_sent : int;  (** conforming requests sent during the storm *)
-  ov_conforming_answered : int;  (** of those, answered with HITS *)
   ov_conforming_shed : int;  (** conforming requests answered BUSY — should
                                  stay 0: the client never exceeds its bucket *)
   ov_no_starvation : bool;
       (** at least half the conforming requests were answered *)
   ov_greedy_sent : int;  (** requests fired by the greedy clients *)
-  ov_greedy_answered : int;
   ov_greedy_shed : int;  (** greedy requests refused BUSY by their buckets *)
   ov_late_answers : int;
       (** HITS delivered well past the request's announced deadline
@@ -279,7 +264,6 @@ type overload_report = {
   ov_hedge_mismatches : int;
       (** hedge-race rounds where two exact replies to the same query
           did not render bit-identically — must be 0 *)
-  ov_expired : int;  (** server counter: work dropped with a spent budget *)
   ov_reaped : int;
       (** server counter: connections reaped by hygiene — at least 1,
           the storm's deliberately idle connection *)

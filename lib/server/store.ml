@@ -241,7 +241,7 @@ let replay_journal ?heal ?(quarantine = false) inc dir =
                   let count = Incremental.n_trees inc in
                   if seq < count then Ok n (* already covered by the snapshot *)
                   else if seq = count then begin
-                    ignore (Incremental.add inc tree);
+                    Incremental.insert inc tree;
                     Ok (n + 1)
                   end
                   else
@@ -383,7 +383,7 @@ let open_ ?dir ?(domains = 1) ?(dedup = false) ?heal ?(quarantine = false) ~tau 
         | Error msg -> Error ("snapshot: " ^ msg)
         | Ok (tau, trees) -> (
           let inc = Incremental.create ~tau () in
-          Array.iter (fun tree -> ignore (Incremental.add inc tree)) trees;
+          Array.iter (Incremental.insert inc) trees;
           let fresh = not (Sys.file_exists (journal_path dir)) in
           match replay_journal ?heal ~quarantine inc dir with
           | Error msg -> Error ("journal: " ^ msg)
@@ -658,7 +658,7 @@ let apply_record t line =
       match journaled with
       | Error _ as e -> e
       | Ok () ->
-        ignore (Incremental.add t.inc tree);
+        Incremental.insert t.inc tree;
         Integrity.Merkle.push t.merkle (record_line ~seq tree);
         Ok (n + 1)
     end
@@ -695,7 +695,7 @@ let truncate_to t n =
   else if n < cur then begin
     let trees = Array.init n (Incremental.tree t.inc) in
     let inc = Incremental.create ~tau:t.tau () in
-    Array.iter (fun tr -> ignore (Incremental.add inc tr)) trees;
+    Array.iter (Incremental.insert inc) trees;
     t.inc <- inc;
     Integrity.Merkle.truncate t.merkle n;
     flush t

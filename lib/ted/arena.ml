@@ -27,6 +27,8 @@ type t = {
   (* Rolling rows of the banded string-edit DP. *)
   mutable band_prev : int array;
   mutable band_cur : int array;
+  (* Held by the systhread currently running a kernel on this arena. *)
+  in_use : bool Atomic.t;
 }
 
 let create () =
@@ -39,11 +41,29 @@ let create () =
     serial = 0;
     band_prev = [||];
     band_cur = [||];
+    in_use = Atomic.make false;
   }
 
 let key = Domain.DLS.new_key create
 
-let get () = Domain.DLS.get key
+(* Systhreads share their domain's arena, and the runtime may switch
+   threads in the middle of a kernel.  So the arena is claimed for the
+   whole call; a thread that finds it claimed runs on a private arena
+   allocated for the call rather than overwriting the first thread's
+   tables. *)
+let use f =
+  let a = Domain.DLS.get key in
+  if Atomic.compare_and_set a.in_use false true then
+    match f a with
+    | v ->
+      Atomic.set a.in_use false;
+      v
+    | exception e ->
+      Atomic.set a.in_use false;
+      raise e
+  else f (create ())
+
+let shared a = a == Domain.DLS.get key
 
 let reserve_matrices a n1 n2 =
   if n1 + 1 > a.rows || n2 + 1 > a.cols then begin

@@ -16,10 +16,19 @@ type t = {
   mutable serial : int;  (** bounded-call counter for the td stamps *)
   mutable band_prev : int array;  (** banded string-edit DP, previous row *)
   mutable band_cur : int array;  (** banded string-edit DP, current row *)
+  in_use : bool Atomic.t;  (** claimed by the thread running a kernel on it *)
 }
 
-val get : unit -> t
-(** The calling domain's arena (created on first use). *)
+val use : (t -> 'a) -> 'a
+(** [use f] runs [f] on the calling domain's arena (created on first
+    use), claimed for the duration of the call.  Systhreads of one
+    domain share its arena, so a thread that finds it claimed by
+    another runs [f] on a fresh private arena instead. *)
+
+val shared : t -> bool
+(** [true] for the calling domain's arena, [false] for a private one
+    handed out by {!use} under contention.  The domain's {!Memo} cache
+    belongs to whoever holds the shared arena. *)
 
 val reserve_matrices : t -> int -> int -> unit
 (** [reserve_matrices a n1 n2] ensures [a.rows > n1] and [a.cols > n2].

@@ -22,7 +22,8 @@ val create : ?slots:int -> ?words:int -> ?results:int -> unit -> t
     [results < 1]. *)
 
 val get : unit -> t
-(** The calling domain's cache (created on first use). *)
+(** The calling domain's cache (created on first use).  Only the thread
+    holding the domain's shared {!Arena} may use it. *)
 
 val find : t -> id1:int -> id2:int -> k:int -> int array option
 (** The write-set recorded for this (subtree, subtree, clamp), if

@@ -33,10 +33,10 @@ let bounded_distance a b k =
   if k < 0 then invalid_arg "String_edit.bounded_distance: negative threshold";
   let la = Array.length a and lb = Array.length b in
   if abs (la - lb) > k then k + 1
-  else begin
+  else
+    Arena.use (fun arena ->
     let inf = k + 1 in
     let width = (2 * k) + 1 in
-    let arena = Arena.get () in
     Arena.reserve_bands arena width;
     let prev = arena.Arena.band_prev and cur = arena.Arena.band_cur in
     Array.fill prev 0 width inf;
@@ -66,7 +66,6 @@ let bounded_distance a b k =
       Array.blit cur 0 prev 0 width
     done;
     let final = lb - la + k in
-    min prev.(final) inf
-  end
+    min prev.(final) inf)
 
 let within a b k = if k < 0 then false else bounded_distance a b k <= k

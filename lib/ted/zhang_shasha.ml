@@ -9,8 +9,9 @@ module Vec_int = Tsj_util.Vec_int
    and an O(n1·n2) initialization per verified pair, which dominates the
    τ-banded verifier whose actual DP work is only O(rows · (2τ+1)) cells
    per keyroot pair.  Instead both kernels draw on the per-domain
-   {!Arena} (pool workers are domains, so concurrent verification is
-   safe) and the tables are reused without clearing:
+   {!Arena} (pool workers are domains, and systhreads sharing a domain
+   claim it per call, so concurrent verification is safe) and the
+   tables are reused without clearing:
 
    - [fd] needs no initialization at all: every cell the DP reads is
      either written earlier in the same keyroot-pair computation or
@@ -47,8 +48,8 @@ let distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) =
   else if consed p1 p2 && p1.dag.(n1 - 1) = p2.dag.(n2 - 1) then
     (* Identical interned trees: distance 0 without any DP. *)
     0
-  else begin
-    let s = Arena.get () in
+  else
+    Arena.use (fun s ->
     Arena.reserve_matrices s n1 n2;
     let stride = s.Arena.cols in
     let lld1 = p1.lld and lld2 = p2.lld in
@@ -107,8 +108,7 @@ let distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) =
     Array.iter
       (fun k1 -> Array.iter (fun k2 -> compute k1 k2) p2.keyroots)
       p1.keyroots;
-    td.(((n1 - 1) * stride) + (n2 - 1))
-  end
+    td.(((n1 - 1) * stride) + (n2 - 1)))
 
 (* Threshold-banded variant.  Every forest-DP cell (x, y) measures the
    distance between prefix forests of sizes x and y, which is at least
@@ -139,17 +139,18 @@ let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
   else if consed p1 p2 && p1.dag.(n1 - 1) = p2.dag.(n2 - 1) then
     (* Identical interned trees: distance 0 without any DP. *)
     0
-  else begin
+  else
+    Arena.use (fun s ->
+    (* The domain's memo cache goes with the domain's arena: a thread
+       handed a private arena runs without it (same result, no reuse). *)
+    let memo = if consed p1 p2 && Arena.shared s then Some (Memo.get ()) else None in
     let dp () =
-    let s = Arena.get () in
     Arena.reserve_matrices s n1 n2;
     let id = Arena.next_serial s in
     let stride = s.Arena.cols in
     let inf = k + 1 in
-    let dagged = consed p1 p2 in
     let dag1 = p1.dag and dag2 = p2.dag in
-    let memo = if dagged then Some (Memo.get ()) else None in
-    let buf = if dagged then Some (Vec_int.create ()) else None in
+    let buf = if memo <> None then Some (Vec_int.create ()) else None in
     let lld1 = p1.lld and lld2 = p2.lld in
     let lab1 = p1.labels and lab2 = p2.labels in
     let td = s.Arena.td and td_stamp = s.Arena.td_stamp and fd = s.Arena.fd in
@@ -297,18 +298,16 @@ let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
        (tree, tree, clamp), so on consed inputs duplicate candidate
        pairs — ubiquitous when the collection repeats trees — reuse the
        final value and skip the DP entirely. *)
-    if not (consed p1 p2) then dp ()
-    else begin
-      let memo = Memo.get () in
+    match memo with
+    | None -> dp ()
+    | Some memo -> (
       let id1 = p1.dag.(n1 - 1) and id2 = p2.dag.(n2 - 1) in
       match Memo.find_result memo ~id1 ~id2 ~k with
       | Some v -> v
       | None ->
         let v = dp () in
         Memo.add_result memo ~id1 ~id2 ~k v;
-        v
-    end
-  end
+        v))
 
 let distance t1 t2 =
   distance_postorder (Postorder.of_tree t1) (Postorder.of_tree t2)

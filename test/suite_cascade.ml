@@ -27,6 +27,33 @@ let prop_compiled_matches_per_pair =
       && Bounds.Compiled.best ca cb = Bounds.best a b
       && Bounds.Compiled.upper ca cb = Bounds.upper a b)
 
+(* The budget-degraded query path compiles the query tree once; its
+   [lo, hi] sandwiches must stay exactly the per-pair bounds. *)
+let prop_degraded_sandwiches_match_per_pair =
+  Gen.qtest ~count:100 "degraded query sandwiches = per-pair bounds"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Prng.create (0xDE6 + seed) in
+      let labels = Gen.alphabet 3 in
+      let tau = 1 + Prng.int rng 3 in
+      let trees = Array.init 10 (fun _ -> Gen.random_tree ~labels rng (1 + Prng.int rng 12)) in
+      let inc = Tsj_core.Incremental.create ~tau () in
+      Array.iter (fun t -> ignore (Tsj_core.Incremental.add inc t)) trees;
+      let near = Prng.int rng (Array.length trees) in
+      let _, q =
+        Tsj_tree.Edit_op.random_script rng ~labels (Prng.int rng (tau + 1)) trees.(near)
+      in
+      let budget = Tsj_join.Budget.create () in
+      Tsj_join.Budget.cancel budget;
+      let r = Tsj_core.Incremental.query ~budget inc q in
+      (* the edited source is within τ, so it must be sandwiched *)
+      r.Tsj_core.Incremental.hits = []
+      && List.exists (fun (id, _, _) -> id = near) r.Tsj_core.Incremental.unverified
+      && List.for_all
+           (fun (id, lo, hi) ->
+             lo <= tau && lo = Bounds.best q trees.(id) && hi = Bounds.upper q trees.(id))
+           r.Tsj_core.Incremental.unverified)
+
 let prop_compiled_lower_bounds =
   Gen.qtest ~count:150 "every compiled lower bound <= TED"
     (Gen.arb_tree_pair ~max_size:12 ()) (fun (a, b) ->
@@ -215,4 +242,5 @@ let suite =
       prop_cascade_join_constrained_metric;
     Alcotest.test_case "cascade counters (clustered)" `Quick
       test_cascade_counters_clustered;
+    prop_degraded_sandwiches_match_per_pair;
   ]

@@ -100,12 +100,22 @@ let test_experiments_smoke () =
      cascade counters sum to the candidate count on every run, that the
      counters and results are identical across domain counts, and that
      the cascade leaves the join output bit-identical — it raises
-     otherwise. *)
-  let json = Filename.temp_file "tsj" ".json" in
-  Tsj_harness.Experiments.perf
-    { config with Tsj_harness.Experiments.domains = 2; bench_json = json };
-  let json_contents = In_channel.with_open_text json In_channel.input_all in
-  Sys.remove json;
+     otherwise.  Below full scale it writes no record: it runs in an
+     empty directory, which must still be empty afterwards. *)
+  let cwd = Sys.getcwd () in
+  let scratch = Filename.temp_file "tsj_perf" "" in
+  Sys.remove scratch;
+  Sys.mkdir scratch 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      Array.iter (fun f -> Sys.remove (Filename.concat scratch f)) (Sys.readdir scratch);
+      Sys.rmdir scratch)
+    (fun () ->
+      Sys.chdir scratch;
+      Tsj_harness.Experiments.perf { config with Tsj_harness.Experiments.domains = 2 };
+      Alcotest.(check (array string)) "tiny perf run writes no file" [||]
+        (Sys.readdir scratch));
   close_out oc;
   let contents = In_channel.with_open_text path In_channel.input_all in
   Sys.remove path;
@@ -125,19 +135,9 @@ let test_experiments_smoke () =
    && contains "synthetic");
   Alcotest.(check bool) "perf prints the cascade speedup" true
     (contains "verify speedup");
-  let json_has sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length json_contents
-      && (String.sub json_contents i n = sub || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check bool) "bench json has cascade fields" true
-    (json_has "\"verify_speedup_cascade\""
-    && json_has "\"cascade_lossless\": true"
-    && json_has "\"identical_across_domains\": true"
-    && json_has "\"kernel_verified\"")
+  Alcotest.(check bool) "perf reports cascade losslessness and determinism" true
+    (contains "cascade losslessness (off vs on): identical"
+    && contains "determinism (domains=1 vs domains=2): identical")
 
 let test_sweep_rejects_negative_tau () =
   Alcotest.check_raises "negative" (Invalid_argument "Sweep.windowed_join: negative threshold")

@@ -283,6 +283,138 @@ let test_router_end_to_end () =
               end)
             r.Incremental.hits))
 
+(* Eight real-socket shards behind the router: band-key placement keeps
+   every τ-query's scatter to at most two shards and its scan to a
+   fraction of the collection; QUERY and KNN stay bit-identical to an
+   unsharded reference through a journal-streaming migration of the
+   fullest shard and the retirement of its source; with a second shard
+   killed, every degraded answer stays sound. *)
+let test_router_migration_and_fanout () =
+  let tau = 2 and shards = 8 in
+  let trees = Tsj_datagen.Profiles.(instantiate swissprot ~seed:42 ~n:48) in
+  let n = Array.length trees in
+  with_shard_servers ~tau shards (fun addrs servers ->
+      let map = Shard.create ~shards ~tau () in
+      let router =
+        ok_or_fail
+          (Router.create
+             {
+               Router.map;
+               tau;
+               groups = Array.map (fun a -> [ a ]) addrs;
+               timeout_s = 2.0;
+               attempts = 1;
+               ledger = None;
+               seed = 42;
+               hedge_s = None;
+               margin_ms = 0;
+             })
+      in
+      let reference = ok_or_fail (Store.open_ ~tau ()) in
+      let target_sock = Filename.temp_file "tsj_shard" ".sock" in
+      Sys.remove target_sock;
+      let target_addr = Protocol.Unix_path target_sock in
+      let target = ref None in
+      Fun.protect
+        ~finally:(fun () ->
+          Router.close router;
+          Store.close reference;
+          Option.iter
+            (fun s ->
+              (try Server.drain s with _ -> ());
+              try Server.wait s with _ -> ())
+            !target;
+          if Sys.file_exists target_sock then Sys.remove target_sock)
+        (fun () ->
+          Array.iteri
+            (fun i tree ->
+              let gid, _ = ok_or_fail (Router.add router tree) in
+              Alcotest.(check int) "router gids are dense" i gid;
+              ignore (Store.add reference tree))
+            trees;
+          let residents = Array.make shards 0 in
+          for gid = 0 to n - 1 do
+            match Router.locate router gid with
+            | Some (s, _, _) -> residents.(s) <- residents.(s) + 1
+            | None -> Alcotest.failf "gid %d unbound" gid
+          done;
+          let queries = Array.init 8 (fun k -> trees.(k * (n / 8))) in
+          let scanned = ref 0 in
+          Array.iter
+            (fun q ->
+              let window = Shard.shards_for map ~tau (Tree.size q) in
+              Alcotest.(check bool) "a tau-query touches at most 2 shards" true
+                (List.length window <= 2);
+              List.iter (fun s -> scanned := !scanned + residents.(s)) window)
+            queries;
+          (* each query scans its window's residents, not the whole
+             collection: 91 of 8 x 48 trees here, under the 2/8 a
+             balanced placement would give *)
+          let total = Array.length queries * n in
+          Alcotest.(check int) "trees scanned by the 8 queries" 91 !scanned;
+          Alcotest.(check bool) "scan fraction at most 2 / shards" true
+            (!scanned * shards <= 2 * total);
+          let check_identical label =
+            Array.iter
+              (fun q ->
+                let m = Router.query router ~tau q in
+                Alcotest.(check bool) (label ^ ": not degraded") false m.Router.a_degraded;
+                Alcotest.(check (list (pair int int))) (label ^ ": query bit-identical")
+                  (Store.query reference q).Incremental.hits m.Router.a_hits;
+                Alcotest.(check (list (pair int int))) (label ^ ": knn bit-identical")
+                  (Store.nearest ~k:3 reference q)
+                  (Router.knn router ~k:3 q).Router.a_hits)
+              queries
+          in
+          check_identical "healthy";
+          let fullest ~except =
+            let best = ref (-1) in
+            Array.iteri
+              (fun s c ->
+                if s <> except && (!best < 0 || c > residents.(!best)) then best := s)
+              residents;
+            !best
+          in
+          let victim = fullest ~except:(-1) in
+          let config =
+            { (Server.default_config target_addr ~tau) with
+              Server.primary = false; sync_from = [ addrs.(victim) ] }
+          in
+          let server = ok_or_fail (Server.create config) in
+          Server.start server;
+          target := Some server;
+          ok_or_fail (Router.migrate router ~shard:victim ~target:[ target_addr ]);
+          check_identical "post-migration";
+          Server.drain servers.(victim);
+          Server.wait servers.(victim);
+          check_identical "source retired";
+          let second = fullest ~except:victim in
+          Server.abort servers.(second);
+          Server.wait servers.(second);
+          let degraded = ref 0 in
+          Array.iter
+            (fun q ->
+              let m = Router.query router ~tau q in
+              let truth = (Store.query reference q).Incremental.hits in
+              if m.Router.a_degraded then incr degraded;
+              List.iter
+                (fun (gid, d) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "true hit (%d, %d) exact or sandwiched" gid d)
+                    true
+                    (List.mem (gid, d) m.Router.a_hits
+                    || List.exists
+                         (fun (g, lo, hi) -> g = gid && lo <= d && d <= hi)
+                         m.Router.a_unverified))
+                truth;
+              List.iter
+                (fun h ->
+                  Alcotest.(check bool) "no invented hit" true (List.mem h truth))
+                m.Router.a_hits)
+            queries;
+          Alcotest.(check bool) "the killed shard degraded some answers" true
+            (!degraded > 0)))
+
 let test_router_front_wire () =
   let tau = 2 in
   with_shard_servers ~tau 2 (fun addrs _servers ->
@@ -683,4 +815,6 @@ let suite =
     Alcotest.test_case "sharded storm with migrations" `Slow
       test_sharded_storm_migrations;
     prop_sharded_storm;
+    Alcotest.test_case "router fan-out, migration and degradation (8 shards)" `Quick
+      test_router_migration_and_fanout;
   ]

@@ -270,6 +270,33 @@ let test_parallel_verification_same_results () =
   Alcotest.(check bool) "recommended domains positive" true
     (Parallel.recommended_domains () >= 1)
 
+(* [insert] builds the same index as [add] without computing partners:
+   every later query, nearest-neighbour search and add agrees. *)
+let test_insert_indexes_like_add () =
+  let trees = clustered 44 30 in
+  let tau = 2 in
+  let added = Incremental.create ~tau () and inserted = Incremental.create ~tau () in
+  Array.iter
+    (fun t ->
+      ignore (Incremental.add added t);
+      Incremental.insert inserted t)
+    trees;
+  let probes = clustered 45 10 in
+  Array.iter
+    (fun q ->
+      Alcotest.(check (list (pair int int))) "query"
+        (Incremental.query added q).Incremental.hits
+        (Incremental.query inserted q).Incremental.hits;
+      Alcotest.(check (list (pair int int))) "nearest"
+        (Incremental.nearest ~k:3 added q)
+        (Incremental.nearest ~k:3 inserted q))
+    probes;
+  Array.iter
+    (fun q ->
+      Alcotest.(check (list (pair int int))) "later add partners"
+        (Incremental.add added q) (Incremental.add inserted q))
+    probes
+
 let suite =
   [
     Alcotest.test_case "incremental = batch (insertion order)" `Quick
@@ -296,4 +323,5 @@ let suite =
     Alcotest.test_case "parallel map exceptions" `Quick test_parallel_map_exception_propagates;
     Alcotest.test_case "parallel verification = sequential" `Quick
       test_parallel_verification_same_results;
+    Alcotest.test_case "insert indexes like add" `Quick test_insert_indexes_like_add;
   ]

@@ -311,6 +311,38 @@ let test_ted_naive_algorithm_facade () =
     (Ted.distance ~algorithm:Ted.Naive a b)
     (Ted.distance a b)
 
+(* Systhreads share their domain's scratch arena and the runtime may
+   switch threads in the middle of a kernel: kernels running
+   concurrently on one domain must still return the sequential
+   answers. *)
+let test_kernels_under_systhreads () =
+  let rng = Tsj_util.Prng.create 5150 in
+  let pairs =
+    Array.init 24 (fun _ ->
+        let t1 = Gen.random_tree rng (40 + Tsj_util.Prng.int rng 40) in
+        let _, t2 = Edit_op.random_script rng ~labels:Gen.default_alphabet 4 t1 in
+        (t1, t2))
+  in
+  let preps = Array.map (fun (t1, t2) -> (Ted.preprocess t1, Ted.preprocess t2)) pairs in
+  let labels = Array.map (fun (t1, t2) -> (Traversal.preorder_labels t1, Traversal.preorder_labels t2)) pairs in
+  let run () =
+    Array.mapi
+      (fun i (p1, p2) ->
+        let l1, l2 = labels.(i) in
+        (Ted.bounded_distance_prep p1 p2 5, Ted.distance_prep p1 p2,
+         String_edit.bounded_distance l1 l2 5))
+      preps
+  in
+  let expected = run () in
+  let mismatches = Atomic.make 0 in
+  let worker () =
+    for _ = 1 to 4 do
+      if run () <> expected then Atomic.incr mismatches
+    done
+  in
+  List.iter Thread.join (List.init 3 (fun _ -> Thread.create worker ()));
+  Alcotest.(check int) "concurrent kernel runs that disagreed" 0 (Atomic.get mismatches)
+
 let suite =
   [
     Alcotest.test_case "sed known values" `Quick test_sed_known;
@@ -344,4 +376,6 @@ let suite =
     Alcotest.test_case "ted within" `Quick test_ted_within;
     Alcotest.test_case "ted prep accessors" `Quick test_ted_prep_accessors;
     Alcotest.test_case "ted naive facade" `Quick test_ted_naive_algorithm_facade;
+    Alcotest.test_case "kernels agree under concurrent systhreads" `Quick
+      test_kernels_under_systhreads;
   ]
