@@ -86,8 +86,10 @@ let micro () =
       Test.make ~name:"partsj/index-probe (80 nodes)"
         (Staged.stage (fun () ->
              let hits = ref 0 in
+             let cursor = Tsj_core.Two_layer_index.cursor btree in
              for v = 0 to btree.Tsj_tree.Binary_tree.size - 1 do
-               Tsj_core.Two_layer_index.probe filled_index btree v (fun _ -> incr hits)
+               Tsj_core.Two_layer_index.probe_cursor filled_index cursor v (fun _ ->
+                   incr hits)
              done;
              !hits));
       Test.make ~name:"partsj/subgraph-match (own tree)"

@@ -395,11 +395,12 @@ let search_cmd =
     end;
     let trees = load_trees ~format file in
     let q = parse_tree_arg query in
-    let idx = Tsj_core.Search.build ~tau trees in
+    let idx = Tsj_core.Incremental.create ~tau () in
+    Array.iter (Tsj_core.Incremental.insert idx) trees;
     let hits =
       match top with
-      | Some k -> Tsj_core.Search.nearest ~k idx q
-      | None -> Tsj_core.Search.query idx q
+      | Some k -> Tsj_core.Incremental.nearest ~k idx q
+      | None -> (Tsj_core.Incremental.query idx q).Tsj_core.Incremental.hits
     in
     List.iter
       (fun (i, d) -> Printf.printf "%d\t%d\t%s\n" i d (Bracket.to_string trees.(i)))
@@ -990,7 +991,7 @@ let fsck_cmd =
     let snapshot = Filename.concat dir "snapshot" in
     if Sys.file_exists snapshot then begin
       (match
-         Tsj_core.Search.collection_of_string ~allow_duplicates:true
+         Tsj_server.Store.collection_of_string
            (In_channel.with_open_bin snapshot In_channel.input_all)
        with
       | Ok (stau, trees) ->

@@ -54,14 +54,15 @@ let () =
           (function Tsj_ted.Mapping.Match _ -> false | _ -> true)
           mapping.Tsj_ted.Mapping.ops };
 
-  (* 7. A persistent index supports similarity search and top-k queries
-     without re-joining. *)
-  let idx = Tsj_core.Search.build ~tau:3 catalog in
-  let hits = Tsj_core.Search.query idx album2 in
+  (* 7. The same size-banded index answers similarity search and top-k
+     queries over a collection without re-joining. *)
+  let idx = Tsj_core.Incremental.create ~tau:3 () in
+  Array.iter (Tsj_core.Incremental.insert idx) catalog;
+  let hits = (Tsj_core.Incremental.query idx album2).Tsj_core.Incremental.hits in
   Printf.printf "search around album2 (tau <= 3): %s\n"
     (String.concat ", "
        (List.map (fun (i, d) -> Printf.sprintf "catalog.(%d) at distance %d" i d) hits));
-  let top = Tsj_core.Search.nearest ~k:2 idx album3 in
+  let top = Tsj_core.Incremental.nearest ~k:2 idx album3 in
   Printf.printf "2 nearest neighbours of album3: %s\n"
     (String.concat ", "
        (List.map (fun (i, d) -> Printf.sprintf "catalog.(%d) (d=%d)" i d) top))

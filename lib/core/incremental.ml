@@ -2,21 +2,17 @@ module Tree = Tsj_tree.Tree
 module Binary_tree = Tsj_tree.Binary_tree
 module Ted = Tsj_ted.Ted
 
-type size_entry = { index : Two_layer_index.t; mutable small : int list }
-
 type t = {
   tau : int;
-  mode : Two_layer_index.mode;
-  delta : int;
   mutable trees : Tree.t array;     (* growable; slot i = tree id i *)
   mutable preps : Ted.prep option array;
   mutable count : int;
-  entries : (int, size_entry) Hashtbl.t;
+  bands : Size_bands.t;
   exact : (int, int list) Hashtbl.t;
       (* structural hash -> ids, newest first; collisions are resolved
          by [Tree.equal].  Serves tau = 0 point queries without probing
          or TED: distance 0 is exactly structural equality. *)
-  dag : Tsj_tree.Dag.t option;
+  dag : Tsj_tree.Dag.t;
       (* hash-consing store shared by every inserted tree.  [add] and
          [insert] (the only mutators, and like every index mutation
          single-writer) intern there; the stored tree becomes the
@@ -27,18 +23,16 @@ type t = {
   mutable n_indexed : int;
 }
 
-let create ?(mode = Two_layer_index.Two_sided) ?(consing = true) ~tau () =
+let create ~tau () =
   if tau < 0 then invalid_arg "Incremental.create: negative threshold";
   {
     tau;
-    mode;
-    delta = (2 * tau) + 1;
     trees = Array.make 16 (Tree.leaf Tsj_tree.Label.epsilon);
     preps = Array.make 16 None;
     count = 0;
-    entries = Hashtbl.create 64;
+    bands = Size_bands.create ~tau ();
     exact = Hashtbl.create 64;
-    dag = (if consing then Some (Tsj_tree.Dag.create ()) else None);
+    dag = Tsj_tree.Dag.create ();
     n_candidates = 0;
     n_indexed = 0;
   }
@@ -69,8 +63,8 @@ let grow t =
     t.preps <- preps
   end
 
-(* Lazy fallback for trees whose consing failed (or consing off).  It
-   must stay UNconsed: [prep] is called from inside [query]'s parallel
+(* Lazy fallback for trees whose consing failed.  It must stay
+   UNconsed: [prep] is called from inside [query]'s parallel
    verification chunks, and interning from a worker would race on the
    store — consed preps are built eagerly in [add] instead. *)
 let prep t id =
@@ -81,50 +75,11 @@ let prep t id =
     t.preps.(id) <- Some p;
     p
 
-let entry_for t size =
-  match Hashtbl.find_opt t.entries size with
-  | Some e -> e
-  | None ->
-    let e = { index = Two_layer_index.create ~mode:t.mode ~tau:t.tau (); small = [] } in
-    Hashtbl.add t.entries size e;
-    e
-
 (* Candidate ids among the already-inserted trees for a probe of shape
-   [btree], over the [size ± tau] band.  One cursor serves every size in
-   the band (the twig keys depend only on the probed tree); it is built
-   lazily so a probe whose whole band is empty — common in streams with
-   disparate tree sizes — costs only the band scan.  A band entry left
-   with no subgraphs and no small trees is skipped without probing. *)
+   [btree], over the [size ± tau] window, in discovery order. *)
 let band_candidates t ~tau btree =
   let size = btree.Binary_tree.size in
-  let cursor = lazy (Two_layer_index.cursor btree) in
-  let checked = Hashtbl.create 16 in
-  let pending = ref [] in
-  for other_size = max 1 (size - tau) to size + tau do
-    match Hashtbl.find_opt t.entries other_size with
-    | None -> ()
-    | Some entry ->
-      List.iter
-        (fun tj ->
-          if not (Hashtbl.mem checked tj) then begin
-            Hashtbl.add checked tj ();
-            pending := tj :: !pending
-          end)
-        entry.small;
-      if Two_layer_index.n_subgraphs entry.index > 0 then begin
-        let cursor = Lazy.force cursor in
-        for v = 0 to size - 1 do
-          Two_layer_index.probe_cursor entry.index cursor v (fun s ->
-              let tj = s.Subgraph.tree_id in
-              if not (Hashtbl.mem checked tj) then
-                if Subgraph.matches s btree v then begin
-                  Hashtbl.add checked tj ();
-                  pending := tj :: !pending
-                end)
-        done
-      end
-  done;
-  !pending
+  (Size_bands.probe t.bands ~lo:(size - tau) ~hi:(size + tau) btree).Size_bands.candidates
 
 let find_equal t q =
   Option.value (Hashtbl.find_opt t.exact (tree_key q)) ~default:[]
@@ -146,14 +101,11 @@ let insert_tree ~verify t tree =
        Consing is an optimisation — if it raises on a pathological
        shape, fall back to storing the tree as given (lazy unconsed
        prep). *)
-    match t.dag with
-    | None -> tree
-    | Some dag -> (
-      match Ted.cons dag tree with
-      | c ->
-        t.preps.(id) <- Some (Ted.preprocess_consed c);
-        Ted.consed_tree c
-      | exception _ -> tree)
+    match Ted.cons t.dag tree with
+    | c ->
+      t.preps.(id) <- Some (Ted.preprocess_consed c);
+      Ted.consed_tree c
+    | exception _ -> tree
   in
   t.trees.(id) <- tree;
   t.count <- t.count + 1;
@@ -161,34 +113,22 @@ let insert_tree ~verify t tree =
    let ids = Option.value (Hashtbl.find_opt t.exact key) ~default:[] in
    Hashtbl.replace t.exact key (id :: ids));
   let btree = Binary_tree.of_tree tree in
-  let size = btree.Binary_tree.size in
   (* 1. Probe: candidates among all previously inserted trees in the
      size band, in either direction; 2. verify them. *)
   let results =
     if not verify then []
     else begin
-      let pending = band_candidates t ~tau:t.tau btree in
       let my_prep = prep t id in
-      List.filter_map
-        (fun tj ->
-          t.n_candidates <- t.n_candidates + 1;
-          let d = Ted.bounded_distance_prep my_prep (prep t tj) t.tau in
-          if d <= t.tau then Some (tj, d) else None)
-        pending
+      band_candidates t ~tau:t.tau btree
+      |> List.filter_map (fun tj ->
+             t.n_candidates <- t.n_candidates + 1;
+             let d = Ted.bounded_distance_prep my_prep (prep t tj) t.tau in
+             if d <= t.tau then Some (tj, d) else None)
       |> List.sort compare
     end
   in
   (* 3. Index the new tree. *)
-  let entry = entry_for t size in
-  if size < t.delta then entry.small <- id :: entry.small
-  else begin
-    let part = Partition.partition btree ~delta:t.delta in
-    Array.iter
-      (fun s ->
-        Two_layer_index.insert entry.index s;
-        t.n_indexed <- t.n_indexed + 1)
-      (Subgraph.of_partition ~tree_id:id part)
-  end;
+  t.n_indexed <- t.n_indexed + Size_bands.insert t.bands id btree;
   results
 
 let add t tree = insert_tree ~verify:true t tree
@@ -305,9 +245,10 @@ let nearest ~k t q =
       |> List.sort (fun (i1, d1) (i2, d2) ->
              if d1 <> d2 then compare d1 d2 else compare i1 i2)
     in
-    (* Expand the radius until k trees are within it (see Search.nearest:
-       every tree within radius tau' is found by the radius-tau' candidate
-       set, so once hits >= k the closest k are final). *)
+    (* Expand the radius until k trees are within it: every tree within
+       radius tau' is found by the radius-tau' candidate set, so once
+       hits >= k the closest k are final.  Each round reuses the
+       distances of the cheaper candidate sets of smaller radii. *)
     let rec expand tau' =
       List.iter (fun tj -> ignore (dist tj)) (band_candidates t ~tau:tau' qb);
       let hits = sorted_hits tau' in

@@ -11,19 +11,26 @@
     and is then partitioned and indexed itself.
 
     Feeding a whole collection through {!add} yields exactly the self-join
-    result of {!Partsj.join}. *)
+    result of {!Partsj.join}.
+
+    The same index is the search structure the paper frames the join
+    around (Section 1): {!insert} a collection, then {!query} or
+    {!nearest} it; querying it with each tree of a second collection is
+    the non-self join.  Queries may use any [τ' <= τ]: Lemma 2 only gets
+    stronger with fewer allowed edits, and the postorder windows were
+    sized for the larger τ, so completeness is preserved. *)
 
 type t
 
-val create : ?mode:Two_layer_index.mode -> ?consing:bool -> tau:int -> unit -> t
-(** @raise Invalid_argument if [tau < 0].  [consing] (default [true])
-    hash-conses every inserted tree into a per-index {!Tsj_tree.Dag}
-    store: repeated subtrees across the stream are stored once ({!tree}
-    returns the shared structural view), and insert-time verification
-    uses DAG-annotated preps — equal trees are answered without running
-    the DP, and the τ-banded kernel shares keyroot subproblems across
-    pairs through {!Tsj_ted.Memo}.  Results are bit-identical with
-    consing on or off. *)
+val create : tau:int -> unit -> t
+(** @raise Invalid_argument if [tau < 0].  Every inserted tree is
+    hash-consed into a per-index {!Tsj_tree.Dag} store: repeated
+    subtrees across the stream are stored once ({!tree} returns the
+    shared structural view), and verification uses DAG-annotated preps
+    — equal trees are answered without running the DP, and the
+    τ-banded kernel shares keyroot subproblems across pairs through
+    {!Tsj_ted.Memo}.  A tree whose interning raises is stored as given
+    and verified with a plain prep; answers are the same either way. *)
 
 val tau : t -> int
 
@@ -84,5 +91,9 @@ val query :
     negative, or [domains < 1]. *)
 
 val nearest : k:int -> t -> Tsj_tree.Tree.t -> (int * int) list
-(** Top-k within the index threshold, by expanding radius (see
-    {!Search.nearest}).  @raise Invalid_argument if [k < 0]. *)
+(** Top-k search within the index threshold: the [k] inserted trees
+    closest to the query (by TED, ties by id), found by expanding the
+    search radius [τ' = 0, 1, ...] until [k] trees lie within it — each
+    round reuses the cheaper candidate sets of smaller radii.  Fewer
+    than [k] pairs are returned when fewer trees lie within [τ].
+    @raise Invalid_argument if [k < 0]. *)

@@ -24,10 +24,6 @@ type phase_times = {
   domains_used : int;
 }
 
-(* Per-size inverted list: the two-layer index for δ-partitionable trees
-   plus the overflow list of sub-δ trees. *)
-type size_entry = { index : Two_layer_index.t; mutable small : int list }
-
 (* Everything derived from one input tree, built eagerly by the parallel
    preprocessing phase: the TED preparation (both decompositions), the
    LC-RS form probed by the index, its precomputed twig cursor, and the
@@ -41,24 +37,17 @@ type tree_data = {
   d_bounds : Bounds.Compiled.t;
 }
 
-(* The immutable snapshot of one size entry taken between blocks: a
-   read-only view of the index plus the overflow list value (lists are
-   immutable, so capturing it is a true snapshot). *)
-type frozen_entry = { f_index : Two_layer_index.frozen; f_small : int list }
+(* What probing one tree against the frozen bands found, and how long
+   it took.  The candidates are in discovery order, which is
+   deterministic: the task itself is a sequential loop, and scheduling
+   only decides which domain runs it. *)
+type frozen_probe = { found : Size_bands.probe; elapsed_s : float }
 
-(* Result of probing one tree against the frozen snapshot.  [pending] is
-   in discovery order, which is deterministic: the task itself is a
-   sequential loop, and scheduling only decides which domain runs it. *)
-type probe_result = {
-  pending : int list;
-  probed : int;
-  matched : int;
-  small_hits : int;
-  elapsed_s : float;
-}
-
-let empty_probe_result =
-  { pending = []; probed = 0; matched = 0; small_hits = 0; elapsed_s = 0.0 }
+let no_probe =
+  {
+    found = { Size_bands.candidates = []; probed = 0; matched = 0; small_hits = 0 };
+    elapsed_s = 0.0;
+  }
 
 (* Trees per parallel block.  Fixed — independent of the domain count —
    so the candidate stream, the verification batches and every statistic
@@ -100,15 +89,14 @@ let join_with_probe_stats ?(partitioning = Balanced)
      their counters outlive any single run, so report deltas. *)
   let memo_hits0 = Atomic.get Tsj_ted.Memo.hits in
   let memo_misses0 = Atomic.get Tsj_ted.Memo.misses in
-  let delta = (2 * tau) + 1 in
   let total_t0 = Timer.now () in
   let cand_timer = Timer.create () in
   let cand_attr = ref 0.0 in
   let verify_attr = ref 0.0 in
-  let rng =
+  let partition =
     match partitioning with
-    | Balanced -> None
-    | Random seed -> Some (Tsj_util.Prng.create seed)
+    | Balanced -> Partition.partition
+    | Random seed -> Partition.random_partition (Tsj_util.Prng.create seed)
   in
   let pool = if domains > 1 then Some (Tsj_join.Parallel.pool ~domains) else None in
   (* Cooperative budget plumbing: [stop_flag] is threaded into every pool
@@ -209,19 +197,16 @@ let join_with_probe_stats ?(partitioning = Balanced)
   Array.sort
     (fun a b -> if sizes.(a) <> sizes.(b) then compare sizes.(a) sizes.(b) else compare a b)
     order;
-  let entries : (int, size_entry) Hashtbl.t = Hashtbl.create 64 in
-  let entry_for table mode size =
-    match Hashtbl.find_opt table size with
-    | Some e -> e
-    | None ->
-      let e = { index = Two_layer_index.create ~mode ~tau (); small = [] } in
-      Hashtbl.add table size e;
-      e
-  in
+  let bands = Size_bands.create ~mode:index_mode ~tau () in
   let n_probed = ref 0 in
   let n_matched = ref 0 in
   let n_small_hits = ref 0 in
   let n_indexed = ref 0 in
+  let count_probe (p : Size_bands.probe) =
+    n_probed := !n_probed + p.probed;
+    n_matched := !n_matched + p.matched;
+    n_small_hits := !n_small_hits + p.small_hits
+  in
   (* The staged verifier.  Returns a {!verdict}: the (threshold-clamped)
      distance and the stage code that decided the pair, or a quarantine
      reason when the resilience layer diverted it:
@@ -366,51 +351,18 @@ let join_with_probe_stats ?(partitioning = Balanced)
     run_tasks verify_tasks;
     commit ()
   in
-  (* Probe one tree against the frozen snapshot of everything indexed
-     before the current block.  Pure function of immutable data — safe on
-     any domain. *)
+  (* Probe one tree against the frozen bands: everything indexed before
+     the current block.  Pure function of immutable data — safe on any
+     domain.  The sweep runs in ascending size, so the window is
+     [size - τ, size]. *)
   let probe_frozen_task snapshot ti =
-    let r, dt =
+    let d = data.(ti) in
+    let found, elapsed_s =
       Timer.wall (fun () ->
-          let d = data.(ti) in
-          let size_i = sizes.(ti) in
-          let checked : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-          let pending = ref [] in
-          let probed = ref 0 and matched = ref 0 and small_hits = ref 0 in
-          for size_j = max 1 (size_i - tau) to size_i do
-            match Hashtbl.find_opt snapshot size_j with
-            | None -> ()
-            | Some fe ->
-              (* Sub-δ trees in the window are always candidates. *)
-              List.iter
-                (fun tj ->
-                  if not (Hashtbl.mem checked tj) then begin
-                    Hashtbl.add checked tj ();
-                    incr small_hits;
-                    pending := tj :: !pending
-                  end)
-                fe.f_small;
-              for v = 0 to size_i - 1 do
-                Two_layer_index.probe_frozen fe.f_index d.d_cursor v (fun s ->
-                    incr probed;
-                    let tj = s.Subgraph.tree_id in
-                    if not (Hashtbl.mem checked tj) then
-                      if Subgraph.matches s d.d_btree v then begin
-                        incr matched;
-                        Hashtbl.add checked tj ();
-                        pending := tj :: !pending
-                      end)
-              done
-          done;
-          {
-            pending = List.rev !pending;
-            probed = !probed;
-            matched = !matched;
-            small_hits = !small_hits;
-            elapsed_s = 0.0;
-          })
+          Size_bands.probe_frozen ~cursor:d.d_cursor snapshot ~lo:(sizes.(ti) - tau)
+            ~hi:sizes.(ti) d.d_btree)
     in
-    { r with elapsed_s = dt }
+    { found; elapsed_s }
   in
   let n_blocks = (n + block_size - 1) / block_size in
   (* --- checkpoint/resume --- *)
@@ -517,27 +469,10 @@ let join_with_probe_stats ?(partitioning = Balanced)
        probing, verifying or counting — the journal already holds their
        outputs.  The RNG (random partitioning) is consumed in exactly
        the original order, so the rebuilt index is bit-identical. *)
-    for blk = 0 to start_block - 1 do
-      let b0 = blk * block_size in
-      let b1 = min n (b0 + block_size) in
-      for w = 0 to b1 - b0 - 1 do
-        let ti = order.(b0 + w) in
-        if not (excluded ti) then begin
-          let size_i = sizes.(ti) in
-          let entry = entry_for entries index_mode size_i in
-          if size_i < delta then entry.small <- ti :: entry.small
-          else begin
-            let part =
-              match rng with
-              | None -> Partition.partition data.(ti).d_btree ~delta
-              | Some rng -> Partition.random_partition rng data.(ti).d_btree ~delta
-            in
-            Array.iter
-              (fun s -> Two_layer_index.insert entry.index s)
-              (Subgraph.of_partition ~tree_id:ti part)
-          end
-        end
-      done
+    for b = 0 to min n (start_block * block_size) - 1 do
+      let ti = order.(b) in
+      if not (excluded ti) then
+        ignore (Size_bands.insert ~partition bands ti data.(ti).d_btree)
     done;
     let blk = ref start_block in
     while !blk < n_blocks && not !aborted do
@@ -552,16 +487,10 @@ let join_with_probe_stats ?(partitioning = Balanced)
         let b0 = !blk * block_size in
         let b1 = min n (b0 + block_size) in
         let width = b1 - b0 in
-        (* Snapshot the per-size entries: O(#sizes), between-block only. *)
-        let snapshot : (int, frozen_entry) Hashtbl.t = Hashtbl.create 64 in
-        Hashtbl.iter
-          (fun size e ->
-            Hashtbl.add snapshot size
-              { f_index = Two_layer_index.freeze e.index; f_small = e.small })
-          entries;
+        let snapshot = Size_bands.freeze bands in
         (* Parallel phase: probe every tree of this block against the
            frozen snapshot, and verify the previous block's candidates. *)
-        let frozen_results = Array.make width empty_probe_result in
+        let frozen_results = Array.make width no_probe in
         let probe_tasks =
           Array.init width (fun w ->
               fun () ->
@@ -580,9 +509,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
           Array.iter
             (fun r ->
               cand_attr := !cand_attr +. r.elapsed_s;
-              n_probed := !n_probed + r.probed;
-              n_matched := !n_matched + r.matched;
-              n_small_hits := !n_small_hits + r.small_hits)
+              count_probe r.found)
             frozen_results;
           (* Sequential phase: in block order, probe the subgraphs
              inserted earlier in this block (invisible to the snapshot),
@@ -590,39 +517,17 @@ let join_with_probe_stats ?(partitioning = Balanced)
              The random partitioning rng is consumed only here, in tree
              order, so the stream is identical at every domain count. *)
           Timer.start cand_timer;
-          let block_entries : (int, size_entry) Hashtbl.t = Hashtbl.create 8 in
+          let block_bands = Size_bands.create ~mode:index_mode ~tau () in
           let batch = ref [] in
           for w = 0 to width - 1 do
             let ti = order.(b0 + w) in
             if not (excluded ti) then begin
               let d = data.(ti) in
-              let size_i = sizes.(ti) in
-              let checked : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-              let local_pending = ref [] in
-              for size_j = max 1 (size_i - tau) to size_i do
-                match Hashtbl.find_opt block_entries size_j with
-                | None -> ()
-                | Some entry ->
-                  List.iter
-                    (fun tj ->
-                      if not (Hashtbl.mem checked tj) then begin
-                        Hashtbl.add checked tj ();
-                        incr n_small_hits;
-                        local_pending := tj :: !local_pending
-                      end)
-                    entry.small;
-                  for v = 0 to size_i - 1 do
-                    Two_layer_index.probe_cursor entry.index d.d_cursor v (fun s ->
-                        incr n_probed;
-                        let tj = s.Subgraph.tree_id in
-                        if not (Hashtbl.mem checked tj) then
-                          if Subgraph.matches s d.d_btree v then begin
-                            incr n_matched;
-                            Hashtbl.add checked tj ();
-                            local_pending := tj :: !local_pending
-                          end)
-                  done
-              done;
+              let local =
+                Size_bands.probe ~cursor:d.d_cursor block_bands ~lo:(sizes.(ti) - tau)
+                  ~hi:sizes.(ti) d.d_btree
+              in
+              count_probe local;
               (* Frozen hits (trees before the block) and local hits
                  (earlier trees of this block) are disjoint by
                  construction; their concatenation is the exact candidate
@@ -632,31 +537,13 @@ let join_with_probe_stats ?(partitioning = Balanced)
                 incr candidates;
                 batch := (ti, tj) :: !batch
               in
-              List.iter emit frozen_results.(w).pending;
-              List.iter emit (List.rev !local_pending);
+              List.iter emit frozen_results.(w).found.Size_bands.candidates;
+              List.iter emit local.Size_bands.candidates;
               (* Index the current tree for subsequent iterations: in the
-                 main per-size entry for later blocks, and in the
-                 block-local entry for the remaining trees of this
-                 block. *)
-              let entry = entry_for entries index_mode size_i in
-              let local = entry_for block_entries index_mode size_i in
-              if size_i < delta then begin
-                entry.small <- ti :: entry.small;
-                local.small <- ti :: local.small
-              end
-              else begin
-                let part =
-                  match rng with
-                  | None -> Partition.partition d.d_btree ~delta
-                  | Some rng -> Partition.random_partition rng d.d_btree ~delta
-                in
-                Array.iter
-                  (fun s ->
-                    Two_layer_index.insert entry.index s;
-                    Two_layer_index.insert local.index s;
-                    incr n_indexed)
-                  (Subgraph.of_partition ~tree_id:ti part)
-              end
+                 main bands for later blocks, and in the block-local
+                 bands for the remaining trees of this block. *)
+              n_indexed :=
+                !n_indexed + Size_bands.insert ~partition ~also:block_bands bands ti d.d_btree
             end
           done;
           Timer.stop cand_timer;

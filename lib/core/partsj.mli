@@ -3,7 +3,8 @@
 
     Trees are processed in ascending size order.  For the current tree
     [Ti], the subgraphs of previously processed trees with size in
-    [|Ti| - τ .. |Ti|] are probed through the per-size two-layer indexes:
+    [|Ti| - τ .. |Ti|] are probed through the per-size two-layer indexes
+    ({!Size_bands}):
     every node [N] of [Ti] selects only the subgraphs whose postorder
     group and twig key are compatible with [N]; a selected subgraph that
     actually matches makes its container tree a candidate, verified once
@@ -21,7 +22,7 @@
     phases on the shared work-stealing pool of {!Tsj_join.Pool}:
     preprocessing compiles every tree in parallel up front; the sweep
     processes trees in fixed-size blocks, probing each block against a
-    {!Two_layer_index.frozen} read-only snapshot concurrently while the
+    {!Size_bands.frozen} read-only view concurrently while the
     {e previous} block's candidates are verified on the same pool
     (software pipelining), followed by a short sequential phase that
     probes intra-block pairs and inserts the block's subgraphs.  The

@@ -1,0 +1,80 @@
+(** The per-size inverted lists of Algorithm 1: one band per tree size.
+
+    A band holds the two-layer index ({!Two_layer_index}) of the
+    δ-partitioned trees of that size (δ = 2τ + 1) and the overflow list
+    of its sub-δ trees, which cannot be δ-partitioned (a tree of [n]
+    nodes has only [n - 1] edges) and are therefore always candidates
+    within a probe's size window.  This is the one place that knows that
+    layout rule; the batch join ({!Partsj}), the streaming index
+    ({!Incremental}) and through it the server store all index and probe
+    through it.
+
+    A probe covers a caller-chosen window of sizes: the self-join sweep
+    processes trees in ascending size and probes [[size - τ, size]], the
+    stream sees trees in any order and probes [[size - τ, size + τ]]
+    (Lemma 2 partitions the {e indexed} tree, so the direction of the
+    size difference does not matter). *)
+
+type t
+
+val create : ?mode:Two_layer_index.mode -> tau:int -> unit -> t
+(** Empty bands for threshold [tau]; every band's two-layer index uses
+    [mode] (default {!Two_layer_index.Two_sided}).
+    @raise Invalid_argument if [tau < 0]. *)
+
+val insert :
+  ?partition:(Tsj_tree.Binary_tree.t -> delta:int -> Partition.t) ->
+  ?also:t ->
+  t ->
+  int ->
+  Tsj_tree.Binary_tree.t ->
+  int
+(** [insert bands id btree] indexes tree [id] (LC-RS form [btree]) in
+    the band of its size: on the overflow list when it has fewer than δ
+    nodes, otherwise as the subgraphs of its δ-partitioning.  Returns the
+    number of subgraphs indexed (0 for an overflow tree).  [partition]
+    (default {!Partition.partition}) is called at most once, so a seeded
+    random partitioning consumes its generator in insertion order.  With
+    [also], the same tree and subgraphs are indexed in those bands too
+    (the join's block-local bands). *)
+
+type probe = {
+  candidates : int list;  (** distinct tree ids, in discovery order *)
+  probed : int;  (** subgraphs returned by the two-layer index lookups *)
+  matched : int;  (** probed subgraphs that matched and added a candidate *)
+  small_hits : int;  (** candidates taken from the overflow lists *)
+}
+
+val probe :
+  ?cursor:Two_layer_index.cursor ->
+  t ->
+  lo:int ->
+  hi:int ->
+  Tsj_tree.Binary_tree.t ->
+  probe
+(** [probe bands ~lo ~hi btree] collects every indexed tree whose size
+    lies in [[lo, hi]] and that is a candidate for [btree]: all overflow
+    trees of those sizes, and every tree with a subgraph that
+    {!Subgraph.matches} [btree] at some node.  Bands are visited in
+    ascending size, each band's overflow list before its index.  A band
+    whose index is empty is not probed; [cursor] (the twig cursor of
+    [btree]) is built on first need when not supplied. *)
+
+type frozen
+(** A read-only view of the bands for the join's parallel phase.
+    Freezing is O(1) and shares structure, so the view sees later
+    inserts; the type only rules out inserting through it.  Several
+    domains may probe one view concurrently provided no {!insert} runs
+    at the same time — the PartSJ block sweep alternates a parallel
+    probe phase with a sequential insert phase. *)
+
+val freeze : t -> frozen
+
+val probe_frozen :
+  ?cursor:Two_layer_index.cursor ->
+  frozen ->
+  lo:int ->
+  hi:int ->
+  Tsj_tree.Binary_tree.t ->
+  probe
+(** {!probe} through the view. *)

@@ -130,33 +130,3 @@ let probe_cursor t (cur : cursor) v f =
     let p = cur.c_gpost.(v) in
     probe_table t.by_start p l ll lr f;
     probe_table t.by_end (cur.c_size - 1 - p) l ll lr f
-
-let probe t (target : Binary_tree.t) v f =
-  let l = target.Binary_tree.label.(v) in
-  let ll =
-    match target.Binary_tree.left.(v) with
-    | -1 -> Label.epsilon
-    | c -> target.Binary_tree.label.(c)
-  in
-  let lr =
-    match target.Binary_tree.right.(v) with
-    | -1 -> Label.epsilon
-    | c -> target.Binary_tree.label.(c)
-  in
-  match t.mode with
-  | Label_only -> probe_table t.by_start 0 l ll lr f
-  | Two_sided | Paper_rank ->
-    let p = target.Binary_tree.gpost.(v) in
-    probe_table t.by_start p l ll lr f;
-    probe_table t.by_end (target.Binary_tree.size - 1 - p) l ll lr f
-
-(* Read-only probe view.  [frozen] shares structure with the underlying
-   index — freezing is O(1) — but the type rules out insertion, which is
-   what makes handing it to concurrently probing domains an honest API:
-   probes through the view are safe as long as no [insert] on the
-   underlying index runs concurrently. *)
-type frozen = { view : t }
-
-let freeze t = { view = t }
-
-let probe_frozen fz cur v f = probe_cursor fz.view cur v f

@@ -43,15 +43,6 @@ val n_subgraphs : t -> int
 val n_groups : t -> int
 (** Number of non-empty (position, twig) buckets — an index-size metric. *)
 
-val probe : t -> Tsj_tree.Binary_tree.t -> int -> (Subgraph.t -> unit) -> unit
-(** [probe idx target v f] calls [f] on every indexed subgraph whose
-    position group contains [v] (in either coordinate) and whose twig key
-    is compatible with the twig of [target] at [v].  [f] may be called
-    with subgraphs that do not actually match — callers run
-    {!Subgraph.matches} — and may be called twice for a subgraph reachable
-    through both coordinates; in {!Two_sided} mode it never misses a
-    subgraph left untouched by an edit script of length [<= tau]. *)
-
 type cursor
 (** The per-node twig keys of one probed tree, precomputed.  A join
     probes the same tree against one index per admissible size (times two
@@ -63,19 +54,12 @@ val cursor : Tsj_tree.Binary_tree.t -> cursor
     in O(size). *)
 
 val probe_cursor : t -> cursor -> int -> (Subgraph.t -> unit) -> unit
-(** [probe_cursor idx cur v f] — exactly {!probe} on the tree the cursor
-    was built from, reading the precomputed keys. *)
-
-type frozen
-(** A typed read-only view of an index.  Freezing is O(1) and shares
-    structure: probes through the view observe later {!insert}s, but the
-    type guarantees the view itself cannot mutate the index — which makes
-    it safe to probe one frozen view from several domains concurrently,
-    provided no [insert] on the underlying index runs at the same time
-    (the PartSJ block sweep alternates a parallel probe phase against the
-    frozen view with a sequential insertion phase). *)
-
-val freeze : t -> frozen
-
-val probe_frozen : frozen -> cursor -> int -> (Subgraph.t -> unit) -> unit
-(** {!probe_cursor} through a read-only view. *)
+(** [probe_cursor idx cur v f] calls [f] on every indexed subgraph whose
+    position group contains node [v] of the cursor's tree (in either
+    coordinate) and whose twig key is compatible with that node's twig.
+    [f] may be called with subgraphs that do not actually match —
+    callers run {!Subgraph.matches} — and may be called twice for a
+    subgraph reachable through both coordinates; in {!Two_sided} mode it
+    never misses a subgraph left untouched by an edit script of length
+    [<= tau].  Probing never mutates the index, so several domains may
+    probe one index while no {!insert} runs. *)

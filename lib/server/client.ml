@@ -295,21 +295,29 @@ module Failover = struct
      retrying {e with the same seq} across transport failures and
      failovers — the store's seq-skip answers duplicates, and a seq
      bound to a different tree (a competing writer, or a stale read
-     from a lagging replica) refetches and tries again. *)
+     from a lagging replica) refetches and tries again.  A missed quorum
+     also retries the same seq, after a backoff: the primary has already
+     journaled the tree there, and a fresh seq would add it twice. *)
   let add ?(seq_retries = 4) t tree =
     let rec go tries =
       if tries <= 0 then Error "ADD: seq negotiation attempts exhausted"
       else
         match request t Protocol.Stats with
         | Error _ as e -> e
-        | Ok (Protocol.Stats_reply s) -> (
-          match request t (Protocol.Add { seq = Some s.trees; tree }) with
-          | Ok (Protocol.Err reason)
-            when contains ~sub:"already bound" reason
-                 || contains ~sub:"seq gap" reason ->
-            go (tries - 1)
-          | r -> r)
+        | Ok (Protocol.Stats_reply s) -> send s.trees tries
         | Ok other -> Ok other
+    and send seq tries =
+      match request t (Protocol.Add { seq = Some seq; tree }) with
+      | Ok (Protocol.Err reason)
+        when contains ~sub:"already bound" reason || contains ~sub:"seq gap" reason ->
+        go (tries - 1)
+      | Ok (Protocol.Err reason) when tries > 1 && contains ~sub:"quorum not reached" reason
+        ->
+        t.sleep
+          (backoff_delay ~base_delay_s:t.base_delay_s ~max_delay_s:t.max_delay_s
+             ~rng:t.rng (seq_retries - tries));
+        send seq (tries - 1)
+      | r -> r
     in
     go seq_retries
 end

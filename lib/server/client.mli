@@ -139,7 +139,10 @@ module Failover : sig
       seq across failures and failovers, so an ambiguous timeout can
       never double-apply (the idempotency contract in {!Protocol}).  A
       seq that turns out stale (competing writer, lagging replica) is
-      refetched up to [seq_retries] times. *)
+      refetched, and an [ERR quorum not reached] is retried at the same
+      seq after the rotation backoff; together at most [seq_retries]
+      times (default 4).  The quorum error is returned only once they
+      are spent. *)
 end
 
 (** Binary-protocol client: one [HELLO BIN <v>] handshake, then

@@ -107,13 +107,11 @@ let replicate t ~record_for ~seq =
 (* Final (locked) catch-up and registration: while the write lock is
    held no add can slip past, so the peer is exactly current when it
    enters the peer list.  An existing peer with the same id (a replica
-   that reconnected) is replaced. *)
+   that reconnected) is replaced.  A refused peer is not closed: its
+   transport still belongs to the caller, which replies and closes. *)
 let register t peer ~upto ~record_for =
   Mutex.protect t.lock (fun () ->
-      if t.sealed then begin
-        drop_peer peer;
-        Error "cluster is sealed (draining)"
-      end
+      if t.sealed then Error "cluster is sealed (draining)"
       else
         match
           let n = upto () in
@@ -126,18 +124,18 @@ let register t peer ~upto ~record_for =
           List.iter drop_peer old;
           t.peers <- rest @ [ peer ];
           Ok ()
-        | exception Fenced_exn e ->
-          drop_peer peer;
-          Error (Printf.sprintf "peer fenced at epoch %d" e)
-        | exception e ->
-          drop_peer peer;
-          Error (Printexc.to_string e))
+        | exception Fenced_exn e -> Error (Printf.sprintf "peer fenced at epoch %d" e)
+        | exception e -> Error (Printexc.to_string e))
 
 (* Primary-side handling of a replica's [SYNC <epoch> <from_seq>]: the
    header/ack handshake, the bulk catch-up (outside the write lock) and
    the locked registration.  Store access goes through the caller's
    closures so the server can interpose its store mutex; the harness
-   passes the store operations directly. *)
+   passes the store operations directly.  The transport stays the
+   caller's until [`Streaming]: no refusal closes it, because the caller
+   still writes the refusal to it and then closes it once.  Closing it
+   here too would free the descriptor number for a concurrent accept,
+   and the caller's reply and close would then hit that connection. *)
 let serve_sync t ~epoch ~base ~n_trees ~record_for ~primary ~peer_id ~f_epoch ~send
     ~recv ~close =
   let e = epoch () in
@@ -152,14 +150,9 @@ let serve_sync t ~epoch ~base ~n_trees ~record_for ~primary ~peer_id ~f_epoch ~s
       | Ok (Protocol.Ack pos) -> pos
       | _ -> failwith "expected ACKED after the stream header"
     with
-    | exception ex ->
-      close ();
-      `Refused (Printexc.to_string ex)
+    | exception ex -> `Refused (Printexc.to_string ex)
     | pos ->
-      if pos > n_trees () then begin
-        close ();
-        `Refused "replica is ahead of the primary"
-      end
+      if pos > n_trees () then `Refused "replica is ahead of the primary"
       else begin
         let peer = { id = peer_id; send; recv; close; pos; alive = true } in
         match
@@ -167,12 +160,8 @@ let serve_sync t ~epoch ~base ~n_trees ~record_for ~primary ~peer_id ~f_epoch ~s
             push_record peer (record_for peer.pos)
           done
         with
-        | exception Fenced_exn ex ->
-          drop_peer peer;
-          `Refused (Printf.sprintf "peer fenced at epoch %d" ex)
-        | exception ex ->
-          drop_peer peer;
-          `Refused (Printexc.to_string ex)
+        | exception Fenced_exn ex -> `Refused (Printf.sprintf "peer fenced at epoch %d" ex)
+        | exception ex -> `Refused (Printexc.to_string ex)
         | () -> (
           match register t peer ~upto:n_trees ~record_for with
           | Ok () -> `Streaming

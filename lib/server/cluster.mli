@@ -87,7 +87,9 @@ val serve_sync :
     belongs to the cluster — the caller must not close it.  [`Fenced]:
     the {e requester} has the higher epoch; the caller replies
     [FENCED <epoch>] and demotes.  [`Refused]: reply [ERR reason] and
-    close. *)
+    close.  On every outcome but [`Streaming] the transport is still the
+    caller's: [serve_sync] never calls [close] then, even when a
+    [send]/[recv] raised. *)
 
 val seal : t -> unit
 (** Drain support: wait out any in-flight quorum write (by taking the

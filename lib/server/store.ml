@@ -1,6 +1,5 @@
 module Bracket = Tsj_tree.Bracket
 module Incremental = Tsj_core.Incremental
-module Search = Tsj_core.Search
 module Durable = Tsj_util.Durable
 module Fault = Tsj_util.Fault_inject
 module Text = Tsj_util.Text
@@ -31,6 +30,72 @@ type t = {
 let snapshot_path dir = Filename.concat dir "snapshot"
 
 let journal_path dir = Filename.concat dir "journal"
+
+(* The snapshot format: a two-line header (format line, τ), then one
+   bracket tree per line in id order.  The header keeps the name of the
+   search-index files this format began as, so existing store
+   directories still open. *)
+let format_line = "# tsj-search-index v1"
+
+(* Publication is atomic (tmp + rename, directory fsynced so the rename
+   survives a machine crash): a crash mid-save leaves either the
+   previous complete file or a stray .tmp, never a torn collection. *)
+let save_collection ~tau trees path =
+  let tmp = path ^ ".tmp" in
+  Out_channel.with_open_text tmp (fun oc ->
+      Printf.fprintf oc "%s\n# tau %d\n" format_line tau;
+      Array.iter
+        (fun tree ->
+          Out_channel.output_string oc (Bracket.to_string tree);
+          Out_channel.output_char oc '\n')
+        trees);
+  Durable.rename tmp path
+
+(* Parsed line by line so every diagnostic carries the 1-based file line
+   (the header occupies lines 1-2), in the lenient bracket parser's
+   ["line L, column C"] convention.  Comment lines ([#]) may appear in
+   the body; a blank interior line is an empty record.  Duplicate
+   records are kept: clients may insert the same tree twice. *)
+let collection_of_string contents =
+  match String.split_on_char '\n' contents with
+  | header :: tau_line :: body when header = format_line -> (
+    let located line msg = Error (Printf.sprintf "line %d: %s" line msg) in
+    match String.split_on_char ' ' tau_line with
+    | [ "#"; "tau"; tau_s ] -> (
+      match int_of_string_opt tau_s with
+      | None -> located 2 (Printf.sprintf "corrupt tau header %S" tau_s)
+      | Some tau when tau < 0 ->
+        located 2 (Printf.sprintf "negative threshold tau = %d in header" tau)
+      | Some tau ->
+        let n_body = List.length body in
+        let rec records k acc = function
+          | [] -> Ok (tau, Array.of_list (List.rev acc))
+          | line :: rest -> (
+            let lineno = k + 3 in
+            let trimmed = String.trim line in
+            if trimmed = "" then
+              if k = n_body - 1 then
+                (* the virtual segment after the final newline *)
+                records (k + 1) acc rest
+              else located lineno "empty record"
+            else if trimmed.[0] = '#' then records (k + 1) acc rest
+            else
+              match Bracket.of_string line with
+              | Ok tree -> records (k + 1) (tree :: acc) rest
+              | Error msg ->
+                (* [of_string] saw a single line, so its location prefix
+                   is always "line 1, "; splice in the file line. *)
+                let prefix = "line 1, " in
+                let n = String.length prefix in
+                if String.length msg >= n && String.sub msg 0 n = prefix then
+                  Error
+                    (Printf.sprintf "line %d, %s" lineno
+                       (String.sub msg n (String.length msg - n)))
+                else located lineno msg)
+        in
+        records 0 [] body)
+    | _ -> located 2 "corrupt tau header")
+  | _ -> Error "not a tsj search index file"
 
 (* One WAL record per acknowledged ADD:
 
@@ -376,7 +441,7 @@ let open_ ?dir ?(domains = 1) ?(dedup = false) ?heal ?(quarantine = false) ~tau 
             | Ok _ -> (
               match Durable.read_file snapshot with
               | exception Durable.Disk_fault f -> Error (Durable.fault_to_string f)
-              | contents -> Search.collection_of_string ~allow_duplicates:true contents)
+              | contents -> collection_of_string contents)
           end
         in
         match loaded with
@@ -677,7 +742,7 @@ let flush t =
   | None -> ()
   | Some dir ->
     let trees = Array.init (Incremental.n_trees t.inc) (Incremental.tree t.inc) in
-    Search.save_collection ~tau:t.tau trees (snapshot_path dir);
+    save_collection ~tau:t.tau trees (snapshot_path dir);
     Integrity.write_seal (snapshot_path dir);
     reset_journal t dir
 

@@ -9,9 +9,9 @@
     is appended and flushed {e before} the tree enters the in-memory
     index ([seq] = the tree id it creates), so an acknowledged [ADD]
     survives a crash at any later point.  {!flush} writes a fresh
-    snapshot (atomic tmp + rename, {!Tsj_core.Search.save_collection}
-    format) and then truncates the journal; a crash between the two
-    steps only leaves journal records the snapshot already covers, which
+    snapshot (atomic tmp + rename, {!save_collection} format) and
+    then truncates the journal; a crash between the two steps only
+    leaves journal records the snapshot already covers, which
     replay skips by [seq].  {!open_} replays the journal over the
     snapshot: a torn tail (an undecodable final record — a partial
     write from a crash mid-append) is dropped and the journal rewritten
@@ -252,3 +252,19 @@ val flush : t -> unit
 
 val close : t -> unit
 (** {!flush} and release the journal handle. *)
+
+(** {2 Snapshot format} *)
+
+val save_collection : tau:int -> Tsj_tree.Tree.t array -> string -> unit
+(** [save_collection ~tau trees path] writes a snapshot: the header
+    lines [# tsj-search-index v1] and [# tau <τ>], then one tree per
+    line in bracket notation.  Interned label ids are process-local, so
+    no index structure is written; reopening re-derives it.  Publication
+    is atomic (tmp + rename). *)
+
+val collection_of_string : string -> (int * Tsj_tree.Tree.t array, string) result
+(** Parse the contents of a snapshot back into [(τ, trees)].  Comment
+    lines ([#]) may appear in the body and duplicate records are kept.
+    A negative or corrupt τ header, an empty record line or a malformed
+    tree is rejected with a located diagnostic ([Error "line L: ..."]
+    or ["line L, column C: ..."]). *)

@@ -16,6 +16,9 @@
      dune exec test/fuzz/fuzz_main.exe -- scrub 5000 42
      dune exec test/fuzz/fuzz_main.exe -- overload 20000 42
 
+   A run prints its failures as it finds them and exits 1 at the fifth
+   (or at the end of the run, if there were any).
+
    Modes:
    - lemma2: after <= tau random edits, some subgraph of the balanced
      (2 tau + 1)-partitioning must occur in the edited tree (expected: 0
@@ -110,8 +113,21 @@ let edited_pair rng =
   let _, x' = Tsj_tree.Edit_op.random_script rng ~labels k x in
   (x, x', k)
 
+(* Every mode stops at its fifth reported failure and exits non-zero: a
+   fault that desyncs a connection makes each later read wait out the
+   client's receive timeout, so running on would stall instead of
+   failing fast. *)
+let max_reported = 5
+
+let reported = ref 0
+
 let report name i detail =
-  Printf.printf "FAIL %s at iteration %d: %s\n%!" name i detail
+  Printf.printf "FAIL %s at iteration %d: %s\n%!" name i detail;
+  incr reported;
+  if !reported >= max_reported then begin
+    Printf.printf "%s: stopped at iteration %d after %d failures\n%!" name i max_reported;
+    exit 1
+  end
 
 let fuzz_lemma2 iterations rng =
   let failures = ref 0 in
@@ -124,11 +140,10 @@ let fuzz_lemma2 iterations rng =
       let b' = BT.of_tree x' in
       if not (Array.exists (fun s -> Subgraph.occurs_in s b') subs) then begin
         incr failures;
-        if !failures <= 5 then
-          report "lemma2" i
-            (Printf.sprintf "tau=%d base=%s edited=%s" tau
-               (Tsj_tree.Bracket.to_string x)
-               (Tsj_tree.Bracket.to_string x'))
+        report "lemma2" i
+          (Printf.sprintf "tau=%d base=%s edited=%s" tau
+             (Tsj_tree.Bracket.to_string x)
+             (Tsj_tree.Bracket.to_string x'))
       end
     end
   done;
@@ -138,8 +153,10 @@ let probe_finds mode tau subs b' =
   let idx = Index.create ~mode ~tau () in
   Array.iter (Index.insert idx) subs;
   let found = ref false in
+  let cursor = Index.cursor b' in
   for v = 0 to b'.BT.size - 1 do
-    Index.probe idx b' v (fun s -> if (not !found) && Subgraph.matches s b' v then found := true)
+    Index.probe_cursor idx cursor v (fun s ->
+        if (not !found) && Subgraph.matches s b' v then found := true)
   done;
   !found
 
@@ -156,11 +173,10 @@ let fuzz_windows iterations rng =
       let b' = BT.of_tree x' in
       if not (probe_finds Index.Two_sided tau subs b') then begin
         incr sound_failures;
-        if !sound_failures <= 5 then
-          report "windows(two-sided)" i
-            (Printf.sprintf "tau=%d base=%s edited=%s" tau
-               (Tsj_tree.Bracket.to_string x)
-               (Tsj_tree.Bracket.to_string x'))
+        report "windows(two-sided)" i
+          (Printf.sprintf "tau=%d base=%s edited=%s" tau
+             (Tsj_tree.Bracket.to_string x)
+             (Tsj_tree.Bracket.to_string x'))
       end;
       if not (probe_finds Index.Paper_rank tau subs b') then incr paper_misses
     end
@@ -189,11 +205,10 @@ let fuzz_join iterations rng =
     let prt = Tsj_core.Partsj.join ~trees ~tau () in
     if not (Tsj_join.Types.equal_results truth prt) then begin
       incr failures;
-      if !failures <= 5 then
-        report "join" i
-          (Printf.sprintf "tau=%d trees=%s" tau
-             (String.concat " "
-                (Array.to_list (Array.map Tsj_tree.Bracket.to_string trees))))
+      report "join" i
+        (Printf.sprintf "tau=%d trees=%s" tau
+           (String.concat " "
+              (Array.to_list (Array.map Tsj_tree.Bracket.to_string trees))))
     end
   done;
   !failures
@@ -214,10 +229,9 @@ let fuzz_ted iterations rng =
     if Tsj_ted.Constrained.distance x y < l then bad := "constrained<ted" :: !bad;
     if !bad <> [] then begin
       incr failures;
-      if !failures <= 5 then
-        report "ted" i
-          (Printf.sprintf "%s: %s vs %s" (String.concat "," !bad)
-             (Tsj_tree.Bracket.to_string x) (Tsj_tree.Bracket.to_string y))
+      report "ted" i
+        (Printf.sprintf "%s: %s vs %s" (String.concat "," !bad)
+           (Tsj_tree.Bracket.to_string x) (Tsj_tree.Bracket.to_string y))
     end
   done;
   !failures
@@ -260,9 +274,8 @@ let fuzz_xml iterations rng =
       | _ -> ()
       | exception exn ->
         incr failures;
-        if !failures <= 5 then
-          report "xml" i
-            (Printf.sprintf "%s raised %s on %S" what (Printexc.to_string exn) input)
+        report "xml" i
+          (Printf.sprintf "%s raised %s on %S" what (Printexc.to_string exn) input)
     in
     check "parse" (fun () -> ignore (Tsj_xml.Xml_parser.parse input));
     check "parse_fragments" (fun () -> ignore (Tsj_xml.Xml_parser.parse_fragments input));
@@ -415,7 +428,7 @@ let fuzz_server iterations rng =
      with
     | Failure detail ->
       incr failures;
-      if !failures <= 5 then report "server" i detail
+      report "server" i detail
     | End_of_file | Sys_error _ | Sys_blocked_io | Unix.Unix_error _ -> ());
     close_conn conn
   in
@@ -597,13 +610,13 @@ let fuzz_server iterations rng =
      with
     | Failure detail ->
       incr failures;
-      if !failures <= 5 then report "server" i detail
+      report "server" i detail
     | End_of_file ->
       incr failures;
-      if !failures <= 5 then report "server" i "server hung up a binary connection"
+      report "server" i "server hung up a binary connection"
     | Sys_error _ | Sys_blocked_io | Unix.Unix_error _ ->
       incr failures;
-      if !failures <= 5 then report "server" i "binary connection transport error");
+      report "server" i "binary connection transport error");
     close_conn conn
   in
   for i = 1 to iterations do
@@ -654,15 +667,15 @@ let fuzz_server iterations rng =
     | Ok () -> ()
     | Error detail | (exception Failure detail) ->
       incr failures;
-      if !failures <= 5 then report "server" i detail
+      report "server" i detail
     | exception End_of_file ->
       incr failures;
-      if !failures <= 5 then report "server" i "server closed an innocent connection";
+      report "server" i "server closed an innocent connection";
       close_conn conns.(slot);
       conns.(slot) <- connect ()
     | exception exn ->
       incr failures;
-      if !failures <= 5 then report "server" i (Printexc.to_string exn);
+      report "server" i (Printexc.to_string exn);
       close_conn conns.(slot);
       conns.(slot) <- connect ()
   done;
@@ -763,21 +776,19 @@ let fuzz_dag iterations rng =
       let dc = Tsj_ted.Ted.bounded_distance_prep consed.(a) consed.(b) k in
       if du <> dc then begin
         incr failures;
-        if !failures <= 5 then
-          report "dag" i
-            (Printf.sprintf "bounded k=%d: consed %d <> unconsed %d on %s vs %s" k
-               dc du
-               (Tsj_tree.Bracket.to_string batch.(a))
-               (Tsj_tree.Bracket.to_string batch.(b)))
+        report "dag" i
+          (Printf.sprintf "bounded k=%d: consed %d <> unconsed %d on %s vs %s" k
+             dc du
+             (Tsj_tree.Bracket.to_string batch.(a))
+             (Tsj_tree.Bracket.to_string batch.(b)))
       end;
       if Prng.int rng 4 = 0 then begin
         let du = Tsj_ted.Ted.distance_prep plain.(a) plain.(b) in
         let dc = Tsj_ted.Ted.distance_prep consed.(a) consed.(b) in
         if du <> dc then begin
           incr failures;
-          if !failures <= 5 then
-            report "dag" i
-              (Printf.sprintf "unbounded: consed %d <> unconsed %d" dc du)
+          report "dag" i
+            (Printf.sprintf "unbounded: consed %d <> unconsed %d" dc du)
         end
       end
     done;
@@ -798,18 +809,16 @@ let fuzz_dag iterations rng =
            incr expected_dedups;
            if id <> first then begin
              incr failures;
-             if !failures <= 5 then
-               report "dag" i
-                 (Printf.sprintf "duplicate ADD acked %d, original was %d" id first)
+             report "dag" i
+               (Printf.sprintf "duplicate ADD acked %d, original was %d" id first)
            end
          | None -> Hashtbl.replace known tree id)
        | Ok r ->
          incr failures;
-         if !failures <= 5 then
-           report "dag" i ("bad ADD reply " ^ Protocol.render_response r)
+         report "dag" i ("bad ADD reply " ^ Protocol.render_response r)
        | Error msg ->
          incr failures;
-         if !failures <= 5 then report "dag" i ("unparseable ADD reply: " ^ msg)
+         report "dag" i ("unparseable ADD reply: " ^ msg)
      with
     | End_of_file ->
       incr failures;
@@ -817,7 +826,7 @@ let fuzz_dag iterations rng =
       exit 1
     | exn ->
       incr failures;
-      if !failures <= 5 then report "dag" i (Printexc.to_string exn))
+      report "dag" i (Printexc.to_string exn))
   done;
   (* the dedup counter must equal the duplicates we actually sent *)
   (match request "STATS" with
@@ -869,7 +878,7 @@ let fuzz_router iterations rng =
   let failures = ref 0 in
   let fail i detail =
     incr failures;
-    if !failures <= 5 then report "router" i detail
+    report "router" i detail
   in
   (* shape invariants every merged answer must satisfy *)
   let check_answer ~tau (a : Router.answer) =
@@ -1159,7 +1168,7 @@ let fuzz_scrub iterations rng =
   let failures = ref 0 in
   let fail i detail =
     incr failures;
-    if !failures <= 5 then report "scrub" i detail
+    report "scrub" i detail
   in
   let fresh_dir () =
     let d = Filename.temp_file "tsj_fuzz_scrub" "" in
@@ -1476,10 +1485,10 @@ let fuzz_overload iterations rng =
     with
     | Failure detail ->
       incr failures;
-      if !failures <= 5 then report "overload" i detail
+      report "overload" i detail
     | End_of_file | Sys_error _ | Unix.Unix_error _ ->
       incr failures;
-      if !failures <= 5 then report "overload" i "server hung up a text connection";
+      report "overload" i "server hung up a text connection";
       close_conn !conn;
       conn := connect ()
   in
@@ -1539,10 +1548,10 @@ let fuzz_overload iterations rng =
      with
     | Failure detail ->
       incr failures;
-      if !failures <= 5 then report "overload" i detail
+      report "overload" i detail
     | End_of_file | Sys_error _ | Unix.Unix_error _ ->
       incr failures;
-      if !failures <= 5 then report "overload" i "server hung up a binary episode");
+      report "overload" i "server hung up a binary episode");
     close_conn c
   in
   for i = 1 to iterations do

@@ -59,12 +59,11 @@ let test_search () =
   with_dataset (fun path ->
       let code, out = run [ "search"; path; "{a{b}{c}}"; "--tau"; "1" ] in
       check_exit "search" 0 (code, out);
-      Alcotest.(check bool) "finds duplicates" true
-        (contains out "0\t0" && contains out "1\t0" && contains out "2\t1");
+      Alcotest.(check string) "hits by distance, then id"
+        "0\t0\t{a{b}{c}}\n1\t0\t{a{b}{c}}\n2\t1\t{a{b}{x}}\n" out;
       let code, out = run [ "search"; path; "{a{b}{c}}"; "--tau"; "1"; "--top"; "1" ] in
       check_exit "search top" 0 (code, out);
-      Alcotest.(check int) "exactly one line" 1
-        (List.length (List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' out))))
+      Alcotest.(check string) "the nearest tree only" "0\t0\t{a{b}{c}}\n" out)
 
 let test_gen_and_partition () =
   let path = Filename.temp_file "tsjcli" ".gen" in

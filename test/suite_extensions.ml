@@ -1,5 +1,5 @@
-(* Tests for the extension features: optimal edit mappings and the
-   persistent similarity-search index / non-self join. *)
+(* Tests for the extension features: optimal edit mappings, and
+   similarity search / non-self joins over the streaming index. *)
 
 module Tree = Tsj_tree.Tree
 module Bracket = Tsj_tree.Bracket
@@ -8,8 +8,8 @@ module Prng = Tsj_util.Prng
 module Edit_op = Tsj_tree.Edit_op
 module Mapping = Tsj_ted.Mapping
 module Zhang_shasha = Tsj_ted.Zhang_shasha
-module Search = Tsj_core.Search
-module Types = Tsj_join.Types
+module Incremental = Tsj_core.Incremental
+module Store = Tsj_server.Store
 
 let t s = Bracket.of_string_exn s
 
@@ -135,11 +135,20 @@ let brute_force_query trees q tau =
     (fun (i1, d1) (i2, d2) -> if d1 <> d2 then compare d1 d2 else compare i1 i2)
     (List.rev !res)
 
+(* The search index over a fixed collection: every tree inserted, ids =
+   collection positions. *)
+let index_of ~tau trees =
+  let idx = Incremental.create ~tau () in
+  Array.iter (Incremental.insert idx) trees;
+  idx
+
+let search ?tau idx q = (Incremental.query ?tau idx q).Incremental.hits
+
 let test_search_query_matches_brute_force () =
   let trees = collection 3 40 in
-  let idx = Search.build ~tau:2 trees in
-  Alcotest.(check int) "n_trees" 40 (Search.n_trees idx);
-  Alcotest.(check int) "tau" 2 (Search.tau idx);
+  let idx = index_of ~tau:2 trees in
+  Alcotest.(check int) "n_trees" 40 (Incremental.n_trees idx);
+  Alcotest.(check int) "tau" 2 (Incremental.tau idx);
   let rng = Prng.create 9 in
   for _ = 1 to 15 do
     (* queries: both members of the collection and fresh trees *)
@@ -148,12 +157,12 @@ let test_search_query_matches_brute_force () =
       else Gen.random_tree rng (4 + Prng.int rng 12)
     in
     Alcotest.(check (list (pair int int))) "query = brute force"
-      (brute_force_query trees q 2) (Search.query idx q)
+      (brute_force_query trees q 2) (search idx q)
   done
 
 let test_search_smaller_tau () =
   let trees = collection 5 30 in
-  let idx = Search.build ~tau:3 trees in
+  let idx = index_of ~tau:3 trees in
   let rng = Prng.create 21 in
   for _ = 1 to 10 do
     let q = Gen.random_tree rng (4 + Prng.int rng 12) in
@@ -162,25 +171,31 @@ let test_search_smaller_tau () =
         Alcotest.(check (list (pair int int)))
           (Printf.sprintf "tau=%d under tau=3 index" tau)
           (brute_force_query trees q tau)
-          (Search.query ~tau idx q))
+          (search ~tau idx q))
       [ 0; 1; 2; 3 ]
   done
 
 let test_search_tau_too_big () =
-  let idx = Search.build ~tau:1 (collection 1 4) in
+  let idx = index_of ~tau:1 (collection 1 4) in
   Alcotest.check_raises "tau exceeds index"
-    (Invalid_argument "Search.query: tau = 2 exceeds the index threshold 1") (fun () ->
-      ignore (Search.query ~tau:2 idx (t "{a}")))
+    (Invalid_argument "Incremental.query: tau = 2 exceeds the index threshold 1")
+    (fun () -> ignore (search ~tau:2 idx (t "{a}")))
 
 let test_search_empty_collection () =
-  let idx = Search.build ~tau:2 [||] in
-  Alcotest.(check (list (pair int int))) "no results" [] (Search.query idx (t "{a{b}}"))
+  let idx = index_of ~tau:2 [||] in
+  Alcotest.(check (list (pair int int))) "no results" [] (search idx (t "{a{b}}"))
+
+(* Non-self join: query the index of [left] with every tree of [right];
+   [(i, j, d)] pairs left tree [i] with right tree [j]. *)
+let join_with idx right =
+  Array.to_list right
+  |> List.mapi (fun j q -> List.map (fun (i, d) -> (i, j, d)) (search idx q))
+  |> List.concat |> List.sort compare
 
 let test_join_with_non_self () =
   let left = collection 7 20 in
   let right = collection 8 14 in
-  let idx = Search.build ~tau:2 left in
-  let out = Search.join_with idx right in
+  let idx = index_of ~tau:2 left in
   (* brute force cross join *)
   let expected = ref [] in
   Array.iteri
@@ -191,123 +206,41 @@ let test_join_with_non_self () =
           if d <= 2 then expected := (i, j, d) :: !expected)
         left)
     right;
-  let got = List.map (fun p -> (p.Types.i, p.Types.j, p.Types.distance)) out.Types.pairs in
   Alcotest.(check (list (triple int int int)))
     "non-self join = brute force"
-    (List.sort compare !expected) (List.sort compare got);
-  Alcotest.(check bool) "candidates counted" true
-    (out.Types.stats.Types.n_candidates >= out.Types.stats.Types.n_results)
+    (List.sort compare !expected) (join_with idx right)
 
+(* A snapshot written by the store and read back rebuilds an index that
+   answers exactly like the original, duplicate records included. *)
 let test_search_save_load () =
-  (* [Search.load] is strict about duplicate records, so round-trip a
-     duplicate-free collection (the 1-edit copies in [collection] can
-     occasionally undo themselves into exact duplicates) *)
-  let trees =
-    let seen = Hashtbl.create 32 in
-    collection 13 24 |> Array.to_list
-    |> List.filter (fun t ->
-           let key = Tsj_tree.Bracket.to_string t in
-           if Hashtbl.mem seen key then false
-           else begin
-             Hashtbl.add seen key ();
-             true
-           end)
-    |> Array.of_list
-  in
-  let idx = Search.build ~tau:2 trees in
+  let trees = Array.append (collection 13 24) [| t "{a{b}}"; t "{a{b}}" |] in
+  let idx = index_of ~tau:2 trees in
   let path = Filename.temp_file "tsj" ".idx" in
-  Search.save idx path;
-  (match Search.load path with
+  Store.save_collection ~tau:2 trees path;
+  let contents = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (match Store.collection_of_string contents with
   | Error e -> Alcotest.fail e
-  | Ok idx' ->
-    Alcotest.(check int) "tau restored" 2 (Search.tau idx');
-    Alcotest.(check int) "trees restored" (Array.length trees) (Search.n_trees idx');
+  | Ok (tau, trees') ->
+    Alcotest.(check int) "tau restored" 2 tau;
+    Alcotest.(check int) "trees restored" (Array.length trees) (Array.length trees');
+    let idx' = index_of ~tau trees' in
     let rng = Prng.create 2 in
     for _ = 1 to 8 do
       let q = Gen.random_tree rng (4 + Prng.int rng 12) in
-      Alcotest.(check (list (pair int int))) "same answers"
-        (Search.query idx q) (Search.query idx' q)
+      Alcotest.(check (list (pair int int))) "same answers" (search idx q) (search idx' q)
     done);
-  Sys.remove path;
-  (* corrupt / foreign files are rejected gracefully *)
-  let bogus = Filename.temp_file "tsj" ".idx" in
-  Out_channel.with_open_text bogus (fun oc -> output_string oc "not an index\n");
-  (match Search.load bogus with
-  | Ok _ -> Alcotest.fail "expected load failure"
-  | Error _ -> ());
-  Sys.remove bogus;
-  match Search.load "/nonexistent/definitely/missing" with
-  | Ok _ -> Alcotest.fail "expected missing-file failure"
+  (* foreign contents are rejected gracefully *)
+  match Store.collection_of_string "not an index\n" with
+  | Ok _ -> Alcotest.fail "expected a parse failure"
   | Error _ -> ()
 
-(* Strict collection parsing: every rejection names the offending file
-   line, in the same "line L[, column C]" convention as the lenient
-   bracket parser. *)
-let test_search_load_located_errors () =
-  let write lines =
-    let p = Filename.temp_file "tsj" ".idx" in
-    Out_channel.with_open_text p (fun oc ->
-        List.iter
-          (fun l ->
-            output_string oc l;
-            output_char oc '\n')
-          lines);
-    p
-  in
-  let contains msg sub =
-    let n = String.length sub in
-    let rec scan i =
-      i + n <= String.length msg && (String.sub msg i n = sub || scan (i + 1))
-    in
-    scan 0
-  in
-  let expect_err sub lines =
-    let p = write lines in
-    (match Search.load p with
-    | Ok _ -> Alcotest.failf "expected rejection mentioning %S" sub
-    | Error msg ->
-      if not (contains msg sub) then
-        Alcotest.failf "error %S does not mention %S" msg sub);
-    Sys.remove p
-  in
-  let header = "# tsj-search-index v1" in
-  expect_err "line 2: negative threshold tau = -3" [ header; "# tau -3"; "{a}" ];
-  expect_err "line 2: corrupt tau header \"x\"" [ header; "# tau x"; "{a}" ];
-  expect_err "line 2: corrupt tau header" [ header; "# tau" ];
-  expect_err "line 4: empty record" [ header; "# tau 2"; "{a}"; ""; "{b}" ];
-  expect_err "line 4: duplicate record (identical to line 3)"
-    [ header; "# tau 2"; "{a{b}}"; "{a{b}}" ];
-  expect_err "line 3, column" [ header; "# tau 2"; "{a{b}" ];
-  (* comments in the body are fine; the line accounting must still point
-     at the real file line *)
-  expect_err "line 5: duplicate record (identical to line 3)"
-    [ header; "# tau 2"; "{a{b}}"; "# interlude"; "{a{b}}" ];
-  (* the lenient reader admits duplicates (server snapshots may hold
-     client-inserted repeats) but keeps every other check *)
-  let p = write [ header; "# tau 2"; "{a{b}}"; "{a{b}}" ] in
-  (match Search.read_collection ~allow_duplicates:true p with
-  | Error e -> Alcotest.fail e
-  | Ok (tau, trees) ->
-    Alcotest.(check int) "tau kept" 2 tau;
-    Alcotest.(check int) "both records kept" 2 (Array.length trees));
-  Sys.remove p;
-  (* a well-formed file with comments round-trips *)
-  let p = write [ header; "# tau 1"; "{a}"; "# note"; "{b}" ] in
-  (match Search.load p with
-  | Error e -> Alcotest.fail e
-  | Ok idx ->
-    Alcotest.(check int) "trees loaded" 2 (Search.n_trees idx);
-    Alcotest.(check int) "tau loaded" 1 (Search.tau idx));
-  Sys.remove p
-
 let test_join_with_disjoint_sizes () =
-  (* All probe trees are far bigger than indexed ones: zero candidates. *)
+  (* All probe trees are far bigger than indexed ones: no results. *)
   let left = [| t "{a}"; t "{b{c}}" |] in
   let right = [| Gen.random_tree (Prng.create 2) 30 |] in
-  let idx = Search.build ~tau:2 left in
-  let out = Search.join_with idx right in
-  Alcotest.(check int) "no results" 0 out.Types.stats.Types.n_results;
-  Alcotest.(check int) "no window pairs" 0 out.Types.stats.Types.n_window_pairs
+  let idx = index_of ~tau:2 left in
+  Alcotest.(check (list (triple int int int))) "no results" [] (join_with idx right)
 
 let suite =
   [
@@ -323,7 +256,6 @@ let suite =
     Alcotest.test_case "search tau too big" `Quick test_search_tau_too_big;
     Alcotest.test_case "search empty collection" `Quick test_search_empty_collection;
     Alcotest.test_case "search save/load" `Quick test_search_save_load;
-    Alcotest.test_case "search load located errors" `Quick test_search_load_located_errors;
     Alcotest.test_case "non-self join = brute force" `Quick test_join_with_non_self;
     Alcotest.test_case "non-self join disjoint sizes" `Quick test_join_with_disjoint_sizes;
   ]

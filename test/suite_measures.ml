@@ -5,7 +5,7 @@ module Bracket = Tsj_tree.Bracket
 module Prng = Tsj_util.Prng
 module Edit_op = Tsj_tree.Edit_op
 module Pq_gram = Tsj_baselines.Pq_gram
-module Search = Tsj_core.Search
+module Incremental = Tsj_core.Incremental
 module Zhang_shasha = Tsj_ted.Zhang_shasha
 
 let t s = Bracket.of_string_exn s
@@ -87,17 +87,18 @@ let test_nearest_basic () =
   let v2 = Edit_op.apply v1 (Edit_op.Rename { node = 1; label = Tsj_tree.Label.intern "zz2" }) in
   let far = t "{q{w{x{y{z{w{q}}}}}}}" in
   let trees = [| far; v2; base; v1 |] in
-  let idx = Search.build ~tau:3 trees in
-  (match Search.nearest ~k:2 idx base with
+  let idx = Incremental.create ~tau:3 () in
+  Array.iter (Incremental.insert idx) trees;
+  (match Incremental.nearest ~k:2 idx base with
   | [ (i1, d1); (i2, d2) ] ->
     Alcotest.(check int) "self first" 2 i1;
     Alcotest.(check int) "self distance" 0 d1;
     Alcotest.(check int) "then v1" 3 i2;
     Alcotest.(check int) "v1 distance" 1 d2
   | l -> Alcotest.failf "expected 2 hits, got %d" (List.length l));
-  Alcotest.(check (list (pair int int))) "k=0" [] (Search.nearest ~k:0 idx base);
-  Alcotest.check_raises "negative k" (Invalid_argument "Search.nearest: negative k")
-    (fun () -> ignore (Search.nearest ~k:(-1) idx base))
+  Alcotest.(check (list (pair int int))) "k=0" [] (Incremental.nearest ~k:0 idx base);
+  Alcotest.check_raises "negative k" (Invalid_argument "Incremental.nearest: negative k")
+    (fun () -> ignore (Incremental.nearest ~k:(-1) idx base))
 
 let test_nearest_matches_brute_force () =
   let rng = Prng.create 44 in
@@ -110,7 +111,8 @@ let test_nearest_matches_brute_force () =
   done;
   let trees = Array.of_list !acc in
   let tau = 3 in
-  let idx = Search.build ~tau trees in
+  let idx = Incremental.create ~tau () in
+  Array.iter (Incremental.insert idx) trees;
   for _ = 1 to 10 do
     let q = trees.(Prng.int rng (Array.length trees)) in
     let brute =
@@ -125,7 +127,7 @@ let test_nearest_matches_brute_force () =
         Alcotest.(check (list (pair int int)))
           (Printf.sprintf "nearest k=%d" k)
           expected
-          (Search.nearest ~k idx q))
+          (Incremental.nearest ~k idx q))
       [ 1; 3; 100 ]
   done
 

@@ -282,8 +282,9 @@ let index_completeness_check (x, ops, x') =
     let idx = Two_layer_index.create ~tau () in
     Array.iter (Two_layer_index.insert idx) (Subgraph.of_partition ~tree_id:42 p);
     let found = ref false in
+    let cursor = Two_layer_index.cursor b' in
     for v = 0 to b'.Binary_tree.size - 1 do
-      Two_layer_index.probe idx b' v (fun s ->
+      Two_layer_index.probe_cursor idx cursor v (fun s ->
           if (not !found) && Subgraph.matches s b' v then found := true)
     done;
     !found
@@ -317,8 +318,9 @@ let test_paper_rank_windows_incomplete () =
     let idx = Two_layer_index.create ~mode ~tau () in
     Array.iter (Two_layer_index.insert idx) subs;
     let found = ref false in
+    let cursor = Two_layer_index.cursor b' in
     for v = 0 to b'.Binary_tree.size - 1 do
-      Two_layer_index.probe idx b' v (fun s ->
+      Two_layer_index.probe_cursor idx cursor v (fun s ->
           if (not !found) && Subgraph.matches s b' v then found := true)
     done;
     !found
@@ -381,8 +383,9 @@ let test_index_exact_duplicate_found () =
   let probe_matches target =
     let tb = Binary_tree.of_tree target in
     let found = ref false in
+    let cursor = Two_layer_index.cursor tb in
     for v = 0 to tb.Binary_tree.size - 1 do
-      Two_layer_index.probe idx tb v (fun s ->
+      Two_layer_index.probe_cursor idx cursor v (fun s ->
           if Subgraph.matches s tb v then found := true)
     done;
     !found

@@ -185,6 +185,59 @@ let test_store_persistence () =
       Store.close reopened;
       Store.close reopened2)
 
+(* The snapshot format, pinned byte for byte: the header keeps the name
+   of the search-index files it began as, so store directories written
+   by earlier versions still open.  The body may hold comment lines and
+   duplicate records (clients may insert one tree twice). *)
+let golden_snapshot =
+  "# tsj-search-index v1\n# tau 2\n{a{b}{c}}\n{x{y{z}}}\n{a{b}{c}}\n{q}\n"
+
+let test_store_snapshot_golden () =
+  let contains msg sub =
+    let n = String.length sub in
+    let rec scan i = i + n <= String.length msg && (String.sub msg i n = sub || scan (i + 1)) in
+    scan 0
+  in
+  let expected = [ "{a{b}{c}}"; "{x{y{z}}}"; "{a{b}{c}}"; "{q}" ] in
+  let parses_to what contents =
+    match Store.collection_of_string contents with
+    | Error e -> Alcotest.failf "%s: %s" what e
+    | Ok (tau, trees) ->
+      Alcotest.(check int) (what ^ ": tau") 2 tau;
+      Alcotest.(check (list string))
+        (what ^ ": trees, duplicate kept") expected
+        (Array.to_list (Array.map Bracket.to_string trees));
+      trees
+  in
+  let trees = parses_to "golden" golden_snapshot in
+  (* a comment line changes nothing *)
+  ignore
+    (parses_to "commented"
+       "# tsj-search-index v1\n# tau 2\n{a{b}{c}}\n# a comment\n{x{y{z}}}\n{a{b}{c}}\n{q}\n");
+  (* writing the trees back reproduces the bytes exactly *)
+  let path = Filename.temp_file "tsj" ".snapshot" in
+  Store.save_collection ~tau:2 trees path;
+  let written = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check string) "written bytes" golden_snapshot written;
+  (* every rejection names the offending file line, in the lenient
+     bracket parser's "line L[, column C]" convention *)
+  let expect_err sub lines =
+    match Store.collection_of_string (String.concat "\n" lines ^ "\n") with
+    | Ok _ -> Alcotest.failf "expected rejection mentioning %S" sub
+    | Error msg ->
+      if not (contains msg sub) then Alcotest.failf "error %S does not mention %S" msg sub
+  in
+  let header = "# tsj-search-index v1" in
+  expect_err "line 2: negative threshold tau = -3" [ header; "# tau -3"; "{a}" ];
+  expect_err "line 2: corrupt tau header \"x\"" [ header; "# tau x"; "{a}" ];
+  expect_err "line 2: corrupt tau header" [ header; "# tau" ];
+  expect_err "line 4: empty record" [ header; "# tau 2"; "{a}"; ""; "{b}" ];
+  expect_err "line 3, column" [ header; "# tau 2"; "{a{b}" ];
+  (* comment lines still count toward the line numbers *)
+  expect_err "line 5, column" [ header; "# tau 2"; "{a{b}}"; "# interlude"; "{a{b}" ];
+  expect_err "not a tsj search index file" [ "{a}" ]
+
 let test_store_corrupt_journal_rejected () =
   with_store_dir (fun dir ->
       let store = ok_or_fail (Store.open_ ~dir ~tau:1 ()) in
@@ -676,6 +729,79 @@ let stats_of conn =
   match request conn Protocol.Stats with
   | Protocol.Stats_reply s -> s
   | r -> Alcotest.failf "bad stats reply %s" (Protocol.render_response r)
+
+(* A refused SYNC is answered on the requester's own connection: the
+   primary owns the transport until the stream is established, so the
+   refusal must reach the requester instead of an EOF. *)
+let test_sync_refusal_answered () =
+  with_server (fun addr _server ->
+      let conn = ok_or_fail (Client.connect addr) in
+      List.iter
+        (fun s -> ignore (request conn (Protocol.Add { seq = None; tree = t s })))
+        [ "{a{b}}"; "{c}" ];
+      Client.close conn;
+      let ((fd, ic, _) as raw) = raw_connect addr in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          (match Protocol.parse_response (raw_request raw "SYNC 0 0") with
+          | Ok (Protocol.Sync_stream { high; _ }) ->
+            Alcotest.(check int) "stream header high" 2 high
+          | _ -> Alcotest.fail "expected a stream header");
+          Alcotest.(check string) "refusal on the same connection"
+            "ERR sync refused: replica is ahead of the primary"
+            (raw_request raw "ACKED 7");
+          match input_line ic with
+          | exception End_of_file -> ()
+          | line -> Alcotest.failf "unexpected line after the refusal: %S" line))
+
+(* [Cluster.serve_sync] never closes the transport it refuses: every
+   refusal leaves the close to the caller, which still has to write the
+   reply.  A stream it accepts is closed once, by the cluster. *)
+let test_serve_sync_refusals_leave_transport_open () =
+  let module Cluster = Tsj_server.Cluster in
+  let closes = ref 0 in
+  let sync ?(cluster = Cluster.create ()) ?(primary = true) ?(send = ignore) replies =
+    let replies = ref replies in
+    let recv () =
+      match !replies with
+      | [] -> failwith "peer hung up"
+      | r :: rest ->
+        replies := rest;
+        r
+    in
+    Cluster.serve_sync cluster
+      ~epoch:(fun () -> 0)
+      ~base:(fun () -> 0)
+      ~n_trees:(fun () -> 2)
+      ~record_for:(fun seq -> Store.render_record ~seq (t "{a}"))
+      ~primary:(fun () -> primary)
+      ~peer_id:"replica" ~f_epoch:0 ~send ~recv
+      ~close:(fun () -> incr closes)
+  in
+  let refused what = function
+    | `Refused _ -> ()
+    | `Streaming -> Alcotest.failf "%s: streaming" what
+    | `Fenced e -> Alcotest.failf "%s: fenced at %d" what e
+  in
+  let sealed = Cluster.create () in
+  Cluster.seal sealed;
+  refused "not primary" (sync ~primary:false []);
+  refused "header send raises" (sync ~send:(fun _ -> failwith "broken pipe") []);
+  refused "handshake recv raises" (sync []);
+  refused "no ACKED after the header" (sync [ "HITS 0 0 0" ]);
+  refused "replica ahead" (sync [ "ACKED 7" ]);
+  refused "catch-up recv raises" (sync [ "ACKED 0" ]);
+  refused "catch-up fenced" (sync [ "ACKED 0"; "FENCED 3" ]);
+  refused "sealed cluster" (sync ~cluster:sealed [ "ACKED 2" ]);
+  Alcotest.(check int) "no refusal closed the transport" 0 !closes;
+  let cluster = Cluster.create () in
+  (match sync ~cluster [ "ACKED 0"; "ACKED 1"; "ACKED 2" ] with
+  | `Streaming -> ()
+  | _ -> Alcotest.fail "expected the stream to be accepted");
+  Cluster.seal cluster;
+  Cluster.seal cluster;
+  Alcotest.(check int) "a sealed stream is closed once" 1 !closes
 
 let test_replicated_cluster_end_to_end () =
   let socks = Array.init 3 (fun _ ->
@@ -1287,11 +1413,8 @@ let test_failover_after_kill () =
             | Error e -> Alcotest.failf "ADD %d: %s" seq e
           in
           (* quorum is unreachable until a follower registers: the first
-             ADD retries its own seq *)
-          let conn0 = ok_or_fail (Client.connect (addr 0)) in
-          ignore (add_acked conn0 ~seq:0 trees.(0));
-          Client.close conn0;
-          for seq = 1 to killed_at - 1 do
+             ADD retries its own seq, so tree 0 still lands at id 0 *)
+          for seq = 0 to killed_at - 1 do
             failover_add seq
           done;
           let with_bin i f =
@@ -2450,4 +2573,9 @@ let suite =
     Alcotest.test_case "scrub storm pinned seeds" `Quick test_scrub_storm_pinned_seeds;
     Alcotest.test_case "anti-entropy re-sends only the differing range" `Quick
       test_scrub_storm_resends_only_differing_range;
+    Alcotest.test_case "store snapshot golden format" `Quick test_store_snapshot_golden;
+    Alcotest.test_case "refused SYNC answered on its connection" `Quick
+      test_sync_refusal_answered;
+    Alcotest.test_case "serve_sync refusals leave the transport open" `Quick
+      test_serve_sync_refusals_leave_transport_open;
   ]
