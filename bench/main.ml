@@ -32,9 +32,9 @@ let micro () =
   let prep1 = Tsj_ted.Ted.preprocess t80 in
   let prep2 = Tsj_ted.Ted.preprocess t80b in
   let prep_near = Tsj_ted.Ted.preprocess near in
-  let cb1 = Tsj_ted.Bounds.Compiled.of_tree t80 in
-  let cb2 = Tsj_ted.Bounds.Compiled.of_tree t80b in
-  let cb_near = Tsj_ted.Bounds.Compiled.of_tree near in
+  let cb1 = Tsj_ted.Bounds.of_prep prep1 in
+  let cb2 = Tsj_ted.Bounds.of_prep prep2 in
+  let cb_near = Tsj_ted.Bounds.of_prep prep_near in
   let btree = Tsj_tree.Binary_tree.of_tree t80 in
   let pre1 = Tsj_tree.Traversal.preorder_labels t80 in
   let pre2 = Tsj_tree.Traversal.preorder_labels t80b in
@@ -63,14 +63,14 @@ let micro () =
         (Staged.stage (fun () -> Tsj_tree.Binary_tree.of_tree t80));
       Test.make ~name:"filter/banded-sed tau=3 (80)"
         (Staged.stage (fun () -> Tsj_ted.String_edit.within pre1 pre2 3));
-      Test.make ~name:"cascade/compile (80)"
-        (Staged.stage (fun () -> Tsj_ted.Bounds.Compiled.of_tree t80));
+      Test.make ~name:"cascade/form from prep (80)"
+        (Staged.stage (fun () -> Tsj_ted.Bounds.of_prep prep1));
       Test.make ~name:"cascade/outcome tau=3 (80 vs 80, near)"
-        (Staged.stage (fun () -> Tsj_ted.Bounds.Compiled.cascade ~tau:3 cb1 cb_near));
+        (Staged.stage (fun () -> Tsj_ted.Bounds.cascade ~tau:3 cb1 cb_near));
       Test.make ~name:"cascade/outcome tau=3 (80 vs 80, far)"
-        (Staged.stage (fun () -> Tsj_ted.Bounds.Compiled.cascade ~tau:3 cb1 cb2));
+        (Staged.stage (fun () -> Tsj_ted.Bounds.cascade ~tau:3 cb1 cb2));
       Test.make ~name:"cascade/greedy-upper (80 vs 80, near)"
-        (Staged.stage (fun () -> Tsj_ted.Bounds.Compiled.upper cb1 cb_near));
+        (Staged.stage (fun () -> Tsj_ted.Bounds.upper cb1 cb_near));
       Test.make ~name:"filter/binary-branch BIB (80)"
         (Staged.stage (fun () -> Tsj_baselines.Binary_branch.distance bag1 bag2));
       Test.make ~name:"filter/bag-of-branches build (80)"

@@ -1,11 +1,14 @@
 module Tree = Tsj_tree.Tree
 module Binary_tree = Tsj_tree.Binary_tree
 module Ted = Tsj_ted.Ted
+module Bounds = Tsj_ted.Bounds
 
 type t = {
   tau : int;
-  mutable trees : Tree.t array;     (* growable; slot i = tree id i *)
-  mutable preps : Ted.prep option array;
+  mutable forms : Bounds.t array;
+      (* growable; slot i = tree id i: its prep (which holds the stored
+         tree) and bound form, built eagerly by the single writer so
+         readers never fill anything in *)
   mutable count : int;
   bands : Size_bands.t;
   exact : (int, int list) Hashtbl.t;
@@ -27,8 +30,8 @@ let create ~tau () =
   if tau < 0 then invalid_arg "Incremental.create: negative threshold";
   {
     tau;
-    trees = Array.make 16 (Tree.leaf Tsj_tree.Label.epsilon);
-    preps = Array.make 16 None;
+    forms =
+      Array.make 16 (Bounds.of_prep (Ted.preprocess (Tree.leaf Tsj_tree.Label.epsilon)));
     count = 0;
     bands = Size_bands.create ~tau ();
     exact = Hashtbl.create 64;
@@ -46,34 +49,21 @@ let tau t = t.tau
 
 let n_trees t = t.count
 
+let stored t id = Ted.tree (Bounds.prep t.forms.(id))
+
 let tree t id =
   if id < 0 || id >= t.count then invalid_arg "Incremental.tree: unknown id";
-  t.trees.(id)
+  stored t id
 
 let stats t = (t.n_candidates, t.n_indexed)
 
 let grow t =
-  let cap = Array.length t.trees in
+  let cap = Array.length t.forms in
   if t.count = cap then begin
-    let trees = Array.make (2 * cap) t.trees.(0) in
-    Array.blit t.trees 0 trees 0 cap;
-    t.trees <- trees;
-    let preps = Array.make (2 * cap) None in
-    Array.blit t.preps 0 preps 0 cap;
-    t.preps <- preps
+    let forms = Array.make (2 * cap) t.forms.(0) in
+    Array.blit t.forms 0 forms 0 cap;
+    t.forms <- forms
   end
-
-(* Lazy fallback for trees whose consing failed.  It must stay
-   UNconsed: [prep] is called from inside [query]'s parallel
-   verification chunks, and interning from a worker would race on the
-   store — consed preps are built eagerly in [add] instead. *)
-let prep t id =
-  match t.preps.(id) with
-  | Some p -> p
-  | None ->
-    let p = Ted.preprocess t.trees.(id) in
-    t.preps.(id) <- Some p;
-    p
 
 (* Candidate ids among the already-inserted trees for a probe of shape
    [btree], over the [size ± tau] window, in discovery order. *)
@@ -83,7 +73,7 @@ let band_candidates t ~tau btree =
 
 let find_equal t q =
   Option.value (Hashtbl.find_opt t.exact (tree_key q)) ~default:[]
-  |> List.filter (fun id -> Tree.equal t.trees.(id) q)
+  |> List.filter (fun id -> Tree.equal (stored t id) q)
   |> function
   | [] -> None
   | ids -> Some (List.fold_left min max_int ids)
@@ -94,20 +84,19 @@ let find_equal t q =
 let insert_tree ~verify t tree =
   grow t;
   let id = t.count in
-  let tree =
-    (* Intern first so the stored slot is the shared structural view:
-       a duplicate of an earlier tree is then physically equal to it,
-       and the eager consed prep carries DAG ids for the kernels.
-       Consing is an optimisation — if it raises on a pathological
-       shape, fall back to storing the tree as given (lazy unconsed
-       prep). *)
-    match Ted.cons t.dag tree with
-    | c ->
-      t.preps.(id) <- Some (Ted.preprocess_consed c);
-      Ted.consed_tree c
-    | exception _ -> tree
+  let form =
+    (* Intern first so the stored tree is the shared structural view: a
+       duplicate of an earlier tree is then physically equal to it, and
+       the consed prep carries DAG ids for the kernels.  Consing is an
+       optimisation — if it raises on a pathological shape, the tree is
+       stored as given with a plain prep. *)
+    Bounds.of_prep
+      (match Ted.cons t.dag tree with
+      | c -> Ted.preprocess_consed c
+      | exception _ -> Ted.preprocess tree)
   in
-  t.trees.(id) <- tree;
+  let tree = Ted.tree (Bounds.prep form) in
+  t.forms.(id) <- form;
   t.count <- t.count + 1;
   (let key = tree_key tree in
    let ids = Option.value (Hashtbl.find_opt t.exact key) ~default:[] in
@@ -117,15 +106,13 @@ let insert_tree ~verify t tree =
      size band, in either direction; 2. verify them. *)
   let results =
     if not verify then []
-    else begin
-      let my_prep = prep t id in
+    else
       band_candidates t ~tau:t.tau btree
       |> List.filter_map (fun tj ->
              t.n_candidates <- t.n_candidates + 1;
-             let d = Ted.bounded_distance_prep my_prep (prep t tj) t.tau in
+             let d = Bounds.distance ~tau:t.tau form t.forms.(tj) in
              if d <= t.tau then Some (tj, d) else None)
       |> List.sort compare
-    end
   in
   (* 3. Index the new tree. *)
   t.n_indexed <- t.n_indexed + Size_bands.insert t.bands id btree;
@@ -164,7 +151,7 @@ let query ?budget ?(domains = 1) ?tau t q =
        path. *)
     let hits =
       Option.value (Hashtbl.find_opt t.exact (tree_key q)) ~default:[]
-      |> List.filter (fun id -> Tree.equal t.trees.(id) q)
+      |> List.filter (fun id -> Tree.equal (stored t id) q)
       |> List.sort compare
       |> List.map (fun id -> (id, 0))
     in
@@ -173,8 +160,9 @@ let query ?budget ?(domains = 1) ?tau t q =
   else begin
   let qb = Binary_tree.of_tree q in
   let cands = Array.of_list (List.sort compare (band_candidates t ~tau qb)) in
-  let qprep = Ted.preprocess q in
   let n = Array.length cands in
+  (* Most queries meet no candidate: prepare the query only for one. *)
+  let qform = lazy (Bounds.of_prep (Ted.preprocess q)) in
   let hits = ref [] in
   let unverified = ref [] in
   let degraded = ref false in
@@ -183,9 +171,10 @@ let query ?budget ?(domains = 1) ?tau t q =
   in
   let chunk_from lo =
     let hi = min n (lo + verify_chunk_size) in
+    let qf = Lazy.force qform and forms = t.forms in
     let ds =
       Tsj_join.Parallel.map ~domains
-        (fun tj -> Ted.bounded_distance_prep qprep (prep t tj) tau)
+        (fun tj -> Bounds.distance ~tau qf forms.(tj))
         (Array.sub cands lo (hi - lo))
     in
     Array.iteri
@@ -202,13 +191,12 @@ let query ?budget ?(domains = 1) ?tau t q =
            candidate whose cheap lower bound already exceeds τ is
            discarded — it is provably not a result. *)
         degraded := true;
-        let cq = Tsj_ted.Bounds.Compiled.of_tree q in
+        let qf = Lazy.force qform in
         for k = lo to n - 1 do
           let tj = cands.(k) in
-          let other = Tsj_ted.Bounds.Compiled.of_tree t.trees.(tj) in
-          let lower = Tsj_ted.Bounds.Compiled.best cq other in
+          let lower = Bounds.best qf t.forms.(tj) in
           if lower <= tau then begin
-            let upper = Tsj_ted.Bounds.Compiled.upper cq other in
+            let upper = Bounds.upper qf t.forms.(tj) in
             unverified := (tj, lower, upper) :: !unverified
           end
         done
@@ -229,14 +217,14 @@ let nearest ~k t q =
   if k < 0 then invalid_arg "Incremental.nearest: negative k";
   if k = 0 then []
   else begin
-    let qprep = Ted.preprocess q in
+    let qform = lazy (Bounds.of_prep (Ted.preprocess q)) in
     let qb = Binary_tree.of_tree q in
     let dist_cache : (int, int) Hashtbl.t = Hashtbl.create 64 in
     let dist tj =
       match Hashtbl.find_opt dist_cache tj with
       | Some d -> d
       | None ->
-        let d = Ted.bounded_distance_prep qprep (prep t tj) t.tau in
+        let d = Bounds.distance ~tau:t.tau (Lazy.force qform) t.forms.(tj) in
         Hashtbl.add dist_cache tj d;
         d
     in

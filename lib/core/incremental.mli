@@ -26,11 +26,17 @@ val create : tau:int -> unit -> t
 (** @raise Invalid_argument if [tau < 0].  Every inserted tree is
     hash-consed into a per-index {!Tsj_tree.Dag} store: repeated
     subtrees across the stream are stored once ({!tree} returns the
-    shared structural view), and verification uses DAG-annotated preps
-    — equal trees are answered without running the DP, and the
-    τ-banded kernel shares keyroot subproblems across pairs through
-    {!Tsj_ted.Memo}.  A tree whose interning raises is stored as given
-    and verified with a plain prep; answers are the same either way. *)
+    shared structural view).  {!add} and {!insert} also build the
+    tree's verifier form ({!Tsj_ted.Bounds.t}: its DAG-annotated prep
+    plus a sorted label bag and a degree histogram) right away, so the
+    read paths never fill anything in.  Every candidate pair — of
+    {!add}, {!query} and {!nearest} — goes through the filter cascade
+    ({!Tsj_ted.Bounds.distance}), which decides most pairs from the
+    bounds; the rest run the τ-banded kernel, where equal trees are
+    answered without the DP and keyroot subproblems are shared across
+    pairs through {!Tsj_ted.Memo}.  A tree whose interning raises is
+    stored as given with a plain prep; answers are the same either
+    way. *)
 
 val tau : t -> int
 
@@ -82,11 +88,13 @@ val query :
 (** Non-mutating similarity search over everything inserted so far —
     the serving path of the streaming index.  [tau] defaults to the
     index threshold and may be any [τ' <= τ] (the probe band shrinks
-    with it).  Verification runs in chunks of candidates (fanned over
-    [domains] when > 1) and polls [budget] between chunks: an expired
-    budget degrades the answer instead of hanging — see
-    {!type:query_result}.  With no budget the result is exact and
-    bit-identical at every domain count.
+    with it).  The query tree is preprocessed only when the band yields
+    a candidate.  Each candidate is verified through the filter cascade
+    at [τ'] against the stored form, in chunks (fanned over [domains]
+    when > 1), and [budget] is polled between chunks: an expired budget
+    degrades the answer instead of hanging — see {!type:query_result};
+    its sandwiches are computed from the stored forms.  With no budget
+    the result is exact and bit-identical at every domain count.
     @raise Invalid_argument if [tau] exceeds the index threshold, is
     negative, or [domains < 1]. *)
 

@@ -25,16 +25,14 @@ type phase_times = {
 }
 
 (* Everything derived from one input tree, built eagerly by the parallel
-   preprocessing phase: the TED preparation (both decompositions), the
-   LC-RS form probed by the index, its precomputed twig cursor, and the
-   compiled bound forms (sorted label/degree multisets, traversal label
-   arrays, greedy-mapping arrays) that the verification filter cascade
-   evaluates pairwise with zero per-pair allocation. *)
+   preprocessing phase: the verifier's form (the TED preparation of both
+   decompositions plus the label bag and degree histogram the filter
+   cascade compares), the LC-RS form probed by the index, and its
+   precomputed twig cursor. *)
 type tree_data = {
-  d_prep : Ted.prep;
+  d_form : Bounds.t;
   d_btree : Binary_tree.t;
   d_cursor : Two_layer_index.cursor;
-  d_bounds : Bounds.Compiled.t;
 }
 
 (* What probing one tree against the frozen bands found, and how long
@@ -128,10 +126,9 @@ let join_with_probe_stats ?(partitioning = Balanced)
     let leaf = Tree.leaf (Tsj_tree.Label.intern "?") in
     let btree = Binary_tree.of_tree leaf in
     {
-      d_prep = Ted.preprocess leaf;
+      d_form = Bounds.of_prep (Ted.preprocess leaf);
       d_btree = btree;
       d_cursor = Two_layer_index.cursor btree;
-      d_bounds = Bounds.Compiled.of_tree leaf;
     }
   in
   (* Hash-consing pass: sequential (interning mutates the store, and like
@@ -166,10 +163,9 @@ let join_with_probe_stats ?(partitioning = Balanced)
                 | None -> Ted.preprocess tree
               in
               {
-                d_prep = prep;
+                d_form = Bounds.of_prep prep;
                 d_btree = btree;
                 d_cursor = Two_layer_index.cursor btree;
-                d_bounds = Bounds.Compiled.of_tree tree;
               }
             with
             | d -> d
@@ -235,9 +231,11 @@ let join_with_probe_stats ?(partitioning = Balanced)
         | Some b ->
           Budget.pair_within b ~cost:(Budget.pair_cost sizes.(i) sizes.(j))
       in
+      let fi = d.(i).d_form and fj = d.(j).d_form in
+      let pi = Bounds.prep fi and pj = Bounds.prep fj in
       let over_budget () =
-        let lower = Bounds.Compiled.best d.(i).d_bounds d.(j).d_bounds in
-        let upper = Bounds.Compiled.upper d.(i).d_bounds d.(j).d_bounds in
+        let lower = Bounds.best fi fj in
+        let upper = Bounds.upper fi fj in
         {
           v_dist = tau + 1;
           v_stage = stage_quarantined;
@@ -248,40 +246,34 @@ let join_with_probe_stats ?(partitioning = Balanced)
         Fault.hit "partsj.verify" i;
         if not bounded_verify then
           if kernel_allowed () then
-            decide (Tsj_join.Sweep.verify_distance ?metric d.(i).d_prep d.(j).d_prep)
-              stage_kernel
+            decide (Tsj_join.Sweep.verify_distance ?metric pi pj) stage_kernel
           else over_budget ()
         else if not cascade then
+          (* The mirror's postorder is the preorder reversed, and
+             reversing both strings keeps their edit distance. *)
           if
             not
-              (Tsj_ted.String_edit.within
-                 (Bounds.Compiled.preorder d.(i).d_bounds)
-                 (Bounds.Compiled.preorder d.(j).d_bounds)
-                 tau)
+              (Tsj_ted.String_edit.within (Ted.right_postorder pi).labels
+                 (Ted.right_postorder pj).labels tau)
           then decide (tau + 1) stage_sed
           else if kernel_allowed () then
-            decide
-              (Tsj_join.Sweep.verify_bounded ?metric ~tau d.(i).d_prep d.(j).d_prep)
-              stage_kernel
+            decide (Tsj_join.Sweep.verify_bounded ?metric ~tau pi pj) stage_kernel
           else over_budget ()
         else
-          match Bounds.Compiled.cascade ~tau d.(i).d_bounds d.(j).d_bounds with
-          | Bounds.Compiled.Pruned stage ->
+          match Bounds.cascade ~tau fi fj with
+          | Bounds.Pruned stage ->
             let code =
               match stage with
-              | Bounds.Compiled.Size -> stage_size
-              | Bounds.Compiled.Labels -> stage_labels
-              | Bounds.Compiled.Degrees -> stage_degrees
-              | Bounds.Compiled.Sed -> stage_sed
+              | Bounds.Size -> stage_size
+              | Bounds.Labels -> stage_labels
+              | Bounds.Degrees -> stage_degrees
+              | Bounds.Sed -> stage_sed
             in
             decide (tau + 1) code
-          | Bounds.Compiled.Accept dist -> decide dist stage_early
-          | Bounds.Compiled.Verify { band } ->
+          | Bounds.Accept dist -> decide dist stage_early
+          | Bounds.Verify { band } ->
             if kernel_allowed () then
-              decide
-                (Tsj_join.Sweep.verify_bounded ?metric ~tau:band d.(i).d_prep
-                   d.(j).d_prep)
-                stage_kernel
+              decide (Tsj_join.Sweep.verify_bounded ?metric ~tau:band pi pj) stage_kernel
             else over_budget ()
       with exn ->
         {

@@ -106,8 +106,9 @@ val join :
     future-work point.  [bounded_verify] (default [true]) verifies with
     the τ-banded DP; pass [false] to force the full cubic verifier with
     no prefilter (ablation).  [cascade] (default [true]) runs the staged
-    filter cascade of {!Tsj_ted.Bounds.Compiled} in front of the kernel:
-    precompiled lower bounds cheapest-first with short-circuit
+    filter cascade of {!Tsj_ted.Bounds} (the verifier {!Incremental}
+    shares) in front of the kernel, on per-tree forms built once in
+    preprocessing: lower bounds cheapest-first with short-circuit
     (size → label histogram → degree histogram → banded traversal SED),
     then the greedy-mapping upper bound, which early-accepts a pair whose
     bound sandwich closes and otherwise shrinks the kernel band below τ.

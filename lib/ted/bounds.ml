@@ -1,199 +1,177 @@
-module Tree = Tsj_tree.Tree
+module Postorder = Tsj_tree.Postorder
 module Traversal = Tsj_tree.Traversal
 module Multiset = Tsj_util.Multiset
 
-(* --- compiled per-tree forms --- *)
+(* The per-tree form: the TED prep plus the two arrays no postorder
+   holds.  Everything else the bounds read comes from the prep's
+   postorders: the postorder labels from the left one, the preorder
+   reversed (the mirror's postorder) and the greedy walk from the right
+   one. *)
+type t = {
+  prep : Ted.prep;
+  labels : Multiset.t;  (* sorted label bag *)
+  degrees : int array;  (* degrees.(d): number of nodes with d children *)
+}
 
-module Compiled = struct
-  type t = {
-    size : int;
-    labels : Multiset.t;
-    degrees : Multiset.t;
-    pre : int array;
-    post : int array;
-    euler : int array;
-    kids : int array array;
-    sizes : int array;
-  }
+(* Number of children of postorder node [i]: its last child is [i - 1],
+   each earlier sibling ends just before the previous one's leftmost
+   leaf, and the first child's subtree starts at [lld.(i)]. *)
+let n_children (po : Postorder.t) i =
+  let stop = po.lld.(i) in
+  let rec go c k = if c < stop then k else go (po.lld.(c) - 1) (k + 1) in
+  go (i - 1) 0
 
-  let of_tree tree =
-    let n = Tree.size tree in
-    let pre = Array.make n 0 in
-    let kids = Array.make n [||] in
-    let sizes = Array.make n 1 in
-    let degs = Array.make n 0 in
-    let counter = ref 0 in
-    let rec go (node : Tree.t) =
-      let me = !counter in
-      incr counter;
-      pre.(me) <- node.label;
-      let child_ids = List.map go node.children in
-      kids.(me) <- Array.of_list child_ids;
-      degs.(me) <- List.length node.children;
-      sizes.(me) <- List.fold_left (fun acc c -> acc + sizes.(c)) 1 child_ids;
-      me
-    in
-    ignore (go tree);
-    {
-      size = n;
-      labels = Multiset.of_unsorted pre;
-      degrees = Multiset.of_unsorted degs;
-      pre;
-      post = Traversal.postorder_labels tree;
-      euler = Traversal.euler_tour tree;
-      kids;
-      sizes;
-    }
+let of_prep prep =
+  let po = Ted.left_postorder prep in
+  let max_deg = ref 0 in
+  for i = 0 to po.size - 1 do
+    max_deg := Int.max !max_deg (n_children po i)
+  done;
+  let degrees = Array.make (!max_deg + 1) 0 in
+  for i = 0 to po.size - 1 do
+    let d = n_children po i in
+    degrees.(d) <- degrees.(d) + 1
+  done;
+  { prep; labels = Multiset.of_unsorted po.labels; degrees }
 
-  let size c = c.size
+let prep f = f.prep
 
-  let preorder c = c.pre
+let postorder f = (Ted.left_postorder f.prep).labels
 
-  (* Pairwise lower bounds on the compiled forms.  Each runs without any
-     per-pair allocation: the multiset bounds are merge walks over the
-     sorted arrays, the banded SED draws its rolling rows from the
-     per-domain arena. *)
+(* The mirrored tree's postorder is the preorder reversed.  Reversing
+   both strings of a pair keeps their edit distance, banded or not, so
+   it stands in for the preorder in every SED bound. *)
+let rev_preorder f = (Ted.right_postorder f.prep).labels
 
-  let size_bound a b = abs (a.size - b.size)
+(* Pairwise lower bounds.  Each runs without any per-pair allocation
+   except the Euler bound: the bag bounds are merge walks over the
+   sorted label arrays and the degree histograms, the banded SED draws
+   its rolling rows from the per-domain arena. *)
 
-  let label_bound a b = (Multiset.symmetric_difference_size a.labels b.labels + 1) / 2
+let size_bound a b = abs (Ted.size a.prep - Ted.size b.prep)
 
-  let degree_bound a b = (Multiset.symmetric_difference_size a.degrees b.degrees + 2) / 3
+let label_bound a b = (Multiset.symmetric_difference_size a.labels b.labels + 1) / 2
 
-  let traversal_bound a b =
-    max (String_edit.distance a.pre b.pre) (String_edit.distance a.post b.post)
+let degree_bound a b =
+  let ha = a.degrees and hb = b.degrees in
+  let la = Array.length ha and lb = Array.length hb in
+  let diff = ref 0 in
+  for d = 0 to Int.max la lb - 1 do
+    let ca = if d < la then ha.(d) else 0 and cb = if d < lb then hb.(d) else 0 in
+    diff := !diff + abs (ca - cb)
+  done;
+  (!diff + 2) / 3
 
-  let euler_bound a b = (String_edit.distance a.euler b.euler + 1) / 2
+let traversal_bound a b =
+  Int.max
+    (String_edit.distance (rev_preorder a) (rev_preorder b))
+    (String_edit.distance (postorder a) (postorder b))
 
-  let best a b =
-    List.fold_left max 0
-      [
-        size_bound a b;
-        label_bound a b;
-        degree_bound a b;
-        traversal_bound a b;
-        euler_bound a b;
-      ]
+(* The Euler string is built on demand: only the degraded paths (over a
+   budget) ask for [best], so no form keeps it. *)
+let euler_bound a b =
+  let euler f = Traversal.euler_tour (Ted.tree f.prep) in
+  (String_edit.distance (euler a) (euler b) + 1) / 2
 
-  (* Greedy-mapping upper bound: rename the roots if their labels differ,
-     recursively edit the children matched position by position, and
-     delete / insert the unmatched tails.  This is the cost of a concrete
-     edit script whose mapping sends disjoint subtrees to disjoint
-     subtrees, so it upper-bounds not only the unrestricted TED but also
-     every restricted metric whose scripts include it — in particular the
-     constrained edit distance, which is what keeps the early-accept
-     stage lossless under [Sweep.Constrained].  O(min size) time, zero
-     allocation. *)
-  let upper a b =
-    let pre_a = a.pre and pre_b = b.pre in
-    let kids_a = a.kids and kids_b = b.kids in
-    let sizes_a = a.sizes and sizes_b = b.sizes in
-    let rec go i j =
-      let c = ref (if pre_a.(i) = pre_b.(j) then 0 else 1) in
-      let ka = kids_a.(i) and kb = kids_b.(j) in
-      let m = Array.length ka and n = Array.length kb in
-      let shared = if m < n then m else n in
-      for x = 0 to shared - 1 do
-        c := !c + go ka.(x) kb.(x)
-      done;
-      for x = shared to m - 1 do
-        c := !c + sizes_a.(ka.(x))
-      done;
-      for x = shared to n - 1 do
-        c := !c + sizes_b.(kb.(x))
-      done;
-      !c
-    in
-    go 0 0
+let best a b =
+  List.fold_left Int.max 0
+    [
+      size_bound a b;
+      label_bound a b;
+      degree_bound a b;
+      traversal_bound a b;
+      euler_bound a b;
+    ]
 
-  (* --- the verification filter cascade --- *)
+(* Greedy-mapping upper bound: rename the roots if their labels differ,
+   recursively edit the children matched position by position, and
+   delete / insert the unmatched tails.  This is the cost of a concrete
+   edit script whose mapping sends disjoint subtrees to disjoint
+   subtrees, so it upper-bounds not only the unrestricted TED but also
+   every restricted metric whose scripts include it — in particular the
+   constrained edit distance, which is what keeps the early-accept
+   stage lossless under [Sweep.Constrained].
 
-  type stage = Size | Labels | Degrees | Sed
+   It walks the mirrors' postorders: there the children of node [i] are
+   [i - 1], [lld (i - 1) - 1], ... down to [lld i], which is the
+   original left-to-right order, and the unmatched tail after child [c]
+   is the contiguous range [lld i .. c].  O(min size) time, zero
+   allocation. *)
+let upper a b =
+  let pa = Ted.right_postorder a.prep and pb = Ted.right_postorder b.prep in
+  let la = pa.labels and lb = pb.labels in
+  let llda = pa.lld and lldb = pb.lld in
+  let rec go i j =
+    let c = ref (if la.(i) = lb.(j) then 0 else 1) in
+    let stop_a = llda.(i) and stop_b = lldb.(j) in
+    let x = ref (i - 1) and y = ref (j - 1) in
+    while !x >= stop_a && !y >= stop_b do
+      c := !c + go !x !y;
+      x := llda.(!x) - 1;
+      y := lldb.(!y) - 1
+    done;
+    !c + (!x - stop_a + 1) + (!y - stop_b + 1)
+  in
+  go (pa.size - 1) (pb.size - 1)
 
-  type outcome =
-    | Pruned of stage
-    | Accept of int
-    | Verify of { band : int }
+(* --- the verification filter cascade --- *)
 
-  let cascade ~tau a b =
-    if tau < 0 then invalid_arg "Bounds.Compiled.cascade: negative threshold";
-    (* Stages run cheapest first and short-circuit on the first lower
-       bound exceeding τ.  Each stage is a TED lower bound, so pruning is
-       lossless; surviving stage values accumulate into [lb]. *)
-    let lb = size_bound a b in
-    if lb > tau then Pruned Size
+type stage = Size | Labels | Degrees | Sed
+
+type outcome =
+  | Pruned of stage
+  | Accept of int
+  | Verify of { band : int }
+
+let cascade ~tau a b =
+  if tau < 0 then invalid_arg "Bounds.cascade: negative threshold";
+  (* Stages run cheapest first and short-circuit on the first lower
+     bound exceeding τ.  Each stage is a TED lower bound, so pruning is
+     lossless; surviving stage values accumulate into [lb]. *)
+  let lb = size_bound a b in
+  if lb > tau then Pruned Size
+  else begin
+    let l = label_bound a b in
+    if l > tau then Pruned Labels
     else begin
-      let l = label_bound a b in
-      if l > tau then Pruned Labels
+      let lb = Int.max lb l in
+      let d = degree_bound a b in
+      if d > tau then Pruned Degrees
       else begin
-        let lb = max lb l in
-        let d = degree_bound a b in
-        if d > tau then Pruned Degrees
+        let lb = Int.max lb d in
+        (* Banded traversal SED: each tree edit operation edits the
+           preorder (resp. postorder) label sequence in exactly one
+           position, so both are TED lower bounds; within the band the
+           returned values are exact. *)
+        let s1 = String_edit.bounded_distance (rev_preorder a) (rev_preorder b) tau in
+        if s1 > tau then Pruned Sed
         else begin
-          let lb = max lb d in
-          (* Banded traversal SED: each tree edit operation edits the
-             preorder (resp. postorder) label sequence in exactly one
-             position, so both are TED lower bounds; within the band the
-             returned values are exact. *)
-          let s1 = String_edit.bounded_distance a.pre b.pre tau in
-          if s1 > tau then Pruned Sed
+          let s2 = String_edit.bounded_distance (postorder a) (postorder b) tau in
+          if s2 > tau then Pruned Sed
           else begin
-            let s2 = String_edit.bounded_distance a.post b.post tau in
-            if s2 > tau then Pruned Sed
-            else begin
-              let lb = max lb (max s1 s2) in
-              let ub = upper a b in
-              if ub = lb then
-                (* The bounds sandwich closes: lb <= TED <= ub = lb, so
-                   the exact distance is known without running the
-                   kernel (and it also pins every metric between TED and
-                   the greedy script's cost, e.g. the constrained
-                   distance). *)
-                Accept lb
-              else if ub <= tau then
-                (* The pair is certainly a result (TED <= ub <= τ), but
-                   the exact distance is still needed: run the kernel
-                   with the band shrunk to ub - 1.  The banded kernel
-                   returns min(TED, band + 1) = min(TED, ub) = TED. *)
-                Verify { band = ub - 1 }
-              else Verify { band = tau }
-            end
+            let lb = Int.max lb (Int.max s1 s2) in
+            let ub = upper a b in
+            if ub = lb then
+              (* The bounds sandwich closes: lb <= TED <= ub = lb, so
+                 the exact distance is known without running the kernel
+                 (and it also pins every metric between TED and the
+                 greedy script's cost, e.g. the constrained distance). *)
+              Accept lb
+            else if ub <= tau then
+              (* The pair is certainly a result (TED <= ub <= τ), but
+                 the exact distance is still needed: run the kernel with
+                 the band shrunk to ub - 1.  The banded kernel returns
+                 min(TED, band + 1) = min(TED, ub) = TED. *)
+              Verify { band = ub - 1 }
+            else Verify { band = tau }
           end
         end
       end
     end
-end
+  end
 
-(* --- per-pair convenience entry points ---
-
-   These compile both trees on every call; they exist for tests, ad-hoc
-   exploration and the baselines' one-shot filters.
-
-   @deprecated for join inner loops — compile each tree once with
-   {!Compiled.of_tree} during preprocessing and use the pairwise
-   functions above instead. *)
-
-let size t1 t2 = abs (Tree.size t1 - Tree.size t2)
-
-let compiled_pair f t1 t2 = f (Compiled.of_tree t1) (Compiled.of_tree t2)
-
-let label_histogram t1 t2 = compiled_pair Compiled.label_bound t1 t2
-
-let degree_histogram t1 t2 = compiled_pair Compiled.degree_bound t1 t2
-
-let preorder_string t1 t2 =
-  String_edit.distance (Traversal.preorder_labels t1) (Traversal.preorder_labels t2)
-
-let postorder_string t1 t2 =
-  String_edit.distance (Traversal.postorder_labels t1) (Traversal.postorder_labels t2)
-
-let traversal t1 t2 = compiled_pair Compiled.traversal_bound t1 t2
-
-let euler_string t1 t2 = compiled_pair Compiled.euler_bound t1 t2
-
-(* Compiles each tree once and evaluates all bounds on the shared
-   compiled forms (the seed version recomputed the traversals and bags
-   once per bound). *)
-let best t1 t2 = compiled_pair Compiled.best t1 t2
-
-let upper t1 t2 = compiled_pair Compiled.upper t1 t2
+let distance ~tau a b =
+  match cascade ~tau a b with
+  | Pruned _ -> tau + 1
+  | Accept d -> d
+  | Verify { band } -> Ted.bounded_distance_prep a.prep b.prep band

@@ -1,11 +1,13 @@
-(** Lower and upper bounds on the tree edit distance, and the staged
-    verification filter cascade built from them.
+(** The pair verifier: lower and upper bounds on the tree edit distance,
+    the staged filter cascade built from them, and the banded kernel
+    behind it.  The PartSJ join and the streaming index both verify
+    through it.
 
-    Every lower bound satisfies [bound t1 t2 <= TED(t1, t2)] (so
-    [bound > τ] prunes a candidate pair without an exact TED
-    computation); {!Compiled.upper} satisfies [upper t1 t2 >= TED(t1, t2)]
-    (so [upper <= τ] certifies a result pair).  The tests validate both
-    inequalities on random tree pairs.
+    Every lower bound satisfies [bound a b <= TED] (so [bound > τ] prunes
+    a candidate pair without an exact TED computation); {!upper}
+    satisfies [upper a b >= TED] (so [upper <= τ] certifies a result
+    pair).  The tests check both inequalities on random pairs, and the
+    cascade's outcomes on every pair of trees of at most 5 nodes.
 
     Provenance of each lower bound:
     - size: one edit operation changes the node count by at most 1;
@@ -19,89 +21,63 @@
     - Euler string: Akutsu et al. — each operation edits the Euler tour in
       at most two positions. *)
 
-(** Per-tree forms compiled once (during join preprocessing) so that the
-    pairwise bounds run with zero per-pair allocation: sorted label and
-    degree multisets, traversal label arrays, the Euler string, and the
-    child/size arrays of the greedy-mapping upper bound. *)
-module Compiled : sig
-  type t
+type t
+(** The per-tree form, built once per tree: its {!Ted.prep} plus a
+    sorted label bag and a degree histogram.  The traversal strings and
+    the greedy walk read the prep's postorders, so a form costs about
+    one word per node beyond its prep. *)
 
-  val of_tree : Tsj_tree.Tree.t -> t
+val of_prep : Ted.prep -> t
 
-  val size : t -> int
-  (** Node count of the compiled tree. *)
+val prep : t -> Ted.prep
 
-  val preorder : t -> int array
-  (** The compiled preorder label sequence (shared — do not mutate). *)
+val size_bound : t -> t -> int
 
-  val size_bound : t -> t -> int
+val label_bound : t -> t -> int
 
-  val label_bound : t -> t -> int
+val degree_bound : t -> t -> int
 
-  val degree_bound : t -> t -> int
+val traversal_bound : t -> t -> int
+(** [max preorder_sed postorder_sed] — the STR filter (unbanded). *)
 
-  val traversal_bound : t -> t -> int
-  (** [max preorder_sed postorder_sed] — the STR filter (unbanded). *)
+val euler_bound : t -> t -> int
+(** Builds both Euler strings on the call (no form stores them). *)
 
-  val euler_bound : t -> t -> int
+val best : t -> t -> int
+(** Maximum of all the lower bounds above — the [lower] of a degraded
+    answer's sandwich. *)
 
-  val best : t -> t -> int
-  (** Maximum of all the lower bounds above. *)
+val upper : t -> t -> int
+(** Greedy-mapping upper bound: cost of the edit script that renames
+    mismatched roots, edits children matched position by position and
+    deletes/inserts the unmatched tails.  The script's mapping sends
+    disjoint subtrees to disjoint subtrees, so
+    [TED <= constrained distance <= upper]. *)
 
-  val upper : t -> t -> int
-  (** Greedy-mapping upper bound: cost of the edit script that renames
-      mismatched roots, edits children matched position by position and
-      deletes/inserts the unmatched tails.  The script's mapping sends
-      disjoint subtrees to disjoint subtrees, so
-      [TED <= constrained distance <= upper]. *)
+(** Cascade stage that rejected a pair (for the per-stage counters). *)
+type stage = Size | Labels | Degrees | Sed
 
-  (** Cascade stage that rejected a pair (for the per-stage counters). *)
-  type stage = Size | Labels | Degrees | Sed
+type outcome =
+  | Pruned of stage  (** some lower bound exceeds τ: not a result *)
+  | Accept of int
+      (** the bounds sandwich closed (lower = upper <= τ): a result
+          with exactly this distance, no kernel run *)
+  | Verify of { band : int }
+      (** undecided: run the exact kernel with this band threshold
+          ([band = τ], or [band = upper - 1 < τ] when the upper bound
+          already admits the pair — the banded kernel then still
+          returns the exact distance since [TED <= upper]) *)
 
-  type outcome =
-    | Pruned of stage  (** some lower bound exceeds τ: not a result *)
-    | Accept of int
-        (** the bounds sandwich closed (lower = upper <= τ): a result
-            with exactly this distance, no kernel run *)
-    | Verify of { band : int }
-        (** undecided: run the exact kernel with this band threshold
-            ([band = τ], or [band = upper - 1 < τ] when the upper bound
-            already admits the pair — the banded kernel then still
-            returns the exact distance since [TED <= upper]) *)
+val cascade : tau:int -> t -> t -> outcome
+(** The staged verifier, cheapest first with short-circuit:
+    size → label histogram → degree histogram → banded traversal SED →
+    greedy upper bound.  Lossless for the TED verifier and for any
+    metric wedged between TED and the greedy script cost (e.g. the
+    constrained edit distance).
+    @raise Invalid_argument if [tau < 0]. *)
 
-  val cascade : tau:int -> t -> t -> outcome
-  (** The staged verifier, cheapest first with short-circuit:
-      size → label histogram → degree histogram → banded traversal SED →
-      greedy upper bound.  Lossless for the TED verifier and for any
-      metric wedged between TED and the greedy script cost (e.g. the
-      constrained edit distance).
-      @raise Invalid_argument if [tau < 0]. *)
-end
-
-(** {2 Per-pair convenience entry points}
-
-    Each compiles both trees on every call.
-    @deprecated for join inner loops — compile once with
-    {!Compiled.of_tree} and use the pairwise functions of {!Compiled}. *)
-
-val size : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-
-val label_histogram : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-
-val degree_histogram : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-
-val preorder_string : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-
-val postorder_string : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-
-val traversal : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-(** [max preorder_string postorder_string] — the STR filter. *)
-
-val euler_string : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-
-val best : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-(** Maximum of all the lower bounds above (compiles each tree once and
-    shares the compiled forms across the bounds). *)
-
-val upper : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-(** Per-pair form of {!Compiled.upper}. *)
+val distance : tau:int -> t -> t -> int
+(** [distance ~tau a b] is [min (TED, tau + 1)]: the {!cascade}, then
+    {!Ted.bounded_distance_prep} at the cascade's band when it leaves
+    the pair undecided.  Equal to [Ted.bounded_distance_prep] at [tau]
+    on the two preps.  @raise Invalid_argument if [tau < 0]. *)

@@ -12,7 +12,7 @@ let distance a b =
       let bj = b.(j - 1) in
       for i = 1 to la do
         let cost = if a.(i - 1) = bj then 0 else 1 in
-        cur.(i) <- min (min (cur.(i - 1) + 1) (prev.(i) + 1)) (prev.(i - 1) + cost)
+        cur.(i) <- Int.min (Int.min (cur.(i - 1) + 1) (prev.(i) + 1)) (prev.(i - 1) + cost)
       done;
       Array.blit cur 0 prev 0 (la + 1)
     done;
@@ -28,7 +28,8 @@ let distance a b =
    or twice per candidate pair in the join's filter cascade, and the
    per-call allocation of the rows used to be most of its cost.  Every
    slot of both rows is (re)initialized below, so stale arena contents
-   are never observed. *)
+   are never observed.  [Int.min], not the polymorphic [min], which
+   costs a C comparison call per cell without flambda. *)
 let bounded_distance a b k =
   if k < 0 then invalid_arg "String_edit.bounded_distance: negative threshold";
   let la = Array.length a and lb = Array.length b in
@@ -41,31 +42,31 @@ let bounded_distance a b k =
     let prev = arena.Arena.band_prev and cur = arena.Arena.band_cur in
     Array.fill prev 0 width inf;
     (* Row 0: D(0, j) = j for 0 <= j <= k; slot = j + k... slots j - 0 + k. *)
-    for j = 0 to min k lb do
+    for j = 0 to Int.min k lb do
       prev.(j + k) <- j
     done;
     for i = 1 to la do
       Array.fill cur 0 width inf;
-      let jlo = max 0 (i - k) and jhi = min lb (i + k) in
+      let jlo = Int.max 0 (i - k) and jhi = Int.min lb (i + k) in
       let ai = a.(i - 1) in
       for j = jlo to jhi do
         let s = j - i + k in
         let best = ref inf in
         (* delete a.(i-1): D(i-1, j) + 1, prev slot s + 1 *)
-        if s + 1 < width then best := min !best (prev.(s + 1) + 1);
+        if s + 1 < width then best := Int.min !best (prev.(s + 1) + 1);
         (* insert b.(j-1): D(i, j-1) + 1, cur slot s - 1 *)
-        if j >= 1 && s - 1 >= 0 then best := min !best (cur.(s - 1) + 1);
+        if j >= 1 && s - 1 >= 0 then best := Int.min !best (cur.(s - 1) + 1);
         (* substitute / match: D(i-1, j-1) + cost, prev slot s *)
         if j >= 1 then begin
           let cost = if ai = b.(j - 1) then 0 else 1 in
-          best := min !best (prev.(s) + cost)
+          best := Int.min !best (prev.(s) + cost)
         end;
-        if j = 0 then best := min !best i;
-        cur.(s) <- min !best inf
+        if j = 0 then best := Int.min !best i;
+        cur.(s) <- Int.min !best inf
       done;
       Array.blit cur 0 prev 0 width
     done;
     let final = lb - la + k in
-    min prev.(final) inf)
+    Int.min prev.(final) inf)
 
 let within a b k = if k < 0 then false else bounded_distance a b k <= k

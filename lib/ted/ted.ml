@@ -59,6 +59,10 @@ let tree p = p.tree
 
 let size p = p.size
 
+let left_postorder p = p.left_po
+
+let right_postorder p = p.right_po
+
 let distance_prep ?(algorithm = Hybrid) p1 p2 =
   match algorithm with
   | Zs_left -> Zhang_shasha.distance_postorder p1.left_po p2.left_po

@@ -46,6 +46,13 @@ val tree : prep -> Tsj_tree.Tree.t
 
 val size : prep -> int
 
+val left_postorder : prep -> Tsj_tree.Postorder.t
+(** The tree's postorder form (shared — do not mutate). *)
+
+val right_postorder : prep -> Tsj_tree.Postorder.t
+(** The mirrored tree's postorder form, i.e. the preorder reversed
+    (shared — do not mutate). *)
+
 val distance : ?algorithm:algorithm -> Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
 
 val distance_prep : ?algorithm:algorithm -> prep -> prep -> int

@@ -225,7 +225,7 @@ let fuzz_ted iterations rng =
     if l <> r then bad := "left<>right" :: !bad;
     if Tree.size x <= 9 && Tree.size y <= 9 && l <> Tsj_ted.Naive.distance x y then
       bad := "zs<>naive" :: !bad;
-    if Tsj_ted.Bounds.best x y > l then bad := "bound>ted" :: !bad;
+    if Tsj_ted.Bounds.(best (of_prep px) (of_prep py)) > l then bad := "bound>ted" :: !bad;
     if Tsj_ted.Constrained.distance x y < l then bad := "constrained<ted" :: !bad;
     if !bad <> [] then begin
       incr failures;

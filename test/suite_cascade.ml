@@ -5,6 +5,10 @@
    ground truth. *)
 
 module Tree = Tsj_tree.Tree
+module Traversal = Tsj_tree.Traversal
+module Multiset = Tsj_util.Multiset
+module String_edit = Tsj_ted.String_edit
+module Ted = Tsj_ted.Ted
 module Bounds = Tsj_ted.Bounds
 module Zhang_shasha = Tsj_ted.Zhang_shasha
 module Constrained = Tsj_ted.Constrained
@@ -13,22 +17,61 @@ module Nested_loop = Tsj_join.Nested_loop
 module Types = Tsj_join.Types
 module Prng = Tsj_util.Prng
 
-(* --- compiled forms agree with the per-pair entry points --- *)
+let form t = Bounds.of_prep (Ted.preprocess t)
+
+(* --- per-pair reference bounds, computed straight from the trees --- *)
+
+let ref_degrees t =
+  let acc = ref [] in
+  Tree.iter_preorder (fun (n : Tree.t) -> acc := List.length n.children :: !acc) t;
+  Array.of_list !acc
+
+let ref_bag f a b =
+  Multiset.symmetric_difference_size (Multiset.of_unsorted (f a)) (Multiset.of_unsorted (f b))
+
+let ref_sed f a b = String_edit.distance (f a) (f b)
+
+let ref_size a b = abs (Tree.size a - Tree.size b)
+
+let ref_labels a b = (ref_bag Traversal.preorder_labels a b + 1) / 2
+
+let ref_degree a b = (ref_bag ref_degrees a b + 2) / 3
+
+let ref_traversal a b =
+  max (ref_sed Traversal.preorder_labels a b) (ref_sed Traversal.postorder_labels a b)
+
+let ref_euler a b = (ref_sed Traversal.euler_tour a b + 1) / 2
+
+let ref_best a b =
+  List.fold_left max 0
+    [ ref_size a b; ref_labels a b; ref_degree a b; ref_traversal a b; ref_euler a b ]
+
+(* The greedy script: rename the roots if they differ, pair the children
+   left to right, delete / insert the unmatched tail. *)
+let rec ref_upper (a : Tree.t) (b : Tree.t) =
+  let rec kids xs ys =
+    match (xs, ys) with
+    | x :: xs, y :: ys -> ref_upper x y + kids xs ys
+    | rest, [] | [], rest -> List.fold_left (fun acc t -> acc + Tree.size t) 0 rest
+  in
+  (if a.label = b.label then 0 else 1) + kids a.children b.children
+
+(* --- the forms agree with the per-pair reference bounds --- *)
 
 let prop_compiled_matches_per_pair =
   Gen.qtest ~count:150 "compiled bounds = per-pair bounds"
     (Gen.arb_tree_pair ~max_size:12 ()) (fun (a, b) ->
-      let ca = Bounds.Compiled.of_tree a and cb = Bounds.Compiled.of_tree b in
-      Bounds.Compiled.size_bound ca cb = Bounds.size a b
-      && Bounds.Compiled.label_bound ca cb = Bounds.label_histogram a b
-      && Bounds.Compiled.degree_bound ca cb = Bounds.degree_histogram a b
-      && Bounds.Compiled.traversal_bound ca cb = Bounds.traversal a b
-      && Bounds.Compiled.euler_bound ca cb = Bounds.euler_string a b
-      && Bounds.Compiled.best ca cb = Bounds.best a b
-      && Bounds.Compiled.upper ca cb = Bounds.upper a b)
+      let ca = form a and cb = form b in
+      Bounds.size_bound ca cb = ref_size a b
+      && Bounds.label_bound ca cb = ref_labels a b
+      && Bounds.degree_bound ca cb = ref_degree a b
+      && Bounds.traversal_bound ca cb = ref_traversal a b
+      && Bounds.euler_bound ca cb = ref_euler a b
+      && Bounds.best ca cb = ref_best a b
+      && Bounds.upper ca cb = ref_upper a b)
 
-(* The budget-degraded query path compiles the query tree once; its
-   [lo, hi] sandwiches must stay exactly the per-pair bounds. *)
+(* The budget-degraded query path reads the stored forms; its [lo, hi]
+   sandwiches must stay exactly the per-pair bounds. *)
 let prop_degraded_sandwiches_match_per_pair =
   Gen.qtest ~count:100 "degraded query sandwiches = per-pair bounds"
     QCheck.(int_bound 1_000_000)
@@ -51,13 +94,13 @@ let prop_degraded_sandwiches_match_per_pair =
       && List.exists (fun (id, _, _) -> id = near) r.Tsj_core.Incremental.unverified
       && List.for_all
            (fun (id, lo, hi) ->
-             lo <= tau && lo = Bounds.best q trees.(id) && hi = Bounds.upper q trees.(id))
+             lo <= tau && lo = ref_best q trees.(id) && hi = ref_upper q trees.(id))
            r.Tsj_core.Incremental.unverified)
 
 let prop_compiled_lower_bounds =
   Gen.qtest ~count:150 "every compiled lower bound <= TED"
     (Gen.arb_tree_pair ~max_size:12 ()) (fun (a, b) ->
-      let ca = Bounds.Compiled.of_tree a and cb = Bounds.Compiled.of_tree b in
+      let ca = form a and cb = form b in
       let d = Zhang_shasha.distance a b in
       List.for_all
         (fun (name, v) ->
@@ -66,12 +109,12 @@ let prop_compiled_lower_bounds =
               name v d (Gen.pp_tree a) (Gen.pp_tree b)
           else true)
         [
-          ("size", Bounds.Compiled.size_bound ca cb);
-          ("labels", Bounds.Compiled.label_bound ca cb);
-          ("degrees", Bounds.Compiled.degree_bound ca cb);
-          ("traversal", Bounds.Compiled.traversal_bound ca cb);
-          ("euler", Bounds.Compiled.euler_bound ca cb);
-          ("best", Bounds.Compiled.best ca cb);
+          ("size", Bounds.size_bound ca cb);
+          ("labels", Bounds.label_bound ca cb);
+          ("degrees", Bounds.degree_bound ca cb);
+          ("traversal", Bounds.traversal_bound ca cb);
+          ("euler", Bounds.euler_bound ca cb);
+          ("best", Bounds.best ca cb);
         ])
 
 (* --- greedy-mapping upper bound --- *)
@@ -79,7 +122,7 @@ let prop_compiled_lower_bounds =
 let prop_upper_bounds_ted =
   Gen.qtest ~count:200 "TED <= constrained <= greedy upper"
     (Gen.arb_tree_pair ~max_size:12 ()) (fun (a, b) ->
-      let ub = Bounds.upper a b in
+      let ub = Bounds.upper (form a) (form b) in
       let ted = Zhang_shasha.distance a b in
       let ced = Constrained.distance a b in
       if not (ted <= ced && ced <= ub) then
@@ -89,32 +132,32 @@ let prop_upper_bounds_ted =
 
 let test_upper_zero_on_equal () =
   let t = Tsj_tree.Bracket.of_string_exn "{a{b{c}}{d}{e{f}}}" in
-  Alcotest.(check int) "upper t t = 0" 0 (Bounds.upper t t);
-  let c = Bounds.Compiled.of_tree t in
-  Alcotest.(check int) "compiled upper t t = 0" 0 (Bounds.Compiled.upper c c)
+  Alcotest.(check int) "upper t t = 0" 0 (ref_upper t t);
+  let c = form t in
+  Alcotest.(check int) "compiled upper t t = 0" 0 (Bounds.upper c c)
 
 (* --- cascade outcome soundness --- *)
 
 let prop_cascade_sound =
   Gen.qtest ~count:200 "cascade outcomes are sound for tau in 0..5"
     (Gen.arb_tree_pair ~max_size:12 ()) (fun (a, b) ->
-      let ca = Bounds.Compiled.of_tree a and cb = Bounds.Compiled.of_tree b in
+      let ca = form a and cb = form b in
       let exact = Zhang_shasha.distance a b in
       let check tau =
-        match Bounds.Compiled.cascade ~tau ca cb with
-        | Bounds.Compiled.Pruned _ ->
+        match Bounds.cascade ~tau ca cb with
+        | Bounds.Pruned _ ->
             if exact <= tau then
               QCheck.Test.fail_reportf
                 "tau=%d pruned but TED = %d on %s / %s" tau exact
                 (Gen.pp_tree a) (Gen.pp_tree b)
             else true
-        | Bounds.Compiled.Accept d ->
+        | Bounds.Accept d ->
             if d <> exact || d > tau then
               QCheck.Test.fail_reportf
                 "tau=%d accepted with %d but TED = %d on %s / %s" tau d exact
                 (Gen.pp_tree a) (Gen.pp_tree b)
             else true
-        | Bounds.Compiled.Verify { band } ->
+        | Bounds.Verify { band } ->
             (* The banded kernel at the cascade's band must decide the
                pair exactly like the full kernel at tau would: the band
                only shrinks below tau when the upper bound certifies
@@ -135,18 +178,71 @@ let prop_cascade_sound =
       List.for_all check [ 0; 1; 2; 3; 4; 5 ])
 
 let test_cascade_negative_tau () =
-  let c = Bounds.Compiled.of_tree (Tsj_tree.Bracket.of_string_exn "{a}") in
+  let c = form (Tsj_tree.Bracket.of_string_exn "{a}") in
   Alcotest.check_raises "negative"
-    (Invalid_argument "Bounds.Compiled.cascade: negative threshold") (fun () ->
-      ignore (Bounds.Compiled.cascade ~tau:(-1) c c))
+    (Invalid_argument "Bounds.cascade: negative threshold") (fun () ->
+      ignore (Bounds.cascade ~tau:(-1) c c))
 
 let test_cascade_identical_trees () =
   (* Identical trees close the sandwich at 0: accepted without a kernel. *)
   let t = Tsj_tree.Bracket.of_string_exn "{a{b}{c{d}}}" in
-  let c = Bounds.Compiled.of_tree t in
-  match Bounds.Compiled.cascade ~tau:2 c c with
-  | Bounds.Compiled.Accept 0 -> ()
+  let c = form t in
+  match Bounds.cascade ~tau:2 c c with
+  | Bounds.Accept 0 -> ()
   | _ -> Alcotest.fail "expected Accept 0 on identical trees"
+
+(* --- exhaustive check on every small tree --- *)
+
+(* Every ordered tree of exactly [n] nodes over [labels]. *)
+let rec trees_of_size labels n =
+  List.concat_map
+    (fun label -> List.map (fun kids -> Tree.node label kids) (forests_of_size labels (n - 1)))
+    labels
+
+and forests_of_size labels m =
+  if m = 0 then [ [] ]
+  else
+    List.concat_map
+      (fun k ->
+        List.concat_map
+          (fun first -> List.map (fun rest -> first :: rest) (forests_of_size labels (m - k)))
+          (trees_of_size labels k))
+      (List.init m (fun i -> i + 1))
+
+let test_cascade_exhaustive () =
+  let labels = [ Tsj_tree.Label.intern "a"; Tsj_tree.Label.intern "b" ] in
+  let trees = Array.of_list (List.concat_map (trees_of_size labels) [ 1; 2; 3; 4; 5 ]) in
+  Alcotest.(check int) "trees of <= 5 nodes over {a, b}" 550 (Array.length trees);
+  let forms = Array.map form trees in
+  let fail fmt = Alcotest.failf fmt in
+  Array.iteri
+    (fun i a ->
+      Array.iteri
+        (fun j b ->
+          let fa = forms.(i) and fb = forms.(j) in
+          let ted =
+            Ted.distance_prep ~algorithm:Ted.Zs_left (Bounds.prep fa) (Bounds.prep fb)
+          in
+          if Bounds.upper fa fb <> ref_upper a b then
+            fail "upper %s / %s: %d <> reference %d" (Gen.pp_tree a) (Gen.pp_tree b)
+              (Bounds.upper fa fb) (ref_upper a b);
+          for tau = 0 to 3 do
+            match Bounds.cascade ~tau fa fb with
+            | Bounds.Pruned _ ->
+              if ted <= tau then
+                fail "tau=%d pruned %s / %s at TED %d" tau (Gen.pp_tree a) (Gen.pp_tree b) ted
+            | Bounds.Accept d ->
+              if d <> ted then
+                fail "tau=%d accepted %s / %s at %d, TED %d" tau (Gen.pp_tree a)
+                  (Gen.pp_tree b) d ted
+            | Bounds.Verify { band } ->
+              let k = Ted.bounded_distance_prep (Bounds.prep fa) (Bounds.prep fb) band in
+              if k <> min ted (tau + 1) then
+                fail "tau=%d band=%d kernel %d on %s / %s, TED %d" tau band k
+                  (Gen.pp_tree a) (Gen.pp_tree b) ted
+          done)
+        trees)
+    trees
 
 (* --- end-to-end: cascaded join = uncascaded join = ground truth --- *)
 
@@ -243,4 +339,6 @@ let suite =
     Alcotest.test_case "cascade counters (clustered)" `Quick
       test_cascade_counters_clustered;
     prop_degraded_sandwiches_match_per_pair;
+    Alcotest.test_case "cascade exhaustive on trees <= 5 nodes" `Quick
+      test_cascade_exhaustive;
   ]

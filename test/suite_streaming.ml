@@ -236,6 +236,68 @@ let test_incremental_nearest () =
     (Invalid_argument "Incremental.nearest: negative k") (fun () ->
       ignore (Incremental.nearest ~k:(-1) inc (Gen.random_tree rng 4)))
 
+(* Random streams with exact and near duplicates: every answer of the
+   index (ADD partners, QUERY at each τ' <= τ at 1 and 2 domains, KNN)
+   equals a brute force over the plain banded kernel on every pair. *)
+let prop_streaming_equals_kernel =
+  Gen.qtest ~count:12 "incremental add/query/nearest = brute-force kernel"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Prng.create (0x57E + seed) in
+      let labels = Gen.alphabet 3 in
+      let tau = 1 + (seed mod 3) in
+      let stream = ref [||] in
+      let next () =
+        let earlier = !stream in
+        let n = Array.length earlier in
+        match if n = 0 then 2 else Prng.int rng 4 with
+        | 0 -> earlier.(Prng.int rng n)
+        | 1 -> snd (Edit_op.random_script rng ~labels (1 + Prng.int rng 2) earlier.(Prng.int rng n))
+        | _ -> Gen.random_tree ~labels rng (3 + Prng.int rng 6)
+      in
+      for _ = 1 to 120 do
+        stream := Array.append !stream [| next () |]
+      done;
+      let trees = !stream in
+      let preps = Array.map (fun t -> Tsj_ted.Ted.preprocess t) trees in
+      let within tau' p ids =
+        List.filter_map
+          (fun j ->
+            let d = Tsj_ted.Ted.bounded_distance_prep p preps.(j) tau' in
+            if d <= tau' then Some (j, d) else None)
+          ids
+      in
+      let by_distance =
+        List.sort (fun (i1, d1) (i2, d2) -> if d1 <> d2 then compare d1 d2 else compare i1 i2)
+      in
+      let inc = Incremental.create ~tau () in
+      Array.iteri
+        (fun i t ->
+          let expected = within tau preps.(i) (List.init i Fun.id) in
+          let got = Incremental.add inc t in
+          if got <> expected then QCheck.Test.fail_reportf "add %d: partners differ" i)
+        trees;
+      let all = List.init (Array.length trees) Fun.id in
+      for _ = 1 to 8 do
+        let q = next () in
+        let qp = Tsj_ted.Ted.preprocess q in
+        for tau' = 0 to tau do
+          let expected = by_distance (within tau' qp all) in
+          List.iter
+            (fun domains ->
+              let r = Incremental.query ~domains ~tau:tau' inc q in
+              if r.Incremental.hits <> expected || r.Incremental.degraded then
+                QCheck.Test.fail_reportf "query tau'=%d domains=%d differs" tau' domains)
+            [ 1; 2 ]
+        done;
+        let ranked = by_distance (within tau qp all) in
+        for k = 1 to 5 do
+          if Incremental.nearest ~k inc q <> List.filteri (fun i _ -> i < k) ranked then
+            QCheck.Test.fail_reportf "nearest k=%d differs" k
+        done
+      done;
+      true)
+
 (* --- parallel map / parallel verification --- *)
 
 let test_parallel_map_matches_sequential () =
@@ -326,6 +388,7 @@ let suite =
       test_incremental_query_degraded_sound;
     Alcotest.test_case "incremental nearest = brute force" `Quick
       test_incremental_nearest;
+    prop_streaming_equals_kernel;
     Alcotest.test_case "parallel map = sequential" `Quick test_parallel_map_matches_sequential;
     Alcotest.test_case "parallel map short/empty" `Quick test_parallel_map_short_array;
     Alcotest.test_case "parallel map validation" `Quick test_parallel_map_validation;

@@ -166,16 +166,20 @@ let prop_ted_upper_bound =
 
 (* --- bounds --- *)
 
+(* Each bound as a function of two trees: the forms' pairwise bounds,
+   plus the two traversal strings the STR filter takes the max of. *)
 let all_bounds =
+  let on_forms f a b = f (Bounds.of_prep (Ted.preprocess a)) (Bounds.of_prep (Ted.preprocess b)) in
+  let sed traversal a b = Tsj_ted.String_edit.distance (traversal a) (traversal b) in
   [
-    ("size", Bounds.size);
-    ("label_histogram", Bounds.label_histogram);
-    ("degree_histogram", Bounds.degree_histogram);
-    ("preorder_string", Bounds.preorder_string);
-    ("postorder_string", Bounds.postorder_string);
-    ("traversal", Bounds.traversal);
-    ("euler_string", Bounds.euler_string);
-    ("best", Bounds.best);
+    ("size", on_forms Bounds.size_bound);
+    ("label_histogram", on_forms Bounds.label_bound);
+    ("degree_histogram", on_forms Bounds.degree_bound);
+    ("preorder_string", sed Tsj_tree.Traversal.preorder_labels);
+    ("postorder_string", sed Tsj_tree.Traversal.postorder_labels);
+    ("traversal", on_forms Bounds.traversal_bound);
+    ("euler_string", on_forms Bounds.euler_bound);
+    ("best", on_forms Bounds.best);
   ]
 
 let prop_bounds_are_lower_bounds =
