@@ -107,8 +107,8 @@ module Histogram = struct
 end
 
 module Deadline = struct
-  (* One below Protocol.Binary.no_value (0xFFFFFFFF), so every clamped
-     budget is encodable as a non-sentinel u32. *)
+  (* About 49.7 days: far beyond any real deadline, and small enough
+     that a budget always fits 32 bits and converts to seconds exactly. *)
   let max_ms = 0xFFFF_FFFE
 
   let clamp ms = if ms < 0 then 0 else if ms > max_ms then max_ms else ms

@@ -80,11 +80,10 @@ end
     reserves a response margin so it can still merge and answer after
     its downstream calls return.  All results are clamped to
     [[0, max_ms]] — a remaining budget can reach zero (expired) but
-    never go negative or overflow the wire's u32. *)
+    never go negative or exceed 32 bits. *)
 module Deadline : sig
   val max_ms : int
-  (** Largest encodable remaining budget (one below the wire's "absent"
-      sentinel). *)
+  (** Largest remaining budget, [0xFFFF_FFFE] ms (about 49.7 days). *)
 
   val clamp : int -> int
 

@@ -327,7 +327,7 @@ end
 module Bin = struct
   type conn = t
 
-  type nonrec t = { conn : conn; mutable next_id : int; version : int }
+  type nonrec t = { conn : conn; mutable next_id : int }
 
   (* Negotiate the binary protocol on a fresh text connection: one
      [HELLO BIN <v>] line each way, then frames. *)
@@ -344,7 +344,7 @@ module Bin = struct
     | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
     | line -> (
       match Protocol.parse_response line with
-      | Ok (Protocol.Hello_reply v) when v >= 1 -> Ok v
+      | Ok (Protocol.Hello_reply v) when v = Protocol.Binary.version -> Ok ()
       | Ok r -> Error ("unexpected HELLO reply: " ^ Protocol.render_response r)
       | Error msg -> Error msg)
 
@@ -356,22 +356,17 @@ module Bin = struct
       | Error e ->
         close conn;
         Error e
-      | Ok v -> Ok { conn; next_id = 0; version = v })
+      | Ok () -> Ok { conn; next_id = 0 })
 
   let close t = close t.conn
 
-  let version t = t.version
-
   (* Queue one request frame (buffered; {!flush} pushes the batch).
-     Returns the request id its reply will carry.  Frames are encoded
-     at the negotiated version, so a deadline sent to a v1 server is
-     silently dropped rather than corrupting the frame layout. *)
+     Returns the request id its reply will carry. *)
   let send t ?max_lag ?deadline_ms req =
     let id = t.next_id in
     t.next_id <- id + 1;
     let b = Buffer.create 64 in
-    Protocol.Binary.encode_request b ~id ?max_lag ?deadline_ms ~version:t.version
-      req;
+    Protocol.Binary.encode_request b ~id ?max_lag ?deadline_ms req;
     output_string t.conn.oc (Buffer.contents b);
     id
 

@@ -159,18 +159,11 @@ module Bin : sig
 
   val close : t -> unit
 
-  val version : t -> int
-  (** The protocol version negotiated by the [HELLO] handshake
-      ([min] of both sides). *)
-
   val send : t -> ?max_lag:int -> ?deadline_ms:int -> Protocol.request -> int
   (** Queue one request frame (buffered until {!flush}) and return the
       id its reply will carry.  [max_lag] turns a [Query]/[Knn] into a
       bounded-staleness read (see {!Protocol}); [deadline_ms] announces
-      the remaining budget for a work request.  Frames are encoded at
-      the negotiated {!version}: against a v1 server the deadline is
-      silently dropped (legacy semantics) rather than corrupting the
-      frame layout. *)
+      the remaining budget for a work request. *)
 
   val flush : t -> unit
   (** Push every queued frame to the socket. *)

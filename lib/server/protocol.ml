@@ -45,114 +45,103 @@ let split_first_word s =
   | Some i ->
     (String.sub s 0 i, String.trim (String.sub s (i + 1) (String.length s - i - 1)))
 
-(* Largest remaining-budget value the wire can carry: one below the
-   binary frames' "absent" sentinel, so every clamped deadline encodes
-   as a non-sentinel u32. *)
-let max_deadline_ms = 0xFFFF_FFFE
+let max_deadline_ms = Admission.Deadline.max_ms
 
-(* An optional remaining-budget token "@<ms>" may precede the tree on
-   QUERY/KNN/ADD (a bracket tree cannot start with '@', so the forms
-   stay unambiguous).  A malformed token is a hard parse error — never
-   silently treated as part of the tree — so garbage deadlines get a
-   precise ERR instead of a confusing bracket diagnostic. *)
-let take_deadline what raw =
-  if String.length raw > 0 && raw.[0] = '@' then begin
+(* The optional tokens between a work verb's arguments and its tree:
+   "~<n>", the staleness bound (QUERY/KNN), then "@<ms>", the remaining
+   budget (QUERY/KNN/ADD).  A bracket tree starts with '{', so neither
+   can be mistaken for one.  A malformed token is a hard parse error
+   naming the verb and the token — never silently taken as part of the
+   tree, which would only yield a confusing bracket diagnostic. *)
+let take_token what ~sigil ~name ~unit ~cap raw =
+  if String.length raw > 0 && raw.[0] = sigil then begin
     let arg, rest = split_first_word raw in
-    let num = String.sub arg 1 (String.length arg - 1) in
-    match int_of_string_opt num with
-    | Some ms when ms >= 0 -> Ok (Some (min ms max_deadline_ms), rest)
+    match int_of_string_opt (String.sub arg 1 (String.length arg - 1)) with
+    | Some n when n >= 0 -> Ok (Some (min n cap), rest)
     | _ ->
       Error
-        (Printf.sprintf "%s: bad deadline token %S (expected @<milliseconds>)"
-           what arg)
+        (Printf.sprintf "%s: bad %s token %S (expected %c<%s>)" what name arg sigil unit)
   end
   else Ok (None, raw)
+
+let take_deadline what =
+  take_token what ~sigil:'@' ~name:"deadline" ~unit:"milliseconds" ~cap:max_deadline_ms
+
+let take_tree what raw =
+  if raw = "" then Error (what ^ ": missing tree")
+  else Result.map_error (fun msg -> what ^ ": " ^ msg) (Bracket.of_string raw)
 
 (* A request whose integer argument fails to parse, whose tree is
    malformed (diagnosed by the located bracket parser) or whose verb is
    unknown yields [Error reason] — never an exception.  The server turns
-   the reason into an [ERR] reply.  The second component of the result
-   is the remaining-budget deadline in milliseconds, when present. *)
+   the reason into an [ERR] reply.  The result carries the staleness
+   bound and the remaining-budget deadline, when present. *)
 let parse_request_d line =
-  let int_and_tree what raw k =
+  let ( let* ) = Result.bind in
+  let read what raw k =
     let arg, rest = split_first_word raw in
     match int_of_string_opt arg with
     | None -> Error (Printf.sprintf "%s: expected an integer, found %S" what arg)
-    | Some n -> (
-      match take_deadline what rest with
-      | Error e -> Error e
-      | Ok (deadline, rest) -> (
-        if rest = "" then Error (Printf.sprintf "%s: missing tree" what)
-        else
-          match Bracket.of_string rest with
-          | Error msg -> Error (Printf.sprintf "%s: %s" what msg)
-          | Ok tree -> k n deadline tree))
+    | Some n ->
+      let* lag, rest =
+        take_token what ~sigil:'~' ~name:"staleness" ~unit:"records" ~cap:max_int rest
+      in
+      let* deadline, rest = take_deadline what rest in
+      let* tree = take_tree what rest in
+      let* req = k n tree in
+      Ok (req, lag, deadline)
   in
   let verb, rest = split_first_word line in
   match String.uppercase_ascii verb with
   | "QUERY" ->
-    int_and_tree "QUERY" rest (fun tau deadline tree ->
-        if tau < 0 then Error "QUERY: negative threshold"
-        else Ok (Query { tau; tree }, deadline))
+    read "QUERY" rest (fun tau tree ->
+        if tau < 0 then Error "QUERY: negative threshold" else Ok (Query { tau; tree }))
   | "KNN" ->
-    int_and_tree "KNN" rest (fun k deadline tree ->
-        if k < 0 then Error "KNN: negative k" else Ok (Knn { k; tree }, deadline))
-  | "ADD" -> (
-    if rest = "" then Error "ADD: missing tree"
-    else
-      (* An optional client-chosen sequence number precedes the
-         (optional) deadline token and the tree; a bracket tree cannot
-         start with a digit, so the forms are unambiguous.  See the
-         idempotency contract in the interface. *)
-      let arg, after = split_first_word rest in
+    read "KNN" rest (fun k tree ->
+        if k < 0 then Error "KNN: negative k" else Ok (Knn { k; tree }))
+  | "ADD" ->
+    (* An optional client-chosen sequence number precedes the (optional)
+       deadline token and the tree; a bracket tree cannot start with a
+       digit, so the forms are unambiguous.  See the idempotency
+       contract in the interface. *)
+    let arg, after = split_first_word rest in
+    let* seq, rest =
       match int_of_string_opt arg with
       | Some seq when seq < 0 -> Error "ADD: negative sequence number"
-      | Some seq -> (
-        match take_deadline "ADD" after with
-        | Error e -> Error e
-        | Ok (deadline, after) -> (
-          if after = "" then Error "ADD: missing tree"
-          else
-            match Bracket.of_string after with
-            | Error msg -> Error (Printf.sprintf "ADD: %s" msg)
-            | Ok tree -> Ok (Add { seq = Some seq; tree }, deadline)))
-      | None -> (
-        match take_deadline "ADD" rest with
-        | Error e -> Error e
-        | Ok (deadline, rest) -> (
-          if rest = "" then Error "ADD: missing tree"
-          else
-            match Bracket.of_string rest with
-            | Error msg -> Error (Printf.sprintf "ADD: %s" msg)
-            | Ok tree -> Ok (Add { seq = None; tree }, deadline))))
+      | Some seq -> Ok (Some seq, after)
+      | None -> Ok (None, rest)
+    in
+    let* deadline, rest = take_deadline "ADD" rest in
+    let* tree = take_tree "ADD" rest in
+    Ok (Add { seq; tree }, None, deadline)
   | "SYNC" -> (
     match String.split_on_char ' ' rest with
     | [ e; s ] -> (
       match (int_of_string_opt e, int_of_string_opt s) with
       | Some epoch, Some from_seq when epoch >= 0 && from_seq >= 0 ->
-        Ok (Sync { epoch; from_seq }, None)
+        Ok (Sync { epoch; from_seq }, None, None)
       | _ -> Error "SYNC: expected two non-negative integers")
     | _ -> Error "SYNC: expected <epoch> <from_seq>")
   | "ACKED" -> (
     match int_of_string_opt rest with
-    | Some seq when seq >= 0 -> Ok (Ack seq, None)
+    | Some seq when seq >= 0 -> Ok (Ack seq, None, None)
     | _ -> Error "ACKED: expected a non-negative integer")
   | "GET" -> (
     match int_of_string_opt rest with
-    | Some seq when seq >= 0 -> Ok (Get seq, None)
+    | Some seq when seq >= 0 -> Ok (Get seq, None, None)
     | _ -> Error "GET: expected a non-negative sequence number")
   | "DIGEST" -> (
     match String.split_on_char ' ' rest with
     | [ e; lo; hi ] -> (
       match (int_of_string_opt e, int_of_string_opt lo, int_of_string_opt hi) with
       | Some epoch, Some lo, Some hi when epoch >= 0 && 0 <= lo && lo <= hi ->
-        Ok (Digest { epoch; lo; hi }, None)
+        Ok (Digest { epoch; lo; hi }, None, None)
       | _ -> Error "DIGEST: expected <epoch> <lo> <hi> with 0 <= lo <= hi")
     | _ -> Error "DIGEST: expected <epoch> <lo> <hi>")
-  | "STATS" when rest = "" -> Ok (Stats, None)
-  | "HEALTH" when rest = "" -> Ok (Health, None)
-  | "DRAIN" when rest = "" -> Ok (Drain, None)
-  | "PROMOTE" when rest = "" -> Ok (Promote, None)
+  | "STATS" when rest = "" -> Ok (Stats, None, None)
+  | "HEALTH" when rest = "" -> Ok (Health, None, None)
+  | "DRAIN" when rest = "" -> Ok (Drain, None, None)
+  | "PROMOTE" when rest = "" -> Ok (Promote, None, None)
   | ("STATS" | "HEALTH" | "DRAIN" | "PROMOTE") as v ->
     Error (Printf.sprintf "%s takes no arguments" v)
   | "" -> Error "empty request"
@@ -164,18 +153,16 @@ let parse_request_d line =
          other)
 
 let parse_request line =
-  match parse_request_d line with Ok (req, _) -> Ok req | Error _ as e -> e
+  match parse_request_d line with Ok (req, _, _) -> Ok req | Error _ as e -> e
 
-let render_request_d ?deadline_ms req =
-  let d =
-    match deadline_ms with
-    | None -> ""
-    | Some ms -> Printf.sprintf "@%d " (max 0 (min ms max_deadline_ms))
-  in
+let render_request_d ?max_lag ?deadline_ms req =
+  let token sigil = function None -> "" | Some n -> Printf.sprintf "%c%d " sigil n in
+  let lag = token '~' (Option.map (max 0) max_lag) in
+  let d = token '@' (Option.map (fun ms -> max 0 (min ms max_deadline_ms)) deadline_ms) in
   match req with
   | Query { tau; tree } ->
-    Printf.sprintf "QUERY %d %s%s" tau d (Bracket.to_string tree)
-  | Knn { k; tree } -> Printf.sprintf "KNN %d %s%s" k d (Bracket.to_string tree)
+    Printf.sprintf "QUERY %d %s%s%s" tau lag d (Bracket.to_string tree)
+  | Knn { k; tree } -> Printf.sprintf "KNN %d %s%s%s" k lag d (Bracket.to_string tree)
   | Add { seq = None; tree } -> Printf.sprintf "ADD %s%s" d (Bracket.to_string tree)
   | Add { seq = Some seq; tree } ->
     Printf.sprintf "ADD %d %s%s" seq d (Bracket.to_string tree)
@@ -247,6 +234,56 @@ type response =
   | Hello_reply of int
   | Redirect of string
 
+let zero_stats =
+  {
+    trees = 0; tau = 0; queries = 0; adds = 0; shed = 0; degraded = 0; errors = 0;
+    quarantined = 0; inflight = 0; draining = false; journal_records = 0; epoch = 0;
+    primary = false; dedup = 0; scrubbed = 0; crc_failures = 0; repaired = 0;
+    expired = 0; accept_pauses = 0; reaped = 0; q_p50 = 0; q_p95 = 0; q_p99 = 0;
+    k_p50 = 0; k_p95 = 0; k_p99 = 0; a_p50 = 0; a_p95 = 0; a_p99 = 0;
+  }
+
+(* The STATS reply as one [(key, read, write)] table, in wire order: the
+   renderer and the parser both walk it, so a field is added in one
+   place.  The first [stats_required] keys were in every STATS reply any
+   server ever sent; a reply from an older server lacks the others, and
+   they parse as 0. *)
+let stats_fields =
+  let b = Bool.to_int in
+  [
+    ("trees", (fun s -> s.trees), fun s v -> { s with trees = v });
+    ("tau", (fun s -> s.tau), fun s v -> { s with tau = v });
+    ("queries", (fun s -> s.queries), fun s v -> { s with queries = v });
+    ("adds", (fun s -> s.adds), fun s v -> { s with adds = v });
+    ("shed", (fun s -> s.shed), fun s v -> { s with shed = v });
+    ("degraded", (fun s -> s.degraded), fun s v -> { s with degraded = v });
+    ("errors", (fun s -> s.errors), fun s v -> { s with errors = v });
+    ("quarantined", (fun s -> s.quarantined), fun s v -> { s with quarantined = v });
+    ("inflight", (fun s -> s.inflight), fun s v -> { s with inflight = v });
+    ("draining", (fun s -> b s.draining), fun s v -> { s with draining = v = 1 });
+    ("journal", (fun s -> s.journal_records), fun s v -> { s with journal_records = v });
+    ("epoch", (fun s -> s.epoch), fun s v -> { s with epoch = v });
+    ("primary", (fun s -> b s.primary), fun s v -> { s with primary = v = 1 });
+    ("dedup", (fun s -> s.dedup), fun s v -> { s with dedup = v });
+    ("scrubbed", (fun s -> s.scrubbed), fun s v -> { s with scrubbed = v });
+    ("crc_failures", (fun s -> s.crc_failures), fun s v -> { s with crc_failures = v });
+    ("repaired", (fun s -> s.repaired), fun s v -> { s with repaired = v });
+    ("expired", (fun s -> s.expired), fun s v -> { s with expired = v });
+    ("accept_pauses", (fun s -> s.accept_pauses), fun s v -> { s with accept_pauses = v });
+    ("reaped", (fun s -> s.reaped), fun s v -> { s with reaped = v });
+    ("q_p50", (fun s -> s.q_p50), fun s v -> { s with q_p50 = v });
+    ("q_p95", (fun s -> s.q_p95), fun s v -> { s with q_p95 = v });
+    ("q_p99", (fun s -> s.q_p99), fun s v -> { s with q_p99 = v });
+    ("k_p50", (fun s -> s.k_p50), fun s v -> { s with k_p50 = v });
+    ("k_p95", (fun s -> s.k_p95), fun s v -> { s with k_p95 = v });
+    ("k_p99", (fun s -> s.k_p99), fun s v -> { s with k_p99 = v });
+    ("a_p50", (fun s -> s.a_p50), fun s v -> { s with a_p50 = v });
+    ("a_p95", (fun s -> s.a_p95), fun s v -> { s with a_p95 = v });
+    ("a_p99", (fun s -> s.a_p99), fun s v -> { s with a_p99 = v });
+  ]
+
+let stats_required = 13
+
 (* Replies are single lines; strip any newline an error message smuggled
    in so the framing survives arbitrary reasons. *)
 let one_line s =
@@ -254,49 +291,62 @@ let one_line s =
 
 let render_response r =
   let b = Buffer.create 64 in
+  let str = Buffer.add_string b and chr = Buffer.add_char b in
+  let int n = str (string_of_int n) in
+  let words ws = List.iteri (fun i n -> if i > 0 then chr ' '; int n) ws in
+  (* HITS/ADDED carry one pair per hit: plain appends, no format
+     interpretation per pair. *)
+  let pair (i, d) = chr ' '; int i; chr ':'; int d in
   (match r with
   | Hits { degraded; hits; unverified } ->
-    Buffer.add_string b
-      (Printf.sprintf "HITS %d %d %d" (Bool.to_int degraded) (List.length hits)
-         (List.length unverified));
-    List.iter (fun (i, d) -> Buffer.add_string b (Printf.sprintf " %d:%d" i d)) hits;
-    List.iter
-      (fun (i, lo, hi) -> Buffer.add_string b (Printf.sprintf " %d:%d:%d" i lo hi))
-      unverified
+    str "HITS ";
+    words [ Bool.to_int degraded; List.length hits; List.length unverified ];
+    List.iter pair hits;
+    List.iter (fun (i, lo, hi) -> pair (i, lo); chr ':'; int hi) unverified
   | Added { id; partners } ->
-    Buffer.add_string b (Printf.sprintf "ADDED %d %d" id (List.length partners));
-    List.iter (fun (i, d) -> Buffer.add_string b (Printf.sprintf " %d:%d" i d)) partners
+    str "ADDED ";
+    words [ id; List.length partners ];
+    List.iter pair partners
   | Tree_reply { seq; tree } ->
-    Buffer.add_string b (Printf.sprintf "TREE %d %s" seq (Bracket.to_string tree))
+    str "TREE ";
+    int seq;
+    chr ' ';
+    str (Bracket.to_string tree)
   | Stats_reply s ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "STATS trees=%d tau=%d queries=%d adds=%d shed=%d degraded=%d errors=%d \
-          quarantined=%d inflight=%d draining=%d journal=%d epoch=%d primary=%d \
-          dedup=%d scrubbed=%d crc_failures=%d repaired=%d expired=%d \
-          accept_pauses=%d reaped=%d q_p50=%d q_p95=%d q_p99=%d k_p50=%d \
-          k_p95=%d k_p99=%d a_p50=%d a_p95=%d a_p99=%d"
-         s.trees s.tau s.queries s.adds s.shed s.degraded s.errors s.quarantined
-         s.inflight (Bool.to_int s.draining) s.journal_records s.epoch
-         (Bool.to_int s.primary) s.dedup s.scrubbed s.crc_failures s.repaired
-         s.expired s.accept_pauses s.reaped s.q_p50 s.q_p95 s.q_p99 s.k_p50
-         s.k_p95 s.k_p99 s.a_p50 s.a_p95 s.a_p99)
-  | Health_reply { draining } ->
-    Buffer.add_string b (if draining then "OK draining" else "OK serving")
-  | Drained -> Buffer.add_string b "OK drained"
-  | Busy { retry_after_ms = None } -> Buffer.add_string b "BUSY"
+    str "STATS";
+    List.iter
+      (fun (key, get, _) ->
+        chr ' ';
+        str key;
+        chr '=';
+        int (get s))
+      stats_fields
+  | Health_reply { draining } -> str (if draining then "OK draining" else "OK serving")
+  | Drained -> str "OK drained"
+  | Busy { retry_after_ms = None } -> str "BUSY"
   | Busy { retry_after_ms = Some ms } ->
-    Buffer.add_string b (Printf.sprintf "BUSY %d" (max 0 ms))
-  | Err reason -> Buffer.add_string b ("ERR " ^ one_line reason)
+    str "BUSY ";
+    int (max 0 ms)
+  | Err reason -> str ("ERR " ^ one_line reason)
   | Sync_stream { epoch; base; high } ->
-    Buffer.add_string b (Printf.sprintf "SYNC %d %d %d" epoch base high)
-  | Record line -> Buffer.add_string b ("RECORD " ^ one_line line)
+    str "SYNC ";
+    words [ epoch; base; high ]
+  | Record line -> str ("RECORD " ^ one_line line)
   | Digest_reply { epoch; lo; hi; digest } ->
-    Buffer.add_string b (Printf.sprintf "DIGEST %d %d %d %s" epoch lo hi digest)
-  | Fenced epoch -> Buffer.add_string b (Printf.sprintf "FENCED %d" epoch)
-  | Promoted epoch -> Buffer.add_string b (Printf.sprintf "PROMOTED %d" epoch)
-  | Hello_reply version -> Buffer.add_string b (Printf.sprintf "HELLO BIN %d" version)
-  | Redirect addr -> Buffer.add_string b ("REDIRECT " ^ one_line addr));
+    str "DIGEST ";
+    words [ epoch; lo; hi ];
+    chr ' ';
+    str digest
+  | Fenced epoch ->
+    str "FENCED ";
+    int epoch
+  | Promoted epoch ->
+    str "PROMOTED ";
+    int epoch
+  | Hello_reply version ->
+    str "HELLO BIN ";
+    int version
+  | Redirect addr -> str ("REDIRECT " ^ one_line addr));
   Buffer.contents b
 
 let parse_pair s =
@@ -371,8 +421,8 @@ let parse_response line =
       | _ -> fail ())
     | _ -> fail ())
   | "STATS" :: fields -> (
-    let tbl = Hashtbl.create 16 in
-    let ok =
+    let tbl = Hashtbl.create 32 in
+    let well_formed =
       List.for_all
         (fun f ->
           match String.index_opt f '=' with
@@ -385,72 +435,16 @@ let parse_response line =
               true))
         fields
     in
-    let get k = Hashtbl.find_opt tbl k in
-    match
-      ( ok,
-        get "trees",
-        get "tau",
-        get "queries",
-        get "adds",
-        get "shed",
-        get "degraded",
-        get "errors",
-        get "quarantined",
-        get "inflight",
-        get "draining",
-        get "journal",
-        get "epoch",
-        get "primary" )
-    with
-    | ( true,
-        Some trees,
-        Some tau,
-        Some queries,
-        Some adds,
-        Some shed,
-        Some degraded,
-        Some errors,
-        Some quarantined,
-        Some inflight,
-        Some draining,
-        Some journal_records,
-        Some epoch,
-        Some primary ) ->
-      Ok
-        (Stats_reply
-           {
-             trees;
-             tau;
-             queries;
-             adds;
-             shed;
-             degraded;
-             errors;
-             quarantined;
-             inflight;
-             draining = draining = 1;
-             journal_records;
-             epoch;
-             primary = primary = 1;
-             (* absent in replies from pre-dedup / pre-scrub /
-                pre-overload servers *)
-             dedup = Option.value (get "dedup") ~default:0;
-             scrubbed = Option.value (get "scrubbed") ~default:0;
-             crc_failures = Option.value (get "crc_failures") ~default:0;
-             repaired = Option.value (get "repaired") ~default:0;
-             expired = Option.value (get "expired") ~default:0;
-             accept_pauses = Option.value (get "accept_pauses") ~default:0;
-             reaped = Option.value (get "reaped") ~default:0;
-             q_p50 = Option.value (get "q_p50") ~default:0;
-             q_p95 = Option.value (get "q_p95") ~default:0;
-             q_p99 = Option.value (get "q_p99") ~default:0;
-             k_p50 = Option.value (get "k_p50") ~default:0;
-             k_p95 = Option.value (get "k_p95") ~default:0;
-             k_p99 = Option.value (get "k_p99") ~default:0;
-             a_p50 = Option.value (get "a_p50") ~default:0;
-             a_p95 = Option.value (get "a_p95") ~default:0;
-             a_p99 = Option.value (get "a_p99") ~default:0;
-           })
+    let rec fill s i = function
+      | [] -> Some s
+      | (key, _, set) :: rest -> (
+        match Hashtbl.find_opt tbl key with
+        | Some v -> fill (set s v) (i + 1) rest
+        | None when i < stats_required -> None
+        | None -> fill s (i + 1) rest)
+    in
+    match fill zero_stats 0 stats_fields with
+    | Some s when well_formed -> Ok (Stats_reply s)
     | _ -> fail ())
   | [ "OK"; "serving" ] -> Ok (Health_reply { draining = false })
   | [ "OK"; "draining" ] -> Ok (Health_reply { draining = true })
@@ -497,10 +491,8 @@ let parse_response line =
 (* --- binary framing --- *)
 
 module Binary = struct
-  (* v2 adds a remaining-budget deadline u32 to QUERY/KNN/ADD bodies.
-     Both sides speak the min of their versions (negotiated via HELLO),
-     so a v1 peer keeps the exact v1 layouts. *)
-  let version = 2
+  (* v3: every frame body is the text line of the same message. *)
+  let version = 3
 
   let hello v = Printf.sprintf "HELLO BIN %d" v
 
@@ -511,272 +503,27 @@ module Binary = struct
       match int_of_string_opt v with Some v when v >= 1 -> Some v | _ -> None)
     | _ -> None
 
-    (* Request opcodes. *)
-  let op_query = 0x01
-  let op_knn = 0x02
-  let op_add = 0x03
-  let op_stats = 0x04
-  let op_health = 0x05
-  let op_drain = 0x06
-  let op_promote = 0x07
+  let op_request = 0x01
+  let op_reply = 0x81
 
-  (* Response opcodes (high bit set). *)
-  let op_hits = 0x81
-  let op_added = 0x82
-  let op_stats_reply = 0x83
-  let op_health_reply = 0x84
-  let op_drained = 0x85
-  let op_busy = 0x86
-  let op_err = 0x87
-  let op_fenced = 0x88
-  let op_promoted = 0x89
-  let op_redirect = 0x8A
-
-  (* A u32 of all ones encodes "absent" for the optional fields
-     (max_lag on reads, seq on ADD). *)
-  let no_value = 0xFFFFFFFF
-
-  let u32 b n = Buffer.add_int32_be b (Int32.of_int (n land no_value))
-
-  let get_u32 s pos = Int32.to_int (String.get_int32_be s pos) land no_value
+  let get_u32 s pos = Int32.to_int (String.get_int32_be s pos) land 0xFFFF_FFFF
 
   let frame b ~id ~op body =
-    u32 b (5 + String.length body);
-    u32 b id;
+    Buffer.add_int32_be b (Int32.of_int (5 + String.length body));
+    Buffer.add_int32_be b (Int32.of_int id);
     Buffer.add_char b (Char.chr op);
     Buffer.add_string b body
 
-  let encode_request b ~id ?max_lag ?deadline_ms ?(version = version) req =
-    let body = Buffer.create 64 in
-    let lag = match max_lag with None -> no_value | Some l -> l land no_value in
-    (* A v1 peer has no deadline field: the budget is silently dropped
-       (the legacy server applies its own default), never mis-framed. *)
-    let deadline =
-      match deadline_ms with
-      | None -> no_value
-      | Some ms -> max 0 (min ms max_deadline_ms)
-    in
-    let put_deadline () = if version >= 2 then u32 body deadline in
-    let op =
-      match req with
-      | Query { tau; tree } ->
-        u32 body tau;
-        u32 body lag;
-        put_deadline ();
-        Buffer.add_string body (Bracket.to_string tree);
-        op_query
-      | Knn { k; tree } ->
-        u32 body k;
-        u32 body lag;
-        put_deadline ();
-        Buffer.add_string body (Bracket.to_string tree);
-        op_knn
-      | Add { seq; tree } ->
-        u32 body (match seq with None -> no_value | Some s -> s);
-        put_deadline ();
-        Buffer.add_string body (Bracket.to_string tree);
-        op_add
-      | Stats -> op_stats
-      | Health -> op_health
-      | Drain -> op_drain
-      | Promote -> op_promote
-      | Sync _ | Ack _ | Get _ | Digest _ ->
-        invalid_arg "Binary.encode_request: replication/integrity verbs are text-only"
-    in
-    frame b ~id ~op (Buffer.contents body)
+  let encode_request b ~id ?max_lag ?deadline_ms req =
+    frame b ~id ~op:op_request (render_request_d ?max_lag ?deadline_ms req)
 
-  (* [decode_request ~op ~body] returns the request plus the bounded-
-     staleness bound and remaining-budget deadline carried by v2 frames;
-     a malformed body yields [Error reason] (answered as an ERR frame),
-     never an exception.  [version] is the connection's negotiated
-     version: a v1 frame has no deadline field and decodes exactly as
-     before. *)
-  let decode_request ~version ~op ~body =
-    let len = String.length body in
-    let v2 = version >= 2 in
-    let tree_at what pos =
-      if len <= pos then Error (Printf.sprintf "%s frame: missing tree" what)
-      else
-        match Bracket.of_string (String.sub body pos (len - pos)) with
-        | Ok tree -> Ok tree
-        | Error msg -> Error (Printf.sprintf "%s: %s" what msg)
-    in
-    let opt_u32 pos =
-      let v = get_u32 body pos in
-      if v = no_value then None else Some v
-    in
-    let read what k =
-      let header = if v2 then 12 else 8 in
-      if len < header then Error (Printf.sprintf "%s frame: truncated header" what)
-      else
-        let n = get_u32 body 0 in
-        let lag = opt_u32 4 in
-        let deadline = if v2 then opt_u32 8 else None in
-        match tree_at what header with
-        | Error e -> Error e
-        | Ok tree -> k n lag deadline tree
-    in
-    if op = op_query then
-      read "QUERY" (fun tau lag deadline tree ->
-          Ok (Query { tau; tree }, lag, deadline))
-    else if op = op_knn then
-      read "KNN" (fun k lag deadline tree -> Ok (Knn { k; tree }, lag, deadline))
-    else if op = op_add then begin
-      let header = if v2 then 8 else 4 in
-      if len < header then Error "ADD frame: truncated header"
-      else
-        let seq = opt_u32 0 in
-        let deadline = if v2 then opt_u32 4 else None in
-        match tree_at "ADD" header with
-        | Error e -> Error e
-        | Ok tree -> Ok (Add { seq; tree }, None, deadline)
-    end
-    else if op = op_stats then Ok (Stats, None, None)
-    else if op = op_health then Ok (Health, None, None)
-    else if op = op_drain then Ok (Drain, None, None)
-    else if op = op_promote then Ok (Promote, None, None)
+  let decode_request ~version:_ ~op ~body =
+    if op = op_request then parse_request_d body
     else Error (Printf.sprintf "unknown opcode 0x%02x" op)
 
-  let encode_response b ~id resp =
-    let body = Buffer.create 64 in
-    let pairs ps = List.iter (fun (i, d) -> u32 body i; u32 body d) ps in
-    let op =
-      match resp with
-      | Hits { degraded; hits; unverified } ->
-        Buffer.add_char body (if degraded then '\001' else '\000');
-        u32 body (List.length hits);
-        u32 body (List.length unverified);
-        pairs hits;
-        List.iter (fun (i, lo, hi) -> u32 body i; u32 body lo; u32 body hi) unverified;
-        op_hits
-      | Added { id; partners } ->
-        u32 body id;
-        u32 body (List.length partners);
-        pairs partners;
-        op_added
-      | Stats_reply s ->
-        List.iter (u32 body)
-          [ s.trees; s.tau; s.queries; s.adds; s.shed; s.degraded; s.errors;
-            s.quarantined; s.inflight; Bool.to_int s.draining; s.journal_records;
-            s.epoch; Bool.to_int s.primary; s.dedup; s.scrubbed; s.crc_failures;
-            s.repaired; s.expired; s.accept_pauses; s.reaped; s.q_p50; s.q_p95;
-            s.q_p99; s.k_p50; s.k_p95; s.k_p99; s.a_p50; s.a_p95; s.a_p99 ];
-        op_stats_reply
-      | Health_reply { draining } ->
-        Buffer.add_char body (if draining then '\001' else '\000');
-        op_health_reply
-      | Drained -> op_drained
-      | Busy { retry_after_ms } ->
-        (match retry_after_ms with None -> () | Some ms -> u32 body (max 0 ms));
-        op_busy
-      | Err reason ->
-        Buffer.add_string body reason;
-        op_err
-      | Fenced epoch ->
-        u32 body epoch;
-        op_fenced
-      | Promoted epoch ->
-        u32 body epoch;
-        op_promoted
-      | Redirect addr ->
-        Buffer.add_string body addr;
-        op_redirect
-      | Sync_stream _ | Record _ | Hello_reply _ | Tree_reply _ | Digest_reply _ ->
-        invalid_arg "Binary.encode_response: text-only response"
-    in
-    frame b ~id ~op (Buffer.contents body)
+  let encode_response b ~id resp = frame b ~id ~op:op_reply (render_response resp)
 
   let decode_response ~op ~body =
-    let len = String.length body in
-    let fail what = Error (Printf.sprintf "malformed %s frame" what) in
-    if op = op_hits then begin
-      if len < 9 then fail "HITS"
-      else
-        let degraded = body.[0] = '\001' in
-        let nh = get_u32 body 1 and nu = get_u32 body 5 in
-        if len <> 9 + (8 * nh) + (12 * nu) then fail "HITS"
-        else
-          let hits =
-            List.init nh (fun i -> (get_u32 body (9 + (8 * i)), get_u32 body (13 + (8 * i))))
-          in
-          let base = 9 + (8 * nh) in
-          let unverified =
-            List.init nu (fun i ->
-                ( get_u32 body (base + (12 * i)),
-                  get_u32 body (base + 4 + (12 * i)),
-                  get_u32 body (base + 8 + (12 * i)) ))
-          in
-          Ok (Hits { degraded; hits; unverified })
-    end
-    else if op = op_added then begin
-      if len < 8 then fail "ADDED"
-      else
-        let id = get_u32 body 0 and np = get_u32 body 4 in
-        if len <> 8 + (8 * np) then fail "ADDED"
-        else
-          let partners =
-            List.init np (fun i -> (get_u32 body (8 + (8 * i)), get_u32 body (12 + (8 * i))))
-          in
-          Ok (Added { id; partners })
-    end
-    else if op = op_stats_reply then begin
-      (* 52 bytes: pre-dedup frame (13 u32s); 56: pre-scrub (14);
-         68: pre-overload (17); 116: current (29). *)
-      if len <> 52 && len <> 56 && len <> 68 && len <> 116 then fail "STATS"
-      else
-        let f i = get_u32 body (4 * i) in
-        let opt i = if len >= 4 * (i + 1) then f i else 0 in
-        Ok
-          (Stats_reply
-             {
-               trees = f 0;
-               tau = f 1;
-               queries = f 2;
-               adds = f 3;
-               shed = f 4;
-               degraded = f 5;
-               errors = f 6;
-               quarantined = f 7;
-               inflight = f 8;
-               draining = f 9 = 1;
-               journal_records = f 10;
-               epoch = f 11;
-               primary = f 12 = 1;
-               dedup = opt 13;
-               scrubbed = opt 14;
-               crc_failures = opt 15;
-               repaired = opt 16;
-               expired = opt 17;
-               accept_pauses = opt 18;
-               reaped = opt 19;
-               q_p50 = opt 20;
-               q_p95 = opt 21;
-               q_p99 = opt 22;
-               k_p50 = opt 23;
-               k_p95 = opt 24;
-               k_p99 = opt 25;
-               a_p50 = opt 26;
-               a_p95 = opt 27;
-               a_p99 = opt 28;
-             })
-    end
-    else if op = op_health_reply then begin
-      if len <> 1 then fail "HEALTH" else Ok (Health_reply { draining = body.[0] = '\001' })
-    end
-    else if op = op_drained then Ok Drained
-    else if op = op_busy then begin
-      (* Empty body: legacy BUSY.  4 bytes: the retry-after hint. *)
-      if len = 0 then Ok (Busy { retry_after_ms = None })
-      else if len = 4 then Ok (Busy { retry_after_ms = Some (get_u32 body 0) })
-      else fail "BUSY"
-    end
-    else if op = op_err then Ok (Err body)
-    else if op = op_fenced then begin
-      if len <> 4 then fail "FENCED" else Ok (Fenced (get_u32 body 0))
-    end
-    else if op = op_promoted then begin
-      if len <> 4 then fail "PROMOTED" else Ok (Promoted (get_u32 body 0))
-    end
-    else if op = op_redirect then Ok (Redirect body)
+    if op = op_reply then parse_response body
     else Error (Printf.sprintf "unknown response opcode 0x%02x" op)
 end

@@ -1,18 +1,23 @@
-(** Wire protocol of the similarity-search service: line-delimited text,
-    one request line in, one reply line out.
+(** Wire protocol of the similarity-search service: one request grammar,
+    one request line in, one reply line out.  A connection carries the
+    lines either newline-delimited (the default) or, after a [HELLO],
+    each in a length-prefixed binary frame; the bytes of a line are the
+    same in both.
 
-    Grammar (one request per line; a tree is bracket notation, which
-    cannot contain a newline when it arrived on a line):
+    Grammar (a tree is bracket notation; on a newline connection it
+    cannot contain a newline, inside a frame it can — but [ADD] refuses
+    a label with a line break, since journal records are lines):
     {v
-    request  := "QUERY" SP tau SP [deadline SP] tree    similarity search at τ' <= index τ
-              | "KNN" SP k SP [deadline SP] tree        top-k within the index τ
+    request  := "QUERY" SP tau SP [lag SP] [deadline SP] tree   similarity search at τ' <= index τ
+              | "KNN" SP k SP [lag SP] [deadline SP] tree       top-k within the index τ
               | "ADD" SP [seq SP] [deadline SP] tree    journal + index a tree (seq: see below)
-    deadline := "@" ms                        remaining budget, milliseconds (see below)
               | "GET" SP seq                  fetch the tree bound to a sequence number
               | "DIGEST" SP epoch SP lo SP hi Merkle digest of records [lo, hi)
               | "STATS" | "HEALTH" | "DRAIN" | "PROMOTE"
               | "SYNC" SP epoch SP from_seq   replica joins: stream me from from_seq
               | "ACKED" SP seq                replica has durably applied up to seq
+    lag      := "~" n                         staleness bound, records (see below)
+    deadline := "@" ms                        remaining budget, milliseconds (see below)
     reply    := "HITS" SP degraded(0|1) SP nh SP nu {SP id":"dist}*nh {SP id":"lo":"hi}*nu
               | "ADDED" SP id SP np {SP id":"dist}*np
               | "TREE" SP seq SP tree         reply to GET
@@ -20,11 +25,12 @@
               | "OK" SP ("serving"|"draining"|"drained")
               | "BUSY" [SP retry_after_ms]    shed by admission control
               | "ERR" SP reason               never a silent drop
-              | "SYNC" SP epoch SP base       stream header (primary -> replica)
+              | "SYNC" SP epoch SP base SP high   stream header (primary -> replica)
               | "RECORD" SP journal-line      one checksummed journal record pushed
               | "DIGEST" SP epoch SP lo SP hi SP hex   reply to DIGEST
               | "FENCED" SP epoch             refused: a higher epoch exists
               | "PROMOTED" SP epoch           this node is now primary at epoch
+              | "REDIRECT" SP address         stale replica: ask upstream
     v}
 
     {b Anti-entropy.}  [DIGEST <epoch> <lo> <hi>] asks for the Merkle
@@ -35,18 +41,20 @@
     the first diverging sequence in O(log n) round trips and repairs
     {e only} the suffix from there (via [GET]/[RECORD] regeneration) —
     no full re-sync.  A node at a different epoch answers
-    [FENCED <epoch>]; a range beyond the tree count is [ERR].  Like
-    the replication verbs, [DIGEST] is text-only.
+    [FENCED <epoch>]; a range beyond the tree count is [ERR].
 
     {b Replication stream.}  A replica connects and sends
-    [SYNC <epoch> <from_seq>].  The primary answers with the stream
-    header [SYNC <epoch> <base>] (its epoch and the first sequence
-    number of that epoch); from then on the roles invert on that
-    connection: the primary pushes [RECORD <journal-line>] and the
-    replica answers each with [ACKED <n>] ([n] = its new tree count,
-    i.e. the next sequence it needs) only {e after} the record is
-    flushed to its own journal.  A node that sees evidence of a higher
-    epoch answers [FENCED <epoch>] instead and the stream ends.
+    [SYNC <epoch> <from_seq>] as a newline line.  The primary answers
+    with the stream header [SYNC <epoch> <base> <high>] (its epoch, the
+    first sequence number of that epoch and its tree count); from then
+    on the roles invert on that connection: the primary pushes
+    [RECORD <journal-line>] and the replica answers each with
+    [ACKED <n>] ([n] = its new tree count, i.e. the next sequence it
+    needs) only {e after} the record is flushed to its own journal.  A
+    node that sees evidence of a higher epoch answers [FENCED <epoch>]
+    instead and the stream ends.  [SYNC] hands the socket to a
+    replication thread, so it is the one verb a frame cannot carry: a
+    framed [SYNC] is answered [ERR].
 
     {b Idempotency contract of [ADD].}  [ADD <seq> <tree>] binds [tree]
     to sequence number [seq] exactly once: if [seq] equals the store's
@@ -58,88 +66,61 @@
     the request may have been executed must therefore retry {e with the
     same seq} — the retry is then safe whether or not the original
     arrived, including across a failover to a server the record was
-    replicated to.  Bare [ADD <tree>] (no seq) keeps the PR-4 semantics
-    (server assigns the next sequence) and is {e not} safe to retry
-    blind; {!Client} always attaches a seq.
+    replicated to.  Bare [ADD <tree>] (no seq) lets the server assign
+    the next sequence and is {e not} safe to retry blind; {!Client}
+    always attaches a seq.
 
     {b Deadline propagation.}  The optional [@<ms>] token on
-    [QUERY]/[KNN]/[ADD] (and the deadline u32 of v2 binary frames) is
-    the client's {e remaining budget} for the whole call, in
-    milliseconds — a relative span, so no clock synchronisation is
-    needed.  Every hop subtracts its own elapsed time before forwarding
-    (the router additionally reserves a response margin), making the
-    propagated value monotonically non-increasing.  A server drops
-    queued work whose budget has already run out instead of computing an
-    answer nobody is waiting for: the reply is [ERR deadline expired]
-    and the drop is counted in STATS as [expired].  Requests without the
-    token keep the server's own default budget (legacy clients work
-    unchanged).  A BUSY shed may carry a retry-after hint in
-    milliseconds: the earliest time a retry can be admitted, which
-    {!Client} uses as its backoff floor.
+    [QUERY]/[KNN]/[ADD] is the client's {e remaining budget} for the
+    whole call, in milliseconds — a relative span, so no clock
+    synchronisation is needed.  Every hop subtracts its own elapsed time
+    before forwarding (the router additionally reserves a response
+    margin), making the propagated value monotonically non-increasing.
+    A server drops queued work whose budget has already run out instead
+    of computing an answer nobody is waiting for: the reply is
+    [ERR deadline expired] and the drop is counted in STATS as
+    [expired].  Requests without the token keep the server's own default
+    budget.  A BUSY shed may carry a retry-after hint in milliseconds:
+    the earliest time a retry can be admitted, which {!Client} uses as
+    its backoff floor.
+
+    {b Bounded-staleness reads.}  The optional [~<n>] token on
+    [QUERY]/[KNN] is [max_lag], the largest number of acked sequence
+    numbers the client tolerates the answering node being behind the
+    primary.  The primary always answers (lag 0).  A replica knows its
+    lag from the stream header's high-water mark and the records it has
+    applied; it answers locally iff it is synced and
+    [primary_high - n_trees <= max_lag], and otherwise replies
+    [REDIRECT <addr>] naming its upstream so the client can retry
+    against the primary (or [ERR] when it has no known upstream).
+    Requests without the token: any node answers from whatever it has.
 
     Parsers on both sides are lenient: any malformed input yields
     [Error reason], never an exception, and tree diagnostics carry the
     bracket parser's ["line L, column C"] location.  A malformed
-    deadline token (garbage, negative, overflow) is a parse error
-    answered [ERR], never silently treated as part of the tree.
+    [~]/[@] token (garbage, negative, overflow) is a parse error
+    answered [ERR] naming the verb, never silently treated as part of
+    the tree.
 
-    {b Version negotiation.}  Every connection starts in the newline
-    protocol above, so pre-binary clients keep working unchanged.  A
-    client that wants the framed protocol sends one text line
-    [HELLO BIN <v>] ([v] >= 1) as its first request; the server answers
-    with the text line [HELLO BIN <min v version>] and {e both} sides
-    switch to binary frames immediately after their respective
-    newline.  There is no downgrade path on a connection; a malformed
-    hello is answered [ERR] and the connection stays in text mode.
-
-    {b Binary frame layout} (all integers big-endian, unsigned):
+    {b Binary frames.}  Every connection starts newline-delimited.  A
+    client that wants frames sends one text line [HELLO BIN <v>] as a
+    request; for [v >= 3] the server answers the text line
+    [HELLO BIN 3] and {e both} sides switch to frames immediately after
+    their respective newline.  Any [v < 3] (the retired per-verb frame
+    layouts) is answered [ERR] and the connection stays newline-delimited,
+    as after a malformed hello.  There is no downgrade path on a
+    connection.  A frame is (integers big-endian, unsigned):
     {v
-    frame  := len:u32 id:u32 op:u8 body:byte[len-5]
+    frame := len:u32 id:u32 op:u8 body:byte[len-5]
+    body  := the request or reply line, without its newline
+    op    := 0x01 (request) | 0x81 (reply)
     v}
     [len] counts everything after the length field itself, so a frame
     occupies [4 + len] bytes and [len >= 5].  [id] is a client-chosen
-    request id echoed verbatim on the matching response; requests may be
-    pipelined and responses to {e reads and writes} may arrive out of
-    order, matched only by id.  The sentinel [0xFFFF_FFFF] encodes an
-    absent optional integer field.
-
-    Request opcodes and bodies (v2 adds the [deadline:u32]
-    remaining-budget field; a connection negotiated at v1 keeps the v1
-    layouts exactly):
-    {v
-    0x01 QUERY    tau:u32 max_lag:u32 [deadline:u32] tree-bytes
-    0x02 KNN      k:u32   max_lag:u32 [deadline:u32] tree-bytes
-    0x03 ADD      seq:u32 [deadline:u32] tree-bytes   (seq sentinel = server picks)
-    0x04 STATS    0x05 HEALTH   0x06 DRAIN   0x07 PROMOTE   (empty body)
-    v}
-    Response opcodes and bodies:
-    {v
-    0x81 HITS     degraded:u8 nh:u32 nu:u32 (id:u32 dist:u32)*nh
-                  (id:u32 lo:u32 hi:u32)*nu
-    0x82 ADDED    id:u32 np:u32 (id:u32 dist:u32)*np
-    0x83 STATS    29 x u32, in the text STATS field order (decoders
-                  accept the 13-, 14- and 17-word frames of older builds)
-    0x84 HEALTH   draining:u8
-    0x85 DRAINED                                (empty body)
-    0x86 BUSY     [retry_after_ms:u32]          (empty body = no hint)
-    0x87 ERR      reason-bytes
-    0x88 FENCED   epoch:u32
-    0x89 PROMOTED epoch:u32
-    0x8A REDIRECT address-bytes
-    v}
-    The replication verbs ([SYNC]/[ACKED]/[RECORD]) are text-only: a
-    replication stream never negotiates binary.
-
-    {b Bounded-staleness reads.}  A binary [QUERY]/[KNN] may carry
-    [max_lag], the largest number of acked sequence numbers the client
-    tolerates the answering node being behind the primary.  The primary
-    always answers (lag 0).  A replica knows its lag from the stream
-    header's high-water mark and the records it has applied; it answers
-    locally iff it is synced and [primary_high - n_trees <= max_lag],
-    and otherwise replies [REDIRECT <addr>] naming its upstream so the
-    client can retry against the primary (or [ERR] when it has no known
-    upstream).  Requests without [max_lag] keep the old semantics:
-    any node answers from whatever it has. *)
+    request id echoed verbatim on the matching reply; requests may be
+    pipelined and replies to {e reads and writes} may arrive out of
+    order, matched only by id.  A frame with any other [op] is answered
+    [ERR unknown opcode] by id. *)
 
 (** Server address: a Unix-domain socket path or a TCP endpoint. *)
 type addr = Unix_path of string | Tcp of string * int
@@ -167,30 +148,33 @@ type request =
       (** [GET seq]: fetch the tree bound to a sequence number — the
           sharded router's ledger-recovery and migration-verification
           primitive.  Answered [TREE seq tree], or [ERR] when [seq] is
-          unbound.  Text-only, like the replication verbs. *)
+          unbound. *)
   | Digest of { epoch : int; lo : int; hi : int }
       (** [DIGEST epoch lo hi]: Merkle digest of the canonical records
-          [\[lo, hi)] — the anti-entropy probe.  Text-only. *)
+          [\[lo, hi)] — the anti-entropy probe. *)
   | Promote
       (** Make this node primary: bump the epoch (persisted in the
           journal header) and start accepting writes. *)
 
 val max_deadline_ms : int
-(** Largest remaining-budget value the wire can carry (one below the
-    binary "absent" sentinel); parsers clamp larger values to it. *)
+(** Largest remaining budget a [@<ms>] token carries
+    ({!Admission.Deadline.max_ms}); parsers and renderers clamp larger
+    values to it. *)
 
 val parse_request : string -> (request, string) result
-(** [parse_request_d] with the deadline dropped. *)
+(** [parse_request_d] with the tokens dropped. *)
 
-val parse_request_d : string -> (request * int option, string) result
-(** The request plus its remaining-budget deadline in milliseconds,
-    when the line carried the [@<ms>] token. *)
+val parse_request_d : string -> (request * int option * int option, string) result
+(** The request plus its staleness bound ([~<n>], [Query]/[Knn]) and its
+    remaining-budget deadline in milliseconds ([@<ms>]), when the line
+    carried them. *)
 
 val render_request : request -> string
 
-val render_request_d : ?deadline_ms:int -> request -> string
-(** [render_request] with the deadline token attached ([Query]/[Knn]/
-    [Add] only; control verbs ignore it). *)
+val render_request_d : ?max_lag:int -> ?deadline_ms:int -> request -> string
+(** [render_request] with the tokens attached: [max_lag] on [Query]/[Knn],
+    [deadline_ms] on [Query]/[Knn]/[Add]; other verbs ignore them.
+    Negative values render as 0. *)
 
 (** The counters of a [STATS] reply (all monotonic since server start,
     except [trees], [inflight], [draining] and [journal_records]). *)
@@ -210,10 +194,9 @@ type stats_reply = {
   primary : bool;  (** whether this node currently accepts writes *)
   dedup : int;
       (** duplicate ADDs suppressed by the store's dedup layer (0 when
-          dedup is off; parses as 0 from pre-dedup servers) *)
-  scrubbed : int;
-      (** journal records re-verified by the background scrubber (parses
-          as 0 from pre-scrub servers, like the two fields below) *)
+          dedup is off).  This and every field below parse as 0 when a
+          reply (from an older server) lacks them. *)
+  scrubbed : int;  (** journal records re-verified by the background scrubber *)
   crc_failures : int;  (** checksum/seal findings, at open or by scrub *)
   repaired : int;
       (** healed journal records + scrub repairs + anti-entropy range
@@ -221,8 +204,7 @@ type stats_reply = {
   expired : int;
       (** requests dropped (pre- or post-compute) because their
           propagated deadline had already passed — the client was no
-          longer waiting (parses as 0 from pre-overload servers, like
-          every field below) *)
+          longer waiting *)
   accept_pauses : int;
       (** times the acceptor backed off after EMFILE/ENFILE instead of
           spinning on a hot listener *)
@@ -285,30 +267,28 @@ type response =
       (** A bounded-staleness read refused by a stale replica; the
           payload is its upstream's address. *)
 
+val zero_stats : stats_reply
+(** Every counter 0, every flag false. *)
+
 val render_response : response -> string
 (** Always a single line: newlines inside error reasons are replaced. *)
 
 val parse_response : string -> (response, string) result
 
-(** Codec for the length-prefixed binary framing (layout above).
-    Encoders append whole frames to a [Buffer]; decoders take the [op]
-    byte and the body bytes of one already-deframed frame and never
-    raise on wire data — any malformed body is [Error reason]. *)
+(** The binary framing: a 9-byte header around a line of the grammar
+    above.  Decoders take the [op] byte and the body of one already
+    deframed frame and never raise on wire data — a malformed body is
+    [Error reason]. *)
 module Binary : sig
   val version : int
-  (** Highest protocol version this build speaks (currently 2: v2 adds
-      the remaining-budget deadline field to QUERY/KNN/ADD bodies).
-      Both sides speak [min] of their versions, negotiated via HELLO. *)
+  (** The frame protocol version this build speaks: 3, where every body
+      is the text line. *)
 
   val hello : int -> string
   (** The handshake line [HELLO BIN <v>] (no trailing newline). *)
 
   val parse_hello : string -> int option
   (** [Some v] iff the line is a well-formed [HELLO BIN <v>], [v >= 1]. *)
-
-  val no_value : int
-  (** [0xFFFFFFFF]: the u32 encoding of "absent" for the optional
-      fields (max_lag on reads, seq on ADD). *)
 
   val get_u32 : string -> int -> int
   (** Big-endian unsigned 32-bit read at a byte offset — for deframing
@@ -321,33 +301,22 @@ module Binary : sig
       malformed frames. *)
 
   val encode_request :
-    Buffer.t ->
-    id:int ->
-    ?max_lag:int ->
-    ?deadline_ms:int ->
-    ?version:int ->
-    request ->
-    unit
-  (** Append one request frame.  [max_lag] is carried by [Query]/[Knn]
-      only; [deadline_ms] by [Query]/[Knn]/[Add] on [version >= 2]
-      connections (on a v1 connection it is silently dropped — the
-      legacy server applies its own default budget).  [version] defaults
-      to this build's {!version}.
-      @raise Invalid_argument on [Sync]/[Ack] (text-only). *)
+    Buffer.t -> id:int -> ?max_lag:int -> ?deadline_ms:int -> request -> unit
+  (** Append one request frame whose body is
+      [render_request_d ?max_lag ?deadline_ms req]. *)
 
   val decode_request :
     version:int ->
     op:int ->
     body:string ->
     (request * int option * int option, string) result
-  (** The decoded request, its bounded-staleness bound (reads only) and
-      its remaining-budget deadline in ms (v2 work verbs only).
-      [version] is the connection's negotiated version: a v1 frame is
-      decoded with the legacy body layout (no deadline word). *)
+  (** [parse_request_d body] for the request opcode; [Error] for any
+      other.  Every negotiated connection speaks {!version}, so the body
+      grammar does not depend on [version]. *)
 
   val encode_response : Buffer.t -> id:int -> response -> unit
-  (** @raise Invalid_argument on the text-only responses
-      ([Sync_stream], [Record], [Hello_reply]). *)
+  (** Append one reply frame whose body is [render_response resp]. *)
 
   val decode_response : op:int -> body:string -> (response, string) result
+  (** [parse_response body] for the reply opcode; [Error] for any other. *)
 end

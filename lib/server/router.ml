@@ -833,38 +833,24 @@ let migrate ?(deadline_s = 30.0) t ~shard ~target =
 let stats t =
   let n = n_trees t in
   let ledgered = Mutex.protect t.r_ledger_mutex (fun () -> t.r_ledger <> None) in
+  (* Overload telemetry, the replication fields and dedup are per-node:
+     the router front does not queue, shed or journal work itself, so
+     they stay zero in the aggregate view. *)
   {
-    Protocol.trees = n;
+    Protocol.zero_stats with
+    trees = n;
     tau = t.r_tau;
     queries = Atomic.get t.r_queries;
     adds = Atomic.get t.r_adds;
-    shed = 0;
     degraded = Atomic.get t.r_degraded;
     errors = Atomic.get t.r_errors;
     quarantined = Atomic.get t.r_quarantined;
-    inflight = 0;
     draining = Atomic.get t.r_draining;
     journal_records = (if ledgered then n else 0);
-    epoch = 0;
     primary = true;
-    dedup = 0;
     scrubbed = Atomic.get t.r_scrubbed;
     crc_failures = Atomic.get t.r_crc_failures;
     repaired = Atomic.get t.r_repaired;
-    (* overload telemetry is per-node; the router front does not queue
-       or shed work itself, so these stay zero in the aggregate view *)
-    expired = 0;
-    accept_pauses = 0;
-    reaped = 0;
-    q_p50 = 0;
-    q_p95 = 0;
-    q_p99 = 0;
-    k_p50 = 0;
-    k_p95 = 0;
-    k_p99 = 0;
-    a_p50 = 0;
-    a_p95 = 0;
-    a_p99 = 0;
   }
 
 (* --- line-protocol front-end --- *)
@@ -986,7 +972,12 @@ let serve_conn t cfd =
          let resp =
            match Protocol.parse_request_d line with
            | Error reason -> Protocol.Err reason
-           | Ok (req, deadline_ms) ->
+           | Ok (_, Some _, _) ->
+             (* Shard reads may land on any replica of a group, so the
+                router cannot honour a staleness bound; it refuses one
+                rather than dropping it. *)
+             Protocol.Err "the router does not bound staleness: send ~<n> reads to a node"
+           | Ok (req, None, deadline_ms) ->
              if req = Protocol.Drain then closing := true;
              handle t ?deadline_ms req
          in

@@ -85,7 +85,6 @@ type conn = {
   c_id : int;
   c_fd : Unix.file_descr;
   mutable c_mode : mode;
-  mutable c_version : int;  (* negotiated binary protocol version *)
   c_in : Netbuf.t;
   c_out : Netbuf.t;
   mutable c_reqno : int;  (* per-connection request ordinal (fault point) *)
@@ -801,7 +800,7 @@ let rec dispatch t c ~rid ~lag ~deadline_ms (request : Protocol.request) =
     respond t c ~rid Protocol.Drained;
     c.c_closing <- true;
     ignore (Thread.create (fun () -> do_drain t) ())
-  | Protocol.Sync _ -> respond t c ~rid (Protocol.Err "SYNC is handled at the connection layer")
+  | Protocol.Sync _ -> respond t c ~rid (Protocol.Err "SYNC is text-only: send it as a plain line")
   | Protocol.Ack _ -> respond t c ~rid (Protocol.Err "ACKED outside a sync stream")
   | Protocol.Get seq ->
     (* Ledger recovery / migration verification: answered inline — a
@@ -937,33 +936,38 @@ let rec dispatch t c ~rid ~lag ~deadline_ms (request : Protocol.request) =
                 respond t c ~rid (Protocol.Err "draining: not accepting new work")
               end))))
 
-(* One text line: blank lines are ignored, a HELLO negotiates the binary
-   protocol, a SYNC upgrades the connection into a replication stream,
-   anything else dispatches. *)
+(* One text line: blank lines are ignored, a HELLO switches to frames,
+   a SYNC upgrades the connection into a replication stream, anything
+   else dispatches. *)
 and handle_text_line t c line =
   if String.trim line = "" then ()
   else
     match Protocol.Binary.parse_hello line with
-    | Some v ->
-      let v = min v Protocol.Binary.version in
+    | Some v when v >= Protocol.Binary.version ->
       Mutex.protect t.io_mutex (fun () ->
           if c.c_state = Live then begin
             (* The reply renders as text (the mode flips after it). *)
-            append_response c ~rid:None (Protocol.Hello_reply v);
-            c.c_mode <- Binary;
-            c.c_version <- v
+            append_response c ~rid:None (Protocol.Hello_reply Protocol.Binary.version);
+            c.c_mode <- Binary
           end)
-    | None -> (
-      match Protocol.parse_request_d line with
-      | Error reason ->
-        (* Malformed input is this client's problem only: answer [ERR]
-           and keep the connection. *)
-        ignore (Atomic.fetch_and_add t.counters.errors 1);
-        respond t c ~rid:None (Protocol.Err reason)
-      | Ok (Protocol.Sync { epoch = f_epoch; from_seq = _ }, _) ->
-        start_sync t c ~f_epoch
-      | Ok (request, deadline_ms) ->
-        dispatch t c ~rid:None ~lag:None ~deadline_ms request)
+    | Some v ->
+      ignore (Atomic.fetch_and_add t.counters.errors 1);
+      respond t c ~rid:None
+        (Protocol.Err
+           (Printf.sprintf "HELLO BIN %d: frame versions below %d are retired" v
+              Protocol.Binary.version))
+    | None -> handle_request t c ~rid:None (Protocol.parse_request_d line)
+
+(* One parsed request line, from a text line ([rid = None]) or a frame.
+   Malformed input is this client's problem only: answer [ERR] and keep
+   the connection.  Only a text line can become a replication stream. *)
+and handle_request t c ~rid = function
+  | Error reason ->
+    ignore (Atomic.fetch_and_add t.counters.errors 1);
+    respond t c ~rid (Protocol.Err reason)
+  | Ok (Protocol.Sync { epoch = f_epoch; from_seq = _ }, _, _) when rid = None ->
+    start_sync t c ~f_epoch
+  | Ok (request, lag, deadline_ms) -> dispatch t c ~rid ~lag ~deadline_ms request
 
 (* Consume as much buffered input as the connection's mode and ordering
    rules allow.  The per-request fault point fires once per unit —
@@ -1014,12 +1018,8 @@ and pump t c ~eof =
       | `Frame (rid, op, body) ->
         Fault.hit "server.request" c.c_reqno;
         c.c_reqno <- c.c_reqno + 1;
-        (match Protocol.Binary.decode_request ~version:c.c_version ~op ~body with
-        | Error reason ->
-          ignore (Atomic.fetch_and_add t.counters.errors 1);
-          respond t c ~rid:(Some rid) (Protocol.Err reason)
-        | Ok (request, lag, deadline_ms) ->
-          dispatch t c ~rid:(Some rid) ~lag ~deadline_ms request);
+        handle_request t c ~rid:(Some rid)
+          (Protocol.Binary.decode_request ~version:Protocol.Binary.version ~op ~body);
         pump t c ~eof)
 
 (* Upgrade a connection into a replication stream: hand the fd to a
@@ -1230,7 +1230,6 @@ let accept_new t =
               c_id = conn_id;
               c_fd = fd;
               c_mode = Text;
-              c_version = 1;
               c_in = Netbuf.create ();
               c_out = Netbuf.create ();
               c_reqno = 0;

@@ -11,10 +11,10 @@
     journal append + one flush + one quorum round per batch of up to
     [max_batch], see {!Store.add_batch}).
 
-    Each connection speaks the newline protocol until it negotiates the
-    length-prefixed binary framing with one [HELLO BIN <v>] handshake
-    (see {!Protocol.Binary}); both protocols share the port.  Binary
-    connections may pipeline: every complete frame is dispatched
+    Each connection carries newline-delimited lines until one
+    [HELLO BIN <v>] handshake switches it to length-prefixed frames
+    around the same lines (see {!Protocol.Binary}); both share the
+    port.  Framed connections may pipeline: every complete frame is dispatched
     immediately and replies are matched by request id, in whatever
     order they finish.  The newline protocol keeps its strict
     one-reply-per-request ordering.
@@ -69,7 +69,7 @@
       refuse writes with [FENCED], and take over via [PROMOTE] behind
       an epoch persisted in the journal header — see {!Replica},
       {!Cluster} and the "Replication" section of DESIGN.md.
-      Reads carrying a bounded-staleness bound (binary protocol only)
+      Reads carrying a bounded-staleness bound ([~<n>])
       are answered locally when the replica's known lag is within the
       bound and redirected to the last known primary otherwise — see
       the contract in {!Protocol}.

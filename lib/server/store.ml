@@ -548,6 +548,19 @@ type staged = {
   st_first_fresh : int option;
 }
 
+(* Journal records, snapshots and the replication stream are lines, so
+   a label holding a line break could be acknowledged but never read
+   back: such a tree is refused, never journaled. *)
+let has_line_break tree =
+  let found = ref false in
+  Tsj_tree.Tree.iter_preorder
+    (fun node ->
+      let label = Tsj_tree.Label.name node.Tsj_tree.Tree.label in
+      if String.exists (fun c -> c = '\n' || c = '\r') label then
+        found := true)
+    tree;
+  !found
+
 let stage_batch t items =
   let n = Array.length items in
   let n0 = Incremental.n_trees t.inc in
@@ -587,6 +600,7 @@ let stage_batch t items =
             `Fresh (s, tree)
         in
         match seq_opt with
+        | _ when has_line_break tree -> `Bad "a label with a line break cannot be journaled"
         | None -> fresh ()
         | Some s when s = !count -> fresh ()
         | Some s when s > !count ->

@@ -178,8 +178,9 @@ type staged
 
 val stage_batch : t -> (int option * Tsj_tree.Tree.t) array -> staged
 (** Phase 1 of {!add_batch}: classify the batch (fresh / replay /
-    dedup / bad) and reserve sequence numbers against the current
-    index.  Reads the index, writes nothing — call it under the same
+    dedup / bad — a seq gap, a seq bound to another tree, or a label
+    holding a line break, which no journal line could carry) and
+    reserve sequence numbers against the current index.  Reads the index, writes nothing — call it under the same
     lock as {!query}. *)
 
 val journal_staged : t -> staged -> (unit, string) result

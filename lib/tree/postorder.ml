@@ -2,70 +2,67 @@ type t = {
   size : int;
   labels : int array;
   lld : int array;
-  parent : int array;
   keyroots : int array;
   dag : int array;
 }
 
 (* A node is an LR-keyroot iff no proper ancestor shares its lld; i.e. it
    is the highest node of its left path.  Equivalently: the root, plus
-   every node that is not the leftmost child of its parent. *)
-let keyroots_of n lld parent =
-  let acc = Tsj_util.Vec_int.create () in
-  for i = 0 to n - 1 do
-    let p = parent.(i) in
-    if p = -1 || lld.(p) <> lld.(i) then Tsj_util.Vec_int.push acc i
-  done;
-  Tsj_util.Vec_int.to_array acc
+   every node that is not the leftmost child of its parent — which both
+   walks below know when they number a node, so the keyroots come out in
+   ascending postorder without a parent array. *)
 
 let of_tree tree =
   let n = Tree.size tree in
   let labels = Array.make n 0 in
   let lld = Array.make n 0 in
-  let parent = Array.make n (-1) in
+  let keyroots = Tsj_util.Vec_int.create () in
   let counter = ref 0 in
-  (* Returns (postorder id, leftmost leaf descendant id) of the visited
-     subtree root. *)
-  let rec go (node : Tree.t) =
-    let children = List.map go node.children in
+  (* Numbers the subtree and returns its root's leftmost leaf
+     descendant; [first] says whether it is its parent's first child. *)
+  let rec go ~first (node : Tree.t) =
+    let first_lld = ref (-1) in
+    List.iteri
+      (fun c child ->
+        let l = go ~first:(c = 0) child in
+        if c = 0 then first_lld := l)
+      node.children;
     let me = !counter in
     incr counter;
     labels.(me) <- node.label;
-    List.iter (fun (c, _) -> parent.(c) <- me) children;
-    let my_lld = match children with [] -> me | (_, first_lld) :: _ -> first_lld in
+    let my_lld = if !first_lld < 0 then me else !first_lld in
     lld.(me) <- my_lld;
-    (me, my_lld)
+    if not first then Tsj_util.Vec_int.push keyroots me;
+    my_lld
   in
-  ignore (go tree);
-  { size = n; labels; lld; parent; keyroots = keyroots_of n lld parent; dag = [||] }
+  ignore (go ~first:false tree);
+  { size = n; labels; lld; keyroots = Tsj_util.Vec_int.to_array keyroots; dag = [||] }
 
 let of_dag (root : Dag.node) =
   let n = Dag.size root in
   let labels = Array.make n 0 in
   let lld = Array.make n 0 in
-  let parent = Array.make n (-1) in
   let dag = Array.make n 0 in
+  let keyroots = Tsj_util.Vec_int.create () in
   let counter = ref 0 in
-  let rec go (node : Dag.node) =
-    let k = Array.length node.Dag.children in
+  let rec go ~first (node : Dag.node) =
     let first_lld = ref (-1) in
-    let child_ids = Array.make k 0 in
-    for c = 0 to k - 1 do
-      let cid, clld = go node.Dag.children.(c) in
-      child_ids.(c) <- cid;
-      if c = 0 then first_lld := clld
-    done;
+    Array.iteri
+      (fun c child ->
+        let l = go ~first:(c = 0) child in
+        if c = 0 then first_lld := l)
+      node.Dag.children;
     let me = !counter in
     incr counter;
     labels.(me) <- node.Dag.label;
     dag.(me) <- node.Dag.id;
-    Array.iter (fun c -> parent.(c) <- me) child_ids;
-    let my_lld = if k = 0 then me else !first_lld in
+    let my_lld = if !first_lld < 0 then me else !first_lld in
     lld.(me) <- my_lld;
-    (me, my_lld)
+    if not first then Tsj_util.Vec_int.push keyroots me;
+    my_lld
   in
-  ignore (go root);
-  { size = n; labels; lld; parent; keyroots = keyroots_of n lld parent; dag }
+  ignore (go ~first:false root);
+  { size = n; labels; lld; keyroots = Tsj_util.Vec_int.to_array keyroots; dag }
 
 let n_leaves t =
   let count = ref 0 in

@@ -9,8 +9,9 @@ type t = {
   size : int;
   labels : int array;    (** [labels.(i)]: label of postorder node [i] *)
   lld : int array;       (** leftmost leaf descendant of node [i] *)
-  parent : int array;    (** parent postorder number; [-1] for the root *)
-  keyroots : int array;  (** LR-keyroots in ascending order *)
+  keyroots : int array;  (** LR-keyroots in ascending order: the root and
+                             every node that is not its parent's first
+                             child *)
   dag : int array;       (** [dag.(i)]: {!Dag} node id of the subtree rooted
                              at postorder node [i]; [[||]] when built by
                              {!of_tree} (unconsed) *)

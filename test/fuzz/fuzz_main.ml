@@ -284,6 +284,27 @@ let fuzz_xml iterations rng =
   done;
   !failures
 
+(* A [HELLO BIN v] offer below the current frame version is answered
+   ERR, and the connection keeps answering text lines: a QUERY sent next
+   gets a text HITS (or a BUSY shed) on the same connection. *)
+let expect_text_refusal ic oc v =
+  let module Protocol = Tsj_server.Protocol in
+  Printf.fprintf oc "HELLO BIN %d\n" v;
+  flush oc;
+  (match Protocol.parse_response (input_line ic) with
+  | Ok (Protocol.Err _) -> ()
+  | Ok r -> failwith (Printf.sprintf "HELLO BIN %d answered %s" v (Protocol.render_response r))
+  | Error msg -> failwith ("unparseable refused-HELLO reply: " ^ msg));
+  output_string oc "QUERY 0 {f0}\n";
+  flush oc;
+  match Protocol.parse_response (input_line ic) with
+  | Ok (Protocol.Hits _ | Protocol.Busy _) -> ()
+  | Ok r ->
+    failwith
+      (Printf.sprintf "text QUERY after a refused HELLO answered %s"
+         (Protocol.render_response r))
+  | Error msg -> failwith ("text QUERY after a refused HELLO: " ^ msg)
+
 (* Service robustness: a live server must survive arbitrary bytes on the
    wire.  Every non-blank request line — valid, truncated, mutated or
    soup — must be answered by exactly one reply that parses under the
@@ -531,11 +552,15 @@ let fuzz_server iterations rng =
         | Error msg -> failwith (Printf.sprintf "%s answered undecodably: %s" what msg)
     in
     (try
-       let v = 1 + Prng.int rng 3 in
-       Printf.fprintf oc "HELLO BIN %d\n" v;
+       (* Offers below the current version are refused with ERR and the
+          connection stays a text connection; the client then offers the
+          current version on that same connection. *)
+       let v = 1 + Prng.int rng 5 in
+       if v < Protocol.Binary.version then expect_text_refusal ic oc v;
+       Printf.fprintf oc "HELLO BIN %d\n" (max v Protocol.Binary.version);
        flush oc;
        (match Protocol.parse_response (input_line ic) with
-       | Ok (Protocol.Hello_reply w) when w >= 1 && w <= v -> ()
+       | Ok (Protocol.Hello_reply w) when w = Protocol.Binary.version -> ()
        | Ok r -> failwith ("bad HELLO reply " ^ Protocol.render_response r)
        | Error msg -> failwith ("unparseable HELLO reply: " ^ msg));
        for _ = 1 to 1 + Prng.int rng 3 do
@@ -986,13 +1011,9 @@ let fuzz_router iterations rng =
   let shady_stats rng =
     Protocol.Stats_reply
       {
-        Protocol.trees = Prng.int rng 4; tau = 2; queries = 0; adds = 0;
-        shed = 0; degraded = 0; errors = 0; quarantined = 0; inflight = 0;
-        draining = false; journal_records = Prng.int rng 4;
-        epoch = Prng.int rng 50; primary = Prng.int rng 4 <> 0; dedup = 0;
-        scrubbed = 0; crc_failures = 0; repaired = 0; expired = 0;
-        accept_pauses = 0; reaped = 0; q_p50 = 0; q_p95 = 0; q_p99 = 0;
-        k_p50 = 0; k_p95 = 0; k_p99 = 0; a_p50 = 0; a_p95 = 0; a_p99 = 0;
+        Protocol.zero_stats with
+        trees = Prng.int rng 4; tau = 2; journal_records = Prng.int rng 4;
+        epoch = Prng.int rng 50; primary = Prng.int rng 4 <> 0;
       }
   in
   let handle_conn fd =
@@ -1496,16 +1517,16 @@ let fuzz_overload iterations rng =
     let ((_, ic, oc) as c) = connect () in
     (try
        let offered = 1 + Prng.int rng 7 in
-       output_string oc (Printf.sprintf "HELLO BIN %d\n" offered);
+       if offered < Protocol.Binary.version then expect_text_refusal ic oc offered;
+       output_string oc
+         (Printf.sprintf "HELLO BIN %d\n" (max offered Protocol.Binary.version));
        flush oc;
-       let v =
-         match Protocol.parse_response (input_line ic) with
-         | Ok (Protocol.Hello_reply v) -> v
-         | Ok r -> failwith ("bad HELLO reply " ^ Protocol.render_response r)
-         | Error msg -> failwith ("unparseable HELLO reply: " ^ msg)
-       in
-       if v <> min offered Protocol.Binary.version then
-         failwith (Printf.sprintf "negotiated v%d from an offer of v%d" v offered);
+       (match Protocol.parse_response (input_line ic) with
+       | Ok (Protocol.Hello_reply v) when v = Protocol.Binary.version -> ()
+       | Ok (Protocol.Hello_reply v) ->
+         failwith (Printf.sprintf "negotiated v%d from an offer of v%d" v offered)
+       | Ok r -> failwith ("bad HELLO reply " ^ Protocol.render_response r)
+       | Error msg -> failwith ("unparseable HELLO reply: " ^ msg));
        let read_frame () =
          let flen = Protocol.Binary.get_u32 (really_input_string ic 4) 0 in
          let rest = really_input_string ic flen in
@@ -1531,7 +1552,7 @@ let fuzz_overload iterations rng =
            | _ -> Protocol.Add { seq = None; tree }
          in
          let buf = Buffer.create 64 in
-         Protocol.Binary.encode_request buf ~id ?deadline_ms ~version:v req;
+         Protocol.Binary.encode_request buf ~id ?deadline_ms req;
          output_string oc (Buffer.contents buf);
          flush oc;
          let rid, op, body = read_frame () in
@@ -1541,7 +1562,7 @@ let fuzz_overload iterations rng =
          | Ok resp -> (
            check_busy_hint "binary" resp;
            match (deadline_ms, resp) with
-           | Some 0, (Protocol.Hits _ | Protocol.Added _) when v >= 2 ->
+           | Some 0, (Protocol.Hits _ | Protocol.Added _) ->
              failwith "a zero binary budget yielded an answer"
            | _ -> ())
        done

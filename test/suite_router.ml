@@ -488,6 +488,13 @@ let test_router_front_wire () =
           (match ok_or_fail (Client.request conn Protocol.Stats) with
           | Protocol.Stats_reply { trees = 3; _ } -> ()
           | r -> Alcotest.failf "bad stats %s" (Protocol.render_response r));
+          (* a staleness bound is refused, never silently dropped *)
+          (let ic, oc = Client.channels conn in
+           output_string oc "QUERY 1 ~0 {a{b}{c}}\n";
+           flush oc;
+           let reply = input_line ic in
+           Alcotest.(check bool) ("bounded read refused: " ^ reply) true
+             (String.starts_with ~prefix:"ERR " reply));
           Client.close conn))
 
 (* --- ledger recovery and orphan adoption --- *)

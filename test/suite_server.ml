@@ -78,6 +78,15 @@ let test_request_roundtrip () =
   let msg = err "QUERY 1 {a{b}" in
   Alcotest.(check bool) ("has location: " ^ msg) true
     (String.length msg > 10 && String.sub msg 0 6 = "QUERY:");
+  (* the staleness and deadline tokens, in that order, on reads *)
+  (match Protocol.parse_request_d "KNN 3 ~2 @40 {a}" with
+  | Ok (Protocol.Knn { k = 3; _ }, Some 2, Some 40) -> ()
+  | _ -> Alcotest.fail "KNN ~2 @40 not parsed");
+  Alcotest.(check string) "bad staleness token is located"
+    "QUERY: bad staleness token \"~x\" (expected ~<records>)" (err "QUERY 1 ~x {a}");
+  ignore (err "QUERY 1 ~-1 {a}");
+  ignore (err "QUERY 1 @5 ~1 {a}");
+  ignore (err "ADD ~1 {a}");
   (* case-insensitive verb *)
   (match Protocol.parse_request "query 1 {a}" with
   | Ok (Protocol.Query { tau = 1; _ }) -> ()
@@ -130,6 +139,138 @@ let test_response_roundtrip () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%S unexpectedly parsed" s)
     [ "HITS 0 2 0 1:2"; "HITS 2 0 0"; "ADDED x 0"; "STATS trees=1"; "OK"; "nonsense" ]
+
+(* Frames carry the text lines: for every request and reply variant the
+   frame body is byte-for-byte the rendered line, and decoding the frame
+   gives what parsing the line gives.  Labels with spaces, braces,
+   backslashes and newlines are in the alphabet: a frame is
+   length-delimited, so even a newline inside a tree must round-trip. *)
+let odd_labels =
+  Array.map Tsj_tree.Label.intern
+    [| "a"; "b c"; "x{y}"; "back\\slash"; "line\nbreak"; " lead"; "trail " |]
+
+let random_request rng =
+  let tree () = Gen.random_tree ~labels:odd_labels rng (1 + Prng.int rng 6) in
+  let opt f = if Prng.int rng 2 = 0 then None else Some (f ()) in
+  let n () = Prng.int rng 1000 in
+  let lag = opt n and deadline = opt (fun () -> Prng.int rng 100_000) in
+  let req =
+    match Prng.int rng 11 with
+    | 0 -> Protocol.Query { tau = Prng.int rng 4; tree = tree () }
+    | 1 -> Protocol.Knn { k = Prng.int rng 6; tree = tree () }
+    | 2 -> Protocol.Add { seq = opt n; tree = tree () }
+    | 3 -> Protocol.Stats
+    | 4 -> Protocol.Health
+    | 5 -> Protocol.Drain
+    | 6 -> Protocol.Sync { epoch = n (); from_seq = n () }
+    | 7 -> Protocol.Ack (n ())
+    | 8 -> Protocol.Get (n ())
+    | 9 ->
+      let lo = n () in
+      Protocol.Digest { epoch = n (); lo; hi = lo + n () }
+    | _ -> Protocol.Promote
+  in
+  (req, lag, deadline)
+
+let random_response rng =
+  let n () = Prng.int rng 100_000 in
+  let list f = List.init (Prng.int rng 4) (fun _ -> f ()) in
+  let words () =
+    String.concat
+      (if Prng.int rng 2 = 0 then " " else "\n")
+      (list (fun () -> Printf.sprintf "w%d" (n ())) @ [ "end" ])
+  in
+  match Prng.int rng 15 with
+  | 0 ->
+    Protocol.Hits
+      { degraded = Prng.int rng 2 = 0; hits = list (fun () -> (n (), n ()));
+        unverified = list (fun () -> (n (), n (), n ())) }
+  | 1 -> Protocol.Added { id = n (); partners = list (fun () -> (n (), n ())) }
+  | 2 ->
+    Protocol.Tree_reply
+      { seq = n (); tree = Gen.random_tree ~labels:odd_labels rng (1 + Prng.int rng 6) }
+  | 3 ->
+    let v () = if Prng.int rng 2 = 0 then 0 else n () in
+    let b () = Prng.int rng 2 = 0 in
+    Protocol.Stats_reply
+      { trees = v (); tau = v (); queries = v (); adds = v (); shed = v ();
+        degraded = v (); errors = v (); quarantined = v (); inflight = v ();
+        draining = b (); journal_records = v (); epoch = v (); primary = b ();
+        dedup = v (); scrubbed = v (); crc_failures = v (); repaired = v ();
+        expired = v (); accept_pauses = v (); reaped = v (); q_p50 = v ();
+        q_p95 = v (); q_p99 = v (); k_p50 = v (); k_p95 = v (); k_p99 = v ();
+        a_p50 = v (); a_p95 = v (); a_p99 = v () }
+  | 4 -> Protocol.Health_reply { draining = Prng.int rng 2 = 0 }
+  | 5 -> Protocol.Drained
+  | 6 -> Protocol.Busy { retry_after_ms = (if Prng.int rng 2 = 0 then None else Some (n ())) }
+  | 7 -> Protocol.Err (words ())
+  | 8 ->
+    let base = n () in
+    Protocol.Sync_stream { epoch = n (); base; high = base + n () }
+  | 9 -> Protocol.Record (words ())
+  | 10 ->
+    let lo = n () in
+    Protocol.Digest_reply
+      { epoch = n (); lo; hi = lo + n (); digest = Printf.sprintf "%016x" (n ()) }
+  | 11 -> Protocol.Fenced (n ())
+  | 12 -> Protocol.Promoted (n ())
+  | 13 -> Protocol.Hello_reply (1 + Prng.int rng 9)
+  | _ -> Protocol.Redirect (Printf.sprintf "/tmp/node%d.sock" (n ()))
+
+(* [(id, op, body)] of the one frame in [s], checking its length word. *)
+let deframe s =
+  let len = Protocol.Binary.get_u32 s 0 in
+  if len <> String.length s - 4 then
+    Alcotest.failf "frame length %d of %d bytes" len (String.length s);
+  (Protocol.Binary.get_u32 s 4, Char.code s.[8], String.sub s 9 (len - 5))
+
+let read_frame ic =
+  let hdr = really_input_string ic 4 in
+  deframe (hdr ^ really_input_string ic (Protocol.Binary.get_u32 hdr 0))
+
+(* Send [line] as one request frame; the reply frame's body. *)
+let frame_request (_, ic, oc) ~id line =
+  let b = Buffer.create 64 in
+  Protocol.Binary.frame b ~id ~op:0x01 line;
+  output_string oc (Buffer.contents b);
+  flush oc;
+  let rid, op, body = read_frame ic in
+  Alcotest.(check int) ("id of " ^ line) id rid;
+  Alcotest.(check int) ("reply opcode of " ^ line) 0x81 op;
+  body
+
+let prop_frames_are_text_lines =
+  Gen.qtest ~count:500 "frame bodies are the text lines"
+    QCheck.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let id = Prng.int rng 0xFFFF_FFFF in
+      let req, max_lag, deadline_ms = random_request rng in
+      let line = Protocol.render_request_d ?max_lag ?deadline_ms req in
+      let b = Buffer.create 64 in
+      Protocol.Binary.encode_request b ~id ?max_lag ?deadline_ms req;
+      let rid, op, body = deframe (Buffer.contents b) in
+      let parsed = Protocol.parse_request_d line in
+      let lag' = match req with Protocol.Query _ | Protocol.Knn _ -> max_lag | _ -> None in
+      let deadline' =
+        match req with
+        | Protocol.Query _ | Protocol.Knn _ | Protocol.Add _ -> deadline_ms
+        | _ -> None
+      in
+      let resp = random_response rng in
+      let rline = Protocol.render_response resp in
+      let b = Buffer.create 64 in
+      Protocol.Binary.encode_response b ~id resp;
+      let rrid, rop, rbody = deframe (Buffer.contents b) in
+      let rparsed = Protocol.parse_response rline in
+      rid = id && body = line
+      && Protocol.Binary.decode_request ~version:Protocol.Binary.version ~op ~body = parsed
+      && parsed = Ok (req, lag', deadline')
+      && rrid = id && rop <> op && rbody = rline
+      && Protocol.Binary.decode_response ~op:rop ~body:rbody = rparsed
+      && (match rparsed with
+         | Ok r -> Protocol.render_response r = rline
+         | Error _ -> false))
 
 (* --- store --- *)
 
@@ -1085,6 +1226,103 @@ let test_binary_hello_and_pipelining () =
       Client.Bin.close bin;
       ignore server)
 
+(* Offers of the retired frame versions are refused with ERR, and the
+   refusing connection keeps speaking text; any offer at or above the
+   current version is answered with the current version. *)
+let test_binary_hello_versions () =
+  with_server (fun addr server ->
+      ignore server;
+      let ((fd, _, _) as raw) = raw_connect addr in
+      ignore (raw_request raw "ADD {a{b}}");
+      List.iter
+        (fun v ->
+          let hello = Printf.sprintf "HELLO BIN %d" v in
+          (match Protocol.parse_response (raw_request raw hello) with
+          | Ok (Protocol.Err _) -> ()
+          | Ok r -> Alcotest.failf "%s answered %s" hello (Protocol.render_response r)
+          | Error msg -> Alcotest.failf "%s reply unparseable: %s" hello msg);
+          Alcotest.(check string) (hello ^ ": next text QUERY answered") "HITS 0 1 0 0:0"
+            (raw_request raw "QUERY 1 {a{b}}"))
+        [ 1; 2 ];
+      Alcotest.(check string) "a high offer gets the current version" "HELLO BIN 3"
+        (raw_request raw "HELLO BIN 7");
+      (* GET travels in a frame; SYNC, which hands the socket to a
+         replication thread, is refused inside one *)
+      Alcotest.(check string) "framed GET" "TREE 0 {a{b}}" (frame_request raw ~id:5 "GET 0");
+      Alcotest.(check bool) "framed SYNC refused" true
+        (String.starts_with ~prefix:"ERR " (frame_request raw ~id:6 "SYNC 0 0"));
+      Alcotest.(check string) "stream still usable" "OK serving"
+        (frame_request raw ~id:7 "HEALTH");
+      (try Unix.close fd with Unix.Unix_error _ -> ()))
+
+(* One script, once as newline lines and once as frames against a twin
+   server: every reply must be the same line.  STATS latency quantiles
+   are timings, so they are masked before comparing. *)
+let test_text_and_frames_agree () =
+  let script =
+    [ "STATS"; "HEALTH"; "ADD {a{b}{c}}"; "ADD 1 {a{b}{d}}"; "ADD 1 {a{b}{d}}";
+      "ADD @60000 {x{y}}"; "QUERY 1 {a{b}{c}}"; "QUERY 1 ~0 @5000 {a{b}{c}}";
+      "KNN 2 {a{b}}"; "KNN 1 ~3 {a{b}{d}}"; "GET 0"; "GET 99"; "DIGEST 0 0 2";
+      "DIGEST 0 0 9"; "QUERY 1 {a{b}"; "QUERY 1 ~x {a}"; "KNN 1 @-3 {a}";
+      "ADD @zz {a}"; "SYNC 0 0 0"; "STATS" ]
+  in
+  let mask line =
+    if String.length line > 5 && String.sub line 0 5 = "STATS" then
+      String.split_on_char ' ' line
+      |> List.filter (fun w ->
+             not (List.exists (fun p -> String.starts_with ~prefix:p w) [ "q_"; "k_"; "a_" ]))
+      |> String.concat " "
+    else line
+  in
+  let over_text addr =
+    let ((fd, _, _) as raw) = raw_connect addr in
+    let replies = List.map (fun line -> mask (raw_request raw line)) script in
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    replies
+  in
+  let over_frames addr =
+    let ((fd, _, _) as raw) = raw_connect addr in
+    Alcotest.(check string) "upgrade" "HELLO BIN 3" (raw_request raw "HELLO BIN 3");
+    let replies = List.mapi (fun id line -> mask (frame_request raw ~id line)) script in
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    replies
+  in
+  let text = with_server (fun addr _ -> over_text addr) in
+  let frames = with_server (fun addr _ -> over_frames addr) in
+  List.iter2
+    (fun line (a, b) -> Alcotest.(check string) line a b)
+    script (List.combine text frames);
+  (* the script reached every kind of reply it was written for *)
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool) ("some reply starts " ^ prefix) true
+        (List.exists (String.starts_with ~prefix) text))
+    [ "STATS trees=0"; "STATS trees=3"; "OK serving"; "ADDED 1"; "HITS"; "TREE 0";
+      "ERR GET 99"; "DIGEST 0 0 2"; "ERR QUERY: line"; "ERR QUERY: bad staleness";
+      "ERR KNN: bad deadline"; "ERR ADD: bad deadline"; "ERR SYNC" ]
+
+(* A frame can carry a label with a line break, but the journal and the
+   snapshot are lines: ADD refuses such a tree (a query may still use
+   one), and the store reopens with only what was acknowledged. *)
+let test_add_refuses_line_break_labels () =
+  with_store_dir (fun dir ->
+      with_server ~dir (fun addr _ ->
+          let ((fd, _, _) as raw) = raw_connect addr in
+          ignore (raw_request raw "HELLO BIN 3");
+          Alcotest.(check bool) "ADD refused" true
+            (String.starts_with ~prefix:"ERR "
+               (frame_request raw ~id:1 "ADD {a\nb{c}}"));
+          Alcotest.(check string) "QUERY answered" "HITS 0 0 0"
+            (frame_request raw ~id:2 "QUERY 1 {a\rb{c}}");
+          Alcotest.(check string) "no seq consumed" "ADDED 0 0"
+            (frame_request raw ~id:3 "ADD {x}");
+          (try Unix.close fd with Unix.Unix_error _ -> ()));
+      with_server ~dir (fun addr _ ->
+          let ((fd, _, _) as raw) = raw_connect addr in
+          Alcotest.(check bool) "reopened with the one acked tree" true
+            (String.starts_with ~prefix:"STATS trees=1 " (raw_request raw "STATS"));
+          (try Unix.close fd with Unix.Unix_error _ -> ())))
+
 let test_binary_group_commit_fsyncs () =
   (* [n] pipelined ADDs against a committer stalled at the batch fault
      point pile into full group commits of [max_batch] *)
@@ -1321,6 +1559,13 @@ let test_bounded_staleness_reads () =
           with
           | Ok (Protocol.Redirect a) -> a = Protocol.addr_to_string (addr 0)
           | _ -> false);
+      (* the same bound on a newline connection *)
+      let raw1 = raw_connect (addr 1) in
+      Alcotest.(check string) "text bounded read redirects"
+        ("REDIRECT " ^ Protocol.addr_to_string (addr 0))
+        (raw_request raw1 "QUERY 1 ~0 {a{b}{c}}");
+      (let fd, _, _ = raw1 in
+       try Unix.close fd with Unix.Unix_error _ -> ());
       (match
          ok_or_fail (Client.Bin.request bin1 (Protocol.Query { tau = 1; tree = trees.(0) }))
        with
@@ -2578,4 +2823,11 @@ let suite =
       test_sync_refusal_answered;
     Alcotest.test_case "serve_sync refusals leave the transport open" `Quick
       test_serve_sync_refusals_leave_transport_open;
+    prop_frames_are_text_lines;
+    Alcotest.test_case "retired HELLO versions refused, connection stays text" `Quick
+      test_binary_hello_versions;
+    Alcotest.test_case "text lines and frames answer one script alike" `Quick
+      test_text_and_frames_agree;
+    Alcotest.test_case "ADD refuses a label with a line break" `Quick
+      test_add_refuses_line_break_labels;
   ]

@@ -167,17 +167,21 @@ let test_postorder_lld_keyroots () =
 let prop_postorder_invariants =
   Gen.qtest "postorder invariants" (Gen.arb_tree ~max_size:25 ()) (fun x ->
       let p = Postorder.of_tree x in
-      let n = p.Postorder.size in
-      (* root is always a keyroot, llds point below, parents above *)
-      Array.length p.Postorder.keyroots > 0
-      && p.Postorder.keyroots.(Array.length p.Postorder.keyroots - 1) = n - 1
+      (* keyroots by definition, straight off the tree: number nodes in
+         postorder and keep the root and every non-first child *)
+      let expected = ref [] and counter = ref 0 in
+      let rec walk ~keyroot (node : Tree.t) =
+        List.iteri (fun c child -> walk ~keyroot:(c > 0) child) node.Tree.children;
+        if keyroot then expected := !counter :: !expected;
+        incr counter
+      in
+      walk ~keyroot:true x;
+      (* llds point below; the keyroots ascend and end at the root *)
+      p.Postorder.keyroots = Array.of_list (List.rev !expected)
       && Array.for_all (fun i -> i >= 0) p.Postorder.lld
       && (let ok = ref true in
-          for i = 0 to n - 1 do
-            if p.Postorder.lld.(i) > i then ok := false;
-            let par = p.Postorder.parent.(i) in
-            if i = n - 1 then (if par <> -1 then ok := false)
-            else if par <= i then ok := false
+          for i = 0 to p.Postorder.size - 1 do
+            if p.Postorder.lld.(i) > i then ok := false
           done;
           !ok))
 
