@@ -44,7 +44,7 @@ let consed (p1 : Postorder.t) (p2 : Postorder.t) =
 
 let distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) =
   let n1 = p1.size and n2 = p2.size in
-  if n1 = 0 || n2 = 0 then max n1 n2
+  if n1 = 0 || n2 = 0 then Int.max n1 n2
   else if consed p1 p2 && p1.dag.(n1 - 1) = p2.dag.(n2 - 1) then
     (* Identical interned trees: distance 0 without any DP. *)
     0
@@ -88,7 +88,7 @@ let distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) =
           if on_path1 && lb = l2 then begin
             let cost = if lab_a = Array.unsafe_get lab2 b then 0 else 1 in
             let v =
-              min (min (up + 1) (left + 1)) (Array.unsafe_get fd (prev + y - 1) + cost)
+              Int.min (Int.min (up + 1) (left + 1)) (Array.unsafe_get fd (prev + y - 1) + cost)
             in
             Array.unsafe_set fd (row + y) v;
             Array.unsafe_set td ((a * stride) + b) v
@@ -96,8 +96,8 @@ let distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) =
           else begin
             let x' = la - l1 and y' = lb - l2 in
             Array.unsafe_set fd (row + y)
-              (min
-                 (min (up + 1) (left + 1))
+              (Int.min
+                 (Int.min (up + 1) (left + 1))
                  (Array.unsafe_get fd ((x' * stride) + y')
                  + Array.unsafe_get td ((a * stride) + b)))
           end
@@ -135,7 +135,7 @@ let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
   if k < 0 then invalid_arg "Zhang_shasha.bounded_distance_postorder: negative threshold";
   let n1 = p1.size and n2 = p2.size in
   if abs (n1 - n2) > k then k + 1
-  else if n1 = 0 || n2 = 0 then min (max n1 n2) (k + 1)
+  else if n1 = 0 || n2 = 0 then Int.min (Int.max n1 n2) (k + 1)
   else if consed p1 p2 && p1.dag.(n1 - 1) = p2.dag.(n2 - 1) then
     (* Identical interned trees: distance 0 without any DP. *)
     0
@@ -190,19 +190,19 @@ let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
       end
       else begin
       fd.(0) <- 0;
-      for y = 1 to min n k do
+      for y = 1 to Int.min n k do
         Array.unsafe_set fd y y
       done;
       (* Rows beyond [n + k] contain no in-band cell, and the treedist
          entries they would write pair subtrees whose sizes differ by more
          than [k] — out of band for every later read, i.e. the clamp
          value.  Skip them. *)
-      for x = 1 to min m (n + k) do
+      for x = 1 to Int.min m (n + k) do
         let a = l1 + x - 1 in
         let la = Array.unsafe_get lld1 a in
         let on_path1 = la = l1 in
         let lab_a = Array.unsafe_get lab1 a in
-        let ylo = max 1 (x - k) and yhi = min n (x + k) in
+        let ylo = Int.max 1 (x - k) and yhi = Int.min n (x + k) in
         if x <= k then Array.unsafe_set fd (x * stride) x;
         let row = x * stride and prev = (x - 1) * stride in
         (* Within [ylo .. yhi], the up neighbour (x-1, y) leaves the band
@@ -220,7 +220,7 @@ let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
             if on_path1 && lb = l2 then begin
               let cost = if lab_a = Array.unsafe_get lab2 b then 0 else 1 in
               let diag = Array.unsafe_get fd (prev + y - 1) in
-              let v = min (min (up + 1) (left + 1)) (diag + cost) in
+              let v = Int.min (Int.min (up + 1) (left + 1)) (diag + cost) in
               let v = if v > inf then inf else v in
               let off = (a * stride) + b in
               Array.unsafe_set td off v;
@@ -239,7 +239,7 @@ let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
               let tdv =
                 if Array.unsafe_get td_stamp off = id then Array.unsafe_get td off else inf
               in
-              min (min (up + 1) (left + 1)) (get x' y' + tdv)
+              Int.min (Int.min (up + 1) (left + 1)) (get x' y' + tdv)
             end
           in
           Array.unsafe_set fd (row + y) (if v > inf then inf else v)
@@ -263,8 +263,8 @@ let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
            hit); [cells] is the banded DP work a hit saves.  Small pairs
            cost more to hash, record and evict than their DP is worth —
            only pairs clearing [min_entry_cells] enter the memo. *)
-        let writes = min m (n + k) * min n ((2 * k) + 1) in
-        let cells = min m (n + k) * ((2 * k) + 1) in
+        let writes = Int.min m (n + k) * Int.min n ((2 * k) + 1) in
+        let cells = Int.min m (n + k) * ((2 * k) + 1) in
         if cells < min_entry_cells || 3 * writes > max_entry_words
         then compute k1 k2 false
         else begin
@@ -292,7 +292,7 @@ let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
     Array.iter
       (fun k1 -> Array.iter (fun k2 -> run k1 k2) p2.keyroots)
       p1.keyroots;
-    min (td_get (n1 - 1) (n2 - 1)) inf
+    Int.min (td_get (n1 - 1) (n2 - 1)) inf
     in
     (* Whole-pair shortcut: the clamped result is a pure function of
        (tree, tree, clamp), so on consed inputs duplicate candidate
