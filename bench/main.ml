@@ -166,8 +166,8 @@ let () =
           (* Tiny-scale perf + dag + resilience run — the dune runtest
              hook.  Exercises the whole parallel pipeline (pool, block
              sweep, pipelined verify), fails on any cross-domain
-             mismatch, asserts the consed join bit-identical with a
-             non-zero memo hit rate on the redundant profile, and runs
+             mismatch, asserts the consed join bit-identical to the
+             plain one on the redundant profile, and runs
              one kill-and-resume scenario asserting the resumed output
              bit-identical to an uninterrupted run.  Below full scale
              nothing is written to disk. *)

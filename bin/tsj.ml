@@ -191,9 +191,8 @@ let join_cmd =
   let no_consing =
     Arg.(value & flag
          & info [ "no-consing" ]
-             ~doc:"Disable subtree hash-consing and the cross-pair TED memo \
-                   cache (PRT methods; ablation switch — the output is \
-                   bit-identical either way).")
+             ~doc:"Disable subtree hash-consing (PRT methods; ablation \
+                   switch — the output is bit-identical either way).")
   in
   let run file tau method_ show_pairs format metric jobs time_budget pair_budget
       checkpoint_file resume skip_malformed no_consing =

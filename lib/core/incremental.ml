@@ -21,7 +21,7 @@ type t = {
          single-writer) intern there; the stored tree becomes the
          shared structural view, so repeated subtrees across the stream
          cost one node and the consed preps unlock the kernels'
-         equal-subtree fast path and the cross-pair memo cache. *)
+         equal-subtree fast path. *)
   mutable n_candidates : int;
   mutable n_indexed : int;
 }

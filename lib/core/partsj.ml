@@ -83,10 +83,6 @@ let join_with_probe_stats ?(partitioning = Balanced)
   if tau < 0 then invalid_arg "Partsj.join: negative threshold";
   if domains < 1 then invalid_arg "Partsj.join: domains must be >= 1";
   let n = Array.length trees in
-  (* Memo traffic attributable to this join: the per-domain caches and
-     their counters outlive any single run, so report deltas. *)
-  let memo_hits0 = Atomic.get Tsj_ted.Memo.hits in
-  let memo_misses0 = Atomic.get Tsj_ted.Memo.misses in
   let total_t0 = Timer.now () in
   let cand_timer = Timer.create () in
   let cand_attr = ref 0.0 in
@@ -601,8 +597,8 @@ let join_with_probe_stats ?(partitioning = Balanced)
               early_accepted = stage_counts.(stage_early);
               kernel_verified = stage_counts.(stage_kernel);
               quarantined = stage_counts.(stage_quarantined);
-              memo_hits = Atomic.get Tsj_ted.Memo.hits - memo_hits0;
-              memo_misses = Atomic.get Tsj_ted.Memo.misses - memo_misses0;
+              memo_hits = 0;
+              memo_misses = 0;
             };
         };
     },

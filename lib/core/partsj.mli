@@ -118,9 +118,7 @@ val join :
     before/after benchmarking.  [consing] (default [true]) hash-conses
     every tree into a per-join {!Tsj_tree.Dag} store before the fan-out:
     structurally equal subtrees share one node, the kernels answer
-    equal-subtree pairs without running the DP, and the τ-banded kernel
-    consults the cross-pair keyroot memo cache ({!Tsj_ted.Memo}) — the
-    cache traffic is reported in [stats.cascade.memo_hits]/[memo_misses].
+    equal-subtree pairs without running the DP.
     Consing never changes pairs, distances, or any deterministic counter
     ({!Tsj_join.Types.equal_deterministic} holds across [consing]
     on/off); [consing:false] is the before/after ablation switch.  Per-stage decisions are reported in

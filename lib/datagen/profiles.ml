@@ -140,7 +140,7 @@ let instantiate profile ~seed ~n =
      is a shallow random "glue" scaffold whose leaves are drawn from this
      fixed pool of subtrees, referenced physically — the same fragment
      value appears in many trees, which is the subtree repetition the
-     hash-consing layer and the cross-pair TED memo exploit. *)
+     hash-consing layer exploits. *)
   let fragments =
     Array.init profile.fragment_pool (fun _ ->
         Generator.random_tree rng profile.params)

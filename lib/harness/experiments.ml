@@ -348,8 +348,7 @@ let perf config =
   let identical =
     Types.equal_results o1 oN
     && o1.Types.stats.Types.n_candidates = oN.Types.stats.Types.n_candidates
-    (* equal_cascade: the memo hit/miss split is scheduling-dependent *)
-    && Types.equal_cascade o1.Types.stats.Types.cascade oN.Types.stats.Types.cascade
+    && o1.Types.stats.Types.cascade = oN.Types.stats.Types.cascade
     && p1 = pN
   in
   let lossless =
@@ -482,14 +481,12 @@ let perf config =
   if not identical then failwith "Experiments.perf: results differ across domain counts";
   if not lossless then failwith "Experiments.perf: cascade changed the join output"
 
-(* DAG compression + cross-pair TED memo on the subtree-repetition-heavy
-   [redundant] profile: before/after memory of the interned collection,
+(* DAG compression on the subtree-repetition-heavy [redundant] profile: before/after memory of the interned collection,
    before/after verify time of the consed join, and the bit-identity of
    the output with consing on/off at 1 and [domains] domains. *)
 let dag config =
   Table.heading ~out:config.out
-    "DAG compression — hash-consed subtrees + cross-pair TED memo (redundant \
-     profile, tau = 3)";
+    "DAG compression — hash-consed subtrees (redundant profile, tau = 3)";
   let profile = Profiles.redundant in
   let n = cardinality config profile in
   let trees = dataset config profile n in
@@ -520,10 +517,8 @@ let dag config =
     words_unshared words_shared memory_ratio;
   let run ~consing d =
     (* Best of three repetitions, by attributed verify time.  Every
-       repetition is a fully cold join — a fresh Dag store mints fresh
-       ids, so the cross-pair memo never carries anything over — and the
-       heap is levelled first; the repetitions only damp scheduler and
-       GC noise, they never warm a cache. *)
+       repetition is a fully cold join with the heap levelled first; the
+       repetitions only damp scheduler and GC noise. *)
     let best = ref None in
     for _ = 1 to 3 do
       Gc.compact ();
@@ -542,33 +537,19 @@ let dag config =
   let o_off, w_off = run ~consing:false 1 in
   let o_on, w_on = run ~consing:true 1 in
   let o_onN, w_onN = run ~consing:true domains in
-  let memo (o : Types.output) =
-    let c = o.Types.stats.Types.cascade in
-    (c.Types.memo_hits, c.Types.memo_misses)
-  in
-  let hits1, misses1 = memo o_on in
-  let hit_rate =
-    if hits1 + misses1 = 0 then 0.0
-    else float_of_int hits1 /. float_of_int (hits1 + misses1)
-  in
   let row label (o : Types.output) wall =
     let s = o.Types.stats in
-    let h, m = memo o in
     [
       label;
       Table.seconds s.Types.verify_time_s;
       Table.seconds wall;
       Table.count s.Types.n_candidates;
       Table.count s.Types.n_results;
-      Table.count h;
-      Table.count m;
     ]
   in
   Table.print ~out:config.out
-    ~header:
-      [ "run"; "verify (attr)"; "total (wall)"; "candidates"; "results";
-        "memo hits"; "memo misses" ]
-    ~align:[ Table.Left; Right; Right; Right; Right; Right; Right ]
+    ~header:[ "run"; "verify (attr)"; "total (wall)"; "candidates"; "results" ]
+    ~align:[ Table.Left; Right; Right; Right; Right ]
     [
       row "consing off, 1 dom" o_off w_off;
       row "consing on, 1 dom" o_on w_on;
@@ -581,8 +562,6 @@ let dag config =
   in
   printf config "  verify speedup (consing off -> on, 1 domain): %.2fx\n"
     verify_speedup;
-  printf config "  memo hit rate (1 domain): %.1f%% (%d hits, %d misses)\n"
-    (100.0 *. hit_rate) hits1 misses1;
   printf config "  consing losslessness (off vs on): %s\n"
     (if lossless then "identical pairs, distances, quarantine and counters"
      else "MISMATCH — consing changed the join output!");
@@ -591,7 +570,6 @@ let dag config =
      else "MISMATCH — results differ across domain counts!");
   let json_run label ~consing d (o : Types.output) wall =
     let s = o.Types.stats in
-    let h, m = memo o in
     Printf.sprintf
       "    {\n\
       \      \"label\": \"%s\",\n\
@@ -601,12 +579,10 @@ let dag config =
       \      \"candidate_time_s\": %.6f,\n\
       \      \"verify_time_s\": %.6f,\n\
       \      \"n_candidates\": %d,\n\
-      \      \"n_results\": %d,\n\
-      \      \"memo_hits\": %d,\n\
-      \      \"memo_misses\": %d\n\
+      \      \"n_results\": %d\n\
       \    }"
       label d consing wall s.Types.candidate_time_s s.Types.verify_time_s
-      s.Types.n_candidates s.Types.n_results h m
+      s.Types.n_candidates s.Types.n_results
   in
   if config.scale >= 1.0 then begin
     let oc = open_out "BENCH_dag.json" in
@@ -624,7 +600,6 @@ let dag config =
       \  \"words_interned\": %d,\n\
       \  \"memory_ratio\": %.4f,\n\
       \  \"verify_speedup_consing\": %.4f,\n\
-      \  \"memo_hit_rate\": %.4f,\n\
       \  \"consing_lossless\": %b,\n\
       \  \"identical_across_domains\": %b,\n\
       \  \"runs\": [\n%s,\n%s,\n%s\n  ]\n\
@@ -633,7 +608,7 @@ let dag config =
       (Tsj_tree.Dag.interned store)
       (Tsj_tree.Dag.n_nodes store)
       (Tsj_tree.Dag.sharing store)
-      words_unshared words_shared memory_ratio verify_speedup hit_rate lossless
+      words_unshared words_shared memory_ratio verify_speedup lossless
       identical
       (json_run "consing_off" ~consing:false 1 o_off w_off)
       (json_run "consing_on" ~consing:true 1 o_on w_on)
@@ -643,8 +618,6 @@ let dag config =
   end;
   if not lossless then failwith "Experiments.dag: consing changed the join output";
   if not identical then failwith "Experiments.dag: results differ across domain counts";
-  if hits1 = 0 then
-    failwith "Experiments.dag: no memo hits on the redundant profile";
   if config.scale >= 1.0 && memory_ratio < 2.0 then
     failwith
       (Printf.sprintf

@@ -57,12 +57,11 @@ val dag : config -> unit
     [redundant] profile at τ = 3: measures the resident-set reduction of
     hash-consing the collection (deep-copied baseline vs interned shared
     views), runs the PartSJ join with consing off/on at 1 and
-    [config.domains] domains, reports the verify-time change and the
-    cross-pair memo hit rate, and at [scale >= 1.0] writes
-    [BENCH_dag.json].
+    [config.domains] domains, reports the verify-time change, and at
+    [scale >= 1.0] writes [BENCH_dag.json].
     @raise Failure if consing changes the join output, the output
-    differs across domain counts, the memo never hits, or (at
-    [scale >= 1.0]) interning saves less than 2x memory. *)
+    differs across domain counts, or (at [scale >= 1.0]) interning
+    saves less than 2x memory. *)
 
 val streaming : config -> unit
 (** Extension bench: cumulative throughput of the incremental

@@ -43,4 +43,4 @@ val run :
     sequential and ignore it.  [budget] and [checkpoint] enable the
     resilient execution of {!Tsj_core.Partsj} and are likewise
     PartSJ-only (see {!supports_resilience}), as is [consing] (default
-    on: hash-consed preps + cross-pair TED memo). *)
+    on: hash-consed preps). *)

@@ -49,19 +49,9 @@ let empty_cascade =
     memo_misses = 0;
   }
 
-(* The memo counters are not part of the candidate partition: they
-   count keyroot-pair cache lookups inside the kernel, not candidate
-   decisions. *)
 let cascade_total c =
   c.pruned_size + c.pruned_labels + c.pruned_degrees + c.pruned_sed
   + c.early_accepted + c.kernel_verified + c.quarantined
-
-(* Memo hit/miss counts depend on verification scheduling (which domain
-   saw which pair first), so determinism comparisons must ignore
-   them — everything else in the cascade is a pure per-pair sum. *)
-let norm_cascade c = { c with memo_hits = 0; memo_misses = 0 }
-
-let equal_cascade a b = norm_cascade a = norm_cascade b
 
 type stats = {
   n_trees : int;
@@ -96,7 +86,7 @@ let equal_deterministic a b =
   && a.stats.tau = b.stats.tau
   && a.stats.n_candidates = b.stats.n_candidates
   && a.stats.n_results = b.stats.n_results
-  && equal_cascade a.stats.cascade b.stats.cascade
+  && a.stats.cascade = b.stats.cascade
 
 let pp_stats fmt s =
   Format.fprintf fmt
@@ -111,6 +101,4 @@ let pp_stats fmt s =
       c.kernel_verified;
     if c.quarantined > 0 then Format.fprintf fmt " quarantined:%d" c.quarantined;
     Format.pp_print_string fmt "]"
-  end;
-  if c.memo_hits > 0 || c.memo_misses > 0 then
-    Format.fprintf fmt " memo=[hits:%d misses:%d]" c.memo_hits c.memo_misses
+  end

@@ -64,31 +64,21 @@ type cascade = {
       (** candidate pairs diverted to quarantine (budget, verifier
           failure, deadline) — counted here so the stage counters still
           partition the candidate set *)
-  memo_hits : int;
-      (** keyroot-pair subproblems answered from the cross-pair TED
-          memo cache (consed joins only; 0 with consing off) *)
-  memo_misses : int;  (** memo lookups that ran the DP and cached it *)
+  memo_hits : int;  (** always 0: the kernel has no cross-pair cache *)
+  memo_misses : int;  (** always 0 *)
 }
 (** Per-stage counters of the verification filter cascade.  For every
     join they partition the candidate set:
     [cascade_total stats.cascade = stats.n_candidates].  Methods without
-    a cascade report every candidate under [kernel_verified].  The memo
-    counters sit outside the partition (they count kernel-internal
-    cache lookups, not candidate decisions) and are
-    scheduling-dependent, so {!equal_deterministic} ignores them. *)
+    a cascade report every candidate under [kernel_verified].
+    [memo_hits]/[memo_misses] are kept for readers compiled against
+    them and sit outside the partition. *)
 
 val empty_cascade : cascade
 
 val cascade_total : cascade -> int
 (** Sum of the partition counters ({!cascade.memo_hits}/[memo_misses]
     excluded). *)
-
-val norm_cascade : cascade -> cascade
-(** The cascade with the scheduling-dependent memo counters zeroed —
-    what determinism comparisons should compare. *)
-
-val equal_cascade : cascade -> cascade -> bool
-(** Equality on {!norm_cascade}. *)
 
 type stats = {
   n_trees : int;

@@ -63,8 +63,6 @@ let use f =
       raise e
   else f (create ())
 
-let shared a = a == Domain.DLS.get key
-
 let reserve_matrices a n1 n2 =
   if n1 + 1 > a.rows || n2 + 1 > a.cols then begin
     let cap = Array.length a.td in

@@ -25,11 +25,6 @@ val use : (t -> 'a) -> 'a
     domain share its arena, so a thread that finds it claimed by
     another runs [f] on a fresh private arena instead. *)
 
-val shared : t -> bool
-(** [true] for the calling domain's arena, [false] for a private one
-    handed out by {!use} under contention.  The domain's {!Memo} cache
-    belongs to whoever holds the shared arena. *)
-
 val reserve_matrices : t -> int -> int -> unit
 (** [reserve_matrices a n1 n2] ensures [a.rows > n1] and [a.cols > n2].
     When the existing slabs already hold [(n1 + 1) * (n2 + 1)] cells the

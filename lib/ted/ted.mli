@@ -39,8 +39,8 @@ val consed_tree : consed -> Tsj_tree.Tree.t
 val preprocess_consed : consed -> prep
 (** Pure (no store mutation), so safe to run in parallel across trees.
     The resulting prep carries DAG ids in its postorders, enabling the
-    equal-subtree fast path and the cross-pair memo cache in the
-    kernels, and its {!tree} is the shared view of {!consed_tree}. *)
+    equal-subtree fast path in the kernels, and its {!tree} is the
+    shared view of {!consed_tree}. *)
 
 val tree : prep -> Tsj_tree.Tree.t
 

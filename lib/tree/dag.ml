@@ -6,9 +6,9 @@
    ids) is exact — no deep comparison ever runs after the leaves.
 
    Node ids are drawn from a process-wide atomic counter, never from a
-   per-store one: the TED memo cache (see [Tsj_ted.Memo]) is keyed by
-   id pairs and lives per domain for the whole process, outliving any
-   single collection, so ids from different stores must never alias.
+   per-store one: the TED kernels read equal ids as equal subtrees,
+   and a pair may come from two stores (a query against a collection),
+   so ids from different stores must never alias.
 
    Like [Label], the intern table is not synchronized: call [intern]
    only from one domain at a time (joins intern sequentially before

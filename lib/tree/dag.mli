@@ -13,8 +13,8 @@
     store-level dedup exploit.
 
     Ids are allocated from one process-wide counter: ids from distinct
-    stores never collide, which keeps the per-domain TED memo cache
-    (keyed by id pairs, surviving across joins) sound.
+    stores never collide, which keeps the TED kernels' equal-id fast
+    path sound on pairs drawn from two stores.
 
     Like {!Label}, a store is not synchronized — intern from one domain
     at a time.  The interned nodes themselves are immutable and safe to

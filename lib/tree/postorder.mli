@@ -23,8 +23,7 @@ val of_tree : Tree.t -> t
 val of_dag : Dag.node -> t
 (** Array form of an interned tree: identical to [of_tree (Dag.tree n)]
     except that [dag] carries the subtree node ids, which unlock the
-    equal-subtree fast path and the cross-pair memo cache in the TED
-    kernels. *)
+    equal-subtree fast path in the TED kernels. *)
 
 val n_leaves : t -> int
 

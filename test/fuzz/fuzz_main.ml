@@ -739,8 +739,7 @@ let fuzz_server iterations rng =
 (* Hash-consing soundness hunt.  Kernel half: a random batch (salted
    with exact duplicates and near-duplicate copies) is interned into a
    fresh Dag store, and the bounded/unbounded kernels on the consed
-   preps — equal-subtree fast path, cross-pair memo replay, whole-pair
-   result cache all firing — must return exactly what the unconsed
+   preps — the equal-subtree fast path firing — must return exactly what the unconsed
    preps return for random pairs and clamps.  Wire half: a live server
    opened with dedup on is fed duplicate and near-duplicate ADDs; a
    duplicate ADD must be acked with the original tree's id, a

@@ -1,7 +1,6 @@
 (* Tests for the hash-consing layer and its consumers: the Dag store
    (structural interning, collision-checked hashing under a truncated
-   hash), the cross-pair TED memo (bounded clock eviction, whole-pair
-   result cache), bit-identity of the PartSJ join with consing on/off
+   hash), bit-identity of the PartSJ join with consing on/off
    (including under a per-pair budget and across domain counts), the
    serving store's whole-tree dedup against a duplicate-free store, and
    the in-place Arena matrix reshape under shape-alternating kernel
@@ -10,7 +9,6 @@
 module Tree = Tsj_tree.Tree
 module Dag = Tsj_tree.Dag
 module Ted = Tsj_ted.Ted
-module Memo = Tsj_ted.Memo
 module Partsj = Tsj_core.Partsj
 module Types = Tsj_join.Types
 module Budget = Tsj_join.Budget
@@ -80,62 +78,6 @@ let prop_collisions_exact =
       done;
       !ok)
 
-(* --- Memo: bounded clock eviction and the result cache --- *)
-
-let test_memo_eviction () =
-  let m = Memo.create ~slots:2 ~words:1000 () in
-  let w id = Array.init 6 (fun i -> id + i) in
-  Memo.add m ~id1:1 ~id2:2 ~k:3 (w 10);
-  Memo.add m ~id1:3 ~id2:4 ~k:3 (w 20);
-  Alcotest.(check int) "both cached" 2 (Memo.used m);
-  (* Reference entry (1,2): the clock's second chance must evict the
-     unreferenced (3,4) instead. *)
-  Alcotest.(check bool) "find marks referenced" true
-    (Memo.find m ~id1:1 ~id2:2 ~k:3 = Some (w 10));
-  Memo.add m ~id1:5 ~id2:6 ~k:3 (w 30);
-  Alcotest.(check int) "still at capacity" 2 (Memo.used m);
-  Alcotest.(check bool) "referenced entry survives" true
-    (Memo.find m ~id1:1 ~id2:2 ~k:3 <> None);
-  Alcotest.(check bool) "unreferenced entry evicted" true
-    (Memo.find m ~id1:3 ~id2:4 ~k:3 = None);
-  Alcotest.(check bool) "new entry cached" true
-    (Memo.find m ~id1:5 ~id2:6 ~k:3 = Some (w 30))
-
-let test_memo_word_bound () =
-  let m = Memo.create ~slots:64 ~words:12 () in
-  Memo.add m ~id1:1 ~id2:2 ~k:1 (Array.make 9 7);
-  Alcotest.(check int) "within word bound" 9 (Memo.words m);
-  (* Oversized write-sets are ignored outright... *)
-  Memo.add m ~id1:3 ~id2:4 ~k:1 (Array.make 15 7);
-  Alcotest.(check bool) "oversized ignored" true
-    (Memo.find m ~id1:3 ~id2:4 ~k:1 = None);
-  (* ...and a fitting one evicts until the total fits again. *)
-  Memo.add m ~id1:5 ~id2:6 ~k:1 (Array.make 6 7);
-  Alcotest.(check bool) "word bound held" true (Memo.words m <= 12);
-  Alcotest.(check bool) "old entry evicted for space" true
-    (Memo.find m ~id1:1 ~id2:2 ~k:1 = None);
-  (* Same key, different clamp: distinct entries. *)
-  Memo.add m ~id1:5 ~id2:6 ~k:2 (Array.make 3 9);
-  Alcotest.(check bool) "clamp is part of the key" true
-    (Memo.find m ~id1:5 ~id2:6 ~k:2 = Some (Array.make 3 9)
-    && Memo.find m ~id1:5 ~id2:6 ~k:1 = Some (Array.make 6 7))
-
-let test_memo_result_cache () =
-  let m = Memo.create ~results:2 () in
-  Memo.add_result m ~id1:1 ~id2:2 ~k:3 0;
-  Memo.add_result m ~id1:3 ~id2:4 ~k:3 4;
-  Alcotest.(check bool) "result roundtrip" true
-    (Memo.find_result m ~id1:1 ~id2:2 ~k:3 = Some 0
-    && Memo.find_result m ~id1:3 ~id2:4 ~k:3 = Some 4);
-  Alcotest.(check bool) "clamp keys results" true
-    (Memo.find_result m ~id1:1 ~id2:2 ~k:2 = None);
-  (* The table resets wholesale when full — cheap, entries are ints. *)
-  Memo.add_result m ~id1:5 ~id2:6 ~k:3 1;
-  Alcotest.(check int) "reset on overflow" 1 (Memo.results m);
-  Alcotest.(check bool) "survivor is the newest" true
-    (Memo.find_result m ~id1:5 ~id2:6 ~k:3 = Some 1
-    && Memo.find_result m ~id1:1 ~id2:2 ~k:3 = None)
-
 (* --- consing is invisible in the join output --- *)
 
 let arb_forest =
@@ -149,7 +91,7 @@ let arb_forest =
 
 let forest_of_seed seed n max_size =
   let rng = Prng.create seed in
-  (* Salt with duplicates so the fast paths and both memo levels fire. *)
+  (* Salt with duplicates so the equal-tree fast paths fire. *)
   let base = Array.of_list (Gen.random_forest rng ~n ~max_size) in
   Array.init (Array.length base + (n / 2)) (fun i ->
       if i < Array.length base then base.(i)
@@ -293,9 +235,6 @@ let suite =
     Alcotest.test_case "intern basics" `Quick test_intern_basics;
     Alcotest.test_case "hash_bits validation" `Quick test_hash_bits_validation;
     prop_collisions_exact;
-    Alcotest.test_case "memo clock eviction" `Quick test_memo_eviction;
-    Alcotest.test_case "memo word bound" `Quick test_memo_word_bound;
-    Alcotest.test_case "memo result cache" `Quick test_memo_result_cache;
     Gen.qtest ~count:20 "join bit-identical with consing on/off" arb_forest
       prop_consing_bit_identical;
     Gen.qtest ~count:12 "budgeted join bit-identical with consing on/off"
