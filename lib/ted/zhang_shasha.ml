@@ -109,13 +109,60 @@ let distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) =
       p1.keyroots;
     td.(((n1 - 1) * stride) + (n2 - 1)))
 
-(* Threshold-banded variant.  Every forest-DP cell (x, y) measures the
-   distance between prefix forests of sizes x and y, which is at least
-   |x - y|; a cell outside the |x - y| <= k band therefore cannot lie on a
-   path of total cost <= k.  The DP is a monotone min-plus recurrence, so
-   clamping every value at k + 1 preserves all values <= k exactly while
-   capping the rest — the result is [min (distance, k + 1)] at a cost of
-   O(rows * (2k + 1)) cells per keyroot pair instead of O(rows * cols). *)
+(* Threshold-banded variant: the DP restricted to Touzet's postorder
+   strip ("A linear tree edit distance algorithm for similar ordered
+   trees", CPM 2005), with every value clamped at k + 1.
+
+   Nodes are numbered in postorder from 0.  The keyroot pair (k1, k2)
+   has leftmost leaves l1 = lld1(k1), l2 = lld2(k2), and its forest
+   cell (x, y) holds the distance between the prefix forests
+   T1[l1, l1 + x) and T2[l2, l2 + y).  Let d = l1 - l2.  The kernel
+
+   - skips every keyroot pair with |d| > k, and
+   - in a kept pair computes only the cells with
+     y - x in [dlo, dhi] = [max 0 d - k, min 0 d + k];
+
+   every other forest or td cell reads as the clamp k + 1.  The result
+   is exactly [min (TED, k + 1)]:
+
+   - Never too small.  A cell left out reads k + 1, which is at least
+     its true value clamped at k + 1.  The recurrence is a monotone
+     min-plus one, so every computed value is at least its true value
+     clamped, and so is the result.
+   - Never too large.  Let M be an optimal mapping, of cost c <= k
+     (when TED > k the first point and the clamp already give k + 1).
+     Zhang–Shasha realises M along a canonical path: delete, insert and
+     rename steps between forest cells, plus reads of td(a, b) only for
+     (a, b) in M, each computed along its own canonical path in the
+     keyroot pair whose left paths hold a and b.  Every cell (x, y) on
+     these paths has M-closed prefixes: M maps the nodes of
+     [0, l1 + x) exactly onto mapped nodes of [0, l2 + y).  (Nodes
+     before l1 lie left of the subtree of k1; a mapping preserves
+     ancestry and left-of, and inside the forests the path keeps M
+     within the prefixes.)  If both prefixes hold p mapped nodes, then
+     |(l1 + x) - (l2 + y)| <= (l1 + x - p) + (l2 + y - p), the number
+     of unmapped nodes, which is at most c <= k.  So y - x lies in
+     [d - k, d + k].  Forest sizes give |x - y| <= k as well, which
+     together is [dlo, dhi].  A td(a, b) with (a, b) in M belongs to
+     the pair with l1 = lld1(a), l2 = lld2(b), whose prefixes [0, l1)
+     and [0, l2) are M-closed, so |d| <= k and that pair is kept.
+     Every cell of the canonical paths is therefore computed, with a
+     value of at most what M pays on it, at most k; the clamp never
+     touches it, and the result is at most c.
+
+   The right-path decomposition runs this kernel on the mirrored
+   trees.  Mirroring both trees maps M to a mapping of the mirrors of
+   the same cost, so the argument holds there on the mirrored
+   postorders.
+
+   A kept pair costs O(rows * (2k + 1 - |d|)) cells instead of the
+   O(rows * (2k + 1)) of the size band alone.  The strip is also why
+   keyroot-pair results cannot be shared across pairs of trees keyed by
+   subtree identity: which cells a pair computes, and hence the td
+   values it writes, depends on d, that is on where both subtrees sit
+   in their whole trees.  A write set recorded at one offset may hold
+   k + 1 where the DP at another offset computes a value <= k, and
+   replaying it would turn a match into a miss. *)
 let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
   if k < 0 then invalid_arg "Zhang_shasha.bounded_distance_postorder: negative threshold";
   let n1 = p1.size and n2 = p2.size in
@@ -133,53 +180,51 @@ let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
     let lld1 = p1.lld and lld2 = p2.lld in
     let lab1 = p1.labels and lab2 = p2.labels in
     let td = s.Arena.td and td_stamp = s.Arena.td_stamp and fd = s.Arena.fd in
-    (* td entries not written during this call correspond to out-of-band
-       subtree pairs, whose distance exceeds k: read as the clamp value. *)
+    (* td entries not written during this call lie outside the strip
+       (or in a skipped keyroot pair): read as the clamp value. *)
     let td_get a b =
       let off = (a * stride) + b in
       if Array.unsafe_get td_stamp off = id then Array.unsafe_get td off else inf
     in
-    (* In-band read; out-of-band cells are >= |x - y| > k by the size
-       argument, so they act as the clamp value.  In-band cells are
-       always written before they are read within this keyroot pair, so
-       the uncleared scratch is never observed.  Defined once per call:
-       a definition inside [compute] would allocate a closure per
-       keyroot pair, and most passes are only a handful of cells. *)
-    let get x y = if abs (x - y) > k then inf else Array.unsafe_get fd ((x * stride) + y) in
     let compute k1 k2 =
       let l1 = lld1.(k1) and l2 = lld2.(k2) in
+      let d = l1 - l2 in
       let m = k1 - l1 + 1 and n = k2 - l2 + 1 in
-      if m = 1 && n = 1 then begin
-        (* Leaf keyroot pair: the single DP cell reduces to
-           min (2, label cost) = label cost. *)
+      if abs d > k then ()
+      else if m = 1 && n = 1 then begin
+        (* Leaf keyroot pair: the single DP cell (1, 1), always in the
+           strip, reduces to min (2, label cost) = label cost. *)
         let off = (k1 * stride) + k2 in
         Array.unsafe_set td off
           (if Array.unsafe_get lab1 k1 = Array.unsafe_get lab2 k2 then 0 else 1);
         Array.unsafe_set td_stamp off id
       end
       else begin
+      let dlo = Int.max 0 d - k and dhi = Int.min 0 d + k in
+      (* In-strip cells are always written before they are read within
+         this keyroot pair, so the uncleared scratch is never observed:
+         row 0 holds [0 .. dhi], column 0 holds [0 .. -dlo]. *)
       fd.(0) <- 0;
-      for y = 1 to Int.min n k do
+      for y = 1 to Int.min n dhi do
         Array.unsafe_set fd y y
       done;
-      (* Rows beyond [n + k] contain no in-band cell, and the treedist
-         entries they would write pair subtrees whose sizes differ by more
-         than [k] — out of band for every later read, i.e. the clamp
-         value.  Skip them. *)
-      for x = 1 to Int.min m (n + k) do
+      (* Rows beyond [n - dlo] contain no in-strip cell, and the td
+         entries they would write lie outside the strip — the clamp
+         value for every later read.  Skip them. *)
+      for x = 1 to Int.min m (n - dlo) do
         let a = l1 + x - 1 in
         let la = Array.unsafe_get lld1 a in
         let on_path1 = la = l1 in
         let lab_a = Array.unsafe_get lab1 a in
-        let ylo = Int.max 1 (x - k) and yhi = Int.min n (x + k) in
-        if x <= k then Array.unsafe_set fd (x * stride) x;
+        let ylo = Int.max 1 (x + dlo) and yhi = Int.min n (x + dhi) in
+        if x <= -dlo then Array.unsafe_set fd (x * stride) x;
         let row = x * stride and prev = (x - 1) * stride in
-        (* Within [ylo .. yhi], the up neighbour (x-1, y) leaves the band
-           only at [y = x + k], the left neighbour (x, y-1) only at
-           [y = x - k], and the diagonal (x-1, y-1) never does — so the
-           three reads need one equality test each instead of a full
-           band check. *)
-        let y_up_out = x + k and y_left_out = x - k in
+        (* Within [ylo .. yhi], the up neighbour (x-1, y) leaves the
+           strip only at [y = x + dhi], the left neighbour (x, y-1) only
+           at [y = x + dlo], and the diagonal (x-1, y-1) never does — so
+           the three reads need one equality test each instead of a full
+           strip check. *)
+        let y_up_out = x + dhi and y_left_out = x + dlo in
         for y = ylo to yhi do
           let b = l2 + y - 1 in
           let lb = Array.unsafe_get lld2 b in
@@ -197,12 +242,19 @@ let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
               v
             end
             else begin
+              (* The forest cell before subtree pair (a, b), read as the
+                 clamp outside the strip. *)
               let x' = la - l1 and y' = lb - l2 in
+              let e = y' - x' in
+              let before =
+                if e < dlo || e > dhi then inf
+                else Array.unsafe_get fd ((x' * stride) + y')
+              in
               let off = (a * stride) + b in
               let tdv =
                 if Array.unsafe_get td_stamp off = id then Array.unsafe_get td off else inf
               in
-              Int.min (Int.min (up + 1) (left + 1)) (get x' y' + tdv)
+              Int.min (Int.min (up + 1) (left + 1)) (before + tdv)
             end
           in
           Array.unsafe_set fd (row + y) (if v > inf then inf else v)

@@ -76,8 +76,10 @@ let arb_tree_triple ?max_size ?labels () =
   QCheck.triple (arb_tree ?max_size ?labels ()) (arb_tree ?max_size ?labels ())
     (arb_tree ?max_size ?labels ())
 
-(* A tree together with an edit script of length <= k applied to it. *)
-let arb_tree_with_edits ?(max_size = 12) ?(max_edits = 3) ?(labels = default_alphabet) () =
+(* A tree of [min_size .. max_size] nodes together with an edit script of
+   length <= k applied to it. *)
+let arb_tree_with_edits ?(min_size = 1) ?(max_size = 12) ?(max_edits = 3)
+    ?(labels = default_alphabet) () =
   QCheck.make
     ~print:(fun (t, ops, t') ->
       Printf.sprintf "base=%s edits=[%s] result=%s" (pp_tree t)
@@ -87,7 +89,7 @@ let arb_tree_with_edits ?(max_size = 12) ?(max_edits = 3) ?(labels = default_alp
     (fun st ->
       let seed = Random.State.int st 0x3FFFFFFF in
       let rng = Prng.create seed in
-      let size = 1 + Prng.int rng max_size in
+      let size = min_size + Prng.int rng (max_size - min_size + 1) in
       let t = random_tree ~labels rng size in
       let k = Prng.int_in rng 0 max_edits in
       let ops, t' = Tsj_tree.Edit_op.random_script rng ~labels k t in

@@ -226,6 +226,77 @@ let prop_banded_hybrid_consistent =
       done;
       !ok)
 
+(* Every ordered tree of exactly [n] nodes over [labels]. *)
+let rec trees_of_size labels n =
+  if n <= 0 then []
+  else
+    List.concat_map
+      (fun children -> List.map (fun l -> Tree.node l children) labels)
+      (forests_of_size labels (n - 1))
+
+and forests_of_size labels n =
+  if n = 0 then [ [] ]
+  else
+    List.concat_map
+      (fun first ->
+        List.concat_map
+          (fun t -> List.map (fun rest -> t :: rest) (forests_of_size labels (n - first)))
+          (trees_of_size labels first))
+      (List.init n (fun i -> i + 1))
+
+(* The strip kernel against unbounded Zhang–Shasha on every pair of
+   trees of <= 5 nodes over {a, b} (550 trees), for k = 0..3, on the
+   left and the mirrored postorders, with plain and consed preps. *)
+let test_banded_exhaustive () =
+  let labels = List.map Tsj_tree.Label.intern [ "a"; "b" ] in
+  let trees = Array.of_list (List.concat_map (trees_of_size labels) [ 1; 2; 3; 4; 5 ]) in
+  Alcotest.(check int) "trees of <= 5 nodes" 550 (Array.length trees);
+  let plain = Array.map (fun t -> Ted.preprocess t) trees in
+  let dag = Tsj_tree.Dag.create () in
+  let consed = Array.map (fun t -> Ted.preprocess ~dag t) trees in
+  let mismatches = ref 0 and first = ref None in
+  Array.iteri
+    (fun i ti ->
+      Array.iteri
+        (fun j tj ->
+          let exact = Zhang_shasha.distance ti tj in
+          for k = 0 to 3 do
+            let want = min exact (k + 1) in
+            List.iter
+              (fun (preps, algorithm) ->
+                let got = Ted.bounded_distance_prep ~algorithm preps.(i) preps.(j) k in
+                if got <> want then begin
+                  incr mismatches;
+                  if !first = None then
+                    first :=
+                      Some
+                        (Printf.sprintf "%s / %s k=%d: %d, want %d" (Bracket.to_string ti)
+                           (Bracket.to_string tj) k got want)
+                end)
+              [ (plain, Ted.Zs_left); (plain, Ted.Zs_right);
+                (consed, Ted.Zs_left); (consed, Ted.Zs_right) ]
+          done)
+        trees)
+    trees;
+  Alcotest.(check int)
+    (Printf.sprintf "mismatches (first: %s)" (Option.value !first ~default:"none"))
+    0 !mismatches
+
+(* Near pairs: a tree of 30-80 nodes and a copy a few edits away, so
+   the optimal mapping runs close to the strip's edge. *)
+let prop_banded_near_pairs =
+  Gen.qtest ~count:300 "banded TED = min(TED, k+1) on near pairs"
+    (Gen.arb_tree_with_edits ~min_size:30 ~max_size:80 ~max_edits:7 ())
+    (fun (a, _, b) ->
+      let exact = Zhang_shasha.distance a b in
+      let pa = Ted.preprocess a and pb = Ted.preprocess b in
+      List.for_all
+        (fun k ->
+          List.for_all
+            (fun algorithm -> Ted.bounded_distance_prep ~algorithm pa pb k = min exact (k + 1))
+            [ Ted.Zs_left; Ted.Zs_right; Ted.Hybrid ])
+        [ 0; 1; 2; 3; 4; 5 ])
+
 let test_banded_validation () =
   let a = t "{a}" in
   Alcotest.check_raises "negative threshold"
@@ -370,6 +441,8 @@ let suite =
     Alcotest.test_case "bounds zero on equal" `Quick test_bounds_zero_on_equal;
     prop_banded_ted_consistent;
     prop_banded_hybrid_consistent;
+    Alcotest.test_case "banded TED exhaustive on trees <= 5 nodes" `Quick test_banded_exhaustive;
+    prop_banded_near_pairs;
     Alcotest.test_case "banded validation" `Quick test_banded_validation;
     Alcotest.test_case "constrained known values" `Quick test_constrained_known;
     Alcotest.test_case "constrained within" `Quick test_constrained_within;
