@@ -376,14 +376,26 @@ let rec take_map f n = function
       | None -> None
       | Some (ys, rest) -> Some (y :: ys, rest)))
 
+(* [s] is longer than [prefix] and starts with it, ignoring ASCII case
+   ([prefix] is upper case) — checked in place, without copying [s]. *)
+let has_prefix_ci s prefix =
+  let n = String.length prefix in
+  String.length s > n
+  &&
+  let i = ref 0 in
+  while !i < n && Char.uppercase_ascii (String.unsafe_get s !i) = String.unsafe_get prefix !i do
+    incr i
+  done;
+  !i = n
+
 let parse_response line =
   let fail () = Error (Printf.sprintf "malformed reply %S" line) in
   let raw = String.trim line in
   (* RECORD carries a raw journal line whose spacing must survive the
      round trip, so it is split off before the word-based dispatch. *)
-  if String.length raw > 7 && String.uppercase_ascii (String.sub raw 0 7) = "RECORD " then
+  if has_prefix_ci raw "RECORD " then
     Ok (Record (String.trim (String.sub raw 7 (String.length raw - 7))))
-  else if String.length raw > 5 && String.uppercase_ascii (String.sub raw 0 5) = "TREE " then begin
+  else if has_prefix_ci raw "TREE " then begin
     (* Like RECORD, the payload is "<seq> <bracket-tree>" where the tree
        must keep its exact bytes — split it off before the word-based
        dispatch. *)

@@ -79,8 +79,8 @@ let distance t1 t2 =
         for x = 1 to m do
           for y = 1 to n do
             dp.(x).(y) <-
-              min
-                (min
+              Int.min
+                (Int.min
                    (dp.(x - 1).(y) + del ca.(x - 1))
                    (dp.(x).(y - 1) + ins cb.(y - 1)))
                 (dp.(x - 1).(y - 1) + d.(ca.(x - 1)).(cb.(y - 1)))

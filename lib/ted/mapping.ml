@@ -15,7 +15,7 @@ let compute t1 t2 =
   let n1 = p1.Postorder.size and n2 = p2.Postorder.size in
   let lld1 = p1.Postorder.lld and lld2 = p2.Postorder.lld in
   let lab1 = p1.Postorder.labels and lab2 = p2.Postorder.labels in
-  let treedist = Array.make_matrix (max n1 1) (max n2 1) 0 in
+  let treedist = Array.make_matrix (Int.max n1 1) (Int.max n2 1) 0 in
   let fd = Array.make_matrix (n1 + 1) (n2 + 1) 0 in
   (* Forward forest DP for the keyroot pair (k1, k2); identical recurrence
      to Zhang_shasha.distance_postorder. *)
@@ -36,15 +36,15 @@ let compute t1 t2 =
         if lld1.(a) = l1 && lld2.(b) = l2 then begin
           let cost = if lab1.(a) = lab2.(b) then 0 else 1 in
           let v =
-            min (min (fd.(x - 1).(y) + 1) (fd.(x).(y - 1) + 1)) (fd.(x - 1).(y - 1) + cost)
+            Int.min (Int.min (fd.(x - 1).(y) + 1) (fd.(x).(y - 1) + 1)) (fd.(x - 1).(y - 1) + cost)
           in
           fd.(x).(y) <- v;
           if record then treedist.(a).(b) <- v
         end
         else
           fd.(x).(y) <-
-            min
-              (min (fd.(x - 1).(y) + 1) (fd.(x).(y - 1) + 1))
+            Int.min
+              (Int.min (fd.(x - 1).(y) + 1) (fd.(x).(y - 1) + 1))
               (fd.(lld1.(a) - l1).(lld2.(b) - l2) + treedist.(a).(b))
       done
     done
@@ -96,7 +96,7 @@ let compute t1 t2 =
     for j = 0 to n2 - 1 do
       ops := Insert j :: !ops
     done;
-    { ops = !ops; cost = max n1 n2 }
+    { ops = !ops; cost = Int.max n1 n2 }
   end
   else begin
     backtrace (n1 - 1) (n2 - 1);

@@ -32,7 +32,7 @@ let forest_distance f1 f2 =
         let insert = 1 + go f1 (t2.children @ rest2) in
         let relabel = if t1.label = t2.label then 0 else 1 in
         let match_roots = relabel + go t1.children t2.children + go rest1 rest2 in
-        let d = min (min delete insert) match_roots in
+        let d = Int.min (Int.min delete insert) match_roots in
         Memo.add memo key d;
         d)
   in

@@ -9,6 +9,7 @@
      dune exec test/fuzz/fuzz_main.exe -- windows 2000000 42
      dune exec test/fuzz/fuzz_main.exe -- join 20000 42
      dune exec test/fuzz/fuzz_main.exe -- ted 200000 42
+     dune exec test/fuzz/fuzz_main.exe -- kernel 6
      dune exec test/fuzz/fuzz_main.exe -- xml 200000 42
      dune exec test/fuzz/fuzz_main.exe -- server 20000 42
      dune exec test/fuzz/fuzz_main.exe -- dag 20000 42
@@ -29,8 +30,15 @@
    - join: PartSJ must equal the nested-loop ground truth on random
      clustered datasets (expected: 0);
    - ted: Zhang-Shasha left/right/hybrid must agree, match the naive
-     reference on small inputs, and every bound must lower-bound it
-     (expected: 0);
+     reference on small inputs, and every bound must lower-bound it;
+     the banded kernel (left/right/hybrid, plain and consed preps) on a
+     tree of up to 80 nodes and a copy <= k + 2 edits away must equal
+     min (TED, k + 1) for a random k in 0..5 (expected: 0);
+   - kernel: every pair of trees of <= 6 nodes (or the given bound) over
+     {a, b} with sizes <= 3 apart, k = 0..3, left and mirrored: the
+     banded kernel must equal min (TED, k + 1); the numbers after the
+     mode are the node bound, not iterations and seed (expected: 0,
+     about a minute at 6 nodes);
    - xml: the XML parser on truncated/garbled/token-soup inputs must
      return [Ok]/[Error] without ever raising, and the lenient fragment
      parser must terminate (expected: 0);
@@ -214,19 +222,41 @@ let fuzz_join iterations rng =
   !failures
 
 let fuzz_ted iterations rng =
+  let module Ted = Tsj_ted.Ted in
   let failures = ref 0 in
   for i = 1 to iterations do
     let x = random_tree rng (1 + Prng.int rng 12) in
     let y = random_tree rng (1 + Prng.int rng 12) in
-    let px = Tsj_ted.Ted.preprocess x and py = Tsj_ted.Ted.preprocess y in
-    let l = Tsj_ted.Ted.distance_prep ~algorithm:Tsj_ted.Ted.Zs_left px py in
-    let r = Tsj_ted.Ted.distance_prep ~algorithm:Tsj_ted.Ted.Zs_right px py in
+    let px = Ted.preprocess x and py = Ted.preprocess y in
+    let l = Ted.distance_prep ~algorithm:Ted.Zs_left px py in
+    let r = Ted.distance_prep ~algorithm:Ted.Zs_right px py in
     let bad = ref [] in
     if l <> r then bad := "left<>right" :: !bad;
     if Tree.size x <= 9 && Tree.size y <= 9 && l <> Tsj_ted.Naive.distance x y then
       bad := "zs<>naive" :: !bad;
     if Tsj_ted.Bounds.(best (of_prep px) (of_prep py)) > l then bad := "bound>ted" :: !bad;
     if Tsj_ted.Constrained.distance x y < l then bad := "constrained<ted" :: !bad;
+    (* The banded kernel on a near pair: a tree of up to 80 nodes and a
+       copy at most k + 2 edits away, so the optimal mapping runs near
+       the edge of the kernel's strip. *)
+    let k = Prng.int rng 6 in
+    let base = random_tree rng (1 + Prng.int rng 80) in
+    let _, near = Tsj_tree.Edit_op.random_script rng ~labels (Prng.int_in rng 0 (k + 2)) base in
+    let plain = (Ted.preprocess base, Ted.preprocess near) in
+    let want = min (Ted.distance_prep (fst plain) (snd plain)) (k + 1) in
+    let dag = Tsj_tree.Dag.create () in
+    List.iter
+      (fun (preps, (pa, pb)) ->
+        List.iter
+          (fun (name, algorithm) ->
+            let got = Ted.bounded_distance_prep ~algorithm pa pb k in
+            if got <> want then
+              bad :=
+                Printf.sprintf "banded %s %s k=%d: %d, want %d on %s vs %s" preps name k got
+                  want (Tsj_tree.Bracket.to_string base) (Tsj_tree.Bracket.to_string near)
+                :: !bad)
+          [ ("left", Ted.Zs_left); ("right", Ted.Zs_right); ("hybrid", Ted.Hybrid) ])
+      [ ("plain", plain); ("consed", (Ted.preprocess ~dag base, Ted.preprocess ~dag near)) ];
     if !bad <> [] then begin
       incr failures;
       report "ted" i
@@ -234,6 +264,62 @@ let fuzz_ted iterations rng =
            (Tsj_tree.Bracket.to_string x) (Tsj_tree.Bracket.to_string y))
     end
   done;
+  !failures
+
+(* Every ordered tree of exactly [n] nodes over [labels]. *)
+let rec trees_of_size labels n =
+  if n <= 0 then []
+  else
+    List.concat_map
+      (fun children -> List.map (fun l -> Tree.node l children) labels)
+      (forests_of_size labels (n - 1))
+
+and forests_of_size labels n =
+  if n = 0 then [ [] ]
+  else
+    List.concat_map
+      (fun first ->
+        List.concat_map
+          (fun t -> List.map (fun rest -> t :: rest) (forests_of_size labels (n - first)))
+          (trees_of_size labels first))
+      (List.init n (fun i -> i + 1))
+
+(* Exhaustive check of the banded kernel: every pair of trees of
+   <= [max_nodes] nodes over {a, b} whose sizes differ by <= 3, at
+   k = 0..3, on the left and the mirrored postorders, against
+   [min (unbounded Zhang–Shasha, k + 1)].  Pairs further apart in size
+   only reach the kernel's size exit. *)
+let fuzz_kernel max_nodes =
+  let module Ted = Tsj_ted.Ted in
+  let ab = List.map Tsj_tree.Label.intern [ "a"; "b" ] in
+  let trees = Array.of_list (List.concat_map (trees_of_size ab) (List.init max_nodes succ)) in
+  let preps = Array.map (fun t -> Ted.preprocess t) trees in
+  let failures = ref 0 and pairs = ref 0 in
+  Array.iteri
+    (fun i pi ->
+      Array.iteri
+        (fun j pj ->
+          if abs (Ted.size pi - Ted.size pj) <= 3 then begin
+            incr pairs;
+            let exact = Ted.distance_prep ~algorithm:Ted.Zs_left pi pj in
+            for k = 0 to 3 do
+              List.iter
+                (fun (name, algorithm) ->
+                  let got = Ted.bounded_distance_prep ~algorithm pi pj k in
+                  if got <> min exact (k + 1) then begin
+                    incr failures;
+                    report "kernel" !pairs
+                      (Printf.sprintf "%s k=%d: %d, want %d on %s vs %s" name k got
+                         (min exact (k + 1)) (Tsj_tree.Bracket.to_string trees.(i))
+                         (Tsj_tree.Bracket.to_string trees.(j)))
+                  end)
+                [ ("left", Ted.Zs_left); ("right", Ted.Zs_right) ]
+            done
+          end)
+        preps)
+    preps;
+  Printf.printf "kernel: %d trees of <= %d nodes, %d pairs checked at k = 0..3\n"
+    (Array.length trees) max_nodes !pairs;
   !failures
 
 (* XML parser robustness: truncated, garbled and token-soup inputs must
@@ -1611,12 +1697,14 @@ let fuzz_overload iterations rng =
 let () =
   let mode, iterations, seed =
     match Array.to_list Sys.argv with
+    | [ _; "kernel" ] -> ("kernel", 6, 42)
     | [ _; mode ] -> (mode, 200_000, 42)
     | [ _; mode; iters ] -> (mode, int_of_string iters, 42)
     | [ _; mode; iters; seed ] -> (mode, int_of_string iters, int_of_string seed)
     | _ ->
       prerr_endline
-        "usage: fuzz_main (lemma2|windows|join|ted|xml|server|dag|router|scrub|overload) [iterations] [seed]";
+        "usage: fuzz_main (lemma2|windows|join|ted|xml|server|dag|router|scrub|overload) [iterations] [seed]\n\
+        \       fuzz_main kernel [max_nodes]   (exhaustive banded-kernel sweep, default 6 nodes)";
       exit 2
   in
   let rng = Prng.create seed in
@@ -1626,6 +1714,7 @@ let () =
     | "windows" -> fuzz_windows iterations rng
     | "join" -> fuzz_join iterations rng
     | "ted" -> fuzz_ted iterations rng
+    | "kernel" -> fuzz_kernel iterations
     | "xml" -> fuzz_xml iterations rng
     | "server" -> fuzz_server iterations rng
     | "dag" -> fuzz_dag iterations rng
@@ -1636,5 +1725,7 @@ let () =
       Printf.eprintf "unknown mode %S\n" other;
       exit 2
   in
-  Printf.printf "%s: %d iterations, %d failures\n" mode iterations failures;
+  Printf.printf "%s: %d %s, %d failures\n" mode iterations
+    (if mode = "kernel" then "max nodes" else "iterations")
+    failures;
   exit (if failures = 0 then 0 else 1)
