@@ -481,9 +481,10 @@ let perf config =
   if not identical then failwith "Experiments.perf: results differ across domain counts";
   if not lossless then failwith "Experiments.perf: cascade changed the join output"
 
-(* DAG compression on the subtree-repetition-heavy [redundant] profile: before/after memory of the interned collection,
-   before/after verify time of the consed join, and the bit-identity of
-   the output with consing on/off at 1 and [domains] domains. *)
+(* DAG compression on the subtree-repetition-heavy [redundant] profile:
+   before/after memory of the interned collection, before/after verify
+   time of the consed join, and the bit-identity of the output with
+   consing on/off at 1 and [domains] domains. *)
 let dag config =
   Table.heading ~out:config.out
     "DAG compression — hash-consed subtrees (redundant profile, tau = 3)";

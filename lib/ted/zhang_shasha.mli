@@ -24,15 +24,22 @@ val distance : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
 (** Convenience wrapper compiling both trees first. *)
 
 val bounded_distance_postorder : Tsj_tree.Postorder.t -> Tsj_tree.Postorder.t -> int -> int
-(** [bounded_distance_postorder p1 p2 k] is [min (distance, k + 1)],
-    computed with the forest DP restricted to the [|x - y| <= k] band
-    (values above [k] are clamped by the monotone min-plus recurrence, so
-    every value [<= k] stays exact).  This is the τ-aware verifier: a join
-    needs [distance <= τ], never the exact distance of dissimilar pairs.
-    Each keyroot pass shrinks from [rows * cols] to [rows * (2k + 1)]
-    cells, and the stamp-tracked scratch avoids any O(rows * cols)
-    per-call initialization (plus an immediate exit on size-incompatible
-    pairs).
+(** [bounded_distance_postorder p1 p2 k] is [min (distance, k + 1)].
+    This is the τ-aware verifier: a join needs [distance <= τ], never
+    the exact distance of dissimilar pairs.
+
+    The DP is restricted to Touzet's postorder strip.  For a keyroot
+    pair whose leftmost leaves sit at postorder positions [l1] and [l2],
+    let [d = l1 - l2]:
+    - if [|d| > k] the pair is skipped;
+    - otherwise only the forest cells [(x, y)] with
+      [y - x] in [[max 0 d - k, min 0 d + k]] are computed.
+    Every cell left out reads as [k + 1], and values above [k] are
+    clamped by the monotone min-plus recurrence, so every value [<= k]
+    stays exact (the argument is in the implementation's comment).  A
+    kept keyroot pair costs O(rows * (2k + 1 - |d|)) cells instead of
+    [rows * cols].  The stamp-tracked scratch avoids any O(rows * cols)
+    per-call initialization, and size-incompatible pairs exit at once.
     @raise Invalid_argument if [k < 0]. *)
 
 val bounded_distance : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int -> int
