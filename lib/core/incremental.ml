@@ -213,35 +213,8 @@ let query ?budget ?(domains = 1) ?tau t q =
   }
   end
 
+(* One probe at the index threshold: [query] returns every tree within
+   τ sorted by (distance, id), so its first k are the k nearest. *)
 let nearest ~k t q =
   if k < 0 then invalid_arg "Incremental.nearest: negative k";
-  if k = 0 then []
-  else begin
-    let qform = lazy (Bounds.of_prep (Ted.preprocess q)) in
-    let qb = Binary_tree.of_tree q in
-    let dist_cache : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    let dist tj =
-      match Hashtbl.find_opt dist_cache tj with
-      | Some d -> d
-      | None ->
-        let d = Bounds.distance ~tau:t.tau (Lazy.force qform) t.forms.(tj) in
-        Hashtbl.add dist_cache tj d;
-        d
-    in
-    let sorted_hits tau' =
-      Hashtbl.fold (fun tj d acc -> if d <= tau' then (tj, d) :: acc else acc) dist_cache []
-      |> List.sort (fun (i1, d1) (i2, d2) ->
-             if d1 <> d2 then compare d1 d2 else compare i1 i2)
-    in
-    (* Expand the radius until k trees are within it: every tree within
-       radius tau' is found by the radius-tau' candidate set, so once
-       hits >= k the closest k are final.  Each round reuses the
-       distances of the cheaper candidate sets of smaller radii. *)
-    let rec expand tau' =
-      List.iter (fun tj -> ignore (dist tj)) (band_candidates t ~tau:tau' qb);
-      let hits = sorted_hits tau' in
-      if List.length hits >= k || tau' = t.tau then hits else expand (tau' + 1)
-    in
-    let hits = expand 0 in
-    List.filteri (fun i _ -> i < k) hits
-  end
+  if k = 0 then [] else List.filteri (fun i _ -> i < k) (query t q).hits

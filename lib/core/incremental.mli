@@ -5,7 +5,7 @@
     high rate" — its index is already built on-the-fly.  This module
     removes the remaining batch assumption (size-ascending processing):
     trees may arrive in {e any} order.  On arrival, a tree probes the
-    per-size indexes over the whole [size ± τ] band (Lemma 2 partitions
+    size-keyed index over the whole [size ± τ] window (Lemma 2 partitions
     the {e indexed} tree, so the direction of the size difference is
     irrelevant), reports its join partners among everything seen so far,
     and is then partitioned and indexed itself.
@@ -33,8 +33,7 @@ val create : tau:int -> unit -> t
     {!add}, {!query} and {!nearest} — goes through the filter cascade
     ({!Tsj_ted.Bounds.distance}), which decides most pairs from the
     bounds; the rest run the τ-banded kernel, where equal trees are
-    answered without the DP and keyroot subproblems are shared across
-    pairs through {!Tsj_ted.Memo}.  A tree whose interning raises is
+    answered without the DP.  A tree whose interning raises is
     stored as given with a plain prep; answers are the same either
     way. *)
 
@@ -100,8 +99,7 @@ val query :
 
 val nearest : k:int -> t -> Tsj_tree.Tree.t -> (int * int) list
 (** Top-k search within the index threshold: the [k] inserted trees
-    closest to the query (by TED, ties by id), found by expanding the
-    search radius [τ' = 0, 1, ...] until [k] trees lie within it — each
-    round reuses the cheaper candidate sets of smaller radii.  Fewer
+    closest to the query (by TED, ties by id).  It probes once, at the
+    index threshold, and takes the first [k] hits of {!query}.  Fewer
     than [k] pairs are returned when fewer trees lie within [τ].
     @raise Invalid_argument if [k < 0]. *)

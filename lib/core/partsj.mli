@@ -3,7 +3,7 @@
 
     Trees are processed in ascending size order.  For the current tree
     [Ti], the subgraphs of previously processed trees with size in
-    [|Ti| - τ .. |Ti|] are probed through the per-size two-layer indexes
+    [|Ti| - τ .. |Ti|] are probed through the size-keyed two-layer index
     ({!Size_bands}):
     every node [N] of [Ti] selects only the subgraphs whose postorder
     group and twig key are compatible with [N]; a selected subgraph that

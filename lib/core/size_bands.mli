@@ -1,11 +1,12 @@
-(** The per-size inverted lists of Algorithm 1: one band per tree size.
+(** The per-size inverted lists of Algorithm 1.
 
-    A band holds the two-layer index ({!Two_layer_index}) of the
-    δ-partitioned trees of that size (δ = 2τ + 1) and the overflow list
-    of its sub-δ trees, which cannot be δ-partitioned (a tree of [n]
-    nodes has only [n - 1] edges) and are therefore always candidates
-    within a probe's size window.  This is the one place that knows that
-    layout rule; the batch join ({!Partsj}), the streaming index
+    The δ-partitioned trees (δ = 2τ + 1) of every size share one
+    two-layer index ({!Two_layer_index}), whose keys carry the tree
+    size.  What remains of a size's band is the overflow list of its
+    sub-δ trees, which cannot be δ-partitioned (a tree of [n] nodes has
+    only [n - 1] edges) and are therefore always candidates within a
+    probe's size window.  This is the one place that knows that layout
+    rule; the batch join ({!Partsj}), the streaming index
     ({!Incremental}) and through it the server store all index and probe
     through it.
 
@@ -18,8 +19,8 @@
 type t
 
 val create : ?mode:Two_layer_index.mode -> tau:int -> unit -> t
-(** Empty bands for threshold [tau]; every band's two-layer index uses
-    [mode] (default {!Two_layer_index.Two_sided}).
+(** Empty bands for threshold [tau]; the two-layer index uses [mode]
+    (default {!Two_layer_index.Two_sided}).
     @raise Invalid_argument if [tau < 0]. *)
 
 val insert :
@@ -29,9 +30,9 @@ val insert :
   int ->
   Tsj_tree.Binary_tree.t ->
   int
-(** [insert bands id btree] indexes tree [id] (LC-RS form [btree]) in
-    the band of its size: on the overflow list when it has fewer than δ
-    nodes, otherwise as the subgraphs of its δ-partitioning.  Returns the
+(** [insert bands id btree] indexes tree [id] (LC-RS form [btree]): on
+    the overflow list of its size when it has fewer than δ nodes,
+    otherwise as the subgraphs of its δ-partitioning.  Returns the
     number of subgraphs indexed (0 for an overflow tree).  [partition]
     (default {!Partition.partition}) is called at most once, so a seeded
     random partitioning consumes its generator in insertion order.  With
@@ -54,11 +55,10 @@ val probe :
   probe
 (** [probe bands ~lo ~hi btree] collects every indexed tree whose size
     lies in [[lo, hi]] and that is a candidate for [btree]: all overflow
-    trees of those sizes, and every tree with a subgraph that
-    {!Subgraph.matches} [btree] at some node.  Bands are visited in
-    ascending size, each band's overflow list before its index.  A band
-    whose index is empty is not probed; [cursor] (the twig cursor of
-    [btree]) is built on first need when not supplied. *)
+    trees of those sizes (in ascending size), then every tree with a
+    subgraph that {!Subgraph.matches} [btree] at some node, in
+    {!Two_layer_index.probe} order.  [cursor] (the twig cursor of
+    [btree]) is built when not supplied and the index is not empty. *)
 
 type frozen
 (** A read-only view of the bands for the join's parallel phase.

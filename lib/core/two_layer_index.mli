@@ -1,12 +1,28 @@
-(** The two-layer subgraph index of Section 3.4.
+(** The two-layer subgraph index of Section 3.4: one index for the
+    subgraphs of every already-processed tree of every size (Algorithm
+    1's inverted lists [I_n]).  Layer 1 is the postorder position, layer
+    2 the label twig of {!Subgraph.label_key}.
 
-    One index instance holds the subgraphs of all already-processed trees
-    of one size [n] (the inverted list [I_n] of Algorithm 1).  Layer 1
-    groups subgraphs by postorder position keys; layer 2 subdivides each
-    group by the label twig key of {!Subgraph.label_key}.  Probing for
-    node [N] of the current tree looks up layer 1 with [N]'s position and
-    layer 2 with the four twig keys compatible with [N] (exact child
-    labels and [ε] wildcards).
+    {b Layout.}  Two hash tables, [by_start] (position = the subgraph
+    root's general postorder number) and [by_end] (tree size − 1 − that
+    number), both keyed by one int packed from (tree size, position,
+    root label).  A bucket lists postings that keep their exact size,
+    position, root label and twig slots, and a probe compares them: the
+    key may collide without adding or dropping a candidate, so fields of
+    any width (label ids past 2{^40}) need no checked path.  The size
+    stays in the key so that near-identical trees of many sizes do not
+    share one long bucket.
+
+    {b Hashing.}  The table hash mixes the key (SplitMix64's finalizer).
+    Buckets come from the hash's low bits, which in the packed key are
+    the root label's: an identity hash piles a label's every position and
+    size into one bucket.
+
+    {b Lookups.}  A probe over sizes [[lo, hi]] does one lookup per
+    (size, node, coordinate) — two coordinates in {!Two_sided}, one
+    otherwise — plus one per size to skip sizes with no subgraph.  Twig
+    compatibility is filtered inline: a posting's left (right) slot must
+    be [ε] or the node's left (right) child label.
 
     {b Postorder windows.}  The paper registers subgraph [s_k] (rank [k],
     root postorder [p_k]) under keys [p_k ± (τ - ⌊k/2⌋)].  Our property
@@ -41,25 +57,25 @@ val n_subgraphs : t -> int
 (** Number of subgraphs inserted (not counting key replication). *)
 
 val n_groups : t -> int
-(** Number of non-empty (position, twig) buckets — an index-size metric. *)
+(** Number of non-empty keys over both tables — an index-size metric. *)
 
 type cursor
-(** The per-node twig keys of one probed tree, precomputed.  A join
-    probes the same tree against one index per admissible size (times two
-    coordinate tables); the cursor hoists the twig-key computation out of
-    that loop. *)
+(** The per-node twig labels of one probed tree, precomputed.  A probe
+    runs the same tree over every size of its window and both coordinate
+    tables; the cursor hoists the twig computation out of that loop. *)
 
 val cursor : Tsj_tree.Binary_tree.t -> cursor
-(** [cursor target] precomputes the twig key of every node of [target]
-    in O(size). *)
+(** [cursor target] precomputes the twig of every node of [target] in
+    O(size). *)
 
-val probe_cursor : t -> cursor -> int -> (Subgraph.t -> unit) -> unit
-(** [probe_cursor idx cur v f] calls [f] on every indexed subgraph whose
-    position group contains node [v] of the cursor's tree (in either
-    coordinate) and whose twig key is compatible with that node's twig.
-    [f] may be called with subgraphs that do not actually match —
-    callers run {!Subgraph.matches} — and may be called twice for a
-    subgraph reachable through both coordinates; in {!Two_sided} mode it
-    never misses a subgraph left untouched by an edit script of length
+val probe : t -> cursor -> lo:int -> hi:int -> (Subgraph.t -> int -> unit) -> unit
+(** [probe idx cur ~lo ~hi f] calls [f s v] for every node [v] of the
+    cursor's tree and every indexed subgraph [s] of a tree whose size is
+    in [[lo, hi]], whose position window contains [v] (in either
+    coordinate) and whose twig is compatible with [v]'s.  Sizes ascend,
+    then nodes.  [f] may be called with subgraphs that do not actually
+    match — callers run {!Subgraph.matches} — and twice for a subgraph
+    reachable through both coordinates; in {!Two_sided} mode it never
+    misses a subgraph left untouched by an edit script of length
     [<= tau].  Probing never mutates the index, so several domains may
     probe one index while no {!insert} runs. *)

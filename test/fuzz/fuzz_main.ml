@@ -10,6 +10,7 @@
      dune exec test/fuzz/fuzz_main.exe -- join 20000 42
      dune exec test/fuzz/fuzz_main.exe -- ted 200000 42
      dune exec test/fuzz/fuzz_main.exe -- kernel 6
+     dune exec test/fuzz/fuzz_main.exe -- ball 6
      dune exec test/fuzz/fuzz_main.exe -- xml 200000 42
      dune exec test/fuzz/fuzz_main.exe -- server 20000 42
      dune exec test/fuzz/fuzz_main.exe -- dag 20000 42
@@ -39,6 +40,11 @@
      banded kernel must equal min (TED, k + 1); the numbers after the
      mode are the node bound, not iterations and seed (expected: 0,
      about a minute at 6 nodes);
+   - ball: every tree of <= 6 nodes (or the given bound) over {a, b}
+     and every tree within tau = 1 and tau = 2 node edits of it: the
+     edited tree must be a candidate through [Size_bands.probe] with the
+     Two_sided windows (expected: 0, about a minute at 6 nodes); the
+     paper's rank windows' misses are printed (256 at tau = 1);
    - xml: the XML parser on truncated/garbled/token-soup inputs must
      return [Ok]/[Error] without ever raising, and the lenient fragment
      parser must terminate (expected: 0);
@@ -161,11 +167,9 @@ let probe_finds mode tau subs b' =
   let idx = Index.create ~mode ~tau () in
   Array.iter (Index.insert idx) subs;
   let found = ref false in
-  let cursor = Index.cursor b' in
-  for v = 0 to b'.BT.size - 1 do
-    Index.probe_cursor idx cursor v (fun s ->
-        if (not !found) && Subgraph.matches s b' v then found := true)
-  done;
+  let size = b'.BT.size in
+  Index.probe idx (Index.cursor b') ~lo:(size - tau) ~hi:size (fun s v ->
+      if (not !found) && Subgraph.matches s b' v then found := true);
   !found
 
 let fuzz_windows iterations rng =
@@ -266,24 +270,6 @@ let fuzz_ted iterations rng =
   done;
   !failures
 
-(* Every ordered tree of exactly [n] nodes over [labels]. *)
-let rec trees_of_size labels n =
-  if n <= 0 then []
-  else
-    List.concat_map
-      (fun children -> List.map (fun l -> Tree.node l children) labels)
-      (forests_of_size labels (n - 1))
-
-and forests_of_size labels n =
-  if n = 0 then [ [] ]
-  else
-    List.concat_map
-      (fun first ->
-        List.concat_map
-          (fun t -> List.map (fun rest -> t :: rest) (forests_of_size labels (n - first)))
-          (trees_of_size labels first))
-      (List.init n (fun i -> i + 1))
-
 (* Exhaustive check of the banded kernel: every pair of trees of
    <= [max_nodes] nodes over {a, b} whose sizes differ by <= 3, at
    k = 0..3, on the left and the mirrored postorders, against
@@ -292,7 +278,7 @@ and forests_of_size labels n =
 let fuzz_kernel max_nodes =
   let module Ted = Tsj_ted.Ted in
   let ab = List.map Tsj_tree.Label.intern [ "a"; "b" ] in
-  let trees = Array.of_list (List.concat_map (trees_of_size ab) (List.init max_nodes succ)) in
+  let trees = Array.of_list (Edit_ball.trees_upto ab max_nodes) in
   let preps = Array.map (fun t -> Ted.preprocess t) trees in
   let failures = ref 0 and pairs = ref 0 in
   Array.iteri
@@ -320,6 +306,31 @@ let fuzz_kernel max_nodes =
     preps;
   Printf.printf "kernel: %d trees of <= %d nodes, %d pairs checked at k = 0..3\n"
     (Array.length trees) max_nodes !pairs;
+  !failures
+
+(* Exhaustive edit-ball sweep of the candidate filter: for every tree of
+   <= [max_nodes] nodes over {a, b}, every tree within tau = 1 and within
+   tau = 2 node edits of it must be a candidate through
+   [Size_bands.probe] with the Two_sided windows (expected: 0 misses);
+   the paper's rank windows' misses are counted and printed (expected:
+   nonzero at tau = 1, DESIGN.md finding 2). *)
+let fuzz_ball max_nodes =
+  let labels = List.map Tsj_tree.Label.intern [ "a"; "b" ] in
+  let trees = Edit_ball.trees_upto labels max_nodes in
+  let failures = ref 0 in
+  List.iter
+    (fun tau ->
+      let on_miss t t' =
+        incr failures;
+        report "ball" tau
+          (Printf.sprintf "tau=%d: %s not a candidate of %s" tau
+             (Tsj_tree.Bracket.to_string t') (Tsj_tree.Bracket.to_string t))
+      in
+      let sound = Edit_ball.sweep ~labels ~tau ~on_miss trees in
+      let paper = Edit_ball.sweep ~mode:Index.Paper_rank ~labels ~tau trees in
+      Printf.printf "ball tau=%d: %d trees of <= %d nodes, two-sided misses %d, paper-rank misses %d\n%!"
+        tau (List.length trees) max_nodes sound paper)
+    [ 1; 2 ];
   !failures
 
 (* XML parser robustness: truncated, garbled and token-soup inputs must
@@ -1697,14 +1708,15 @@ let fuzz_overload iterations rng =
 let () =
   let mode, iterations, seed =
     match Array.to_list Sys.argv with
-    | [ _; "kernel" ] -> ("kernel", 6, 42)
+    | [ _; ("kernel" | "ball") as mode ] -> (mode, 6, 42)
     | [ _; mode ] -> (mode, 200_000, 42)
     | [ _; mode; iters ] -> (mode, int_of_string iters, 42)
     | [ _; mode; iters; seed ] -> (mode, int_of_string iters, int_of_string seed)
     | _ ->
       prerr_endline
         "usage: fuzz_main (lemma2|windows|join|ted|xml|server|dag|router|scrub|overload) [iterations] [seed]\n\
-        \       fuzz_main kernel [max_nodes]   (exhaustive banded-kernel sweep, default 6 nodes)";
+        \       fuzz_main kernel [max_nodes]   (exhaustive banded-kernel sweep, default 6 nodes)\n\
+        \       fuzz_main ball [max_nodes]     (exhaustive edit-ball sweep of the index, default 6 nodes)";
       exit 2
   in
   let rng = Prng.create seed in
@@ -1715,6 +1727,7 @@ let () =
     | "join" -> fuzz_join iterations rng
     | "ted" -> fuzz_ted iterations rng
     | "kernel" -> fuzz_kernel iterations
+    | "ball" -> fuzz_ball iterations
     | "xml" -> fuzz_xml iterations rng
     | "server" -> fuzz_server iterations rng
     | "dag" -> fuzz_dag iterations rng
@@ -1726,6 +1739,6 @@ let () =
       exit 2
   in
   Printf.printf "%s: %d %s, %d failures\n" mode iterations
-    (if mode = "kernel" then "max nodes" else "iterations")
+    (if mode = "kernel" || mode = "ball" then "max nodes" else "iterations")
     failures;
   exit (if failures = 0 then 0 else 1)

@@ -193,25 +193,9 @@ let test_cascade_identical_trees () =
 
 (* --- exhaustive check on every small tree --- *)
 
-(* Every ordered tree of exactly [n] nodes over [labels]. *)
-let rec trees_of_size labels n =
-  List.concat_map
-    (fun label -> List.map (fun kids -> Tree.node label kids) (forests_of_size labels (n - 1)))
-    labels
-
-and forests_of_size labels m =
-  if m = 0 then [ [] ]
-  else
-    List.concat_map
-      (fun k ->
-        List.concat_map
-          (fun first -> List.map (fun rest -> first :: rest) (forests_of_size labels (m - k)))
-          (trees_of_size labels k))
-      (List.init m (fun i -> i + 1))
-
 let test_cascade_exhaustive () =
   let labels = [ Tsj_tree.Label.intern "a"; Tsj_tree.Label.intern "b" ] in
-  let trees = Array.of_list (List.concat_map (trees_of_size labels) [ 1; 2; 3; 4; 5 ]) in
+  let trees = Array.of_list (Edit_ball.trees_upto labels 5) in
   Alcotest.(check int) "trees of <= 5 nodes over {a, b}" 550 (Array.length trees);
   let forms = Array.map form trees in
   let fail fmt = Alcotest.failf fmt in

@@ -6,6 +6,7 @@ module Prng = Tsj_util.Prng
 module Partition = Tsj_core.Partition
 module Subgraph = Tsj_core.Subgraph
 module Two_layer_index = Tsj_core.Two_layer_index
+module Size_bands = Tsj_core.Size_bands
 
 let t s = Bracket.of_string_exn s
 
@@ -282,11 +283,9 @@ let index_completeness_check (x, ops, x') =
     let idx = Two_layer_index.create ~tau () in
     Array.iter (Two_layer_index.insert idx) (Subgraph.of_partition ~tree_id:42 p);
     let found = ref false in
-    let cursor = Two_layer_index.cursor b' in
-    for v = 0 to b'.Binary_tree.size - 1 do
-      Two_layer_index.probe_cursor idx cursor v (fun s ->
-          if (not !found) && Subgraph.matches s b' v then found := true)
-    done;
+    let size = b'.Binary_tree.size in
+    Two_layer_index.probe idx (Two_layer_index.cursor b') ~lo:(size - tau) ~hi:size
+      (fun s v -> if (not !found) && Subgraph.matches s b' v then found := true);
     !found
   end
 
@@ -318,11 +317,9 @@ let test_paper_rank_windows_incomplete () =
     let idx = Two_layer_index.create ~mode ~tau () in
     Array.iter (Two_layer_index.insert idx) subs;
     let found = ref false in
-    let cursor = Two_layer_index.cursor b' in
-    for v = 0 to b'.Binary_tree.size - 1 do
-      Two_layer_index.probe_cursor idx cursor v (fun s ->
-          if (not !found) && Subgraph.matches s b' v then found := true)
-    done;
+    let size = b'.Binary_tree.size in
+    Two_layer_index.probe idx (Two_layer_index.cursor b') ~lo:(size - tau) ~hi:size
+      (fun s v -> if (not !found) && Subgraph.matches s b' v then found := true);
     !found
   in
   (* Lemma 2 itself holds: a subgraph does occur... *)
@@ -359,6 +356,112 @@ let test_lemma1_deletion_regression () =
   Alcotest.(check int) "join finds the pair" 1
     out.Tsj_join.Types.stats.Tsj_join.Types.n_results
 
+(* Lossless edit balls (Lemmas 1-2 through the whole index path): every
+   tree within one node edit of an ordered tree of <= 7 nodes over
+   {a, b}, and within two edits of one of <= 5 nodes, is a candidate of
+   it through [Size_bands.probe] with the sound windows.  At tau = 1 the
+   paper's rank windows miss 256 of those pairs over the trees of <= 6
+   nodes (finding 2).  The tau = 2 sweep over <= 6 nodes is
+   [fuzz_main ball]. *)
+let test_edit_ball_sweep () =
+  let labels = List.map Tsj_tree.Label.intern [ "a"; "b" ] in
+  let on_miss t t' =
+    Alcotest.failf "%s is not a candidate of %s" (Bracket.to_string t') (Bracket.to_string t)
+  in
+  Alcotest.(check int) "two-sided misses, tau = 1, <= 7 nodes" 0
+    (Edit_ball.sweep ~labels ~tau:1 ~on_miss (Edit_ball.trees_upto labels 7));
+  Alcotest.(check int) "two-sided misses, tau = 2, <= 5 nodes" 0
+    (Edit_ball.sweep ~labels ~tau:2 ~on_miss (Edit_ball.trees_upto labels 5));
+  Alcotest.(check int) "paper-rank misses, tau = 1, <= 6 nodes" 256
+    (Edit_ball.sweep ~mode:Two_layer_index.Paper_rank ~labels ~tau:1
+       (Edit_ball.trees_upto labels 6))
+
+(* [Size_bands.probe] against a linear scan: an indexed tree is a
+   candidate iff its size is in the window and it is sub-δ, or one of
+   its subgraphs matches the probe tree at a node inside that subgraph's
+   postorder window for the mode (the twig filter is implied by
+   [Subgraph.matches]).  The trees are built directly with [Tree.node]
+   on label ids past 2^40 that agree with small ids in their low bits,
+   and on ids whose index keys collide with a small id's one position or
+   one size further ([2^21 + 1], [2^42 + 1]): a key that drops or
+   aliases wide fields adds or loses candidates. *)
+let wide_labels =
+  [| 1; 2; (1 lsl 21) + 1; (1 lsl 40) + 1; (1 lsl 40) + 2; (1 lsl 42) + 1; max_int |]
+
+let rec show_wide (x : Tree.t) =
+  Printf.sprintf "{%d%s}" x.Tree.label (String.concat "" (List.map show_wide x.Tree.children))
+
+let reference_candidates mode ~tau indexed b ~lo ~hi =
+  let m = b.Binary_tree.size and delta = (2 * tau) + 1 in
+  let in_window (s : Subgraph.t) v =
+    let p = b.Binary_tree.gpost.(v) and pk = s.Subgraph.root_gpost in
+    let shift_end = abs (m - 1 - p - (s.Subgraph.tree_size - 1 - pk)) in
+    match mode with
+    | Two_layer_index.Two_sided -> abs (p - pk) <= tau / 2 || shift_end <= tau / 2
+    | Two_layer_index.Paper_rank -> shift_end <= tau - (s.Subgraph.rank / 2)
+    | Two_layer_index.Label_only -> true
+  in
+  List.filter_map
+    (fun (id, bt) ->
+      let n = bt.Binary_tree.size in
+      let candidate =
+        lo <= n && n <= hi
+        && (n < delta
+           || Array.exists
+                (fun s ->
+                  List.exists
+                    (fun v -> in_window s v && Subgraph.matches s b v)
+                    (List.init m Fun.id))
+                (Subgraph.of_partition ~tree_id:id (Partition.partition bt ~delta)))
+      in
+      if candidate then Some id else None)
+    indexed
+
+let arb_probe_case =
+  QCheck.make
+    ~print:(fun (mode, tau, trees, q) ->
+      Printf.sprintf "mode=%s tau=%d trees=[%s] probe=%s"
+        (match mode with
+        | Two_layer_index.Two_sided -> "two-sided"
+        | Two_layer_index.Paper_rank -> "paper-rank"
+        | Two_layer_index.Label_only -> "label-only")
+        tau
+        (String.concat " " (List.map show_wide trees))
+        (show_wide q))
+    (fun st ->
+      let rng = Prng.create (Random.State.int st 0x3FFFFFFF) in
+      let mode =
+        Prng.choice rng
+          [| Two_layer_index.Two_sided; Two_layer_index.Paper_rank; Two_layer_index.Label_only |]
+      in
+      let tau = Prng.int rng 3 in
+      let trees =
+        List.init (2 + Prng.int rng 20) (fun _ ->
+            Gen.random_tree ~labels:wide_labels rng (1 + Prng.int rng 14))
+      in
+      (* Half the probes are near copies of an indexed tree, so the
+         windows and twigs decide, not the labels alone. *)
+      let q =
+        if Prng.bool rng then
+          snd
+            (Edit_op.random_script rng ~labels:wide_labels (Prng.int rng (tau + 1))
+               (List.nth trees (Prng.int rng (List.length trees))))
+        else Gen.random_tree ~labels:wide_labels rng (1 + Prng.int rng 14)
+      in
+      (mode, tau, trees, q))
+
+let prop_probe_matches_linear_scan =
+  Gen.qtest ~count:300 "Size_bands.probe = linear scan (all modes, wide labels)"
+    arb_probe_case (fun (mode, tau, trees, q) ->
+      let bands = Size_bands.create ~mode ~tau () in
+      let indexed = List.mapi (fun id x -> (id, Binary_tree.of_tree x)) trees in
+      List.iter (fun (id, bt) -> ignore (Size_bands.insert bands id bt)) indexed;
+      let b = Binary_tree.of_tree q in
+      let lo = b.Binary_tree.size - tau and hi = b.Binary_tree.size + tau in
+      let got = (Size_bands.probe bands ~lo ~hi b).Size_bands.candidates in
+      List.sort compare got = reference_candidates mode ~tau indexed b ~lo ~hi
+      && List.length (List.sort_uniq compare got) = List.length got)
+
 let test_index_counters () =
   let b = bt "{a{b{c{d}{e}}}{f}{g{h{i{j}}}}}" in
   let p = Partition.partition b ~delta:3 in
@@ -383,11 +486,9 @@ let test_index_exact_duplicate_found () =
   let probe_matches target =
     let tb = Binary_tree.of_tree target in
     let found = ref false in
-    let cursor = Two_layer_index.cursor tb in
-    for v = 0 to tb.Binary_tree.size - 1 do
-      Two_layer_index.probe_cursor idx cursor v (fun s ->
-          if Subgraph.matches s tb v then found := true)
-    done;
+    let size = tb.Binary_tree.size in
+    Two_layer_index.probe idx (Two_layer_index.cursor tb) ~lo:size ~hi:size (fun s v ->
+        if Subgraph.matches s tb v then found := true);
     !found
   in
   Alcotest.(check bool) "duplicate found" true (probe_matches (t "{a{b{c}}{d}}"));
@@ -415,6 +516,8 @@ let suite =
       test_paper_rank_windows_incomplete;
     Alcotest.test_case "lemma 1 deletion fix (pinned)" `Quick
       test_lemma1_deletion_regression;
+    Alcotest.test_case "edit-ball sweep (exhaustive)" `Quick test_edit_ball_sweep;
+    prop_probe_matches_linear_scan;
     Alcotest.test_case "index counters" `Quick test_index_counters;
     Alcotest.test_case "index rejects negative tau" `Quick test_index_rejects_negative_tau;
     Alcotest.test_case "index exact duplicates (tau=0)" `Quick test_index_exact_duplicate_found;

@@ -226,30 +226,12 @@ let prop_banded_hybrid_consistent =
       done;
       !ok)
 
-(* Every ordered tree of exactly [n] nodes over [labels]. *)
-let rec trees_of_size labels n =
-  if n <= 0 then []
-  else
-    List.concat_map
-      (fun children -> List.map (fun l -> Tree.node l children) labels)
-      (forests_of_size labels (n - 1))
-
-and forests_of_size labels n =
-  if n = 0 then [ [] ]
-  else
-    List.concat_map
-      (fun first ->
-        List.concat_map
-          (fun t -> List.map (fun rest -> t :: rest) (forests_of_size labels (n - first)))
-          (trees_of_size labels first))
-      (List.init n (fun i -> i + 1))
-
 (* The strip kernel against unbounded Zhang–Shasha on every pair of
    trees of <= 5 nodes over {a, b} (550 trees), for k = 0..3, on the
    left and the mirrored postorders, with plain and consed preps. *)
 let test_banded_exhaustive () =
   let labels = List.map Tsj_tree.Label.intern [ "a"; "b" ] in
-  let trees = Array.of_list (List.concat_map (trees_of_size labels) [ 1; 2; 3; 4; 5 ]) in
+  let trees = Array.of_list (Edit_ball.trees_upto labels 5) in
   Alcotest.(check int) "trees of <= 5 nodes" 550 (Array.length trees);
   let plain = Array.map (fun t -> Ted.preprocess t) trees in
   let dag = Tsj_tree.Dag.create () in
