@@ -162,12 +162,11 @@ let () =
     @ [
         ("micro", micro);
         ( "smoke",
-          (* Tiny-scale perf + dag + resilience run — the dune runtest
-             hook.  Exercises the whole parallel pipeline (pool, block
-             sweep, pipelined verify), fails on any cross-domain
-             mismatch, asserts the consed join bit-identical to the
-             plain one on the redundant profile, and runs
-             one kill-and-resume scenario asserting the resumed output
+          (* Tiny-scale perf + resilience run — the dune runtest hook.
+             Exercises the whole parallel pipeline (pool, block sweep,
+             pipelined verify), fails on any cross-domain mismatch (on
+             the synthetic and the redundant profile), and runs one
+             kill-and-resume scenario asserting the resumed output
              bit-identical to an uninterrupted run.  Below full scale
              nothing is written to disk. *)
           fun () ->
@@ -175,7 +174,6 @@ let () =
               { config with Experiments.scale = Float.min config.Experiments.scale 0.0625 }
             in
             Experiments.perf tiny;
-            Experiments.dag tiny;
             Experiments.resilience tiny );
         ( "all",
           fun () ->

@@ -188,14 +188,8 @@ let join_cmd =
                    column) instead of aborting; each skipped record is listed \
                    in the quarantine summary.")
   in
-  let no_consing =
-    Arg.(value & flag
-         & info [ "no-consing" ]
-             ~doc:"Disable subtree hash-consing (PRT methods; ablation \
-                   switch — the output is bit-identical either way).")
-  in
   let run file tau method_ show_pairs format metric jobs time_budget pair_budget
-      checkpoint_file resume skip_malformed no_consing =
+      checkpoint_file resume skip_malformed =
     if tau < 0 then begin
       Printf.eprintf "tsj: tau must be non-negative\n";
       exit 2
@@ -244,14 +238,12 @@ let join_cmd =
       match
         match (metric, method_) with
         | Tsj_join.Sweep.Ted, m ->
-          Tsj_harness.Methods.run ~domains ?budget ?checkpoint
-            ~consing:(not no_consing) m ~trees ~tau
+          Tsj_harness.Methods.run ~domains ?budget ?checkpoint m ~trees ~tau
         | metric, Tsj_harness.Methods.Nl -> Tsj_join.Nested_loop.join ~metric ~trees ~tau ()
         | metric, Tsj_harness.Methods.Str -> Tsj_baselines.Str_join.join ~metric ~trees ~tau ()
         | metric, Tsj_harness.Methods.Set -> Tsj_baselines.Set_join.join ~metric ~trees ~tau ()
         | metric, _ ->
-          Tsj_core.Partsj.join ~domains ~metric ?budget ?checkpoint
-            ~consing:(not no_consing) ~trees ~tau ()
+          Tsj_core.Partsj.join ~domains ~metric ?budget ?checkpoint ~trees ~tau ()
       with
       | out -> out
       | exception Invalid_argument msg ->
@@ -278,8 +270,7 @@ let join_cmd =
   Cmd.v
     (Cmd.info "join" ~doc:"Similarity self-join over a tree collection")
     Term.(const run $ file $ tau $ method_ $ show_pairs $ format_arg $ metric $ jobs
-          $ time_budget $ pair_budget $ checkpoint_file $ resume $ skip_malformed
-          $ no_consing)
+          $ time_budget $ pair_budget $ checkpoint_file $ resume $ skip_malformed)
 
 (* --- gen --- *)
 

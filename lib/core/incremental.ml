@@ -15,13 +15,6 @@ type t = {
       (* structural hash -> ids, newest first; collisions are resolved
          by [Tree.equal].  Serves tau = 0 point queries without probing
          or TED: distance 0 is exactly structural equality. *)
-  dag : Tsj_tree.Dag.t;
-      (* hash-consing store shared by every inserted tree.  [add] and
-         [insert] (the only mutators, and like every index mutation
-         single-writer) intern there; the stored tree becomes the
-         shared structural view, so repeated subtrees across the stream
-         cost one node and the consed preps unlock the kernels'
-         equal-subtree fast path. *)
   mutable n_candidates : int;
   mutable n_indexed : int;
 }
@@ -35,7 +28,6 @@ let create ~tau () =
     count = 0;
     bands = Size_bands.create ~tau ();
     exact = Hashtbl.create 64;
-    dag = Tsj_tree.Dag.create ();
     n_candidates = 0;
     n_indexed = 0;
   }
@@ -84,18 +76,7 @@ let find_equal t q =
 let insert_tree ~verify t tree =
   grow t;
   let id = t.count in
-  let form =
-    (* Intern first so the stored tree is the shared structural view: a
-       duplicate of an earlier tree is then physically equal to it, and
-       the consed prep carries DAG ids for the kernels.  Consing is an
-       optimisation — if it raises on a pathological shape, the tree is
-       stored as given with a plain prep. *)
-    Bounds.of_prep
-      (match Ted.cons t.dag tree with
-      | c -> Ted.preprocess_consed c
-      | exception _ -> Ted.preprocess tree)
-  in
-  let tree = Ted.tree (Bounds.prep form) in
+  let form = Bounds.of_prep (Ted.preprocess tree) in
   t.forms.(id) <- form;
   t.count <- t.count + 1;
   (let key = tree_key tree in

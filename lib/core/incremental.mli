@@ -23,19 +23,14 @@
 type t
 
 val create : tau:int -> unit -> t
-(** @raise Invalid_argument if [tau < 0].  Every inserted tree is
-    hash-consed into a per-index {!Tsj_tree.Dag} store: repeated
-    subtrees across the stream are stored once ({!tree} returns the
-    shared structural view).  {!add} and {!insert} also build the
-    tree's verifier form ({!Tsj_ted.Bounds.t}: its DAG-annotated prep
-    plus a sorted label bag and a degree histogram) right away, so the
-    read paths never fill anything in.  Every candidate pair — of
-    {!add}, {!query} and {!nearest} — goes through the filter cascade
+(** @raise Invalid_argument if [tau < 0].  {!add} and {!insert} build
+    the tree's verifier form ({!Tsj_ted.Bounds.t}: its prep plus a
+    sorted label bag and a degree histogram) right away, so the read
+    paths never fill anything in.  Every candidate pair — of {!add},
+    {!query} and {!nearest} — goes through the filter cascade
     ({!Tsj_ted.Bounds.distance}), which decides most pairs from the
-    bounds; the rest run the τ-banded kernel, where equal trees are
-    answered without the DP.  A tree whose interning raises is
-    stored as given with a plain prep; answers are the same either
-    way. *)
+    bounds (equal trees are [Accept 0] there); the rest run the
+    τ-banded kernel. *)
 
 val tau : t -> int
 

@@ -78,7 +78,7 @@ type verdict = { v_dist : int; v_stage : int; v_reason : Types.quarantine_reason
 
 let join_with_probe_stats ?(partitioning = Balanced)
     ?(index_mode = Two_layer_index.Two_sided) ?(domains = 1)
-    ?(bounded_verify = true) ?(cascade = true) ?(consing = true) ?metric ?budget
+    ?(bounded_verify = true) ?(cascade = true) ?metric ?budget
     ?checkpoint ?on_phases ~trees ~tau () =
   if tau < 0 then invalid_arg "Partsj.join: negative threshold";
   if domains < 1 then invalid_arg "Partsj.join: domains must be >= 1";
@@ -127,24 +127,6 @@ let join_with_probe_stats ?(partitioning = Balanced)
       d_cursor = Two_layer_index.cursor btree;
     }
   in
-  (* Hash-consing pass: sequential (interning mutates the store, and like
-     label interning it must not run on workers), so it happens here on
-     the caller before the fan-out.  The per-tree [consed] handles are
-     then expanded into preps by the pure [preprocess_consed] inside the
-     parallel map.  A tree whose interning raises falls back to plain
-     preprocessing — consing is an optimisation, never a gate. *)
-  let consed_slots : Ted.consed option array = Array.make (max n 1) None in
-  let (), cons_wall =
-    Timer.wall (fun () ->
-        if consing then begin
-          let dag = Tsj_tree.Dag.create () in
-          for i = 0 to n - 1 do
-            match Ted.cons dag trees.(i) with
-            | c -> consed_slots.(i) <- Some c
-            | exception _ -> ()
-          done
-        end)
-  in
   let data, prep_wall =
     Timer.wall (fun () ->
         Tsj_join.Parallel.map ~domains
@@ -153,13 +135,8 @@ let join_with_probe_stats ?(partitioning = Balanced)
               Fault.hit "partsj.prep" i;
               let tree = trees.(i) in
               let btree = Binary_tree.of_tree tree in
-              let prep =
-                match consed_slots.(i) with
-                | Some c -> Ted.preprocess_consed c
-                | None -> Ted.preprocess tree
-              in
               {
-                d_form = Bounds.of_prep prep;
+                d_form = Bounds.of_prep (Ted.preprocess tree);
                 d_btree = btree;
                 d_cursor = Two_layer_index.cursor btree;
               }
@@ -172,7 +149,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
               placeholder)
           (Array.init n Fun.id))
   in
-  verify_attr := !verify_attr +. cons_wall +. prep_wall;
+  verify_attr := !verify_attr +. prep_wall;
   let excluded i = prep_failures.(i) <> None in
   let quarantine_prep = ref [] in
   Array.iteri
@@ -360,7 +337,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
     | Some _ ->
       let params =
         Printf.sprintf
-          "v2|block=%d|part=%s|index=%s|metric=%s|bounded=%b|cascade=%b|cons=%b"
+          "v2|block=%d|part=%s|index=%s|metric=%s|bounded=%b|cascade=%b"
           block_size
           (match partitioning with
           | Balanced -> "balanced"
@@ -372,7 +349,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
           (match metric with
           | None | Some Tsj_join.Sweep.Ted -> "ted"
           | Some Tsj_join.Sweep.Constrained -> "constrained")
-          bounded_verify cascade consing
+          bounded_verify cascade
       in
       Checkpoint.fingerprint ~tau ~params trees
   in
@@ -609,8 +586,8 @@ let join_with_probe_stats ?(partitioning = Balanced)
       n_subgraphs_indexed = !n_indexed;
     } )
 
-let join ?partitioning ?index_mode ?domains ?bounded_verify ?cascade ?consing ?metric
-    ?budget ?checkpoint ?on_phases ~trees ~tau () =
+let join ?partitioning ?index_mode ?domains ?bounded_verify ?cascade ?metric ?budget
+    ?checkpoint ?on_phases ~trees ~tau () =
   fst
     (join_with_probe_stats ?partitioning ?index_mode ?domains ?bounded_verify ?cascade
-       ?consing ?metric ?budget ?checkpoint ?on_phases ~trees ~tau ())
+       ?metric ?budget ?checkpoint ?on_phases ~trees ~tau ())

@@ -82,7 +82,6 @@ val join :
   ?domains:int ->
   ?bounded_verify:bool ->
   ?cascade:bool ->
-  ?consing:bool ->
   ?metric:Tsj_join.Sweep.metric ->
   ?budget:Tsj_join.Budget.t ->
   ?checkpoint:Tsj_join.Checkpoint.config ->
@@ -115,13 +114,7 @@ val join :
     Every stage is lossless, so pairs {e and} distances are bit-identical
     with the cascade on or off; [cascade:false] restores the seed
     verifier (banded preorder-SED prefilter + τ-banded kernel) for
-    before/after benchmarking.  [consing] (default [true]) hash-conses
-    every tree into a per-join {!Tsj_tree.Dag} store before the fan-out:
-    structurally equal subtrees share one node, the kernels answer
-    equal-subtree pairs without running the DP.
-    Consing never changes pairs, distances, or any deterministic counter
-    ({!Tsj_join.Types.equal_deterministic} holds across [consing]
-    on/off); [consing:false] is the before/after ablation switch.  Per-stage decisions are reported in
+    before/after benchmarking.  Per-stage decisions are reported in
     [stats.cascade]; the counters (including [quarantined]) partition the
     candidate set.  [budget] enables the resilience limits and
     [checkpoint] the progress journal described above.  In the reported
@@ -141,7 +134,6 @@ val join_with_probe_stats :
   ?domains:int ->
   ?bounded_verify:bool ->
   ?cascade:bool ->
-  ?consing:bool ->
   ?metric:Tsj_join.Sweep.metric ->
   ?budget:Tsj_join.Budget.t ->
   ?checkpoint:Tsj_join.Checkpoint.config ->

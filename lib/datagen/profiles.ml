@@ -139,8 +139,8 @@ let instantiate profile ~seed ~n =
   (* Shared fragment pool (fragment-composed profiles): every fresh tree
      is a shallow random "glue" scaffold whose leaves are drawn from this
      fixed pool of subtrees, referenced physically — the same fragment
-     value appears in many trees, which is the subtree repetition the
-     hash-consing layer exploits. *)
+     value appears in many trees: subtree repetition across the
+     collection. *)
   let fragments =
     Array.init profile.fragment_pool (fun _ ->
         Generator.random_tree rng profile.params)

@@ -32,15 +32,16 @@ type t = {
   dup_dz : float;            (** per-node edit probability for such copies *)
   dup_exact : float;         (** share of the duplicate copies that are
                                  exact re-submissions (no edits) — the
-                                 whole-tree repetition that store dedup and
-                                 the TED fast paths exploit; 0 = none *)
+                                 whole-tree repetition that store dedup
+                                 collapses and the filter cascade accepts
+                                 at distance 0 without a kernel run;
+                                 0 = none *)
   default_cardinality : int; (** the paper's dataset size *)
   fragment_pool : int;       (** size of the shared subtree-fragment pool;
                                  0 = off.  When > 0, every fresh tree is a
                                  shallow glue scaffold over pool fragments,
                                  so identical subtrees recur across the
-                                 whole collection (the workload the DAG
-                                 compression layer targets) *)
+                                 whole collection *)
   fragment_depth : int;      (** depth of the glue scaffold above the
                                  pooled fragments *)
 }
@@ -54,8 +55,8 @@ val redundant : t
 (** Subtree-repetition-heavy profile: trees composed from a small shared
     fragment pool ([fragment_pool = 32], [fragment_depth = 2]) plus
     near-duplicate copies, half of which are exact re-submissions
-    ([dup_exact = 0.5]) — the before/after workload of the [bench dag]
-    experiment. *)
+    ([dup_exact = 0.5]).  [bench perf] checks the join on it for
+    cross-domain identity. *)
 
 val all : t list
 

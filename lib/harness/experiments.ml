@@ -325,7 +325,7 @@ let perf config =
   let tau = 3 in
   let rec_domains = Tsj_join.Parallel.recommended_domains () in
   let domains = if config.domains > 1 then config.domains else rec_domains in
-  let run ~cascade d =
+  let run ?(trees = trees) ~cascade d =
     let phases = ref None in
     let (output, pstats), wall =
       Tsj_util.Timer.wall (fun () ->
@@ -479,151 +479,21 @@ let perf config =
              label))
     [ ("cascade off", ob); ("cascade on", o1); ("cascade on parallel", oN) ];
   if not identical then failwith "Experiments.perf: results differ across domain counts";
-  if not lossless then failwith "Experiments.perf: cascade changed the join output"
-
-(* DAG compression on the subtree-repetition-heavy [redundant] profile:
-   before/after memory of the interned collection, before/after verify
-   time of the consed join, and the bit-identity of the output with
-   consing on/off at 1 and [domains] domains. *)
-let dag config =
-  Table.heading ~out:config.out
-    "DAG compression — hash-consed subtrees (redundant profile, tau = 3)";
-  let profile = Profiles.redundant in
-  let n = cardinality config profile in
-  let trees = dataset config profile n in
-  let tau = 3 in
-  let domains = if config.domains > 1 then config.domains else 4 in
-  (* Memory: the "before" side must not inherit the generator's physical
-     fragment sharing (trees arriving from disk or the wire are fully
-     materialized), so it measures deep copies; the "after" side is the
-     shared views of one Dag store. *)
-  let rec deep_copy (t : Tsj_tree.Tree.t) =
-    Tsj_tree.Tree.node t.Tsj_tree.Tree.label
-      (List.map deep_copy t.Tsj_tree.Tree.children)
-  in
-  let words_unshared = Obj.reachable_words (Obj.repr (Array.map deep_copy trees)) in
-  let store = Tsj_tree.Dag.create () in
-  let shared =
-    Array.map (fun t -> Tsj_tree.Dag.tree (Tsj_tree.Dag.intern store t)) trees
-  in
-  let words_shared = Obj.reachable_words (Obj.repr shared) in
-  let memory_ratio = float_of_int words_unshared /. float_of_int words_shared in
-  printf config
-    "\n  (n = %d, %d interned subtrees, %d distinct, sharing %.2fx)\n" n
-    (Tsj_tree.Dag.interned store)
-    (Tsj_tree.Dag.n_nodes store)
-    (Tsj_tree.Dag.sharing store);
-  printf config
-    "  resident set: %d words unshared -> %d words interned (%.2fx smaller)\n"
-    words_unshared words_shared memory_ratio;
-  let run ~consing d =
-    (* Best of three repetitions, by attributed verify time.  Every
-       repetition is a fully cold join with the heap levelled first; the
-       repetitions only damp scheduler and GC noise. *)
-    let best = ref None in
-    for _ = 1 to 3 do
-      Gc.compact ();
-      let output, wall =
-        Tsj_util.Timer.wall (fun () ->
-            Tsj_core.Partsj.join ~domains:d ~consing ~trees ~tau ())
-      in
-      match !best with
-      | Some ((prev : Types.output), _)
-        when prev.Types.stats.Types.verify_time_s
-             <= output.Types.stats.Types.verify_time_s -> ()
-      | _ -> best := Some (output, wall)
-    done;
-    Option.get !best
-  in
-  let o_off, w_off = run ~consing:false 1 in
-  let o_on, w_on = run ~consing:true 1 in
-  let o_onN, w_onN = run ~consing:true domains in
-  let row label (o : Types.output) wall =
-    let s = o.Types.stats in
-    [
-      label;
-      Table.seconds s.Types.verify_time_s;
-      Table.seconds wall;
-      Table.count s.Types.n_candidates;
-      Table.count s.Types.n_results;
-    ]
-  in
-  Table.print ~out:config.out
-    ~header:[ "run"; "verify (attr)"; "total (wall)"; "candidates"; "results" ]
-    ~align:[ Table.Left; Right; Right; Right; Right ]
-    [
-      row "consing off, 1 dom" o_off w_off;
-      row "consing on, 1 dom" o_on w_on;
-      row (Printf.sprintf "consing on, %d dom" domains) o_onN w_onN;
-    ];
-  let lossless = Types.equal_deterministic o_off o_on in
-  let identical = Types.equal_deterministic o_on o_onN in
-  let verify_speedup =
-    o_off.Types.stats.Types.verify_time_s /. o_on.Types.stats.Types.verify_time_s
-  in
-  printf config "  verify speedup (consing off -> on, 1 domain): %.2fx\n"
-    verify_speedup;
-  printf config "  consing losslessness (off vs on): %s\n"
-    (if lossless then "identical pairs, distances, quarantine and counters"
-     else "MISMATCH — consing changed the join output!");
-  printf config "  determinism (domains=1 vs domains=%d): %s\n" domains
-    (if identical then "identical output"
+  if not lossless then failwith "Experiments.perf: cascade changed the join output";
+  (* The same cross-domain check on the subtree-repetition-heavy
+     [redundant] profile, whose exact re-submissions are decided by the
+     cascade as [Accept 0] without a kernel run. *)
+  let redundant = Profiles.redundant in
+  let r_trees = dataset config redundant (cardinality config redundant) in
+  let r1, rp1, _, _ = run ~trees:r_trees ~cascade:true 1 in
+  let rN, rpN, _, _ = run ~trees:r_trees ~cascade:true domains in
+  let r_identical = Types.equal_deterministic r1 rN && rp1 = rpN in
+  printf config "  determinism on %s (domains=1 vs domains=%d): %s\n"
+    redundant.Profiles.name domains
+    (if r_identical then "identical output and probe stats"
      else "MISMATCH — results differ across domain counts!");
-  let json_run label ~consing d (o : Types.output) wall =
-    let s = o.Types.stats in
-    Printf.sprintf
-      "    {\n\
-      \      \"label\": \"%s\",\n\
-      \      \"domains\": %d,\n\
-      \      \"consing\": %b,\n\
-      \      \"total_wall_s\": %.6f,\n\
-      \      \"candidate_time_s\": %.6f,\n\
-      \      \"verify_time_s\": %.6f,\n\
-      \      \"n_candidates\": %d,\n\
-      \      \"n_results\": %d\n\
-      \    }"
-      label d consing wall s.Types.candidate_time_s s.Types.verify_time_s
-      s.Types.n_candidates s.Types.n_results
-  in
-  if config.scale >= 1.0 then begin
-    let oc = open_out "BENCH_dag.json" in
-    Printf.fprintf oc
-      "{\n\
-      \  \"benchmark\": \"dag_compression\",\n\
-      \  \"dataset\": \"%s\",\n\
-      \  \"n_trees\": %d,\n\
-      \  \"tau\": %d,\n\
-      \  \"seed\": %d,\n\
-      \  \"interned_subtrees\": %d,\n\
-      \  \"distinct_subtrees\": %d,\n\
-      \  \"subtree_sharing\": %.4f,\n\
-      \  \"words_unshared\": %d,\n\
-      \  \"words_interned\": %d,\n\
-      \  \"memory_ratio\": %.4f,\n\
-      \  \"verify_speedup_consing\": %.4f,\n\
-      \  \"consing_lossless\": %b,\n\
-      \  \"identical_across_domains\": %b,\n\
-      \  \"runs\": [\n%s,\n%s,\n%s\n  ]\n\
-       }\n"
-      profile.Profiles.name n tau config.seed
-      (Tsj_tree.Dag.interned store)
-      (Tsj_tree.Dag.n_nodes store)
-      (Tsj_tree.Dag.sharing store)
-      words_unshared words_shared memory_ratio verify_speedup lossless
-      identical
-      (json_run "consing_off" ~consing:false 1 o_off w_off)
-      (json_run "consing_on" ~consing:true 1 o_on w_on)
-      (json_run "consing_on_parallel" ~consing:true domains o_onN w_onN);
-    close_out oc;
-    printf config "  wrote BENCH_dag.json\n"
-  end;
-  if not lossless then failwith "Experiments.dag: consing changed the join output";
-  if not identical then failwith "Experiments.dag: results differ across domain counts";
-  if config.scale >= 1.0 && memory_ratio < 2.0 then
-    failwith
-      (Printf.sprintf
-         "Experiments.dag: interning reduced the resident set only %.2fx (< 2x)"
-         memory_ratio)
+  if not r_identical then
+    failwith "Experiments.perf: redundant-profile results differ across domain counts"
 
 let streaming config =
   Table.heading ~out:config.out
@@ -724,7 +594,6 @@ let experiments =
     ("ablation", ablation);
     ("parallel", parallel);
     ("perf", perf);
-    ("dag", dag);
     ("streaming", streaming);
     ("resilience", resilience);
   ]

@@ -50,18 +50,10 @@ val perf : config -> unit
     counts, and at [scale >= 1.0] writes the machine-readable record to
     [BENCH_partsj.json] in the current directory (a smaller run writes
     nothing, so it never overwrites the committed full-scale record).
-    @raise Failure if the two runs disagree. *)
-
-val dag : config -> unit
-(** DAG-compression benchmark on the subtree-repetition-heavy
-    [redundant] profile at τ = 3: measures the resident-set reduction of
-    hash-consing the collection (deep-copied baseline vs interned shared
-    views), runs the PartSJ join with consing off/on at 1 and
-    [config.domains] domains, reports the verify-time change, and at
-    [scale >= 1.0] writes [BENCH_dag.json].
-    @raise Failure if consing changes the join output, the output
-    differs across domain counts, or (at [scale >= 1.0]) interning
-    saves less than 2x memory. *)
+    It then joins the subtree-repetition-heavy [redundant] profile at
+    one and the recommended domain count and asserts the outputs
+    bit-identical ({!Tsj_join.Types.equal_deterministic}).
+    @raise Failure if two runs disagree. *)
 
 val streaming : config -> unit
 (** Extension bench: cumulative throughput of the incremental

@@ -33,7 +33,6 @@ val run :
   ?domains:int ->
   ?budget:Tsj_join.Budget.t ->
   ?checkpoint:Tsj_join.Checkpoint.config ->
-  ?consing:bool ->
   t ->
   trees:Tsj_tree.Tree.t array ->
   tau:int ->
@@ -42,5 +41,4 @@ val run :
     their whole pipeline on that many OCaml domains; the baselines are
     sequential and ignore it.  [budget] and [checkpoint] enable the
     resilient execution of {!Tsj_core.Partsj} and are likewise
-    PartSJ-only (see {!supports_resilience}), as is [consing] (default
-    on: hash-consed preps). *)
+    PartSJ-only (see {!supports_resilience}). *)

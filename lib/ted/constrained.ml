@@ -50,8 +50,7 @@ let compact_of_tree tree =
      - symmetrically for some child a of i. *)
 let distance t1 t2 =
   if t1 == t2 then 0
-    (* Physically equal trees (the shared views of one [Dag] store make
-       duplicates so) are trivially at distance 0. *)
+    (* A tree against itself is trivially at distance 0. *)
   else
   let a = compact_of_tree t1 and b = compact_of_tree t2 in
   let d = Array.make_matrix a.n b.n 0 in

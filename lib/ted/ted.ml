@@ -1,5 +1,4 @@
 module Tree = Tsj_tree.Tree
-module Dag = Tsj_tree.Dag
 module Postorder = Tsj_tree.Postorder
 
 type algorithm = Zs_left | Zs_right | Hybrid | Naive
@@ -13,47 +12,17 @@ type prep = {
   right_cost : int;
 }
 
-(* An interned tree plus its interned mirror.  Mirroring both trees of
-   a pair is a bijection on edit scripts, so the right-path
-   decomposition is just the kernel run on the mirrors — which
-   therefore need DAG ids of their own, from the same store. *)
-type consed = { c_node : Dag.node; c_mirror : Dag.node }
-
-let cons dag tree =
-  let node = Dag.intern dag tree in
-  { c_node = node; c_mirror = Dag.intern dag (Tree.mirror (Dag.tree node)) }
-
-let consed_tree c = Dag.tree c.c_node
-
-let preprocess_consed c =
-  let left_po = Postorder.of_dag c.c_node in
-  let right_po = Postorder.of_dag c.c_mirror in
+let preprocess tree =
+  let left_po = Postorder.of_tree tree in
+  let right_po = Postorder.of_tree (Tree.mirror tree) in
   {
-    (* The shared view: structurally equal trees of one store are
-       physically equal, which is what the collection-level dedup and
-       the [Constrained] fast path key on. *)
-    tree = Dag.tree c.c_node;
+    tree;
     size = left_po.size;
     left_po;
     right_po;
     left_cost = Postorder.keyroot_cost left_po;
     right_cost = Postorder.keyroot_cost right_po;
   }
-
-let preprocess ?dag tree =
-  match dag with
-  | Some d -> preprocess_consed (cons d tree)
-  | None ->
-    let left_po = Postorder.of_tree tree in
-    let right_po = Postorder.of_tree (Tree.mirror tree) in
-    {
-      tree;
-      size = left_po.size;
-      left_po;
-      right_po;
-      left_cost = Postorder.keyroot_cost left_po;
-      right_cost = Postorder.keyroot_cost right_po;
-    }
 
 let tree p = p.tree
 

@@ -20,27 +20,7 @@ type prep
     Joins preprocess every tree once and verify pairs with
     {!distance_prep}. *)
 
-val preprocess : ?dag:Tsj_tree.Dag.t -> Tsj_tree.Tree.t -> prep
-(** With [dag], equivalent to [preprocess_consed (cons dag tree)] —
-    only safe where {!cons} is (single-domain interning). *)
-
-type consed
-(** A tree (and its mirror) interned into a {!Tsj_tree.Dag} store:
-    the sequential half of consed preprocessing. *)
-
-val cons : Tsj_tree.Dag.t -> Tsj_tree.Tree.t -> consed
-(** Interning mutates the store — call from one domain at a time (joins
-    cons every tree up front, before fanning out). *)
-
-val consed_tree : consed -> Tsj_tree.Tree.t
-(** The shared structural view of the interned tree: structurally equal
-    trees consed into one store are physically equal ([==]). *)
-
-val preprocess_consed : consed -> prep
-(** Pure (no store mutation), so safe to run in parallel across trees.
-    The resulting prep carries DAG ids in its postorders, enabling the
-    equal-subtree fast path in the kernels, and its {!tree} is the
-    shared view of {!consed_tree}. *)
+val preprocess : Tsj_tree.Tree.t -> prep
 
 val tree : prep -> Tsj_tree.Tree.t
 

@@ -34,19 +34,9 @@ module Postorder = Tsj_tree.Postorder
    in these loops, and the bounds checks were a measurable fraction of
    the per-cell cost. *)
 
-(* Are both postorders DAG-annotated (built by [Postorder.of_dag])?
-   Only then does the equal-subtree fast path apply: Dag ids are
-   globally unique, so equal ids mean equal subtrees even across
-   collections. *)
-let consed (p1 : Postorder.t) (p2 : Postorder.t) =
-  Array.length p1.dag = p1.size && Array.length p2.dag = p2.size
-
 let distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) =
   let n1 = p1.size and n2 = p2.size in
   if n1 = 0 || n2 = 0 then Int.max n1 n2
-  else if consed p1 p2 && p1.dag.(n1 - 1) = p2.dag.(n2 - 1) then
-    (* Identical interned trees: distance 0 without any DP. *)
-    0
   else
     Arena.use (fun s ->
     Arena.reserve_matrices s n1 n2;
@@ -168,9 +158,6 @@ let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
   let n1 = p1.size and n2 = p2.size in
   if abs (n1 - n2) > k then k + 1
   else if n1 = 0 || n2 = 0 then Int.min (Int.max n1 n2) (k + 1)
-  else if consed p1 p2 && p1.dag.(n1 - 1) = p2.dag.(n2 - 1) then
-    (* Identical interned trees: distance 0 without any DP. *)
-    0
   else
     Arena.use (fun s ->
     Arena.reserve_matrices s n1 n2;

@@ -3,7 +3,6 @@ type t = {
   labels : int array;
   lld : int array;
   keyroots : int array;
-  dag : int array;
 }
 
 (* A node is an LR-keyroot iff no proper ancestor shares its lld; i.e. it
@@ -36,33 +35,7 @@ let of_tree tree =
     my_lld
   in
   ignore (go ~first:false tree);
-  { size = n; labels; lld; keyroots = Tsj_util.Vec_int.to_array keyroots; dag = [||] }
-
-let of_dag (root : Dag.node) =
-  let n = Dag.size root in
-  let labels = Array.make n 0 in
-  let lld = Array.make n 0 in
-  let dag = Array.make n 0 in
-  let keyroots = Tsj_util.Vec_int.create () in
-  let counter = ref 0 in
-  let rec go ~first (node : Dag.node) =
-    let first_lld = ref (-1) in
-    Array.iteri
-      (fun c child ->
-        let l = go ~first:(c = 0) child in
-        if c = 0 then first_lld := l)
-      node.Dag.children;
-    let me = !counter in
-    incr counter;
-    labels.(me) <- node.Dag.label;
-    dag.(me) <- node.Dag.id;
-    let my_lld = if !first_lld < 0 then me else !first_lld in
-    lld.(me) <- my_lld;
-    if not first then Tsj_util.Vec_int.push keyroots me;
-    my_lld
-  in
-  ignore (go ~first:false root);
-  { size = n; labels; lld; keyroots = Tsj_util.Vec_int.to_array keyroots; dag }
+  { size = n; labels; lld; keyroots = Tsj_util.Vec_int.to_array keyroots }
 
 let n_leaves t =
   let count = ref 0 in

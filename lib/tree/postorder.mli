@@ -12,18 +12,9 @@ type t = {
   keyroots : int array;  (** LR-keyroots in ascending order: the root and
                              every node that is not its parent's first
                              child *)
-  dag : int array;       (** [dag.(i)]: {!Dag} node id of the subtree rooted
-                             at postorder node [i]; [[||]] when built by
-                             {!of_tree} (unconsed) *)
 }
 
 val of_tree : Tree.t -> t
-(** Array form without DAG annotations ([dag = [||]]). *)
-
-val of_dag : Dag.node -> t
-(** Array form of an interned tree: identical to [of_tree (Dag.tree n)]
-    except that [dag] carries the subtree node ids, which unlock the
-    equal-subtree fast path in the TED kernels. *)
 
 val n_leaves : t -> int
 

@@ -17,9 +17,9 @@ let label_set t =
   let rec go acc t = List.fold_left go (S.add t.label acc) t.children in
   S.elements (go S.empty t)
 
-(* Physical equality short-circuits both: trees interned through [Dag]
-   share substructure, so equal subtrees of a consed collection compare
-   in O(1) instead of O(size). *)
+(* Physical equality short-circuits both: a tree compared with itself,
+   or with a tree that shares the subtree, costs O(1) instead of
+   O(size). *)
 let rec equal a b =
   a == b || (a.label = b.label && List.equal equal a.children b.children)
 

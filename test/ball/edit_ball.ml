@@ -1,13 +1,15 @@
-(* Edit balls of small trees, and the sweep that checks the candidate
-   filter on them: every ordered tree of a few nodes, every tree within
-   [tau] node edits of it, and whether {!Tsj_core.Size_bands.probe}
-   finds each of those.  No TED is needed: a tree reached by [tau] edits
-   is within [tau] by construction. *)
+(* Edit balls of small trees, and the sweeps that check the candidate
+   filter and the router's shard windows on them: every ordered tree of
+   a few nodes, every tree within [tau] node edits of it, and whether
+   {!Tsj_core.Size_bands.probe} finds each of those, or a query of the
+   centre consults each one's shard.  No TED is needed: a tree reached
+   by [tau] edits is within [tau] by construction. *)
 
 module Tree = Tsj_tree.Tree
 module Edit_op = Tsj_tree.Edit_op
 module Binary_tree = Tsj_tree.Binary_tree
 module Size_bands = Tsj_core.Size_bands
+module Shard = Tsj_server.Shard
 
 (* Trees as keys: the polymorphic hash reads only a few nodes of a tree. *)
 module Trees = Hashtbl.Make (struct
@@ -115,5 +117,28 @@ let sweep ?mode ~labels ~tau ?(on_miss = fun _ _ -> ()) trees =
             on_miss t members.(id)
           end)
         found)
+    trees;
+  !misses
+
+(* For every tree [t] of [trees], every map of [maps] and every member
+   [t'] of [t]'s radius-[tau] ball: the shard owning [t'] must be one
+   that a query of [t] at [tau] consults.  Calls [on_miss m t t'] for
+   every miss and returns their number. *)
+let shard_sweep ~labels ~tau ?(on_miss = fun _ _ _ -> ()) maps trees =
+  let misses = ref 0 in
+  List.iter
+    (fun t ->
+      let members = ball labels tau t in
+      List.iter
+        (fun m ->
+          let window = Shard.shards_for m ~tau (Tree.size t) in
+          List.iter
+            (fun t' ->
+              if not (List.mem (Shard.shard_of_tree m t') window) then begin
+                incr misses;
+                on_miss m t t'
+              end)
+            members)
+        maps)
     trees;
   !misses

@@ -13,7 +13,7 @@
      dune exec test/fuzz/fuzz_main.exe -- ball 6
      dune exec test/fuzz/fuzz_main.exe -- xml 200000 42
      dune exec test/fuzz/fuzz_main.exe -- server 20000 42
-     dune exec test/fuzz/fuzz_main.exe -- dag 20000 42
+     dune exec test/fuzz/fuzz_main.exe -- dedup 20000 42
      dune exec test/fuzz/fuzz_main.exe -- router 20000 42
      dune exec test/fuzz/fuzz_main.exe -- scrub 5000 42
      dune exec test/fuzz/fuzz_main.exe -- overload 20000 42
@@ -32,9 +32,9 @@
      clustered datasets (expected: 0);
    - ted: Zhang-Shasha left/right/hybrid must agree, match the naive
      reference on small inputs, and every bound must lower-bound it;
-     the banded kernel (left/right/hybrid, plain and consed preps) on a
-     tree of up to 80 nodes and a copy <= k + 2 edits away must equal
-     min (TED, k + 1) for a random k in 0..5 (expected: 0);
+     the banded kernel (left/right/hybrid) on a tree of up to 80 nodes
+     and a copy <= k + 2 edits away must equal min (TED, k + 1) for a
+     random k in 0..5 (expected: 0);
    - kernel: every pair of trees of <= 6 nodes (or the given bound) over
      {a, b} with sizes <= 3 apart, k = 0..3, left and mirrored: the
      banded kernel must equal min (TED, k + 1); the numbers after the
@@ -57,6 +57,10 @@
      gapped ids, oversized/truncated/short-length frames, unknown
      opcodes, drops mid-frame) must never crash the server or
      misattribute a response id (expected: 0);
+   - dedup: duplicate and near-duplicate ADDs against a live server with
+     whole-tree dedup on: a duplicate is acked with the original id, a
+     near-duplicate mints a fresh one, and STATS counts exactly the
+     duplicates sent (expected: 0);
    - router: the scatter-gather merge under byzantine per-shard answers
      (garbage ids, out-of-range distances, inverted sandwiches) and a
      live router whose shards reply with silence, garbage, truncated
@@ -246,21 +250,17 @@ let fuzz_ted iterations rng =
     let k = Prng.int rng 6 in
     let base = random_tree rng (1 + Prng.int rng 80) in
     let _, near = Tsj_tree.Edit_op.random_script rng ~labels (Prng.int_in rng 0 (k + 2)) base in
-    let plain = (Ted.preprocess base, Ted.preprocess near) in
-    let want = min (Ted.distance_prep (fst plain) (snd plain)) (k + 1) in
-    let dag = Tsj_tree.Dag.create () in
+    let pa = Ted.preprocess base and pb = Ted.preprocess near in
+    let want = min (Ted.distance_prep pa pb) (k + 1) in
     List.iter
-      (fun (preps, (pa, pb)) ->
-        List.iter
-          (fun (name, algorithm) ->
-            let got = Ted.bounded_distance_prep ~algorithm pa pb k in
-            if got <> want then
-              bad :=
-                Printf.sprintf "banded %s %s k=%d: %d, want %d on %s vs %s" preps name k got
-                  want (Tsj_tree.Bracket.to_string base) (Tsj_tree.Bracket.to_string near)
-                :: !bad)
-          [ ("left", Ted.Zs_left); ("right", Ted.Zs_right); ("hybrid", Ted.Hybrid) ])
-      [ ("plain", plain); ("consed", (Ted.preprocess ~dag base, Ted.preprocess ~dag near)) ];
+      (fun (name, algorithm) ->
+        let got = Ted.bounded_distance_prep ~algorithm pa pb k in
+        if got <> want then
+          bad :=
+            Printf.sprintf "banded %s k=%d: %d, want %d on %s vs %s" name k got want
+              (Tsj_tree.Bracket.to_string base) (Tsj_tree.Bracket.to_string near)
+            :: !bad)
+      [ ("left", Ted.Zs_left); ("right", Ted.Zs_right); ("hybrid", Ted.Hybrid) ];
     if !bad <> [] then begin
       incr failures;
       report "ted" i
@@ -833,20 +833,16 @@ let fuzz_server iterations rng =
   if Sys.file_exists sock then Sys.remove sock;
   !failures
 
-(* Hash-consing soundness hunt.  Kernel half: a random batch (salted
-   with exact duplicates and near-duplicate copies) is interned into a
-   fresh Dag store, and the bounded/unbounded kernels on the consed
-   preps — the equal-subtree fast path firing — must return exactly what the unconsed
-   preps return for random pairs and clamps.  Wire half: a live server
-   opened with dedup on is fed duplicate and near-duplicate ADDs; a
-   duplicate ADD must be acked with the original tree's id, a
-   near-duplicate must mint a fresh id, and the STATS dedup counter
-   must track the suppressed count exactly. *)
-let fuzz_dag iterations rng =
+(* Whole-tree dedup hunt: a live server opened with dedup on is fed
+   duplicate and near-duplicate ADDs; a duplicate ADD must be acked
+   with the original tree's id, a near-duplicate must mint a fresh id,
+   and the STATS dedup counter must track the suppressed count
+   exactly. *)
+let fuzz_dedup iterations rng =
   let module Protocol = Tsj_server.Protocol in
   let module Server = Tsj_server.Server in
   let failures = ref 0 in
-  let sock = Filename.temp_file "tsj_fuzz_dag" ".sock" in
+  let sock = Filename.temp_file "tsj_fuzz_dedup" ".sock" in
   Sys.remove sock;
   let addr = Protocol.Unix_path sock in
   let config = { (Server.default_config addr ~tau:2) with Server.dedup = true } in
@@ -872,48 +868,6 @@ let fuzz_dag iterations rng =
   let known : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let expected_dedups = ref 0 in
   for i = 1 to iterations do
-    (* --- kernel half: consed = unconsed on a random batch --- *)
-    let base = Array.init (2 + Prng.int rng 5) (fun _ -> random_tree rng (1 + Prng.int rng 10)) in
-    let batch =
-      Array.init (Array.length base + 3) (fun j ->
-          if j < Array.length base then base.(j)
-          else begin
-            let src = base.(Prng.int rng (Array.length base)) in
-            if Prng.int rng 2 = 0 then src
-            else
-              snd
-                (Tsj_tree.Edit_op.random_script rng ~labels
-                   (1 + Prng.int rng 2) src)
-          end)
-    in
-    let dag = Tsj_tree.Dag.create () in
-    let plain = Array.map (fun t -> Tsj_ted.Ted.preprocess t) batch in
-    let consed = Array.map (fun t -> Tsj_ted.Ted.preprocess_consed (Tsj_ted.Ted.cons dag t)) batch in
-    let n = Array.length batch in
-    for _ = 1 to 6 do
-      let a = Prng.int rng n and b = Prng.int rng n in
-      let k = Prng.int rng 4 in
-      let du = Tsj_ted.Ted.bounded_distance_prep plain.(a) plain.(b) k in
-      let dc = Tsj_ted.Ted.bounded_distance_prep consed.(a) consed.(b) k in
-      if du <> dc then begin
-        incr failures;
-        report "dag" i
-          (Printf.sprintf "bounded k=%d: consed %d <> unconsed %d on %s vs %s" k
-             dc du
-             (Tsj_tree.Bracket.to_string batch.(a))
-             (Tsj_tree.Bracket.to_string batch.(b)))
-      end;
-      if Prng.int rng 4 = 0 then begin
-        let du = Tsj_ted.Ted.distance_prep plain.(a) plain.(b) in
-        let dc = Tsj_ted.Ted.distance_prep consed.(a) consed.(b) in
-        if du <> dc then begin
-          incr failures;
-          report "dag" i
-            (Printf.sprintf "unbounded: consed %d <> unconsed %d" dc du)
-        end
-      end
-    done;
-    (* --- wire half: duplicate and near-duplicate ADDs --- *)
     (try
        let tree =
          if Hashtbl.length known > 0 && Prng.int rng 2 = 0 then begin
@@ -930,47 +884,47 @@ let fuzz_dag iterations rng =
            incr expected_dedups;
            if id <> first then begin
              incr failures;
-             report "dag" i
+             report "dedup" i
                (Printf.sprintf "duplicate ADD acked %d, original was %d" id first)
            end
          | None -> Hashtbl.replace known tree id)
        | Ok r ->
          incr failures;
-         report "dag" i ("bad ADD reply " ^ Protocol.render_response r)
+         report "dedup" i ("bad ADD reply " ^ Protocol.render_response r)
        | Error msg ->
          incr failures;
-         report "dag" i ("unparseable ADD reply: " ^ msg)
+         report "dedup" i ("unparseable ADD reply: " ^ msg)
      with
     | End_of_file ->
       incr failures;
-      report "dag" i "server closed the connection";
+      report "dedup" i "server closed the connection";
       exit 1
     | exn ->
       incr failures;
-      report "dag" i (Printexc.to_string exn))
+      report "dedup" i (Printexc.to_string exn))
   done;
   (* the dedup counter must equal the duplicates we actually sent *)
   (match request "STATS" with
   | Ok (Protocol.Stats_reply s) ->
     if s.Protocol.dedup <> !expected_dedups then begin
       incr failures;
-      report "dag" iterations
+      report "dedup" iterations
         (Printf.sprintf "STATS dedup=%d, expected %d" s.Protocol.dedup
            !expected_dedups)
     end;
     if s.Protocol.trees <> Hashtbl.length known then begin
       incr failures;
-      report "dag" iterations
+      report "dedup" iterations
         (Printf.sprintf "STATS trees=%d, expected %d distinct" s.Protocol.trees
            (Hashtbl.length known))
     end
-  | Ok r -> incr failures; report "dag" iterations ("bad STATS reply " ^ Protocol.render_response r)
+  | Ok r -> incr failures; report "dedup" iterations ("bad STATS reply " ^ Protocol.render_response r)
   | Error msg | (exception Failure msg) ->
     incr failures;
-    report "dag" iterations ("unparseable STATS reply: " ^ msg)
+    report "dedup" iterations ("unparseable STATS reply: " ^ msg)
   | exception End_of_file ->
     incr failures;
-    report "dag" iterations "server dead at end of run");
+    report "dedup" iterations "server dead at end of run");
   (try Unix.close fd with Unix.Unix_error _ -> ());
   Server.drain server;
   Server.wait server;
@@ -1714,7 +1668,7 @@ let () =
     | [ _; mode; iters; seed ] -> (mode, int_of_string iters, int_of_string seed)
     | _ ->
       prerr_endline
-        "usage: fuzz_main (lemma2|windows|join|ted|xml|server|dag|router|scrub|overload) [iterations] [seed]\n\
+        "usage: fuzz_main (lemma2|windows|join|ted|xml|server|dedup|router|scrub|overload) [iterations] [seed]\n\
         \       fuzz_main kernel [max_nodes]   (exhaustive banded-kernel sweep, default 6 nodes)\n\
         \       fuzz_main ball [max_nodes]     (exhaustive edit-ball sweep of the index, default 6 nodes)";
       exit 2
@@ -1730,7 +1684,7 @@ let () =
     | "ball" -> fuzz_ball iterations
     | "xml" -> fuzz_xml iterations rng
     | "server" -> fuzz_server iterations rng
-    | "dag" -> fuzz_dag iterations rng
+    | "dedup" -> fuzz_dedup iterations rng
     | "router" -> fuzz_router iterations rng
     | "scrub" -> fuzz_scrub iterations rng
     | "overload" -> fuzz_overload iterations rng

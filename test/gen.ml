@@ -60,6 +60,9 @@ let random_forest ?labels rng ~n ~max_size =
 
 let pp_tree = Tsj_tree.Bracket.to_string
 
+(* Structurally equal, physically distinct at every node. *)
+let rec deep_copy (t : Tree.t) = Tree.node t.label (List.map deep_copy t.children)
+
 (* QCheck integration: draw a seed from QCheck's random state, then derive
    the tree from our deterministic Prng so failures are reproducible. *)
 let arb_tree ?(max_size = 12) ?labels () =

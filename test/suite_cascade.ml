@@ -191,6 +191,54 @@ let test_cascade_identical_trees () =
   | Bounds.Accept 0 -> ()
   | _ -> Alcotest.fail "expected Accept 0 on identical trees"
 
+(* --- equal trees are decided by the bounds alone --- *)
+
+(* A tree and a deep copy of it (equal, not [==]): every lower bound is
+   0 and the greedy upper bound is 0, so the cascade accepts the pair at
+   distance 0 before any kernel runs — for every τ. *)
+let check_copy_accepted ~tau t ft ft' =
+  match Bounds.cascade ~tau ft ft' with
+  | Bounds.Accept 0 -> ()
+  | Bounds.Accept d -> Alcotest.failf "tau=%d: %s vs its copy accepted at %d" tau (Gen.pp_tree t) d
+  | Bounds.Pruned _ -> Alcotest.failf "tau=%d: %s vs its copy pruned" tau (Gen.pp_tree t)
+  | Bounds.Verify { band } ->
+    Alcotest.failf "tau=%d: %s vs its copy sent to the kernel (band %d)" tau
+      (Gen.pp_tree t) band
+
+let test_copies_accepted_exhaustive () =
+  let labels = [ Tsj_tree.Label.intern "a"; Tsj_tree.Label.intern "b" ] in
+  let trees = Edit_ball.trees_upto labels 7 in
+  Alcotest.(check int) "trees of <= 7 nodes over {a, b}" 20134 (List.length trees);
+  List.iter
+    (fun t ->
+      let ft = form t and ft' = form (Gen.deep_copy t) in
+      for tau = 0 to 3 do
+        check_copy_accepted ~tau t ft ft'
+      done)
+    trees
+
+(* The same on larger trees, and end to end through an [Incremental]:
+   adding the copy reports the original at distance 0, and a query with
+   the copy hits it at distance 0 for every τ' <= τ. *)
+let prop_copies_accepted_large =
+  Gen.qtest ~count:40 "equal 50-150-node trees: Accept 0"
+    (QCheck.make ~print:Gen.pp_tree (fun st ->
+         let rng = Prng.create (Random.State.int st 0x3FFFFFFF) in
+         Gen.random_tree rng (50 + Prng.int rng 101)))
+    (fun t ->
+      let copy = Gen.deep_copy t in
+      let ft = form t and ft' = form copy in
+      for tau = 0 to 3 do
+        check_copy_accepted ~tau t ft ft'
+      done;
+      let inc = Tsj_core.Incremental.create ~tau:3 () in
+      ignore (Tsj_core.Incremental.add inc t);
+      List.for_all
+        (fun tau ->
+          (Tsj_core.Incremental.query ~tau inc copy).Tsj_core.Incremental.hits = [ (0, 0) ])
+        [ 0; 1; 2; 3 ]
+      && Tsj_core.Incremental.add inc copy = [ (0, 0) ])
+
 (* --- exhaustive check on every small tree --- *)
 
 let test_cascade_exhaustive () =
@@ -325,4 +373,7 @@ let suite =
     prop_degraded_sandwiches_match_per_pair;
     Alcotest.test_case "cascade exhaustive on trees <= 5 nodes" `Quick
       test_cascade_exhaustive;
+    Alcotest.test_case "copy of a tree <= 7 nodes: Accept 0" `Quick
+      test_copies_accepted_exhaustive;
+    prop_copies_accepted_large;
   ]

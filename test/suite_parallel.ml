@@ -133,6 +133,19 @@ let prop_join_domains_equal (seed, n, max_size) =
   check_deterministic ~name:(Printf.sprintf "seed=%d" seed) trees tau;
   true
 
+(* The same with exact re-submissions salted in, which the cascade
+   decides as [Accept 0]. *)
+let prop_duplicates_domains_equal (seed, n, max_size) =
+  let rng = Prng.create seed in
+  let base = Array.of_list (Gen.random_forest rng ~n ~max_size) in
+  let trees =
+    Array.init (Array.length base + (n / 2)) (fun i ->
+        if i < Array.length base then base.(i)
+        else Gen.deep_copy base.(Prng.int rng (Array.length base)))
+  in
+  check_deterministic ~name:(Printf.sprintf "seed=%d" seed) trees (1 + (seed mod 3));
+  true
+
 let test_determinism_clustered () =
   (* Near-duplicate-heavy input: many candidates survive to verification,
      exercising the pipelined verify path across block boundaries. *)
@@ -172,4 +185,6 @@ let suite =
     Alcotest.test_case "join determinism (clustered)" `Quick test_determinism_clustered;
     Gen.qtest ~count:20 "join ~domains:1 = ~domains:4 (random forests)" arb_forest
       prop_join_domains_equal;
+    Gen.qtest ~count:20 "join with duplicates across domains" arb_forest
+      prop_duplicates_domains_equal;
   ]

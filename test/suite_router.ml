@@ -64,6 +64,33 @@ let test_band_routing () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "shards=0 accepted")
 
+(* Every tree within tau in {1, 2} node edits of an ordered tree over
+   {a, b} (<= 6 nodes at tau = 1, <= 5 at tau = 2) lives on a shard
+   that a query of the centre consults: 1..4 shards, band widths
+   1..2tau+2 and the default. *)
+let test_shard_window_edit_balls () =
+  let labels = List.map Tsj_tree.Label.intern [ "a"; "b" ] in
+  let on_miss (m : Shard.map) t t' =
+    Alcotest.failf "shards=%d band=%d: %s (shard %d) is outside the window of %s"
+      m.Shard.shards m.Shard.band (Bracket.to_string t') (Shard.shard_of_tree m t')
+      (Bracket.to_string t)
+  in
+  List.iter
+    (fun (tau, max_nodes) ->
+      let maps =
+        List.concat_map
+          (fun shards ->
+            Shard.create ~shards ~tau ()
+            :: List.init ((2 * tau) + 2) (fun b -> Shard.create ~shards ~band:(b + 1) ~tau ()))
+          [ 1; 2; 3; 4 ]
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "misses, tau = %d, <= %d nodes" tau max_nodes)
+        0
+        (Edit_ball.shard_sweep ~labels ~tau ~on_miss maps
+           (Edit_ball.trees_upto labels max_nodes)))
+    [ (1, 6); (2, 5) ]
+
 (* --- qcheck: degraded-merge soundness against the unsharded truth --- *)
 
 (* Build the reference store and the per-shard stores over one forest;
@@ -824,4 +851,6 @@ let suite =
     prop_sharded_storm;
     Alcotest.test_case "router fan-out, migration and degradation (8 shards)" `Quick
       test_router_migration_and_fanout;
+    Alcotest.test_case "shard windows hold every edit ball" `Quick
+      test_shard_window_edit_balls;
   ]

@@ -2725,6 +2725,81 @@ let prop_deadline_monotone =
              ok)
            hops)
 
+(* --- whole-tree dedup ([Store.open_ ~dedup:true]) --- *)
+
+let test_store_dedup_equivalence () =
+  let rng = Prng.create 4242 in
+  let distinct = Array.of_list (Gen.random_forest rng ~n:12 ~max_size:10) in
+  (* A stream with exact re-submissions interleaved. *)
+  let stream =
+    Array.init 30 (fun i ->
+        if i < 12 then distinct.(i) else distinct.(Prng.int rng 12))
+  in
+  let open_ dedup =
+    match Store.open_ ~dedup ~tau:2 () with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "open_: %s" e
+  in
+  let deduped = open_ true in
+  let plain = open_ false in
+  (* The dedup store sees the whole stream; the plain store only the
+     distinct prefix: they must end up indistinguishable. *)
+  Array.iter (fun tree -> ignore (Store.add plain tree)) distinct;
+  Array.iteri
+    (fun i tree ->
+      let id, partners = Store.add deduped tree in
+      if i < 12 then Alcotest.(check int) "fresh ids are dense" i id
+      else begin
+        Alcotest.(check bool) "duplicate answered with original id" true
+          (Tree.equal (Store.tree deduped id) tree);
+        (* Bit-identical to an idempotent replay of the original add. *)
+        match Store.add_seq plain ~seq:id tree with
+        | Ok replay ->
+          Alcotest.(check bool) "duplicate = replay answer" true
+            (replay = (id, partners))
+        | Error e -> Alcotest.failf "replay: %s" e
+      end)
+    stream;
+  Alcotest.(check int) "no index growth from duplicates" (Store.n_trees plain)
+    (Store.n_trees deduped);
+  Alcotest.(check int) "suppressed duplicates counted" 18 (Store.dedups deduped);
+  Alcotest.(check int) "plain store deduped nothing" 0 (Store.dedups plain);
+  (* Query and k-NN answers are those of the duplicate-free store. *)
+  for probe_seed = 1 to 5 do
+    let probe = Gen.random_tree (Prng.create probe_seed) 8 in
+    let qd = Store.query deduped probe and qp = Store.query plain probe in
+    Alcotest.(check bool)
+      (Printf.sprintf "query %d identical" probe_seed)
+      true
+      (qd.Tsj_core.Incremental.hits = qp.Tsj_core.Incremental.hits);
+    Alcotest.(check bool)
+      (Printf.sprintf "knn %d identical" probe_seed)
+      true
+      (Store.nearest ~k:3 deduped probe = Store.nearest ~k:3 plain probe)
+  done;
+  Store.close deduped;
+  Store.close plain
+
+let test_store_dedup_within_batch () =
+  let rng = Prng.create 99 in
+  let a = Gen.random_tree rng 9 and b = Gen.random_tree rng 9 in
+  let a' = Gen.deep_copy a in
+  match Store.open_ ~dedup:true ~tau:2 () with
+  | Error e -> Alcotest.failf "open_: %s" e
+  | Ok store ->
+    (* A batch may contain a fresh tree and its duplicate: the duplicate
+       must resolve to the seq staged earlier in the same batch. *)
+    let results = Store.add_batch store [| (None, a); (None, b); (None, a') |] in
+    (match (results.(0), results.(2)) with
+    | Ok (ida, _), Ok (ida', partners) ->
+      Alcotest.(check int) "within-batch duplicate collapses" ida ida';
+      Alcotest.(check bool) "partners of the original" true
+        (match results.(0) with Ok (_, p) -> p = partners | Error _ -> false)
+    | _ -> Alcotest.fail "batch add failed");
+    Alcotest.(check int) "one duplicate suppressed" 1 (Store.dedups store);
+    Alcotest.(check int) "two trees indexed" 2 (Store.n_trees store);
+    Store.close store
+
 let suite =
   [
     Alcotest.test_case "addr parse" `Quick test_addr_parse;
@@ -2830,4 +2905,8 @@ let suite =
       test_text_and_frames_agree;
     Alcotest.test_case "ADD refuses a label with a line break" `Quick
       test_add_refuses_line_break_labels;
+    Alcotest.test_case "store dedup = duplicate-free store" `Quick
+      test_store_dedup_equivalence;
+    Alcotest.test_case "store dedup within one batch" `Quick
+      test_store_dedup_within_batch;
   ]

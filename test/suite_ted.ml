@@ -228,14 +228,12 @@ let prop_banded_hybrid_consistent =
 
 (* The strip kernel against unbounded Zhang–Shasha on every pair of
    trees of <= 5 nodes over {a, b} (550 trees), for k = 0..3, on the
-   left and the mirrored postorders, with plain and consed preps. *)
+   left and the mirrored postorders. *)
 let test_banded_exhaustive () =
   let labels = List.map Tsj_tree.Label.intern [ "a"; "b" ] in
   let trees = Array.of_list (Edit_ball.trees_upto labels 5) in
   Alcotest.(check int) "trees of <= 5 nodes" 550 (Array.length trees);
-  let plain = Array.map (fun t -> Ted.preprocess t) trees in
-  let dag = Tsj_tree.Dag.create () in
-  let consed = Array.map (fun t -> Ted.preprocess ~dag t) trees in
+  let preps = Array.map Ted.preprocess trees in
   let mismatches = ref 0 and first = ref None in
   Array.iteri
     (fun i ti ->
@@ -245,7 +243,7 @@ let test_banded_exhaustive () =
           for k = 0 to 3 do
             let want = min exact (k + 1) in
             List.iter
-              (fun (preps, algorithm) ->
+              (fun algorithm ->
                 let got = Ted.bounded_distance_prep ~algorithm preps.(i) preps.(j) k in
                 if got <> want then begin
                   incr mismatches;
@@ -255,8 +253,7 @@ let test_banded_exhaustive () =
                         (Printf.sprintf "%s / %s k=%d: %d, want %d" (Bracket.to_string ti)
                            (Bracket.to_string tj) k got want)
                 end)
-              [ (plain, Ted.Zs_left); (plain, Ted.Zs_right);
-                (consed, Ted.Zs_left); (consed, Ted.Zs_right) ]
+              [ Ted.Zs_left; Ted.Zs_right ]
           done)
         trees)
     trees;
@@ -284,6 +281,35 @@ let test_banded_validation () =
   Alcotest.check_raises "negative threshold"
     (Invalid_argument "Zhang_shasha.bounded_distance_postorder: negative threshold")
     (fun () -> ignore (Zhang_shasha.bounded_distance a a (-1)))
+
+let test_arena_reshape_alternating_shapes () =
+  (* Alternating (wide, narrow) and (narrow, wide) pairs exercises the
+     reshape-in-place path of [Arena.reserve_matrices] (capacity
+     suffices, stride changes).  Every distance must agree with the
+     Naive reference kernel, which allocates fresh tables per call. *)
+  let rng = Tsj_util.Prng.create 2026 in
+  let wide = Gen.random_tree rng 34 in
+  let narrow = Gen.random_tree rng 6 in
+  let mid = Gen.random_tree rng 33 in
+  let pairs =
+    [ (wide, narrow); (narrow, wide); (wide, mid); (narrow, narrow);
+      (mid, wide); (mid, narrow) ]
+  in
+  List.iteri
+    (fun i (a, b) ->
+      let pa = Ted.preprocess a and pb = Ted.preprocess b in
+      Alcotest.(check int)
+        (Printf.sprintf "pair %d unbounded" i)
+        (Ted.distance_prep ~algorithm:Ted.Naive pa pb)
+        (Ted.distance_prep pa pb);
+      List.iter
+        (fun k ->
+          Alcotest.(check int)
+            (Printf.sprintf "pair %d bounded k=%d" i k)
+            (Ted.bounded_distance_prep ~algorithm:Ted.Naive pa pb k)
+            (Ted.bounded_distance_prep pa pb k))
+        [ 0; 2; 5 ])
+    pairs
 
 (* --- constrained edit distance --- *)
 
@@ -437,4 +463,6 @@ let suite =
     Alcotest.test_case "ted naive facade" `Quick test_ted_naive_algorithm_facade;
     Alcotest.test_case "kernels agree under concurrent systhreads" `Quick
       test_kernels_under_systhreads;
+    Alcotest.test_case "arena reshape alternating shapes" `Quick
+      test_arena_reshape_alternating_shapes;
   ]

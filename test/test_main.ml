@@ -13,7 +13,6 @@ let () =
       ("measures", Suite_measures.suite);
       ("streaming", Suite_streaming.suite);
       ("cascade", Suite_cascade.suite);
-      ("dag", Suite_dag.suite);
       ("parallel", Suite_parallel.suite);
       ("faults", Suite_faults.suite);
       ("formats", Suite_formats.suite);
