@@ -167,17 +167,25 @@ let query ?budget ?(domains = 1) ?tau t q =
     if lo < n then
       if live () then go (chunk_from lo)
       else begin
-        (* Over budget: the remaining candidates are reported with their
-           bound sandwich instead of hanging on the exact kernel.  A
-           candidate whose cheap lower bound already exceeds τ is
-           discarded — it is provably not a result. *)
+        (* Over budget: the remaining candidates are reported with a
+           bound sandwich instead of being verified.  Only the linear
+           bounds run here (size, label bag, degree bag; greedy upper):
+           the traversal SEDs cost about as much per pair as the cascade
+           and banded kernel together, so with them a degraded answer
+           would take as long as the exact one.  A candidate whose lower
+           bound already exceeds τ is discarded — it is provably not a
+           result. *)
         degraded := true;
         let qf = Lazy.force qform in
         for k = lo to n - 1 do
           let tj = cands.(k) in
-          let lower = Bounds.best qf t.forms.(tj) in
+          let f = t.forms.(tj) in
+          let lower =
+            Int.max (Bounds.size_bound qf f)
+              (Int.max (Bounds.label_bound qf f) (Bounds.degree_bound qf f))
+          in
           if lower <= tau then begin
-            let upper = Bounds.upper qf t.forms.(tj) in
+            let upper = Bounds.upper qf f in
             unverified := (tj, lower, upper) :: !unverified
           end
         done

@@ -69,7 +69,10 @@ type query_result = {
       (** when degraded: [(id, lower, upper)] bound sandwiches
           ([lower <= TED <= upper]) of the candidates left unverified,
           minus those whose lower bound already exceeds [τ] (provably
-          not results); sorted by id *)
+          not results); sorted by id.  [lower] is the largest of the
+          linear bounds ({!Tsj_ted.Bounds.size_bound}, [label_bound],
+          [degree_bound]) and [upper] is {!Tsj_ted.Bounds.upper}, so a
+          degraded answer costs far less than verifying *)
 }
 
 val query :

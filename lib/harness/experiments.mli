@@ -47,7 +47,10 @@ val perf : config -> unit
     τ = 3: runs the join at one domain and at the recommended count,
     prints the wall-time phase split, asserts that result pairs,
     candidate counts and probe statistics are identical across domain
-    counts, and at [scale >= 1.0] writes the machine-readable record to
+    counts, and at [scale >= 1.0] repeats the cascade off / on / on at
+    N domains runs as 5 alternating rounds (the verify speedup and the
+    best domain count are medians over them, the speedup's quartiles
+    are recorded too) and writes the machine-readable record to
     [BENCH_partsj.json] in the current directory (a smaller run writes
     nothing, so it never overwrites the committed full-scale record).
     It then joins the subtree-repetition-heavy [redundant] profile at

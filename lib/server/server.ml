@@ -78,8 +78,8 @@ type conn_state =
   | Dead
 
 (* One per accepted socket.  [c_in]/[c_reqno]/[c_discard]/[c_skip]/
-   [c_closing]/[c_eof]/[c_state] belong to the event-loop thread;
-   [c_out]/[c_async] are shared with the worker threads under
+   [c_closing]/[c_eof]/[c_yielded]/[c_state] belong to the event-loop thread;
+   [c_out]/[c_async] are shared with the committer thread under
    [io_mutex]. *)
 type conn = {
   c_id : int;
@@ -88,11 +88,12 @@ type conn = {
   c_in : Netbuf.t;
   c_out : Netbuf.t;
   mutable c_reqno : int;  (* per-connection request ordinal (fault point) *)
-  mutable c_async : int;  (* requests handed to workers, reply pending *)
+  mutable c_async : int;  (* ADDs handed to the committer, reply pending *)
   mutable c_discard : bool;  (* text: dropping an over-long line *)
   mutable c_skip : int;  (* binary: body bytes of an oversized frame left to drop *)
   mutable c_closing : bool;  (* close once replies are flushed *)
   mutable c_eof : bool;  (* peer closed its write side *)
+  mutable c_yielded : bool;  (* this tick's turn is over; the rest of [c_in] waits *)
   mutable c_state : conn_state;
   mutable c_last_active : float;  (* last byte read from the peer *)
   c_bucket : Admission.Token_bucket.t option;  (* per-client fair admission *)
@@ -105,16 +106,6 @@ type add_job = {
   a_tree : Tsj_tree.Tree.t;
   a_expire : float;  (* absolute client deadline; infinity when none *)
   a_t0 : float;  (* admission time, for the latency histogram *)
-}
-
-type query_job = {
-  q_conn : conn;
-  q_rid : int option;
-  q_req : Protocol.request;
-  q_budget : Budget.t;
-  q_token : int;
-  q_expire : float;  (* absolute client deadline; infinity when none *)
-  q_t0 : float;
 }
 
 type t = {
@@ -137,21 +128,17 @@ type t = {
   drained : bool Atomic.t;
   aborted : bool Atomic.t;
   quarantined : Types.quarantined list Atomic.t;
-  (* live budgets by request token, cancelled when the drain deadline
-     passes so a stuck request cannot outlive the drain window *)
-  budgets : (int, Budget.t) Hashtbl.t;
-  budgets_mutex : Mutex.t;
-  next_token : int Atomic.t;
+  (* the budget of the read the event loop is computing, if any;
+     cancelled when the drain deadline passes so a stuck read cannot
+     outlive the drain window *)
+  read_budget : Budget.t option Atomic.t;
   io_mutex : Mutex.t;  (* guards every [c_out]/[c_async] *)
   conns : (int, conn) Hashtbl.t;
   conns_mutex : Mutex.t;
   addq : add_job Queue.t;  (* pending writes, drained in group commits *)
   addq_mutex : Mutex.t;
   addq_cond : Condition.t;
-  runq : query_job Queue.t;  (* pending reads *)
-  runq_mutex : Mutex.t;
-  runq_cond : Condition.t;
-  wake_r : Unix.file_descr;  (* self-pipe: workers nudge the event loop *)
+  wake_r : Unix.file_descr;  (* self-pipe: the committer nudges the event loop *)
   wake_w : Unix.file_descr;
   wake_flag : bool Atomic.t;
   (* Exactly-once listener close, shared between the event loop's drain
@@ -164,7 +151,6 @@ type t = {
   drain_force_at : float Atomic.t;  (* past this, drain force-closes conns *)
   mutable loop_thread : Thread.t option;
   mutable committer_thread : Thread.t option;
-  mutable query_thread : Thread.t option;
   mutable follower_thread : Thread.t option;
   mutable follower_fd : Unix.file_descr option;
   mutable sync_threads : Thread.t list;
@@ -174,6 +160,9 @@ type t = {
   (* event-loop thread only: while in the future, the listener is left
      out of the select read set (EMFILE back-off) *)
   mutable accept_pause_until : float;
+  (* event-loop thread only: when the connection being served ends its
+     turn — a read finishing later makes it yield (see [c_yielded]) *)
+  mutable turn_ends : float;
   h_query : Admission.Histogram.t;  (* per-verb service latency, µs *)
   h_knn : Admission.Histogram.t;
   h_add : Admission.Histogram.t;
@@ -186,12 +175,6 @@ let quarantine t ~conn_id reason =
     if not (Atomic.compare_and_set t.quarantined old (record :: old)) then loop ()
   in
   loop ()
-
-let register_budget t token budget =
-  Mutex.protect t.budgets_mutex (fun () -> Hashtbl.replace t.budgets token budget)
-
-let unregister_budget t token =
-  Mutex.protect t.budgets_mutex (fun () -> Hashtbl.remove t.budgets token)
 
 let stats t =
   let scrubbed, crc_failures, repaired, store_quarantined =
@@ -234,7 +217,7 @@ let stats t =
 (* --- event-loop plumbing --- *)
 
 (* Nudge the event loop out of [select]: one pipe byte per quiet->busy
-   transition (the CAS keeps a flood of worker completions from filling
+   transition (the CAS keeps a flood of commit completions from filling
    the pipe). *)
 let wake t =
   if Atomic.compare_and_set t.wake_flag false true then
@@ -260,8 +243,8 @@ let respond t c ~rid resp =
   Mutex.protect t.io_mutex (fun () ->
       if c.c_state = Live then append_response c ~rid resp)
 
-(* From a worker thread: queue a reply, retire the async slot, wake the
-   loop to flush. *)
+(* From the committer thread: queue a reply, retire the async slot,
+   wake the loop to flush. *)
 let deliver t c ~rid resp =
   Mutex.protect t.io_mutex (fun () ->
       if c.c_state = Live then append_response c ~rid resp;
@@ -328,57 +311,18 @@ let expire_at ~now deadline_ms =
    backlog, floored so a retrying client never spins on a zero hint. *)
 let backlog_hint t = Some (max 5 (min 1000 (Atomic.get t.counters.inflight)))
 
-(* Over the watermark, shed the request with the LEAST remaining
-   deadline: work closest to expiring is the least worth finishing (it
-   is the most likely to be dropped as expired anyway).  If that is a
-   queued read rather than the newcomer, the queued read is answered
-   BUSY and its inflight slot transfers to the newcomer. *)
-let displace t ~expire =
-  let victim =
-    Mutex.protect t.runq_mutex (fun () ->
-        let least =
-          Queue.fold
-            (fun acc j ->
-              match acc with
-              | Some m when m.q_expire <= j.q_expire -> acc
-              | _ -> Some j)
-            None t.runq
-        in
-        match least with
-        | Some v when v.q_expire < expire ->
-          let keep = Queue.create () in
-          Queue.iter (fun j -> if j != v then Queue.push j keep) t.runq;
-          Queue.clear t.runq;
-          Queue.transfer keep t.runq;
-          Some v
-        | _ -> None)
-  in
-  match victim with
-  | None -> false
-  | Some v ->
-    unregister_budget t v.q_token;
-    ignore (Atomic.fetch_and_add t.counters.inflight (-1));
-    ignore (Atomic.fetch_and_add t.counters.shed 1);
-    deliver t v.q_conn ~rid:v.q_rid
-      (Protocol.Busy { retry_after_ms = backlog_hint t });
-    true
-
 (* Bump the inflight counter optimistically; over the watermark the
-   least-deadline request (the newcomer or a queued read) is shed with
-   an explicit [BUSY] carrying a retry-after hint — deterministic,
-   never a silent drop. *)
-let admit t ~expire =
+   newcomer is shed with an explicit [BUSY] carrying a retry-after hint
+   — deterministic, never a silent drop. *)
+let admit t =
   if Atomic.get t.draining then
     `Shed (Protocol.Err "draining: not accepting new work")
+  else if Atomic.fetch_and_add t.counters.inflight 1 < t.config.max_inflight then
+    `Admitted
   else begin
-    let inflight = Atomic.fetch_and_add t.counters.inflight 1 in
-    if inflight < t.config.max_inflight then `Admitted
-    else if displace t ~expire then `Admitted
-    else begin
-      ignore (Atomic.fetch_and_add t.counters.inflight (-1));
-      ignore (Atomic.fetch_and_add t.counters.shed 1);
-      `Shed (Protocol.Busy { retry_after_ms = backlog_hint t })
-    end
+    ignore (Atomic.fetch_and_add t.counters.inflight (-1));
+    ignore (Atomic.fetch_and_add t.counters.shed 1);
+    `Shed (Protocol.Busy { retry_after_ms = backlog_hint t })
   end
 
 (* Bounded-staleness admission for reads carrying a [max_lag] bound: the
@@ -400,90 +344,95 @@ let staleness_denied t lag_bound =
           Some (Protocol.Err "stale replica: no known primary"))
     end
 
-(* --- read path (query worker) --- *)
+(* --- read path (inline on the event loop) --- *)
 
-let run_query t (job : query_job) =
-  (* A read dequeued past its client deadline is dropped without
-     computing: nobody is waiting for the answer. *)
-  if Tsj_util.Timer.now () > job.q_expire then begin
-    unregister_budget t job.q_token;
-    ignore (Atomic.fetch_and_add t.counters.inflight (-1));
-    ignore (Atomic.fetch_and_add t.counters.expired 1);
-    deliver t job.q_conn ~rid:job.q_rid (Protocol.Err "deadline expired")
-  end
-  else begin
-    let response =
-      try
-        match job.q_req with
-        | Protocol.Query { tau; tree } ->
-          if tau > Store.tau t.store then
-            Error
-              (Printf.sprintf "QUERY: tau %d exceeds the index threshold %d" tau
-                 (Store.tau t.store))
-          else begin
-            let r =
-              Mutex.protect t.store_mutex (fun () ->
-                  Store.query ~budget:job.q_budget ~tau t.store tree)
-            in
-            ignore (Atomic.fetch_and_add t.counters.queries 1);
-            if r.Tsj_core.Incremental.degraded then
-              ignore (Atomic.fetch_and_add t.counters.degraded 1);
-            Ok
-              (Protocol.Hits
-                 { degraded = r.degraded; hits = r.hits; unverified = r.unverified })
-          end
-        | Protocol.Knn { k; tree } ->
-          let hits = Mutex.protect t.store_mutex (fun () -> Store.nearest ~k t.store tree) in
-          ignore (Atomic.fetch_and_add t.counters.queries 1);
-          Ok (Protocol.Hits { degraded = false; hits; unverified = [] })
-        | _ -> Error "internal: non-read request on the query path"
-      with e -> Error (Printexc.to_string e)
-    in
-    unregister_budget t job.q_token;
-    ignore (Atomic.fetch_and_add t.counters.inflight (-1));
-    let finished = Tsj_util.Timer.now () in
-    let resp =
-      match response with
-      | Ok _ when finished > job.q_expire ->
-        (* The compute outran the client's budget: delivering the answer
-           now would hand an expired result to a caller that has moved
-           on (and may already have retried elsewhere). *)
-        ignore (Atomic.fetch_and_add t.counters.expired 1);
-        Protocol.Err "deadline expired"
-      | Ok r ->
-        let h =
-          match job.q_req with Protocol.Knn _ -> t.h_knn | _ -> t.h_query
-        in
-        Admission.Histogram.record h ~seconds:(finished -. job.q_t0);
-        r
-      | Error reason ->
-        ignore (Atomic.fetch_and_add t.counters.errors 1);
-        Protocol.Err reason
-    in
-    deliver t job.q_conn ~rid:job.q_rid resp
-  end
-
-let query_loop t =
-  let rec loop () =
-    let job =
-      Mutex.protect t.runq_mutex (fun () ->
-          let rec get () =
-            if not (Queue.is_empty t.runq) then Some (Queue.pop t.runq)
-            else if Atomic.get t.draining then None
-            else begin
-              Condition.wait t.runq_cond t.runq_mutex;
-              get ()
-            end
-          in
-          get ())
-    in
-    match job with
-    | Some job ->
-      run_query t job;
-      loop ()
-    | None -> ()
+(* The compute budget of a read is the tighter of the server default
+   and the client's remaining budget less a response margin (50 ms, or
+   half of a shorter budget), so a long query degrades within what the
+   caller will actually wait for: an expired budget still finishes the
+   verify chunk in flight and sandwiches the candidates left over, and
+   that degraded answer must go out before the client's deadline, or
+   the post-compute check would throw it away. *)
+let read_budget_s t deadline_ms =
+  let client =
+    Option.map (fun ms -> float_of_int (ms - min (ms / 2) 50) /. 1000.0) deadline_ms
   in
-  loop ()
+  match (t.config.deadline_s, client) with
+  | Some a, Some b -> Some (Float.min a b)
+  | (Some _ as s), None | None, (Some _ as s) -> s
+  | None, None -> None
+
+(* Answer one admitted QUERY or KNN on the event-loop thread.  The
+   compute holds the loop, so its budget is published in [read_budget]
+   for the drain to cancel, and an expired budget degrades the answer
+   instead of stalling every other connection.  A KNN is the first [k]
+   hits of the same probe at the index threshold (the rule of
+   {!Tsj_core.Incremental.nearest}), so both verbs share one budgeted
+   path and one degraded form. *)
+let run_query t c ~rid ~deadline_ms ~expire ~t0 request =
+  let budget = Budget.create ?time_budget_s:(read_budget_s t deadline_ms) () in
+  (* Publish before the draining re-check: a drain that begins after
+     the check finds this budget in the slot when its window closes. *)
+  Atomic.set t.read_budget (Some budget);
+  let response =
+    if Atomic.get t.draining then `Draining
+    else if Tsj_util.Timer.now () > expire then `Expired
+    else
+      try
+        let tree, tau, k =
+          match request with
+          | Protocol.Query { tau; tree } -> (tree, tau, None)
+          | Protocol.Knn { k; tree } -> (tree, Store.tau t.store, Some k)
+          | _ -> invalid_arg "internal: non-read request on the query path"
+        in
+        if tau > Store.tau t.store then
+          `Failed
+            (Printf.sprintf "QUERY: tau %d exceeds the index threshold %d" tau
+               (Store.tau t.store))
+        else begin
+          let r =
+            Mutex.protect t.store_mutex (fun () -> Store.query ~budget ~tau t.store tree)
+          in
+          ignore (Atomic.fetch_and_add t.counters.queries 1);
+          if r.Tsj_core.Incremental.degraded then
+            ignore (Atomic.fetch_and_add t.counters.degraded 1);
+          let hits =
+            match k with None -> r.hits | Some k -> List.filteri (fun i _ -> i < k) r.hits
+          in
+          `Answer (Protocol.Hits { degraded = r.degraded; hits; unverified = r.unverified })
+        end
+      with e -> `Failed (Printexc.to_string e)
+  in
+  Atomic.set t.read_budget None;
+  ignore (Atomic.fetch_and_add t.counters.inflight (-1));
+  let finished = Tsj_util.Timer.now () in
+  (* A read that ends past the connection's turn ends it: the loop
+     serves every other connection before this one's next buffered
+     request. *)
+  if finished >= t.turn_ends then c.c_yielded <- true;
+  let resp =
+    match response with
+    | `Draining -> Protocol.Err "draining: not accepting new work"
+    | `Expired ->
+      (* Past the client deadline before any compute: nobody is
+         waiting for the answer. *)
+      ignore (Atomic.fetch_and_add t.counters.expired 1);
+      Protocol.Err "deadline expired"
+    | `Answer _ when finished > expire ->
+      (* The compute outran the client's budget: delivering the answer
+         now would hand an expired result to a caller that has moved
+         on (and may already have retried elsewhere). *)
+      ignore (Atomic.fetch_and_add t.counters.expired 1);
+      Protocol.Err "deadline expired"
+    | `Answer r ->
+      let h = match request with Protocol.Knn _ -> t.h_knn | _ -> t.h_query in
+      Admission.Histogram.record h ~seconds:(finished -. t0);
+      r
+    | `Failed reason ->
+      ignore (Atomic.fetch_and_add t.counters.errors 1);
+      Protocol.Err reason
+  in
+  respond t c ~rid resp
 
 (* --- write path (committer: group commit) --- *)
 
@@ -660,10 +609,9 @@ let do_drain t =
   if not (Atomic.exchange t.draining true) then begin
     Atomic.set t.drain_force_at
       (Tsj_util.Timer.now () +. t.config.drain_budget_s +. 1.0);
-    (* Wake every loop: the event loop closes the listener, the workers
-       re-check their exit conditions. *)
+    (* Wake every loop: the event loop closes the listener, the
+       committer re-checks its exit condition. *)
     Mutex.protect t.addq_mutex (fun () -> Condition.broadcast t.addq_cond);
-    Mutex.protect t.runq_mutex (fun () -> Condition.broadcast t.runq_cond);
     wake t;
     (* Let inflight work finish within the drain budget... *)
     let deadline = Tsj_util.Timer.now () +. t.config.drain_budget_s in
@@ -674,10 +622,9 @@ let do_drain t =
       end
     in
     wait ();
-    (* ...then shed what remains: cancel every live budget so budgeted
-       work degrades and returns instead of running past the drain. *)
-    Mutex.protect t.budgets_mutex (fun () ->
-        Hashtbl.iter (fun _ b -> Budget.cancel b) t.budgets);
+    (* ...then shed what remains: cancel the live read's budget so it
+       degrades and returns instead of running past the drain. *)
+    Option.iter Budget.cancel (Atomic.get t.read_budget);
     let rec wait_cancelled () =
       if Atomic.get t.counters.inflight > 0 && Tsj_util.Timer.now () < deadline +. 1.0
       then begin
@@ -872,10 +819,9 @@ let rec dispatch t c ~rid ~lag ~deadline_ms (request : Protocol.request) =
                { retry_after_ms = Some (max 1 (Admission.Deadline.of_span_s after)) })
         | _ -> (
           let expire = expire_at ~now deadline_ms in
-          match admit t ~expire with
+          match admit t with
           | `Shed resp -> respond t c ~rid resp
           | `Admitted -> (
-            Mutex.protect t.io_mutex (fun () -> c.c_async <- c.c_async + 1);
             match request with
             | Protocol.Add { seq; tree } ->
               (* The draining re-check under the queue mutex pairs with the
@@ -889,52 +835,16 @@ let rec dispatch t c ~rid ~lag ~deadline_ms (request : Protocol.request) =
                         { a_conn = c; a_rid = rid; a_seq = seq; a_tree = tree;
                           a_expire = expire; a_t0 = now }
                         t.addq;
+                      Mutex.protect t.io_mutex (fun () -> c.c_async <- c.c_async + 1);
                       Condition.signal t.addq_cond;
                       true
                     end)
               in
               if not pushed then begin
-                Mutex.protect t.io_mutex (fun () -> c.c_async <- c.c_async - 1);
                 ignore (Atomic.fetch_and_add t.counters.inflight (-1));
                 respond t c ~rid (Protocol.Err "draining: not accepting new work")
               end
-            | _ ->
-              (* The compute budget is the tighter of the server default
-                 and the client's remaining budget, so a long query
-                 degrades within what the caller will actually wait for. *)
-              let time_budget_s =
-                let client =
-                  match deadline_ms with
-                  | Some ms -> Some (float_of_int ms /. 1000.0)
-                  | None -> None
-                in
-                match (t.config.deadline_s, client) with
-                | Some a, Some b -> Some (Float.min a b)
-                | (Some _ as s), None | None, (Some _ as s) -> s
-                | None, None -> None
-              in
-              let budget = Budget.create ?time_budget_s () in
-              let token = Atomic.fetch_and_add t.next_token 1 in
-              register_budget t token budget;
-              let pushed =
-                Mutex.protect t.runq_mutex (fun () ->
-                    if Atomic.get t.draining then false
-                    else begin
-                      Queue.push
-                        { q_conn = c; q_rid = rid; q_req = request;
-                          q_budget = budget; q_token = token; q_expire = expire;
-                          q_t0 = now }
-                        t.runq;
-                      Condition.signal t.runq_cond;
-                      true
-                    end)
-              in
-              if not pushed then begin
-                unregister_budget t token;
-                Mutex.protect t.io_mutex (fun () -> c.c_async <- c.c_async - 1);
-                ignore (Atomic.fetch_and_add t.counters.inflight (-1));
-                respond t c ~rid (Protocol.Err "draining: not accepting new work")
-              end))))
+            | _ -> run_query t c ~rid ~deadline_ms ~expire ~t0:now request))))
 
 (* One text line: blank lines are ignored, a HELLO switches to frames,
    a SYNC upgrades the connection into a replication stream, anything
@@ -970,12 +880,15 @@ and handle_request t c ~rid = function
   | Ok (request, lag, deadline_ms) -> dispatch t c ~rid ~lag ~deadline_ms request
 
 (* Consume as much buffered input as the connection's mode and ordering
-   rules allow.  The per-request fault point fires once per unit —
-   line, frame, oversize, broken — before any reply; an [Injected]
+   rules allow, stopping after the read that ends its turn (see
+   [c_yielded]): a client pipelining slow reads holds the loop for one
+   read per tick, not for its whole backlog.  The per-request fault
+   point fires once per unit — line, frame, oversize, broken — before
+   any reply; an [Injected]
    raise propagates to the caller, which quarantines the connection
    without answering the victim request. *)
 and pump t c ~eof =
-  if c.c_state = Live && not c.c_closing then
+  if c.c_state = Live && not (c.c_closing || c.c_yielded) then
     match c.c_mode with
     | Text ->
       (* The newline protocol is strictly one-reply-per-request in
@@ -1141,6 +1054,10 @@ let flush_conn t c =
   | `Lost -> kill_conn t c (Types.Preprocess_failed "connection lost")
   | `Done -> ()
 
+(* A connection's turn per tick: its cheap pipelined reads are served
+   in one go, and the first read to end past the turn yields. *)
+let read_turn_s = 0.001
+
 let service_conn t c scratch ~readable =
   if c.c_state = Live then begin
     (if readable then
@@ -1151,6 +1068,8 @@ let service_conn t c scratch ~readable =
        | `Eof -> c.c_eof <- true
        | `Lost -> kill_conn t c (Types.Preprocess_failed "connection lost"));
     if c.c_state = Live then begin
+      c.c_yielded <- false;
+      t.turn_ends <- Tsj_util.Timer.now () +. read_turn_s;
       (match pump t c ~eof:c.c_eof with
       | () -> ()
       | exception Fault.Injected msg ->
@@ -1165,15 +1084,16 @@ let service_conn t c scratch ~readable =
     end
   end
 
-(* A connection closes once it owes nothing: no worker reply pending, no
-   unflushed output, and either the client is done (EOF, DRAIN) or the
-   server is draining.  Past the drain deadline it closes regardless.
+(* A connection closes once it owes nothing: no ADD reply pending, no
+   unflushed output, no input left behind by a yield, and either the
+   client is done (EOF, DRAIN) or the server is draining.  Past the drain deadline it closes regardless.
    At EOF a binary connection closes even with leftover input: after
    [pump] the leftover is a truncated frame that can never complete
    (text mode consumes its final unterminated line instead). *)
 let should_close t c ~now =
   (Atomic.get t.draining && now >= Atomic.get t.drain_force_at)
-  || Mutex.protect t.io_mutex (fun () ->
+  || (not c.c_yielded)
+     && Mutex.protect t.io_mutex (fun () ->
          c.c_async = 0
          && Netbuf.is_empty c.c_out
          && (c.c_closing
@@ -1238,6 +1158,7 @@ let accept_new t =
               c_skip = 0;
               c_closing = false;
               c_eof = false;
+              c_yielded = false;
               c_state = Live;
               c_last_active = now;
               c_bucket =
@@ -1257,11 +1178,13 @@ let accept_new t =
 
 (* Single-poll core: one [select] over the listener, the wake pipe and
    every connection; level-triggered, so each tick re-services every
-   connection whose buffers still hold work. *)
+   connection whose buffers still hold work.  A connection that yielded
+   after a read still holds buffered requests the select cannot see, so
+   the next select only polls. *)
 let event_loop t =
   let scratch = Bytes.create 65536 in
   let pipe_scratch = Bytes.create 64 in
-  let rec tick () =
+  let rec tick ~timeout =
     let draining = Atomic.get t.draining in
     if draining && not (Atomic.exchange t.listener_closed true) then begin
       (try Unix.shutdown t.listener Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
@@ -1277,7 +1200,10 @@ let event_loop t =
     if not (draining && conns = []) then begin
       (* While an EMFILE back-off is pending the listener stays out of
          the read set — select would otherwise report it readable every
-         tick and spin the loop hot with nothing to accept into. *)
+         tick and spin the loop hot with nothing to accept into.  A
+         connection that yielded is not read either until its buffered
+         requests are served: its further pipelined reads wait in the
+         socket, not in [c_in]. *)
       let accepting =
         (not draining) && Tsj_util.Timer.now () >= t.accept_pause_until
       in
@@ -1285,7 +1211,8 @@ let event_loop t =
         (t.wake_r :: (if accepting then [ t.listener ] else []))
         @ List.filter_map
             (fun c ->
-              if c.c_state = Live && not (c.c_closing || c.c_eof) then Some c.c_fd
+              if c.c_state = Live && not (c.c_closing || c.c_eof || c.c_yielded) then
+                Some c.c_fd
               else None)
             conns
       in
@@ -1300,7 +1227,7 @@ let event_loop t =
           conns
       in
       let rset =
-        match Unix.select reads writes [] 0.05 with
+        match Unix.select reads writes [] timeout with
         | r, _, _ -> r
         | exception Unix.Unix_error _ ->
           Thread.delay 0.002;
@@ -1314,7 +1241,7 @@ let event_loop t =
         in
         drain_pipe ();
         (* Reset strictly AFTER the drain.  Resetting first opens a
-           race: a worker's [wake] lands between the reset and the
+           race: a committer [wake] lands between the reset and the
            drain — its CAS succeeds, its byte is eaten by the drain —
            leaving the flag true over an empty pipe.  Every later
            [wake] then CAS-fails, no byte is ever written again, and
@@ -1348,7 +1275,7 @@ let event_loop t =
               else
                 match t.config.idle_timeout_s with
                 | Some idle
-                  when (not busy) && out_len = 0
+                  when (not (busy || c.c_yielded)) && out_len = 0
                        && now -. c.c_last_active > idle ->
                   ignore (Atomic.fetch_and_add t.counters.reaped 1);
                   close_conn t c
@@ -1357,10 +1284,10 @@ let event_loop t =
             if c.c_state = Live && should_close t c ~now then close_conn t c
           end)
         conns;
-      tick ()
+      tick ~timeout:(if List.exists (fun c -> c.c_yielded) conns then 0.0 else 0.05)
     end
   in
-  tick ()
+  tick ~timeout:0.05
 
 (* --- follower side --- *)
 
@@ -1537,25 +1464,19 @@ let create config =
             drained = Atomic.make false;
             aborted = Atomic.make false;
             quarantined = Atomic.make [];
-            budgets = Hashtbl.create 16;
-            budgets_mutex = Mutex.create ();
-            next_token = Atomic.make 0;
+            read_budget = Atomic.make None;
             io_mutex = Mutex.create ();
             conns = Hashtbl.create 16;
             conns_mutex = Mutex.create ();
             addq = Queue.create ();
             addq_mutex = Mutex.create ();
             addq_cond = Condition.create ();
-            runq = Queue.create ();
-            runq_mutex = Mutex.create ();
-            runq_cond = Condition.create ();
             wake_r;
             wake_w;
             wake_flag = Atomic.make false;
             drain_force_at = Atomic.make infinity;
             loop_thread = None;
             committer_thread = None;
-            query_thread = None;
             follower_thread = None;
             follower_fd = None;
             sync_threads = [];
@@ -1563,6 +1484,7 @@ let create config =
             scrubber = None;
             next_conn = 0;
             accept_pause_until = 0.0;
+            turn_ends = 0.0;
             h_query = Admission.Histogram.create ();
             h_knn = Admission.Histogram.create ();
             h_add = Admission.Histogram.create ();
@@ -1575,7 +1497,6 @@ let start t =
       (Sys.Signal_handle (fun _ -> ignore (Thread.create (fun () -> do_drain t) ())));
   t.loop_thread <- Some (Thread.create (fun () -> event_loop t) ());
   t.committer_thread <- Some (Thread.create (fun () -> committer_loop t) ());
-  t.query_thread <- Some (Thread.create (fun () -> query_loop t) ());
   if t.config.sync_from <> [] && not (Replica.is_primary t.replica) then
     t.follower_thread <- Some (Thread.create (fun () -> follower_loop t) ());
   match t.config.scrub_interval_s with
@@ -1631,13 +1552,11 @@ let abort t =
         t.conns);
   Cluster.seal t.cluster;
   Mutex.protect t.addq_mutex (fun () -> Condition.broadcast t.addq_cond);
-  Mutex.protect t.runq_mutex (fun () -> Condition.broadcast t.runq_cond);
   wake t
 
 let wait t =
   (match t.loop_thread with Some th -> Thread.join th | None -> ());
   (match t.committer_thread with Some th -> Thread.join th | None -> ());
-  (match t.query_thread with Some th -> Thread.join th | None -> ());
   (match t.follower_thread with Some th -> Thread.join th | None -> ());
   List.iter Thread.join (Mutex.protect t.sync_mutex (fun () -> t.sync_threads));
   (* A graceful drain is complete only once the store is flushed; an

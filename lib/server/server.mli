@@ -5,19 +5,27 @@
     socket with an {b event-driven core}: one thread runs a single
     [select] poll over the listener, a self-pipe and every connection
     (all nonblocking, with per-connection in/out buffers and
-    incremental frame parsing), and dispatches complete requests onto
-    worker threads — reads to a query worker, writes to a committer
-    that coalesces concurrent [ADD]s into {b group commits} (one
-    journal append + one flush + one quorum round per batch of up to
-    [max_batch], see {!Store.add_batch}).
+    incremental frame parsing) and answers every complete request
+    itself — [QUERY]/[KNN] included, computed inline under a budget —
+    except [ADD]s, which go to a committer thread that coalesces
+    concurrent [ADD]s into {b group commits} (one journal append + one
+    flush + one quorum round per batch of up to [max_batch], see
+    {!Store.add_batch}).  A read holds the loop for its compute, which
+    [deadline_s] or the client's deadline (less a response margin)
+    bounds: past it the answer degrades instead of stalling the other
+    connections.  Each connection gets a turn per tick that ends with
+    the first read finishing more than 1 ms into it, so a request
+    waits behind at most one read (plus 1 ms) of each connection with
+    reads ready, however many a client pipelines.
 
     Each connection carries newline-delimited lines until one
     [HELLO BIN <v>] handshake switches it to length-prefixed frames
     around the same lines (see {!Protocol.Binary}); both share the
-    port.  Framed connections may pipeline: every complete frame is dispatched
-    immediately and replies are matched by request id, in whatever
-    order they finish.  The newline protocol keeps its strict
-    one-reply-per-request ordering.
+    port.  Framed connections may pipeline: complete frames are
+    dispatched as they arrive (reads within the connection's turn) and
+    replies are matched by request id, in whatever order they finish.
+    The newline protocol keeps its strict one-reply-per-request
+    ordering.
 
     Robustness properties:
 
@@ -26,11 +34,12 @@
       answer with bound sandwiches and the [degraded] flag rather than
       blocking the server;
     - {b admission control}: at most [max_inflight] work-bearing
-      requests run at once; beyond the watermark, requests are shed with
-      an explicit [BUSY] — deterministic, never a silent drop.  At the
-      watermark, read work displaces the queued read with the {e least}
-      remaining deadline (which is shed with [BUSY]) so near-expired
-      work — which would expire anyway — is sacrificed first;
+      requests run at once; beyond the watermark, the newcomer is shed
+      with an explicit [BUSY] carrying a retry-after hint —
+      deterministic, never a silent drop.  Reads run one at a time, so
+      a read meets the watermark only when queued [ADD]s fill it; a
+      connection's reads past the one being served wait in its socket
+      (not read until its buffered requests are served);
     - {b fair admission}: with [rate] set, each connection gets its own
       token bucket ([rate] tokens/s, capacity [burst]) in front of the
       shared watermark; a greedy connection exhausts only its own bucket
@@ -55,9 +64,11 @@
       {!Tsj_join.Types.quarantined} reason) and leaves every other
       connection untouched;
     - {b graceful drain}: [DRAIN]/SIGTERM stops accepting, lets inflight
-      requests finish within [drain_budget_s] (then cancels their
-      budgets), flushes the store (snapshot + empty journal) and exits
-      cleanly;
+      requests finish within [drain_budget_s] (then cancels the budget
+      of the read in flight, which answers degraded), flushes the store
+      (snapshot + empty journal) and exits cleanly.  A [DRAIN] request
+      is read only once the loop is free, so only SIGTERM or {!drain}
+      can cancel a read that is running;
     - {b crash safety}: [ADD] is journaled before it is indexed
       (see {!Store}), so killing the server at any point and restarting
       yields an index equal to the acknowledged prefix; a crash during
@@ -167,8 +178,8 @@ val create : config -> (t, string) result
     server does not accept connections until {!start}. *)
 
 val start : t -> unit
-(** Spawn the event loop, the committer and the query worker (and the
-    SIGTERM handler if configured); a non-primary with a [sync_from]
+(** Spawn the event loop and the committer (and the SIGTERM handler
+    if configured); a non-primary with a [sync_from]
     list also spawns the follower thread that keeps a replication
     stream open. *)
 

@@ -44,8 +44,8 @@ val euler_bound : t -> t -> int
 (** Builds both Euler strings on the call (no form stores them). *)
 
 val best : t -> t -> int
-(** Maximum of all the lower bounds above — the [lower] of a degraded
-    answer's sandwich. *)
+(** Maximum of all the lower bounds above — the [lower] of a
+    quarantined join pair's sandwich. *)
 
 val upper : t -> t -> int
 (** Greedy-mapping upper bound: cost of the edit script that renames

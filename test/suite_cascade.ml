@@ -71,7 +71,8 @@ let prop_compiled_matches_per_pair =
       && Bounds.upper ca cb = ref_upper a b)
 
 (* The budget-degraded query path reads the stored forms; its [lo, hi]
-   sandwiches must stay exactly the per-pair bounds. *)
+   sandwiches must stay exactly the per-pair linear lower bounds (size,
+   labels, degrees) and the greedy upper bound. *)
 let prop_degraded_sandwiches_match_per_pair =
   Gen.qtest ~count:100 "degraded query sandwiches = per-pair bounds"
     QCheck.(int_bound 1_000_000)
@@ -94,7 +95,10 @@ let prop_degraded_sandwiches_match_per_pair =
       && List.exists (fun (id, _, _) -> id = near) r.Tsj_core.Incremental.unverified
       && List.for_all
            (fun (id, lo, hi) ->
-             lo <= tau && lo = ref_best q trees.(id) && hi = ref_upper q trees.(id))
+             let c = trees.(id) in
+             lo <= tau
+             && lo = max (ref_size q c) (max (ref_labels q c) (ref_degree q c))
+             && hi = ref_upper q c)
            r.Tsj_core.Incremental.unverified)
 
 let prop_compiled_lower_bounds =

@@ -97,8 +97,12 @@ let test_shard_window_edit_balls () =
    answer the query from a random subset of shards (the rest
    Unreachable) and check the merged answer never loses a true hit:
    exact when the owning shard answered, inside its [lo, hi] sandwich
-   when it did not — and never invents one. *)
-let prop_merge_sound seed =
+   when it did not — and never invents one.  With [~spent] every shard
+   that answers does so under an already-cancelled budget, so its reply
+   is the degraded form (linear-bound sandwiches) a served read returns
+   when its compute budget runs out: a true hit may then be reported or
+   sandwiched, but never lost. *)
+let prop_merge_sound ?(spent = false) seed =
   let rng = Prng.create (0xD156E + seed) in
   let tau = 1 + (seed mod 3) in
   let shards = 2 + (seed mod 3) in
@@ -129,7 +133,15 @@ let prop_merge_sound seed =
           (fun s ->
             if not reachable.(s) then (s, Router.Merge.Unreachable)
             else
-              let r = Store.query ~tau stores.(s) q in
+              let budget =
+                if spent then begin
+                  let b = Tsj_join.Budget.create () in
+                  Tsj_join.Budget.cancel b;
+                  Some b
+                end
+                else None
+              in
+              let r = Store.query ?budget ~tau stores.(s) q in
               ( s,
                 Router.Merge.Answer
                   {
@@ -146,20 +158,24 @@ let prop_merge_sound seed =
           answers
       in
       let truth = (Store.query ~tau reference q).Incremental.hits in
+      let sandwiched gid d =
+        List.exists (fun (g, lo, hi) -> g = gid && lo <= d && d <= hi) merged.Router.a_unverified
+      in
       List.iter
         (fun (gid, d) ->
           let s = Shard.shard_of_tree map trees.(gid) in
-          if reachable.(s) then begin
+          if spent then begin
+            if not (List.mem (gid, d) merged.Router.a_hits || sandwiched gid d) then
+              QCheck.Test.fail_reportf
+                "hit (%d, %d) neither reported nor sandwiched under a spent budget (seed=%d)"
+                gid d seed
+          end
+          else if reachable.(s) then begin
             if not (List.mem (gid, d) merged.Router.a_hits) then
               QCheck.Test.fail_reportf
                 "hit (%d, %d) lost though shard %d answered (seed=%d)" gid d s seed
           end
-          else if
-            not
-              (List.exists
-                 (fun (g, lo, hi) -> g = gid && lo <= d && d <= hi)
-                 merged.Router.a_unverified)
-          then
+          else if not (sandwiched gid d) then
             QCheck.Test.fail_reportf
               "hit (%d, %d) of silent shard %d not sandwiched (seed=%d)" gid d s seed)
         truth;
@@ -169,7 +185,7 @@ let prop_merge_sound seed =
             QCheck.Test.fail_reportf "invented hit (%d, %d) (seed=%d)" gid d seed)
         merged.Router.a_hits;
       (* with every shard reachable the merge is the truth, bit for bit *)
-      if Array.for_all (fun b -> b) reachable then begin
+      if (not spent) && Array.for_all (fun b -> b) reachable then begin
         if merged.Router.a_hits <> truth || merged.Router.a_unverified <> [] then
           QCheck.Test.fail_reportf "healthy merge not bit-identical (seed=%d)" seed;
         if merged.Router.a_degraded then
@@ -180,7 +196,12 @@ let prop_merge_sound seed =
 let prop_merge_sandwich =
   Gen.qtest ~count:60 "merged sandwiches always contain the true distance"
     QCheck.(int_bound 1_000_000)
-    prop_merge_sound
+    (fun seed -> prop_merge_sound seed)
+
+let prop_merge_spent_sandwich =
+  Gen.qtest ~count:60 "merged degraded shard answers keep every true hit"
+    QCheck.(int_bound 1_000_000)
+    (prop_merge_sound ~spent:true)
 
 (* --- router end-to-end over real sockets --- *)
 
@@ -853,4 +874,5 @@ let suite =
       test_router_migration_and_fanout;
     Alcotest.test_case "shard windows hold every edit ball" `Quick
       test_shard_window_edit_balls;
+    prop_merge_spent_sandwich;
   ]

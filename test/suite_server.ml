@@ -491,7 +491,7 @@ let prop_restart_deterministic =
 
 let with_server ?(tau = 2) ?dir ?(max_inflight = 64) ?deadline_s ?(domains = 1)
     ?(max_batch = 64) ?rate ?(burst = 32) ?idle_timeout_s ?max_out_bytes
-    ?max_conns f =
+    ?max_conns ?(drain_budget_s = 5.0) f =
   let sock = Filename.temp_file "tsj_sock" "" in
   Sys.remove sock;
   let addr = Protocol.Unix_path sock in
@@ -499,7 +499,7 @@ let with_server ?(tau = 2) ?dir ?(max_inflight = 64) ?deadline_s ?(domains = 1)
   let config =
     { base with
       Server.dir; domains; max_inflight; deadline_s; max_batch;
-      drain_budget_s = 5.0; rate; burst; idle_timeout_s; max_conns;
+      drain_budget_s; rate; burst; idle_timeout_s; max_conns;
       max_out_bytes =
         (match max_out_bytes with Some b -> b | None -> base.Server.max_out_bytes) }
   in
@@ -696,6 +696,183 @@ let test_server_deadline_degrades () =
       | r -> Alcotest.failf "bad stats: %s" (Protocol.render_response r));
       Client.close conn;
       ignore server)
+
+(* Every reported hit is in [truth] at its true distance, and every hit
+   of [cover] (default [truth]) is reported or sits inside one of the
+   [unverified] sandwiches. *)
+let check_sound_answer ?cover what ~truth ~hits ~unverified =
+  List.iter
+    (fun (id, d) ->
+      match List.assoc_opt id truth with
+      | Some d' when d' = d -> ()
+      | _ -> Alcotest.failf "%s: hit (%d, %d) is not a true hit" what id d)
+    hits;
+  List.iter
+    (fun (id, d) ->
+      if
+        not
+          (List.mem_assoc id hits
+          || List.exists (fun (i, lo, hi) -> i = id && lo <= d && d <= hi) unverified)
+      then Alcotest.failf "%s: true hit (%d, %d) lost" what id d)
+    (Option.value cover ~default:truth)
+
+let test_server_knn_spent_budget () =
+  (* An always-expired compute budget degrades a served KNN like a
+     QUERY: what it reports must still cover the unbudgeted k nearest. *)
+  let rng = Prng.create 2402 in
+  let bases = trees_of 2403 12 in
+  let edited k tree = snd (Tsj_tree.Edit_op.random_script rng ~labels:Gen.default_alphabet k tree) in
+  let stored = Array.init 48 (fun i -> edited (i mod 3) bases.(i mod 12)) in
+  with_server ~deadline_s:1e-9 (fun addr server ->
+      let conn = ok_or_fail (Client.connect addr) in
+      Array.iter (fun tree -> ignore (request conn (Protocol.Add { seq = None; tree }))) stored;
+      let degraded = ref 0 in
+      Array.iteri
+        (fun i base ->
+          let q = edited (i mod 2) base in
+          List.iter
+            (fun k ->
+              let store = Server.store server in
+              let truth = (Store.query store q).Incremental.hits in
+              let cover = Store.nearest ~k store q in
+              match request conn (Protocol.Knn { k; tree = q }) with
+              | Protocol.Hits { degraded = d; hits; unverified } ->
+                if d then incr degraded;
+                check_sound_answer ~cover (Printf.sprintf "KNN %d of base %d" k i) ~truth
+                  ~hits ~unverified
+              | r -> Alcotest.failf "bad KNN reply %s" (Protocol.render_response r))
+            [ 1; 3; 5 ])
+        bases;
+      Alcotest.(check bool) "KNNs degraded" true (!degraded > 0);
+      Client.close conn)
+
+(* A snapshot on which one unbudgeted read takes well over the budgets
+   below (0.2–0.36 s on a 2-vCPU host): [slow_read_trees] near-duplicates
+   (three random edits each) of one 150-node tree at τ = 5.  Every
+   stored tree is a candidate of a query one edit from that tree, and
+   each costs a cascade run.  Returns the query. *)
+let slow_read_tau = 5
+let slow_read_trees = 3000
+
+let slow_read_fixture dir =
+  let rng = Prng.create 2401 in
+  let base = Gen.random_tree rng 150 in
+  let edited k = snd (Tsj_tree.Edit_op.random_script rng ~labels:Gen.default_alphabet k base) in
+  let stored = Array.init slow_read_trees (fun _ -> edited 3) in
+  Unix.mkdir dir 0o755;
+  Store.save_collection ~tau:slow_read_tau stored (Filename.concat dir "snapshot");
+  edited 1
+
+(* Send text requests in one write, without waiting for the replies. *)
+let send_lines ?deadline_ms (_, _, oc) reqs =
+  List.iter
+    (fun req ->
+      output_string oc (Protocol.render_request_d ?deadline_ms req);
+      output_char oc '\n')
+    reqs;
+  flush oc
+
+let read_reply (_, ic, _) = ok_or_fail (Protocol.parse_response (input_line ic))
+
+(* A read runs on the event loop, so the loop answers nothing else until
+   it returns, and a connection's turn ends with its first read past
+   1 ms: a HEALTH sent on a second connection 20 ms after the reads
+   waits for at most the read in flight and the pipeliner's next one,
+   each bounded by its compute budget.  The clock starts when the reads are sent: the client shares
+   the server's domain, so it may run only after the loop yields.  The
+   stated slack is half the unbudgeted read's time, at least 0.1 s: it
+   covers the verify chunk in flight, the sandwiches of the candidates
+   left over and a loaded host's scheduling, and stays far below the
+   pipelined backlog.  Every pipelined read comes back degraded and
+   sound. *)
+let check_inline_read_liveness ?deadline_s ?client_ms ~reads dir q =
+  with_server ~tau:slow_read_tau ~dir ?deadline_s (fun addr server ->
+      let store = Server.store server in
+      let t1 = Tsj_util.Timer.now () in
+      let truth = (Store.query store q).Incremental.hits in
+      let full_s = Tsj_util.Timer.now () -. t1 in
+      let cover = Store.nearest ~k:5 store q in
+      let budget_s =
+        match (deadline_s, client_ms) with
+        | Some s, _ -> s
+        | None, Some ms -> float_of_int ms /. 1000.0
+        | None, None -> invalid_arg "check_inline_read_liveness: no budget"
+      in
+      (* Both cases give the compute 50 ms: [deadline_s], or a client's
+         100 ms less the server's 50 ms response margin. *)
+      if full_s < 0.1 then
+        Alcotest.failf "fixture too fast: the unbudgeted read took %.3f s" full_s;
+      let bound = 0.02 +. (2.0 *. budget_s) +. Float.max 0.1 (full_s /. 2.0) in
+      let ((fd, _, _) as a) = raw_connect addr in
+      let replied () =
+        match Unix.select [ fd ] [] [] 0.0 with [], _, _ -> false | _ -> true
+      in
+      let b = ok_or_fail (Client.connect addr) in
+      ignore (request b Protocol.Health);
+      let t0 = Tsj_util.Timer.now () in
+      send_lines ?deadline_ms:client_ms a
+        (List.init reads (fun _ -> Protocol.Knn { k = 5; tree = q }));
+      Thread.delay 0.02;
+      (match request b Protocol.Health with
+      | Protocol.Health_reply { draining = false } -> ()
+      | r -> Alcotest.failf "bad health reply %s" (Protocol.render_response r));
+      let waited = Tsj_util.Timer.now () -. t0 in
+      (* The loop took the read up first: its reply was flushed before
+         HEALTH was read. *)
+      Alcotest.(check bool) "the read ran before HEALTH" true (replied ());
+      if waited > bound then
+        Alcotest.failf
+          "HEALTH answered %.3f s after %d pipelined reads (bound %.3f s; unbudgeted \
+           read %.3f s)"
+          waited reads bound full_s;
+      for i = 1 to reads do
+        match read_reply a with
+        | Protocol.Hits { degraded = true; hits; unverified } ->
+          check_sound_answer ~cover (Printf.sprintf "budgeted KNN %d" i) ~truth ~hits
+            ~unverified
+        | r ->
+          Alcotest.failf "expected a degraded KNN %d, got %s" i (Protocol.render_response r)
+      done;
+      Unix.close fd;
+      Client.close b)
+
+let test_inline_read_liveness () =
+  with_store_dir (fun dir ->
+      let q = slow_read_fixture dir in
+      (* The server budget, a client pipelining 12 reads. *)
+      check_inline_read_liveness ~deadline_s:0.05 ~reads:12 dir q;
+      (* A client deadline alone: the read keeps a response margin, so
+         its degraded answer beats the deadline rather than being
+         replaced by [ERR deadline expired]. *)
+      check_inline_read_liveness ~client_ms:100 ~reads:1 dir q)
+
+let test_drain_cancels_inline_read () =
+  (* No deadline: only the drain can stop the read, by cancelling the
+     budget it published.  [Server.drain] is the SIGTERM path; a wire
+     DRAIN would be read only after the read returns. *)
+  let drain_budget_s = 0.03 in
+  with_store_dir (fun dir ->
+      let q = slow_read_fixture dir in
+      with_server ~tau:slow_read_tau ~dir ~drain_budget_s (fun addr server ->
+          let t1 = Tsj_util.Timer.now () in
+          let truth = (Store.query (Server.store server) q).Incremental.hits in
+          let full_s = Tsj_util.Timer.now () -. t1 in
+          if full_s < 2.0 *. (0.03 +. drain_budget_s) then
+            Alcotest.failf "fixture too fast: the unbudgeted read took %.3f s" full_s;
+          let ((fd, _, _) as a) = raw_connect addr in
+          send_lines a [ Protocol.Query { tau = slow_read_tau; tree = q } ];
+          Thread.delay 0.03;
+          let t0 = Tsj_util.Timer.now () in
+          Server.drain server;
+          let took = Tsj_util.Timer.now () -. t0 in
+          Alcotest.(check bool) "drained" true (Server.drained server);
+          if took > drain_budget_s +. 1.0 then
+            Alcotest.failf "drain took %.3f s (budget %.2f s + 1 s)" took drain_budget_s;
+          (match read_reply a with
+          | Protocol.Hits { degraded = true; hits; unverified } ->
+            check_sound_answer "cancelled QUERY" ~truth ~hits ~unverified
+          | r -> Alcotest.failf "expected a degraded QUERY, got %s" (Protocol.render_response r));
+          Unix.close fd))
 
 let test_server_drain_flushes () =
   with_store_dir (fun dir ->
@@ -2909,4 +3086,10 @@ let suite =
       test_store_dedup_equivalence;
     Alcotest.test_case "store dedup within one batch" `Quick
       test_store_dedup_within_batch;
+    Alcotest.test_case "served KNN under a spent budget covers the k nearest" `Quick
+      test_server_knn_spent_budget;
+    Alcotest.test_case "inline read leaves HEALTH answered within the budget" `Slow
+      test_inline_read_liveness;
+    Alcotest.test_case "drain cancels the in-flight inline read" `Slow
+      test_drain_cancels_inline_read;
   ]
