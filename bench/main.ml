@@ -42,10 +42,38 @@ let micro () =
   let bag2 = Tsj_baselines.Binary_branch.bag_of_tree t80b in
   let partition = Tsj_core.Partition.partition btree ~delta:7 in
   let subgraphs = Tsj_core.Subgraph.of_partition ~tree_id:0 partition in
-  let filled_index =
-    let idx = Tsj_core.Two_layer_index.create ~tau:3 () in
-    Array.iter (Tsj_core.Two_layer_index.insert idx) subgraphs;
-    idx
+  (* The probe runs against the index a perfbench [query] server holds:
+     2,000 swissprot trees at τ = 2, probed with a fresh tree of the same
+     profile over its size window.  A probe does one lookup per (size
+     with subgraphs, node, coordinate); [probe_lookups] counts them, so
+     the time per lookup can be read off. *)
+  let probe_tau = 2 in
+  let stored = Tsj_datagen.Profiles.(instantiate swissprot ~seed:801 ~n:2000) in
+  let filled_index = Tsj_core.Two_layer_index.create ~tau:probe_tau () in
+  Array.iteri
+    (fun id tree ->
+      let b = Tsj_tree.Binary_tree.of_tree tree in
+      if b.Tsj_tree.Binary_tree.size >= (2 * probe_tau) + 1 then
+        Array.iter
+          (Tsj_core.Two_layer_index.insert filled_index)
+          (Tsj_core.Subgraph.of_partition ~tree_id:id
+             (Tsj_core.Partition.partition b ~delta:((2 * probe_tau) + 1))))
+    stored;
+  let probed = Tsj_tree.Binary_tree.of_tree Tsj_datagen.Profiles.(instantiate swissprot ~seed:802 ~n:1).(0) in
+  let probe_cursor = Tsj_core.Two_layer_index.cursor probed in
+  let probe_lo = probed.Tsj_tree.Binary_tree.size - probe_tau in
+  let probe_hi = probed.Tsj_tree.Binary_tree.size + probe_tau in
+  let probe_lookups =
+    let indexed size =
+      Array.exists
+        (fun tree -> Tsj_tree.Tree.size tree = size && size >= (2 * probe_tau) + 1)
+        stored
+    in
+    let sizes = List.filter indexed (List.init (probe_hi - probe_lo + 1) (( + ) probe_lo)) in
+    2 * List.length sizes * probed.Tsj_tree.Binary_tree.size
+  in
+  let probe_name =
+    Printf.sprintf "partsj/index-probe (%d nodes, 2000 trees)" probed.Tsj_tree.Binary_tree.size
   in
   let tests =
     [
@@ -83,13 +111,11 @@ let micro () =
         (Staged.stage (fun () ->
              let idx = Tsj_core.Two_layer_index.create ~tau:3 () in
              Array.iter (Tsj_core.Two_layer_index.insert idx) subgraphs));
-      Test.make ~name:"partsj/index-probe (80 nodes)"
+      Test.make ~name:probe_name
         (Staged.stage (fun () ->
              let hits = ref 0 in
-             let size = btree.Tsj_tree.Binary_tree.size in
-             let cursor = Tsj_core.Two_layer_index.cursor btree in
-             Tsj_core.Two_layer_index.probe filled_index cursor ~lo:(size - 3) ~hi:size
-               (fun _ _ -> incr hits);
+             Tsj_core.Two_layer_index.probe filled_index probe_cursor ~lo:probe_lo
+               ~hi:probe_hi (fun _ _ -> incr hits);
              !hits));
       Test.make ~name:"partsj/subgraph-match (own tree)"
         (Staged.stage (fun () ->
@@ -122,7 +148,12 @@ let micro () =
               | Some (x :: _) -> x
               | _ -> nan
             in
-            [ name; Printf.sprintf "%.0f ns" ns ] :: acc)
+            let row = [ name; Printf.sprintf "%.0f ns" ns ] in
+            if name = probe_name then
+              [ Printf.sprintf "partsj/index-probe per lookup (%d lookups)" probe_lookups;
+                Printf.sprintf "%.1f ns" (ns /. float_of_int probe_lookups) ]
+              :: row :: acc
+            else row :: acc)
           res [])
       results
   in

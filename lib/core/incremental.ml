@@ -180,10 +180,7 @@ let query ?budget ?(domains = 1) ?tau t q =
         for k = lo to n - 1 do
           let tj = cands.(k) in
           let f = t.forms.(tj) in
-          let lower =
-            Int.max (Bounds.size_bound qf f)
-              (Int.max (Bounds.label_bound qf f) (Bounds.degree_bound qf f))
-          in
+          let lower = Bounds.linear_lower qf f in
           if lower <= tau then begin
             let upper = Bounds.upper qf f in
             unverified := (tj, lower, upper) :: !unverified

@@ -207,7 +207,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
       let fi = d.(i).d_form and fj = d.(j).d_form in
       let pi = Bounds.prep fi and pj = Bounds.prep fj in
       let over_budget () =
-        let lower = Bounds.best fi fj in
+        let lower = Bounds.linear_lower fi fj in
         let upper = Bounds.upper fi fj in
         {
           v_dist = tau + 1;

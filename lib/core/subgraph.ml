@@ -4,15 +4,40 @@ module Label = Tsj_tree.Label
 type t = {
   tree_id : int;
   tree_size : int;
-  btree : Binary_tree.t;
-  assignment : int array;
-  component : int;
   root : int;
   root_gpost : int;
   rank : int;
   n_nodes : int;
-  incoming : Binary_tree.child_kind;
+  code : int array;
 }
+
+(* Edge codes: two bits per side, left in bits 0-1, right in bits 2-3. *)
+let no_edge = 0
+let bridging = 1
+let inside = 2
+
+(* [code.(0)] is 1 when the component root is the tree root; then each
+   component node in preorder (node, left subtree, right subtree) as
+   its label and its left/right edge code. *)
+let encode (b : Binary_tree.t) assignment ~component ~root ~n_nodes =
+  let code = Array.make (1 + (2 * n_nodes)) 0 in
+  code.(0) <- (if b.Binary_tree.kind.(root) = Binary_tree.Root then 1 else 0);
+  let edge child =
+    if child < 0 then no_edge
+    else if assignment.(child) <> component then bridging
+    else inside
+  in
+  let next = ref 1 in
+  let rec emit u =
+    let l = b.Binary_tree.left.(u) and r = b.Binary_tree.right.(u) in
+    code.(!next) <- b.Binary_tree.label.(u);
+    code.(!next + 1) <- edge l lor (edge r lsl 2);
+    next := !next + 2;
+    if edge l = inside then emit l;
+    if edge r = inside then emit r
+  in
+  emit root;
+  code
 
 let of_partition ~tree_id (p : Partition.t) =
   let b = p.Partition.btree in
@@ -33,30 +58,49 @@ let of_partition ~tree_id (p : Partition.t) =
       {
         tree_id;
         tree_size = b.Binary_tree.size;
-        btree = b;
-        assignment = p.Partition.assignment;
-        component = k;
         root;
         root_gpost = b.Binary_tree.gpost.(root);
         rank = rank0 + 1;
         n_nodes = sizes.(k);
-        incoming = b.Binary_tree.kind.(root);
+        code = encode b p.Partition.assignment ~component:k ~root ~n_nodes:sizes.(k);
       })
     by_gpost
 
-let slot s child =
-  if child < 0 then Label.epsilon
-  else if s.assignment.(child) <> s.component then Label.epsilon
-  else s.btree.Binary_tree.label.(child)
+(* The code index just past the subtree whose node starts at [i]. *)
+let rec skip code i =
+  let e = code.(i + 1) in
+  let i = if e land 3 = inside then skip code (i + 2) else i + 2 in
+  if e lsr 2 = inside then skip code i else i
 
 let label_key s =
-  let b = s.btree in
-  ( b.Binary_tree.label.(s.root),
-    slot s b.Binary_tree.left.(s.root),
-    slot s b.Binary_tree.right.(s.root) )
+  let code = s.code in
+  let e = code.(2) in
+  let left_inside = e land 3 = inside in
+  let left = if left_inside then code.(3) else Label.epsilon in
+  (* The right child follows the root's left subtree in preorder. *)
+  let right =
+    if e lsr 2 <> inside then Label.epsilon
+    else code.(if left_inside then skip code 3 else 3)
+  in
+  (code.(1), left, right)
+
+(* [walk code target i v] matches the node encoded at [i] and its
+   component subtree against [v]: the code index past that subtree, or
+   -1 on a mismatch. *)
+let rec walk code (target : Binary_tree.t) i v =
+  if code.(i) <> target.Binary_tree.label.(v) then -1
+  else
+    let e = code.(i + 1) in
+    let i = edge code target (e land 3) target.Binary_tree.left.(v) (i + 2) in
+    if i < 0 then -1 else edge code target (e lsr 2) target.Binary_tree.right.(v) i
+
+and edge code target kind child i =
+  if kind = no_edge then if child < 0 then i else -1 (* none in T either *)
+  else if child < 0 then -1
+  else if kind = bridging then i (* T's child there is unconstrained *)
+  else walk code target i child
 
 let matches s (target : Binary_tree.t) v =
-  let src = s.btree in
   (* The component root must preserve whether it has an incoming edge at
      all (tree root vs. hanging off a bridging edge), but NOT the edge's
      left/right category: deleting a node makes its first child take the
@@ -65,18 +109,8 @@ let matches s (target : Binary_tree.t) v =
      untouched.  Matching the category (as the paper's Figure 7 narrative
      does) would make deletions touch three subgraphs and break Lemma 1 /
      Lemma 2 at delta = 2*tau + 1 — see DESIGN.md, finding 3. *)
-  (s.incoming = Binary_tree.Root) = (target.Binary_tree.kind.(v) = Binary_tree.Root)
-  &&
-  let rec walk u v =
-    src.Binary_tree.label.(u) = target.Binary_tree.label.(v)
-    && check src.Binary_tree.left.(u) target.Binary_tree.left.(v)
-    && check src.Binary_tree.right.(u) target.Binary_tree.right.(v)
-  and check uc vc =
-    if uc < 0 then vc < 0 (* no edge in the component: none allowed in T *)
-    else if s.assignment.(uc) <> s.component then vc >= 0 (* bridging edge *)
-    else vc >= 0 && walk uc vc
-  in
-  walk s.root v
+  (s.code.(0) = 1) = (target.Binary_tree.kind.(v) = Binary_tree.Root)
+  && walk s.code target 1 v >= 0
 
 let occurs_in s target =
   let n = target.Binary_tree.size in

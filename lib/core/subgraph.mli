@@ -27,16 +27,22 @@
 type t = {
   tree_id : int;       (** which collection tree this subgraph came from *)
   tree_size : int;     (** node count of that tree *)
-  btree : Tsj_tree.Binary_tree.t;  (** the container tree *)
-  assignment : int array;          (** the partition's component map *)
-  component : int;     (** this subgraph's component id in the partition *)
   root : int;          (** component root node (binary-postorder id) *)
   root_gpost : int;    (** the root's general-tree postorder number — the
                            identifier [p_k] of the postorder-pruning layer *)
   rank : int;          (** k: 1-based position among the tree's subgraphs,
                            ordered by [root_gpost] *)
   n_nodes : int;       (** component size *)
-  incoming : Tsj_tree.Binary_tree.child_kind;
+  code : int array;
+      (** The component, encoded for {!matches}: [code.(0)] is 1 iff
+          the component root is the tree root, then [2 * n_nodes] ints,
+          one (label, edge code) pair per component node in preorder
+          (node, left subtree, right subtree).  The edge code holds the
+          left edge in bits 0–1 and the right edge in bits 2–3: 0 no
+          child, 1 a bridging edge, 2 an edge inside the component.  A
+          subgraph keeps neither its tree's LC-RS form nor the
+          partition's component map: a stored tree costs its index only
+          [2 * size + 1] code ints plus one record per subgraph. *)
 }
 
 val of_partition : tree_id:int -> Partition.t -> t array

@@ -67,21 +67,12 @@ let traversal_bound a b =
     (String_edit.distance (rev_preorder a) (rev_preorder b))
     (String_edit.distance (postorder a) (postorder b))
 
-(* The Euler string is built on demand: only the degraded paths (over a
-   budget) ask for [best], so no form keeps it. *)
+(* The Euler string is built on demand, so no form keeps it. *)
 let euler_bound a b =
   let euler f = Traversal.euler_tour (Ted.tree f.prep) in
   (String_edit.distance (euler a) (euler b) + 1) / 2
 
-let best a b =
-  List.fold_left Int.max 0
-    [
-      size_bound a b;
-      label_bound a b;
-      degree_bound a b;
-      traversal_bound a b;
-      euler_bound a b;
-    ]
+let linear_lower a b = Int.max (size_bound a b) (Int.max (label_bound a b) (degree_bound a b))
 
 (* Greedy-mapping upper bound: rename the roots if their labels differ,
    recursively edit the children matched position by position, and

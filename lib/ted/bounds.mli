@@ -43,9 +43,12 @@ val traversal_bound : t -> t -> int
 val euler_bound : t -> t -> int
 (** Builds both Euler strings on the call (no form stores them). *)
 
-val best : t -> t -> int
-(** Maximum of all the lower bounds above — the [lower] of a
-    quarantined join pair's sandwich. *)
+val linear_lower : t -> t -> int
+(** [max] of the size, label-bag and degree-bag bounds: the linear-time
+    lower bounds, and the [lower] of every sandwich a budget leaves
+    unverified (a degraded query's tail, a quarantined join pair).  The
+    traversal SEDs would cost about as much per pair as the cascade and
+    banded kernel together. *)
 
 val upper : t -> t -> int
 (** Greedy-mapping upper bound: cost of the edit script that renames

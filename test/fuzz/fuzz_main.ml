@@ -242,7 +242,12 @@ let fuzz_ted iterations rng =
     if l <> r then bad := "left<>right" :: !bad;
     if Tree.size x <= 9 && Tree.size y <= 9 && l <> Tsj_ted.Naive.distance x y then
       bad := "zs<>naive" :: !bad;
-    if Tsj_ted.Bounds.(best (of_prep px) (of_prep py)) > l then bad := "bound>ted" :: !bad;
+    (let fx = Tsj_ted.Bounds.of_prep px and fy = Tsj_ted.Bounds.of_prep py in
+     if
+       List.exists
+         (fun bound -> bound fx fy > l)
+         Tsj_ted.Bounds.[ linear_lower; traversal_bound; euler_bound ]
+     then bad := "bound>ted" :: !bad);
     if Tsj_ted.Constrained.distance x y < l then bad := "constrained<ted" :: !bad;
     (* The banded kernel on a near pair: a tree of up to 80 nodes and a
        copy at most k + 2 edits away, so the optimal mapping runs near

@@ -42,9 +42,7 @@ let ref_traversal a b =
 
 let ref_euler a b = (ref_sed Traversal.euler_tour a b + 1) / 2
 
-let ref_best a b =
-  List.fold_left max 0
-    [ ref_size a b; ref_labels a b; ref_degree a b; ref_traversal a b; ref_euler a b ]
+let ref_linear a b = max (ref_size a b) (max (ref_labels a b) (ref_degree a b))
 
 (* The greedy script: rename the roots if they differ, pair the children
    left to right, delete / insert the unmatched tail. *)
@@ -67,7 +65,7 @@ let prop_compiled_matches_per_pair =
       && Bounds.degree_bound ca cb = ref_degree a b
       && Bounds.traversal_bound ca cb = ref_traversal a b
       && Bounds.euler_bound ca cb = ref_euler a b
-      && Bounds.best ca cb = ref_best a b
+      && Bounds.linear_lower ca cb = ref_linear a b
       && Bounds.upper ca cb = ref_upper a b)
 
 (* The budget-degraded query path reads the stored forms; its [lo, hi]
@@ -97,7 +95,7 @@ let prop_degraded_sandwiches_match_per_pair =
            (fun (id, lo, hi) ->
              let c = trees.(id) in
              lo <= tau
-             && lo = max (ref_size q c) (max (ref_labels q c) (ref_degree q c))
+             && lo = ref_linear q c
              && hi = ref_upper q c)
            r.Tsj_core.Incremental.unverified)
 
@@ -118,7 +116,7 @@ let prop_compiled_lower_bounds =
           ("degrees", Bounds.degree_bound ca cb);
           ("traversal", Bounds.traversal_bound ca cb);
           ("euler", Bounds.euler_bound ca cb);
-          ("best", Bounds.best ca cb);
+          ("linear", Bounds.linear_lower ca cb);
         ])
 
 (* --- greedy-mapping upper bound --- *)

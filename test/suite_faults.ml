@@ -194,6 +194,31 @@ let test_pair_budget_deterministic_across_domains () =
   Alcotest.(check bool) "budgeted output identical at 1 and 4 domains" true
     (Types.equal_deterministic r1.Faults.budgeted r4.Faults.budgeted)
 
+(* A pair quarantined by the per-pair budget carries [lower, upper]
+   from the linear lower bounds and the greedy upper bound; its true
+   distance must lie inside.  Limit 1 quarantines every pair that
+   reaches the kernel, close pairs and far ones alike. *)
+let test_pair_budget_sandwich_holds_ted () =
+  let trees = Array.append (clustered 3 12) (clustered 17 12) in
+  let tau = 2 in
+  let budget = Budget.create ~pair_cost_limit:1 () in
+  let out = Partsj.join ~budget ~trees ~tau () in
+  let sandwiches =
+    List.filter_map
+      (fun q ->
+        match (q.Types.q_j, q.Types.q_reason) with
+        | Some j, Types.Pair_budget { lower; upper } -> Some (q.Types.q_i, j, lower, upper)
+        | _ -> None)
+      out.Types.quarantined
+  in
+  Alcotest.(check bool) "some pairs quarantined by the budget" true (sandwiches <> []);
+  List.iter
+    (fun (i, j, lower, upper) ->
+      let d = Tsj_ted.Zhang_shasha.distance trees.(i) trees.(j) in
+      if d < lower || d > upper then
+        Alcotest.failf "pair (%d, %d): TED %d outside [%d, %d]" i j d lower upper)
+    sandwiches
+
 let arb_forest =
   QCheck.make
     ~print:(fun (seed, n, max_size) ->
@@ -423,4 +448,6 @@ let suite =
     Alcotest.test_case "bracket lenient loading" `Quick test_bracket_lenient;
     Alcotest.test_case "xml line/column + lenient fragments" `Quick
       test_xml_line_col_and_lenient;
+    Alcotest.test_case "pair budget sandwich holds the TED" `Quick
+      test_pair_budget_sandwich_holds_ted;
   ]

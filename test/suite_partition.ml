@@ -462,6 +462,274 @@ let prop_probe_matches_linear_scan =
       List.sort compare got = reference_candidates mode ~tau indexed b ~lo ~hi
       && List.length (List.sort_uniq compare got) = List.length got)
 
+(* --- the compact subgraph encoding --- *)
+
+(* Subgraph matching as the partition defines it, on the LC-RS tree and
+   the component map (the form [Subgraph.t] held before it became an
+   int code): same labels and edges at every component node, any child
+   behind a bridging edge, and a root that keeps whether it has an
+   incoming edge but not that edge's left/right category (DESIGN.md,
+   finding 3). *)
+let ref_matches (p : Partition.t) k (target : Binary_tree.t) v =
+  let src = p.Partition.btree and a = p.Partition.assignment in
+  let root = p.Partition.roots.(k) in
+  let rec walk u v =
+    src.Binary_tree.label.(u) = target.Binary_tree.label.(v)
+    && check src.Binary_tree.left.(u) target.Binary_tree.left.(v)
+    && check src.Binary_tree.right.(u) target.Binary_tree.right.(v)
+  and check uc vc =
+    if uc < 0 then vc < 0 else if a.(uc) <> k then vc >= 0 else vc >= 0 && walk uc vc
+  in
+  (src.Binary_tree.kind.(root) = Binary_tree.Root)
+  = (target.Binary_tree.kind.(v) = Binary_tree.Root)
+  && walk root v
+
+(* A serialization of what [ref_matches] reads of component [k]: two
+   components with the same one match at the same nodes. *)
+let ref_signature (p : Partition.t) k =
+  let src = p.Partition.btree and a = p.Partition.assignment in
+  let buf = Buffer.create 32 in
+  let rec emit u =
+    Buffer.add_string buf (string_of_int src.Binary_tree.label.(u));
+    List.iter
+      (fun c ->
+        if c < 0 then Buffer.add_char buf '.'
+        else if a.(c) <> k then Buffer.add_char buf '|'
+        else begin
+          Buffer.add_char buf '(';
+          emit c;
+          Buffer.add_char buf ')'
+        end)
+      [ src.Binary_tree.left.(u); src.Binary_tree.right.(u) ]
+  in
+  let root = p.Partition.roots.(k) in
+  Buffer.add_char buf (if src.Binary_tree.kind.(root) = Binary_tree.Root then 'R' else 'C');
+  emit root;
+  Buffer.contents buf
+
+(* The partition cutting the edges into [cuts] (child endpoints,
+   ascending), as [Partition.random_partition] builds one. *)
+let partition_of_cuts (b : Binary_tree.t) cuts =
+  let n = b.Binary_tree.size and delta = List.length cuts + 1 in
+  let assignment = Array.make n (delta - 1) in
+  let assigned = Array.make n false in
+  List.iteri
+    (fun k root ->
+      for v = root - b.Binary_tree.subtree_size.(root) + 1 to root do
+        if not assigned.(v) then begin
+          assignment.(v) <- k;
+          assigned.(v) <- true
+        end
+      done)
+    cuts;
+  { Partition.btree = b; delta; gamma = 0; assignment; roots = Array.of_list (cuts @ [ n - 1 ]) }
+
+let rec choose k = function
+  | _ when k = 0 -> [ [] ]
+  | [] -> []
+  | x :: rest -> List.map (fun c -> x :: c) (choose (k - 1) rest) @ choose k rest
+
+(* Every component of every δ-partitioning (δ = 3, 5) of every ordered
+   tree of <= 6 nodes over {a, b}: [Subgraph.matches] agrees with
+   [ref_matches] at every node of every such tree.  Components that
+   read alike (same [ref_signature]) must get the same code, and then
+   one of them stands for all. *)
+let test_compact_encoding_exhaustive () =
+  let labels = List.map Tsj_tree.Label.intern [ "a"; "b" ] in
+  let trees = List.map Binary_tree.of_tree (Edit_ball.trees_upto labels 6) in
+  let codes = Hashtbl.create 4096 in
+  let reps = ref [] in
+  let n_components = ref 0 in
+  List.iter
+    (fun (b : Binary_tree.t) ->
+      List.iter
+        (fun delta ->
+          if b.Binary_tree.size >= delta then
+            List.iter
+              (fun cuts ->
+                let p = partition_of_cuts b cuts in
+                Array.iter
+                  (fun (s : Subgraph.t) ->
+                    incr n_components;
+                    let k = p.Partition.assignment.(s.Subgraph.root) in
+                    let signature = ref_signature p k in
+                    match Hashtbl.find_opt codes signature with
+                    | Some code ->
+                      if code <> s.Subgraph.code then
+                        Alcotest.failf "component %s encoded two ways" signature
+                    | None ->
+                      Hashtbl.add codes signature s.Subgraph.code;
+                      reps := (s, p, k, signature) :: !reps)
+                  (Subgraph.of_partition ~tree_id:0 p))
+              (choose (delta - 1) (List.init (b.Binary_tree.size - 1) Fun.id)))
+        [ 3; 5 ])
+    trees;
+  Alcotest.(check bool) "every partitioning enumerated" true (!n_components > 150_000);
+  List.iter
+    (fun (s, p, k, signature) ->
+      List.iter
+        (fun (target : Binary_tree.t) ->
+          for v = 0 to target.Binary_tree.size - 1 do
+            if Subgraph.matches s target v <> ref_matches p k target v then
+              Alcotest.failf "component %s at node %d of %s: matches = %b" signature v
+                (Bracket.to_string (Binary_tree.to_tree target))
+                (Subgraph.matches s target v)
+          done)
+        trees)
+    !reps
+
+(* --- the flat index against a list-based model --- *)
+
+(* The index as a list: every posting [insert] makes, newest first,
+   with its coordinate and exact fields.  [model_probe] is [probe]'s
+   contract read literally: sizes ascending, then nodes, then the
+   coordinates, each key's postings newest first. *)
+type model_posting = {
+  m_start : bool; (* by_start, else by_end *)
+  m_size : int;
+  m_pos : int;
+  m_key : int * int * int;
+  m_sub : Subgraph.t;
+}
+
+let model_insert mode ~tau model (s : Subgraph.t) =
+  let size = s.Subgraph.tree_size in
+  let added = ref [] in
+  let window m_start center half =
+    for pos = max 0 (center - half) to center + half do
+      added :=
+        { m_start; m_size = size; m_pos = pos; m_key = Subgraph.label_key s; m_sub = s }
+        :: !added
+    done
+  in
+  let pk = s.Subgraph.root_gpost in
+  let qk = size - 1 - pk in
+  (match mode with
+  | Two_layer_index.Two_sided ->
+    window true pk (tau / 2);
+    window false qk (tau / 2)
+  | Two_layer_index.Paper_rank -> window false qk (tau - (s.Subgraph.rank / 2))
+  | Two_layer_index.Label_only -> window true 0 0);
+  !added @ model
+
+let model_probe mode model (b : Binary_tree.t) ~lo ~hi =
+  let calls = ref [] in
+  let n = b.Binary_tree.size in
+  let child lane v =
+    if lane.(v) < 0 then Tsj_tree.Label.epsilon else b.Binary_tree.label.(lane.(v))
+  in
+  let scan m_start size pos v =
+    let ll = child b.Binary_tree.left v and lr = child b.Binary_tree.right v in
+    List.iter
+      (fun m ->
+        let label, left, right = m.m_key in
+        if
+          m.m_start = m_start && m.m_size = size && m.m_pos = pos
+          && label = b.Binary_tree.label.(v)
+          && (left = Tsj_tree.Label.epsilon || left = ll)
+          && (right = Tsj_tree.Label.epsilon || right = lr)
+        then calls := (m.m_sub.Subgraph.tree_id, v) :: !calls)
+      model
+  in
+  for size = max 1 lo to hi do
+    for v = 0 to n - 1 do
+      let p = b.Binary_tree.gpost.(v) in
+      match mode with
+      | Two_layer_index.Label_only -> scan true size 0 v
+      | Two_layer_index.Two_sided ->
+        scan true size p v;
+        scan false size (n - 1 - p) v
+      | Two_layer_index.Paper_rank -> scan false size (n - 1 - p) v
+    done
+  done;
+  List.rev !calls
+
+(* Synthetic subgraphs: a root twig encoded directly, with positions,
+   sizes and labels chosen so that packed keys collide: a position
+   past 2^21 packs like the next size, a label past 2^21 like the next
+   position, one past 2^42 like the next size. *)
+let collide_offsets = [| 0; 1 lsl 21; (1 lsl 21) - 1; 1 lsl 42 |]
+
+let twig_code rng =
+  let label () = Prng.choice rng wide_labels in
+  let side () =
+    match Prng.int rng 3 with
+    | 0 -> (0, [])
+    | 1 -> (1, [])
+    | _ -> (2, [ label (); 0 ])
+  in
+  let lk, lc = side () and rk, rc = side () in
+  Array.of_list ((Prng.int rng 2 :: label () :: (lk lor (rk lsl 2)) :: lc) @ rc)
+
+let arb_index_case =
+  QCheck.make
+    ~print:(fun (seed, mode, tau, n) ->
+      Printf.sprintf "seed=%d mode=%s tau=%d subgraphs=%d" seed
+        (match mode with
+        | Two_layer_index.Two_sided -> "two-sided"
+        | Two_layer_index.Paper_rank -> "paper-rank"
+        | Two_layer_index.Label_only -> "label-only")
+        tau n)
+    (fun st ->
+      ( Random.State.int st 0x3FFFFFFF,
+        [| Two_layer_index.Two_sided; Two_layer_index.Paper_rank; Two_layer_index.Label_only |].(Random.State.int st 3),
+        Random.State.int st 4,
+        200 + Random.State.int st 800 ))
+
+let prop_probe_matches_model =
+  Gen.qtest ~count:40 "Two_layer_index.probe = list model (f calls, in order)"
+    arb_index_case (fun (seed, mode, tau, n) ->
+      let rng = Prng.create seed in
+      let idx = Two_layer_index.create ~mode ~tau () in
+      let model = ref [] in
+      let base_sizes = [| 3; 5; (1 lsl 21) + 3 |] in
+      for id = 0 to n - 1 do
+        let code = twig_code rng in
+        let s =
+          {
+            Subgraph.tree_id = id;
+            tree_size = Prng.choice rng base_sizes + Prng.int rng 3;
+            root = 0;
+            root_gpost = Prng.choice rng collide_offsets + Prng.int rng 6;
+            rank = 1 + Prng.int rng 5;
+            n_nodes = (Array.length code - 1) / 2;
+            code;
+          }
+        in
+        Two_layer_index.insert idx s;
+        model := model_insert mode ~tau !model s
+      done;
+      List.for_all
+        (fun _ ->
+          let tree = Gen.random_tree ~labels:wide_labels rng (1 + Prng.int rng 7) in
+          let b = Binary_tree.of_tree tree in
+          let shift = Prng.choice rng collide_offsets in
+          let b = { b with Binary_tree.gpost = Array.map (( + ) shift) b.Binary_tree.gpost } in
+          let size = Prng.choice rng base_sizes + Prng.int rng 3 in
+          let lo = size - Prng.int rng 3 and hi = size + Prng.int rng 3 in
+          let got = ref [] in
+          Two_layer_index.probe idx (Two_layer_index.cursor b) ~lo ~hi (fun s v ->
+              got := (s.Subgraph.tree_id, v) :: !got);
+          List.rev !got = model_probe mode !model b ~lo ~hi)
+        (List.init 8 Fun.id))
+
+(* --- memory --- *)
+
+(* Words the streaming index holds per stored node, on 400 generated
+   swissprot trees at τ = 2.  Subgraphs that kept their tree's LC-RS form
+   and component map, with boxed postings, read 27.2 here; the compact
+   subgraphs and flat postings read 19.2.  A subgraph that retains the
+   LC-RS tree again (seven arrays a node) reads 26.6 and crosses the
+   bound. *)
+let test_incremental_words_per_node () =
+  let trees = Tsj_datagen.Profiles.instantiate Tsj_datagen.Profiles.swissprot ~seed:25 ~n:400 in
+  let inc = Tsj_core.Incremental.create ~tau:2 () in
+  Array.iter (fun x -> ignore (Tsj_core.Incremental.add inc x)) trees;
+  let nodes = Array.fold_left (fun acc x -> acc + Tree.size x) 0 trees in
+  let per_node = float_of_int (Obj.reachable_words (Obj.repr inc)) /. float_of_int nodes in
+  if per_node > 23.0 then
+    Alcotest.failf "Incremental holds %.1f words per stored node (bound 23)" per_node
+
 let test_index_counters () =
   let b = bt "{a{b{c{d}{e}}}{f}{g{h{i{j}}}}}" in
   let p = Partition.partition b ~delta:3 in
@@ -521,4 +789,9 @@ let suite =
     Alcotest.test_case "index counters" `Quick test_index_counters;
     Alcotest.test_case "index rejects negative tau" `Quick test_index_rejects_negative_tau;
     Alcotest.test_case "index exact duplicates (tau=0)" `Quick test_index_exact_duplicate_found;
+    Alcotest.test_case "compact subgraph encoding (exhaustive)" `Quick
+      test_compact_encoding_exhaustive;
+    prop_probe_matches_model;
+    Alcotest.test_case "incremental words per stored node" `Quick
+      test_incremental_words_per_node;
   ]

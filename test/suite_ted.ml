@@ -179,7 +179,7 @@ let all_bounds =
     ("postorder_string", sed Tsj_tree.Traversal.postorder_labels);
     ("traversal", on_forms Bounds.traversal_bound);
     ("euler_string", on_forms Bounds.euler_bound);
-    ("best", on_forms Bounds.best);
+    ("linear_lower", on_forms Bounds.linear_lower);
   ]
 
 let prop_bounds_are_lower_bounds =
