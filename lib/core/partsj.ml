@@ -24,32 +24,10 @@ type phase_times = {
   domains_used : int;
 }
 
-(* Everything derived from one input tree, built eagerly by the parallel
-   preprocessing phase: the verifier's form (the TED preparation of both
-   decompositions plus the label bag and degree histogram the filter
-   cascade compares), the LC-RS form probed by the index, and its
-   precomputed twig cursor. *)
-type tree_data = {
-  d_form : Bounds.t;
-  d_btree : Binary_tree.t;
-  d_cursor : Two_layer_index.cursor;
-}
-
-(* What probing one tree against the frozen bands found, and how long
-   it took.  The candidates are in discovery order, which is
-   deterministic: the task itself is a sequential loop, and scheduling
-   only decides which domain runs it. *)
-type frozen_probe = { found : Size_bands.probe; elapsed_s : float }
-
-let no_probe =
-  {
-    found = { Size_bands.candidates = []; probed = 0; matched = 0; small_hits = 0 };
-    elapsed_s = 0.0;
-  }
-
-(* Trees per parallel block.  Fixed — independent of the domain count —
-   so the candidate stream, the verification batches and every statistic
-   are bit-identical whatever the parallelism. *)
+(* Trees per block, the unit of checkpointing and of pipelining (the
+   sweep of block b overlaps the verification of block b - 1).  Fixed —
+   independent of the domain count — so the verification batches and the
+   checkpoint journal are the same whatever the parallelism. *)
 let block_size = 32
 
 (* Verifier decision codes, indexing the per-stage counter array: how
@@ -84,7 +62,6 @@ let join_with_probe_stats ?(partitioning = Balanced)
   if domains < 1 then invalid_arg "Partsj.join: domains must be >= 1";
   let n = Array.length trees in
   let total_t0 = Timer.now () in
-  let cand_timer = Timer.create () in
   let cand_attr = ref 0.0 in
   let verify_attr = ref 0.0 in
   let partition =
@@ -108,40 +85,31 @@ let join_with_probe_stats ?(partitioning = Balanced)
       | Some p -> Tsj_join.Pool.run_tasks p ?stop:stop_flag ~width:domains tasks
       | None -> Array.iter (fun f -> if not (budget_stopped ()) then f ()) tasks
   in
-  (* Eager parallel preprocessing: every tree compiled once, up front, on
-     all domains.  All downstream phases only read this immutable array,
-     which is what makes the concurrent probe and verify tasks safe (no
-     lazy fill-on-demand cache, no label interning past this point).
-     A tree whose compilation raises (adversarially shaped input, an
-     injected fault) is quarantined — it takes a placeholder slot that no
-     phase ever reads, and joins in no pair — instead of aborting the
-     run. *)
+  (* Eager parallel preprocessing: every tree's verifier form (the TED
+     preparation of both decompositions plus the label bag and degree
+     histogram the filter cascade compares), compiled once, up front, on
+     all domains.  The verify tasks only read this immutable array, which
+     is what makes them safe to run beside the sweep (no lazy
+     fill-on-demand cache, no label interning past this point).  The
+     LC-RS form the index probes is built later, by the sweep, only while
+     the tree is probed and inserted.  A tree whose compilation raises
+     (adversarially shaped input, an injected fault) is quarantined — it
+     takes a placeholder slot that no phase ever reads, and joins in no
+     pair — instead of aborting the run. *)
   let prep_failures : string option array = Array.make (max n 1) None in
   let placeholder =
     (* Built on the caller BEFORE the fan-out: workers must not intern. *)
-    let leaf = Tree.leaf (Tsj_tree.Label.intern "?") in
-    let btree = Binary_tree.of_tree leaf in
-    {
-      d_form = Bounds.of_prep (Ted.preprocess leaf);
-      d_btree = btree;
-      d_cursor = Two_layer_index.cursor btree;
-    }
+    Bounds.of_prep (Ted.preprocess (Tree.leaf (Tsj_tree.Label.intern "?")))
   in
-  let data, prep_wall =
+  let forms, prep_wall =
     Timer.wall (fun () ->
         Tsj_join.Parallel.map ~domains
           (fun i ->
             match
               Fault.hit "partsj.prep" i;
-              let tree = trees.(i) in
-              let btree = Binary_tree.of_tree tree in
-              {
-                d_form = Bounds.of_prep (Ted.preprocess tree);
-                d_btree = btree;
-                d_cursor = Two_layer_index.cursor btree;
-              }
+              Bounds.of_prep (Ted.preprocess trees.(i))
             with
-            | d -> d
+            | form -> form
             | exception exn ->
               (* Per-index slot: each worker writes its own index once,
                  so the array needs no synchronization. *)
@@ -149,7 +117,6 @@ let join_with_probe_stats ?(partitioning = Balanced)
               placeholder)
           (Array.init n Fun.id))
   in
-  verify_attr := !verify_attr +. prep_wall;
   let excluded i = prep_failures.(i) <> None in
   let quarantine_prep = ref [] in
   Array.iteri
@@ -194,66 +161,64 @@ let join_with_probe_stats ?(partitioning = Balanced)
        pure function of the pair, so budgeted joins stay deterministic at
        every domain count); a verifier exception quarantines the pair
        instead of killing the join. *)
-  let verify_pair =
-    let d = data in
-    fun (i, j) ->
-      let decide dist stage = { v_dist = dist; v_stage = stage; v_reason = None } in
-      let kernel_allowed () =
-        match budget with
-        | None -> true
-        | Some b ->
-          Budget.pair_within b ~cost:(Budget.pair_cost sizes.(i) sizes.(j))
-      in
-      let fi = d.(i).d_form and fj = d.(j).d_form in
-      let pi = Bounds.prep fi and pj = Bounds.prep fj in
-      let over_budget () =
-        let lower = Bounds.linear_lower fi fj in
-        let upper = Bounds.upper fi fj in
-        {
-          v_dist = tau + 1;
-          v_stage = stage_quarantined;
-          v_reason = Some (Types.Pair_budget { lower; upper });
-        }
-      in
-      try
-        Fault.hit "partsj.verify" i;
-        if not bounded_verify then
+  let verify_pair (i, j) =
+    let decide dist stage = { v_dist = dist; v_stage = stage; v_reason = None } in
+    let kernel_allowed () =
+      match budget with
+      | None -> true
+      | Some b ->
+        Budget.pair_within b ~cost:(Budget.pair_cost sizes.(i) sizes.(j))
+    in
+    let fi = forms.(i) and fj = forms.(j) in
+    let pi = Bounds.prep fi and pj = Bounds.prep fj in
+    let over_budget () =
+      let lower = Bounds.linear_lower fi fj in
+      let upper = Bounds.upper fi fj in
+      {
+        v_dist = tau + 1;
+        v_stage = stage_quarantined;
+        v_reason = Some (Types.Pair_budget { lower; upper });
+      }
+    in
+    try
+      Fault.hit "partsj.verify" i;
+      if not bounded_verify then
+        if kernel_allowed () then
+          decide (Tsj_join.Sweep.verify_distance ?metric pi pj) stage_kernel
+        else over_budget ()
+      else if not cascade then
+        (* The mirror's postorder is the preorder reversed, and
+           reversing both strings keeps their edit distance. *)
+        if
+          not
+            (Tsj_ted.String_edit.within (Ted.right_postorder pi).labels
+               (Ted.right_postorder pj).labels tau)
+        then decide (tau + 1) stage_sed
+        else if kernel_allowed () then
+          decide (Tsj_join.Sweep.verify_bounded ?metric ~tau pi pj) stage_kernel
+        else over_budget ()
+      else
+        match Bounds.cascade ~tau fi fj with
+        | Bounds.Pruned stage ->
+          let code =
+            match stage with
+            | Bounds.Size -> stage_size
+            | Bounds.Labels -> stage_labels
+            | Bounds.Degrees -> stage_degrees
+            | Bounds.Sed -> stage_sed
+          in
+          decide (tau + 1) code
+        | Bounds.Accept dist -> decide dist stage_early
+        | Bounds.Verify { band } ->
           if kernel_allowed () then
-            decide (Tsj_join.Sweep.verify_distance ?metric pi pj) stage_kernel
+            decide (Tsj_join.Sweep.verify_bounded ?metric ~tau:band pi pj) stage_kernel
           else over_budget ()
-        else if not cascade then
-          (* The mirror's postorder is the preorder reversed, and
-             reversing both strings keeps their edit distance. *)
-          if
-            not
-              (Tsj_ted.String_edit.within (Ted.right_postorder pi).labels
-                 (Ted.right_postorder pj).labels tau)
-          then decide (tau + 1) stage_sed
-          else if kernel_allowed () then
-            decide (Tsj_join.Sweep.verify_bounded ?metric ~tau pi pj) stage_kernel
-          else over_budget ()
-        else
-          match Bounds.cascade ~tau fi fj with
-          | Bounds.Pruned stage ->
-            let code =
-              match stage with
-              | Bounds.Size -> stage_size
-              | Bounds.Labels -> stage_labels
-              | Bounds.Degrees -> stage_degrees
-              | Bounds.Sed -> stage_sed
-            in
-            decide (tau + 1) code
-          | Bounds.Accept dist -> decide dist stage_early
-          | Bounds.Verify { band } ->
-            if kernel_allowed () then
-              decide (Tsj_join.Sweep.verify_bounded ?metric ~tau:band pi pj) stage_kernel
-            else over_budget ()
-      with exn ->
-        {
-          v_dist = tau + 1;
-          v_stage = stage_quarantined;
-          v_reason = Some (Types.Verify_failed (Printexc.to_string exn));
-        }
+    with exn ->
+      {
+        v_dist = tau + 1;
+        v_stage = stage_quarantined;
+        v_reason = Some (Types.Verify_failed (Printexc.to_string exn));
+      }
   in
   (* Per-stage decision counters; pure sums of per-pair outcomes, so they
      are deterministic at every domain count. *)
@@ -262,7 +227,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
   let quarantine_sweep = ref [] in
   let candidates = ref 0 in
   (* The candidate batch of the previous block, verified on the pool
-     while the next block probes (software pipelining: candidate
+     while the next block is swept (software pipelining: candidate
      generation of block b overlaps verification of block b - 1). *)
   let pending_batch = ref [||] in
   let flush_batch_tasks () =
@@ -316,19 +281,6 @@ let join_with_probe_stats ?(partitioning = Balanced)
     run_tasks verify_tasks;
     commit ()
   in
-  (* Probe one tree against the frozen bands: everything indexed before
-     the current block.  Pure function of immutable data — safe on any
-     domain.  The sweep runs in ascending size, so the window is
-     [size - τ, size]. *)
-  let probe_frozen_task snapshot ti =
-    let d = data.(ti) in
-    let found, elapsed_s =
-      Timer.wall (fun () ->
-          Size_bands.probe_frozen ~cursor:d.d_cursor snapshot ~lo:(sizes.(ti) - tau)
-            ~hi:sizes.(ti) d.d_btree)
-    in
-    { found; elapsed_s }
-  in
   let n_blocks = (n + block_size - 1) / block_size in
   (* --- checkpoint/resume --- *)
   let fingerprint =
@@ -337,7 +289,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
     | Some _ ->
       let params =
         Printf.sprintf
-          "v2|block=%d|part=%s|index=%s|metric=%s|bounded=%b|cascade=%b"
+          "v3|block=%d|part=%s|index=%s|metric=%s|bounded=%b|cascade=%b"
           block_size
           (match partitioning with
           | Balanced -> "balanced"
@@ -429,6 +381,28 @@ let join_with_probe_stats ?(partitioning = Balanced)
     done;
     aborted := true
   in
+  (* Algorithm 1 over trees [b0, b1) of the size order: each tree's LC-RS
+     form probes the bands for the trees before it — the sweep runs in
+     ascending size, so the window is [size - τ, size] — and is then
+     partitioned and inserted.  [probes.(w)] receives what tree [b0 + w]
+     found.  This is the only code that touches [bands] and the
+     partitioning RNG, and it runs as one sequential task, so the
+     candidate stream is the same at every domain count.  It stops at the
+     first tree that finds the budget spent; the caller then discards the
+     block. *)
+  let sweep_block b0 b1 probes indexed () =
+    let b = ref b0 in
+    while !b < b1 && budget_live () do
+      let ti = order.(!b) in
+      if not (excluded ti) then begin
+        let btree = Binary_tree.of_tree trees.(ti) in
+        probes.(!b - b0) <-
+          Some (Size_bands.probe bands ~lo:(sizes.(ti) - tau) ~hi:sizes.(ti) btree);
+        indexed := !indexed + Size_bands.insert ~partition bands ti btree
+      end;
+      incr b
+    done
+  in
   let sweep () =
     (* Resume fast-forward: re-index the completed blocks without
        probing, verifying or counting — the journal already holds their
@@ -437,7 +411,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
     for b = 0 to min n (start_block * block_size) - 1 do
       let ti = order.(b) in
       if not (excluded ti) then
-        ignore (Size_bands.insert ~partition bands ti data.(ti).d_btree)
+        ignore (Size_bands.insert ~partition bands ti (Binary_tree.of_tree trees.(ti)))
     done;
     let blk = ref start_block in
     while !blk < n_blocks && not !aborted do
@@ -451,67 +425,40 @@ let join_with_probe_stats ?(partitioning = Balanced)
       else begin
         let b0 = !blk * block_size in
         let b1 = min n (b0 + block_size) in
-        let width = b1 - b0 in
-        let snapshot = Size_bands.freeze bands in
-        (* Parallel phase: probe every tree of this block against the
-           frozen snapshot, and verify the previous block's candidates. *)
-        let frozen_results = Array.make width no_probe in
-        let probe_tasks =
-          Array.init width (fun w ->
-              fun () ->
-                let ti = order.(b0 + w) in
-                if (not (excluded ti)) && budget_live () then
-                  frozen_results.(w) <- probe_frozen_task snapshot ti)
+        (* The block's sweep runs as one task beside the previous block's
+           verify tasks (software pipelining): verification only reads
+           the immutable [forms], so the two never share mutable state. *)
+        let probes = Array.make (b1 - b0) None in
+        let indexed = ref 0 in
+        let sweep_s = ref 0.0 in
+        let sweep_task () =
+          sweep_s := snd (Timer.wall (sweep_block b0 b1 probes indexed))
         in
         let verify_tasks, commit_batch = flush_batch_tasks () in
-        run_tasks (Array.append probe_tasks verify_tasks);
+        run_tasks (Array.append [| sweep_task |] verify_tasks);
         commit_batch ();
         if budget_stopped () then
-          (* Expired mid-block: the probe results above may be partial,
-             so the whole block is treated as unprocessed. *)
+          (* Expired mid-block: the sweep above may have stopped part
+             way, so the whole block is treated as unprocessed and none
+             of its probes is counted. *)
           abort_remaining !blk
         else begin
-          Array.iter
-            (fun r ->
-              cand_attr := !cand_attr +. r.elapsed_s;
-              count_probe r.found)
-            frozen_results;
-          (* Sequential phase: in block order, probe the subgraphs
-             inserted earlier in this block (invisible to the snapshot),
-             emit the tree's candidates, then partition and index it.
-             The random partitioning rng is consumed only here, in tree
-             order, so the stream is identical at every domain count. *)
-          Timer.start cand_timer;
-          let block_bands = Size_bands.create ~mode:index_mode ~tau () in
+          cand_attr := !cand_attr +. !sweep_s;
+          n_indexed := !n_indexed + !indexed;
           let batch = ref [] in
-          for w = 0 to width - 1 do
-            let ti = order.(b0 + w) in
-            if not (excluded ti) then begin
-              let d = data.(ti) in
-              let local =
-                Size_bands.probe ~cursor:d.d_cursor block_bands ~lo:(sizes.(ti) - tau)
-                  ~hi:sizes.(ti) d.d_btree
-              in
-              count_probe local;
-              (* Frozen hits (trees before the block) and local hits
-                 (earlier trees of this block) are disjoint by
-                 construction; their concatenation is the exact candidate
-                 set of the sequential algorithm, in a deterministic
-                 order. *)
-              let emit tj =
-                incr candidates;
-                batch := (ti, tj) :: !batch
-              in
-              List.iter emit frozen_results.(w).found.Size_bands.candidates;
-              List.iter emit local.Size_bands.candidates;
-              (* Index the current tree for subsequent iterations: in the
-                 main bands for later blocks, and in the block-local
-                 bands for the remaining trees of this block. *)
-              n_indexed :=
-                !n_indexed + Size_bands.insert ~partition ~also:block_bands bands ti d.d_btree
-            end
-          done;
-          Timer.stop cand_timer;
+          Array.iteri
+            (fun w found ->
+              Option.iter
+                (fun (p : Size_bands.probe) ->
+                  count_probe p;
+                  let ti = order.(b0 + w) in
+                  List.iter
+                    (fun tj ->
+                      incr candidates;
+                      batch := (ti, tj) :: !batch)
+                    p.candidates)
+                found)
+            probes;
           pending_batch := Array.of_list (List.rev !batch);
           if checkpoint_due !blk then begin
             (* Drain the pipelined batch so the journal never records a
@@ -541,8 +488,6 @@ let join_with_probe_stats ?(partitioning = Balanced)
   done;
   let pairs = List.rev !results in
   let quarantined = List.rev !quarantine_prep @ List.rev !quarantine_sweep in
-  let cand_time_s = !cand_attr +. Timer.elapsed_s cand_timer in
-  let verify_time_s = !verify_attr in
   (match on_phases with
   | None -> ()
   | Some f ->
@@ -563,8 +508,8 @@ let join_with_probe_stats ?(partitioning = Balanced)
           n_window_pairs = !window_pairs;
           n_candidates = !candidates;
           n_results = List.length pairs;
-          candidate_time_s = cand_time_s;
-          verify_time_s;
+          candidate_time_s = !cand_attr;
+          verify_time_s = !verify_attr;
           cascade =
             {
               Types.pruned_size = stage_counts.(stage_size);

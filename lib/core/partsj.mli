@@ -18,18 +18,20 @@
     preserves completeness (such trees have at most [2τ] nodes, so they
     are both rare and cheap to verify).
 
-    {b Parallel execution.}  With [domains > 1] the join runs its three
-    phases on the shared work-stealing pool of {!Tsj_join.Pool}:
-    preprocessing compiles every tree in parallel up front; the sweep
-    processes trees in fixed-size blocks, probing each block against a
-    {!Size_bands.frozen} read-only view concurrently while the
-    {e previous} block's candidates are verified on the same pool
-    (software pipelining), followed by a short sequential phase that
-    probes intra-block pairs and inserts the block's subgraphs.  The
-    block size is a constant, independent of [domains], and every task
-    is a pure function of immutable preprocessed data, so the candidate
-    stream, the result pairs and all statistics are bit-identical at
-    every domain count — parallelism changes only the wall clock.
+    {b Parallel execution.}  Candidate generation is one sequential
+    probe-then-insert sweep over one {!Size_bands}, as in Algorithm 1;
+    with [domains > 1] the work around it runs on the shared
+    work-stealing pool of {!Tsj_join.Pool}.  Preprocessing compiles
+    every tree's verifier form in parallel up front.  The sweep goes in
+    fixed-size blocks: a block's sweep runs as one task while the
+    {e previous} block's candidates are verified by the other tasks of
+    the same pool job (software pipelining).  Blocks are only the unit
+    of that pipelining and of checkpoints; their size is a constant,
+    independent of [domains].  Only the sweep touches the index, and
+    verification is a pure function of the immutable preprocessed data,
+    so the candidate stream, the result pairs and all statistics are
+    bit-identical at every domain count — parallelism changes only the
+    wall clock.
 
     {b Resilient execution.}  The join degrades gracefully instead of
     failing or running away:
@@ -95,10 +97,10 @@ val join :
     was written by a different dataset/configuration.  [index_mode]
     defaults to the sound {!Two_layer_index.Two_sided} windows; with
     {!Two_layer_index.Paper_rank} the join is faster but may miss result
-    pairs (see {!Two_layer_index}).  [domains] (default 1) runs the whole
-    join — preprocessing, block-parallel candidate generation and
-    pipelined verification — on that many OCaml domains; the result is
-    identical at every count.  [metric] swaps the verifier (default:
+    pairs (see {!Two_layer_index}).  [domains] (default 1) runs
+    preprocessing, and verification pipelined beside the sequential
+    candidate sweep, on that many OCaml domains; the result is identical
+    at every count.  [metric] swaps the verifier (default:
     unrestricted TED); any metric that never underestimates TED — e.g.
     {!Tsj_ted.Constrained} — keeps the subgraph filter {e and} the bound
     cascade lossless, realizing the paper's "other tree distance metrics"
@@ -118,8 +120,9 @@ val join :
     [stats.cascade]; the counters (including [quarantined]) partition the
     candidate set.  [budget] enables the resilience limits and
     [checkpoint] the progress journal described above.  In the reported
-    stats, preprocessing is charged to verification (as before) and
-    pipelined task times are attributed to their phase. *)
+    stats, [candidate_time_s] is the sweep (LC-RS forms, probes and
+    inserts) and [verify_time_s] the cascade and kernels; preprocessing
+    is in neither, only in [prep_wall_s] of {!phase_times}. *)
 
 type probe_stats = {
   n_probed : int;        (** subgraphs returned by index probes *)
@@ -143,6 +146,5 @@ val join_with_probe_stats :
   unit ->
   Tsj_join.Types.output * probe_stats
 (** Same join, also reporting index-behaviour counters (used by the
-    ablation benches and tests).  The counters are deterministic: every
-    parallel task counts its own deterministic probe sequence and the
-    sums are order-independent. *)
+    ablation benches and tests).  The counters are deterministic: they
+    are sums over the one sequential sweep. *)

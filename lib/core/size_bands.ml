@@ -18,18 +18,15 @@ let create ?(mode = Two_layer_index.Two_sided) ~tau () =
 
 let overflow t size = Option.value (Hashtbl.find_opt t.small size) ~default:[]
 
-let insert ?(partition = Partition.partition) ?also t id btree =
+let insert ?(partition = Partition.partition) t id btree =
   let size = btree.Binary_tree.size in
-  let targets = t :: Option.to_list also in
   if size < t.delta then begin
-    List.iter (fun b -> Hashtbl.replace b.small size (id :: overflow b size)) targets;
+    Hashtbl.replace t.small size (id :: overflow t size);
     0
   end
   else begin
     let subgraphs = Subgraph.of_partition ~tree_id:id (partition btree ~delta:t.delta) in
-    Array.iter
-      (fun s -> List.iter (fun b -> Two_layer_index.insert b.index s) targets)
-      subgraphs;
+    Array.iter (Two_layer_index.insert t.index) subgraphs;
     Array.length subgraphs
   end
 
@@ -38,7 +35,7 @@ type probe = { candidates : int list; probed : int; matched : int; small_hits : 
 (* A tree is a candidate once, at its first discovery: through its
    size's overflow list, or through the first of its subgraphs that
    matches the probed tree at some node. *)
-let probe ?cursor t ~lo ~hi btree =
+let probe t ~lo ~hi btree =
   let seen = Hashtbl.create 16 in
   let found = ref [] in
   let probed = ref 0 and matched = ref 0 and small_hits = ref 0 in
@@ -55,28 +52,17 @@ let probe ?cursor t ~lo ~hi btree =
         end)
       (overflow t size)
   done;
-  if Two_layer_index.n_subgraphs t.index > 0 then begin
-    let cursor = match cursor with Some c -> c | None -> Two_layer_index.cursor btree in
-    Two_layer_index.probe t.index cursor ~lo ~hi (fun s v ->
+  if Two_layer_index.n_subgraphs t.index > 0 then
+    Two_layer_index.probe t.index (Two_layer_index.cursor btree) ~lo ~hi (fun s v ->
         incr probed;
         let tj = s.Subgraph.tree_id in
         if (not (Hashtbl.mem seen tj)) && Subgraph.matches s btree v then begin
           incr matched;
           add tj
-        end)
-  end;
+        end);
   {
     candidates = List.rev !found;
     probed = !probed;
     matched = !matched;
     small_hits = !small_hits;
   }
-
-(* The view is the bands themselves: what makes concurrent probing safe
-   is that no insert runs meanwhile, and the abstract type keeps inserts
-   out of the probing code. *)
-type frozen = t
-
-let freeze t = t
-
-let probe_frozen = probe

@@ -25,7 +25,6 @@ val create : ?mode:Two_layer_index.mode -> tau:int -> unit -> t
 
 val insert :
   ?partition:(Tsj_tree.Binary_tree.t -> delta:int -> Partition.t) ->
-  ?also:t ->
   t ->
   int ->
   Tsj_tree.Binary_tree.t ->
@@ -35,9 +34,7 @@ val insert :
     otherwise as the subgraphs of its δ-partitioning.  Returns the
     number of subgraphs indexed (0 for an overflow tree).  [partition]
     (default {!Partition.partition}) is called at most once, so a seeded
-    random partitioning consumes its generator in insertion order.  With
-    [also], the same tree and subgraphs are indexed in those bands too
-    (the join's block-local bands). *)
+    random partitioning consumes its generator in insertion order. *)
 
 type probe = {
   candidates : int list;  (** distinct tree ids, in discovery order *)
@@ -46,35 +43,10 @@ type probe = {
   small_hits : int;  (** candidates taken from the overflow lists *)
 }
 
-val probe :
-  ?cursor:Two_layer_index.cursor ->
-  t ->
-  lo:int ->
-  hi:int ->
-  Tsj_tree.Binary_tree.t ->
-  probe
+val probe : t -> lo:int -> hi:int -> Tsj_tree.Binary_tree.t -> probe
 (** [probe bands ~lo ~hi btree] collects every indexed tree whose size
     lies in [[lo, hi]] and that is a candidate for [btree]: all overflow
     trees of those sizes (in ascending size), then every tree with a
     subgraph that {!Subgraph.matches} [btree] at some node, in
-    {!Two_layer_index.probe} order.  [cursor] (the twig cursor of
-    [btree]) is built when not supplied and the index is not empty. *)
-
-type frozen
-(** A read-only view of the bands for the join's parallel phase.
-    Freezing is O(1) and shares structure, so the view sees later
-    inserts; the type only rules out inserting through it.  Several
-    domains may probe one view concurrently provided no {!insert} runs
-    at the same time — the PartSJ block sweep alternates a parallel
-    probe phase with a sequential insert phase. *)
-
-val freeze : t -> frozen
-
-val probe_frozen :
-  ?cursor:Two_layer_index.cursor ->
-  frozen ->
-  lo:int ->
-  hi:int ->
-  Tsj_tree.Binary_tree.t ->
-  probe
-(** {!probe} through the view. *)
+    {!Two_layer_index.probe} order.  The twig cursor of [btree] is
+    built only when the index is not empty. *)

@@ -278,7 +278,7 @@ let ablation config =
 
 let parallel config =
   Table.heading ~out:config.out
-    "Extension — block-parallel PartSJ (paper future work: multi-core)";
+    "Extension — parallel PartSJ (paper future work: multi-core)";
   let profile = Profiles.synthetic in
   let n = cardinality config profile in
   let trees = dataset config profile n in

@@ -1,11 +1,11 @@
 (** Multicore helpers (OCaml 5 domains).
 
     The paper's future work names "parallel and distributed settings
-    (e.g., multi-core architectures)".  The PartSJ pipeline runs its
-    preprocessing, candidate-generation and verification phases on the
-    persistent work-stealing pool of {!Pool}; this module owns the shared
-    process-wide pool instance and the classic fork/join {!map} built on
-    it. *)
+    (e.g., multi-core architectures)".  The PartSJ join runs its
+    preprocessing, and its verification pipelined beside the sequential
+    candidate sweep, on the persistent work-stealing pool of {!Pool};
+    this module owns the shared process-wide pool instance and the
+    classic fork/join {!map} built on it. *)
 
 val pool : domains:int -> Pool.t
 (** The shared process-wide pool, guaranteed to have at least [domains]

@@ -230,6 +230,21 @@ let test_bib_decode () =
         (Tsj_tree.Label.name node = "a" || Tsj_tree.Label.name node = "b"))
     ids
 
+(* [verify_time_s] times the cascade and the kernels only: a join whose
+   trees differ in size by more than τ has no candidate pair, so it
+   reports no verification time however long the preprocessing took. *)
+let test_verify_time_without_candidates () =
+  let labels = Gen.default_alphabet in
+  (* A root over [size - 1] leaves: exactly [size] nodes. *)
+  let star size =
+    Tree.node labels.(0)
+      (List.init (size - 1) (fun k -> Tree.leaf labels.(k mod Array.length labels)))
+  in
+  let trees = Array.init 40 (fun i -> star (10 + (5 * i))) in
+  let out = Partsj.join ~trees ~tau:2 () in
+  Alcotest.(check int) "no candidates" 0 out.Types.stats.Types.n_candidates;
+  Alcotest.(check (float 0.0)) "verify time" 0.0 out.Types.stats.Types.verify_time_s
+
 let suite =
   [
     Alcotest.test_case "all methods, small clustered dataset" `Slow
@@ -250,4 +265,6 @@ let suite =
     prop_bib_bag_size;
     Alcotest.test_case "binary branch paper fig. 3" `Quick test_bib_paper_example;
     Alcotest.test_case "binary branch decode" `Quick test_bib_decode;
+    Alcotest.test_case "no candidates, no verify time" `Quick
+      test_verify_time_without_candidates;
   ]

@@ -1,6 +1,8 @@
 (* Tests for the work-stealing domain pool and the determinism guarantee
-   of the block-parallel PartSJ join: at every domain count the join must
-   produce bit-identical pairs, candidate counts and probe statistics. *)
+   of the parallel PartSJ join (parallel prep and verification around one
+   sequential candidate sweep): at every domain count the join must
+   produce bit-identical pairs, candidate counts and probe statistics,
+   and those of a list model of Algorithm 1's sweep. *)
 
 module Pool = Tsj_join.Pool
 module Partsj = Tsj_core.Partsj
@@ -171,6 +173,114 @@ let test_determinism_clustered () =
         trees 2)
     [ 2; 3; 8 ]
 
+(* --- the join's sweep against a list model of Algorithm 1 --- *)
+
+(* One [Size_bands]; each tree in (size, index) order probes
+   [[size - τ, size]] and is then inserted.  Returns the candidate pairs
+   (smaller id first), the result pairs with their TED and the probe
+   counters. *)
+let model_sweep ~partitioning ~tau trees =
+  let partition =
+    match partitioning with
+    | Partsj.Balanced -> Tsj_core.Partition.partition
+    | Partsj.Random seed -> Tsj_core.Partition.random_partition (Prng.create seed)
+  in
+  let size i = Tsj_tree.Tree.size trees.(i) in
+  let order =
+    List.sort
+      (fun a b -> compare (size a, a) (size b, b))
+      (List.init (Array.length trees) Fun.id)
+  in
+  let bands = Tsj_core.Size_bands.create ~tau () in
+  let candidates = ref [] in
+  let probed = ref 0 and matched = ref 0 and small = ref 0 and indexed = ref 0 in
+  List.iter
+    (fun ti ->
+      let btree = Tsj_tree.Binary_tree.of_tree trees.(ti) in
+      let p = Tsj_core.Size_bands.probe bands ~lo:(size ti - tau) ~hi:(size ti) btree in
+      List.iter
+        (fun tj -> candidates := (min ti tj, max ti tj) :: !candidates)
+        p.Tsj_core.Size_bands.candidates;
+      probed := !probed + p.probed;
+      matched := !matched + p.matched;
+      small := !small + p.small_hits;
+      indexed := !indexed + Tsj_core.Size_bands.insert ~partition bands ti btree)
+    order;
+  let candidates = List.sort compare !candidates in
+  let results =
+    List.filter_map
+      (fun (i, j) ->
+        let d = Tsj_ted.Ted.distance trees.(i) trees.(j) in
+        if d <= tau then Some (i, j, d) else None)
+      candidates
+  in
+  ( candidates,
+    results,
+    {
+      Partsj.n_probed = !probed;
+      n_matched = !matched;
+      n_small_tree_hits = !small;
+      n_subgraphs_indexed = !indexed;
+    } )
+
+(* Collection sizes straddle the 32-tree block boundaries; near-duplicates
+   (edited copies of earlier trees) make candidates found inside a block
+   and across blocks. *)
+let arb_sweep =
+  QCheck.make
+    ~print:(fun (seed, n, domains, random) ->
+      Printf.sprintf "seed=%d n=%d domains=%d random=%b" seed n domains random)
+    QCheck.Gen.(
+      quad (int_bound 0x3FFFFFFF)
+        (oneofl [ 0; 1; 31; 32; 33; 65; 97 ])
+        (oneofl [ 1; 2; 3 ])
+        bool)
+
+let prop_sweep_model (seed, n, domains, random) =
+  let rng = Prng.create seed in
+  let trees = Array.make n (Tsj_tree.Tree.leaf Gen.default_alphabet.(0)) in
+  for i = 0 to n - 1 do
+    trees.(i) <-
+      (if i > 0 && Prng.int rng 2 = 0 then
+         snd
+           (Tsj_tree.Edit_op.random_script rng ~labels:Gen.default_alphabet
+              (Prng.int rng 3)
+              trees.(Prng.int rng i))
+       else Gen.random_tree rng (1 + Prng.int rng 16))
+  done;
+  let tau = 1 + (seed mod 2) in
+  let partitioning = if random then Partsj.Random seed else Partsj.Balanced in
+  let candidates, results, stats = model_sweep ~partitioning ~tau trees in
+  let join ?budget () =
+    Partsj.join_with_probe_stats ~partitioning ~domains ?budget ~bounded_verify:false
+      ~trees ~tau ()
+  in
+  let out, probe = join () in
+  (* A zero per-pair budget quarantines every candidate with its pair, so
+     the quarantine record is the join's candidate list. *)
+  let quarantined, probe_q = join ~budget:(Tsj_join.Budget.create ~pair_cost_limit:0 ()) () in
+  let got_candidates =
+    List.sort compare
+      (List.filter_map
+         (fun q -> Option.map (fun j -> (q.Types.q_i, j)) q.Types.q_j)
+         quarantined.Types.quarantined)
+  in
+  let got_results =
+    List.sort compare
+      (List.map (fun p -> (p.Types.i, p.Types.j, p.Types.distance)) out.Types.pairs)
+  in
+  let pp_pairs l = String.concat " " (List.map (fun (i, j) -> Printf.sprintf "%d-%d" i j) l) in
+  if got_candidates <> candidates then
+    QCheck.Test.fail_reportf "candidates: join %s, model %s" (pp_pairs got_candidates)
+      (pp_pairs candidates);
+  if got_results <> results then
+    QCheck.Test.fail_reportf "results: join %d pairs, model %d" (List.length got_results)
+      (List.length results);
+  if out.Types.stats.Types.n_candidates <> List.length candidates then
+    QCheck.Test.fail_reportf "n_candidates %d, model %d" out.Types.stats.Types.n_candidates
+      (List.length candidates);
+  probe = stats && probe_q = stats
+
 let suite =
   [
     Alcotest.test_case "pool create validation" `Quick test_pool_create_validation;
@@ -187,4 +297,5 @@ let suite =
       prop_join_domains_equal;
     Gen.qtest ~count:20 "join with duplicates across domains" arb_forest
       prop_duplicates_domains_equal;
+    Gen.qtest ~count:60 "sweep = probe-then-insert list model" arb_sweep prop_sweep_model;
   ]
