@@ -38,6 +38,8 @@ let micro () =
   let btree = Tsj_tree.Binary_tree.of_tree t80 in
   let pre1 = Tsj_tree.Traversal.preorder_labels t80 in
   let pre2 = Tsj_tree.Traversal.preorder_labels t80b in
+  let pre_near = Tsj_tree.Traversal.preorder_labels near in
+  let labels1 = (Tsj_ted.Ted.left_postorder prep1).Tsj_tree.Postorder.labels in
   let bag1 = Tsj_baselines.Binary_branch.bag_of_tree t80 in
   let bag2 = Tsj_baselines.Binary_branch.bag_of_tree t80b in
   let partition = Tsj_core.Partition.partition btree ~delta:7 in
@@ -91,6 +93,11 @@ let micro () =
         (Staged.stage (fun () -> Tsj_tree.Binary_tree.of_tree t80));
       Test.make ~name:"filter/banded-sed tau=3 (80)"
         (Staged.stage (fun () -> Tsj_ted.String_edit.within pre1 pre2 3));
+      Test.make ~name:"filter/banded-sed tau=3 (80 vs 80, near)"
+        (Staged.stage (fun () -> Tsj_ted.String_edit.within pre1 pre_near 3));
+      Test.make
+        ~name:(Printf.sprintf "cascade/label bag (%d)" (Array.length labels1))
+        (Staged.stage (fun () -> Tsj_util.Multiset.of_unsorted labels1));
       Test.make ~name:"cascade/form from prep (80)"
         (Staged.stage (fun () -> Tsj_ted.Bounds.of_prep prep1));
       Test.make ~name:"cascade/outcome tau=3 (80 vs 80, near)"

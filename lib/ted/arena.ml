@@ -1,9 +1,9 @@
 (* Per-domain scratch arenas for the verification kernels.
 
    Every DP kernel in this library (the Zhang–Shasha tree edit distance,
-   its τ-banded variant, and the banded string edit distance used by the
-   filter cascade) needs flat integer working storage whose size depends
-   on the input pair.  Allocating it per call costs a major-heap
+   its τ-banded variant, and the bounded string edit distance used by
+   the filter cascade) needs flat integer working storage whose size
+   depends on the input pair.  Allocating it per call costs a major-heap
    allocation and an O(table) initialization per verified candidate,
    which at join scale dominates the banded kernels' actual O(band) work.
 
@@ -24,7 +24,9 @@ type t = {
   mutable rows : int; (* allocated rows, >= n1 + 1 *)
   mutable cols : int; (* allocated columns, >= n2 + 1 *)
   mutable serial : int; (* bounded-call counter for td stamps *)
-  (* Rolling rows of the banded string-edit DP. *)
+  (* The bounded string edit distance's two rolling rounds: the
+     furthest row per diagonal, 2k + 3 slots for threshold k (the
+     diagonals [-k, k] and a sentinel at each end). *)
   mutable band_prev : int array;
   mutable band_cur : int array;
   (* Held by the systhread currently running a kernel on this arena. *)

@@ -14,8 +14,9 @@ type t = {
   mutable rows : int;  (** allocated rows *)
   mutable cols : int;  (** allocated columns *)
   mutable serial : int;  (** bounded-call counter for the td stamps *)
-  mutable band_prev : int array;  (** banded string-edit DP, previous row *)
-  mutable band_cur : int array;  (** banded string-edit DP, current row *)
+  mutable band_prev : int array;
+      (** bounded string edit distance: furthest row per diagonal, one round *)
+  mutable band_cur : int array;  (** the same, the other round *)
   in_use : bool Atomic.t;  (** claimed by the thread running a kernel on it *)
 }
 

@@ -28,6 +28,9 @@ type t
     one word per node beyond its prep. *)
 
 val of_prep : Ted.prep -> t
+(** [O(n log n)] for an [n]-node tree: a linear pass for the degree
+    histogram and an integer merge sort for the label bag
+    ({!Tsj_util.Multiset.of_unsorted}). *)
 
 val prep : t -> Ted.prep
 
@@ -47,8 +50,8 @@ val linear_lower : t -> t -> int
 (** [max] of the size, label-bag and degree-bag bounds: the linear-time
     lower bounds, and the [lower] of every sandwich a budget leaves
     unverified (a degraded query's tail, a quarantined join pair).  The
-    traversal SEDs would cost about as much per pair as the cascade and
-    banded kernel together. *)
+    traversal SEDs are left out: unbanded they cost [O(|a| * |b|)] each,
+    and the cascade's bounded ones answer only up to τ. *)
 
 val upper : t -> t -> int
 (** Greedy-mapping upper bound: cost of the edit script that renames
@@ -73,8 +76,11 @@ type outcome =
 
 val cascade : tau:int -> t -> t -> outcome
 (** The staged verifier, cheapest first with short-circuit:
-    size → label histogram → degree histogram → banded traversal SED →
-    greedy upper bound.  Lossless for the TED verifier and for any
+    size ([O(1)]) → label histogram ([O(n)] merge walk) → degree
+    histogram ([O(max degree)]) → bounded preorder then postorder SED
+    (diagonal transition: about [O(τ^2)] plus the matched runs on a near
+    pair, [O(τ * n)] at worst) → greedy upper bound ([O(n)]).  None of
+    the stages allocates.  Lossless for the TED verifier and for any
     metric wedged between TED and the greedy script cost (e.g. the
     constrained edit distance).
     @raise Invalid_argument if [tau < 0]. *)

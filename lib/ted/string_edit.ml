@@ -19,54 +19,68 @@ let distance a b =
     prev.(la)
   end
 
-(* Banded DP (Ukkonen): a cell (i, j) with |i - j| > k cannot lie on a path
-   of cost <= k, so only the (2k+1)-wide diagonal band is filled; cells
-   outside the band act as infinity.  Row [i] ranges over prefixes of [a];
-   slot [j - i + k] of the row array holds D(i, j).
+(* Diagonal transition (Ukkonen 1985; Landau–Vishkin 1989).  Cell
+   (i, j) of the DP matrix lies on diagonal [d = j - i]; along a
+   diagonal D never decreases, and neighbouring cells differ by at most
+   one.  So the DP is summed up by L(e, d), the furthest row on
+   diagonal d whose cell holds at most e:
 
-   The two rolling rows come from the per-domain {!Arena}: this runs once
-   or twice per candidate pair in the join's filter cascade, and the
-   per-call allocation of the rows used to be most of its cost.  Every
-   slot of both rows is (re)initialized below, so stale arena contents
-   are never observed.  [Int.min], not the polymorphic [min], which
-   costs a C comparison call per cell without flambda. *)
+     L(e, d) = slide (min (max (L(e-1, d) + 1)      substitute a.(i)
+                               (L(e-1, d+1) + 1)    delete a.(i)
+                               (L(e-1, d-1)))       insert b.(j)
+                          (min |a| (|b| - d)))
+
+   where [slide i] follows matching symbols a.(i) = b.(i + d) down the
+   diagonal, and L(0, 0) = slide 0.  D(|a|, |b|) is the first e at
+   which diagonal |b| - |a| reaches row |a|.  A cell of cost e lies on
+   a diagonal with |d| <= e, so round e touches the 2e + 1 diagonals
+   [-e, e] clamped to [-|a|, |b|], and a diagonal that round e - 1 did
+   not reach reads as minus infinity.
+
+   Each diagonal's row only grows with e and each slide step advances
+   it, so the cost is O(k² + total slide) <= O(k · min(|a|, |b|)); a
+   near pair of long strings costs about O(k²) plus its matched runs.
+
+   The two rolling rounds come from the per-domain {!Arena}'s band rows:
+   round e lives at slots [d + k + 1] of one row and reads round e - 1
+   from the other, 2k + 3 slots each so that the neighbours of the
+   outermost diagonals are sentinels.  Both rows are filled with the
+   sentinel once per call; round e then overwrites the array that held
+   round e - 2 on a superset of that round's diagonals, so every slot a
+   round reads was either written in the previous round or still holds
+   the sentinel. *)
 let bounded_distance a b k =
   if k < 0 then invalid_arg "String_edit.bounded_distance: negative threshold";
   let la = Array.length a and lb = Array.length b in
-  if abs (la - lb) > k then k + 1
+  let target = lb - la in
+  if abs target > k then k + 1
   else
     Arena.use (fun arena ->
-    let inf = k + 1 in
-    let width = (2 * k) + 1 in
-    Arena.reserve_bands arena width;
-    let prev = arena.Arena.band_prev and cur = arena.Arena.band_cur in
-    Array.fill prev 0 width inf;
-    (* Row 0: D(0, j) = j for 0 <= j <= k; slot = j + k... slots j - 0 + k. *)
-    for j = 0 to Int.min k lb do
-      prev.(j + k) <- j
-    done;
-    for i = 1 to la do
-      Array.fill cur 0 width inf;
-      let jlo = Int.max 0 (i - k) and jhi = Int.min lb (i + k) in
-      let ai = a.(i - 1) in
-      for j = jlo to jhi do
-        let s = j - i + k in
-        let best = ref inf in
-        (* delete a.(i-1): D(i-1, j) + 1, prev slot s + 1 *)
-        if s + 1 < width then best := Int.min !best (prev.(s + 1) + 1);
-        (* insert b.(j-1): D(i, j-1) + 1, cur slot s - 1 *)
-        if j >= 1 && s - 1 >= 0 then best := Int.min !best (cur.(s - 1) + 1);
-        (* substitute / match: D(i-1, j-1) + cost, prev slot s *)
-        if j >= 1 then begin
-          let cost = if ai = b.(j - 1) then 0 else 1 in
-          best := Int.min !best (prev.(s) + cost)
-        end;
-        if j = 0 then best := Int.min !best i;
-        cur.(s) <- Int.min !best inf
-      done;
-      Array.blit cur 0 prev 0 width
-    done;
-    let final = lb - la + k in
-    Int.min prev.(final) inf)
+        let width = (2 * k) + 3 and off = k + 1 in
+        Arena.reserve_bands arena width;
+        let prev = ref arena.Arena.band_prev and cur = ref arena.Arena.band_cur in
+        Array.fill !prev 0 width min_int;
+        Array.fill !cur 0 width min_int;
+        let slide i d =
+          let i = ref i in
+          while !i < la && !i + d < lb && a.(!i) = b.(!i + d) do
+            incr i
+          done;
+          !i
+        in
+        (!cur).(off) <- slide 0 0;
+        let e = ref 0 in
+        while !e < k && (!cur).(target + off) < la do
+          incr e;
+          let p = !cur and c = !prev in
+          prev := p;
+          cur := c;
+          for d = Int.max (- !e) (-la) to Int.min !e lb do
+            let s = d + off in
+            let i = Int.max (p.(s) + 1) (Int.max (p.(s + 1) + 1) p.(s - 1)) in
+            c.(s) <- slide (Int.min i (Int.min la (lb - d))) d
+          done
+        done;
+        if (!cur).(target + off) >= la then !e else k + 1)
 
 let within a b k = if k < 0 then false else bounded_distance a b k <= k

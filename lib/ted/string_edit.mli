@@ -8,11 +8,19 @@ val distance : int array -> int array -> int
 (** Full [O(|a| * |b|)] dynamic program with two rolling rows. *)
 
 val within : int array -> int array -> int -> bool
-(** [within a b k] is [true] iff [distance a b <= k], computed with a
-    banded dynamic program in [O(k * min(|a|,|b|))] time.  This is the
-    filter primitive: the join only needs the threshold decision, not the
-    exact distance.  [k < 0] is always [false]. *)
+(** [within a b k] is [true] iff [distance a b <= k], decided by
+    {!bounded_distance}.  This is the filter primitive: the join only
+    needs the threshold decision, not the exact distance.  [k < 0] is
+    always [false]. *)
 
 val bounded_distance : int array -> int array -> int -> int
 (** [bounded_distance a b k] is [distance a b] when that is [<= k], and
-    [k + 1] otherwise (banded computation). *)
+    [k + 1] otherwise.  Diagonal transition (Ukkonen; Landau–Vishkin):
+    for each [e = 0 .. k] it keeps the furthest row reached with [e]
+    edits on each diagonal in [[-e, e]] and slides it over runs of
+    matching symbols, stopping at the first [e] that reaches the end of
+    both strings.  Worst case [O(k * min(|a|,|b|))] time; a near pair
+    costs about [O(k^2)] plus its matched runs.  A length difference
+    above [k] answers [k + 1] at once.  The working rows come from the
+    per-domain {!Arena}, so a call allocates only its two closures.
+    @raise Invalid_argument if [k < 0]. *)

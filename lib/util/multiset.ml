@@ -1,9 +1,63 @@
 type t = int array
 
+(* A monomorphic bottom-up merge sort.  [Array.sort compare] calls the
+   polymorphic comparison (a C call per comparison without flambda) and
+   its heap sort raises an allocated exception per sift; here every
+   comparison is an inline integer test.  Runs of [run] elements are
+   insertion-sorted in the copy, then merged pairwise, doubling the
+   width, back and forth between the copy and one scratch array; the
+   array the last pass wrote is the bag. *)
+let run = 8
+
+let insertion_sort (b : int array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = b.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && b.(!j) > x do
+      b.(!j + 1) <- b.(!j);
+      decr j
+    done;
+    b.(!j + 1) <- x
+  done
+
+(* Merge the sorted runs [src.(lo .. mid - 1)] and [src.(mid .. hi - 1)]
+   into [dst.(lo .. hi - 1)]. *)
+let merge (src : int array) (dst : int array) lo mid hi =
+  let i = ref lo and j = ref mid in
+  for o = lo to hi - 1 do
+    if !j >= hi || (!i < mid && src.(!i) <= src.(!j)) then begin
+      dst.(o) <- src.(!i);
+      incr i
+    end
+    else begin
+      dst.(o) <- src.(!j);
+      incr j
+    end
+  done
+
 let of_unsorted a =
-  let b = Array.copy a in
-  Array.sort compare b;
-  b
+  let n = Array.length a in
+  let src = ref (Array.copy a) in
+  let lo = ref 0 in
+  while !lo < n do
+    insertion_sort !src !lo (Int.min n (!lo + run));
+    lo := !lo + run
+  done;
+  if n > run then begin
+    let dst = ref (Array.make n 0) and w = ref run in
+    while !w < n do
+      let lo = ref 0 in
+      while !lo < n do
+        merge !src !dst !lo (Int.min n (!lo + !w)) (Int.min n (!lo + (2 * !w)));
+        lo := !lo + (2 * !w)
+      done;
+      let s = !src in
+      src := !dst;
+      dst := s;
+      w := 2 * !w
+    done
+  end;
+  !src
 
 let of_sorted a =
   for i = 1 to Array.length a - 1 do

@@ -41,7 +41,9 @@ let random_tree ?(labels = default_alphabet) rng size =
             through (c' :: acc) slot' rest
           end
       in
-      let children, slot' = through [] (slot - 1) t.children in
+      (* [through] hands each child [slot - 1]: the first child is
+         preorder slot 1 relative to its parent. *)
+      let children, slot' = through [] slot t.children in
       (Tree.node t.label children, slot')
     end
   in

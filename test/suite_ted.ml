@@ -77,6 +77,44 @@ let test_sed_banded_negative () =
     (Invalid_argument "String_edit.bounded_distance: negative threshold") (fun () ->
       ignore (String_edit.bounded_distance [| 1 |] [| 1 |] (-1)))
 
+(* Every pair of strings of <= 6 symbols over {a, b} and <= 5 over
+   {a, b, c}, empty strings included, at thresholds 0..7 (past both
+   lengths): the diagonal-transition kernel against the full DP. *)
+let test_sed_banded_exhaustive () =
+  let strings ~symbols ~max_len =
+    let rec of_len n =
+      if n = 0 then [ [] ]
+      else List.concat_map (fun s -> List.init symbols (fun c -> c :: s)) (of_len (n - 1))
+    in
+    Array.of_list
+      (List.concat_map (fun n -> List.map Array.of_list (of_len n)) (List.init (max_len + 1) Fun.id))
+  in
+  let bad = ref 0 and first = ref "" in
+  let sweep strs =
+    Array.iter
+      (fun a ->
+        Array.iter
+          (fun b ->
+            let d = String_edit.distance a b in
+            for k = 0 to 7 do
+              let bd = String_edit.bounded_distance a b k in
+              if bd <> Int.min d (k + 1) || String_edit.within a b k <> (d <= k) then begin
+                if !bad = 0 then
+                  first :=
+                    Printf.sprintf "a=[%s] b=[%s] k=%d: distance %d, bounded %d"
+                      (String.concat ";" (Array.to_list (Array.map string_of_int a)))
+                      (String.concat ";" (Array.to_list (Array.map string_of_int b)))
+                      k d bd;
+                incr bad
+              end
+            done)
+          strs)
+      strs
+  in
+  sweep (strings ~symbols:2 ~max_len:6);
+  sweep (strings ~symbols:3 ~max_len:5);
+  Alcotest.(check (pair int string)) "mismatching (pair, k) cases" (0, "") (!bad, !first)
+
 (* --- TED: fixed examples --- *)
 
 let test_ted_identical () =
@@ -465,4 +503,6 @@ let suite =
       test_kernels_under_systhreads;
     Alcotest.test_case "arena reshape alternating shapes" `Quick
       test_arena_reshape_alternating_shapes;
+    Alcotest.test_case "banded sed exhaustive on short strings" `Quick
+      test_sed_banded_exhaustive;
   ]

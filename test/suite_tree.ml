@@ -337,6 +337,15 @@ let test_deep_trees () =
   Alcotest.(check string) "print roundtrip head" "{a{a"
     (String.sub (Bracket.to_string deep) 0 4)
 
+let test_gen_random_tree_size () =
+  let rng = Prng.create 11 in
+  let wrong =
+    List.filter
+      (fun size -> Tree.size (Gen.random_tree rng size) <> size)
+      (List.init 200 (fun i -> i + 1))
+  in
+  Alcotest.(check (list int)) "sizes 1..200 not met exactly" [] wrong
+
 let suite =
   [
     Alcotest.test_case "deep trees (50k chain)" `Slow test_deep_trees;
@@ -371,4 +380,6 @@ let suite =
     Alcotest.test_case "insert/delete inverse" `Quick test_edit_inverse;
     prop_edit_preserves_treeness;
     prop_random_op_valid;
+    Alcotest.test_case "Gen.random_tree has exactly size nodes" `Quick
+      test_gen_random_tree_size;
   ]

@@ -206,6 +206,33 @@ let test_statistics_histogram () =
   let total = Array.fold_left (fun acc (_, _, c) -> acc + c) 0 h in
   Alcotest.(check int) "all counted" 4 total
 
+(* Lengths 0..300 cross the insertion-sort run and several merge
+   passes; half the arrays draw from a handful of values, the rest from
+   the full int range with the extremes and hashed-label-sized ids mixed
+   in. *)
+let prop_multiset_sort =
+  let gen =
+    QCheck.Gen.(
+      let value =
+        frequency
+          [
+            (4, int);
+            (2, int_range (-(1 lsl 42)) (1 lsl 42));
+            (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1; 1 lsl 42 ]);
+          ]
+      in
+      int_range 0 300 >>= fun n ->
+      bool >>= fun dup_heavy ->
+      if dup_heavy then int_range 1 4 >>= fun k -> array_size (return n) (int_range (-k) k)
+      else array_size (return n) value)
+  in
+  Gen.qtest ~count:500 "multiset of_unsorted = List.sort Int.compare"
+    (QCheck.make ~print:QCheck.Print.(array int) gen)
+    (fun a ->
+      let before = Array.copy a in
+      let bag = Multiset.to_array (Multiset.of_unsorted a) in
+      bag = Array.of_list (List.sort Int.compare (Array.to_list a)) && a = before)
+
 let suite =
   [
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
@@ -233,4 +260,5 @@ let suite =
     Alcotest.test_case "statistics basic" `Quick test_statistics_basic;
     Alcotest.test_case "statistics percentile" `Quick test_statistics_percentile;
     Alcotest.test_case "statistics histogram" `Quick test_statistics_histogram;
+    prop_multiset_sort;
   ]
