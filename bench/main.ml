@@ -47,8 +47,9 @@ let micro () =
   (* The probe runs against the index a perfbench [query] server holds:
      2,000 swissprot trees at τ = 2, probed with a fresh tree of the same
      profile over its size window.  A probe does one lookup per (size
-     with subgraphs, node, coordinate); [probe_lookups] counts them, so
-     the time per lookup can be read off. *)
+     band with subgraphs, node, coordinate, twig variant of the node);
+     [probe_lookups] counts them, so the time per lookup can be read
+     off. *)
   let probe_tau = 2 in
   let stored = Tsj_datagen.Profiles.(instantiate swissprot ~seed:801 ~n:2000) in
   let filled_index = Tsj_core.Two_layer_index.create ~tau:probe_tau () in
@@ -66,13 +67,27 @@ let micro () =
   let probe_lo = probed.Tsj_tree.Binary_tree.size - probe_tau in
   let probe_hi = probed.Tsj_tree.Binary_tree.size + probe_tau in
   let probe_lookups =
-    let indexed size =
+    let width = probe_tau + 1 in
+    let band_indexed band =
       Array.exists
-        (fun tree -> Tsj_tree.Tree.size tree = size && size >= (2 * probe_tau) + 1)
+        (fun tree ->
+          let size = Tsj_tree.Tree.size tree in
+          size / width = band && size >= (2 * probe_tau) + 1)
         stored
     in
-    let sizes = List.filter indexed (List.init (probe_hi - probe_lo + 1) (( + ) probe_lo)) in
-    2 * List.length sizes * probed.Tsj_tree.Binary_tree.size
+    let bands =
+      List.filter band_indexed
+        (List.init ((probe_hi / width) - (probe_lo / width) + 1) (( + ) (probe_lo / width)))
+    in
+    (* (ll, lr), (ll, ε), (ε, lr), (ε, ε), less those a missing child
+       makes equal. *)
+    let variants = ref 0 in
+    let { Tsj_tree.Binary_tree.left; right; _ } = probed in
+    for v = 0 to probed.Tsj_tree.Binary_tree.size - 1 do
+      let sides lane = if lane.(v) < 0 then 1 else 2 in
+      variants := !variants + (sides left * sides right)
+    done;
+    2 * List.length bands * !variants
   in
   let probe_name =
     Printf.sprintf "partsj/index-probe (%d nodes, 2000 trees)" probed.Tsj_tree.Binary_tree.size

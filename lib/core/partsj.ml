@@ -289,7 +289,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
     | Some _ ->
       let params =
         Printf.sprintf
-          "v3|block=%d|part=%s|index=%s|metric=%s|bounded=%b|cascade=%b"
+          "v4|block=%d|part=%s|index=%s|metric=%s|bounded=%b|cascade=%b"
           block_size
           (match partitioning with
           | Balanced -> "balanced"

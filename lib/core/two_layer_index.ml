@@ -3,15 +3,19 @@ module Label = Tsj_tree.Label
 
 type mode = Two_sided | Paper_rank | Label_only
 
-(* Packs (tree size, position, root label) 21 bits apart; wider fields
-   overlap and collide, which the postings' exact fields make harmless. *)
-let key ~size ~pos ~label = (((size lsl 21) + pos) lsl 21) + label
+(* Packs (size band, position, root label) 21 bits apart and adds the
+   twig slots, each times an odd constant, so two twigs that differ in
+   one slot never share a key.  Wider fields overlap and collide, which
+   the postings' exact fields make harmless. *)
+let key ~band ~pos ~label ~left ~right =
+  (((band lsl 21) + pos) lsl 21) + label + (left * 0x1E3779B97F4A7C15)
+  + (right * 0x2545F4914F6CDD1D)
 
-(* Mix the key: the packed key's low bits are the root label's.  With an
-   identity hash, probing 2,000 swissprot trees took ~15x longer (2-vCPU
-   host).  SplitMix64's finalizer, constants cut to 63 bits: a bijection,
-   so distinct keys never share a hash. *)
-let mix k =
+(* Mix the key: an (ε, ε) twig leaves the packed key's low bits to the
+   root label.  With an identity hash, probing 2,000 swissprot trees
+   took ~15x longer (2-vCPU host).  SplitMix64's finalizer, constants
+   cut to 63 bits: a bijection, so distinct keys never share a hash. *)
+let[@inline] mix k =
   let k = (k lxor (k lsr 30)) * 0x3F58476D1CE4E5B9 in
   let k = (k lxor (k lsr 27)) * 0x14D049BB133111EB in
   k lxor (k lsr 31)
@@ -49,9 +53,9 @@ type table = {
   mutable filter : Bytes.t;
 }
 
-let filter_index filter h = (h lsr 17) land ((8 * Bytes.length filter) - 1)
+let[@inline] filter_index filter h = (h lsr 17) land ((8 * Bytes.length filter) - 1)
 
-let may_hold filter h =
+let[@inline] may_hold filter h =
   let i = filter_index filter h in
   Char.code (Bytes.get filter (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
@@ -94,8 +98,12 @@ let slot_in b k h =
   done;
   2 * !i
 
-(* The head stored for [k], or -1. *)
-let find tbl k =
+(* The head stored for [k], or -1.  A probe does ~600 lookups for ~5
+   postings, so [walk], [find], [mix] and the filter test are inlined
+   into each lookup: as calls, the probes of perfbench [query]'s 9,000
+   trees took 11.9-12.3 µs each against 9.2-9.6 (7 of 8 interleaved
+   pairs, 2-vCPU host). *)
+let[@inline] find tbl k =
   let h = mix k in
   if not (may_hold tbl.filter h) then -1
   else begin
@@ -175,7 +183,7 @@ type t = {
   mode : mode;
   by_start : table; (* position: general postorder number *)
   by_end : table; (* position: size - 1 - general postorder *)
-  sizes : table; (* the tree sizes with indexed subgraphs *)
+  bands : table; (* the size bands with indexed subgraphs *)
   mutable postings : int array array;
   mutable n_postings : int;
   mutable fields : int array array;
@@ -190,7 +198,7 @@ let create ?(mode = Two_sided) ~tau () =
     mode;
     by_start = table ();
     by_end = table ();
-    sizes = table ();
+    bands = table ();
     postings = [||];
     n_postings = 0;
     fields = [||];
@@ -213,21 +221,19 @@ let extend dir n fresh =
   dir.(c) <- fresh;
   dir
 
-let add_slot t (s : Subgraph.t) =
+let add_slot t (s : Subgraph.t) ~label ~left ~right =
   let slot = t.count in
   if slot land (chunk - 1) = 0 then begin
     t.fields <- extend t.fields slot (Array.make (4 * chunk) 0);
     t.subs <- extend t.subs slot (Array.make chunk s)
   end;
-  let label, left, right = Subgraph.label_key s in
   let fs = t.fields.(slot lsr chunk_bits) and o = 4 * (slot land (chunk - 1)) in
   fs.(o) <- s.Subgraph.tree_size;
   fs.(o + 1) <- label;
   fs.(o + 2) <- left;
   fs.(o + 3) <- right;
   t.subs.(slot lsr chunk_bits).(slot land (chunk - 1)) <- s;
-  t.count <- slot + 1;
-  label
+  t.count <- slot + 1
 
 (* Pushes a posting for [slot] at [pos] onto the chain of key [k]. *)
 let add_posting t tbl k ~pos ~slot =
@@ -242,9 +248,11 @@ let add_posting t tbl k ~pos ~slot =
 
 let insert t (s : Subgraph.t) =
   let slot = t.count in
-  let label = add_slot t s in
+  let label, left, right = Subgraph.label_key s in
+  add_slot t s ~label ~left ~right;
   let size = s.Subgraph.tree_size in
-  let add tbl pos = add_posting t tbl (key ~size ~pos ~label) ~pos ~slot in
+  let band = size / (t.tau + 1) in
+  let add tbl pos = add_posting t tbl (key ~band ~pos ~label ~left ~right) ~pos ~slot in
   let add_window tbl center half =
     for pos = max 0 (center - half) to center + half do
       add tbl pos
@@ -278,14 +286,14 @@ let insert t (s : Subgraph.t) =
     (* Ablation: no postorder layer at all — every subgraph of a size
        sits at position 0 and only the twig keys select. *)
     add t.by_start 0);
-  ignore (exchange t.sizes size 0)
+  ignore (exchange t.bands band 0)
 
 let n_subgraphs t = t.count
 
 let n_groups t = t.by_start.keys + t.by_end.keys
 
 (* Precomputed per-node twig labels of a probed tree.  Probing runs the
-   same tree over every size of a window and up to two coordinates —
+   same tree over every size band of a window and up to two coordinates —
    recomputing the twig of node [v] for every lookup showed up in join
    profiles.  A cursor computes all of them once. *)
 type cursor = {
@@ -312,42 +320,62 @@ let cursor (target : Binary_tree.t) =
     c_size = n;
   }
 
-(* Calls [f sub v] on the chain from posting [p] for the postings whose
-   exact fields are (size, pos, label) and whose twig slots are each ε
-   or equal to the node's child label ([ll], [lr]). *)
-let rec visit t ~size ~pos label ll lr v f p =
+(* Calls [f sub v] on the chain from posting [p] for the postings
+   whose exact fields are (pos, label), whose size is in [[lo, hi]] and
+   whose twig slots are each ε or equal to the node's child label
+   ([ll], [lr]). *)
+let rec visit t ~lo ~hi ~pos label ll lr v f p =
   if p >= 0 then begin
     let chain = t.postings.(p lsr chunk_bits) and o = 3 * (p land (chunk - 1)) in
     if chain.(o) = pos then begin
       let slot = chain.(o + 1) in
       let c = slot lsr chunk_bits and fo = 4 * (slot land (chunk - 1)) in
       let fs = t.fields.(c) in
+      let size = fs.(fo) in
       if
-        fs.(fo) = size
+        lo <= size && size <= hi
         && fs.(fo + 1) = label
         && (fs.(fo + 2) = Label.epsilon || fs.(fo + 2) = ll)
         && (fs.(fo + 3) = Label.epsilon || fs.(fo + 3) = lr)
       then f t.subs.(c).(slot land (chunk - 1)) v
     end;
-    visit t ~size ~pos label ll lr v f chain.(o + 2)
+    visit t ~lo ~hi ~pos label ll lr v f chain.(o + 2)
   end
 
-let scan t tbl ~size ~pos (cur : cursor) v f =
-  let label = cur.c_l.(v) in
-  let p = find tbl (key ~size ~pos ~label) in
-  if p >= 0 then visit t ~size ~pos label cur.c_ll.(v) cur.c_lr.(v) v f p
+let[@inline] walk t tbl k ~lo ~hi ~pos label ll lr v f =
+  let p = find tbl k in
+  if p >= 0 then visit t ~lo ~hi ~pos label ll lr v f p
+
+(* Walks the chains of node [v]'s twig variants (ll, lr), (ll, ε),
+   (ε, lr), (ε, ε) in this band and position, each distinct key once: a
+   side with no child makes two variants equal, and two variants whose
+   keys collide share one chain, which [visit]'s twig check reads for
+   both. *)
+let scan t tbl ~band ~lo ~hi ~pos (cur : cursor) v f =
+  let label = cur.c_l.(v) and ll = cur.c_ll.(v) and lr = cur.c_lr.(v) in
+  let e = Label.epsilon in
+  let k1 = key ~band ~pos ~label ~left:ll ~right:lr in
+  let k2 = key ~band ~pos ~label ~left:ll ~right:e in
+  let k3 = key ~band ~pos ~label ~left:e ~right:lr in
+  let k4 = key ~band ~pos ~label ~left:e ~right:e in
+  walk t tbl k1 ~lo ~hi ~pos label ll lr v f;
+  if k2 <> k1 then walk t tbl k2 ~lo ~hi ~pos label ll lr v f;
+  if k3 <> k1 && k3 <> k2 then walk t tbl k3 ~lo ~hi ~pos label ll lr v f;
+  if k4 <> k1 && k4 <> k2 && k4 <> k3 then walk t tbl k4 ~lo ~hi ~pos label ll lr v f
 
 let probe t (cur : cursor) ~lo ~hi f =
-  for size = max 1 lo to hi do
-    if find t.sizes size >= 0 then
+  let w = t.tau + 1 and lo = max 1 lo in
+  for band = lo / w to hi / w do
+    let lo = max lo (band * w) and hi = min hi ((band * w) + w - 1) in
+    if lo <= hi && find t.bands band >= 0 then
       for v = 0 to cur.c_size - 1 do
         match t.mode with
-        | Label_only -> scan t t.by_start ~size ~pos:0 cur v f
+        | Label_only -> scan t t.by_start ~band ~lo ~hi ~pos:0 cur v f
         | Two_sided ->
           let p = cur.c_gpost.(v) in
-          scan t t.by_start ~size ~pos:p cur v f;
-          scan t t.by_end ~size ~pos:(cur.c_size - 1 - p) cur v f
+          scan t t.by_start ~band ~lo ~hi ~pos:p cur v f;
+          scan t t.by_end ~band ~lo ~hi ~pos:(cur.c_size - 1 - p) cur v f
         | Paper_rank ->
-          scan t t.by_end ~size ~pos:(cur.c_size - 1 - cur.c_gpost.(v)) cur v f
+          scan t t.by_end ~band ~lo ~hi ~pos:(cur.c_size - 1 - cur.c_gpost.(v)) cur v f
       done
   done

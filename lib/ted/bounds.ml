@@ -122,7 +122,9 @@ let cascade ~tau a b =
   let lb = size_bound a b in
   if lb > tau then Pruned Size
   else begin
-    let l = label_bound a b in
+    (* [label_bound] exceeds τ iff the bags differ in at least 2τ + 1
+       labels, so the walk may stop there: below that it is exact. *)
+    let l = (Multiset.symmetric_difference_at_most a.labels b.labels ((2 * tau) + 1) + 1) / 2 in
     if l > tau then Pruned Labels
     else begin
       let lb = Int.max lb l in

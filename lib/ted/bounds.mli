@@ -76,7 +76,8 @@ type outcome =
 
 val cascade : tau:int -> t -> t -> outcome
 (** The staged verifier, cheapest first with short-circuit:
-    size ([O(1)]) → label histogram ([O(n)] merge walk) → degree
+    size ([O(1)]) → label histogram ([O(n)] merge walk, stopped once
+    the bags differ in 2τ + 1 labels, which decides the stage) → degree
     histogram ([O(max degree)]) → bounded preorder then postorder SED
     (diagonal transition: about [O(τ^2)] plus the matched runs on a near
     pair, [O(τ * n)] at worst) → greedy upper bound ([O(n)]).  None of

@@ -13,8 +13,7 @@ type prep = {
 }
 
 let preprocess tree =
-  let left_po = Postorder.of_tree tree in
-  let right_po = Postorder.of_tree (Tree.mirror tree) in
+  let left_po, right_po = Postorder.both tree in
   {
     tree;
     size = left_po.size;

@@ -11,37 +11,14 @@ type t = {
   gpost : int array;
 }
 
-(* General tree annotated with general-postorder numbers: the Knuth
-   transform is a bijection on nodes, so each binary node inherits the
-   general-postorder number of its source node. *)
-type anode = { alabel : int; apost : int; achildren : anode list }
-
-let annotate tree =
-  let counter = ref 0 in
-  let rec go (node : Tree.t) =
-    let achildren = List.map go node.children in
-    let apost = !counter in
-    incr counter;
-    { alabel = node.label; apost; achildren }
-  in
-  go tree
-
-(* Linked intermediate form used while converting. *)
-type bnode = { blabel : int; bpost : int; bleft : bnode option; bright : bnode option }
-
-let rec conv (node : anode) (siblings : anode list) =
-  let bleft =
-    match node.achildren with
-    | [] -> None
-    | c :: rest -> Some (conv c rest)
-  in
-  let bright =
-    match siblings with
-    | [] -> None
-    | s :: rest -> Some (conv s rest)
-  in
-  { blabel = node.alabel; bpost = node.apost; bleft; bright }
-
+(* One recursion over the sibling chains: [go node siblings] numbers
+   the binary subtree of [node] — its general descendants (the left
+   subtree), then its later siblings (the right subtree), then [node]
+   itself — and returns [node]'s binary-postorder id.  The Knuth
+   transform is a bijection on nodes, so each binary node keeps its
+   source node's general-postorder number: the descendants come before
+   it in general postorder and the later siblings after it, so it is
+   numbered between the two subtrees. *)
 let of_tree tree =
   let n = Tree.size tree in
   let label = Array.make n 0 in
@@ -51,33 +28,27 @@ let of_tree tree =
   let kind = Array.make n Root in
   let subtree_size = Array.make n 1 in
   let gpost = Array.make n 0 in
-  let counter = ref 0 in
-  (* Postorder numbering of the binary tree: left subtree, right subtree,
-     then the node itself. *)
-  let rec number b =
-    let l = Option.map number b.bleft in
-    let r = Option.map number b.bright in
-    let me = !counter in
-    incr counter;
-    label.(me) <- b.blabel;
-    gpost.(me) <- b.bpost;
-    (match l with
-    | Some li ->
-      left.(me) <- li;
-      parent.(li) <- me;
-      kind.(li) <- Left_of_parent;
-      subtree_size.(me) <- subtree_size.(me) + subtree_size.(li)
-    | None -> ());
-    (match r with
-    | Some ri ->
-      right.(me) <- ri;
-      parent.(ri) <- me;
-      kind.(ri) <- Right_of_parent;
-      subtree_size.(me) <- subtree_size.(me) + subtree_size.(ri)
-    | None -> ());
+  let bcount = ref 0 and gcount = ref 0 in
+  let attach me child k lane =
+    lane.(me) <- child;
+    parent.(child) <- me;
+    kind.(child) <- k;
+    subtree_size.(me) <- subtree_size.(me) + subtree_size.(child)
+  in
+  let rec go (node : Tree.t) siblings =
+    let l = match node.children with [] -> -1 | c :: rest -> go c rest in
+    let g = !gcount in
+    incr gcount;
+    let r = match siblings with [] -> -1 | s :: rest -> go s rest in
+    let me = !bcount in
+    incr bcount;
+    label.(me) <- node.label;
+    gpost.(me) <- g;
+    if l >= 0 then attach me l Left_of_parent left;
+    if r >= 0 then attach me r Right_of_parent right;
     me
   in
-  let root_id = number (conv (annotate tree) []) in
+  let root_id = go tree [] in
   assert (root_id = n - 1);
   { size = n; label; left; right; parent; kind; subtree_size; gpost }
 

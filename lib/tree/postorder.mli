@@ -16,6 +16,12 @@ type t = {
 
 val of_tree : Tree.t -> t
 
+val both : Tree.t -> t * t
+(** [both t] is [(of_tree t, of_tree (mirror t))] in one walk, where
+    [mirror t] reverses every child list: the mirror's postorder is
+    [t]'s preorder reversed.  The second form drives the right-path
+    decomposition of the TED and the traversal-string bounds. *)
+
 val n_leaves : t -> int
 
 val subtree_size : t -> int -> int

@@ -35,8 +35,6 @@ let rec hash t =
 let rec map_labels f t =
   { label = f t.label; children = List.map (map_labels f) t.children }
 
-let rec mirror t = { t with children = List.rev_map mirror t.children }
-
 let rec fold f t = f t.label (List.map (fold f) t.children)
 
 let rec iter_preorder f t =

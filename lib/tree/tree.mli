@@ -33,11 +33,6 @@ val hash : t -> int
 
 val map_labels : (Label.t -> Label.t) -> t -> t
 
-val mirror : t -> t
-(** Recursively reverse the order of children.  Tree edit distance is
-    invariant under simultaneous mirroring of both arguments, which is how
-    the right-path TED variant is obtained. *)
-
 val fold : (Label.t -> 'a list -> 'a) -> t -> 'a
 (** Bottom-up catamorphism. *)
 

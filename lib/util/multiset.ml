@@ -79,8 +79,20 @@ let inter_size a b =
 
 let union_size a b = Array.length a + Array.length b - inter_size a b
 
-let symmetric_difference_size a b =
-  Array.length a + Array.length b - (2 * inter_size a b)
+(* The merge walk counting unmatched elements, stopped at [cap]. *)
+let symmetric_difference_at_most a b cap =
+  let na = Array.length a and nb = Array.length b in
+  let rec go i j d =
+    if d >= cap then cap
+    else if i >= na then Int.min cap (d + nb - j)
+    else if j >= nb then Int.min cap (d + na - i)
+    else if a.(i) < b.(j) then go (i + 1) j (d + 1)
+    else if a.(i) > b.(j) then go i (j + 1) (d + 1)
+    else go (i + 1) (j + 1) d
+  in
+  go 0 0 0
+
+let symmetric_difference_size a b = symmetric_difference_at_most a b max_int
 
 (* Standard binary search for the leftmost occurrence. *)
 let lower_bound a x =

@@ -27,6 +27,11 @@ val union_size : t -> t -> int
 val symmetric_difference_size : t -> t -> int
 (** [size a + size b - 2 * inter_size a b]. *)
 
+val symmetric_difference_at_most : t -> t -> int -> int
+(** [symmetric_difference_at_most a b cap] is
+    [min cap (symmetric_difference_size a b)]: the merge walk stops once
+    the difference reaches [cap]. *)
+
 val mem : t -> int -> bool
 
 val count : t -> int -> int

@@ -145,14 +145,29 @@ let prop_cascade_sound =
     (Gen.arb_tree_pair ~max_size:12 ()) (fun (a, b) ->
       let ca = form a and cb = form b in
       let exact = Zhang_shasha.distance a b in
+      (* The stage that prunes is the first whose full bound exceeds τ:
+         the cascade's label walk, which stops at 2τ + 1, must decide as
+         the unbounded [label_bound] does. *)
+      let first_linear tau =
+        if Bounds.size_bound ca cb > tau then Some Bounds.Size
+        else if Bounds.label_bound ca cb > tau then Some Bounds.Labels
+        else if Bounds.degree_bound ca cb > tau then Some Bounds.Degrees
+        else None
+      in
       let check tau =
         match Bounds.cascade ~tau ca cb with
-        | Bounds.Pruned _ ->
+        | Bounds.Pruned stage ->
             if exact <= tau then
               QCheck.Test.fail_reportf
                 "tau=%d pruned but TED = %d on %s / %s" tau exact
                 (Gen.pp_tree a) (Gen.pp_tree b)
+            else if Option.value (first_linear tau) ~default:Bounds.Sed <> stage then
+              QCheck.Test.fail_reportf "tau=%d pruned at the wrong stage on %s / %s" tau
+                (Gen.pp_tree a) (Gen.pp_tree b)
             else true
+        | (Bounds.Accept _ | Bounds.Verify _) when first_linear tau <> None ->
+            QCheck.Test.fail_reportf "tau=%d a linear bound exceeds tau on %s / %s" tau
+              (Gen.pp_tree a) (Gen.pp_tree b)
         | Bounds.Accept d ->
             if d <> exact || d > tau then
               QCheck.Test.fail_reportf

@@ -349,6 +349,34 @@ let test_fingerprint_mismatch_refused () =
     Alcotest.(check bool) "error names the mismatch" true (contains msg "different"));
   Sys.remove path
 
+(* A journal written before the index was keyed by twig and size band
+   (fingerprint version v3) holds pairs in the old candidate order, so
+   resuming it must be refused; the same state under the current
+   fingerprint resumes. *)
+let test_v3_journal_refused () =
+  let trees = clustered 29 40 in
+  let path = Faults.fresh_journal () in
+  let out = Partsj.join ~checkpoint:(Checkpoint.config path) ~trees ~tau:2 () in
+  let st =
+    match Checkpoint.load path with
+    | Ok (Some st) -> st
+    | _ -> Alcotest.fail "journal not written"
+  in
+  let v3 =
+    Checkpoint.fingerprint ~tau:2 trees
+      ~params:"v3|block=32|part=balanced|index=two-sided|metric=ted|bounded=true|cascade=true"
+  in
+  Checkpoint.save ~path { st with Checkpoint.fingerprint = v3 };
+  (match Partsj.join ~checkpoint:(Checkpoint.config ~resume:true path) ~trees ~tau:2 () with
+  | _ -> Alcotest.fail "resume of a v3 journal succeeded"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "error names the mismatch" true (contains msg "different"));
+  Checkpoint.save ~path st;
+  let resumed = Partsj.join ~checkpoint:(Checkpoint.config ~resume:true path) ~trees ~tau:2 () in
+  Sys.remove path;
+  Alcotest.(check bool) "the current fingerprint resumes" true
+    (Types.equal_deterministic out resumed)
+
 let test_checkpoint_state_roundtrip () =
   let st =
     {
@@ -450,4 +478,5 @@ let suite =
       test_xml_line_col_and_lenient;
     Alcotest.test_case "pair budget sandwich holds the TED" `Quick
       test_pair_budget_sandwich_holds_ted;
+    Alcotest.test_case "v3 checkpoint journal refused" `Quick test_v3_journal_refused;
   ]

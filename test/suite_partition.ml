@@ -582,8 +582,10 @@ let test_compact_encoding_exhaustive () =
 
 (* The index as a list: every posting [insert] makes, newest first,
    with its coordinate and exact fields.  [model_probe] is [probe]'s
-   contract read literally: sizes ascending, then nodes, then the
-   coordinates, each key's postings newest first. *)
+   contract read literally: size bands (width τ + 1) ascending, then
+   nodes, then the coordinates, then the node's distinct twig variants
+   (ll, lr), (ll, ε), (ε, lr), (ε, ε), each variant's postings newest
+   first. *)
 type model_posting = {
   m_start : bool; (* by_start, else by_end *)
   m_size : int;
@@ -612,42 +614,51 @@ let model_insert mode ~tau model (s : Subgraph.t) =
   | Two_layer_index.Label_only -> window true 0 0);
   !added @ model
 
-let model_probe mode model (b : Binary_tree.t) ~lo ~hi =
+let model_probe mode ~tau model (b : Binary_tree.t) ~lo ~hi =
   let calls = ref [] in
-  let n = b.Binary_tree.size in
+  let n = b.Binary_tree.size and w = tau + 1 in
   let child lane v =
     if lane.(v) < 0 then Tsj_tree.Label.epsilon else b.Binary_tree.label.(lane.(v))
   in
-  let scan m_start size pos v =
+  let scan m_start band pos v =
+    let e = Tsj_tree.Label.epsilon in
     let ll = child b.Binary_tree.left v and lr = child b.Binary_tree.right v in
+    let variants =
+      List.fold_left
+        (fun acc x -> if List.mem x acc then acc else acc @ [ x ])
+        [] [ (ll, lr); (ll, e); (e, lr); (e, e) ]
+    in
     List.iter
-      (fun m ->
-        let label, left, right = m.m_key in
-        if
-          m.m_start = m_start && m.m_size = size && m.m_pos = pos
-          && label = b.Binary_tree.label.(v)
-          && (left = Tsj_tree.Label.epsilon || left = ll)
-          && (right = Tsj_tree.Label.epsilon || right = lr)
-        then calls := (m.m_sub.Subgraph.tree_id, v) :: !calls)
-      model
+      (fun (vl, vr) ->
+        List.iter
+          (fun m ->
+            let label, left, right = m.m_key in
+            if
+              m.m_start = m_start && m.m_size / w = band && lo <= m.m_size && m.m_size <= hi
+              && m.m_pos = pos
+              && label = b.Binary_tree.label.(v)
+              && left = vl && right = vr
+            then calls := (m.m_sub.Subgraph.tree_id, v) :: !calls)
+          model)
+      variants
   in
-  for size = max 1 lo to hi do
+  for band = max 1 lo / w to hi / w do
     for v = 0 to n - 1 do
       let p = b.Binary_tree.gpost.(v) in
       match mode with
-      | Two_layer_index.Label_only -> scan true size 0 v
+      | Two_layer_index.Label_only -> scan true band 0 v
       | Two_layer_index.Two_sided ->
-        scan true size p v;
-        scan false size (n - 1 - p) v
-      | Two_layer_index.Paper_rank -> scan false size (n - 1 - p) v
+        scan true band p v;
+        scan false band (n - 1 - p) v
+      | Two_layer_index.Paper_rank -> scan false band (n - 1 - p) v
     done
   done;
   List.rev !calls
 
 (* Synthetic subgraphs: a root twig encoded directly, with positions,
    sizes and labels chosen so that packed keys collide: a position
-   past 2^21 packs like the next size, a label past 2^21 like the next
-   position, one past 2^42 like the next size. *)
+   past 2^21 packs like the next size band, a label past 2^21 like the
+   next position, one past 2^42 like the next band. *)
 let collide_offsets = [| 0; 1 lsl 21; (1 lsl 21) - 1; 1 lsl 42 |]
 
 let twig_code rng =
@@ -710,7 +721,7 @@ let prop_probe_matches_model =
           let got = ref [] in
           Two_layer_index.probe idx (Two_layer_index.cursor b) ~lo ~hi (fun s v ->
               got := (s.Subgraph.tree_id, v) :: !got);
-          List.rev !got = model_probe mode !model b ~lo ~hi)
+          List.rev !got = model_probe mode ~tau !model b ~lo ~hi)
         (List.init 8 Fun.id))
 
 (* --- memory --- *)

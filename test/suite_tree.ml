@@ -42,10 +42,47 @@ let test_tree_equal_compare () =
   Alcotest.(check bool) "compare consistent" true (Tree.compare a c <> 0);
   Alcotest.(check int) "hash equal" (Tree.hash a) (Tree.hash b)
 
-let test_tree_mirror () =
+(* Every ordered tree of <= 7 nodes over {a, b} (20,134 trees). *)
+let small_trees = lazy (Edit_ball.trees_upto (List.map Label.intern [ "a"; "b" ]) 7)
+
+(* The mirror image: every child list reversed.  TED is invariant under
+   mirroring both trees, which is how the right-path decomposition runs. *)
+let rec mirror (x : Tree.t) = Tree.node x.Tree.label (List.rev_map mirror x.Tree.children)
+
+(* The one-form walk [Postorder.both] replaced: postorder numbers, the
+   first child's lld, and a keyroot at the root and every non-first
+   child. *)
+let reference_postorder tree =
+  let n = Tree.size tree in
+  let labels = Array.make n 0 and lld = Array.make n 0 in
+  let keyroots = ref [] and counter = ref 0 in
+  let rec go ~first (node : Tree.t) =
+    let first_lld = ref (-1) in
+    List.iteri
+      (fun c child ->
+        let l = go ~first:(c = 0) child in
+        if c = 0 then first_lld := l)
+      node.children;
+    let me = !counter in
+    incr counter;
+    labels.(me) <- node.label;
+    let my_lld = if !first_lld < 0 then me else !first_lld in
+    lld.(me) <- my_lld;
+    if not first then keyroots := me :: !keyroots;
+    my_lld
+  in
+  ignore (go ~first:false tree);
+  { Postorder.size = n; labels; lld; keyroots = Array.of_list (List.rev !keyroots) }
+
+let test_postorder_both_exhaustive () =
   let a = t "{a{b{x}{y}}{c}}" in
-  Alcotest.check tree "mirrored" (t "{a{c}{b{y}{x}}}") (Tree.mirror a);
-  Alcotest.check tree "involution" a (Tree.mirror (Tree.mirror a))
+  Alcotest.check tree "mirrored" (t "{a{c}{b{y}{x}}}") (mirror a);
+  List.iter
+    (fun x ->
+      let left, right = Postorder.both x in
+      if left <> reference_postorder x || right <> reference_postorder (mirror x) then
+        Alcotest.failf "Postorder.both differs on %s" (Bracket.to_string x))
+    (Lazy.force small_trees)
 
 let test_tree_label_set () =
   let a = t "{a{b}{a{b}}}" in
@@ -346,13 +383,67 @@ let test_gen_random_tree_size () =
   in
   Alcotest.(check (list int)) "sizes 1..200 not met exactly" [] wrong
 
+(* The two-pass LC-RS construction [Binary_tree.of_tree] replaced: the
+   general tree annotated with general-postorder numbers, converted to
+   linked binary nodes, then numbered in binary postorder. *)
+type anode = { alabel : int; apost : int; achildren : anode list }
+
+type bnode = { blabel : int; bpost : int; bleft : bnode option; bright : bnode option }
+
+let reference_of_tree tree =
+  let counter = ref 0 in
+  let rec annotate (node : Tree.t) =
+    let achildren = List.map annotate node.children in
+    let apost = !counter in
+    incr counter;
+    { alabel = node.label; apost; achildren }
+  in
+  let rec conv node siblings =
+    let bleft = match node.achildren with [] -> None | c :: rest -> Some (conv c rest) in
+    let bright = match siblings with [] -> None | s :: rest -> Some (conv s rest) in
+    { blabel = node.alabel; bpost = node.apost; bleft; bright }
+  in
+  let n = Tree.size tree in
+  let label = Array.make n 0 and left = Array.make n (-1) and right = Array.make n (-1) in
+  let parent = Array.make n (-1) and kind = Array.make n Binary_tree.Root in
+  let subtree_size = Array.make n 1 and gpost = Array.make n 0 in
+  let counter = ref 0 in
+  let rec number b =
+    let l = Option.map number b.bleft in
+    let r = Option.map number b.bright in
+    let me = !counter in
+    incr counter;
+    label.(me) <- b.blabel;
+    gpost.(me) <- b.bpost;
+    let attach lane k c =
+      lane.(me) <- c;
+      parent.(c) <- me;
+      kind.(c) <- k;
+      subtree_size.(me) <- subtree_size.(me) + subtree_size.(c)
+    in
+    Option.iter (attach left Binary_tree.Left_of_parent) l;
+    Option.iter (attach right Binary_tree.Right_of_parent) r;
+    me
+  in
+  ignore (number (conv (annotate tree) []));
+  { Binary_tree.size = n; label; left; right; parent; kind; subtree_size; gpost }
+
+let test_lcrs_exhaustive () =
+  List.iter
+    (fun x ->
+      if Binary_tree.of_tree x <> reference_of_tree x then
+        Alcotest.failf "Binary_tree.of_tree differs from the reference on %s"
+          (Bracket.to_string x))
+    (Lazy.force small_trees)
+
 let suite =
   [
     Alcotest.test_case "deep trees (50k chain)" `Slow test_deep_trees;
     Alcotest.test_case "label interning" `Quick test_label_interning;
     Alcotest.test_case "size/depth/degree" `Quick test_tree_size_depth_degree;
     Alcotest.test_case "equal/compare/hash" `Quick test_tree_equal_compare;
-    Alcotest.test_case "mirror" `Quick test_tree_mirror;
+    Alcotest.test_case "Postorder.both (exhaustive)" `Quick
+      test_postorder_both_exhaustive;
     Alcotest.test_case "label_set" `Quick test_tree_label_set;
     Alcotest.test_case "nodes pre/postorder" `Quick test_nodes_postorder;
     Alcotest.test_case "subtree_at_postorder" `Quick test_subtree_at_postorder;
@@ -382,4 +473,6 @@ let suite =
     prop_random_op_valid;
     Alcotest.test_case "Gen.random_tree has exactly size nodes" `Quick
       test_gen_random_tree_size;
+    Alcotest.test_case "LC-RS one pass = two-pass reference (exhaustive)" `Quick
+      test_lcrs_exhaustive;
   ]

@@ -233,6 +233,23 @@ let prop_multiset_sort =
       let bag = Multiset.to_array (Multiset.of_unsorted a) in
       bag = Array.of_list (List.sort Int.compare (Array.to_list a)) && a = before)
 
+(* Bags over a few values so that most elements match, of lengths whose
+   difference reaches past every cap; caps 0..2k + 3 for k = 0..12
+   cover the cascade's 2τ + 1 at τ = 0..12 and both sides of it. *)
+let prop_multiset_symdiff_at_most =
+  let gen =
+    QCheck.Gen.(
+      let bag = int_range 0 40 >>= fun n -> array_size (return n) (int_range 0 6) in
+      triple bag bag (int_range 0 27))
+  in
+  Gen.qtest ~count:500 "multiset symmetric_difference_at_most = min cap (unbounded difference)"
+    (QCheck.make ~print:QCheck.Print.(triple (array int) (array int) int) gen)
+    (fun (a, b, cap) ->
+      let a = Multiset.of_unsorted a and b = Multiset.of_unsorted b in
+      let unbounded = Multiset.size a + Multiset.size b - (2 * Multiset.inter_size a b) in
+      Multiset.symmetric_difference_size a b = unbounded
+      && Multiset.symmetric_difference_at_most a b cap = Int.min cap unbounded)
+
 let suite =
   [
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
@@ -261,4 +278,5 @@ let suite =
     Alcotest.test_case "statistics percentile" `Quick test_statistics_percentile;
     Alcotest.test_case "statistics histogram" `Quick test_statistics_histogram;
     prop_multiset_sort;
+    prop_multiset_symdiff_at_most;
   ]
