@@ -103,19 +103,13 @@ let ted_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"TREE2"
            ~doc:"Second tree in bracket notation (or @file).")
   in
-  let algorithm =
-    Arg.(value & opt (enum [ ("hybrid", Tsj_ted.Ted.Hybrid); ("left", Tsj_ted.Ted.Zs_left);
-                             ("right", Tsj_ted.Ted.Zs_right); ("naive", Tsj_ted.Ted.Naive) ])
-           Tsj_ted.Ted.Hybrid
-         & info [ "algorithm"; "a" ] ~doc:"TED algorithm: hybrid, left, right or naive.")
-  in
-  let run t1 t2 algorithm =
+  let run t1 t2 =
     let a = parse_tree_arg t1 and b = parse_tree_arg t2 in
-    Printf.printf "%d\n" (Tsj_ted.Ted.distance ~algorithm a b)
+    Printf.printf "%d\n" (Tsj_ted.Ted.distance a b)
   in
   Cmd.v
     (Cmd.info "ted" ~doc:"Exact tree edit distance between two trees")
-    Term.(const run $ t1 $ t2 $ algorithm)
+    Term.(const run $ t1 $ t2)
 
 (* --- join --- *)
 
@@ -447,10 +441,6 @@ let serve_cmd =
              ~doc:"State directory (snapshot + journal); without it the index \
                    is ephemeral.  An existing snapshot's tau overrides --tau.")
   in
-  let jobs =
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ]
-           ~doc:"OCaml domains for per-query verification.")
-  in
   let max_inflight =
     Arg.(value & opt int 64
          & info [ "max-inflight" ]
@@ -649,7 +639,7 @@ let serve_cmd =
           s.Tsj_server.Protocol.adds s.Tsj_server.Protocol.degraded
           s.Tsj_server.Protocol.errors)
   in
-  let run addr tau dir jobs max_inflight deadline drain_budget preload replica_of
+  let run addr tau dir max_inflight deadline drain_budget preload replica_of
       quorum max_batch dedup scrub_interval scrub_budget quarantine rate burst
       idle_timeout max_conns hedge router shard_groups shards band ledger format =
     if tau < 0 then begin
@@ -663,10 +653,6 @@ let serve_cmd =
     if router || shard_groups <> [] then
       run_router addr tau shard_groups shards band ledger deadline hedge
     else begin
-    if jobs < 1 then begin
-      Printf.eprintf "tsj: -j must be >= 1\n";
-      exit 2
-    end;
     if quorum < 1 then begin
       Printf.eprintf "tsj: --quorum must be >= 1\n";
       exit 2
@@ -678,7 +664,6 @@ let serve_cmd =
     let config =
       { (Tsj_server.Server.default_config addr ~tau) with
         Tsj_server.Server.dir;
-        domains = jobs;
         max_inflight;
         deadline_s = deadline;
         drain_budget_s = drain_budget;
@@ -731,7 +716,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the fault-tolerant similarity-search service or, with \
              --router, the scatter-gather router of a sharded cluster")
-    Term.(const run $ addr $ tau $ dir $ jobs $ max_inflight $ deadline
+    Term.(const run $ addr $ tau $ dir $ max_inflight $ deadline
           $ drain_budget $ preload $ replica_of $ quorum $ max_batch $ dedup
           $ scrub_interval $ scrub_budget $ quarantine $ rate $ burst
           $ idle_timeout $ max_conns $ hedge

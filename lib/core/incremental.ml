@@ -111,20 +111,16 @@ type query_result = {
   unverified : (int * int * int) list;
 }
 
-(* Verification runs in chunks so a per-request budget is polled at a
-   bounded interval even when the chunk itself fans out over domains.
-   Chunks must clear [Parallel.map]'s small-input cutoff (64) or the
-   [domains] knob would silently do nothing. *)
-let verify_chunk_size = 128
+(* The per-request budget is polled once per this many candidates. *)
+let poll_every = 128
 
-let query ?budget ?(domains = 1) ?tau t q =
+let query ?budget ?tau t q =
   let tau = Option.value tau ~default:t.tau in
   if tau > t.tau then
     invalid_arg
       (Printf.sprintf "Incremental.query: tau = %d exceeds the index threshold %d" tau
          t.tau);
   if tau < 0 then invalid_arg "Incremental.query: negative threshold";
-  if domains < 1 then invalid_arg "Incremental.query: domains must be >= 1";
   if tau = 0 then begin
     (* Point query: TED 0 is exactly structural equality, so the
        exact-match hash answers without probing, preprocessing or any
@@ -150,22 +146,14 @@ let query ?budget ?(domains = 1) ?tau t q =
   let live () =
     match budget with None -> true | Some b -> Tsj_join.Budget.live b
   in
-  let chunk_from lo =
-    let hi = min n (lo + verify_chunk_size) in
-    let qf = Lazy.force qform and forms = t.forms in
-    let ds =
-      Tsj_join.Parallel.map ~domains
-        (fun tj -> Bounds.distance ~tau qf forms.(tj))
-        (Array.sub cands lo (hi - lo))
-    in
-    Array.iteri
-      (fun k d -> if d <= tau then hits := (cands.(lo + k), d) :: !hits)
-      ds;
-    hi
-  in
-  let rec go lo =
-    if lo < n then
-      if live () then go (chunk_from lo)
+  let rec go i =
+    if i < n then
+      if i mod poll_every <> 0 || live () then begin
+        let tj = cands.(i) in
+        let d = Bounds.distance ~tau (Lazy.force qform) t.forms.(tj) in
+        if d <= tau then hits := (tj, d) :: !hits;
+        go (i + 1)
+      end
       else begin
         (* Over budget: the remaining candidates are reported with a
            bound sandwich instead of being verified.  Only the linear
@@ -177,7 +165,7 @@ let query ?budget ?(domains = 1) ?tau t q =
            result. *)
         degraded := true;
         let qf = Lazy.force qform in
-        for k = lo to n - 1 do
+        for k = i to n - 1 do
           let tj = cands.(k) in
           let f = t.forms.(tj) in
           let lower = Bounds.linear_lower qf f in

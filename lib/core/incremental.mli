@@ -77,7 +77,6 @@ type query_result = {
 
 val query :
   ?budget:Tsj_join.Budget.t ->
-  ?domains:int ->
   ?tau:int ->
   t ->
   Tsj_tree.Tree.t ->
@@ -86,14 +85,14 @@ val query :
     the serving path of the streaming index.  [tau] defaults to the
     index threshold and may be any [τ' <= τ] (the probe band shrinks
     with it).  The query tree is preprocessed only when the band yields
-    a candidate.  Each candidate is verified through the filter cascade
-    at [τ'] against the stored form, in chunks (fanned over [domains]
-    when > 1), and [budget] is polled between chunks: an expired budget
-    degrades the answer instead of hanging — see {!type:query_result};
-    its sandwiches are computed from the stored forms.  With no budget
-    the result is exact and bit-identical at every domain count.
-    @raise Invalid_argument if [tau] exceeds the index threshold, is
-    negative, or [domains < 1]. *)
+    a candidate.  The candidates are verified one after another, each
+    through the filter cascade at [τ'] against the stored form, and
+    [budget] is polled before the first and then once per 128: an
+    expired budget degrades the answer instead of hanging — see
+    {!type:query_result}; its sandwiches are computed from the stored
+    forms.  With no budget the result is exact.
+    @raise Invalid_argument if [tau] exceeds the index threshold or is
+    negative. *)
 
 val nearest : k:int -> t -> Tsj_tree.Tree.t -> (int * int) list
 (** Top-k search within the index threshold: the [k] inserted trees

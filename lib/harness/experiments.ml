@@ -340,9 +340,11 @@ let perf config =
      exercise the full filter cascade at one and [domains] domains.  A
      full-scale run repeats the three as 5 rounds, every other round in
      reverse order, so neither a cold first run nor a drifting host lands
-     on one configuration; the speedup and the best domain count are
-     medians over the rounds.  The tables, the record's runs and the
-     determinism and losslessness checks use the first round. *)
+     on one configuration; the speedup is a median over the rounds, and a
+     best domain count is named only when the wall-time quartile ranges
+     at 1 and [domains] domains do not overlap.  The tables, the record's
+     runs and the determinism and losslessness checks use the first
+     round. *)
   let rounds = if config.scale >= 1.0 then 5 else 1 in
   let round i =
     let order = [ (false, 1); (true, 1); (true, domains) ] in
@@ -424,17 +426,31 @@ let perf config =
            off.Types.stats.Types.verify_time_s /. on.Types.stats.Types.verify_time_s)
          all_rounds)
   in
-  let _, wall_1, _ = quartiles (List.map (fun (_, (_, _, _, w), _) -> w) all_rounds) in
-  let _, wall_n, _ = quartiles (List.map (fun (_, _, (_, _, _, w)) -> w) all_rounds) in
-  (* Measured crossover: the domain count that actually minimises the wall
-     clock on this machine (oversubscribed boxes regress past 1). *)
-  let measured_domains = if wall_n < wall_1 then domains else 1 in
+  let wall_1_q1, wall_1, wall_1_q3 =
+    quartiles (List.map (fun (_, (_, _, _, w), _) -> w) all_rounds)
+  in
+  let wall_n_q1, wall_n, wall_n_q3 =
+    quartiles (List.map (fun (_, _, (_, _, _, w)) -> w) all_rounds)
+  in
+  (* Measured crossover: the domain count that minimises the wall clock
+     on this machine (oversubscribed boxes regress past 1), named only
+     when the two quartile ranges are disjoint; a single round has no
+     range.  A shared host moves one median by tens of percent. *)
+  let measured_domains =
+    if rounds < 2 then None
+    else if wall_n_q3 < wall_1_q1 then Some domains
+    else if wall_1_q3 < wall_n_q1 then Some 1
+    else None
+  in
+  let measured_to ~none = Option.fold ~none ~some:string_of_int measured_domains in
   printf config
     "  verify speedup (cascade off -> on, 1 domain): %.2fx (median of %d rounds, \
      quartiles %.2f-%.2f)\n"
     verify_speedup rounds speedup_q1 speedup_q3;
-  printf config "  measured best domain count: %d (median wall %.3f s at 1, %.3f s at %d)\n"
-    measured_domains wall_1 wall_n domains;
+  printf config
+    "  measured best domain count: %s (wall quartiles %.3f-%.3f s at 1, %.3f-%.3f s \
+     at %d)\n"
+    (measured_to ~none:"unresolved") wall_1_q1 wall_1_q3 wall_n_q1 wall_n_q3 domains;
   printf config "  determinism (domains=1 vs domains=%d): %s\n" domains
     (if identical then "identical pairs, candidates, cascade counters and probe stats"
      else "MISMATCH — results differ across domain counts!");
@@ -482,7 +498,7 @@ let perf config =
       \  \"n_trees\": %d,\n\
       \  \"tau\": %d,\n\
       \  \"seed\": %d,\n\
-      \  \"recommended_domains\": %d,\n\
+      \  \"recommended_domains\": %s,\n\
       \  \"rounds\": %d,\n\
       \  \"verify_speedup_cascade\": %.4f,\n\
       \  \"verify_speedup_cascade_q1\": %.4f,\n\
@@ -493,8 +509,8 @@ let perf config =
       \  \"cascade_lossless\": %b,\n\
       \  \"runs\": [\n%s,\n%s,\n%s\n  ]\n\
        }\n"
-      profile.Profiles.name n tau config.seed measured_domains rounds verify_speedup
-      speedup_q1 speedup_q3 wall_1 wall_n identical lossless
+      profile.Profiles.name n tau config.seed (measured_to ~none:"null") rounds
+      verify_speedup speedup_q1 speedup_q3 wall_1 wall_n identical lossless
       (json_run "baseline_seed_verifier" ~cascade:false 1 ob phb wb)
       (json_run "cascade" ~cascade:true 1 o1 ph1 w1)
       (json_run "cascade_parallel" ~cascade:true domains oN phN wN);

@@ -48,9 +48,10 @@ val perf : config -> unit
     prints the wall-time phase split, asserts that result pairs,
     candidate counts and probe statistics are identical across domain
     counts, and at [scale >= 1.0] repeats the cascade off / on / on at
-    N domains runs as 5 alternating rounds (the verify speedup and the
-    best domain count are medians over them, the speedup's quartiles
-    are recorded too) and writes the machine-readable record to
+    N domains runs as 5 alternating rounds (the verify speedup is their
+    median, its quartiles are recorded too; a best domain count is named
+    only when the 1-domain and N-domain wall-time quartile ranges do not
+    overlap, else it prints [unresolved] and records [null]) and writes the machine-readable record to
     [BENCH_partsj.json] in the current directory (a smaller run writes
     nothing, so it never overwrites the committed full-scale record).
     It then joins the subtree-repetition-heavy [redundant] profile at

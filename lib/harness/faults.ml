@@ -115,14 +115,14 @@ let store_of_exn = function Ok s -> s | Error msg -> failwith msg
    before the restart — a partial disk write from a crash mid-append.
    The torn record was never acknowledged-durable, so the expected
    surviving prefix shrinks by one. *)
-let run_server_kill_and_restart ?(domains = 1) ?(kill_at_add = 1) ?(tear_tail = false)
+let run_server_kill_and_restart ?(kill_at_add = 1) ?(tear_tail = false)
     ~trees ~queries ~tau () =
   let dir = fresh_store_dir () in
   let acked = ref 0 in
   let server_killed =
     match
       Fault.with_armed "server.journal" ~at:kill_at_add (fun () ->
-          let store = store_of_exn (Tsj_server.Store.open_ ~dir ~domains ~tau ()) in
+          let store = store_of_exn (Tsj_server.Store.open_ ~dir ~tau ()) in
           Array.iter
             (fun t ->
               ignore (Tsj_server.Store.add store t);
@@ -146,8 +146,8 @@ let run_server_kill_and_restart ?(domains = 1) ?(kill_at_add = 1) ?(tear_tail = 
     else false
   in
   let expected = if torn then !acked - 1 else !acked in
-  let replayed_store = store_of_exn (Tsj_server.Store.open_ ~dir ~domains ~tau ()) in
-  let reference = store_of_exn (Tsj_server.Store.open_ ~domains ~tau ()) in
+  let replayed_store = store_of_exn (Tsj_server.Store.open_ ~dir ~tau ()) in
+  let reference = store_of_exn (Tsj_server.Store.open_ ~tau ()) in
   for i = 0 to expected - 1 do
     ignore (Tsj_server.Store.add reference trees.(i))
   done;
@@ -210,7 +210,6 @@ type storm_node = {
 type storm_group = {
   sg_id : int;
   sg_quorum : int;
-  sg_domains : int;
   sg_tau : int;
   sg_nodes : storm_node array;
   sg_feeding : int ref;  (* sn_idx of the follower currently being fed *)
@@ -226,7 +225,7 @@ let group_fresh_node g ~primary =
   let idx = g.sg_next_idx in
   g.sg_next_idx <- idx + 1;
   let dir = fresh_store_dir () in
-  let store = store_of_exn (Sstore.open_ ~dir ~domains:g.sg_domains ~tau:g.sg_tau ()) in
+  let store = store_of_exn (Sstore.open_ ~dir ~tau:g.sg_tau ()) in
   {
     sn_idx = idx;
     sn_dir = dir;
@@ -238,12 +237,11 @@ let group_fresh_node g ~primary =
     sn_stream_gen = 0;
   }
 
-let group_create ~id ~active ~quorum ~domains ~tau ~replicas =
+let group_create ~id ~active ~quorum ~tau ~replicas =
   let g =
     {
       sg_id = id;
       sg_quorum = quorum;
-      sg_domains = domains;
       sg_tau = tau;
       sg_nodes = [||];
       sg_feeding = ref (-1);
@@ -391,7 +389,7 @@ let group_restart g node =
   node.sn_stream_gen <- node.sn_stream_gen + 1;
   (* kill -9 semantics: the old store object is abandoned unflushed;
      recovery must come from the journal alone *)
-  let store = store_of_exn (Sstore.open_ ~dir:node.sn_dir ~domains:g.sg_domains ~tau:g.sg_tau ()) in
+  let store = store_of_exn (Sstore.open_ ~dir:node.sn_dir ~tau:g.sg_tau ()) in
   node.sn_store <- store;
   node.sn_replica <- Replica.create ~primary:false store;
   node.sn_cluster <- Cluster.create ~quorum:g.sg_quorum ();
@@ -597,10 +595,10 @@ let group_converged g primary =
    envelope worth asserting in.  The driver plays both the client
    (safe-retry ADDs) and the operator (heal, restart, promote the
    reachable node with the highest (epoch, n_trees)). *)
-let run_failover_storm ?(domains = 1) ?(seed = 0xC1A05) ?(rounds = 40) ?(quorum = 2)
+let run_failover_storm ?(seed = 0xC1A05) ?(rounds = 40) ?(quorum = 2)
     ~trees ~queries ~tau () =
   let rng = Prng.create seed in
-  let g = group_create ~id:0 ~active:(ref (-1)) ~quorum ~domains ~tau ~replicas:3 in
+  let g = group_create ~id:0 ~active:(ref (-1)) ~quorum ~tau ~replicas:3 in
   let chaos_points = ref 0
   and acked : (int * Tsj_tree.Tree.t) list ref = ref []
   and acked_adds = ref 0 in
@@ -643,7 +641,7 @@ let run_failover_storm ?(domains = 1) ?(seed = 0xC1A05) ?(rounds = 40) ?(quorum 
       in
       (* every surviving node must answer bit-identically to a
          single-node store that never failed, fed the same sequence *)
-      let reference = store_of_exn (Sstore.open_ ~domains ~tau ()) in
+      let reference = store_of_exn (Sstore.open_ ~tau ()) in
       for i = 0 to n - 1 do
         ignore (Sstore.add reference (Sstore.tree primary.sn_store i))
       done;
@@ -697,14 +695,14 @@ type sharded_report = {
    reference hit appears exactly or inside a sandwich, and no exact
    hit is invented.  After the final heal the merged QUERY and KNN
    answers must be bit-identical to the reference. *)
-let run_sharded_storm ?(domains = 1) ?(seed = 0x5AAD) ?(rounds = 40) ?(shards = 3)
+let run_sharded_storm ?(seed = 0x5AAD) ?(rounds = 40) ?(shards = 3)
     ?(replicas = 3) ?(quorum = 2) ~trees ~queries ~tau () =
   if Array.length queries = 0 then invalid_arg "run_sharded_storm: no probe queries";
   let rng = Prng.create seed in
   let map = Sshard.create ~shards ~tau () in
   let active = ref (-1) in
   let groups =
-    Array.init shards (fun s -> group_create ~id:s ~active ~quorum ~domains ~tau ~replicas)
+    Array.init shards (fun s -> group_create ~id:s ~active ~quorum ~tau ~replicas)
   in
   let chaos_points = ref 0
   and acked : (int * int * Tsj_tree.Tree.t) list ref = ref []  (* (shard, lseq, tree) *)
@@ -718,7 +716,7 @@ let run_sharded_storm ?(domains = 1) ?(seed = 0x5AAD) ?(rounds = 40) ?(shards = 
   let next_lseq = Array.make shards 0 in
   let res : (int * int) list ref array = Array.init shards (fun _ -> ref []) in
   let n_gids = ref 0 in
-  let ref_store = ref (store_of_exn (Sstore.open_ ~domains ~tau ())) in
+  let ref_store = ref (store_of_exn (Sstore.open_ ~tau ())) in
   let bind s lseq tree =
     assert (lseq = next_lseq.(s));
     Hashtbl.replace lseq2gid (s, lseq) !n_gids;
@@ -756,7 +754,7 @@ let run_sharded_storm ?(domains = 1) ?(seed = 0x5AAD) ?(rounds = 40) ?(shards = 
     Array.iter (fun r -> r := []) res;
     n_gids := 0;
     (try Sstore.close !ref_store with _ -> ());
-    ref_store := store_of_exn (Sstore.open_ ~domains ~tau ());
+    ref_store := store_of_exn (Sstore.open_ ~tau ());
     Array.iteri
       (fun s g ->
         if not router_cut.(s) then
@@ -969,15 +967,15 @@ type scrub_storm_report = {
    own read path (a finding, never a "repair" over a failing disk).
    Every round probes a query against a never-corrupted reference
    store: disk rot must never surface in answers. *)
-let run_scrub_storm ?(domains = 1) ?(seed = 0x5C12B) ?(rounds = 30) ~trees
+let run_scrub_storm ?(seed = 0x5C12B) ?(rounds = 30) ~trees
     ~queries ~tau () =
   if Array.length trees = 0 then invalid_arg "run_scrub_storm: no trees";
   if Array.length queries = 0 then invalid_arg "run_scrub_storm: no probe queries";
   let rng = Prng.create seed in
   let pdir = fresh_store_dir () and rdir = fresh_store_dir () in
-  let primary = ref (store_of_exn (Sstore.open_ ~dir:pdir ~domains ~tau ()))
-  and replica = ref (store_of_exn (Sstore.open_ ~dir:rdir ~domains ~tau ()))
-  and reference = store_of_exn (Sstore.open_ ~domains ~tau ()) in
+  let primary = ref (store_of_exn (Sstore.open_ ~dir:pdir ~tau ()))
+  and replica = ref (store_of_exn (Sstore.open_ ~dir:rdir ~tau ()))
+  and reference = store_of_exn (Sstore.open_ ~tau ()) in
   let flips = ref 0
   and read_faults = ref 0
   and detected = ref 0
@@ -1083,7 +1081,7 @@ let run_scrub_storm ?(domains = 1) ?(seed = 0x5C12B) ?(rounds = 30) ~trees
     | None -> live_rot replica rdir
     | Some () -> (
       let heal seq = Some (Sstore.record_for !primary seq) in
-      match Sstore.open_ ~dir:rdir ~domains ~heal ~tau () with
+      match Sstore.open_ ~dir:rdir ~heal ~tau () with
       | Error m -> failwith ("scrub storm: healing open refused: " ^ m)
       | Ok st ->
         replica := st;
@@ -1121,7 +1119,7 @@ let run_scrub_storm ?(domains = 1) ?(seed = 0x5C12B) ?(rounds = 30) ~trees
     match rot_mid_record () with
     | None -> live_rot replica rdir
     | Some () -> (
-      match Sstore.open_ ~dir:rdir ~domains ~quarantine:true ~tau () with
+      match Sstore.open_ ~dir:rdir ~quarantine:true ~tau () with
       | Error m -> failwith ("scrub storm: quarantine open refused: " ^ m)
       | Ok st ->
         replica := st;
@@ -1276,7 +1274,7 @@ type overload_report = {
    delivers an answer meaningfully past its announced deadline, never
    delivers a wrong answer, and rejects an already-expired ADD without
    growing the store. *)
-let run_overload_storm ?(domains = 1) ?(seed = 0x10AD) ?(duration_s = 1.0)
+let run_overload_storm ?(seed = 0x10AD) ?(duration_s = 1.0)
     ?(greedy = 3) ?(rate = 80.0) ~trees ~queries ~tau () =
   if Array.length trees = 0 then invalid_arg "run_overload_storm: no trees";
   if Array.length queries = 0 then
@@ -1287,8 +1285,7 @@ let run_overload_storm ?(domains = 1) ?(seed = 0x10AD) ?(duration_s = 1.0)
   let config =
     {
       (Sserver.default_config addr ~tau) with
-      Sserver.domains;
-      max_inflight = 32;
+      Sserver.max_inflight = 32;
       deadline_s = Some 0.5;
       rate = Some rate;
       burst = 16;

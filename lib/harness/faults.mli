@@ -70,7 +70,6 @@ type server_kill_report = {
 }
 
 val run_server_kill_and_restart :
-  ?domains:int ->
   ?kill_at_add:int ->
   ?tear_tail:bool ->
   trees:Tsj_tree.Tree.t array ->
@@ -110,7 +109,6 @@ type failover_report = {
 }
 
 val run_failover_storm :
-  ?domains:int ->
   ?seed:int ->
   ?rounds:int ->
   ?quorum:int ->
@@ -162,7 +160,6 @@ type sharded_report = {
 }
 
 val run_sharded_storm :
-  ?domains:int ->
   ?seed:int ->
   ?rounds:int ->
   ?shards:int ->
@@ -223,7 +220,6 @@ type scrub_storm_report = {
 }
 
 val run_scrub_storm :
-  ?domains:int ->
   ?seed:int ->
   ?rounds:int ->
   trees:Tsj_tree.Tree.t array ->
@@ -275,7 +271,6 @@ type overload_report = {
 }
 
 val run_overload_storm :
-  ?domains:int ->
   ?seed:int ->
   ?duration_s:float ->
   ?greedy:int ->

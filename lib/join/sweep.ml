@@ -5,7 +5,7 @@ type metric = Ted | Constrained
 
 let verify_distance ?(metric = Ted) p1 p2 =
   match metric with
-  | Ted -> Tsj_ted.Ted.distance_prep ~algorithm:Tsj_ted.Ted.Hybrid p1 p2
+  | Ted -> Tsj_ted.Ted.distance_prep p1 p2
   | Constrained ->
     Tsj_ted.Constrained.distance (Tsj_ted.Ted.tree p1) (Tsj_ted.Ted.tree p2)
 
@@ -13,7 +13,7 @@ let verify_distance ?(metric = Ted) p1 p2 =
    the threshold) matter, so the TED metric runs the banded DP. *)
 let verify_bounded ?(metric = Ted) ~tau p1 p2 =
   match metric with
-  | Ted -> Tsj_ted.Ted.bounded_distance_prep ~algorithm:Tsj_ted.Ted.Hybrid p1 p2 tau
+  | Ted -> Tsj_ted.Ted.bounded_distance_prep p1 p2 tau
   | Constrained ->
     min
       (Tsj_ted.Constrained.distance (Tsj_ted.Ted.tree p1) (Tsj_ted.Ted.tree p2))

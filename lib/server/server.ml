@@ -7,7 +7,6 @@ type config = {
   addr : Protocol.addr;
   tau : int;
   dir : string option;  (** journal/snapshot directory; [None] = ephemeral *)
-  domains : int;  (** verification parallelism per query *)
   max_inflight : int;  (** admission watermark; beyond it, [BUSY] *)
   deadline_s : float option;  (** per-request deadline *)
   drain_budget_s : float;  (** how long drain waits for inflight work *)
@@ -34,7 +33,6 @@ let default_config addr ~tau =
     addr;
     tau;
     dir = None;
-    domains = 1;
     max_inflight = 64;
     deadline_s = None;
     drain_budget_s = 5.0;
@@ -1382,7 +1380,6 @@ let bind_listener addr =
 
 let create config =
   if config.tau < 0 then Error "negative threshold"
-  else if config.domains < 1 then Error "domains must be >= 1"
   else if config.max_inflight < 0 then Error "max_inflight must be >= 0"
   else if config.drain_budget_s < 0.0 then Error "negative drain budget"
   else if config.quorum < 1 then Error "quorum must be >= 1"
@@ -1418,7 +1415,7 @@ let create config =
               peers)
     in
     match
-      Store.open_ ?dir:config.dir ~domains:config.domains ~dedup:config.dedup
+      Store.open_ ?dir:config.dir ~dedup:config.dedup
         ?heal ~quarantine:config.quarantine ~tau:config.tau ()
     with
     | Error m -> Error m

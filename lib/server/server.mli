@@ -106,7 +106,6 @@ type config = {
   addr : Protocol.addr;
   tau : int;
   dir : string option;  (** journal/snapshot directory; [None] = ephemeral *)
-  domains : int;  (** verification parallelism per query *)
   max_inflight : int;  (** admission watermark; beyond it, [BUSY] *)
   deadline_s : float option;  (** per-request deadline *)
   drain_budget_s : float;  (** how long drain waits for inflight work *)

@@ -7,7 +7,6 @@ module Text = Tsj_util.Text
 type t = {
   dir : string option;
   tau : int;
-  domains : int;
   dedup : bool;
   mutable inc : Incremental.t;
   mutable journal : out_channel option;
@@ -376,9 +375,8 @@ let build_merkle inc =
   done;
   m
 
-let open_ ?dir ?(domains = 1) ?(dedup = false) ?heal ?(quarantine = false) ~tau () =
+let open_ ?dir ?(dedup = false) ?heal ?(quarantine = false) ~tau () =
   if tau < 0 then Error "Store.open_: negative threshold"
-  else if domains < 1 then Error "Store.open_: domains must be >= 1"
   else
     match dir with
     | None ->
@@ -386,7 +384,6 @@ let open_ ?dir ?(domains = 1) ?(dedup = false) ?heal ?(quarantine = false) ~tau 
         {
           dir = None;
           tau;
-          domains;
           dedup;
           inc = Incremental.create ~tau ();
           journal = None;
@@ -460,7 +457,6 @@ let open_ ?dir ?(domains = 1) ?(dedup = false) ?heal ?(quarantine = false) ~tau 
               {
                 dir = Some dir;
                 tau;
-                domains;
                 dedup;
                 inc;
                 journal = None;
@@ -517,7 +513,7 @@ let render_record ~seq tree = record_line ~seq tree
    from an unbudgeted (fully verified) query, so an idempotent ADD
    replay answers bit-identically to the original acknowledgement. *)
 let partners_of t seq tree =
-  let r = Incremental.query ~domains:t.domains t.inc tree in
+  let r = Incremental.query t.inc tree in
   r.Incremental.hits
   |> List.filter (fun (id, _) -> id < seq)
   |> List.sort (fun (i1, _) (i2, _) -> compare i1 i2)
@@ -742,7 +738,7 @@ let apply_record t line =
         Ok (n + 1)
     end
 
-let query ?budget ?tau t q = Incremental.query ?budget ~domains:t.domains ?tau t.inc q
+let query ?budget ?tau t q = Incremental.query ?budget ?tau t.inc q
 
 let nearest ~k t q = Incremental.nearest ~k t.inc q
 

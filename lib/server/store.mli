@@ -44,7 +44,6 @@ type t
 
 val open_ :
   ?dir:string ->
-  ?domains:int ->
   ?dedup:bool ->
   ?heal:(int -> string option) ->
   ?quarantine:bool ->
@@ -69,8 +68,7 @@ val open_ :
     refused.  An existing snapshot's τ overrides the requested one: a
     restart must reproduce the pre-crash index, and the partitioning
     grain δ = 2τ + 1 is baked into it.  Without [dir] the store is
-    ephemeral (no journal, no snapshot).  [domains] (default 1) is the
-    verification parallelism used by {!query}.  [dedup] (default
+    ephemeral (no journal, no snapshot).  [dedup] (default
     [false]) enables whole-tree deduplication: a seq-less ADD of a tree
     the store already holds is answered as the original tree's id with
     the original partner list — bit-identical to an idempotent replay —
@@ -242,8 +240,8 @@ val query :
   t ->
   Tsj_tree.Tree.t ->
   Tsj_core.Incremental.query_result
-(** Similarity search at [tau] (default: store τ), fanned over the
-    store's [domains]; see {!Tsj_core.Incremental.query}. *)
+(** Similarity search at [tau] (default: store τ); see
+    {!Tsj_core.Incremental.query}. *)
 
 val nearest : k:int -> t -> Tsj_tree.Tree.t -> (int * int) list
 

@@ -2,18 +2,14 @@
 
     The paper verifies candidates with RTED (Pawlik & Augsten), whose key
     idea is to pick a decomposition strategy based on the shapes of the two
-    trees.  This module implements that idea as a hybrid over the
-    Zhang–Shasha left-path decomposition and its mirror image (the
-    right-path decomposition): for every tree pair it estimates the number
-    of relevant subproblems of both and runs the cheaper one.  Both
-    variants compute the exact distance, so the choice only affects
-    runtime.  (See DESIGN.md, substitution 1.) *)
-
-type algorithm =
-  | Zs_left   (** Zhang–Shasha on the trees as given *)
-  | Zs_right  (** Zhang–Shasha on the mirrored trees *)
-  | Hybrid    (** per-pair choice by estimated subproblem count *)
-  | Naive     (** memoized forest recursion; testing only, small trees *)
+    trees.  The unbounded {!distance_prep} implements that idea as a
+    hybrid over the Zhang–Shasha left-path decomposition and its mirror
+    image (the right-path decomposition): for every tree pair it estimates
+    the number of relevant subproblems of both and runs the cheaper one.
+    The τ-banded {!bounded_distance_prep}, which the joins and the serving
+    path verify with, always runs the left decomposition: its band already
+    bounds the work, and the choice measured within noise there.  (See
+    DESIGN.md, substitution 1.) *)
 
 type prep
 (** Per-tree preprocessing (postorder arrays for both decompositions).
@@ -33,15 +29,14 @@ val right_postorder : prep -> Tsj_tree.Postorder.t
 (** The mirrored tree's postorder form, i.e. the preorder reversed
     (shared — do not mutate). *)
 
-val distance : ?algorithm:algorithm -> Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
+val distance : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
 
-val distance_prep : ?algorithm:algorithm -> prep -> prep -> int
+val distance_prep : prep -> prep -> int
+(** The exact TED, under whichever decomposition has fewer relevant
+    subproblems for this pair. *)
 
-val bounded_distance_prep : ?algorithm:algorithm -> prep -> prep -> int -> int
+val bounded_distance_prep : prep -> prep -> int -> int
 (** [bounded_distance_prep p1 p2 k] is [min (TED, k + 1)] through the
-    τ-banded DP (see {!Zhang_shasha.bounded_distance_postorder}) under the
-    chosen decomposition; the {!Naive} algorithm computes fully and
-    clamps.  @raise Invalid_argument if [k < 0]. *)
-
-val within : ?algorithm:algorithm -> prep -> prep -> int -> bool
-(** [within p1 p2 tau]: is [TED <= tau]?  Uses the banded verifier. *)
+    τ-banded DP on the left postorders (see
+    {!Zhang_shasha.bounded_distance_postorder}).
+    @raise Invalid_argument if [k < 0]. *)

@@ -259,6 +259,3 @@ let distance t1 t2 =
 
 let bounded_distance t1 t2 k =
   bounded_distance_postorder (Postorder.of_tree t1) (Postorder.of_tree t2) k
-
-let relevant_subproblems p1 p2 =
-  Postorder.keyroot_cost p1 * Postorder.keyroot_cost p2

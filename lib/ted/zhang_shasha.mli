@@ -43,7 +43,3 @@ val bounded_distance_postorder : Tsj_tree.Postorder.t -> Tsj_tree.Postorder.t ->
     @raise Invalid_argument if [k < 0]. *)
 
 val bounded_distance : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int -> int
-
-val relevant_subproblems : Tsj_tree.Postorder.t -> Tsj_tree.Postorder.t -> int
-(** The number of forest-distance cells the algorithm fills for this pair —
-    the cost estimate used for strategy selection. *)

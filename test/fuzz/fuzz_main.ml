@@ -32,14 +32,14 @@
      clustered datasets (expected: 0);
    - ted: Zhang-Shasha left/right/hybrid must agree, match the naive
      reference on small inputs, and every bound must lower-bound it;
-     the banded kernel (left/right/hybrid) on a tree of up to 80 nodes
+     the banded kernel on a tree of up to 80 nodes
      and a copy <= k + 2 edits away must equal min (TED, k + 1) for a
      random k in 0..5 (expected: 0);
    - kernel: every pair of trees of <= 6 nodes (or the given bound) over
-     {a, b} with sizes <= 3 apart, k = 0..3, left and mirrored: the
-     banded kernel must equal min (TED, k + 1); the numbers after the
-     mode are the node bound, not iterations and seed (expected: 0,
-     about a minute at 6 nodes);
+     {a, b} with sizes <= 3 apart, k = 0..3: the banded kernel must
+     equal min (TED, k + 1); the numbers after the mode are the node
+     bound, not iterations and seed (expected: 0, about a minute at 6
+     nodes);
    - ball: every tree of <= 6 nodes (or the given bound) over {a, b}
      and every tree within tau = 1 and tau = 2 node edits of it: the
      edited tree must be a candidate through [Size_bands.probe] with the
@@ -236,10 +236,11 @@ let fuzz_ted iterations rng =
     let x = random_tree rng (1 + Prng.int rng 12) in
     let y = random_tree rng (1 + Prng.int rng 12) in
     let px = Ted.preprocess x and py = Ted.preprocess y in
-    let l = Ted.distance_prep ~algorithm:Ted.Zs_left px py in
-    let r = Ted.distance_prep ~algorithm:Ted.Zs_right px py in
+    let zs postorder = Tsj_ted.Zhang_shasha.distance_postorder (postorder px) (postorder py) in
+    let l = zs Ted.left_postorder and r = zs Ted.right_postorder in
     let bad = ref [] in
     if l <> r then bad := "left<>right" :: !bad;
+    if Ted.distance_prep px py <> l then bad := "hybrid<>left" :: !bad;
     if Tree.size x <= 9 && Tree.size y <= 9 && l <> Tsj_ted.Naive.distance x y then
       bad := "zs<>naive" :: !bad;
     (let fx = Tsj_ted.Bounds.of_prep px and fy = Tsj_ted.Bounds.of_prep py in
@@ -257,15 +258,12 @@ let fuzz_ted iterations rng =
     let _, near = Tsj_tree.Edit_op.random_script rng ~labels (Prng.int_in rng 0 (k + 2)) base in
     let pa = Ted.preprocess base and pb = Ted.preprocess near in
     let want = min (Ted.distance_prep pa pb) (k + 1) in
-    List.iter
-      (fun (name, algorithm) ->
-        let got = Ted.bounded_distance_prep ~algorithm pa pb k in
-        if got <> want then
-          bad :=
-            Printf.sprintf "banded %s k=%d: %d, want %d on %s vs %s" name k got want
-              (Tsj_tree.Bracket.to_string base) (Tsj_tree.Bracket.to_string near)
-            :: !bad)
-      [ ("left", Ted.Zs_left); ("right", Ted.Zs_right); ("hybrid", Ted.Hybrid) ];
+    let got = Ted.bounded_distance_prep pa pb k in
+    if got <> want then
+      bad :=
+        Printf.sprintf "banded k=%d: %d, want %d on %s vs %s" k got want
+          (Tsj_tree.Bracket.to_string base) (Tsj_tree.Bracket.to_string near)
+        :: !bad;
     if !bad <> [] then begin
       incr failures;
       report "ted" i
@@ -277,8 +275,7 @@ let fuzz_ted iterations rng =
 
 (* Exhaustive check of the banded kernel: every pair of trees of
    <= [max_nodes] nodes over {a, b} whose sizes differ by <= 3, at
-   k = 0..3, on the left and the mirrored postorders, against
-   [min (unbounded Zhang–Shasha, k + 1)].  Pairs further apart in size
+   k = 0..3, against [min (unbounded TED, k + 1)].  Pairs further apart in size
    only reach the kernel's size exit. *)
 let fuzz_kernel max_nodes =
   let module Ted = Tsj_ted.Ted in
@@ -292,19 +289,16 @@ let fuzz_kernel max_nodes =
         (fun j pj ->
           if abs (Ted.size pi - Ted.size pj) <= 3 then begin
             incr pairs;
-            let exact = Ted.distance_prep ~algorithm:Ted.Zs_left pi pj in
+            let exact = Ted.distance_prep pi pj in
             for k = 0 to 3 do
-              List.iter
-                (fun (name, algorithm) ->
-                  let got = Ted.bounded_distance_prep ~algorithm pi pj k in
-                  if got <> min exact (k + 1) then begin
-                    incr failures;
-                    report "kernel" !pairs
-                      (Printf.sprintf "%s k=%d: %d, want %d on %s vs %s" name k got
-                         (min exact (k + 1)) (Tsj_tree.Bracket.to_string trees.(i))
-                         (Tsj_tree.Bracket.to_string trees.(j)))
-                  end)
-                [ ("left", Ted.Zs_left); ("right", Ted.Zs_right) ]
+              let got = Ted.bounded_distance_prep pi pj k in
+              if got <> min exact (k + 1) then begin
+                incr failures;
+                report "kernel" !pairs
+                  (Printf.sprintf "k=%d: %d, want %d on %s vs %s" k got (min exact (k + 1))
+                     (Tsj_tree.Bracket.to_string trees.(i))
+                     (Tsj_tree.Bracket.to_string trees.(j)))
+              end
             done
           end)
         preps)

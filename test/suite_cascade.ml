@@ -269,9 +269,7 @@ let test_cascade_exhaustive () =
       Array.iteri
         (fun j b ->
           let fa = forms.(i) and fb = forms.(j) in
-          let ted =
-            Ted.distance_prep ~algorithm:Ted.Zs_left (Bounds.prep fa) (Bounds.prep fb)
-          in
+          let ted = Ted.distance_prep (Bounds.prep fa) (Bounds.prep fb) in
           if Bounds.upper fa fb <> ref_upper a b then
             fail "upper %s / %s: %d <> reference %d" (Gen.pp_tree a) (Gen.pp_tree b)
               (Bounds.upper fa fb) (ref_upper a b);

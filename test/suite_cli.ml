@@ -26,8 +26,8 @@ let test_ted () =
   let code, out = run [ "ted"; "{a{b}{c}}"; "{a{c}{b}}" ] in
   check_exit "ted" 0 (code, out);
   Alcotest.(check string) "distance printed" "2" (String.trim out);
-  let code, out = run [ "ted"; "{a}"; "{a}"; "--algorithm"; "naive" ] in
-  check_exit "ted naive" 0 (code, out);
+  let code, out = run [ "ted"; "{a}"; "{a}" ] in
+  check_exit "ted self" 0 (code, out);
   Alcotest.(check string) "zero" "0" (String.trim out);
   let code, _ = run [ "ted"; "{bad"; "{a}" ] in
   Alcotest.(check bool) "bad tree rejected" true (code <> 0)

@@ -137,7 +137,11 @@ let test_experiments_smoke () =
     (contains "verify speedup");
   Alcotest.(check bool) "perf reports cascade losslessness and determinism" true
     (contains "cascade losslessness (off vs on): identical"
-    && contains "determinism (domains=1 vs domains=2): identical")
+    && contains "determinism (domains=1 vs domains=2): identical");
+  Alcotest.(check bool) "perf names a domain count only when resolved" true
+    (List.exists
+       (fun v -> contains ("measured best domain count: " ^ v ^ " ("))
+       [ "1"; "2"; "unresolved" ])
 
 let test_sweep_rejects_negative_tau () =
   Alcotest.check_raises "negative" (Invalid_argument "Sweep.windowed_join: negative threshold")

@@ -428,41 +428,32 @@ let test_kill_and_restart () =
   let trees = trees_of 61 14 in
   let queries = trees_of 62 4 in
   List.iter
-    (fun domains ->
-      List.iter
-        (fun kill_at ->
-          let r =
-            Faults.run_server_kill_and_restart ~domains ~kill_at_add:kill_at
-              ~trees ~queries ~tau:2 ()
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "killed (domains=%d kill_at=%d)" domains kill_at)
-            true r.Faults.server_killed;
-          Alcotest.(check int) "acked = kill point" kill_at r.Faults.acked;
-          Alcotest.(check bool)
-            (Printf.sprintf "bit-identical after restart (domains=%d kill_at=%d)"
-               domains kill_at)
-            true r.Faults.answers_match)
-        (* seq numbers are 0-based: 13 kills just before the final add *)
-        [ 1; 7; 13 ])
-    [ 1; 4 ]
+    (fun kill_at ->
+      let r =
+        Faults.run_server_kill_and_restart ~kill_at_add:kill_at ~trees ~queries ~tau:2 ()
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "killed (kill_at=%d)" kill_at)
+        true r.Faults.server_killed;
+      Alcotest.(check int) "acked = kill point" kill_at r.Faults.acked;
+      Alcotest.(check bool)
+        (Printf.sprintf "bit-identical after restart (kill_at=%d)" kill_at)
+        true r.Faults.answers_match)
+    (* seq numbers are 0-based: 13 kills just before the final add *)
+    [ 1; 7; 13 ]
 
 let test_kill_and_restart_torn_tail () =
   let trees = trees_of 63 10 in
   let queries = trees_of 64 4 in
-  List.iter
-    (fun domains ->
-      let r =
-        Faults.run_server_kill_and_restart ~domains ~kill_at_add:5 ~tear_tail:true
-          ~trees ~queries ~tau:2 ()
-      in
-      Alcotest.(check bool) "killed" true r.Faults.server_killed;
-      Alcotest.(check int) "acked" 5 r.Faults.acked;
-      Alcotest.(check int) "torn tail loses exactly one" 4 r.Faults.expected;
-      Alcotest.(check bool)
-        (Printf.sprintf "bit-identical after torn-tail restart (domains=%d)" domains)
-        true r.Faults.answers_match)
-    [ 1; 4 ]
+  let r =
+    Faults.run_server_kill_and_restart ~kill_at_add:5 ~tear_tail:true ~trees ~queries
+      ~tau:2 ()
+  in
+  Alcotest.(check bool) "killed" true r.Faults.server_killed;
+  Alcotest.(check int) "acked" 5 r.Faults.acked;
+  Alcotest.(check int) "torn tail loses exactly one" 4 r.Faults.expected;
+  Alcotest.(check bool) "bit-identical after torn-tail restart" true
+    r.Faults.answers_match
 
 (* Property (qcheck): ANY interleaving of ADD/QUERY with a kill at an
    arbitrary point replays to an index answering bit-identically to one
@@ -489,8 +480,7 @@ let prop_restart_deterministic =
 
 (* --- socket server end-to-end --- *)
 
-let with_server ?(tau = 2) ?dir ?(max_inflight = 64) ?deadline_s ?(domains = 1)
-    ?(max_batch = 64) ?rate ?(burst = 32) ?idle_timeout_s ?max_out_bytes
+let with_server ?(tau = 2) ?dir ?(max_inflight = 64) ?deadline_s ?(max_batch = 64) ?rate ?(burst = 32) ?idle_timeout_s ?max_out_bytes
     ?max_conns ?(drain_budget_s = 5.0) f =
   let sock = Filename.temp_file "tsj_sock" "" in
   Sys.remove sock;
@@ -498,7 +488,7 @@ let with_server ?(tau = 2) ?dir ?(max_inflight = 64) ?deadline_s ?(domains = 1)
   let base = Server.default_config addr ~tau in
   let config =
     { base with
-      Server.dir; domains; max_inflight; deadline_s; max_batch;
+      Server.dir; max_inflight; deadline_s; max_batch;
       drain_budget_s; rate; burst; idle_timeout_s; max_conns;
       max_out_bytes =
         (match max_out_bytes with Some b -> b | None -> base.Server.max_out_bytes) }
@@ -1295,13 +1285,11 @@ let check_storm name (r : Faults.failover_report) =
 let test_failover_storm () =
   let trees = trees_of 81 24 in
   let queries = trees_of 82 4 in
-  (* 60 randomized kill/partition points at each domain count *)
+  (* 60 randomized kill/partition points per seed *)
   List.iter
-    (fun (domains, seed) ->
-      let r =
-        Faults.run_failover_storm ~domains ~seed ~rounds:60 ~trees ~queries ~tau:2 ()
-      in
-      let name = Printf.sprintf "storm (domains=%d)" domains in
+    (fun seed ->
+      let r = Faults.run_failover_storm ~seed ~rounds:60 ~trees ~queries ~tau:2 () in
+      let name = Printf.sprintf "storm (seed=%d)" seed in
       Alcotest.(check int) (name ^ ": one chaos point per round") 60
         r.Faults.chaos_points;
       Alcotest.(check bool) (name ^ ": writes got through") true
@@ -1309,7 +1297,7 @@ let test_failover_storm () =
       Alcotest.(check bool) (name ^ ": failovers exercised") true
         (r.Faults.failovers > 0);
       check_storm name r)
-    [ (1, 901); (4, 902) ]
+    [ 901; 902 ]
 
 (* Property (qcheck): at ANY random kill/partition schedule, the
    replicated cluster loses no acknowledged ADD and never has two
@@ -2986,7 +2974,7 @@ let suite =
     Alcotest.test_case "store rejects mid-journal corruption" `Quick
       test_store_corrupt_journal_rejected;
     Alcotest.test_case "store rejects seq gaps" `Quick test_store_seq_gap_rejected;
-    Alcotest.test_case "kill and restart (1 and 4 domains)" `Quick test_kill_and_restart;
+    Alcotest.test_case "kill and restart" `Quick test_kill_and_restart;
     Alcotest.test_case "kill and restart with torn tail" `Quick
       test_kill_and_restart_torn_tail;
     prop_restart_deterministic;
@@ -3009,7 +2997,7 @@ let suite =
       test_replicated_cluster_end_to_end;
     Alcotest.test_case "replica torn-tail catch-up" `Quick
       test_replica_torn_tail_catchup;
-    Alcotest.test_case "failover storm (1 and 4 domains)" `Quick test_failover_storm;
+    Alcotest.test_case "failover storm" `Quick test_failover_storm;
     prop_failover_storm;
     Alcotest.test_case "binary HELLO negotiation and pipelining" `Quick
       test_binary_hello_and_pipelining;

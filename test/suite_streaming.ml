@@ -145,18 +145,15 @@ let test_incremental_query_matches_search () =
     List.iter
       (fun tau' ->
         let expected = brute_force trees q tau' in
-        List.iter
-          (fun domains ->
-            let r = Incremental.query ~domains ~tau:tau' inc q in
-            Alcotest.(check bool)
-              (Printf.sprintf "not degraded (tau=%d domains=%d)" tau' domains)
-              false r.Incremental.degraded;
-            Alcotest.(check (list (triple int int int))) "no unverified" []
-              r.Incremental.unverified;
-            Alcotest.(check (list (pair int int)))
-              (Printf.sprintf "query = brute force (tau=%d domains=%d)" tau' domains)
-              expected r.Incremental.hits)
-          [ 1; 4 ])
+        let r = Incremental.query ~tau:tau' inc q in
+        Alcotest.(check bool)
+          (Printf.sprintf "not degraded (tau=%d)" tau')
+          false r.Incremental.degraded;
+        Alcotest.(check (list (triple int int int))) "no unverified" []
+          r.Incremental.unverified;
+        Alcotest.(check (list (pair int int)))
+          (Printf.sprintf "query = brute force (tau=%d)" tau')
+          expected r.Incremental.hits)
       [ 0; 1; 2 ]
   done
 
@@ -168,10 +165,7 @@ let test_incremental_query_validation () =
     (fun () -> ignore (Incremental.query ~tau:2 inc q));
   Alcotest.check_raises "negative tau"
     (Invalid_argument "Incremental.query: negative threshold") (fun () ->
-      ignore (Incremental.query ~tau:(-1) inc q));
-  Alcotest.check_raises "bad domains"
-    (Invalid_argument "Incremental.query: domains must be >= 1") (fun () ->
-      ignore (Incremental.query ~domains:0 inc q))
+      ignore (Incremental.query ~tau:(-1) inc q))
 
 let test_incremental_query_degraded_sound () =
   (* An already-expired budget forces the fully degraded path: no hit may
@@ -237,7 +231,7 @@ let test_incremental_nearest () =
       ignore (Incremental.nearest ~k:(-1) inc (Gen.random_tree rng 4)))
 
 (* Random streams with exact and near duplicates: every answer of the
-   index (ADD partners, QUERY at each τ' <= τ at 1 and 2 domains, KNN)
+   index (ADD partners, QUERY at each τ' <= τ, KNN)
    equals a brute force over the plain banded kernel on every pair. *)
 let prop_streaming_equals_kernel =
   Gen.qtest ~count:12 "incremental add/query/nearest = brute-force kernel"
@@ -283,12 +277,9 @@ let prop_streaming_equals_kernel =
         let qp = Tsj_ted.Ted.preprocess q in
         for tau' = 0 to tau do
           let expected = by_distance (within tau' qp all) in
-          List.iter
-            (fun domains ->
-              let r = Incremental.query ~domains ~tau:tau' inc q in
-              if r.Incremental.hits <> expected || r.Incremental.degraded then
-                QCheck.Test.fail_reportf "query tau'=%d domains=%d differs" tau' domains)
-            [ 1; 2 ]
+          let r = Incremental.query ~tau:tau' inc q in
+          if r.Incremental.hits <> expected || r.Incremental.degraded then
+            QCheck.Test.fail_reportf "query tau'=%d differs" tau'
         done;
         let ranked = by_distance (within tau qp all) in
         for k = 1 to 5 do

@@ -167,9 +167,13 @@ let prop_ted_algorithms_agree =
   Gen.qtest ~count:150 "left/right/hybrid agree" (Gen.arb_tree_pair ~max_size:14 ())
     (fun (a, b) ->
       let pa = Ted.preprocess a and pb = Ted.preprocess b in
-      let l = Ted.distance_prep ~algorithm:Ted.Zs_left pa pb in
-      let r = Ted.distance_prep ~algorithm:Ted.Zs_right pa pb in
-      let h = Ted.distance_prep ~algorithm:Ted.Hybrid pa pb in
+      let l =
+        Zhang_shasha.distance_postorder (Ted.left_postorder pa) (Ted.left_postorder pb)
+      in
+      let r =
+        Zhang_shasha.distance_postorder (Ted.right_postorder pa) (Ted.right_postorder pb)
+      in
+      let h = Ted.distance_prep pa pb in
       l = r && r = h)
 
 let prop_ted_symmetry =
@@ -255,12 +259,15 @@ let prop_banded_hybrid_consistent =
   Gen.qtest ~count:100 "banded hybrid/left/right agree" (Gen.arb_tree_pair ~max_size:14 ())
     (fun (a, b) ->
       let pa = Ted.preprocess a and pb = Ted.preprocess b in
+      let h = Ted.distance_prep pa pb in
       let ok = ref true in
       for k = 0 to 5 do
-        let h = Ted.bounded_distance_prep ~algorithm:Ted.Hybrid pa pb k in
-        let l = Ted.bounded_distance_prep ~algorithm:Ted.Zs_left pa pb k in
-        let r = Ted.bounded_distance_prep ~algorithm:Ted.Zs_right pa pb k in
-        if not (h = l && l = r) then ok := false
+        let l = Ted.bounded_distance_prep pa pb k in
+        let r =
+          Zhang_shasha.bounded_distance_postorder (Ted.right_postorder pa)
+            (Ted.right_postorder pb) k
+        in
+        if not (min h (k + 1) = l && l = r) then ok := false
       done;
       !ok)
 
@@ -281,8 +288,11 @@ let test_banded_exhaustive () =
           for k = 0 to 3 do
             let want = min exact (k + 1) in
             List.iter
-              (fun algorithm ->
-                let got = Ted.bounded_distance_prep ~algorithm preps.(i) preps.(j) k in
+              (fun postorder ->
+                let got =
+                  Zhang_shasha.bounded_distance_postorder (postorder preps.(i))
+                    (postorder preps.(j)) k
+                in
                 if got <> want then begin
                   incr mismatches;
                   if !first = None then
@@ -291,7 +301,7 @@ let test_banded_exhaustive () =
                         (Printf.sprintf "%s / %s k=%d: %d, want %d" (Bracket.to_string ti)
                            (Bracket.to_string tj) k got want)
                 end)
-              [ Ted.Zs_left; Ted.Zs_right ]
+              [ Ted.left_postorder; Ted.right_postorder ]
           done)
         trees)
     trees;
@@ -310,8 +320,10 @@ let prop_banded_near_pairs =
       List.for_all
         (fun k ->
           List.for_all
-            (fun algorithm -> Ted.bounded_distance_prep ~algorithm pa pb k = min exact (k + 1))
-            [ Ted.Zs_left; Ted.Zs_right; Ted.Hybrid ])
+            (fun postorder ->
+              Zhang_shasha.bounded_distance_postorder (postorder pa) (postorder pb) k
+              = min exact (k + 1))
+            [ Ted.left_postorder; Ted.right_postorder ])
         [ 0; 1; 2; 3; 4; 5 ])
 
 let test_banded_validation () =
@@ -336,15 +348,13 @@ let test_arena_reshape_alternating_shapes () =
   List.iteri
     (fun i (a, b) ->
       let pa = Ted.preprocess a and pb = Ted.preprocess b in
-      Alcotest.(check int)
-        (Printf.sprintf "pair %d unbounded" i)
-        (Ted.distance_prep ~algorithm:Ted.Naive pa pb)
-        (Ted.distance_prep pa pb);
+      let exact = Naive.distance a b in
+      Alcotest.(check int) (Printf.sprintf "pair %d unbounded" i) exact (Ted.distance_prep pa pb);
       List.iter
         (fun k ->
           Alcotest.(check int)
             (Printf.sprintf "pair %d bounded k=%d" i k)
-            (Ted.bounded_distance_prep ~algorithm:Ted.Naive pa pb k)
+            (min exact (k + 1))
             (Ted.bounded_distance_prep pa pb k))
         [ 0; 2; 5 ])
     pairs
@@ -415,10 +425,12 @@ let prop_constrained_size_bounds =
 let test_ted_within () =
   let pa = Ted.preprocess (t "{a{b}{c}}") in
   let pb = Ted.preprocess (t "{a{b}{c}{d}{e}}") in
-  Alcotest.(check bool) "tau 1" false (Ted.within pa pb 1);
-  Alcotest.(check bool) "tau 2" true (Ted.within pa pb 2);
-  Alcotest.(check bool) "negative tau" false (Ted.within pa pa (-1));
-  Alcotest.(check bool) "tau 0 self" true (Ted.within pa pa 0)
+  Alcotest.(check int) "tau 1" 2 (Ted.bounded_distance_prep pa pb 1);
+  Alcotest.(check int) "tau 2" 2 (Ted.bounded_distance_prep pa pb 2);
+  Alcotest.check_raises "negative tau"
+    (Invalid_argument "Zhang_shasha.bounded_distance_postorder: negative threshold")
+    (fun () -> ignore (Ted.bounded_distance_prep pa pa (-1)));
+  Alcotest.(check int) "tau 0 self" 0 (Ted.bounded_distance_prep pa pa 0)
 
 let test_ted_prep_accessors () =
   let tree = t "{a{b}}" in
@@ -428,9 +440,7 @@ let test_ted_prep_accessors () =
 
 let test_ted_naive_algorithm_facade () =
   let a = t "{a{b{x}}{c}}" and b = t "{a{c{x}}{b}}" in
-  Alcotest.(check int) "facade naive = zs"
-    (Ted.distance ~algorithm:Ted.Naive a b)
-    (Ted.distance a b)
+  Alcotest.(check int) "facade = naive" (Naive.distance a b) (Ted.distance a b)
 
 (* Systhreads share their domain's scratch arena and the runtime may
    switch threads in the middle of a kernel: kernels running
