@@ -92,8 +92,24 @@ let micro () =
   let probe_name =
     Printf.sprintf "partsj/index-probe (%d nodes, 2000 trees)" probed.Tsj_tree.Binary_tree.size
   in
+  (* The codec rows parse and print a swissprot tree of about 60 nodes,
+     the shape perfbench's [query] and [exact] workloads send. *)
+  let codec_tree =
+    let pool = Tsj_datagen.Profiles.(instantiate swissprot ~seed:802 ~n:200) in
+    Option.value ~default:pool.(0)
+      (Array.find_opt (fun t -> abs (Tsj_tree.Tree.size t - 60) <= 2) pool)
+  in
+  let codec_text = Tsj_tree.Bracket.to_string codec_tree in
+  let codec_shape =
+    Printf.sprintf "(%d nodes, %d bytes)" (Tsj_tree.Tree.size codec_tree)
+      (String.length codec_text)
+  in
   let tests =
     [
+      Test.make ~name:("codec/parse " ^ codec_shape)
+        (Staged.stage (fun () -> Tsj_tree.Bracket.of_string codec_text));
+      Test.make ~name:("codec/render " ^ codec_shape)
+        (Staged.stage (fun () -> Tsj_tree.Bracket.to_string codec_tree));
       Test.make ~name:"ted/zhang-shasha (80 vs 80, far)"
         (Staged.stage (fun () -> Tsj_ted.Ted.distance_prep prep1 prep2));
       Test.make ~name:"ted/zhang-shasha (80 vs 80, near)"

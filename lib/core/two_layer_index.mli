@@ -92,6 +92,11 @@ val n_subgraphs : t -> int
 val n_groups : t -> int
 (** Number of distinct keys over both tables — an index-size metric. *)
 
+val key : band:int -> pos:int -> label:int -> left:int -> right:int -> int
+(** The chain key of a (size band, position, root label, twig): the
+    packed fields plus each twig slot times its odd multiplier, modulo
+    2{^63}.  Exposed so that tests can construct keys that collide. *)
+
 type cursor
 (** The per-node twig labels of one probed tree, precomputed.  A probe
     runs the same tree over every size band of its window and both

@@ -38,60 +38,75 @@ type request =
   | Digest of { epoch : int; lo : int; hi : int }
   | Promote
 
-let split_first_word s =
-  let s = String.trim s in
-  match String.index_opt s ' ' with
-  | None -> (s, "")
-  | Some i ->
-    (String.sub s 0 i, String.trim (String.sub s (i + 1) (String.length s - i - 1)))
-
 let max_deadline_ms = Admission.Deadline.max_ms
 
-(* The optional tokens between a work verb's arguments and its tree:
-   "~<n>", the staleness bound (QUERY/KNN), then "@<ms>", the remaining
-   budget (QUERY/KNN/ADD).  A bracket tree starts with '{', so neither
-   can be mistaken for one.  A malformed token is a hard parse error
-   naming the verb and the token — never silently taken as part of the
-   tree, which would only yield a confusing bracket diagnostic. *)
-let take_token what ~sigil ~name ~unit ~cap raw =
-  if String.length raw > 0 && raw.[0] = sigil then begin
-    let arg, rest = split_first_word raw in
-    match int_of_string_opt (String.sub arg 1 (String.length arg - 1)) with
-    | Some n when n >= 0 -> Ok (Some (min n cap), rest)
-    | _ ->
-      Error
-        (Printf.sprintf "%s: bad %s token %S (expected %c<%s>)" what name arg sigil unit)
-  end
-  else Ok (None, raw)
+(* [String.trim]'s whitespace. *)
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
-let take_deadline what =
-  take_token what ~sigil:'@' ~name:"deadline" ~unit:"milliseconds" ~cap:max_deadline_ms
-
-let take_tree what raw =
-  if raw = "" then Error (what ^ ": missing tree")
-  else Result.map_error (fun msg -> what ^ ": " ^ msg) (Bracket.of_string raw)
-
-(* A request whose integer argument fails to parse, whose tree is
-   malformed (diagnosed by the located bracket parser) or whose verb is
-   unknown yields [Error reason] — never an exception.  The server turns
-   the reason into an [ERR] reply.  The result carries the staleness
-   bound and the remaining-budget deadline, when present. *)
+(* A request line is read in place, as the trimmed span [lo, hi) of
+   [line]: a word ends at the first ' ', and the rest starts after the
+   blanks that follow it.  This cuts the words [String.trim] and
+   [String.index ' '] would, and the tree is parsed from the line at its
+   offset, not from a copy. *)
 let parse_request_d line =
   let ( let* ) = Result.bind in
-  let read what raw k =
-    let arg, rest = split_first_word raw in
-    match int_of_string_opt arg with
-    | None -> Error (Printf.sprintf "%s: expected an integer, found %S" what arg)
+  let len = String.length line in
+  let rec skip i hi = if i < hi && is_blank line.[i] then skip (i + 1) hi else i in
+  let lo = skip 0 len in
+  let rec back j = if j > lo && is_blank line.[j - 1] then back (j - 1) else j in
+  let hi = back len in
+  let rec word_end i = if i < hi && line.[i] <> ' ' then word_end (i + 1) else i in
+  let next e = if e < hi then skip (e + 1) hi else hi in
+  let sub a b = String.sub line a (b - a) in
+  (* The optional tokens between a work verb's arguments and its tree:
+     "~<n>", the staleness bound (QUERY/KNN), then "@<ms>", the
+     remaining budget (QUERY/KNN/ADD).  A bracket tree starts with '{',
+     so neither can be mistaken for one.  A malformed token is a hard
+     parse error naming the verb and the token — never silently taken as
+     part of the tree, which would only yield a confusing bracket
+     diagnostic. *)
+  let token what ~sigil ~name ~unit ~cap i =
+    if i < hi && line.[i] = sigil then begin
+      let e = word_end i in
+      match int_of_string_opt (sub (i + 1) e) with
+      | Some n when n >= 0 -> Ok (Some (min n cap), next e)
+      | _ ->
+        Error
+          (Printf.sprintf "%s: bad %s token %S (expected %c<%s>)" what name (sub i e) sigil
+             unit)
+    end
+    else Ok (None, i)
+  in
+  let deadline what =
+    token what ~sigil:'@' ~name:"deadline" ~unit:"milliseconds" ~cap:max_deadline_ms
+  in
+  let tree what i =
+    if i = hi then Error (what ^ ": missing tree")
+    else
+      Result.map_error
+        (fun msg -> what ^ ": " ^ msg)
+        (Bracket.of_substring line ~pos:i ~len:(hi - i))
+  in
+  (* A request whose integer argument fails to parse, whose tree is
+     malformed (diagnosed by the located bracket parser) or whose verb
+     is unknown yields [Error reason] — never an exception.  The server
+     turns the reason into an [ERR] reply.  The result carries the
+     staleness bound and the remaining-budget deadline, when present. *)
+  let read what i k =
+    let e = word_end i in
+    match int_of_string_opt (sub i e) with
+    | None -> Error (Printf.sprintf "%s: expected an integer, found %S" what (sub i e))
     | Some n ->
-      let* lag, rest =
-        take_token what ~sigil:'~' ~name:"staleness" ~unit:"records" ~cap:max_int rest
+      let* lag, i =
+        token what ~sigil:'~' ~name:"staleness" ~unit:"records" ~cap:max_int (next e)
       in
-      let* deadline, rest = take_deadline what rest in
-      let* tree = take_tree what rest in
+      let* deadline, i = deadline what i in
+      let* tree = tree what i in
       let* req = k n tree in
       Ok (req, lag, deadline)
   in
-  let verb, rest = split_first_word line in
+  let e = word_end lo in
+  let verb = sub lo e and rest = next e in
   match String.uppercase_ascii verb with
   | "QUERY" ->
     read "QUERY" rest (fun tau tree ->
@@ -104,18 +119,18 @@ let parse_request_d line =
        deadline token and the tree; a bracket tree cannot start with a
        digit, so the forms are unambiguous.  See the idempotency
        contract in the interface. *)
-    let arg, after = split_first_word rest in
+    let e = word_end rest in
     let* seq, rest =
-      match int_of_string_opt arg with
+      match int_of_string_opt (sub rest e) with
       | Some seq when seq < 0 -> Error "ADD: negative sequence number"
-      | Some seq -> Ok (Some seq, after)
+      | Some seq -> Ok (Some seq, next e)
       | None -> Ok (None, rest)
     in
-    let* deadline, rest = take_deadline "ADD" rest in
-    let* tree = take_tree "ADD" rest in
+    let* deadline, rest = deadline "ADD" rest in
+    let* tree = tree "ADD" rest in
     Ok (Add { seq; tree }, None, deadline)
   | "SYNC" -> (
-    match String.split_on_char ' ' rest with
+    match String.split_on_char ' ' (sub rest hi) with
     | [ e; s ] -> (
       match (int_of_string_opt e, int_of_string_opt s) with
       | Some epoch, Some from_seq when epoch >= 0 && from_seq >= 0 ->
@@ -123,25 +138,25 @@ let parse_request_d line =
       | _ -> Error "SYNC: expected two non-negative integers")
     | _ -> Error "SYNC: expected <epoch> <from_seq>")
   | "ACKED" -> (
-    match int_of_string_opt rest with
+    match int_of_string_opt (sub rest hi) with
     | Some seq when seq >= 0 -> Ok (Ack seq, None, None)
     | _ -> Error "ACKED: expected a non-negative integer")
   | "GET" -> (
-    match int_of_string_opt rest with
+    match int_of_string_opt (sub rest hi) with
     | Some seq when seq >= 0 -> Ok (Get seq, None, None)
     | _ -> Error "GET: expected a non-negative sequence number")
   | "DIGEST" -> (
-    match String.split_on_char ' ' rest with
+    match String.split_on_char ' ' (sub rest hi) with
     | [ e; lo; hi ] -> (
       match (int_of_string_opt e, int_of_string_opt lo, int_of_string_opt hi) with
       | Some epoch, Some lo, Some hi when epoch >= 0 && 0 <= lo && lo <= hi ->
         Ok (Digest { epoch; lo; hi }, None, None)
       | _ -> Error "DIGEST: expected <epoch> <lo> <hi> with 0 <= lo <= hi")
     | _ -> Error "DIGEST: expected <epoch> <lo> <hi>")
-  | "STATS" when rest = "" -> Ok (Stats, None, None)
-  | "HEALTH" when rest = "" -> Ok (Health, None, None)
-  | "DRAIN" when rest = "" -> Ok (Drain, None, None)
-  | "PROMOTE" when rest = "" -> Ok (Promote, None, None)
+  | "STATS" when rest = hi -> Ok (Stats, None, None)
+  | "HEALTH" when rest = hi -> Ok (Health, None, None)
+  | "DRAIN" when rest = hi -> Ok (Drain, None, None)
+  | "PROMOTE" when rest = hi -> Ok (Promote, None, None)
   | ("STATS" | "HEALTH" | "DRAIN" | "PROMOTE") as v ->
     Error (Printf.sprintf "%s takes no arguments" v)
   | "" -> Error "empty request"
@@ -156,24 +171,39 @@ let parse_request line =
   match parse_request_d line with Ok (req, _, _) -> Ok req | Error _ as e -> e
 
 let render_request_d ?max_lag ?deadline_ms req =
-  let token sigil = function None -> "" | Some n -> Printf.sprintf "%c%d " sigil n in
-  let lag = token '~' (Option.map (max 0) max_lag) in
-  let d = token '@' (Option.map (fun ms -> max 0 (min ms max_deadline_ms)) deadline_ms) in
-  match req with
-  | Query { tau; tree } ->
-    Printf.sprintf "QUERY %d %s%s%s" tau lag d (Bracket.to_string tree)
-  | Knn { k; tree } -> Printf.sprintf "KNN %d %s%s%s" k lag d (Bracket.to_string tree)
-  | Add { seq = None; tree } -> Printf.sprintf "ADD %s%s" d (Bracket.to_string tree)
-  | Add { seq = Some seq; tree } ->
-    Printf.sprintf "ADD %d %s%s" seq d (Bracket.to_string tree)
-  | Stats -> "STATS"
-  | Health -> "HEALTH"
-  | Drain -> "DRAIN"
-  | Sync { epoch; from_seq } -> Printf.sprintf "SYNC %d %d" epoch from_seq
-  | Ack seq -> Printf.sprintf "ACKED %d" seq
-  | Get seq -> Printf.sprintf "GET %d" seq
-  | Digest { epoch; lo; hi } -> Printf.sprintf "DIGEST %d %d %d" epoch lo hi
-  | Promote -> "PROMOTE"
+  let b = Buffer.create 512 in
+  let str = Buffer.add_string b and chr = Buffer.add_char b in
+  let int n = str (string_of_int n) in
+  let token sigil = Option.iter (fun n -> chr sigil; int n; chr ' ') in
+  let lag () = token '~' (Option.map (max 0) max_lag) in
+  let deadline () =
+    token '@' (Option.map (fun ms -> max 0 (min ms max_deadline_ms)) deadline_ms)
+  in
+  let work verb n tree =
+    str verb;
+    int n;
+    chr ' ';
+    lag ();
+    deadline ();
+    Bracket.to_buffer b tree
+  in
+  (match req with
+  | Query { tau; tree } -> work "QUERY " tau tree
+  | Knn { k; tree } -> work "KNN " k tree
+  | Add { seq; tree } ->
+    str "ADD ";
+    Option.iter (fun seq -> int seq; chr ' ') seq;
+    deadline ();
+    Bracket.to_buffer b tree
+  | Stats -> str "STATS"
+  | Health -> str "HEALTH"
+  | Drain -> str "DRAIN"
+  | Sync { epoch; from_seq } -> str "SYNC "; int epoch; chr ' '; int from_seq
+  | Ack seq -> str "ACKED "; int seq
+  | Get seq -> str "GET "; int seq
+  | Digest { epoch; lo; hi } -> str "DIGEST "; int epoch; chr ' '; int lo; chr ' '; int hi
+  | Promote -> str "PROMOTE");
+  Buffer.contents b
 
 let render_request req = render_request_d req
 
@@ -311,7 +341,7 @@ let render_response r =
     str "TREE ";
     int seq;
     chr ' ';
-    str (Bracket.to_string tree)
+    Bracket.to_buffer b tree
   | Stats_reply s ->
     str "STATS";
     List.iter
@@ -405,7 +435,7 @@ let parse_response line =
     | Some i -> (
       match
         ( int_of_string_opt (String.sub rest 0 i),
-          Bracket.of_string (String.sub rest (i + 1) (String.length rest - i - 1)) )
+          Bracket.of_substring rest ~pos:(i + 1) ~len:(String.length rest - i - 1) )
       with
       | Some seq, Ok tree when seq >= 0 -> Ok (Tree_reply { seq; tree })
       | _ -> fail ())

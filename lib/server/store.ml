@@ -128,7 +128,7 @@ let parse_record line =
         | None -> None
         | Some seq when seq < 0 -> None
         | Some seq -> (
-          match Bracket.of_string (String.sub rest (j + 1) (String.length rest - j - 1)) with
+          match Bracket.of_substring rest ~pos:(j + 1) ~len:(String.length rest - j - 1) with
           | Error _ -> None
           | Ok tree -> Some (seq, tree)))
     end
@@ -546,16 +546,10 @@ type staged = {
 
 (* Journal records, snapshots and the replication stream are lines, so
    a label holding a line break could be acknowledged but never read
-   back: such a tree is refused, never journaled. *)
-let has_line_break tree =
-  let found = ref false in
-  Tsj_tree.Tree.iter_preorder
-    (fun node ->
-      let label = Tsj_tree.Label.name node.Tsj_tree.Tree.label in
-      if String.exists (fun c -> c = '\n' || c = '\r') label then
-        found := true)
-    tree;
-  !found
+   back: such a tree is refused, never journaled.  Whether a label holds
+   one is decided once per label id, when it is interned. *)
+let rec has_line_break (tree : Tsj_tree.Tree.t) =
+  Tsj_tree.Label.has_line_break tree.label || List.exists has_line_break tree.children
 
 let stage_batch t items =
   let n = Array.length items in

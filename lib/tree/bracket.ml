@@ -1,119 +1,131 @@
-let needs_escape c = c = '{' || c = '}' || c = '\\'
-
-let escape_label s =
-  if String.exists needs_escape s then begin
-    let b = Buffer.create (String.length s + 4) in
-    String.iter
-      (fun c ->
-        if needs_escape c then Buffer.add_char b '\\';
-        Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  end
-  else s
-
-let to_string t =
-  let b = Buffer.create 64 in
+let to_buffer b t =
   let rec go (t : Tree.t) =
     Buffer.add_char b '{';
-    Buffer.add_string b (escape_label (Label.name t.label));
+    Buffer.add_string b (Label.escaped t.label);
     List.iter go t.children;
     Buffer.add_char b '}'
   in
-  go t;
+  go t
+
+let to_string t =
+  let b = Buffer.create 256 in
+  to_buffer b t;
   Buffer.contents b
 
-(* Parse errors carry the byte offset of the offending character; the
-   public entry points format it as a 1-based line/column so callers can
-   point the user at the record, not a raw byte offset. *)
+(* One pass over [s.[pos .. stop - 1]] at an int position.  Parse errors
+   carry the byte offset of the offending character; the public entry
+   points format it as a 1-based line/column relative to the start of
+   the parsed text, so callers can point the user at the record, not a
+   raw byte offset. *)
 exception Parse_error of int * string
 
-type cursor = { input : string; mutable pos : int }
+type cursor = {
+  s : string;
+  stop : int;
+  mutable pos : int;
+  mutable scratch : Buffer.t option; (* unescapes labels holding a '\' *)
+}
 
-let error cur msg = raise (Parse_error (cur.pos, msg))
+let fail c msg = raise (Parse_error (c.pos, msg))
 
-let describe input pos msg =
-  Printf.sprintf "%s: %s" (Tsj_util.Text.describe_pos input pos) msg
+(* Whitespace, and '#' comments up to the end of their line. *)
+let skip_ws c =
+  let s = c.s and stop = c.stop in
+  let rec go i =
+    if i >= stop then i
+    else
+      match String.unsafe_get s i with
+      | ' ' | '\t' | '\n' | '\r' -> go (i + 1)
+      | '#' -> comment (i + 1)
+      | _ -> i
+  and comment i = if i >= stop || String.unsafe_get s i = '\n' then go i else comment (i + 1) in
+  c.pos <- go c.pos
 
-let peek cur =
-  if cur.pos < String.length cur.input then Some cur.input.[cur.pos] else None
-
-let advance cur = cur.pos <- cur.pos + 1
-
-let skip_ws cur =
-  let rec go () =
-    match peek cur with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance cur;
-      go ()
-    | Some '#' ->
-      (* comment until end of line *)
-      let rec eat () =
-        match peek cur with
-        | Some '\n' | None -> ()
-        | Some _ ->
-          advance cur;
-          eat ()
-      in
-      eat ();
-      go ()
-    | _ -> ()
+(* The label from [c.pos] to the next unescaped brace.  Without a '\' it
+   is interned straight from its slice of the input; with one, it is
+   unescaped through the cursor's scratch buffer. *)
+let label c =
+  let s = c.s and stop = c.stop and start = c.pos in
+  let rec plain i =
+    if i >= stop then i
+    else match String.unsafe_get s i with '{' | '}' | '\\' -> i | _ -> plain (i + 1)
   in
-  go ()
+  let i = plain start in
+  if i < stop && String.unsafe_get s i = '\\' then begin
+    let b =
+      match c.scratch with
+      | Some b -> Buffer.clear b; b
+      | None ->
+        let b = Buffer.create 32 in
+        c.scratch <- Some b;
+        b
+    in
+    Buffer.add_substring b s start (i - start);
+    let rec unescape i =
+      if i >= stop then i
+      else
+        match String.unsafe_get s i with
+        | '\\' ->
+          if i + 1 >= stop then begin
+            c.pos <- i + 1;
+            fail c "dangling escape character"
+          end;
+          Buffer.add_char b (String.unsafe_get s (i + 1));
+          unescape (i + 2)
+        | '{' | '}' -> i
+        | ch ->
+          Buffer.add_char b ch;
+          unescape (i + 1)
+    in
+    c.pos <- unescape i;
+    Label.intern (Buffer.contents b)
+  end
+  else begin
+    c.pos <- i;
+    if i = start then fail c "empty label";
+    Label.intern_sub s start (i - start)
+  end
 
-let parse_label cur =
-  let b = Buffer.create 8 in
-  let rec go () =
-    match peek cur with
-    | Some '\\' ->
-      advance cur;
-      (match peek cur with
-      | Some c ->
-        Buffer.add_char b c;
-        advance cur;
-        go ()
-      | None -> error cur "dangling escape character")
-    | Some ('{' | '}') | None -> ()
-    | Some c ->
-      Buffer.add_char b c;
-      advance cur;
-      go ()
-  in
-  go ();
-  let s = Buffer.contents b in
-  if s = "" then error cur "empty label";
-  Label.intern s
+let rec tree c =
+  if c.pos >= c.stop then fail c "expected '{', found end of input";
+  (match String.unsafe_get c.s c.pos with
+  | '{' -> c.pos <- c.pos + 1
+  | ch -> fail c (Printf.sprintf "expected '{', found %C" ch));
+  let label = label c in
+  Tree.node label (children c)
 
-let rec parse_tree cur =
-  (match peek cur with
-  | Some '{' -> advance cur
-  | Some c -> error cur (Printf.sprintf "expected '{', found %C" c)
-  | None -> error cur "expected '{', found end of input");
-  let label = parse_label cur in
-  let children = ref [] in
-  let rec kids () =
-    match peek cur with
-    | Some '{' ->
-      children := parse_tree cur :: !children;
-      kids ()
-    | Some '}' -> advance cur
-    | Some c -> error cur (Printf.sprintf "expected '{' or '}', found %C" c)
-    | None -> error cur "unterminated tree: expected '}'"
-  in
-  kids ();
-  Tree.node label (List.rev !children)
+and children c =
+  if c.pos >= c.stop then fail c "unterminated tree: expected '}'";
+  match String.unsafe_get c.s c.pos with
+  | '{' ->
+    let t = tree c in
+    t :: children c
+  | '}' ->
+    c.pos <- c.pos + 1;
+    []
+  | ch -> fail c (Printf.sprintf "expected '{' or '}', found %C" ch)
 
-let of_string s =
-  let cur = { input = s; pos = 0 } in
+let cursor s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Bracket.of_substring";
+  { s; stop = pos + len; pos; scratch = None }
+
+let describe s ~pos ~len at msg =
+  let text = if pos = 0 && len = String.length s then s else String.sub s pos len in
+  Printf.sprintf "%s: %s" (Tsj_util.Text.describe_pos text (at - pos)) msg
+
+let of_substring s ~pos ~len =
+  let c = cursor s ~pos ~len in
   match
-    skip_ws cur;
-    let t = parse_tree cur in
-    skip_ws cur;
-    if cur.pos < String.length s then error cur "trailing garbage after tree";
+    skip_ws c;
+    let t = tree c in
+    skip_ws c;
+    if c.pos < c.stop then fail c "trailing garbage after tree";
     t
   with
   | t -> Ok t
-  | exception Parse_error (pos, msg) -> Error (describe s pos msg)
+  | exception Parse_error (at, msg) -> Error (describe s ~pos ~len at msg)
+
+let of_string s = of_substring s ~pos:0 ~len:(String.length s)
 
 let of_string_exn s =
   match of_string s with
@@ -121,57 +133,40 @@ let of_string_exn s =
   | Error msg -> invalid_arg ("Bracket.of_string_exn: " ^ msg)
 
 let forest_of_string s =
-  let cur = { input = s; pos = 0 } in
-  match
-    let acc = ref [] in
-    let rec go () =
-      skip_ws cur;
-      match peek cur with
-      | None -> ()
-      | Some _ ->
-        acc := parse_tree cur :: !acc;
-        go ()
-    in
-    go ();
-    List.rev !acc
-  with
+  let len = String.length s in
+  let c = cursor s ~pos:0 ~len in
+  let rec go acc =
+    skip_ws c;
+    if c.pos >= len then List.rev acc else go (tree c :: acc)
+  in
+  match go [] with
   | ts -> Ok ts
-  | exception Parse_error (pos, msg) -> Error (describe s pos msg)
+  | exception Parse_error (at, msg) -> Error (describe s ~pos:0 ~len at msg)
 
 (* Lenient forest parse: on a malformed record, report its 1-based
    line/column and resynchronize at the start of the next line.  Records
    spanning multiple lines lose the spilled lines too — acceptable for
    the record-per-line corpora this serves. *)
 let forest_of_string_lenient s =
-  let cur = { input = s; pos = 0 } in
-  let trees = ref [] in
-  let errors = ref [] in
-  let resync_next_line from =
-    let next =
-      match String.index_from_opt s from '\n' with
-      | Some nl -> nl + 1
-      | None -> String.length s
-    in
-    (* Always make progress, even on an error at a line boundary. *)
-    cur.pos <- max next (from + 1)
+  let len = String.length s in
+  let c = cursor s ~pos:0 ~len in
+  let rec go trees errors =
+    skip_ws c;
+    if c.pos >= len then (List.rev trees, List.rev errors)
+    else
+      match tree c with
+      | t -> go (t :: trees) errors
+      | exception Parse_error (at, msg) ->
+        let line, col = Tsj_util.Text.line_col s at in
+        let next =
+          match String.index_from_opt s at '\n' with Some nl -> nl + 1 | None -> len
+        in
+        (* Always make progress, even on an error at a line boundary. *)
+        c.pos <- max next (at + 1);
+        let errors = (line, col, msg) :: errors in
+        if c.pos < len then go trees errors else (List.rev trees, List.rev errors)
   in
-  let rec go () =
-    skip_ws cur;
-    match peek cur with
-    | None -> ()
-    | Some _ -> (
-      match parse_tree cur with
-      | t ->
-        trees := t :: !trees;
-        go ()
-      | exception Parse_error (pos, msg) ->
-        let line, col = Tsj_util.Text.line_col s pos in
-        errors := (line, col, msg) :: !errors;
-        resync_next_line pos;
-        if cur.pos < String.length s then go ())
-  in
-  go ();
-  (List.rev !trees, List.rev !errors)
+  go [] []
 
 let load_file path =
   match In_channel.with_open_text path In_channel.input_all with

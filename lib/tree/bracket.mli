@@ -4,14 +4,28 @@
     and [d].
 
     Labels may contain any characters except unescaped braces; [\{], [\}]
-    and [\\] escape a literal brace/backslash. *)
+    and [\\] escape a literal brace/backslash.
+
+    {b Codec.}  Rendering appends each label's escaped form, computed once
+    per label id ({!Label.escaped}).  Parsing is one pass over an int
+    position: a label without [\] is interned straight from its slice of
+    the input ({!Label.intern_sub}), and only a label holding [\] is
+    unescaped, through one scratch buffer per parse. *)
 
 val to_string : Tree.t -> string
+
+val to_buffer : Buffer.t -> Tree.t -> unit
+(** Appends {!to_string}'s text. *)
 
 val of_string : string -> (Tree.t, string) result
 (** Parses exactly one tree (surrounding whitespace allowed); the error
     string starts with the 1-based ["line L, column C"] of the offending
     character, followed by the cause. *)
+
+val of_substring : string -> pos:int -> len:int -> (Tree.t, string) result
+(** [of_substring s ~pos ~len] is [of_string (String.sub s pos len)],
+    error positions included, without the copy.
+    @raise Invalid_argument on an out-of-bounds slice. *)
 
 val of_string_exn : string -> Tree.t
 (** @raise Invalid_argument on a parse error. *)

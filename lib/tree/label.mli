@@ -6,9 +6,21 @@
     integers; all structural algorithms work on [int]s and only printing
     resolves names back.
 
-    The intern table is global and not synchronized: call {!intern} only
-    from the main domain (loading and generation do; the multicore
-    verification path only compares already-interned ids). *)
+    {b Table.}  One global table: per-id arrays of names, of their
+    bracket-escaped forms and of a line-break flag, all computed once when
+    the id is given out, plus an open-addressed array of ids (linear
+    probing, at most half full) hashed on the name's bytes.  A lookup by
+    a slice of a larger string ({!intern_sub}) therefore allocates
+    nothing unless the label is new.  Ids are given out in first-seen
+    order.
+
+    {b Threads and domains.}  Any thread of any domain may call every
+    function here.  Lookups take no lock.  A miss takes one mutex, looks
+    again, and only then adds the label, so two threads interning the
+    same new name get one id.  The table is never resized in place:
+    growth builds the complete bigger table and then publishes it in one
+    atomic assignment, so a reader holding the old table still reads a
+    consistent one. *)
 
 type t = int
 (** An interned label.  Equality and hashing are integer operations. *)
@@ -22,8 +34,22 @@ val intern : string -> t
     use.  @raise Invalid_argument on the empty string (reserved for
     {!epsilon}). *)
 
+val intern_sub : string -> int -> int -> t
+(** [intern_sub s pos len] is [intern (String.sub s pos len)] without the
+    copy when the label is already known.
+    @raise Invalid_argument on an empty or out-of-bounds slice. *)
+
 val name : t -> string
 (** Printable name of a label; [""] for {!epsilon}.
+    @raise Invalid_argument on an unregistered id. *)
+
+val escaped : t -> string
+(** The name as bracket notation writes it: [{], [}] and [\] preceded by
+    [\].  Physically the name when it needs no escape.
+    @raise Invalid_argument on an unregistered id. *)
+
+val has_line_break : t -> bool
+(** Does the name contain ['\n'] or ['\r']?
     @raise Invalid_argument on an unregistered id. *)
 
 val mem : string -> bool

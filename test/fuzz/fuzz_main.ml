@@ -12,6 +12,7 @@
      dune exec test/fuzz/fuzz_main.exe -- kernel 6
      dune exec test/fuzz/fuzz_main.exe -- ball 6
      dune exec test/fuzz/fuzz_main.exe -- xml 200000 42
+     dune exec test/fuzz/fuzz_main.exe -- bracket 200000 42
      dune exec test/fuzz/fuzz_main.exe -- server 20000 42
      dune exec test/fuzz/fuzz_main.exe -- dedup 20000 42
      dune exec test/fuzz/fuzz_main.exe -- router 20000 42
@@ -48,6 +49,12 @@
    - xml: the XML parser on truncated/garbled/token-soup inputs must
      return [Ok]/[Error] without ever raising, and the lenient fragment
      parser must terminate (expected: 0);
+   - bracket: random trees with hostile labels must print as before and
+     parse back; random, truncated and mutated byte strings must get
+     exactly the reference parser's trees or error texts from every
+     bracket entry point; request lines around them must parse to the
+     reference's request or ERR text, and requests must render to the
+     reference's line (expected: 0);
    - server: a live tsj server fed truncated, byte-mutated, token-soup
      and split-across-writes request lines over loopback connections
      must answer every non-blank line with exactly one well-formed
@@ -377,6 +384,23 @@ let fuzz_xml iterations rng =
     check "parse_fragments" (fun () -> ignore (Tsj_xml.Xml_parser.parse_fragments input));
     check "parse_fragments_lenient" (fun () ->
         ignore (Tsj_xml.Xml_parser.parse_fragments_lenient input))
+  done;
+  !failures
+
+(* The one-pass bracket codec and the in-place request parser against
+   the reference copies of the parsers they replaced (see
+   [Codec_reference.Codec_check]). *)
+let fuzz_bracket iterations rng =
+  let failures = ref 0 in
+  for i = 1 to iterations do
+    match Codec_reference.Codec_check.check rng with
+    | None -> ()
+    | Some detail ->
+      incr failures;
+      report "bracket" i detail
+    | exception exn ->
+      incr failures;
+      report "bracket" i ("raised " ^ Printexc.to_string exn)
   done;
   !failures
 
@@ -1667,7 +1691,7 @@ let () =
     | [ _; mode; iters; seed ] -> (mode, int_of_string iters, int_of_string seed)
     | _ ->
       prerr_endline
-        "usage: fuzz_main (lemma2|windows|join|ted|xml|server|dedup|router|scrub|overload) [iterations] [seed]\n\
+        "usage: fuzz_main (lemma2|windows|join|ted|xml|bracket|server|dedup|router|scrub|overload) [iterations] [seed]\n\
         \       fuzz_main kernel [max_nodes]   (exhaustive banded-kernel sweep, default 6 nodes)\n\
         \       fuzz_main ball [max_nodes]     (exhaustive edit-ball sweep of the index, default 6 nodes)";
       exit 2
@@ -1682,6 +1706,7 @@ let () =
     | "kernel" -> fuzz_kernel iterations
     | "ball" -> fuzz_ball iterations
     | "xml" -> fuzz_xml iterations rng
+    | "bracket" -> fuzz_bracket iterations rng
     | "server" -> fuzz_server iterations rng
     | "dedup" -> fuzz_dedup iterations rng
     | "router" -> fuzz_router iterations rng

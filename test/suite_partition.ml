@@ -661,8 +661,65 @@ let model_probe mode ~tau model (b : Binary_tree.t) ~lo ~hi =
    next position, one past 2^42 like the next band. *)
 let collide_offsets = [| 0; 1 lsl 21; (1 lsl 21) - 1; 1 lsl 42 |]
 
+(* Labels whose twig terms cancel a band or twig-variant difference.
+   [key] adds [left * m1 + right * m2] (mod 2^63) with odd [m1], [m2],
+   so the inverse of [m1] solves for a left label:
+   - [band_up] (or [band_down]) as a node's left child makes the key of
+     its (ll, ε) variant in band b + 1 (b - 1) the key of an (ε, ε)
+     posting in band b: the walk meets a posting outside its band, which
+     only the band clamp of [visit]'s size check drops;
+   - [twig_left] as a posting's left slot makes its (twig_left, ε) key
+     the key of a node's (ε, twig_right) variant: the walk meets a
+     posting whose twig cannot match, which only [visit]'s twig check
+     drops.
+   [twig_left] is never a probed label, so no node's own variants share
+   a key (checked below); the model walks each variant's postings in
+   turn, which holds only then. *)
+let inverse m =
+  let x = ref m in
+  for _ = 1 to 6 do
+    x := !x * (2 - (m * !x))
+  done;
+  !x
+
+let twig_key ~band ~left ~right = Two_layer_index.key ~band ~pos:0 ~label:0 ~left ~right
+let m1 = twig_key ~band:0 ~left:1 ~right:0 - twig_key ~band:0 ~left:0 ~right:0
+let m2 = twig_key ~band:0 ~left:0 ~right:1 - twig_key ~band:0 ~left:0 ~right:0
+let band_step = twig_key ~band:1 ~left:0 ~right:0 - twig_key ~band:0 ~left:0 ~right:0
+let band_up = -band_step * inverse m1
+let band_down = band_step * inverse m1
+let twig_right = 3
+let twig_left = twig_right * m2 * inverse m1
+let posting_labels = Array.append wide_labels [| twig_left; twig_right |]
+let probed_labels = Array.append wide_labels [| band_up; band_down; twig_right |]
+
+let test_colliding_labels () =
+  let key = Two_layer_index.key ~pos:5 ~label:7 in
+  Alcotest.(check int) "band_up" (key ~band:3 ~left:0 ~right:0)
+    (key ~band:4 ~left:band_up ~right:0);
+  Alcotest.(check int) "band_down" (key ~band:3 ~left:0 ~right:0)
+    (key ~band:2 ~left:band_down ~right:0);
+  Alcotest.(check int) "twig_left" (key ~band:3 ~left:0 ~right:twig_right)
+    (key ~band:3 ~left:twig_left ~right:0);
+  let e = Tsj_tree.Label.epsilon in
+  Array.iter
+    (fun ll ->
+      Array.iter
+        (fun lr ->
+          let variants =
+            List.sort_uniq compare [ (ll, lr); (ll, e); (e, lr); (e, e) ]
+          in
+          let keys =
+            List.sort_uniq compare
+              (List.map (fun (left, right) -> key ~band:3 ~left ~right) variants)
+          in
+          if List.length keys <> List.length variants then
+            Alcotest.failf "probed twig (%d, %d): two variants share a key" ll lr)
+        (Array.append [| e |] probed_labels))
+    (Array.append [| e |] probed_labels)
+
 let twig_code rng =
-  let label () = Prng.choice rng wide_labels in
+  let label () = Prng.choice rng posting_labels in
   let side () =
     match Prng.int rng 3 with
     | 0 -> (0, [])
@@ -712,7 +769,7 @@ let prop_probe_matches_model =
       done;
       List.for_all
         (fun _ ->
-          let tree = Gen.random_tree ~labels:wide_labels rng (1 + Prng.int rng 7) in
+          let tree = Gen.random_tree ~labels:probed_labels rng (1 + Prng.int rng 7) in
           let b = Binary_tree.of_tree tree in
           let shift = Prng.choice rng collide_offsets in
           let b = { b with Binary_tree.gpost = Array.map (( + ) shift) b.Binary_tree.gpost } in
@@ -802,6 +859,7 @@ let suite =
     Alcotest.test_case "index exact duplicates (tau=0)" `Quick test_index_exact_duplicate_found;
     Alcotest.test_case "compact subgraph encoding (exhaustive)" `Quick
       test_compact_encoding_exhaustive;
+    Alcotest.test_case "list-model labels make keys collide" `Quick test_colliding_labels;
     prop_probe_matches_model;
     Alcotest.test_case "incremental words per stored node" `Quick
       test_incremental_words_per_node;

@@ -272,6 +272,27 @@ let prop_frames_are_text_lines =
          | Ok r -> Protocol.render_response r = rline
          | Error _ -> false))
 
+(* QUERY, KNN and ADD parse their tree from the request line in place;
+   the copy of the parser that split the words off with [String.trim]
+   and [String.sub] is the reference: every request and every ERR text
+   must be the same, and rendered lines byte for byte the same. *)
+let test_request_lines_match_reference () =
+  let module C = Codec_reference.Codec_check in
+  List.iter
+    (fun line -> Option.iter (fun m -> Alcotest.fail m) (C.compare_requests line))
+    [ ""; "  "; "QUERY"; "QUERY 2"; "QUERY 2 "; "query\t2 {a}"; "QUERY 2  ~3  @5  {a{b}}  ";
+      "QUERY -1 {a}"; "QUERY -1 {a"; "KNN 3 ~x {a}"; "KNN 3 @ {a}"; "ADD {a}"; "ADD 7 {a}";
+      "ADD -7 {a}"; "ADD @9 {a} \012"; "ADD 7 @-1 {a}"; "ADD"; "ADD  "; "STATS"; "STATS x";
+      "SYNC 1 2"; "SYNC 1  2"; "DIGEST 0 1 2"; "GET 3"; "ACKED x"; "FOO {a}";
+      "QUERY 2 {a}\n{b}"; "QUERY 2 {a\n{b"; "QUERY 2 \012{a}"; "QUERY 0x10 {a}" ];
+  let rng = Prng.create 32 in
+  for _ = 1 to 3000 do
+    let line = C.random_line rng (C.random_input rng) in
+    Option.iter (fun m -> Alcotest.fail m) (C.compare_requests line);
+    Option.iter (fun m -> Alcotest.fail m)
+      (C.compare_render rng (C.random_tree rng (1 + Prng.int rng 12)))
+  done
+
 (* --- store --- *)
 
 let trees_of seed n =
@@ -3064,6 +3085,8 @@ let suite =
     Alcotest.test_case "serve_sync refusals leave the transport open" `Quick
       test_serve_sync_refusals_leave_transport_open;
     prop_frames_are_text_lines;
+    Alcotest.test_case "request lines parse and render as the reference" `Quick
+      test_request_lines_match_reference;
     Alcotest.test_case "retired HELLO versions refused, connection stays text" `Quick
       test_binary_hello_versions;
     Alcotest.test_case "text lines and frames answer one script alike" `Quick

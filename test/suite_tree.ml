@@ -25,6 +25,65 @@ let test_label_interning () =
     (Invalid_argument "Label.intern: empty string is reserved for epsilon") (fun () ->
       ignore (Label.intern ""))
 
+(* Slice interning finds the whole-string id, and the table keeps ids,
+   names and membership straight as it grows past 100K labels (from 64
+   slots per doubling): ids stay in first-seen order. *)
+let test_label_slices_and_growth () =
+  let line = "QUERY 1 {swiss-slice{x}}" in
+  Alcotest.(check int) "known label from a slice" (Label.intern "swiss-slice")
+    (Label.intern_sub line 9 11);
+  let fresh = Label.intern_sub line 9 6 in
+  Alcotest.(check string) "new label from a slice" "swiss-" (Label.name fresh);
+  Alcotest.(check int) "whole string finds it" fresh (Label.intern "swiss-");
+  Alcotest.check_raises "empty slice rejected"
+    (Invalid_argument "Label.intern: empty string is reserved for epsilon") (fun () ->
+      ignore (Label.intern_sub line 3 0));
+  let n = 120_000 in
+  let first = Label.count () + 1 in
+  let name i = Printf.sprintf "growth-%d" i in
+  for i = 0 to n - 1 do
+    let id =
+      if i land 1 = 0 then Label.intern (name i)
+      else
+        let padded = "{" ^ name i ^ "}" in
+        Label.intern_sub padded 1 (String.length padded - 2)
+    in
+    if id <> first + i then Alcotest.failf "label %s got id %d, not %d" (name i) id (first + i)
+  done;
+  Alcotest.(check int) "count" (first + n - 1) (Label.count ());
+  for i = 0 to n - 1 do
+    let id = first + i in
+    if Label.name id <> name i || Label.intern (name i) <> id || not (Label.mem (name i)) then
+      Alcotest.failf "label %d (%s) inconsistent after growth" id (name i)
+  done;
+  Alcotest.(check bool) "never interned" false (Label.mem "growth--1");
+  Alcotest.(check int) "lookups add nothing" (first + n - 1) (Label.count ())
+
+(* Two domains, released together, interning the same fresh names in
+   the same order while the table grows: one id per name, dense ids. *)
+let test_label_two_domains () =
+  let n = 50_000 in
+  let first = Label.count () + 1 in
+  let name i = Printf.sprintf "race-%d" i in
+  let ready = Atomic.make 0 in
+  let run () =
+    Domain.spawn (fun () ->
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        Array.init n (fun i -> Label.intern (name i)))
+  in
+  let d1 = run () and d2 = run () in
+  let a = Domain.join d1 and b = Domain.join d2 in
+  Alcotest.(check bool) "same id from both domains" true (a = b);
+  Alcotest.(check int) "one id per name" (first + n - 1) (Label.count ());
+  Array.iteri
+    (fun i id ->
+      if Label.name id <> name i then
+        Alcotest.failf "id %d names %S, not %S" id (Label.name id) (name i))
+    a
+
 let test_tree_size_depth_degree () =
   Alcotest.(check int) "size" 10 (Tree.size fig4);
   Alcotest.(check int) "depth" 5 (Tree.depth fig4);
@@ -141,6 +200,36 @@ let test_bracket_file_roundtrip () =
   | Ok loaded -> Alcotest.(check (list tree)) "file roundtrip" forest loaded
   | Error e -> Alcotest.fail e);
   Sys.remove path
+
+(* The one-pass parser against the reference copy of the parser it
+   replaced: the same trees or the same error texts (line, column,
+   cause) through [of_string], [of_substring], [forest_of_string] and
+   [forest_of_string_lenient]. *)
+let test_bracket_matches_reference () =
+  let fixed =
+    [ ""; "{"; "{\\"; "{a\\"; "{}"; "{a}}"; "{a}{b}"; "a"; "{a{}}"; "{a}x"; "{a{b}c}";
+      "  # c\n{a}"; "{a\\}b}"; "{ a b }"; "{#x}"; "\n\n{a\n{b"; "{a}\n}{x}\n{a{b}{c}}\n";
+      "{a}#"; "#only"; "{\\{}"; "{\xc3\xa9{\x80}}" ]
+  in
+  List.iter
+    (fun s ->
+      Option.iter (fun m -> Alcotest.fail m) (Codec_reference.Codec_check.compare_parsers ~pad:" {" s))
+    fixed;
+  let rng = Prng.create 30 in
+  for _ = 1 to 4000 do
+    let s = Codec_reference.Codec_check.random_input rng in
+    let pad = Prng.choice rng [| ""; "QUERY 2 "; "\n" |] in
+    Option.iter (fun m -> Alcotest.fail m) (Codec_reference.Codec_check.compare_parsers ~pad s)
+  done
+
+(* Labels holding braces, backslashes, blanks, '#', line breaks, NUL and
+   bytes past 0x7f survive print-then-parse, and print as before. *)
+let test_bracket_hostile_roundtrip () =
+  let rng = Prng.create 31 in
+  for _ = 1 to 2000 do
+    let x = Codec_reference.Codec_check.random_tree rng (1 + Prng.int rng 15) in
+    Option.iter (fun m -> Alcotest.fail m) (Codec_reference.Codec_check.check_roundtrip x)
+  done
 
 let prop_bracket_roundtrip =
   Gen.qtest "bracket roundtrip on random trees" (Gen.arb_tree ~max_size:30 ())
@@ -440,6 +529,8 @@ let suite =
   [
     Alcotest.test_case "deep trees (50k chain)" `Slow test_deep_trees;
     Alcotest.test_case "label interning" `Quick test_label_interning;
+    Alcotest.test_case "label slices and growth past 100K" `Quick test_label_slices_and_growth;
+    Alcotest.test_case "label interning from two domains" `Quick test_label_two_domains;
     Alcotest.test_case "size/depth/degree" `Quick test_tree_size_depth_degree;
     Alcotest.test_case "equal/compare/hash" `Quick test_tree_equal_compare;
     Alcotest.test_case "Postorder.both (exhaustive)" `Quick
@@ -453,6 +544,10 @@ let suite =
     Alcotest.test_case "bracket whitespace/comments" `Quick test_bracket_whitespace_comments;
     Alcotest.test_case "bracket file roundtrip" `Quick test_bracket_file_roundtrip;
     prop_bracket_roundtrip;
+    Alcotest.test_case "bracket parser = reference parser" `Quick
+      test_bracket_matches_reference;
+    Alcotest.test_case "bracket roundtrip with hostile labels" `Quick
+      test_bracket_hostile_roundtrip;
     Alcotest.test_case "pp renderings" `Quick test_pp_renderings;
     Alcotest.test_case "fold" `Quick test_fold;
     Alcotest.test_case "map_labels" `Quick test_map_labels;
