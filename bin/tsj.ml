@@ -552,7 +552,10 @@ let serve_cmd =
          & info [ "router" ]
              ~doc:"Run a scatter-gather router over --shard-group replica \
                    groups instead of a single-node server.  The router speaks \
-                   the same wire grammar, so existing clients are unchanged.")
+                   the same wire grammar on the node's event loop, so existing \
+                   clients are unchanged and --max-inflight, --rate, --burst, \
+                   --idle-timeout, --max-conns and --drain-budget apply as on \
+                   a node; --deadline is the per-shard deadline (default 2 s).")
   in
   let shard_group =
     Arg.(value & opt_all group_conv []
@@ -580,7 +583,9 @@ let serve_cmd =
                    without it the gid space restarts empty and is rebuilt by \
                    reconciliation.")
   in
-  let run_router addr tau shard_groups shards band ledger deadline hedge =
+  let run_router (config : Tsj_server.Server.config) shard_groups shards band ledger
+      deadline hedge =
+    let addr = config.addr and tau = config.tau in
     if shard_groups = [] then begin
       Printf.eprintf "tsj: --router needs at least one --shard-group\n";
       exit 2
@@ -598,46 +603,40 @@ let serve_cmd =
         Printf.eprintf "tsj: %s\n" msg;
         exit 2
     in
-    let config =
+    let rconfig =
       { Tsj_server.Router.map; tau; groups;
         timeout_s = Option.value deadline ~default:2.0;
         attempts = 3; ledger; seed = 42;
         hedge_s = hedge; margin_ms = 50 }
     in
-    match Tsj_server.Router.create config with
+    match Tsj_server.Router.create rconfig with
     | Error msg ->
       Printf.eprintf "tsj: cannot start router: %s\n" msg;
       exit 2
     | Ok router -> (
-      match Tsj_server.Router.start_front router addr with
+      match Tsj_server.Server.create_router config router with
       | Error msg ->
         Tsj_server.Router.close router;
-        Printf.eprintf "tsj: cannot bind router front-end: %s\n" msg;
+        Printf.eprintf "tsj: cannot start router front-end: %s\n" msg;
         exit 2
-      | Ok front ->
+      | Ok server ->
         Printf.printf
           "tsj: routing %d shards on %s (tau=%d, band=%d, %s, deadline=%.1fs)\n%!"
           (Array.length groups)
           (Tsj_server.Protocol.addr_to_string addr)
           tau map.Tsj_server.Shard.band
           (match ledger with Some f -> "ledger=" ^ f | None -> "no ledger")
-          config.Tsj_server.Router.timeout_s;
-        let stop = Atomic.make false in
-        let on_signal _ = Atomic.set stop true in
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-        Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-        while not (Atomic.get stop) do
-          Unix.sleepf 0.2
-        done;
-        Tsj_server.Router.stop_front front;
-        let s = Tsj_server.Router.stats router in
+          rconfig.Tsj_server.Router.timeout_s;
+        Tsj_server.Server.start server;
+        Tsj_server.Server.wait server;
+        let s = Tsj_server.Server.stats server in
         Tsj_server.Router.close router;
         Printf.printf
-          "tsj: router stopped (trees=%d queries=%d adds=%d degraded=%d \
+          "tsj: router drained (trees=%d queries=%d adds=%d shed=%d degraded=%d \
            errors=%d)\n"
           s.Tsj_server.Protocol.trees s.Tsj_server.Protocol.queries
-          s.Tsj_server.Protocol.adds s.Tsj_server.Protocol.degraded
-          s.Tsj_server.Protocol.errors)
+          s.Tsj_server.Protocol.adds s.Tsj_server.Protocol.shed
+          s.Tsj_server.Protocol.degraded s.Tsj_server.Protocol.errors)
   in
   let run addr tau dir max_inflight deadline drain_budget preload replica_of
       quorum max_batch dedup scrub_interval scrub_budget quarantine rate burst
@@ -648,17 +647,6 @@ let serve_cmd =
     end;
     if scrub_interval < 0.0 then begin
       Printf.eprintf "tsj: --scrub-interval must be >= 0\n";
-      exit 2
-    end;
-    if router || shard_groups <> [] then
-      run_router addr tau shard_groups shards band ledger deadline hedge
-    else begin
-    if quorum < 1 then begin
-      Printf.eprintf "tsj: --quorum must be >= 1\n";
-      exit 2
-    end;
-    if max_batch < 1 then begin
-      Printf.eprintf "tsj: --max-batch must be >= 1\n";
       exit 2
     end;
     let config =
@@ -683,6 +671,17 @@ let serve_cmd =
         max_conns;
       }
     in
+    if router || shard_groups <> [] then
+      run_router config shard_groups shards band ledger deadline hedge
+    else begin
+    if quorum < 1 then begin
+      Printf.eprintf "tsj: --quorum must be >= 1\n";
+      exit 2
+    end;
+    if max_batch < 1 then begin
+      Printf.eprintf "tsj: --max-batch must be >= 1\n";
+      exit 2
+    end;
     match Tsj_server.Server.create config with
     | Error msg ->
       Printf.eprintf "tsj: cannot start server: %s\n" msg;

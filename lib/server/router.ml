@@ -144,7 +144,6 @@ type t = {
   r_adds : int Atomic.t;
   r_degraded : int Atomic.t;
   r_errors : int Atomic.t;
-  r_draining : bool Atomic.t;
   (* integrity telemetry, as the store's [scrub_counters] *)
   r_scrubbed : int Atomic.t;
   r_crc_failures : int Atomic.t;
@@ -493,7 +492,6 @@ let create (config : config) =
         r_adds = Atomic.make 0;
         r_degraded = Atomic.make 0;
         r_errors = Atomic.make 0;
-        r_draining = Atomic.make false;
         r_scrubbed = Atomic.make 0;
         r_crc_failures = Atomic.make 0;
         r_repaired = Atomic.make 0;
@@ -833,9 +831,9 @@ let migrate ?(deadline_s = 30.0) t ~shard ~target =
 let stats t =
   let n = n_trees t in
   let ledgered = Mutex.protect t.r_ledger_mutex (fun () -> t.r_ledger <> None) in
-  (* Overload telemetry, the replication fields and dedup are per-node:
-     the router front does not queue, shed or journal work itself, so
-     they stay zero in the aggregate view. *)
+  (* The replication fields and dedup are per-node and stay zero in the
+     aggregate view; the serving front ({!Server.create_router}) fills
+     in its own overload telemetry and drain flag. *)
   {
     Protocol.zero_stats with
     trees = n;
@@ -845,7 +843,6 @@ let stats t =
     degraded = Atomic.get t.r_degraded;
     errors = Atomic.get t.r_errors;
     quarantined = Atomic.get t.r_quarantined;
-    draining = Atomic.get t.r_draining;
     journal_records = (if ledgered then n else 0);
     primary = true;
     scrubbed = Atomic.get t.r_scrubbed;
@@ -853,94 +850,54 @@ let stats t =
     repaired = Atomic.get t.r_repaired;
   }
 
-(* --- line-protocol front-end --- *)
-
-type front = {
-  f_fd : Unix.file_descr;
-  f_addr : Protocol.addr;
-  f_stop : bool Atomic.t;
-  mutable f_thread : Thread.t option;
-}
-
-let bind_listener addr =
-  match addr with
-  | Protocol.Unix_path path ->
-    if Sys.file_exists path then Sys.remove path;
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    fd
-  | Protocol.Tcp (host, port) ->
-    let inet =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (inet, port));
-    Unix.listen fd 64;
-    fd
+(* --- the request handler --- *)
 
 let answer_to_hits a =
   Protocol.Hits { degraded = a.a_degraded; hits = a.a_hits; unverified = a.a_unverified }
 
 let handle_add t seq tree =
-  if Atomic.get t.r_draining then Protocol.Err "draining: not accepting new work"
-  else
-    match seq with
-    | None -> (
-      match add t tree with
+  match seq with
+  | None -> (
+    match add t tree with
+    | Ok (gid, partners) -> Protocol.Added { id = gid; partners }
+    | Error e -> Protocol.Err e)
+  | Some seq ->
+    let n = n_trees t in
+    if seq >= n then (
+      match add ~expect:seq t tree with
       | Ok (gid, partners) -> Protocol.Added { id = gid; partners }
       | Error e -> Protocol.Err e)
-    | Some seq ->
-      let n = n_trees t in
-      if seq >= n then (
-        match add ~expect:seq t tree with
-        | Ok (gid, partners) -> Protocol.Added { id = gid; partners }
-        | Error e -> Protocol.Err e)
-      else (
-        (* replay of an already-bound gid: forward to the owning shard,
-           whose idempotency check verifies the tree is the same one *)
-        match locate t seq with
-        | None -> Protocol.Err (Printf.sprintf "seq gap: %d unbound" seq)
-        | Some (shard, lseq, _) -> (
-          let fo = failover t (group_addrs t shard) in
-          match Client.Failover.request fo (Protocol.Add { seq = Some lseq; tree }) with
-          | Ok (Protocol.Added { id = _; partners }) ->
-            let partners =
-              List.filter_map
-                (fun (lid, d) ->
-                  match to_gid t ~shard lid with Some g -> Some (g, d) | None -> None)
-                partners
-            in
-            Protocol.Added { id = seq; partners }
-          | Ok (Protocol.Err r) -> Protocol.Err r
-          | Ok (Protocol.Fenced e) -> Protocol.Fenced e
-          | Ok _ -> Protocol.Err "unexpected reply from shard"
-          | Error e -> Protocol.Err e))
+    else (
+      (* replay of an already-bound gid: forward to the owning shard,
+         whose idempotency check verifies the tree is the same one *)
+      match locate t seq with
+      | None -> Protocol.Err (Printf.sprintf "seq gap: %d unbound" seq)
+      | Some (shard, lseq, _) -> (
+        let fo = failover t (group_addrs t shard) in
+        match Client.Failover.request fo (Protocol.Add { seq = Some lseq; tree }) with
+        | Ok (Protocol.Added { id = _; partners }) ->
+          let partners =
+            List.filter_map
+              (fun (lid, d) ->
+                match to_gid t ~shard lid with Some g -> Some (g, d) | None -> None)
+              partners
+          in
+          Protocol.Added { id = seq; partners }
+        | Ok (Protocol.Err r) -> Protocol.Err r
+        | Ok (Protocol.Fenced e) -> Protocol.Fenced e
+        | Ok _ -> Protocol.Err "unexpected reply from shard"
+        | Error e -> Protocol.Err e))
 
 let handle t ?deadline_ms req =
-  (* A work request whose remaining budget is already zero is answered
-     with the expiry error instead of burning shard work on an answer
-     the caller has stopped waiting for.  Control verbs ignore
-     deadlines. *)
-  let expired =
-    match (req, deadline_ms) with
-    | (Protocol.Query _ | Protocol.Knn _ | Protocol.Add _), Some ms when ms <= 0 ->
-      true
-    | _ -> false
-  in
-  if expired then Protocol.Err "deadline expired"
-  else
-    match req with
-    | Protocol.Query { tau = tau'; tree } ->
-      if tau' < 0 || tau' > t.r_tau then
-        Protocol.Err (Printf.sprintf "tau %d out of range (index tau %d)" tau' t.r_tau)
-      else answer_to_hits (query t ?deadline_ms ~tau:tau' tree)
-    | Protocol.Knn { k; tree } ->
-      if k < 0 then Protocol.Err "negative k"
-      else answer_to_hits (knn t ?deadline_ms ~k tree)
-    | Protocol.Add { seq; tree } -> handle_add t seq tree
+  match req with
+  | Protocol.Query { tau = tau'; tree } ->
+    if tau' < 0 || tau' > t.r_tau then
+      Protocol.Err (Printf.sprintf "tau %d out of range (index tau %d)" tau' t.r_tau)
+    else answer_to_hits (query t ?deadline_ms ~tau:tau' tree)
+  | Protocol.Knn { k; tree } ->
+    if k < 0 then Protocol.Err "negative k"
+    else answer_to_hits (knn t ?deadline_ms ~k tree)
+  | Protocol.Add { seq; tree } -> handle_add t seq tree
   | Protocol.Get gid -> (
     match locate t gid with
     | None -> Protocol.Err (Printf.sprintf "GET %d: unbound sequence" gid)
@@ -952,73 +909,7 @@ let handle t ?deadline_ms req =
       | Ok _ -> Protocol.Err "unexpected reply from shard"
       | Error e -> Protocol.Err e))
   | Protocol.Stats -> Protocol.Stats_reply (stats t)
-  | Protocol.Health -> Protocol.Health_reply { draining = Atomic.get t.r_draining }
-  | Protocol.Drain ->
-    Atomic.set t.r_draining true;
-    Protocol.Drained
+  | Protocol.Health | Protocol.Drain -> Protocol.Err "HEALTH and DRAIN are the serving front's"
   | Protocol.Sync _ | Protocol.Ack _ | Protocol.Digest _ ->
     Protocol.Err "replication verbs are shard-internal; the router does not stream"
   | Protocol.Promote -> Protocol.Err "PROMOTE is shard-internal; use migration"
-
-let serve_conn t cfd =
-  let ic = Unix.in_channel_of_descr cfd in
-  let oc = Unix.out_channel_of_descr cfd in
-  (try
-     let closing = ref false in
-     while not !closing do
-       match input_line ic with
-       | exception End_of_file -> closing := true
-       | line ->
-         let resp =
-           match Protocol.parse_request_d line with
-           | Error reason -> Protocol.Err reason
-           | Ok (_, Some _, _) ->
-             (* Shard reads may land on any replica of a group, so the
-                router cannot honour a staleness bound; it refuses one
-                rather than dropping it. *)
-             Protocol.Err "the router does not bound staleness: send ~<n> reads to a node"
-           | Ok (req, None, deadline_ms) ->
-             if req = Protocol.Drain then closing := true;
-             handle t ?deadline_ms req
-         in
-         output_string oc (Protocol.render_response resp);
-         output_char oc '\n';
-         flush oc
-     done
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  try Unix.close cfd with Unix.Unix_error _ -> ()
-
-let start_front t addr =
-  match bind_listener addr with
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  | exception Sys_error m -> Error m
-  | fd ->
-    Unix.set_nonblock fd;
-    let front = { f_fd = fd; f_addr = addr; f_stop = Atomic.make false; f_thread = None } in
-    let rec loop () =
-      if not (Atomic.get front.f_stop) then (
-        match Unix.accept fd with
-        | cfd, _ ->
-          (try Unix.clear_nonblock cfd with Unix.Unix_error _ -> ());
-          ignore (Thread.create (serve_conn t) cfd);
-          loop ()
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-          Thread.delay 0.005;
-          loop ()
-        | exception Unix.Unix_error _ ->
-          if not (Atomic.get front.f_stop) then begin
-            Thread.delay 0.01;
-            loop ()
-          end)
-    in
-    front.f_thread <- Some (Thread.create loop ());
-    Ok front
-
-let stop_front front =
-  if not (Atomic.exchange front.f_stop true) then begin
-    (match front.f_thread with Some th -> Thread.join th | None -> ());
-    (try Unix.close front.f_fd with Unix.Unix_error _ -> ());
-    match front.f_addr with
-    | Protocol.Unix_path path -> ( try Sys.remove path with Sys_error _ -> ())
-    | Protocol.Tcp _ -> ()
-  end

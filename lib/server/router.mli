@@ -37,9 +37,7 @@
     store, so hedging changes tail latency, never the answer.  A
     caller's remaining deadline (the [@<ms>] token, see {!Protocol}) is
     propagated to the shards minus [margin_ms], so the router can still
-    merge and answer inside what the caller waits for; an
-    already-expired work request is answered [ERR deadline expired]
-    without touching any shard.
+    merge and answer inside what the caller waits for.
 
     {b Migration.}  A shard moves by journal streaming, verbatim: the
     operator starts the target node with [sync_from] pointing at the
@@ -226,22 +224,14 @@ val stats : t -> Protocol.stats_reply
     [journal_records] = ledger entries, router-side counters for
     queries/adds/degraded/errors; [epoch = 0], [primary = true]. *)
 
-(** Line-protocol front-end: the router served over the same wire
-    grammar as a single node, so every existing client ([tsj query],
-    {!Client.Failover}) talks to a sharded cluster unchanged. *)
-type front
-
-val start_front : t -> Protocol.addr -> (front, string) result
-(** Bind, accept, one thread per connection.  [QUERY]/[KNN]/[ADD]/
-    [GET]/[STATS]/[HEALTH]/[DRAIN] are served; replication verbs are
-    refused with [ERR].  [ADD <seq>] honors the idempotency contract:
-    [seq] names a gid — the next gid commits normally, an already-bound
-    gid is replayed to its owning shard (which verifies the tree and
-    answers the original reply), a gap is [ERR "seq gap: ..."].  A
-    work request carrying [@<ms>] propagates its remaining budget to
-    the shards (minus [margin_ms]); one arriving already expired is
-    answered [ERR deadline expired]. *)
-
-val stop_front : front -> unit
-(** Stop accepting, close the listener (existing connections finish
-    their current line and then see EOF on the next read). *)
+val handle : t -> ?deadline_ms:int -> Protocol.request -> Protocol.response
+(** Answer one request the way a node would, so every existing client
+    ([tsj query], {!Client.Failover}) talks to a sharded cluster
+    unchanged; {!Server.create_router} serves it on the node's event
+    loop.  [QUERY]/[KNN]/[ADD]/[GET]/[STATS] are served; replication
+    verbs are refused with [ERR].  [ADD <seq>] honors the idempotency
+    contract: [seq] names a gid — the next gid commits normally, an
+    already-bound gid is replayed to its owning shard (which verifies
+    the tree and answers the original reply), a gap is
+    [ERR "seq gap: ..."].  [deadline_ms] is propagated to the shards
+    as in {!query}.  Blocks on shard I/O. *)

@@ -77,7 +77,7 @@ type conn_state =
 
 (* One per accepted socket.  [c_in]/[c_reqno]/[c_discard]/[c_skip]/
    [c_closing]/[c_eof]/[c_yielded]/[c_state] belong to the event-loop thread;
-   [c_out]/[c_async] are shared with the committer thread under
+   [c_out]/[c_async] are shared with the worker threads under
    [io_mutex]. *)
 type conn = {
   c_id : int;
@@ -86,7 +86,7 @@ type conn = {
   c_in : Netbuf.t;
   c_out : Netbuf.t;
   mutable c_reqno : int;  (* per-connection request ordinal (fault point) *)
-  mutable c_async : int;  (* ADDs handed to the committer, reply pending *)
+  mutable c_async : int;  (* requests handed to a worker, reply pending *)
   mutable c_discard : bool;  (* text: dropping an over-long line *)
   mutable c_skip : int;  (* binary: body bytes of an oversized frame left to drop *)
   mutable c_closing : bool;  (* close once replies are flushed *)
@@ -106,12 +106,11 @@ type add_job = {
   a_t0 : float;  (* admission time, for the latency histogram *)
 }
 
-type t = {
-  config : config;
+(* The node handler's state: the store and everything that writes it. *)
+type node = {
   store : Store.t;
   replica : Replica.t;
   cluster : Cluster.t;
-  listener : Unix.file_descr;
   store_mutex : Mutex.t;
   (* Serializes store *writers* (committer batches, replica record
      application, promotion, drain teardown).  Lock order: commit_mutex
@@ -121,22 +120,43 @@ type t = {
      flush — the one step with unbounded filesystem latency — never
      blocks the read path. *)
   commit_mutex : Mutex.t;
+  (* the budget of the read the event loop is computing, if any;
+     cancelled when the drain deadline passes so a stuck read cannot
+     outlive the drain window *)
+  read_budget : Budget.t option Atomic.t;
+  addq : add_job Queue.t;  (* pending writes, drained in group commits *)
+  addq_mutex : Mutex.t;
+  addq_cond : Condition.t;
+  mutable committer_thread : Thread.t option;
+  mutable follower_thread : Thread.t option;
+  mutable follower_fd : Unix.file_descr option;
+  mutable sync_threads : Thread.t list;
+  sync_mutex : Mutex.t;
+  mutable scrubber : Scrub.t option;
+  h_query : Admission.Histogram.t;  (* per-verb service latency, µs *)
+  h_knn : Admission.Histogram.t;
+  h_add : Admission.Histogram.t;
+}
+
+(* What the connection layer hands a parsed request to: a node answers
+   from its own store, a router fans out to its shard groups. *)
+type handler = Node of node | Router of Router.t
+
+(* The connection layer: listener, connections, admission counters,
+   wake pipe and drain state, shared by both handlers. *)
+type t = {
+  config : config;
+  handler : handler;
+  listener : Unix.file_descr;
   counters : counters;
   draining : bool Atomic.t;
   drained : bool Atomic.t;
   aborted : bool Atomic.t;
   quarantined : Types.quarantined list Atomic.t;
-  (* the budget of the read the event loop is computing, if any;
-     cancelled when the drain deadline passes so a stuck read cannot
-     outlive the drain window *)
-  read_budget : Budget.t option Atomic.t;
   io_mutex : Mutex.t;  (* guards every [c_out]/[c_async] *)
   conns : (int, conn) Hashtbl.t;
   conns_mutex : Mutex.t;
-  addq : add_job Queue.t;  (* pending writes, drained in group commits *)
-  addq_mutex : Mutex.t;
-  addq_cond : Condition.t;
-  wake_r : Unix.file_descr;  (* self-pipe: the committer nudges the event loop *)
+  wake_r : Unix.file_descr;  (* self-pipe: worker threads nudge the event loop *)
   wake_w : Unix.file_descr;
   wake_flag : bool Atomic.t;
   (* Exactly-once listener close, shared between the event loop's drain
@@ -148,12 +168,6 @@ type t = {
   listener_closed : bool Atomic.t;
   drain_force_at : float Atomic.t;  (* past this, drain force-closes conns *)
   mutable loop_thread : Thread.t option;
-  mutable committer_thread : Thread.t option;
-  mutable follower_thread : Thread.t option;
-  mutable follower_fd : Unix.file_descr option;
-  mutable sync_threads : Thread.t list;
-  sync_mutex : Mutex.t;
-  mutable scrubber : Scrub.t option;
   mutable next_conn : int;
   (* event-loop thread only: while in the future, the listener is left
      out of the select read set (EMFILE back-off) *)
@@ -161,9 +175,6 @@ type t = {
   (* event-loop thread only: when the connection being served ends its
      turn — a read finishing later makes it yield (see [c_yielded]) *)
   mutable turn_ends : float;
-  h_query : Admission.Histogram.t;  (* per-verb service latency, µs *)
-  h_knn : Admission.Histogram.t;
-  h_add : Admission.Histogram.t;
 }
 
 let quarantine t ~conn_id reason =
@@ -174,42 +185,54 @@ let quarantine t ~conn_id reason =
   in
   loop ()
 
+(* The handler's own view, overlaid with the connection layer's
+   overload telemetry, drain flag and faults. *)
 let stats t =
-  let scrubbed, crc_failures, repaired, store_quarantined =
-    Store.scrub_counters t.store
+  let base =
+    match t.handler with
+    | Router r -> Router.stats r
+    | Node n ->
+      let scrubbed, crc_failures, repaired, store_quarantined =
+        Store.scrub_counters n.store
+      in
+      {
+        Protocol.zero_stats with
+        trees = Store.n_trees n.store;
+        tau = Store.tau n.store;
+        queries = Atomic.get t.counters.queries;
+        adds = Atomic.get t.counters.adds;
+        degraded = Atomic.get t.counters.degraded;
+        (* store records/snapshots moved aside as unrepairable: "kept,
+           not trusted", like the quarantined connections added below *)
+        quarantined = store_quarantined;
+        journal_records = Store.journal_records n.store;
+        epoch = Store.epoch n.store;
+        primary = Replica.is_primary n.replica;
+        dedup = Store.dedups n.store;
+        scrubbed;
+        crc_failures;
+        repaired;
+        q_p50 = Admission.Histogram.quantile_us n.h_query 0.5;
+        q_p95 = Admission.Histogram.quantile_us n.h_query 0.95;
+        q_p99 = Admission.Histogram.quantile_us n.h_query 0.99;
+        k_p50 = Admission.Histogram.quantile_us n.h_knn 0.5;
+        k_p95 = Admission.Histogram.quantile_us n.h_knn 0.95;
+        k_p99 = Admission.Histogram.quantile_us n.h_knn 0.99;
+        a_p50 = Admission.Histogram.quantile_us n.h_add 0.5;
+        a_p95 = Admission.Histogram.quantile_us n.h_add 0.95;
+        a_p99 = Admission.Histogram.quantile_us n.h_add 0.99;
+      }
   in
   {
-    Protocol.trees = Store.n_trees t.store;
-    tau = Store.tau t.store;
-    queries = Atomic.get t.counters.queries;
-    adds = Atomic.get t.counters.adds;
-    shed = Atomic.get t.counters.shed;
-    degraded = Atomic.get t.counters.degraded;
-    errors = Atomic.get t.counters.errors;
-    (* connections quarantined by faults + store records/snapshots moved
-       aside as unrepairable — both are "kept, not trusted" *)
-    quarantined = List.length (Atomic.get t.quarantined) + store_quarantined;
+    base with
+    Protocol.shed = Atomic.get t.counters.shed;
+    errors = base.errors + Atomic.get t.counters.errors;
+    quarantined = base.quarantined + List.length (Atomic.get t.quarantined);
     inflight = Atomic.get t.counters.inflight;
     draining = Atomic.get t.draining;
-    journal_records = Store.journal_records t.store;
-    epoch = Store.epoch t.store;
-    primary = Replica.is_primary t.replica;
-    dedup = Store.dedups t.store;
-    scrubbed;
-    crc_failures;
-    repaired;
     expired = Atomic.get t.counters.expired;
     accept_pauses = Atomic.get t.counters.accept_pauses;
     reaped = Atomic.get t.counters.reaped;
-    q_p50 = Admission.Histogram.quantile_us t.h_query 0.5;
-    q_p95 = Admission.Histogram.quantile_us t.h_query 0.95;
-    q_p99 = Admission.Histogram.quantile_us t.h_query 0.99;
-    k_p50 = Admission.Histogram.quantile_us t.h_knn 0.5;
-    k_p95 = Admission.Histogram.quantile_us t.h_knn 0.95;
-    k_p99 = Admission.Histogram.quantile_us t.h_knn 0.99;
-    a_p50 = Admission.Histogram.quantile_us t.h_add 0.5;
-    a_p95 = Admission.Histogram.quantile_us t.h_add 0.95;
-    a_p99 = Admission.Histogram.quantile_us t.h_add 0.99;
   }
 
 (* --- event-loop plumbing --- *)
@@ -241,8 +264,8 @@ let respond t c ~rid resp =
   Mutex.protect t.io_mutex (fun () ->
       if c.c_state = Live then append_response c ~rid resp)
 
-(* From the committer thread: queue a reply, retire the async slot,
-   wake the loop to flush. *)
+(* From a worker thread (the committer, a router call): queue a reply,
+   retire the async slot, wake the loop to flush. *)
 let deliver t c ~rid resp =
   Mutex.protect t.io_mutex (fun () ->
       if c.c_state = Live then append_response c ~rid resp;
@@ -309,33 +332,56 @@ let expire_at ~now deadline_ms =
    backlog, floored so a retrying client never spins on a zero hint. *)
 let backlog_hint t = Some (max 5 (min 1000 (Atomic.get t.counters.inflight)))
 
-(* Bump the inflight counter optimistically; over the watermark the
+(* Work admission, shared by both handlers: an exhausted client budget
+   means nobody is waiting, so the request is dropped before any other
+   work; then the connection's token bucket (a greedy connection
+   exhausts only its own tokens, never another client's admission);
+   then the inflight watermark, bumped optimistically: over it the
    newcomer is shed with an explicit [BUSY] carrying a retry-after hint
-   — deterministic, never a silent drop. *)
-let admit t =
-  if Atomic.get t.draining then
-    `Shed (Protocol.Err "draining: not accepting new work")
-  else if Atomic.fetch_and_add t.counters.inflight 1 < t.config.max_inflight then
-    `Admitted
-  else begin
-    ignore (Atomic.fetch_and_add t.counters.inflight (-1));
-    ignore (Atomic.fetch_and_add t.counters.shed 1);
-    `Shed (Protocol.Busy { retry_after_ms = backlog_hint t })
-  end
+   — deterministic, never a silent drop.  [true] when admitted; a
+   refused request has had its reply queued. *)
+let admit_work t c ~rid ~deadline_ms ~now =
+  let refusal =
+    if (match deadline_ms with Some ms -> ms <= 0 | None -> false) then begin
+      ignore (Atomic.fetch_and_add t.counters.expired 1);
+      Some (Protocol.Err "deadline expired")
+    end
+    else
+      match c.c_bucket with
+      | Some b when not (Admission.Token_bucket.take b ~now) ->
+        ignore (Atomic.fetch_and_add t.counters.shed 1);
+        let after = Admission.Token_bucket.retry_after_s b ~now in
+        Some
+          (Protocol.Busy
+             { retry_after_ms = Some (max 1 (Admission.Deadline.of_span_s after)) })
+      | _ ->
+        if Atomic.get t.draining then Some (Protocol.Err "draining: not accepting new work")
+        else if Atomic.fetch_and_add t.counters.inflight 1 < t.config.max_inflight then None
+        else begin
+          ignore (Atomic.fetch_and_add t.counters.inflight (-1));
+          ignore (Atomic.fetch_and_add t.counters.shed 1);
+          Some (Protocol.Busy { retry_after_ms = backlog_hint t })
+        end
+  in
+  match refusal with
+  | None -> true
+  | Some resp ->
+    respond t c ~rid resp;
+    false
 
 (* Bounded-staleness admission for reads carrying a [max_lag] bound: the
    primary always qualifies; a replica answers only when its known lag
    is within the bound, otherwise the client is redirected upstream. *)
-let staleness_denied t lag_bound =
+let staleness_denied t n lag_bound =
   match lag_bound with
   | None -> None
   | Some max_lag ->
-    if Replica.is_primary t.replica then None
+    if Replica.is_primary n.replica then None
     else begin
-      match Replica.lag t.replica with
+      match Replica.lag n.replica with
       | Some l when l <= max_lag -> None
       | _ -> (
-        match Replica.upstream t.replica with
+        match Replica.upstream n.replica with
         | Some addr -> Some (Protocol.Redirect addr)
         | None ->
           ignore (Atomic.fetch_and_add t.counters.errors 1);
@@ -367,11 +413,11 @@ let read_budget_s t deadline_ms =
    hits of the same probe at the index threshold (the rule of
    {!Tsj_core.Incremental.nearest}), so both verbs share one budgeted
    path and one degraded form. *)
-let run_query t c ~rid ~deadline_ms ~expire ~t0 request =
+let run_query t n c ~rid ~deadline_ms ~expire ~t0 request =
   let budget = Budget.create ?time_budget_s:(read_budget_s t deadline_ms) () in
   (* Publish before the draining re-check: a drain that begins after
      the check finds this budget in the slot when its window closes. *)
-  Atomic.set t.read_budget (Some budget);
+  Atomic.set n.read_budget (Some budget);
   let response =
     if Atomic.get t.draining then `Draining
     else if Tsj_util.Timer.now () > expire then `Expired
@@ -380,16 +426,16 @@ let run_query t c ~rid ~deadline_ms ~expire ~t0 request =
         let tree, tau, k =
           match request with
           | Protocol.Query { tau; tree } -> (tree, tau, None)
-          | Protocol.Knn { k; tree } -> (tree, Store.tau t.store, Some k)
+          | Protocol.Knn { k; tree } -> (tree, Store.tau n.store, Some k)
           | _ -> invalid_arg "internal: non-read request on the query path"
         in
-        if tau > Store.tau t.store then
+        if tau > Store.tau n.store then
           `Failed
             (Printf.sprintf "QUERY: tau %d exceeds the index threshold %d" tau
-               (Store.tau t.store))
+               (Store.tau n.store))
         else begin
           let r =
-            Mutex.protect t.store_mutex (fun () -> Store.query ~budget ~tau t.store tree)
+            Mutex.protect n.store_mutex (fun () -> Store.query ~budget ~tau n.store tree)
           in
           ignore (Atomic.fetch_and_add t.counters.queries 1);
           if r.Tsj_core.Incremental.degraded then
@@ -401,7 +447,7 @@ let run_query t c ~rid ~deadline_ms ~expire ~t0 request =
         end
       with e -> `Failed (Printexc.to_string e)
   in
-  Atomic.set t.read_budget None;
+  Atomic.set n.read_budget None;
   ignore (Atomic.fetch_and_add t.counters.inflight (-1));
   let finished = Tsj_util.Timer.now () in
   (* A read that ends past the connection's turn ends it: the loop
@@ -423,7 +469,7 @@ let run_query t c ~rid ~deadline_ms ~expire ~t0 request =
       ignore (Atomic.fetch_and_add t.counters.expired 1);
       Protocol.Err "deadline expired"
     | `Answer r ->
-      let h = match request with Protocol.Knn _ -> t.h_knn | _ -> t.h_query in
+      let h = match request with Protocol.Knn _ -> n.h_knn | _ -> n.h_query in
       Admission.Histogram.record h ~seconds:(finished -. t0);
       r
     | `Failed reason ->
@@ -434,27 +480,27 @@ let run_query t c ~rid ~deadline_ms ~expire ~t0 request =
 
 (* --- write path (committer: group commit) --- *)
 
-let quorum_error t copies =
+let quorum_error n copies =
   Printf.sprintf "%s: %d/%d durable copies"
-    (if Cluster.sealed t.cluster then "draining: quorum abandoned"
+    (if Cluster.sealed n.cluster then "draining: quorum abandoned"
      else "quorum not reached")
-    copies (Cluster.quorum t.cluster)
+    copies (Cluster.quorum n.cluster)
 
 (* Commit a batch of ADDs as one unit: one journal append + flush
    ({!Store.add_batch}), one lock-step quorum round up to the batch's
    high sequence number, then one reply per item.  Per-item semantics
    are identical to committing them one by one. *)
-let commit_batch t (jobs : add_job array) =
-  let n = Array.length jobs in
+let commit_batch t n (jobs : add_job array) =
+  let count = Array.length jobs in
   let responses =
-    if not (Replica.is_primary t.replica) then
-      Array.make n (Protocol.Fenced (Store.epoch t.store))
+    if not (Replica.is_primary n.replica) then
+      Array.make count (Protocol.Fenced (Store.epoch n.store))
     else
       try
-        Cluster.with_write t.cluster (fun () ->
+        Cluster.with_write n.cluster (fun () ->
             let items = Array.map (fun j -> (j.a_seq, j.a_tree)) jobs in
             let results =
-              Mutex.protect t.commit_mutex (fun () ->
+              Mutex.protect n.commit_mutex (fun () ->
                   (* Stage under the store lock (reads the index), flush
                      the journal with the store lock DROPPED (queries
                      keep flowing while the disk syncs — an ext4 flush
@@ -463,11 +509,11 @@ let commit_batch t (jobs : add_job array) =
                      keeps the staged seqs valid: no other writer can
                      slip between the phases. *)
                   let staged =
-                    Mutex.protect t.store_mutex (fun () -> Store.stage_batch t.store items)
+                    Mutex.protect n.store_mutex (fun () -> Store.stage_batch n.store items)
                   in
-                  match Store.journal_staged t.store staged with
+                  match Store.journal_staged n.store staged with
                   | Ok () ->
-                    Mutex.protect t.store_mutex (fun () -> Store.index_staged t.store staged)
+                    Mutex.protect n.store_mutex (fun () -> Store.index_staged n.store staged)
                   | Error reason ->
                     (* disk fault: the journal refused the batch (and was
                        repaired to its valid prefix); nothing is visible,
@@ -480,20 +526,20 @@ let commit_batch t (jobs : add_job array) =
                 (-1) results
             in
             let outcome =
-              if high < 0 || high + 1 <= Cluster.acked_high t.cluster then `Acked
+              if high < 0 || high + 1 <= Cluster.acked_high n.cluster then `Acked
               else begin
                 let record_for i =
-                  Mutex.protect t.store_mutex (fun () -> Store.record_for t.store i)
+                  Mutex.protect n.store_mutex (fun () -> Store.record_for n.store i)
                 in
-                match Cluster.replicate t.cluster ~record_for ~seq:high with
+                match Cluster.replicate n.cluster ~record_for ~seq:high with
                 | Cluster.Acks _ -> `Acked
                 | Cluster.No_quorum copies -> `No_quorum copies
                 | Cluster.Fenced_off epoch ->
-                  Replica.demote t.replica;
+                  Replica.demote n.replica;
                   `Fenced epoch
               end
             in
-            let acked = Cluster.acked_high t.cluster in
+            let acked = Cluster.acked_high n.cluster in
             Array.map
               (fun r ->
                 match r with
@@ -510,21 +556,21 @@ let commit_batch t (jobs : add_job array) =
                     | `Fenced epoch -> Protocol.Fenced epoch
                     | `No_quorum copies ->
                       ignore (Atomic.fetch_and_add t.counters.errors 1);
-                      Protocol.Err (quorum_error t copies)
+                      Protocol.Err (quorum_error n copies)
                     | `Acked ->
                       ignore (Atomic.fetch_and_add t.counters.errors 1);
                       Protocol.Err "internal: add past the acked high-water mark"))
               results)
       with e ->
-        ignore (Atomic.fetch_and_add t.counters.errors n);
-        Array.make n (Protocol.Err (Printexc.to_string e))
+        ignore (Atomic.fetch_and_add t.counters.errors count);
+        Array.make count (Protocol.Err (Printexc.to_string e))
   in
   let done_at = Tsj_util.Timer.now () in
   Array.iteri
     (fun i job ->
       (match responses.(i) with
       | Protocol.Added _ ->
-        Admission.Histogram.record t.h_add ~seconds:(done_at -. job.a_t0)
+        Admission.Histogram.record n.h_add ~seconds:(done_at -. job.a_t0)
       | _ -> ());
       Mutex.protect t.io_mutex (fun () ->
           if job.a_conn.c_state = Live then
@@ -534,16 +580,16 @@ let commit_batch t (jobs : add_job array) =
     jobs;
   wake t
 
-let committer_loop t =
+let committer_loop t n =
   let batch_no = ref 0 in
   let rec loop () =
     let have_work =
-      Mutex.protect t.addq_mutex (fun () ->
+      Mutex.protect n.addq_mutex (fun () ->
           let rec wait_nonempty () =
-            if not (Queue.is_empty t.addq) then true
+            if not (Queue.is_empty n.addq) then true
             else if Atomic.get t.draining then false
             else begin
-              Condition.wait t.addq_cond t.addq_mutex;
+              Condition.wait n.addq_cond n.addq_mutex;
               wait_nonempty ()
             end
           in
@@ -557,9 +603,9 @@ let committer_loop t =
       (try Fault.hit "server.batch" !batch_no with Fault.Injected _ -> ());
       incr batch_no;
       let batch =
-        Mutex.protect t.addq_mutex (fun () ->
-            let n = min t.config.max_batch (Queue.length t.addq) in
-            Array.init n (fun _ -> Queue.pop t.addq))
+        Mutex.protect n.addq_mutex (fun () ->
+            let count = min t.config.max_batch (Queue.length n.addq) in
+            Array.init count (fun _ -> Queue.pop n.addq))
       in
       (* Drop writes whose client deadline passed while they queued —
          BEFORE the journal touch, so an expired ADD is never made
@@ -592,7 +638,7 @@ let committer_loop t =
             batch;
           wake t
         end
-        else commit_batch t batch
+        else commit_batch t n batch
       end;
       loop ()
     end
@@ -600,6 +646,51 @@ let committer_loop t =
   loop ()
 
 (* --- drain --- *)
+
+(* Yield until no admitted work is left or [until] passes. *)
+let await_idle t ~until =
+  while Atomic.get t.counters.inflight > 0 && Tsj_util.Timer.now () < until do
+    Thread.yield ()
+  done
+
+(* Stop the scrubber and cut the replication stream in.  The scrubber
+   must be gone before a final flush or a test's re-open of the same
+   directory: its repair path writes the same files. *)
+let stop_node_workers n =
+  (match n.scrubber with
+  | Some s ->
+    Scrub.stop s;
+    n.scrubber <- None
+  | None -> ());
+  match n.follower_fd with
+  | Some fd -> ( try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+  | None -> ()
+
+(* The node's part of a drain, once the drain budget is spent: shed
+   the rest, stop its workers and flush the store. *)
+let drain_node t n ~deadline =
+  (* Cancel the live read's budget so it degrades and returns instead
+     of running past the drain. *)
+  Option.iter Budget.cancel (Atomic.get n.read_budget);
+  await_idle t ~until:(deadline +. 1.0);
+  stop_node_workers n;
+  (* Seal replication: waits out any quorum write still in flight (by
+     taking the write lock) and makes later ones fail with an explicit
+     ERR instead of being half-replicated under a closing server. *)
+  Cluster.seal n.cluster;
+  (* Flush: snapshot + header-only journal, so a cold start is clean.
+     A primary first discards any suffix that never reached quorum —
+     the snapshot must not contain adds no client was acknowledged —
+     and bumps the epoch so a replica still holding that suffix
+     re-syncs by truncation instead of diverging. *)
+  Mutex.protect n.commit_mutex (fun () ->
+      Mutex.protect n.store_mutex (fun () ->
+          let acked = Cluster.acked_high n.cluster in
+          if Replica.is_primary n.replica && acked < Store.n_trees n.store then begin
+            Store.truncate_to n.store acked;
+            Store.set_epoch n.store ~epoch:(Store.epoch n.store + 1) ~base:acked
+          end;
+          Store.close n.store))
 
 let do_drain t =
   (* Idempotent: the first caller wins; later calls (second DRAIN,
@@ -609,55 +700,15 @@ let do_drain t =
       (Tsj_util.Timer.now () +. t.config.drain_budget_s +. 1.0);
     (* Wake every loop: the event loop closes the listener, the
        committer re-checks its exit condition. *)
-    Mutex.protect t.addq_mutex (fun () -> Condition.broadcast t.addq_cond);
+    (match t.handler with
+    | Node n -> Mutex.protect n.addq_mutex (fun () -> Condition.broadcast n.addq_cond)
+    | Router _ -> ());
     wake t;
-    (* Let inflight work finish within the drain budget... *)
+    (* Let inflight work (reads, queued ADDs, a router's shard calls)
+       finish within the drain budget. *)
     let deadline = Tsj_util.Timer.now () +. t.config.drain_budget_s in
-    let rec wait () =
-      if Atomic.get t.counters.inflight > 0 && Tsj_util.Timer.now () < deadline then begin
-        Thread.yield ();
-        wait ()
-      end
-    in
-    wait ();
-    (* ...then shed what remains: cancel the live read's budget so it
-       degrades and returns instead of running past the drain. *)
-    Option.iter Budget.cancel (Atomic.get t.read_budget);
-    let rec wait_cancelled () =
-      if Atomic.get t.counters.inflight > 0 && Tsj_util.Timer.now () < deadline +. 1.0
-      then begin
-        Thread.yield ();
-        wait_cancelled ()
-      end
-    in
-    wait_cancelled ();
-    (match t.follower_fd with
-    | Some fd -> (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    | None -> ());
-    (* The scrubber must be gone before the final flush: its repair
-       path writes the same files. *)
-    (match t.scrubber with
-    | Some s ->
-      Scrub.stop s;
-      t.scrubber <- None
-    | None -> ());
-    (* Seal replication: waits out any quorum write still in flight (by
-       taking the write lock) and makes later ones fail with an explicit
-       ERR instead of being half-replicated under a closing server. *)
-    Cluster.seal t.cluster;
-    (* Flush: snapshot + header-only journal, so a cold start is clean.
-       A primary first discards any suffix that never reached quorum —
-       the snapshot must not contain adds no client was acknowledged —
-       and bumps the epoch so a replica still holding that suffix
-       re-syncs by truncation instead of diverging. *)
-    Mutex.protect t.commit_mutex (fun () ->
-        Mutex.protect t.store_mutex (fun () ->
-            let acked = Cluster.acked_high t.cluster in
-            if Replica.is_primary t.replica && acked < Store.n_trees t.store then begin
-              Store.truncate_to t.store acked;
-              Store.set_epoch t.store ~epoch:(Store.epoch t.store + 1) ~base:acked
-            end;
-            Store.close t.store));
+    await_idle t ~until:deadline;
+    (match t.handler with Node n -> drain_node t n ~deadline | Router _ -> ());
     Atomic.set t.drained true
   end
 
@@ -734,17 +785,111 @@ let rec next_frame t c =
     end
   end
 
-(* --- request dispatch (event-loop thread) --- *)
+(* --- the connection layer's own verbs --- *)
 
-let rec dispatch t c ~rid ~lag ~deadline_ms (request : Protocol.request) =
+(* STATS, HEALTH and DRAIN answer from the connection layer's state,
+   whichever handler serves the rest. *)
+let serve_front t c ~rid (request : Protocol.request) =
   match request with
   | Protocol.Stats -> respond t c ~rid (Protocol.Stats_reply (stats t))
-  | Protocol.Health ->
-    respond t c ~rid (Protocol.Health_reply { draining = Atomic.get t.draining })
   | Protocol.Drain ->
     respond t c ~rid Protocol.Drained;
     c.c_closing <- true;
     ignore (Thread.create (fun () -> do_drain t) ())
+  | _ (* HEALTH *) ->
+    respond t c ~rid (Protocol.Health_reply { draining = Atomic.get t.draining })
+
+(* --- the node handler --- *)
+
+(* Upgrade a connection into a replication stream: hand the fd to a
+   dedicated thread running the blocking lock-step sync protocol, and
+   carry over any bytes the event loop already buffered.  A hung
+   replica must not hang the primary's write path: the stream socket
+   gets a receive timeout, and a timed-out peer is dropped (it
+   re-syncs). *)
+let sync_stream t n c ~f_epoch ~leftover_in ~leftover_out =
+  try
+    let fd = c.c_fd in
+    (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
+    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.peer_timeout_s
+     with Unix.Unix_error _ | Invalid_argument _ -> ());
+    let ic = Unix.in_channel_of_descr fd in
+    let oc = Unix.out_channel_of_descr fd in
+    if leftover_out <> "" then begin
+      output_string oc leftover_out;
+      flush oc
+    end;
+    let pending = ref leftover_in in
+    let send line =
+      output_string oc line;
+      output_char oc '\n';
+      flush oc
+    in
+    let read_socket_line () =
+      match read_line_bounded ic ~max_bytes:t.config.max_line_bytes with
+      | Some (line, false) -> line
+      | Some (_, true) | None -> raise End_of_file
+    in
+    let recv () =
+      (* serve bytes the event loop buffered before the handoff first *)
+      match String.index_opt !pending '\n' with
+      | Some i ->
+        let line = String.sub !pending 0 i in
+        pending := String.sub !pending (i + 1) (String.length !pending - i - 1);
+        trim_cr line
+      | None ->
+        let head = !pending in
+        pending := "";
+        trim_cr (head ^ read_socket_line ())
+    in
+    let close_fd () = try Unix.close fd with Unix.Unix_error _ -> () in
+    let reply r = try send (Protocol.render_response r) with _ -> () in
+    let locked f = Mutex.protect n.store_mutex f in
+    match
+      Cluster.serve_sync n.cluster
+        ~epoch:(fun () -> locked (fun () -> Store.epoch n.store))
+        ~base:(fun () -> locked (fun () -> Store.epoch_base n.store))
+        ~n_trees:(fun () -> locked (fun () -> Store.n_trees n.store))
+        ~record_for:(fun i -> locked (fun () -> Store.record_for n.store i))
+        ~primary:(fun () -> Replica.is_primary n.replica)
+        ~peer_id:(Printf.sprintf "conn-%d" c.c_id)
+        ~f_epoch ~send ~recv ~close:close_fd
+    with
+    | `Streaming -> () (* the fd now belongs to the cluster (seal/drop closes it) *)
+    | `Fenced epoch ->
+      (* The requester holds a higher epoch than ours: we lost the write
+         mandate somewhere along the way. *)
+      Replica.demote n.replica;
+      reply (Protocol.Fenced epoch);
+      close_fd ()
+    | `Refused reason ->
+      ignore (Atomic.fetch_and_add t.counters.errors 1);
+      reply (Protocol.Err ("sync refused: " ^ reason));
+      close_fd ()
+  with _ -> ( try Unix.close c.c_fd with Unix.Unix_error _ -> ())
+
+let start_sync t n c ~f_epoch =
+  c.c_state <- Handoff;
+  Mutex.protect t.conns_mutex (fun () -> Hashtbl.remove t.conns c.c_id);
+  let leftover_in = Netbuf.sub_string c.c_in ~pos:0 ~len:(Netbuf.length c.c_in) in
+  Netbuf.clear c.c_in;
+  let leftover_out =
+    Mutex.protect t.io_mutex (fun () ->
+        let s = Netbuf.sub_string c.c_out ~pos:0 ~len:(Netbuf.length c.c_out) in
+        Netbuf.clear c.c_out;
+        s)
+  in
+  let th =
+    Thread.create (fun () -> sync_stream t n c ~f_epoch ~leftover_in ~leftover_out) ()
+  in
+  Mutex.protect n.sync_mutex (fun () -> n.sync_threads <- th :: n.sync_threads)
+
+(* Reads are answered inline, ADDs go to the committer, and only a text
+   line ([rid = None]) can become a replication stream. *)
+let serve_node t n c ~rid ~lag ~deadline_ms (request : Protocol.request) =
+  match request with
+  | Protocol.Sync { epoch = f_epoch; from_seq = _ } when rid = None ->
+    start_sync t n c ~f_epoch
   | Protocol.Sync _ -> respond t c ~rid (Protocol.Err "SYNC is text-only: send it as a plain line")
   | Protocol.Ack _ -> respond t c ~rid (Protocol.Err "ACKED outside a sync stream")
   | Protocol.Get seq ->
@@ -752,8 +897,8 @@ let rec dispatch t c ~rid ~lag ~deadline_ms (request : Protocol.request) =
        point read of an immutable binding, no admission or staleness
        machinery involved. *)
     let tree =
-      Mutex.protect t.store_mutex (fun () ->
-          if seq >= 0 && seq < Store.n_trees t.store then Some (Store.tree t.store seq)
+      Mutex.protect n.store_mutex (fun () ->
+          if seq >= 0 && seq < Store.n_trees n.store then Some (Store.tree n.store seq)
           else None)
     in
     (match tree with
@@ -765,89 +910,117 @@ let rec dispatch t c ~rid ~lag ~deadline_ms (request : Protocol.request) =
        epoch means a different history and the peer must fail over
        first, exactly as a SYNC would be fenced. *)
     let reply =
-      Mutex.protect t.store_mutex (fun () ->
-          if epoch <> Store.epoch t.store then
-            Protocol.Fenced (Store.epoch t.store)
-          else if hi > Store.n_trees t.store then
+      Mutex.protect n.store_mutex (fun () ->
+          if epoch <> Store.epoch n.store then
+            Protocol.Fenced (Store.epoch n.store)
+          else if hi > Store.n_trees n.store then
             Protocol.Err
               (Printf.sprintf "DIGEST [%d,%d): only %d records" lo hi
-                 (Store.n_trees t.store))
-          else Protocol.Digest_reply { epoch; lo; hi; digest = Store.digest t.store ~lo ~hi })
+                 (Store.n_trees n.store))
+          else Protocol.Digest_reply { epoch; lo; hi; digest = Store.digest n.store ~lo ~hi })
     in
     respond t c ~rid reply
   | Protocol.Promote ->
     (* Persist the bumped epoch (journal header) before the mandate
        flips, then treat the promoted node's whole state as acked: it
        was chosen as the most advanced surviving replica. *)
-    let epoch, n =
-      Mutex.protect t.commit_mutex (fun () ->
-          Mutex.protect t.store_mutex (fun () ->
-              (Replica.promote t.replica, Store.n_trees t.store)))
+    let epoch, trees =
+      Mutex.protect n.commit_mutex (fun () ->
+          Mutex.protect n.store_mutex (fun () ->
+              (Replica.promote n.replica, Store.n_trees n.store)))
     in
-    Cluster.set_acked_high t.cluster n;
+    Cluster.set_acked_high n.cluster trees;
     respond t c ~rid (Protocol.Promoted epoch)
-  | Protocol.Add _ when not (Replica.is_primary t.replica) ->
+  | Protocol.Add _ when not (Replica.is_primary n.replica) ->
     (* A node without the write mandate never accepts a write: the
        client fails over.  Split-brain is refused structurally, before
        any journal touch. *)
-    respond t c ~rid (Protocol.Fenced (Store.epoch t.store))
+    respond t c ~rid (Protocol.Fenced (Store.epoch n.store))
   | Protocol.Query _ | Protocol.Knn _ | Protocol.Add _ -> (
     let denied =
-      match request with Protocol.Add _ -> None | _ -> staleness_denied t lag
+      match request with Protocol.Add _ -> None | _ -> staleness_denied t n lag
     in
     match denied with
     | Some resp -> respond t c ~rid resp
-    | None -> (
+    | None ->
       let now = Tsj_util.Timer.now () in
-      (* An exhausted client budget means nobody is waiting: drop before
-         any admission or queueing work. *)
-      if (match deadline_ms with Some ms -> ms <= 0 | None -> false) then begin
-        ignore (Atomic.fetch_and_add t.counters.expired 1);
-        respond t c ~rid (Protocol.Err "deadline expired")
-      end
-      else
-        (* Per-connection token bucket: a greedy connection exhausts only
-           its own tokens, never another client's admission. *)
-        match c.c_bucket with
-        | Some b when not (Admission.Token_bucket.take b ~now) ->
-          ignore (Atomic.fetch_and_add t.counters.shed 1);
-          let after = Admission.Token_bucket.retry_after_s b ~now in
-          respond t c ~rid
-            (Protocol.Busy
-               { retry_after_ms = Some (max 1 (Admission.Deadline.of_span_s after)) })
-        | _ -> (
-          let expire = expire_at ~now deadline_ms in
-          match admit t with
-          | `Shed resp -> respond t c ~rid resp
-          | `Admitted -> (
-            match request with
-            | Protocol.Add { seq; tree } ->
-              (* The draining re-check under the queue mutex pairs with the
-                 committer's exit check: a job is either seen by the
-                 committer or shed here, never stranded. *)
-              let pushed =
-                Mutex.protect t.addq_mutex (fun () ->
-                    if Atomic.get t.draining then false
-                    else begin
-                      Queue.push
-                        { a_conn = c; a_rid = rid; a_seq = seq; a_tree = tree;
-                          a_expire = expire; a_t0 = now }
-                        t.addq;
-                      Mutex.protect t.io_mutex (fun () -> c.c_async <- c.c_async + 1);
-                      Condition.signal t.addq_cond;
-                      true
-                    end)
-              in
-              if not pushed then begin
-                ignore (Atomic.fetch_and_add t.counters.inflight (-1));
-                respond t c ~rid (Protocol.Err "draining: not accepting new work")
-              end
-            | _ -> run_query t c ~rid ~deadline_ms ~expire ~t0:now request))))
+      if admit_work t c ~rid ~deadline_ms ~now then begin
+        let expire = expire_at ~now deadline_ms in
+        match request with
+        | Protocol.Add { seq; tree } ->
+          (* The draining re-check under the queue mutex pairs with the
+             committer's exit check: a job is either seen by the
+             committer or shed here, never stranded. *)
+          let pushed =
+            Mutex.protect n.addq_mutex (fun () ->
+                if Atomic.get t.draining then false
+                else begin
+                  Queue.push
+                    { a_conn = c; a_rid = rid; a_seq = seq; a_tree = tree;
+                      a_expire = expire; a_t0 = now }
+                    n.addq;
+                  Mutex.protect t.io_mutex (fun () -> c.c_async <- c.c_async + 1);
+                  Condition.signal n.addq_cond;
+                  true
+                end)
+          in
+          if not pushed then begin
+            ignore (Atomic.fetch_and_add t.counters.inflight (-1));
+            respond t c ~rid (Protocol.Err "draining: not accepting new work")
+          end
+        | _ -> run_query t n c ~rid ~deadline_ms ~expire ~t0:now request
+      end)
+  | Protocol.Stats | Protocol.Health | Protocol.Drain -> serve_front t c ~rid request
+
+(* --- the router handler --- *)
+
+(* A router's QUERY/KNN/ADD/GET blocks on shard I/O, so each admitted
+   one runs {!Router.handle} on its own thread and replies through
+   [deliver], as the committer does; the inflight watermark bounds
+   these threads.  Shard reads may land on any replica of a group, so
+   the router cannot honour a staleness bound: it refuses one rather
+   than dropping it. *)
+let route t r c ~rid ~lag ~deadline_ms (request : Protocol.request) =
+  match request with
+  | _ when lag <> None ->
+    ignore (Atomic.fetch_and_add t.counters.errors 1);
+    respond t c ~rid
+      (Protocol.Err "the router does not bound staleness: send ~<n> reads to a node")
+  | Protocol.Query _ | Protocol.Knn _ | Protocol.Add _ | Protocol.Get _ ->
+    if admit_work t c ~rid ~deadline_ms ~now:(Tsj_util.Timer.now ()) then begin
+      Mutex.protect t.io_mutex (fun () -> c.c_async <- c.c_async + 1);
+      let work () =
+        let resp =
+          try Router.handle r ?deadline_ms request
+          with e -> Protocol.Err (Printexc.to_string e)
+        in
+        (* retire the slot before the reply leaves, so a client that
+           reads it and sends again is not shed by its own request *)
+        ignore (Atomic.fetch_and_add t.counters.inflight (-1));
+        deliver t c ~rid resp
+      in
+      ignore (Thread.create work ())
+    end
+  | Protocol.Stats | Protocol.Health | Protocol.Drain -> serve_front t c ~rid request
+  | _ -> respond t c ~rid (Router.handle r request)
+
+(* --- request dispatch (event-loop thread) --- *)
+
+(* One parsed request line, from a text line ([rid = None]) or a frame.
+   Malformed input is this client's problem only: answer [ERR] and keep
+   the connection. *)
+let handle_request t c ~rid = function
+  | Error reason ->
+    ignore (Atomic.fetch_and_add t.counters.errors 1);
+    respond t c ~rid (Protocol.Err reason)
+  | Ok (request, lag, deadline_ms) -> (
+    match t.handler with
+    | Node n -> serve_node t n c ~rid ~lag ~deadline_ms request
+    | Router r -> route t r c ~rid ~lag ~deadline_ms request)
 
 (* One text line: blank lines are ignored, a HELLO switches to frames,
-   a SYNC upgrades the connection into a replication stream, anything
-   else dispatches. *)
-and handle_text_line t c line =
+   anything else dispatches. *)
+let handle_text_line t c line =
   if String.trim line = "" then ()
   else
     match Protocol.Binary.parse_hello line with
@@ -866,17 +1039,6 @@ and handle_text_line t c line =
               Protocol.Binary.version))
     | None -> handle_request t c ~rid:None (Protocol.parse_request_d line)
 
-(* One parsed request line, from a text line ([rid = None]) or a frame.
-   Malformed input is this client's problem only: answer [ERR] and keep
-   the connection.  Only a text line can become a replication stream. *)
-and handle_request t c ~rid = function
-  | Error reason ->
-    ignore (Atomic.fetch_and_add t.counters.errors 1);
-    respond t c ~rid (Protocol.Err reason)
-  | Ok (Protocol.Sync { epoch = f_epoch; from_seq = _ }, _, _) when rid = None ->
-    start_sync t c ~f_epoch
-  | Ok (request, lag, deadline_ms) -> dispatch t c ~rid ~lag ~deadline_ms request
-
 (* Consume as much buffered input as the connection's mode and ordering
    rules allow, stopping after the read that ends its turn (see
    [c_yielded]): a client pipelining slow reads holds the loop for one
@@ -885,7 +1047,7 @@ and handle_request t c ~rid = function
    any reply; an [Injected]
    raise propagates to the caller, which quarantines the connection
    without answering the victim request. *)
-and pump t c ~eof =
+let rec pump t c ~eof =
   if c.c_state = Live && not (c.c_closing || c.c_yielded) then
     match c.c_mode with
     | Text ->
@@ -932,89 +1094,6 @@ and pump t c ~eof =
         handle_request t c ~rid:(Some rid)
           (Protocol.Binary.decode_request ~version:Protocol.Binary.version ~op ~body);
         pump t c ~eof)
-
-(* Upgrade a connection into a replication stream: hand the fd to a
-   dedicated thread running the blocking lock-step sync protocol, and
-   carry over any bytes the event loop already buffered. *)
-and start_sync t c ~f_epoch =
-  c.c_state <- Handoff;
-  Mutex.protect t.conns_mutex (fun () -> Hashtbl.remove t.conns c.c_id);
-  let leftover_in = Netbuf.sub_string c.c_in ~pos:0 ~len:(Netbuf.length c.c_in) in
-  Netbuf.clear c.c_in;
-  let leftover_out =
-    Mutex.protect t.io_mutex (fun () ->
-        let s = Netbuf.sub_string c.c_out ~pos:0 ~len:(Netbuf.length c.c_out) in
-        Netbuf.clear c.c_out;
-        s)
-  in
-  let th =
-    Thread.create (fun () -> sync_stream t c ~f_epoch ~leftover_in ~leftover_out) ()
-  in
-  Mutex.protect t.sync_mutex (fun () -> t.sync_threads <- th :: t.sync_threads)
-
-(* A hung replica must not hang the primary's write path: the stream
-   socket gets a receive timeout, and a timed-out peer is dropped (it
-   re-syncs). *)
-and sync_stream t c ~f_epoch ~leftover_in ~leftover_out =
-  try
-    let fd = c.c_fd in
-    (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
-    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.peer_timeout_s
-     with Unix.Unix_error _ | Invalid_argument _ -> ());
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    if leftover_out <> "" then begin
-      output_string oc leftover_out;
-      flush oc
-    end;
-    let pending = ref leftover_in in
-    let send line =
-      output_string oc line;
-      output_char oc '\n';
-      flush oc
-    in
-    let read_socket_line () =
-      match read_line_bounded ic ~max_bytes:t.config.max_line_bytes with
-      | Some (line, false) -> line
-      | Some (_, true) | None -> raise End_of_file
-    in
-    let recv () =
-      (* serve bytes the event loop buffered before the handoff first *)
-      match String.index_opt !pending '\n' with
-      | Some i ->
-        let line = String.sub !pending 0 i in
-        pending := String.sub !pending (i + 1) (String.length !pending - i - 1);
-        trim_cr line
-      | None ->
-        let head = !pending in
-        pending := "";
-        trim_cr (head ^ read_socket_line ())
-    in
-    let close_fd () = try Unix.close fd with Unix.Unix_error _ -> () in
-    let reply r = try send (Protocol.render_response r) with _ -> () in
-    let locked f = Mutex.protect t.store_mutex f in
-    match
-      Cluster.serve_sync t.cluster
-        ~epoch:(fun () -> locked (fun () -> Store.epoch t.store))
-        ~base:(fun () -> locked (fun () -> Store.epoch_base t.store))
-        ~n_trees:(fun () -> locked (fun () -> Store.n_trees t.store))
-        ~record_for:(fun i -> locked (fun () -> Store.record_for t.store i))
-        ~primary:(fun () -> Replica.is_primary t.replica)
-        ~peer_id:(Printf.sprintf "conn-%d" c.c_id)
-        ~f_epoch ~send ~recv ~close:close_fd
-    with
-    | `Streaming -> () (* the fd now belongs to the cluster (seal/drop closes it) *)
-    | `Fenced epoch ->
-      (* The requester holds a higher epoch than ours: we lost the write
-         mandate somewhere along the way. *)
-      Replica.demote t.replica;
-      reply (Protocol.Fenced epoch);
-      close_fd ()
-    | `Refused reason ->
-      ignore (Atomic.fetch_and_add t.counters.errors 1);
-      reply (Protocol.Err ("sync refused: " ^ reason));
-      close_fd ()
-  with _ -> ( try Unix.close c.c_fd with Unix.Unix_error _ -> ())
 
 (* --- the event loop --- *)
 
@@ -1174,6 +1253,15 @@ let accept_new t =
   in
   loop ()
 
+let close_listener t =
+  if not (Atomic.exchange t.listener_closed true) then begin
+    (try Unix.shutdown t.listener Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+    (try Unix.close t.listener with Unix.Unix_error _ -> ());
+    match t.config.addr with
+    | Protocol.Unix_path p -> ( try Sys.remove p with Sys_error _ -> ())
+    | Protocol.Tcp _ -> ()
+  end
+
 (* Single-poll core: one [select] over the listener, the wake pipe and
    every connection; level-triggered, so each tick re-services every
    connection whose buffers still hold work.  A connection that yielded
@@ -1184,13 +1272,7 @@ let event_loop t =
   let pipe_scratch = Bytes.create 64 in
   let rec tick ~timeout =
     let draining = Atomic.get t.draining in
-    if draining && not (Atomic.exchange t.listener_closed true) then begin
-      (try Unix.shutdown t.listener Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-      (try Unix.close t.listener with Unix.Unix_error _ -> ());
-      match t.config.addr with
-      | Protocol.Unix_path p -> ( try Sys.remove p with Sys_error _ -> ())
-      | Protocol.Tcp _ -> ()
-    end;
+    if draining then close_listener t;
     let conns =
       Mutex.protect t.conns_mutex (fun () ->
           Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [])
@@ -1294,29 +1376,29 @@ let event_loop t =
    SYNC hello, then feed every pushed line to the replica state machine
    under the store mutex.  A refused/broken stream rotates to the next
    address with a capped backoff; promotion or drain ends the loop. *)
-let follower_loop t =
+let follower_loop t n =
   let delay = ref 0.02 in
   let stream_from addr =
     match Client.connect addr with
     | Error _ -> ()
     | Ok conn ->
       let ic, oc = Client.channels conn in
-      t.follower_fd <- Some (Client.fd conn);
+      n.follower_fd <- Some (Client.fd conn);
       let send line =
         output_string oc line;
         output_char oc '\n';
         flush oc
       in
-      Mutex.protect t.store_mutex (fun () ->
-          Replica.stream_started t.replica (Protocol.addr_to_string addr));
+      Mutex.protect n.store_mutex (fun () ->
+          Replica.stream_started n.replica (Protocol.addr_to_string addr));
       (try
-         send (Mutex.protect t.store_mutex (fun () -> Replica.hello t.replica));
+         send (Mutex.protect n.store_mutex (fun () -> Replica.hello n.replica));
          let rec go () =
            let line = input_line ic in
            if not (Atomic.get t.draining) then begin
              match
-               Mutex.protect t.commit_mutex (fun () ->
-                   Mutex.protect t.store_mutex (fun () -> Replica.feed t.replica line))
+               Mutex.protect n.commit_mutex (fun () ->
+                   Mutex.protect n.store_mutex (fun () -> Replica.feed n.replica line))
              with
              | Replica.Reply r ->
                send r;
@@ -1330,18 +1412,18 @@ let follower_loop t =
        with
       | End_of_file | Sys_error _ | Unix.Unix_error _ -> ()
       | Fault.Injected _ -> ());
-      Mutex.protect t.store_mutex (fun () -> Replica.stream_lost t.replica);
-      t.follower_fd <- None;
+      Mutex.protect n.store_mutex (fun () -> Replica.stream_lost n.replica);
+      n.follower_fd <- None;
       Client.close conn
   in
   let rec loop () =
-    if not (Atomic.get t.draining || Replica.is_primary t.replica) then begin
+    if not (Atomic.get t.draining || Replica.is_primary n.replica) then begin
       List.iter
         (fun addr ->
-          if not (Atomic.get t.draining || Replica.is_primary t.replica) then
+          if not (Atomic.get t.draining || Replica.is_primary n.replica) then
             stream_from addr)
         t.config.sync_from;
-      if not (Atomic.get t.draining || Replica.is_primary t.replica) then begin
+      if not (Atomic.get t.draining || Replica.is_primary n.replica) then begin
         Thread.delay !delay;
         delay := Float.min 0.5 (!delay *. 2.0)
       end;
@@ -1378,7 +1460,7 @@ let bind_listener addr =
     Unix.listen fd 64;
     fd
 
-let create config =
+let validate config =
   if config.tau < 0 then Error "negative threshold"
   else if config.max_inflight < 0 then Error "max_inflight must be >= 0"
   else if config.drain_budget_s < 0.0 then Error "negative drain budget"
@@ -1392,7 +1474,60 @@ let create config =
   else if config.max_out_bytes < 1 then Error "max_out_bytes must be >= 1"
   else if (match config.max_conns with Some m -> m < 1 | None -> false) then
     Error "max_conns must be >= 1"
-  else
+  else Ok ()
+
+(* Bind the listener and build the connection layer around [handler]. *)
+let open_front config handler =
+  match bind_listener config.addr with
+  | exception Unix.Unix_error (e, _, arg) ->
+    Error
+      (Printf.sprintf "bind %s: %s (%s)"
+         (Protocol.addr_to_string config.addr)
+         (Unix.error_message e) arg)
+  | listener ->
+    Unix.set_nonblock listener;
+    let wake_r, wake_w = Unix.pipe () in
+    Unix.set_nonblock wake_r;
+    Unix.set_nonblock wake_w;
+    Ok
+      {
+        config;
+        handler;
+        listener;
+        listener_closed = Atomic.make false;
+        counters =
+          {
+            queries = Atomic.make 0;
+            adds = Atomic.make 0;
+            shed = Atomic.make 0;
+            degraded = Atomic.make 0;
+            errors = Atomic.make 0;
+            inflight = Atomic.make 0;
+            expired = Atomic.make 0;
+            accept_pauses = Atomic.make 0;
+            reaped = Atomic.make 0;
+          };
+        draining = Atomic.make false;
+        drained = Atomic.make false;
+        aborted = Atomic.make false;
+        quarantined = Atomic.make [];
+        io_mutex = Mutex.create ();
+        conns = Hashtbl.create 16;
+        conns_mutex = Mutex.create ();
+        wake_r;
+        wake_w;
+        wake_flag = Atomic.make false;
+        drain_force_at = Atomic.make infinity;
+        loop_thread = None;
+        next_conn = 0;
+        accept_pause_until = 0.0;
+        turn_ends = 0.0;
+      }
+
+let create config =
+  match validate config with
+  | Error _ as e -> e
+  | Ok () -> (
     (* Self-healing open: a journal record that rotted on disk is
        refetched from a quorum peer (the [--replica-of] list) as a
        tree via [GET] and re-rendered into its canonical line. *)
@@ -1419,73 +1554,38 @@ let create config =
         ?heal ~quarantine:config.quarantine ~tau:config.tau ()
     with
     | Error m -> Error m
-    | Ok store -> (
-      match bind_listener config.addr with
-      | exception Unix.Unix_error (e, _, arg) ->
-        Error
-          (Printf.sprintf "bind %s: %s (%s)"
-             (Protocol.addr_to_string config.addr)
-             (Unix.error_message e) arg)
-      | listener ->
-        Unix.set_nonblock listener;
-        let wake_r, wake_w = Unix.pipe () in
-        Unix.set_nonblock wake_r;
-        Unix.set_nonblock wake_w;
-        let cluster = Cluster.create ~quorum:config.quorum () in
-        (* Everything restored from disk was acknowledged (or became
-           canon through promotion) in a previous life. *)
-        Cluster.set_acked_high cluster (Store.n_trees store);
-        Ok
-          {
-            config;
-            store;
-            replica = Replica.create ~primary:config.primary store;
-            cluster;
-            listener;
-            store_mutex = Mutex.create ();
-            commit_mutex = Mutex.create ();
-            listener_closed = Atomic.make false;
-            counters =
-              {
-                queries = Atomic.make 0;
-                adds = Atomic.make 0;
-                shed = Atomic.make 0;
-                degraded = Atomic.make 0;
-                errors = Atomic.make 0;
-                inflight = Atomic.make 0;
-                expired = Atomic.make 0;
-                accept_pauses = Atomic.make 0;
-                reaped = Atomic.make 0;
-              };
-            draining = Atomic.make false;
-            drained = Atomic.make false;
-            aborted = Atomic.make false;
-            quarantined = Atomic.make [];
-            read_budget = Atomic.make None;
-            io_mutex = Mutex.create ();
-            conns = Hashtbl.create 16;
-            conns_mutex = Mutex.create ();
-            addq = Queue.create ();
-            addq_mutex = Mutex.create ();
-            addq_cond = Condition.create ();
-            wake_r;
-            wake_w;
-            wake_flag = Atomic.make false;
-            drain_force_at = Atomic.make infinity;
-            loop_thread = None;
-            committer_thread = None;
-            follower_thread = None;
-            follower_fd = None;
-            sync_threads = [];
-            sync_mutex = Mutex.create ();
-            scrubber = None;
-            next_conn = 0;
-            accept_pause_until = 0.0;
-            turn_ends = 0.0;
-            h_query = Admission.Histogram.create ();
-            h_knn = Admission.Histogram.create ();
-            h_add = Admission.Histogram.create ();
-          })
+    | Ok store ->
+      let cluster = Cluster.create ~quorum:config.quorum () in
+      (* Everything restored from disk was acknowledged (or became
+         canon through promotion) in a previous life. *)
+      Cluster.set_acked_high cluster (Store.n_trees store);
+      open_front config
+        (Node
+           {
+             store;
+             replica = Replica.create ~primary:config.primary store;
+             cluster;
+             store_mutex = Mutex.create ();
+             commit_mutex = Mutex.create ();
+             read_budget = Atomic.make None;
+             addq = Queue.create ();
+             addq_mutex = Mutex.create ();
+             addq_cond = Condition.create ();
+             committer_thread = None;
+             follower_thread = None;
+             follower_fd = None;
+             sync_threads = [];
+             sync_mutex = Mutex.create ();
+             scrubber = None;
+             h_query = Admission.Histogram.create ();
+             h_knn = Admission.Histogram.create ();
+             h_add = Admission.Histogram.create ();
+           }))
+
+let create_router config router =
+  match validate config with
+  | Error _ as e -> e
+  | Ok () -> open_front config (Router router)
 
 let start t =
   ignore_sigpipe ();
@@ -1493,24 +1593,27 @@ let start t =
     Sys.set_signal Sys.sigterm
       (Sys.Signal_handle (fun _ -> ignore (Thread.create (fun () -> do_drain t) ())));
   t.loop_thread <- Some (Thread.create (fun () -> event_loop t) ());
-  t.committer_thread <- Some (Thread.create (fun () -> committer_loop t) ());
-  if t.config.sync_from <> [] && not (Replica.is_primary t.replica) then
-    t.follower_thread <- Some (Thread.create (fun () -> follower_loop t) ());
-  match t.config.scrub_interval_s with
-  | None -> ()
-  | Some interval_s ->
-    (* A scrub step holds the write lock (then the store lock): a
-       repair is a flush, and flushing concurrently with a group
-       commit's unlocked journal phase would corrupt the journal it is
-       trying to heal.  The IO budget keeps the stall per tick small. *)
-    t.scrubber <-
-      Some
-        (Scrub.start ~interval_s (fun () ->
-             if not (Atomic.get t.draining) then
-               ignore
-                 (Mutex.protect t.commit_mutex (fun () ->
-                      Mutex.protect t.store_mutex (fun () ->
-                          Store.scrub_step ~budget:t.config.scrub_budget t.store)))))
+  match t.handler with
+  | Router _ -> ()
+  | Node n -> (
+    n.committer_thread <- Some (Thread.create (fun () -> committer_loop t n) ());
+    if t.config.sync_from <> [] && not (Replica.is_primary n.replica) then
+      n.follower_thread <- Some (Thread.create (fun () -> follower_loop t n) ());
+    match t.config.scrub_interval_s with
+    | None -> ()
+    | Some interval_s ->
+      (* A scrub step holds the write lock (then the store lock): a
+         repair is a flush, and flushing concurrently with a group
+         commit's unlocked journal phase would corrupt the journal it is
+         trying to heal.  The IO budget keeps the stall per tick small. *)
+      n.scrubber <-
+        Some
+          (Scrub.start ~interval_s (fun () ->
+               if not (Atomic.get t.draining) then
+                 ignore
+                   (Mutex.protect n.commit_mutex (fun () ->
+                        Mutex.protect n.store_mutex (fun () ->
+                            Store.scrub_step ~budget:t.config.scrub_budget n.store))))))
 
 let drain t = do_drain t
 
@@ -1523,39 +1626,30 @@ let abort t =
   Atomic.set t.aborted true;
   Atomic.set t.drain_force_at 0.0;
   Atomic.set t.draining true;
-  (* The crash model must not leave a live scrubber behind: a repair
-     flush racing a test's re-open of the same directory would rewrite
-     the files out from under it.  Steps already no-op once draining is
-     set, so the join is prompt. *)
-  (match t.scrubber with
-  | Some s ->
-    Scrub.stop s;
-    t.scrubber <- None
-  | None -> ());
-  (if not (Atomic.exchange t.listener_closed true) then begin
-     (try Unix.shutdown t.listener Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-     try Unix.close t.listener with Unix.Unix_error _ -> ()
-   end);
-  (match t.config.addr with
-  | Protocol.Unix_path p -> ( try Sys.remove p with Sys_error _ -> ())
-  | Protocol.Tcp _ -> ());
-  (match t.follower_fd with
-  | Some fd -> (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-  | None -> ());
+  (match t.handler with
+  | Router _ -> ()
+  | Node n ->
+    (* Scrub steps already no-op once draining is set, so the join is
+       prompt. *)
+    stop_node_workers n;
+    Cluster.seal n.cluster;
+    Mutex.protect n.addq_mutex (fun () -> Condition.broadcast n.addq_cond));
+  close_listener t;
   Mutex.protect t.conns_mutex (fun () ->
       Hashtbl.iter
         (fun _ c ->
           try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
         t.conns);
-  Cluster.seal t.cluster;
-  Mutex.protect t.addq_mutex (fun () -> Condition.broadcast t.addq_cond);
   wake t
 
 let wait t =
   (match t.loop_thread with Some th -> Thread.join th | None -> ());
-  (match t.committer_thread with Some th -> Thread.join th | None -> ());
-  (match t.follower_thread with Some th -> Thread.join th | None -> ());
-  List.iter Thread.join (Mutex.protect t.sync_mutex (fun () -> t.sync_threads));
+  (match t.handler with
+  | Router _ -> ()
+  | Node n ->
+    (match n.committer_thread with Some th -> Thread.join th | None -> ());
+    (match n.follower_thread with Some th -> Thread.join th | None -> ());
+    List.iter Thread.join (Mutex.protect n.sync_mutex (fun () -> n.sync_threads)));
   (* A graceful drain is complete only once the store is flushed; an
      abort leaves the store as-is by design. *)
   if Atomic.get t.draining && not (Atomic.get t.aborted) then
@@ -1563,8 +1657,13 @@ let wait t =
       Thread.yield ()
     done
 
-let store t = t.store
+let node t =
+  match t.handler with
+  | Node n -> n
+  | Router _ -> invalid_arg "Server: a router front has no store"
 
-let replica t = t.replica
+let store t = (node t).store
+
+let replica t = (node t).replica
 
 let quarantined t = List.rev (Atomic.get t.quarantined)

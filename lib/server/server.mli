@@ -18,6 +18,11 @@
     waits behind at most one read (plus 1 ms) of each connection with
     reads ready, however many a client pipelines.
 
+    The connection layer — listener, framing, admission, hygiene, the
+    wake pipe and the drain — hands each parsed request to a handler:
+    the node's store ({!create}) or a sharded cluster's
+    {!Router} ({!create_router}).
+
     Each connection carries newline-delimited lines until one
     [HELLO BIN <v>] handshake switches it to length-prefixed frames
     around the same lines (see {!Protocol.Binary}); both share the
@@ -176,10 +181,25 @@ val create : config -> (t, string) result
 (** Open the store (replaying any journal) and bind the listener.  The
     server does not accept connections until {!start}. *)
 
+val create_router : config -> Router.t -> (t, string) result
+(** Bind the listener and serve the router through the same event
+    loop: framing, the line cap, token buckets, the watermark,
+    hygiene, [STATS]/[HEALTH]/[DRAIN] and the drain are the node's.
+    The node-only fields ([tau], [dir], [deadline_s], [quorum],
+    replication, scrub, [dedup]) are ignored.  Shard I/O blocks, so
+    each admitted [QUERY]/[KNN]/[ADD]/[GET] runs {!Router.handle} on a
+    thread of its own and replies as the node's committer does: at
+    most [max_inflight] such threads run at once, never one per
+    connection.  A read carrying [~<n>] is refused: shard reads may
+    land on any replica, so the router cannot honour the bound.
+    [STATS] is {!Router.stats} with the front's overload counters;
+    {!store} and {!replica} raise [Invalid_argument].  The caller
+    closes the router after {!wait}. *)
+
 val start : t -> unit
-(** Spawn the event loop and the committer (and the SIGTERM handler
-    if configured); a non-primary with a [sync_from]
-    list also spawns the follower thread that keeps a replication
+(** Spawn the event loop (and the SIGTERM handler if configured); a
+    node also spawns the committer, and a non-primary with a
+    [sync_from] list the follower thread that keeps a replication
     stream open. *)
 
 val abort : t -> unit

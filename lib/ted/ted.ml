@@ -6,20 +6,11 @@ type prep = {
   size : int;
   left_po : Postorder.t;
   right_po : Postorder.t; (* postorder form of the mirrored tree *)
-  left_cost : int;        (* keyroot cost of the left decomposition *)
-  right_cost : int;
 }
 
 let preprocess tree =
   let left_po, right_po = Postorder.both tree in
-  {
-    tree;
-    size = left_po.size;
-    left_po;
-    right_po;
-    left_cost = Postorder.keyroot_cost left_po;
-    right_cost = Postorder.keyroot_cost right_po;
-  }
+  { tree; size = left_po.size; left_po; right_po }
 
 let tree p = p.tree
 
@@ -31,9 +22,11 @@ let right_postorder p = p.right_po
 
 (* Mirroring both trees is a bijection on edit scripts, so both
    decompositions yield the same distance; run the one with fewer
-   relevant subproblems. *)
+   relevant subproblems.  The keyroot costs are counted on the call:
+   nothing else reads them. *)
 let distance_prep p1 p2 =
-  if p1.left_cost * p2.left_cost <= p1.right_cost * p2.right_cost then
+  let cost = Postorder.keyroot_cost in
+  if cost p1.left_po * cost p2.left_po <= cost p1.right_po * cost p2.right_po then
     Zhang_shasha.distance_postorder p1.left_po p2.left_po
   else Zhang_shasha.distance_postorder p1.right_po p2.right_po
 

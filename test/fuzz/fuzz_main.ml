@@ -63,7 +63,8 @@
      binary-protocol episodes (HELLO negotiation, pipelined frames with
      gapped ids, oversized/truncated/short-length frames, unknown
      opcodes, drops mid-frame) must never crash the server or
-     misattribute a response id (expected: 0);
+     misattribute a response id; the same run then repeats against a
+     router front over two in-process shards (expected: 0);
    - dedup: duplicate and near-duplicate ADDs against a live server with
      whole-tree dedup on: a duplicate is acked with the original id, a
      near-duplicate mints a fresh one, and STATS counts exactly the
@@ -425,30 +426,17 @@ let expect_text_refusal ic oc v =
          (Protocol.render_response r))
   | Error msg -> failwith ("text QUERY after a refused HELLO: " ^ msg)
 
-(* Service robustness: a live server must survive arbitrary bytes on the
+(* Service robustness: a live front must survive arbitrary bytes on the
    wire.  Every non-blank request line — valid, truncated, mutated or
    soup — must be answered by exactly one reply that parses under the
    wire protocol; blank lines get no reply; abrupt disconnects must only
-   ever cost the disconnecting client its own connection. *)
-let fuzz_server iterations rng =
+   ever cost the disconnecting client its own connection.  The soup runs
+   against [server] listening on [sock], then drains it; failures are
+   reported under [name]. *)
+let fuzz_front ~name sock server iterations rng =
   let module Protocol = Tsj_server.Protocol in
   let module Server = Tsj_server.Server in
   let failures = ref 0 in
-  let sock = Filename.temp_file "tsj_fuzz" ".sock" in
-  Sys.remove sock;
-  let addr = Protocol.Unix_path sock in
-  let config =
-    { (Server.default_config addr ~tau:2) with
-      Server.deadline_s = Some 0.01; max_line_bytes = 4096 }
-  in
-  let server =
-    match Server.create config with
-    | Ok s -> s
-    | Error msg ->
-      Printf.eprintf "server: cannot start: %s\n" msg;
-      exit 2
-  in
-  Server.start server;
   let connect () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.connect fd (Unix.ADDR_UNIX sock);
@@ -569,7 +557,7 @@ let fuzz_server iterations rng =
      with
     | Failure detail ->
       incr failures;
-      report "server" i detail
+      report name i detail
     | End_of_file | Sys_error _ | Sys_blocked_io | Unix.Unix_error _ -> ());
     close_conn conn
   in
@@ -755,13 +743,13 @@ let fuzz_server iterations rng =
      with
     | Failure detail ->
       incr failures;
-      report "server" i detail
+      report name i detail
     | End_of_file ->
       incr failures;
-      report "server" i "server hung up a binary connection"
+      report name i "server hung up a binary connection"
     | Sys_error _ | Sys_blocked_io | Unix.Unix_error _ ->
       incr failures;
-      report "server" i "binary connection transport error");
+      report name i "binary connection transport error");
     close_conn conn
   in
   for i = 1 to iterations do
@@ -812,15 +800,15 @@ let fuzz_server iterations rng =
     | Ok () -> ()
     | Error detail | (exception Failure detail) ->
       incr failures;
-      report "server" i detail
+      report name i detail
     | exception End_of_file ->
       incr failures;
-      report "server" i "server closed an innocent connection";
+      report name i "server closed an innocent connection";
       close_conn conns.(slot);
       conns.(slot) <- connect ()
     | exception exn ->
       incr failures;
-      report "server" i (Printexc.to_string exn);
+      report name i (Printexc.to_string exn);
       close_conn conns.(slot);
       conns.(slot) <- connect ()
   done;
@@ -833,28 +821,81 @@ let fuzz_server iterations rng =
   | Ok (Protocol.Stats_reply s) ->
     if s.Protocol.inflight <> 0 then begin
       incr failures;
-      report "server" iterations
+      report name iterations
         (Printf.sprintf "leaked %d inflight requests" s.Protocol.inflight)
     end;
     Printf.printf
-      "server: trees=%d queries=%d adds=%d shed=%d degraded=%d errors=%d quarantined=%d\n"
+      "%s: trees=%d queries=%d adds=%d shed=%d degraded=%d errors=%d quarantined=%d\n" name
       s.Protocol.trees s.Protocol.queries s.Protocol.adds s.Protocol.shed
       s.Protocol.degraded s.Protocol.errors s.Protocol.quarantined
   | Ok r ->
     incr failures;
-    report "server" iterations ("bad STATS reply " ^ Protocol.render_response r)
+    report name iterations ("bad STATS reply " ^ Protocol.render_response r)
   | Error msg | (exception Failure msg) ->
     incr failures;
-    report "server" iterations ("unparseable STATS reply: " ^ msg)
+    report name iterations ("unparseable STATS reply: " ^ msg)
   | exception End_of_file ->
     incr failures;
-    report "server" iterations "server dead at end of run");
+    report name iterations "server dead at end of run");
   close_conn admin;
   Array.iter close_conn conns;
   Server.drain server;
   Server.wait server;
   if Sys.file_exists sock then Sys.remove sock;
   !failures
+
+(* The soup against a node, then against a router front over two
+   in-process shards: both fronts run the same connection layer, so
+   both must answer every line exactly once. *)
+let fuzz_server iterations rng =
+  let module Protocol = Tsj_server.Protocol in
+  let module Server = Tsj_server.Server in
+  let module Router = Tsj_server.Router in
+  let temp_sock () =
+    let sock = Filename.temp_file "tsj_fuzz" ".sock" in
+    Sys.remove sock;
+    sock
+  in
+  let config sock =
+    { (Server.default_config (Protocol.Unix_path sock) ~tau:2) with
+      Server.deadline_s = Some 0.01; max_line_bytes = 4096 }
+  in
+  let ok what = function
+    | Ok v -> v
+    | Error msg ->
+      Printf.eprintf "%s: cannot start: %s\n" what msg;
+      exit 2
+  in
+  let start_node sock =
+    let node = ok "server" (Server.create (config sock)) in
+    Server.start node;
+    node
+  in
+  let sock = temp_sock () in
+  let node_failures = fuzz_front ~name:"server" sock (start_node sock) iterations rng in
+  let shard_socks = Array.init 2 (fun _ -> temp_sock ()) in
+  let shards = Array.map start_node shard_socks in
+  let router =
+    ok "router"
+      (Router.create
+         { Router.map = Tsj_server.Shard.create ~shards:2 ~tau:2 ();
+           tau = 2;
+           groups = Array.map (fun s -> [ Protocol.Unix_path s ]) shard_socks;
+           timeout_s = 2.0; attempts = 2; ledger = None; seed = 31;
+           hedge_s = None; margin_ms = 0 })
+  in
+  let sock = temp_sock () in
+  let front = ok "server/router" (Server.create_router (config sock) router) in
+  Server.start front;
+  let router_failures = fuzz_front ~name:"server/router" sock front iterations rng in
+  Router.close router;
+  Array.iteri
+    (fun i shard ->
+      Server.drain shard;
+      Server.wait shard;
+      if Sys.file_exists shard_socks.(i) then Sys.remove shard_socks.(i))
+    shards;
+  node_failures + router_failures
 
 (* Whole-tree dedup hunt: a live server opened with dedup on is fed
    duplicate and near-duplicate ADDs; a duplicate ADD must be acked

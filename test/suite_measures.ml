@@ -1,83 +1,12 @@
-(* Tests for the pq-gram alternative measure and top-k search. *)
+(* Tests for top-k search. *)
 
-module Tree = Tsj_tree.Tree
 module Bracket = Tsj_tree.Bracket
 module Prng = Tsj_util.Prng
 module Edit_op = Tsj_tree.Edit_op
-module Pq_gram = Tsj_baselines.Pq_gram
 module Incremental = Tsj_core.Incremental
 module Zhang_shasha = Tsj_ted.Zhang_shasha
 
 let t s = Bracket.of_string_exn s
-
-let test_pq_profile_size () =
-  (* one gram per leaf, c + q - 1 per internal node with c children *)
-  let check tree ~p ~q expected =
-    Alcotest.(check int)
-      (Printf.sprintf "|profile p=%d q=%d|" p q)
-      expected
-      (Pq_gram.size (Pq_gram.profile ~p ~q tree))
-  in
-  (* {a{b}{c}}: internal a (2 children), leaves b, c *)
-  check (t "{a{b}{c}}") ~p:2 ~q:3 (2 + (2 + 3 - 1));
-  check (t "{a{b}{c}}") ~p:1 ~q:1 (2 + 2);
-  check (t "{a}") ~p:2 ~q:3 1;
-  check (t "{a{b{c}}}") ~p:3 ~q:2 (1 + (1 + 1) + (1 + 1))
-
-let prop_pq_profile_size =
-  Gen.qtest "pq-gram profile size formula" (Gen.arb_tree ~max_size:25 ()) (fun x ->
-      let expected = ref 0 in
-      Tree.iter_postorder
-        (fun (n : Tree.t) ->
-          match n.Tree.children with
-          | [] -> incr expected
-          | cs -> expected := !expected + List.length cs + 3 - 1)
-        x;
-      Pq_gram.size (Pq_gram.profile ~p:2 ~q:3 x) = !expected)
-
-let test_pq_distance_zero_on_equal () =
-  let a = t "{a{b{c}}{d}}" in
-  let pa = Pq_gram.profile a in
-  Alcotest.(check int) "distance 0" 0 (Pq_gram.distance pa pa);
-  Alcotest.(check (float 1e-9)) "normalized 0" 0.0 (Pq_gram.normalized_distance pa pa)
-
-let test_pq_distance_sensitivity () =
-  (* a single leaf rename changes a bounded number of grams *)
-  let a = t "{a{b}{c}{d}}" in
-  let b = t "{a{b}{x}{d}}" in
-  let d = Pq_gram.distance (Pq_gram.profile a) (Pq_gram.profile b) in
-  Alcotest.(check bool) "positive" true (d > 0);
-  (* the renamed leaf appears in its own gram + q windows of the parent *)
-  Alcotest.(check bool) "bounded" true (d <= 2 * (1 + 3))
-
-let test_pq_p1_q1_is_label_bag () =
-  let a = t "{a{b}{c}}" and b = t "{a{b}{z}}" in
-  let d = Pq_gram.distance (Pq_gram.profile ~p:1 ~q:1 a) (Pq_gram.profile ~p:1 ~q:1 b) in
-  (* 1,1-grams pair each node with one child (or the dummy for leaves);
-     with q = 1 an internal node with c children has c windows.  Check
-     symmetry and positivity here. *)
-  Alcotest.(check bool) "positive" true (d > 0);
-  Alcotest.(check int) "symmetric" d
-    (Pq_gram.distance (Pq_gram.profile ~p:1 ~q:1 b) (Pq_gram.profile ~p:1 ~q:1 a))
-
-let test_pq_validation () =
-  Alcotest.check_raises "p" (Invalid_argument "Pq_gram.profile: p must be >= 1")
-    (fun () -> ignore (Pq_gram.profile ~p:0 (t "{a}")));
-  Alcotest.check_raises "q" (Invalid_argument "Pq_gram.profile: q must be >= 1")
-    (fun () -> ignore (Pq_gram.profile ~q:0 (t "{a}")))
-
-let prop_pq_normalized_range =
-  Gen.qtest "pq normalized distance in [0,1]" (Gen.arb_tree_pair ~max_size:15 ())
-    (fun (a, b) ->
-      let d = Pq_gram.normalized_distance (Pq_gram.profile a) (Pq_gram.profile b) in
-      d >= 0.0 && d <= 1.0)
-
-let prop_pq_triangle_violation_allowed =
-  (* pq-gram distance is a pseudo-metric on profiles: symmetric and zero
-     on equal profiles.  Check those two properties. *)
-  Gen.qtest "pq distance symmetric" (Gen.arb_tree_pair ~max_size:15 ()) (fun (a, b) ->
-      let pa = Pq_gram.profile a and pb = Pq_gram.profile b in
-      Pq_gram.distance pa pb = Pq_gram.distance pb pa)
 
 (* --- top-k search --- *)
 
@@ -133,14 +62,6 @@ let test_nearest_matches_brute_force () =
 
 let suite =
   [
-    Alcotest.test_case "pq profile sizes" `Quick test_pq_profile_size;
-    prop_pq_profile_size;
-    Alcotest.test_case "pq distance zero on equal" `Quick test_pq_distance_zero_on_equal;
-    Alcotest.test_case "pq distance sensitivity" `Quick test_pq_distance_sensitivity;
-    Alcotest.test_case "pq p=1 q=1" `Quick test_pq_p1_q1_is_label_bag;
-    Alcotest.test_case "pq validation" `Quick test_pq_validation;
-    prop_pq_normalized_range;
-    prop_pq_triangle_violation_allowed;
     Alcotest.test_case "nearest basic" `Quick test_nearest_basic;
     Alcotest.test_case "nearest = brute force" `Quick test_nearest_matches_brute_force;
   ]

@@ -1,9 +1,10 @@
 (* Tests for the sharded serving layer: band-key placement, the pure
    scatter-gather merge (qcheck soundness of degraded sandwiches), the
    router end-to-end over real sockets — including a shard killed
-   mid-query degrading the answer instead of failing it — ledger
-   recovery with orphan adoption, and the sharded kill/partition storm
-   with journal-streaming migrations. *)
+   mid-query degrading the answer instead of failing it — the router
+   front on the node's event loop (frames, line cap, watermark,
+   connection cap, drain), ledger recovery with orphan adoption, and
+   the sharded kill/partition storm with journal-streaming migrations. *)
 
 module Tree = Tsj_tree.Tree
 module Bracket = Tsj_tree.Bracket
@@ -463,33 +464,87 @@ let test_router_migration_and_fanout () =
           Alcotest.(check bool) "the killed shard degraded some answers" true
             (!degraded > 0)))
 
+(* --- the router front: the node's event loop in front of the shards --- *)
+
+let router_config ?(timeout_s = 2.0) ~tau groups =
+  {
+    Router.map = Shard.create ~shards:(Array.length groups) ~tau ();
+    tau;
+    groups;
+    timeout_s;
+    attempts = 2;
+    ledger = None;
+    seed = 777;
+    hedge_s = None;
+    margin_ms = 0;
+  }
+
+(* Serve [router] on a fresh socket through {!Server.create_router};
+   [front] adjusts the connection-layer config. *)
+let with_router_front ?(front = Fun.id) router f =
+  let fsock = Filename.temp_file "tsj_front" ".sock" in
+  Sys.remove fsock;
+  let faddr = Protocol.Unix_path fsock in
+  let config = front (Server.default_config faddr ~tau:(Router.tau router)) in
+  let server = ok_or_fail (Server.create_router config router) in
+  Server.start server;
+  Fun.protect
+    ~finally:(fun () ->
+      Server.drain server;
+      Server.wait server;
+      Router.close router;
+      if Sys.file_exists fsock then Sys.remove fsock)
+    (fun () -> f faddr server)
+
+(* A decoy replica that accepts connections and never replies: a shard
+   read sent to it stalls until the per-shard socket timeout. *)
+let with_decoy f =
+  let decoy_path = Filename.temp_file "tsj_decoy" ".sock" in
+  Sys.remove decoy_path;
+  let decoy = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind decoy (Unix.ADDR_UNIX decoy_path);
+  Unix.listen decoy 16;
+  let stop = Atomic.make false in
+  let sink =
+    Thread.create
+      (fun () ->
+        let held = ref [] in
+        while not (Atomic.get stop) do
+          match Unix.select [ decoy ] [] [] 0.05 with
+          | [ _ ], _, _ -> (
+            try held := fst (Unix.accept decoy) :: !held
+            with Unix.Unix_error _ -> ())
+          | _ -> ()
+        done;
+        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !held)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join sink;
+      (try Unix.close decoy with Unix.Unix_error _ -> ());
+      if Sys.file_exists decoy_path then Sys.remove decoy_path)
+    (fun () -> f (Protocol.Unix_path decoy_path))
+
+(* One raw text line and its reply line. *)
+let text_line conn line =
+  let ic, oc = Client.channels conn in
+  output_string oc line;
+  output_char oc '\n';
+  flush oc;
+  input_line ic
+
+let staleness_refusal =
+  "ERR the router does not bound staleness: send ~<n> reads to a node"
+
 let test_router_front_wire () =
   let tau = 2 in
   with_shard_servers ~tau 2 (fun addrs _servers ->
-      let cfg =
-        {
-          Router.map = Shard.create ~shards:2 ~tau ();
-          tau;
-          groups = Array.map (fun a -> [ a ]) addrs;
-          timeout_s = 2.0;
-          attempts = 2;
-          ledger = None;
-          seed = 777;
-          hedge_s = None;
-          margin_ms = 0;
-        }
+      let router =
+        ok_or_fail (Router.create (router_config ~tau (Array.map (fun a -> [ a ]) addrs)))
       in
-      let router = ok_or_fail (Router.create cfg) in
-      let fsock = Filename.temp_file "tsj_front" ".sock" in
-      Sys.remove fsock;
-      let faddr = Protocol.Unix_path fsock in
-      let front = ok_or_fail (Router.start_front router faddr) in
-      Fun.protect
-        ~finally:(fun () ->
-          Router.stop_front front;
-          Router.close router;
-          if Sys.file_exists fsock then Sys.remove fsock)
-        (fun () ->
+      with_router_front router (fun faddr _ ->
           (* the sharded cluster speaks the single-node grammar: the
              stock client needs no changes *)
           let conn = ok_or_fail (Client.connect faddr) in
@@ -537,13 +592,185 @@ let test_router_front_wire () =
           | Protocol.Stats_reply { trees = 3; _ } -> ()
           | r -> Alcotest.failf "bad stats %s" (Protocol.render_response r));
           (* a staleness bound is refused, never silently dropped *)
-          (let ic, oc = Client.channels conn in
-           output_string oc "QUERY 1 ~0 {a{b}{c}}\n";
-           flush oc;
-           let reply = input_line ic in
-           Alcotest.(check bool) ("bounded read refused: " ^ reply) true
-             (String.starts_with ~prefix:"ERR " reply));
+          Alcotest.(check string) "bounded read refused" staleness_refusal
+            (text_line conn "QUERY 1 ~0 {a{b}{c}}");
           Client.close conn))
+
+(* After HELLO BIN the router answers framed requests exactly as it
+   answers text lines: the same ADD replays, QUERY/KNN/GET replies and
+   STATS tree count, and the same staleness refusal. *)
+let test_router_front_binary () =
+  let tau = 2 in
+  with_shard_servers ~tau 2 (fun addrs _servers ->
+      let router =
+        ok_or_fail (Router.create (router_config ~tau (Array.map (fun a -> [ a ]) addrs)))
+      in
+      with_router_front router (fun faddr _ ->
+          let trees = [| t "{a{b}{c}}"; t "{a{b}{d}}"; t "{x{y{z{w{v}}}}}"; t "{a{b}{c}{d}}" |] in
+          let requests =
+            List.concat
+              [
+                List.init (Array.length trees) (fun i ->
+                    Protocol.Add { seq = Some i; tree = trees.(i) });
+                [
+                  Protocol.Query { tau = 2; tree = trees.(0) };
+                  Protocol.Query { tau = 0; tree = trees.(2) };
+                  Protocol.Knn { k = 2; tree = trees.(3) };
+                  Protocol.Get 2;
+                  Protocol.Get 99;
+                ];
+              ]
+          in
+          let text = ok_or_fail (Client.connect faddr) in
+          let text_replies =
+            List.map
+              (fun r -> Protocol.render_response (ok_or_fail (Client.request text r)))
+              requests
+          in
+          let bin = ok_or_fail (Client.Bin.connect faddr) in
+          let bin_replies =
+            List.map
+              (fun r -> Protocol.render_response (ok_or_fail (Client.Bin.request bin r)))
+              requests
+          in
+          Alcotest.(check (list string)) "framed replies = text replies" text_replies
+            bin_replies;
+          List.iter
+            (fun reply ->
+              Alcotest.(check bool) ("no error: " ^ reply) false
+                (String.starts_with ~prefix:"ERR" reply && reply <> "ERR GET 99: unbound sequence"))
+            text_replies;
+          let trees_of_stats conn_request =
+            match ok_or_fail (conn_request Protocol.Stats) with
+            | Protocol.Stats_reply st -> st.Protocol.trees
+            | r -> Alcotest.failf "bad stats %s" (Protocol.render_response r)
+          in
+          Alcotest.(check int) "STATS trees, text" 4 (trees_of_stats (fun r -> Client.request text r));
+          Alcotest.(check int) "STATS trees, framed" 4 (trees_of_stats (fun r -> Client.Bin.request bin r));
+          (match
+             Client.Bin.request bin ~max_lag:0 (Protocol.Query { tau = 1; tree = trees.(0) })
+           with
+          | Ok r ->
+            Alcotest.(check string) "framed bounded read refused" staleness_refusal
+              (Protocol.render_response r)
+          | Error e -> Alcotest.fail e);
+          Alcotest.(check string) "text bounded read refused" staleness_refusal
+            (text_line text "KNN 1 ~3 {a}");
+          Client.Bin.close bin;
+          Client.close text))
+
+(* The node's line cap: an over-long line is answered with the node's
+   error and the connection keeps serving. *)
+let test_router_front_line_cap () =
+  with_shard_servers ~tau:1 1 (fun addrs _servers ->
+      let router = ok_or_fail (Router.create (router_config ~tau:1 [| [ addrs.(0) ] |])) in
+      with_router_front
+        ~front:(fun c -> { c with Server.max_line_bytes = 256 })
+        router
+        (fun faddr _ ->
+          let conn = ok_or_fail (Client.connect faddr) in
+          Alcotest.(check string) "over-long line refused"
+            "ERR request line exceeds 256 bytes"
+            (text_line conn ("QUERY 1 " ^ String.make 4000 '{'));
+          (match ok_or_fail (Client.request conn (Protocol.Query { tau = 1; tree = t "{a}" })) with
+          | Protocol.Hits { degraded = false; hits = []; _ } -> ()
+          | r -> Alcotest.failf "connection after the cap answered %s" (Protocol.render_response r));
+          Client.close conn))
+
+(* The inflight watermark bounds the router's shard calls: with
+   [max_inflight = 1] and the only shard stalled, a second read is shed
+   with BUSY while the first waits out the shard timeout and degrades. *)
+let test_router_front_watermark () =
+  with_decoy (fun decoy ->
+      let router =
+        ok_or_fail (Router.create (router_config ~timeout_s:1.0 ~tau:1 [| [ decoy ] |]))
+      in
+      with_router_front
+        ~front:(fun c -> { c with Server.max_inflight = 1 })
+        router
+        (fun faddr _ ->
+          let first = ok_or_fail (Client.connect faddr) in
+          let second = ok_or_fail (Client.connect faddr) in
+          let admin = ok_or_fail (Client.connect faddr) in
+          let _, oc = Client.channels first in
+          output_string oc "QUERY 1 {a{b}}\n";
+          flush oc;
+          let rec await_inflight n =
+            match ok_or_fail (Client.request admin Protocol.Stats) with
+            | Protocol.Stats_reply { inflight = 1; _ } -> ()
+            | _ when n = 0 -> Alcotest.fail "the first read never became inflight"
+            | _ ->
+              Thread.delay 0.01;
+              await_inflight (n - 1)
+          in
+          await_inflight 200;
+          (match ok_or_fail (Client.request second (Protocol.Query { tau = 1; tree = t "{a}" })) with
+          | Protocol.Busy _ -> ()
+          | r -> Alcotest.failf "second read answered %s" (Protocol.render_response r));
+          let ic, _ = Client.channels first in
+          (match Protocol.parse_response (input_line ic) with
+          | Ok (Protocol.Hits { degraded = true; _ }) -> ()
+          | Ok r -> Alcotest.failf "stalled read answered %s" (Protocol.render_response r)
+          | Error e -> Alcotest.fail e);
+          (match ok_or_fail (Client.request admin Protocol.Stats) with
+          | Protocol.Stats_reply st ->
+            Alcotest.(check int) "one shed" 1 st.Protocol.shed;
+            Alcotest.(check int) "nothing inflight" 0 st.Protocol.inflight
+          | r -> Alcotest.failf "bad stats %s" (Protocol.render_response r));
+          List.iter Client.close [ first; second; admin ]))
+
+(* [max_conns] closes the extra connection at accept and counts it. *)
+let test_router_front_max_conns () =
+  with_shard_servers ~tau:1 1 (fun addrs _servers ->
+      let router = ok_or_fail (Router.create (router_config ~tau:1 [| [ addrs.(0) ] |])) in
+      with_router_front
+        ~front:(fun c -> { c with Server.max_conns = Some 1 })
+        router
+        (fun faddr _ ->
+          let kept = ok_or_fail (Client.connect faddr) in
+          ignore (ok_or_fail (Client.request kept Protocol.Health));
+          let extra = ok_or_fail (Client.connect faddr) in
+          (match text_line extra "STATS" with
+          | exception (End_of_file | Sys_error _) -> ()
+          | reply -> Alcotest.failf "the extra connection was served: %s" reply);
+          Client.close extra;
+          (match ok_or_fail (Client.request kept Protocol.Stats) with
+          | Protocol.Stats_reply st -> Alcotest.(check int) "reaped" 1 st.Protocol.reaped
+          | r -> Alcotest.failf "bad stats %s" (Protocol.render_response r));
+          Client.close kept))
+
+(* DRAIN answers DRAINED, the front stops taking work and connections,
+   and the event loop ends. *)
+let test_router_front_drain () =
+  with_shard_servers ~tau:1 1 (fun addrs _servers ->
+      let router = ok_or_fail (Router.create (router_config ~tau:1 [| [ addrs.(0) ] |])) in
+      with_router_front router (fun faddr server ->
+          let other = ok_or_fail (Client.connect faddr) in
+          ignore (ok_or_fail (Client.request other Protocol.Health));
+          let conn = ok_or_fail (Client.connect faddr) in
+          Alcotest.(check string) "DRAIN answered" "OK drained" (text_line conn "DRAIN");
+          Client.close conn;
+          (* the drain starts on its own thread just after the reply *)
+          let rec await_draining n =
+            if n > 0 && not (Server.stats server).Protocol.draining then begin
+              Thread.delay 0.005;
+              await_draining (n - 1)
+            end
+          in
+          await_draining 400;
+          (match text_line other "QUERY 1 {a}" with
+          | exception (End_of_file | Sys_error _) -> ()
+          | reply ->
+            Alcotest.(check string) "new work refused" "ERR draining: not accepting new work"
+              reply);
+          Client.close other;
+          Server.wait server;
+          Alcotest.(check bool) "drained" true (Server.drained server);
+          match Client.connect ~timeout_s:1.0 faddr with
+          | Error _ -> ()
+          | Ok c ->
+            Client.close c;
+            Alcotest.fail "a drained router accepted a connection"))
 
 (* --- ledger recovery and orphan adoption --- *)
 
@@ -792,35 +1019,9 @@ let test_hedged_reads () =
       (* a decoy replica that accepts connections and then never
          replies: with it listed first, every first leg stalls until
          the socket timeout *)
-      let decoy_path = Filename.temp_file "tsj_decoy" ".sock" in
-      Sys.remove decoy_path;
-      let decoy = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind decoy (Unix.ADDR_UNIX decoy_path);
-      Unix.listen decoy 16;
-      let stop = Atomic.make false in
-      let sink =
-        Thread.create
-          (fun () ->
-            let held = ref [] in
-            while not (Atomic.get stop) do
-              match Unix.select [ decoy ] [] [] 0.05 with
-              | [ _ ], _, _ -> (
-                try held := fst (Unix.accept decoy) :: !held
-                with Unix.Unix_error _ -> ())
-              | _ -> ()
-            done;
-            List.iter
-              (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-              !held)
-          ()
-      in
+      with_decoy @@ fun decoy ->
       Fun.protect
-        ~finally:(fun () ->
-          Router.close router;
-          Atomic.set stop true;
-          Thread.join sink;
-          (try Unix.close decoy with Unix.Unix_error _ -> ());
-          if Sys.file_exists decoy_path then Sys.remove decoy_path)
+        ~finally:(fun () -> Router.close router)
         (fun () ->
           let trees = trees_of 4321 10 in
           Array.iter (fun tree -> ignore (ok_or_fail (Router.add router tree))) trees;
@@ -833,8 +1034,7 @@ let test_hedged_reads () =
             reference;
           (* swap the hanging decoy in as the preferred replica: only
              the hedge can answer within the deadline now *)
-          Router.set_group_addrs router 0
-            [ Protocol.Unix_path decoy_path; addrs.(0) ];
+          Router.set_group_addrs router 0 [ decoy; addrs.(0) ];
           Array.iteri
             (fun i q ->
               let t0 = Unix.gettimeofday () in
@@ -860,6 +1060,16 @@ let suite =
       test_router_end_to_end;
     Alcotest.test_case "router front-end speaks the node grammar" `Quick
       test_router_front_wire;
+    Alcotest.test_case "router front: framed replies = text replies" `Quick
+      test_router_front_binary;
+    Alcotest.test_case "router front: the node's line cap" `Quick
+      test_router_front_line_cap;
+    Alcotest.test_case "router front: watermark sheds past a stalled shard" `Quick
+      test_router_front_watermark;
+    Alcotest.test_case "router front: max_conns reaps at accept" `Quick
+      test_router_front_max_conns;
+    Alcotest.test_case "router front: DRAIN ends the loop" `Quick
+      test_router_front_drain;
     Alcotest.test_case "ledger recovery and orphan adoption" `Quick
       test_router_ledger_recovery;
     Alcotest.test_case "ledger integrity: scrub, heal, quarantine" `Quick
