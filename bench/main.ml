@@ -29,13 +29,13 @@ let micro () =
     let labels = Tsj_datagen.Generator.alphabet params in
     snd (Tsj_tree.Edit_op.random_script rng ~labels 2 t80)
   in
-  let prep1 = Tsj_ted.Ted.preprocess t80 in
-  let prep2 = Tsj_ted.Ted.preprocess t80b in
-  let prep_near = Tsj_ted.Ted.preprocess near in
-  let cb1 = Tsj_ted.Bounds.of_prep prep1 in
-  let cb2 = Tsj_ted.Bounds.of_prep prep2 in
-  let cb_near = Tsj_ted.Bounds.of_prep prep_near in
-  let btree = Tsj_tree.Binary_tree.of_tree t80 in
+  let cb1 = Tsj_ted.Bounds.of_tree t80 in
+  let cb2 = Tsj_ted.Bounds.of_tree t80b in
+  let cb_near = Tsj_ted.Bounds.of_tree near in
+  let prep1 = Tsj_ted.Bounds.prep cb1 in
+  let prep2 = Tsj_ted.Bounds.prep cb2 in
+  let prep_near = Tsj_ted.Bounds.prep cb_near in
+  let btree = (Tsj_tree.Form.of_tree t80).lcrs in
   let pre1 = Tsj_tree.Traversal.preorder_labels t80 in
   let pre2 = Tsj_tree.Traversal.preorder_labels t80b in
   let pre_near = Tsj_tree.Traversal.preorder_labels near in
@@ -55,14 +55,16 @@ let micro () =
   let filled_index = Tsj_core.Two_layer_index.create ~tau:probe_tau () in
   Array.iteri
     (fun id tree ->
-      let b = Tsj_tree.Binary_tree.of_tree tree in
+      let b = (Tsj_tree.Form.of_tree tree).lcrs in
       if b.Tsj_tree.Binary_tree.size >= (2 * probe_tau) + 1 then
         Array.iter
           (Tsj_core.Two_layer_index.insert filled_index)
           (Tsj_core.Subgraph.of_partition ~tree_id:id
              (Tsj_core.Partition.partition b ~delta:((2 * probe_tau) + 1))))
     stored;
-  let probed = Tsj_tree.Binary_tree.of_tree Tsj_datagen.Profiles.(instantiate swissprot ~seed:802 ~n:1).(0) in
+  let probed =
+    (Tsj_tree.Form.of_tree Tsj_datagen.Profiles.(instantiate swissprot ~seed:802 ~n:1).(0)).lcrs
+  in
   let probe_cursor = Tsj_core.Two_layer_index.cursor probed in
   let probe_lo = probed.Tsj_tree.Binary_tree.size - probe_tau in
   let probe_hi = probed.Tsj_tree.Binary_tree.size + probe_tau in
@@ -118,10 +120,7 @@ let micro () =
         (Staged.stage (fun () -> Tsj_ted.Ted.bounded_distance_prep prep1 prep_near 3));
       Test.make ~name:"ted/banded tau=3 (80 vs 80, far)"
         (Staged.stage (fun () -> Tsj_ted.Ted.bounded_distance_prep prep1 prep2 3));
-      Test.make ~name:"ted/preprocess (80)"
-        (Staged.stage (fun () -> Tsj_ted.Ted.preprocess t80));
-      Test.make ~name:"tree/lcrs-transform (80)"
-        (Staged.stage (fun () -> Tsj_tree.Binary_tree.of_tree t80));
+      Test.make ~name:"form/one walk (80)" (Staged.stage (fun () -> Tsj_tree.Form.of_tree t80));
       Test.make ~name:"filter/banded-sed tau=3 (80)"
         (Staged.stage (fun () -> Tsj_ted.String_edit.within pre1 pre2 3));
       Test.make ~name:"filter/banded-sed tau=3 (80 vs 80, near)"
@@ -129,8 +128,6 @@ let micro () =
       Test.make
         ~name:(Printf.sprintf "cascade/label bag (%d)" (Array.length labels1))
         (Staged.stage (fun () -> Tsj_util.Multiset.of_unsorted labels1));
-      Test.make ~name:"cascade/form from prep (80)"
-        (Staged.stage (fun () -> Tsj_ted.Bounds.of_prep prep1));
       Test.make ~name:"cascade/outcome tau=3 (80 vs 80, near)"
         (Staged.stage (fun () -> Tsj_ted.Bounds.cascade ~tau:3 cb1 cb_near));
       Test.make ~name:"cascade/outcome tau=3 (80 vs 80, far)"

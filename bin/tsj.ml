@@ -321,7 +321,7 @@ let partition_cmd =
   let run tree tau dot =
     let t = parse_tree_arg tree in
     let delta = (2 * tau) + 1 in
-    let b = Tsj_tree.Binary_tree.of_tree t in
+    let b = (Tsj_tree.Form.of_tree t).lcrs in
     if b.Tsj_tree.Binary_tree.size < delta then begin
       Printf.printf
         "tree has %d nodes < delta = %d: too small to partition (kept whole by the join)\n"
@@ -331,7 +331,7 @@ let partition_cmd =
     let p = Tsj_core.Partition.partition b ~delta in
     if dot then begin
       print_string
-        (Tsj_tree.Dot.of_partition b ~assignment:p.Tsj_core.Partition.assignment);
+        (Tsj_tree.Dot.of_partition b ~assignment:(Tsj_core.Partition.assignment p));
       exit 0
     end;
     Printf.printf "delta = %d, gamma (max-min component size) = %d\n" delta

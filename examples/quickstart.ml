@@ -37,7 +37,7 @@ let () =
 
   (* 5. What PartSJ indexes under the hood: the delta-partitioning of a
      tree (delta = 2 tau + 1 subgraphs, sizes as balanced as possible). *)
-  let b = Tsj_tree.Binary_tree.of_tree album1 in
+  let b = (Tsj_tree.Form.of_tree album1).lcrs in
   let p = Tsj_core.Partition.partition b ~delta:((2 * tau) + 1) in
   Printf.printf "\npartitioning album1 into %d subgraphs (gamma = %d): sizes %s\n"
     ((2 * tau) + 1) p.Tsj_core.Partition.gamma

@@ -2,6 +2,7 @@ module Tree = Tsj_tree.Tree
 module Binary_tree = Tsj_tree.Binary_tree
 module Ted = Tsj_ted.Ted
 module Bounds = Tsj_ted.Bounds
+module Form = Tsj_tree.Form
 
 type t = {
   tau : int;
@@ -23,8 +24,7 @@ let create ~tau () =
   if tau < 0 then invalid_arg "Incremental.create: negative threshold";
   {
     tau;
-    forms =
-      Array.make 16 (Bounds.of_prep (Ted.preprocess (Tree.leaf Tsj_tree.Label.epsilon)));
+    forms = Array.make 16 (Bounds.of_tree (Tree.leaf Tsj_tree.Label.epsilon));
     count = 0;
     bands = Size_bands.create ~tau ();
     exact = Hashtbl.create 64;
@@ -76,13 +76,14 @@ let find_equal t q =
 let insert_tree ~verify t tree =
   grow t;
   let id = t.count in
-  let form = Bounds.of_prep (Ted.preprocess tree) in
+  let f = Form.of_tree tree in
+  let form = Bounds.of_form tree f in
   t.forms.(id) <- form;
   t.count <- t.count + 1;
   (let key = tree_key tree in
    let ids = Option.value (Hashtbl.find_opt t.exact key) ~default:[] in
    Hashtbl.replace t.exact key (id :: ids));
-  let btree = Binary_tree.of_tree tree in
+  let btree = f.lcrs in
   (* 1. Probe: candidates among all previously inserted trees in the
      size band, in either direction; 2. verify them. *)
   let results =
@@ -135,11 +136,12 @@ let query ?budget ?tau t q =
     { hits; degraded = false; unverified = [] }
   end
   else begin
-  let qb = Binary_tree.of_tree q in
-  let cands = Array.of_list (List.sort compare (band_candidates t ~tau qb)) in
+  let f = Form.of_tree q in
+  let cands = Array.of_list (List.sort compare (band_candidates t ~tau f.lcrs)) in
   let n = Array.length cands in
-  (* Most queries meet no candidate: prepare the query only for one. *)
-  let qform = lazy (Bounds.of_prep (Ted.preprocess q)) in
+  (* Most queries meet no candidate: sort the query's label bag only
+     for one. *)
+  let qform = lazy (Bounds.of_form q f) in
   let hits = ref [] in
   let unverified = ref [] in
   let degraded = ref false in

@@ -5,20 +5,21 @@ type t = {
   btree : Binary_tree.t;
   delta : int;
   gamma : int;
-  assignment : int array;
   roots : int array;
+  sizes : int array;
 }
 
 (* Greedy γ-subtree cutting (paper Algorithm 2).  Node ids are postorder
    numbers and children have smaller ids than parents, so a single
-   ascending loop is the postorder traversal.  When [cuts] is given, the
-   roots of the first [delta - 1] detached γ-subtrees are collected (in
-   detection order, which is ascending postorder). *)
-let greedy_cut (b : Binary_tree.t) ~delta ~gamma ~cuts =
+   ascending loop is the postorder traversal.  [live.(i)] holds the
+   nodes remaining in the subtree rooted at [i] after all the
+   detachments so far (= size - detached of the paper); each cell is
+   written before it is read, so one [live] serves every call on the
+   tree.  The first [delta - 1] detached γ-subtrees (detection order is
+   ascending postorder) write their roots, and their remaining sizes,
+   which are their components' sizes, to [roots] and [sizes]. *)
+let greedy_cut (b : Binary_tree.t) live roots sizes ~delta ~gamma =
   let n = b.Binary_tree.size in
-  (* live.(i): nodes remaining in the subtree rooted at i after all the
-     detachments performed so far (= size - detached of the paper). *)
-  let live = Array.make n 0 in
   let found = ref 0 in
   let i = ref 0 in
   while !found < delta && !i < n do
@@ -27,9 +28,10 @@ let greedy_cut (b : Binary_tree.t) ~delta ~gamma ~cuts =
     let v = 1 + (if l >= 0 then live.(l) else 0) + (if r >= 0 then live.(r) else 0) in
     if v >= gamma then begin
       (* γ-subtree identified: detach it. *)
-      (match cuts with
-      | Some acc when !found < delta - 1 -> Tsj_util.Vec_int.push acc node
-      | Some _ | None -> ());
+      if !found < delta - 1 then begin
+        roots.(!found) <- node;
+        sizes.(!found) <- v
+      end;
       live.(node) <- 0;
       incr found
     end
@@ -38,90 +40,93 @@ let greedy_cut (b : Binary_tree.t) ~delta ~gamma ~cuts =
   done;
   !found >= delta
 
+(* [live], [roots] and [sizes] for a [delta]-partitioning of [b]; the
+   last root is the tree root. *)
+let scratch (b : Binary_tree.t) ~delta =
+  (Array.make b.Binary_tree.size 0, Array.make delta (b.Binary_tree.size - 1), Array.make delta 0)
+
 let partitionable b ~delta ~gamma =
   if delta < 1 then invalid_arg "Partition.partitionable: delta must be >= 1";
   if gamma < 1 then invalid_arg "Partition.partitionable: gamma must be >= 1";
-  if gamma * delta > b.Binary_tree.size then false
-  else greedy_cut b ~delta ~gamma ~cuts:None
+  gamma * delta <= b.Binary_tree.size
+  &&
+  let live, roots, sizes = scratch b ~delta in
+  greedy_cut b live roots sizes ~delta ~gamma
 
-(* Paper Algorithm 3: binary search on γ between the trivial upper bound
-   ⌊n/δ⌋ and the always-feasible lower bound ⌊(n + δ - 1)/(2δ - 1)⌋. *)
-let max_min_size b ~delta =
-  if delta < 1 then invalid_arg "Partition.max_min_size: delta must be >= 1";
+let check_size name b ~delta =
+  if delta < 1 then invalid_arg (Printf.sprintf "Partition.%s: delta must be >= 1" name);
   let n = b.Binary_tree.size in
   if n < delta then
     invalid_arg
-      (Printf.sprintf "Partition.max_min_size: tree of %d nodes has no %d-partitioning" n
-         delta);
-  let gamma_max = n / delta in
-  let gamma_min = max 1 ((n + delta - 1) / ((2 * delta) - 1)) in
-  let gamma_min = ref gamma_min in
-  let c = ref (gamma_max - !gamma_min + 1) in
+      (Printf.sprintf "Partition.%s: tree of %d nodes has no %d-partitioning" name n delta)
+
+(* Paper Algorithm 3: binary search on γ between the trivial upper bound
+   ⌊n/δ⌋ and the always-feasible lower bound ⌊(n + δ - 1)/(2δ - 1)⌋.
+   Leaves the cut at the γ found in the scratch. *)
+let search b (live, roots, sizes) ~delta =
+  let n = b.Binary_tree.size in
+  let gamma_min = ref (max 1 ((n + delta - 1) / ((2 * delta) - 1))) in
+  let c = ref ((n / delta) - !gamma_min + 1) in
   while !c > 1 do
     let gamma_mid = !gamma_min + (!c / 2) in
-    if greedy_cut b ~delta ~gamma:gamma_mid ~cuts:None then begin
+    if greedy_cut b live roots sizes ~delta ~gamma:gamma_mid then begin
       gamma_min := gamma_mid;
       c := !c - (!c / 2)
     end
     else c := !c / 2
   done;
+  let ok = greedy_cut b live roots sizes ~delta ~gamma:!gamma_min in
+  assert ok;
   !gamma_min
 
-(* Build the component structure from cut roots (ascending postorder).
-   Component k (k < delta - 1 cuts) is the subtree of its cut root minus
-   earlier cuts nested inside it; the remainder — always containing the
-   tree root — is component delta - 1.  Because node ids are postorder
-   numbers, the subtree of root r occupies exactly the contiguous id range
-   [r - subtree_size(r) + 1, r]. *)
-let of_cut_roots (b : Binary_tree.t) ~delta ~gamma cut_roots =
-  let n = b.Binary_tree.size in
-  let assignment = Array.make n (-1) in
-  Array.iteri
-    (fun k root ->
-      let lo = root - b.Binary_tree.subtree_size.(root) + 1 in
-      for v = lo to root do
-        if assignment.(v) < 0 then assignment.(v) <- k
-      done)
-    cut_roots;
-  for v = 0 to n - 1 do
-    if assignment.(v) < 0 then assignment.(v) <- delta - 1
-  done;
-  let roots = Array.append cut_roots [| n - 1 |] in
-  { btree = b; delta; gamma; assignment; roots }
+let max_min_size b ~delta =
+  check_size "max_min_size" b ~delta;
+  search b (scratch b ~delta) ~delta
 
+(* The remainder of the final cut, which holds the tree root, is
+   component [delta - 1]. *)
 let partition b ~delta =
-  let gamma = max_min_size b ~delta in
-  let cuts = Tsj_util.Vec_int.create ~capacity:delta () in
-  let ok = greedy_cut b ~delta ~gamma ~cuts:(Some cuts) in
-  assert ok;
-  of_cut_roots b ~delta ~gamma (Tsj_util.Vec_int.to_array cuts)
+  check_size "max_min_size" b ~delta;
+  let ((_, roots, sizes) as s) = scratch b ~delta in
+  let gamma = search b s ~delta in
+  sizes.(delta - 1) <- b.Binary_tree.size - Array.fold_left ( + ) 0 sizes;
+  { btree = b; delta; gamma; roots; sizes }
+
+(* Component k < delta - 1 is the subtree of its root minus the earlier
+   cuts nested inside it; the rest is component delta - 1.  Because node
+   ids are postorder numbers, the subtree of root r occupies exactly the
+   contiguous id range [r - subtree_size(r) + 1, r]. *)
+let assign (b : Binary_tree.t) roots =
+  let delta = Array.length roots in
+  let subtree_size = Binary_tree.subtree_sizes b in
+  let a = Array.make b.Binary_tree.size (-1) in
+  for k = 0 to delta - 2 do
+    let root = roots.(k) in
+    for v = root - subtree_size.(root) + 1 to root do
+      if a.(v) < 0 then a.(v) <- k
+    done
+  done;
+  Array.map (fun k -> if k < 0 then delta - 1 else k) a
+
+let assignment p = assign p.btree p.roots
 
 let random_partition rng b ~delta =
-  if delta < 1 then invalid_arg "Partition.random_partition: delta must be >= 1";
+  check_size "random_partition" b ~delta;
   let n = b.Binary_tree.size in
-  if n < delta then
-    invalid_arg
-      (Printf.sprintf
-         "Partition.random_partition: tree of %d nodes has no %d-partitioning" n delta);
   (* An edge is identified with its child endpoint: every node except the
      root has exactly one incoming edge.  Cut delta - 1 distinct ones. *)
   let children = Array.init (n - 1) (fun i -> i) in
   Prng.shuffle rng children;
   let cut_roots = Array.sub children 0 (delta - 1) in
   Array.sort compare cut_roots;
-  of_cut_roots b ~delta ~gamma:0 cut_roots
+  let roots = Array.append cut_roots [| n - 1 |] in
+  let sizes = Array.make delta 0 in
+  Array.iter (fun k -> sizes.(k) <- sizes.(k) + 1) (assign b roots);
+  { btree = b; delta; gamma = 0; roots; sizes }
 
-let component_sizes p =
-  let sizes = Array.make p.delta 0 in
-  Array.iter (fun k -> sizes.(k) <- sizes.(k) + 1) p.assignment;
-  sizes
+let component_sizes p = Array.copy p.sizes
 
+(* A removed edge is the incoming edge of a cut root. *)
 let bridging_edges p =
-  let b = p.btree in
-  let acc = ref [] in
-  for v = 0 to b.Binary_tree.size - 1 do
-    let parent = b.Binary_tree.parent.(v) in
-    if parent >= 0 && p.assignment.(parent) <> p.assignment.(v) then
-      acc := (parent, v) :: !acc
-  done;
-  List.rev !acc
+  let parent = Binary_tree.parents p.btree in
+  List.init (p.delta - 1) (fun k -> (parent.(p.roots.(k)), p.roots.(k)))

@@ -14,7 +14,9 @@
       between the bounds ⌊|T|/δ⌋ and ⌊(|T|+δ-1)/(2δ-1)⌋.
     - {!partition} extracts the actual components for that γ; component
       ids are ordered by the postorder number of their root node, which is
-      the order [k] the postorder-pruning index layer depends on.
+      the order [k] the postorder-pruning index layer depends on.  One
+      scratch array serves the binary search and the final cut, which
+      also yields the component sizes.
     - {!random_partition} cuts δ-1 uniformly random edges instead — the
       ablation baseline the paper reports PartSJ beats by 50–300%. *)
 
@@ -22,10 +24,11 @@ type t = {
   btree : Tsj_tree.Binary_tree.t;
   delta : int;              (** number of components *)
   gamma : int;              (** size constraint achieved (0 for random) *)
-  assignment : int array;   (** node -> component id in [0, delta) *)
   roots : int array;        (** component id -> its root node; strictly
                                 increasing, [roots.(delta-1)] is the tree
-                                root *)
+                                root.  The removed edges are the incoming
+                                edges of the other roots. *)
+  sizes : int array;        (** component id -> its node count *)
 }
 
 val partitionable : Tsj_tree.Binary_tree.t -> delta:int -> gamma:int -> bool
@@ -42,6 +45,10 @@ val partition : Tsj_tree.Binary_tree.t -> delta:int -> t
 
 val random_partition : Tsj_util.Prng.t -> Tsj_tree.Binary_tree.t -> delta:int -> t
 (** δ-partitioning along [delta - 1] distinct uniformly random edges. *)
+
+val assignment : t -> int array
+(** Node -> component id in [[0, delta)], computed on the call in
+    [O(size * delta)]. *)
 
 val component_sizes : t -> int array
 

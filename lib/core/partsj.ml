@@ -1,5 +1,4 @@
 module Tree = Tsj_tree.Tree
-module Binary_tree = Tsj_tree.Binary_tree
 module Ted = Tsj_ted.Ted
 module Bounds = Tsj_ted.Bounds
 module Timer = Tsj_util.Timer
@@ -85,29 +84,33 @@ let join_with_probe_stats ?(partitioning = Balanced)
       | Some p -> Tsj_join.Pool.run_tasks p ?stop:stop_flag ~width:domains tasks
       | None -> Array.iter (fun f -> if not (budget_stopped ()) then f ()) tasks
   in
-  (* Eager parallel preprocessing: every tree's verifier form (the TED
-     preparation of both decompositions plus the label bag and degree
-     histogram the filter cascade compares), compiled once, up front, on
-     all domains.  The verify tasks only read this immutable array, which
-     is what makes them safe to run beside the sweep (no lazy
-     fill-on-demand cache, no label interning past this point).  The
-     LC-RS form the index probes is built later, by the sweep, only while
-     the tree is probed and inserted.  A tree whose compilation raises
+  (* Eager parallel preprocessing: every tree's forms, built in one walk
+     ({!Tsj_tree.Form.of_tree}), once, up front, on all domains.  The
+     verifier form (the TED preparation of both decompositions plus the
+     label bag and degree histogram the filter cascade compares) goes to
+     [forms]; the verify tasks only read that immutable array, which is
+     what makes them safe to run beside the sweep (no lazy fill-on-demand
+     cache, no label interning past this point).  The LC-RS form the
+     index probes and partitions goes to [lcrs], which the sweep reads
+     and releases tree by tree.  A tree whose compilation raises
      (adversarially shaped input, an injected fault) is quarantined — it
      takes a placeholder slot that no phase ever reads, and joins in no
      pair — instead of aborting the run. *)
   let prep_failures : string option array = Array.make (max n 1) None in
   let placeholder =
     (* Built on the caller BEFORE the fan-out: workers must not intern. *)
-    Bounds.of_prep (Ted.preprocess (Tree.leaf (Tsj_tree.Label.intern "?")))
+    let leaf = Tree.leaf (Tsj_tree.Label.intern "?") in
+    let f = Tsj_tree.Form.of_tree leaf in
+    (Bounds.of_form leaf f, f.lcrs)
   in
-  let forms, prep_wall =
+  let prepared, prep_wall =
     Timer.wall (fun () ->
         Tsj_join.Parallel.map ~domains
           (fun i ->
             match
               Fault.hit "partsj.prep" i;
-              Bounds.of_prep (Ted.preprocess trees.(i))
+              let f = Tsj_tree.Form.of_tree trees.(i) in
+              (Bounds.of_form trees.(i) f, f.lcrs)
             with
             | form -> form
             | exception exn ->
@@ -117,6 +120,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
               placeholder)
           (Array.init n Fun.id))
   in
+  let forms = Array.map fst prepared and lcrs = Array.map snd prepared in
   let excluded i = prep_failures.(i) <> None in
   let quarantine_prep = ref [] in
   Array.iteri
@@ -128,7 +132,11 @@ let join_with_probe_stats ?(partitioning = Balanced)
           :: !quarantine_prep
       | _ -> ())
     prep_failures;
-  let sizes = Array.map Tree.size trees in
+  let sizes =
+    Array.mapi
+      (fun i f -> if excluded i then Tree.size trees.(i) else Ted.size (Bounds.prep f))
+      forms
+  in
   let order = Array.init n (fun i -> i) in
   Array.sort
     (fun a b -> if sizes.(a) <> sizes.(b) then compare sizes.(a) sizes.(b) else compare a b)
@@ -381,6 +389,12 @@ let join_with_probe_stats ?(partitioning = Balanced)
     done;
     aborted := true
   in
+  (* The sweep takes each tree's LC-RS form once, releasing its slot. *)
+  let take_lcrs ti =
+    let b = lcrs.(ti) in
+    lcrs.(ti) <- snd placeholder;
+    b
+  in
   (* Algorithm 1 over trees [b0, b1) of the size order: each tree's LC-RS
      form probes the bands for the trees before it — the sweep runs in
      ascending size, so the window is [size - τ, size] — and is then
@@ -395,7 +409,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
     while !b < b1 && budget_live () do
       let ti = order.(!b) in
       if not (excluded ti) then begin
-        let btree = Binary_tree.of_tree trees.(ti) in
+        let btree = take_lcrs ti in
         probes.(!b - b0) <-
           Some (Size_bands.probe bands ~lo:(sizes.(ti) - tau) ~hi:sizes.(ti) btree);
         indexed := !indexed + Size_bands.insert ~partition bands ti btree
@@ -411,7 +425,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
     for b = 0 to min n (start_block * block_size) - 1 do
       let ti = order.(b) in
       if not (excluded ti) then
-        ignore (Size_bands.insert ~partition bands ti (Binary_tree.of_tree trees.(ti)))
+        ignore (Size_bands.insert ~partition bands ti (take_lcrs ti))
     done;
     let blk = ref start_block in
     while !blk < n_blocks && not !aborted do

@@ -18,51 +18,54 @@ let inside = 2
 
 (* [code.(0)] is 1 when the component root is the tree root; then each
    component node in preorder (node, left subtree, right subtree) as
-   its label and its left/right edge code. *)
-let encode (b : Binary_tree.t) assignment ~component ~root ~n_nodes =
+   its label and its left/right edge code.  A child edge is bridging
+   iff the child is a cut root: the partition removed exactly the
+   incoming edges of its cut roots. *)
+let encode (b : Binary_tree.t) cut ~root ~n_nodes =
   let code = Array.make (1 + (2 * n_nodes)) 0 in
-  code.(0) <- (if b.Binary_tree.kind.(root) = Binary_tree.Root then 1 else 0);
+  code.(0) <- (if root = Binary_tree.root b then 1 else 0);
   let edge child =
-    if child < 0 then no_edge
-    else if assignment.(child) <> component then bridging
-    else inside
+    if child < 0 then no_edge else if Bytes.get cut child <> '\000' then bridging else inside
   in
   let next = ref 1 in
   let rec emit u =
     let l = b.Binary_tree.left.(u) and r = b.Binary_tree.right.(u) in
+    let el = edge l and er = edge r in
     code.(!next) <- b.Binary_tree.label.(u);
-    code.(!next + 1) <- edge l lor (edge r lsl 2);
+    code.(!next + 1) <- el lor (er lsl 2);
     next := !next + 2;
-    if edge l = inside then emit l;
-    if edge r = inside then emit r
+    if el = inside then emit l;
+    if er = inside then emit r
   in
   emit root;
   code
 
 let of_partition ~tree_id (p : Partition.t) =
   let b = p.Partition.btree in
-  let sizes = Partition.component_sizes p in
+  let roots = p.Partition.roots in
+  let cut = Bytes.make b.Binary_tree.size '\000' in
+  for k = 0 to p.Partition.delta - 2 do
+    Bytes.set cut roots.(k) '\001'
+  done;
   (* The paper orders a tree's subgraphs by the general-postorder number of
      their root (the identifiers p_1 < ... < p_delta of Section 3.4); that
      order defines the rank k.  It can differ from the binary-postorder
      order of the component roots. *)
   let by_gpost = Array.init p.Partition.delta (fun k -> k) in
   Array.sort
-    (fun k1 k2 ->
-      compare b.Binary_tree.gpost.(p.Partition.roots.(k1))
-        b.Binary_tree.gpost.(p.Partition.roots.(k2)))
+    (fun k1 k2 -> compare b.Binary_tree.gpost.(roots.(k1)) b.Binary_tree.gpost.(roots.(k2)))
     by_gpost;
   Array.mapi
     (fun rank0 k ->
-      let root = p.Partition.roots.(k) in
+      let root = roots.(k) and n_nodes = p.Partition.sizes.(k) in
       {
         tree_id;
         tree_size = b.Binary_tree.size;
         root;
         root_gpost = b.Binary_tree.gpost.(root);
         rank = rank0 + 1;
-        n_nodes = sizes.(k);
-        code = encode b p.Partition.assignment ~component:k ~root ~n_nodes:sizes.(k);
+        n_nodes;
+        code = encode b cut ~root ~n_nodes;
       })
     by_gpost
 
@@ -109,7 +112,7 @@ let matches s (target : Binary_tree.t) v =
      untouched.  Matching the category (as the paper's Figure 7 narrative
      does) would make deletions touch three subgraphs and break Lemma 1 /
      Lemma 2 at delta = 2*tau + 1 — see DESIGN.md, finding 3. *)
-  (s.code.(0) = 1) = (target.Binary_tree.kind.(v) = Binary_tree.Root)
+  (s.code.(0) = 1) = (v = Binary_tree.root target)
   && walk s.code target 1 v >= 0
 
 let occurs_in s target =

@@ -338,14 +338,14 @@ let perf config =
   (* Before/after in one invocation: [cascade:false] is the seed verifier
      (banded preorder-SED prefilter + τ-banded kernel), the other two runs
      exercise the full filter cascade at one and [domains] domains.  A
-     full-scale run repeats the three as 5 rounds, every other round in
+     full-scale run repeats the three as 11 rounds, every other round in
      reverse order, so neither a cold first run nor a drifting host lands
      on one configuration; the speedup is a median over the rounds, and a
      best domain count is named only when the wall-time quartile ranges
      at 1 and [domains] domains do not overlap.  The tables, the record's
      runs and the determinism and losslessness checks use the first
      round. *)
-  let rounds = if config.scale >= 1.0 then 5 else 1 in
+  let rounds = if config.scale >= 1.0 then 11 else 1 in
   let round i =
     let order = [ (false, 1); (true, 1); (true, domains) ] in
     let order = if i mod 2 = 0 then order else List.rev order in

@@ -29,6 +29,10 @@ type t = {
      diagonals [-k, k] and a sentinel at each end). *)
   mutable band_prev : int array;
   mutable band_cur : int array;
+  (* The banded Zhang–Shasha kernel's keyroot window: the T2 keyroot of
+     each leaf of T2, and the window of one T1 keyroot, sorted. *)
+  mutable leaf_keyroot : int array;
+  mutable window : int array;
   (* Held by the systhread currently running a kernel on this arena. *)
   in_use : bool Atomic.t;
 }
@@ -43,6 +47,8 @@ let create () =
     serial = 0;
     band_prev = [||];
     band_cur = [||];
+    leaf_keyroot = [||];
+    window = [||];
     in_use = Atomic.make false;
   }
 
@@ -104,3 +110,9 @@ let reserve_bands a width =
     a.band_prev <- Array.make cap 0;
     a.band_cur <- Array.make cap 0
   end
+
+let reserve_keyroots a n2 width =
+  if Array.length a.leaf_keyroot < n2 then
+    a.leaf_keyroot <- Array.make (max n2 (2 * Array.length a.leaf_keyroot)) 0;
+  if Array.length a.window < width then
+    a.window <- Array.make (max width (2 * Array.length a.window)) 0

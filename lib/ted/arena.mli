@@ -17,6 +17,10 @@ type t = {
   mutable band_prev : int array;
       (** bounded string edit distance: furthest row per diagonal, one round *)
   mutable band_cur : int array;  (** the same, the other round *)
+  mutable leaf_keyroot : int array;
+      (** banded TED: the keyroot of T2 whose leftmost leaf is node [p],
+          valid at the leaves [p] of the current call's T2 *)
+  mutable window : int array;  (** banded TED: one keyroot window, sorted *)
   in_use : bool Atomic.t;  (** claimed by the thread running a kernel on it *)
 }
 
@@ -39,3 +43,7 @@ val next_serial : t -> int
 
 val reserve_bands : t -> int -> unit
 (** [reserve_bands a w] ensures both band rows hold at least [w] cells. *)
+
+val reserve_keyroots : t -> int -> int -> unit
+(** [reserve_keyroots a n2 w] ensures [leaf_keyroot] holds at least
+    [n2] cells and [window] at least [w]. *)

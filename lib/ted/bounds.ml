@@ -1,4 +1,3 @@
-module Postorder = Tsj_tree.Postorder
 module Traversal = Tsj_tree.Traversal
 module Multiset = Tsj_util.Multiset
 
@@ -13,26 +12,10 @@ type t = {
   degrees : int array;  (* degrees.(d): number of nodes with d children *)
 }
 
-(* Number of children of postorder node [i]: its last child is [i - 1],
-   each earlier sibling ends just before the previous one's leftmost
-   leaf, and the first child's subtree starts at [lld.(i)]. *)
-let n_children (po : Postorder.t) i =
-  let stop = po.lld.(i) in
-  let rec go c k = if c < stop then k else go (po.lld.(c) - 1) (k + 1) in
-  go (i - 1) 0
+let of_form tree (f : Tsj_tree.Form.t) =
+  { prep = Ted.of_form tree f; labels = Multiset.of_unsorted f.left.labels; degrees = f.degrees }
 
-let of_prep prep =
-  let po = Ted.left_postorder prep in
-  let max_deg = ref 0 in
-  for i = 0 to po.size - 1 do
-    max_deg := Int.max !max_deg (n_children po i)
-  done;
-  let degrees = Array.make (!max_deg + 1) 0 in
-  for i = 0 to po.size - 1 do
-    let d = n_children po i in
-    degrees.(d) <- degrees.(d) + 1
-  done;
-  { prep; labels = Multiset.of_unsorted po.labels; degrees }
+let of_tree tree = of_form tree (Tsj_tree.Form.of_tree tree)
 
 let prep f = f.prep
 

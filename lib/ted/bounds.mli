@@ -27,10 +27,13 @@ type t
     the greedy walk read the prep's postorders, so a form costs about
     one word per node beyond its prep. *)
 
-val of_prep : Ted.prep -> t
-(** [O(n log n)] for an [n]-node tree: a linear pass for the degree
-    histogram and an integer merge sort for the label bag
-    ({!Tsj_util.Multiset.of_unsorted}). *)
+val of_form : Tsj_tree.Tree.t -> Tsj_tree.Form.t -> t
+(** [of_form tree f] is the form of [tree] read off [f = Form.of_tree
+    tree]: its postorders and degree histogram are shared, and only the
+    label bag is computed, by {!Tsj_util.Multiset.of_unsorted}. *)
+
+val of_tree : Tsj_tree.Tree.t -> t
+(** [of_form tree (Form.of_tree tree)]. *)
 
 val prep : t -> Ted.prep
 

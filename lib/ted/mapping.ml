@@ -11,7 +11,7 @@ type t = { ops : op list; cost : int }
    The recomputation keeps memory at O(n^2) while the total work stays
    within a constant factor of the forward pass. *)
 let compute t1 t2 =
-  let p1 = Postorder.of_tree t1 and p2 = Postorder.of_tree t2 in
+  let p1 = (Tsj_tree.Form.of_tree t1).left and p2 = (Tsj_tree.Form.of_tree t2).left in
   let n1 = p1.Postorder.size and n2 = p2.Postorder.size in
   let lld1 = p1.Postorder.lld and lld2 = p2.Postorder.lld in
   let lab1 = p1.Postorder.labels and lab2 = p2.Postorder.labels in

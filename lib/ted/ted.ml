@@ -8,9 +8,10 @@ type prep = {
   right_po : Postorder.t; (* postorder form of the mirrored tree *)
 }
 
-let preprocess tree =
-  let left_po, right_po = Postorder.both tree in
-  { tree; size = left_po.size; left_po; right_po }
+let of_form tree (f : Tsj_tree.Form.t) =
+  { tree; size = f.size; left_po = f.left; right_po = f.mirror }
+
+let preprocess tree = of_form tree (Tsj_tree.Form.of_tree tree)
 
 let tree p = p.tree
 

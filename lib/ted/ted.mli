@@ -18,6 +18,11 @@ type prep
 
 val preprocess : Tsj_tree.Tree.t -> prep
 
+val of_form : Tsj_tree.Tree.t -> Tsj_tree.Form.t -> prep
+(** [of_form tree f] is [preprocess tree] read off [f = Form.of_tree
+    tree], which a caller that also needs the tree's LC-RS form has
+    already built.  Shares [f]'s postorders. *)
+
 val tree : prep -> Tsj_tree.Tree.t
 
 val size : prep -> int

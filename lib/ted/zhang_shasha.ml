@@ -145,6 +145,20 @@ let distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) =
    the same cost, so the argument holds there on the mirrored
    postorders.
 
+   Keyroot window.  The kept pairs are found, not filtered: every leaf
+   of T2 is the leftmost leaf of exactly one keyroot (the top of its
+   left path), so for each k1 the kept k2 are the keyroots of the leaves
+   in [l1 - k, l1 + k], at most 2k + 1 of them, read off a leaf ->
+   keyroot map of T2 built once per call.  A call then visits
+   O(|keyroots1| * (2k + 1)) pairs instead of every pair of keyroots.
+   The window is visited in ascending k2, which keeps the order of the
+   full double loop minus its skipped pairs, and order matters: the
+   pair (k1, k2) reads td(a, b) for a on k1's left path and b in the
+   subtree of k2, a cell written by the pair (k1, kr(b)), where kr(b) is
+   the keyroot of b's left path, and kr(b) < k2 whenever b is not on
+   k2's own left path.  In lld order that writer may come later, and the
+   read would see the clamp instead of a value <= k.
+
    A kept pair costs O(rows * (2k + 1 - |d|)) cells instead of the
    O(rows * (2k + 1)) of the size band alone.  The strip is also why
    keyroot-pair results cannot be shared across pairs of trees keyed by
@@ -173,12 +187,12 @@ let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
       let off = (a * stride) + b in
       if Array.unsafe_get td_stamp off = id then Array.unsafe_get td off else inf
     in
+    (* Only called on kept pairs: [|d| <= k]. *)
     let compute k1 k2 =
       let l1 = lld1.(k1) and l2 = lld2.(k2) in
       let d = l1 - l2 in
       let m = k1 - l1 + 1 and n = k2 - l2 + 1 in
-      if abs d > k then ()
-      else if m = 1 && n = 1 then begin
+      if m = 1 && n = 1 then begin
         (* Leaf keyroot pair: the single DP cell (1, 1), always in the
            strip, reduces to min (2, label cost) = label cost. *)
         let off = (k1 * stride) + k2 in
@@ -249,13 +263,37 @@ let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
       done
       end
     in
+    (* The keyroot window (see above): [kr.(p)] is the keyroot of T2
+       whose leftmost leaf is the leaf [p]; for each k1 the keyroots of
+       the leaves in [l1 - k, l1 + k] are insertion-sorted into [win]
+       and run in ascending order. *)
+    Arena.reserve_keyroots s n2 (Int.min n2 ((2 * k) + 1));
+    let kr = s.Arena.leaf_keyroot and win = s.Arena.window in
+    Array.iter (fun k2 -> kr.(lld2.(k2)) <- k2) p2.keyroots;
     Array.iter
-      (fun k1 -> Array.iter (fun k2 -> compute k1 k2) p2.keyroots)
+      (fun k1 ->
+        let l1 = lld1.(k1) in
+        let c = ref 0 in
+        for p = Int.max 0 (l1 - k) to Int.min (n2 - 1) (l1 + k) do
+          if lld2.(p) = p then begin
+            let k2 = kr.(p) in
+            let j = ref !c in
+            while !j > 0 && win.(!j - 1) > k2 do
+              win.(!j) <- win.(!j - 1);
+              decr j
+            done;
+            win.(!j) <- k2;
+            incr c
+          end
+        done;
+        for i = 0 to !c - 1 do
+          compute k1 win.(i)
+        done)
       p1.keyroots;
     Int.min (td_get (n1 - 1) (n2 - 1)) inf)
 
-let distance t1 t2 =
-  distance_postorder (Postorder.of_tree t1) (Postorder.of_tree t2)
+let postorder t = (Tsj_tree.Form.of_tree t).left
 
-let bounded_distance t1 t2 k =
-  bounded_distance_postorder (Postorder.of_tree t1) (Postorder.of_tree t2) k
+let distance t1 t2 = distance_postorder (postorder t1) (postorder t2)
+
+let bounded_distance t1 t2 k = bounded_distance_postorder (postorder t1) (postorder t2) k

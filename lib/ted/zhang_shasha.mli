@@ -36,9 +36,11 @@ val bounded_distance_postorder : Tsj_tree.Postorder.t -> Tsj_tree.Postorder.t ->
       [y - x] in [[max 0 d - k, min 0 d + k]] are computed.
     Every cell left out reads as [k + 1], and values above [k] are
     clamped by the monotone min-plus recurrence, so every value [<= k]
-    stays exact (the argument is in the implementation's comment).  A
-    kept keyroot pair costs O(rows * (2k + 1 - |d|)) cells instead of
-    [rows * cols].  The stamp-tracked scratch avoids any O(rows * cols)
+    stays exact (the argument is in the implementation's comment).  The
+    kept pairs are read off a leaf -> keyroot map of [p2]: at most
+    [2k + 1] per keyroot of [p1], visited in ascending order, instead
+    of a test of every keyroot pair.  A kept keyroot pair costs
+    O(rows * (2k + 1 - |d|)) cells instead of [rows * cols].  The stamp-tracked scratch avoids any O(rows * cols)
     per-call initialization, and size-incompatible pairs exit at once.
     @raise Invalid_argument if [k < 0]. *)
 

@@ -1,62 +1,32 @@
-type child_kind = Root | Left_of_parent | Right_of_parent
-
 type t = {
   size : int;
   label : int array;
   left : int array;
   right : int array;
-  parent : int array;
-  kind : child_kind array;
-  subtree_size : int array;
   gpost : int array;
 }
-
-(* One recursion over the sibling chains: [go node siblings] numbers
-   the binary subtree of [node] — its general descendants (the left
-   subtree), then its later siblings (the right subtree), then [node]
-   itself — and returns [node]'s binary-postorder id.  The Knuth
-   transform is a bijection on nodes, so each binary node keeps its
-   source node's general-postorder number: the descendants come before
-   it in general postorder and the later siblings after it, so it is
-   numbered between the two subtrees. *)
-let of_tree tree =
-  let n = Tree.size tree in
-  let label = Array.make n 0 in
-  let left = Array.make n (-1) in
-  let right = Array.make n (-1) in
-  let parent = Array.make n (-1) in
-  let kind = Array.make n Root in
-  let subtree_size = Array.make n 1 in
-  let gpost = Array.make n 0 in
-  let bcount = ref 0 and gcount = ref 0 in
-  let attach me child k lane =
-    lane.(me) <- child;
-    parent.(child) <- me;
-    kind.(child) <- k;
-    subtree_size.(me) <- subtree_size.(me) + subtree_size.(child)
-  in
-  let rec go (node : Tree.t) siblings =
-    let l = match node.children with [] -> -1 | c :: rest -> go c rest in
-    let g = !gcount in
-    incr gcount;
-    let r = match siblings with [] -> -1 | s :: rest -> go s rest in
-    let me = !bcount in
-    incr bcount;
-    label.(me) <- node.label;
-    gpost.(me) <- g;
-    if l >= 0 then attach me l Left_of_parent left;
-    if r >= 0 then attach me r Right_of_parent right;
-    me
-  in
-  let root_id = go tree [] in
-  assert (root_id = n - 1);
-  { size = n; label; left; right; parent; kind; subtree_size; gpost }
 
 let root t = t.size - 1
 
 let has_left t i = t.left.(i) >= 0
 
 let has_right t i = t.right.(i) >= 0
+
+let subtree_sizes t =
+  let s = Array.make t.size 1 in
+  for i = 0 to t.size - 1 do
+    if t.left.(i) >= 0 then s.(i) <- s.(i) + s.(t.left.(i));
+    if t.right.(i) >= 0 then s.(i) <- s.(i) + s.(t.right.(i))
+  done;
+  s
+
+let parents t =
+  let parent = Array.make t.size (-1) in
+  for i = 0 to t.size - 1 do
+    if t.left.(i) >= 0 then parent.(t.left.(i)) <- i;
+    if t.right.(i) >= 0 then parent.(t.right.(i)) <- i
+  done;
+  parent
 
 let to_tree t =
   (* [general i] rebuilds the general-tree node for binary node [i];
@@ -69,12 +39,10 @@ let to_tree t =
   general (root t)
 
 let pp fmt t =
+  let parent = parents t in
   for i = 0 to t.size - 1 do
     Format.fprintf fmt "%3d %-10s left=%-3d right=%-3d parent=%-3d %s@." i
       (Label.name t.label.(i))
-      t.left.(i) t.right.(i) t.parent.(i)
-      (match t.kind.(i) with
-      | Root -> "root"
-      | Left_of_parent -> "L"
-      | Right_of_parent -> "R")
+      t.left.(i) t.right.(i) parent.(i)
+      (if parent.(i) < 0 then "root" else if t.left.(parent.(i)) = i then "L" else "R")
   done

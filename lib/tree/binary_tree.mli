@@ -11,19 +11,13 @@
     This numbering is exactly the key space of the PartSJ postorder-pruning
     index layer. *)
 
-type child_kind =
-  | Root           (** the node has no incoming edge *)
-  | Left_of_parent (** reached via its parent's left (leftmost-child) pointer *)
-  | Right_of_parent(** reached via its parent's right (next-sibling) pointer *)
-
+(** Built by {!Form.of_tree}, in the same walk as the tree's other
+    forms.  The root is the only node without an incoming edge. *)
 type t = {
   size : int;
   label : int array;        (** label of node [i] *)
   left : int array;         (** left-child id, or [-1] *)
   right : int array;        (** right-child id, or [-1] *)
-  parent : int array;       (** parent id, or [-1] for the root *)
-  kind : child_kind array;  (** how node [i] hangs off its parent *)
-  subtree_size : int array; (** nodes in the binary subtree rooted at [i] *)
   gpost : int array;
       (** 0-based postorder number of node [i] {e in the general tree}.
           Binary-postorder ids are unstable under node edit operations (one
@@ -33,11 +27,8 @@ type t = {
           postorder-pruning index. *)
 }
 
-val of_tree : Tree.t -> t
-(** Knuth transformation.  Preserves the node count and labels. *)
-
 val to_tree : t -> Tree.t
-(** Inverse transformation.  [to_tree (of_tree t) = t]. *)
+(** Inverse transformation: [to_tree (Form.of_tree t).lcrs = t]. *)
 
 val root : t -> int
 (** Always [size - 1]. *)
@@ -45,6 +36,13 @@ val root : t -> int
 val has_left : t -> int -> bool
 
 val has_right : t -> int -> bool
+
+val subtree_sizes : t -> int array
+(** [subtree_sizes b]: the nodes in the binary subtree rooted at each
+    node, which occupies the ids [i - size + 1 .. i]; [O(size)]. *)
+
+val parents : t -> int array
+(** [parents b]: the parent of each node, [-1] at the root; [O(size)]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Debug rendering: one line per node in postorder. *)

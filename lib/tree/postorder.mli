@@ -5,6 +5,8 @@
     leftmost-leaf-descendant array [lld] plus the LR-keyroots drive the
     dynamic program. *)
 
+(** Built by {!Form.of_tree}, which fills a tree's postorder and its
+    mirror's in the same walk. *)
 type t = {
   size : int;
   labels : int array;    (** [labels.(i)]: label of postorder node [i] *)
@@ -13,14 +15,6 @@ type t = {
                              every node that is not its parent's first
                              child *)
 }
-
-val of_tree : Tree.t -> t
-
-val both : Tree.t -> t * t
-(** [both t] is [(of_tree t, of_tree (mirror t))] in one walk, where
-    [mirror t] reverses every child list: the mirror's postorder is
-    [t]'s preorder reversed.  The second form drives the right-path
-    decomposition of the TED and the traversal-string bounds. *)
 
 val n_leaves : t -> int
 

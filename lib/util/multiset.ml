@@ -35,7 +35,7 @@ let merge (src : int array) (dst : int array) lo mid hi =
     end
   done
 
-let of_unsorted a =
+let merge_sort a =
   let n = Array.length a in
   let src = ref (Array.copy a) in
   let lo = ref 0 in
@@ -58,6 +58,39 @@ let of_unsorted a =
     done
   end;
   !src
+
+(* A counting sort over [lo, lo + range]: one pass counts, one writes
+   the values back in order.  Label ids are dense, so a tree's bag
+   usually spans a few hundred ids, where two linear passes beat the
+   merge sort's log n rounds. *)
+let counting_sort a lo range =
+  let counts = Array.make (range + 1) 0 in
+  Array.iter (fun x -> counts.(x - lo) <- counts.(x - lo) + 1) a;
+  let out = Array.make (Array.length a) 0 in
+  let i = ref 0 in
+  for v = 0 to range do
+    for _ = 1 to counts.(v) do
+      out.(!i) <- v + lo;
+      incr i
+    done
+  done;
+  out
+
+(* The counting sort runs when its count array is short: below
+   [4 n + 256] cells it costs at most a few passes of the bag.  A
+   [range] past [max_int] wraps negative and falls to the merge sort. *)
+let of_unsorted a =
+  let n = Array.length a in
+  if n <= run then merge_sort a
+  else begin
+    let lo = ref a.(0) and hi = ref a.(0) in
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      if x < !lo then lo := x else if x > !hi then hi := x
+    done;
+    let range = !hi - !lo in
+    if range >= 0 && range < (4 * n) + 256 then counting_sort a !lo range else merge_sort a
+  end
 
 let of_sorted a =
   for i = 1 to Array.length a - 1 do

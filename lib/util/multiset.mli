@@ -9,7 +9,9 @@ type t
 (** An immutable bag of integers, stored sorted. *)
 
 val of_unsorted : int array -> t
-(** Takes ownership conceptually: the input is copied then sorted. *)
+(** A sorted copy of the input, which is left unchanged: a counting sort
+    when the values span fewer than [4 n + 256] ids for [n] of them
+    (label bags), a merge sort otherwise. *)
 
 val of_sorted : int array -> t
 (** Wraps an array the caller promises is already sorted ascending.

@@ -102,9 +102,9 @@ let sweep ?mode ~labels ~tau ?(on_miss = fun _ _ -> ()) trees =
       let members = Array.of_list (ball labels tau t) in
       let bands = Size_bands.create ?mode ~tau () in
       Array.iteri
-        (fun id t' -> ignore (Size_bands.insert bands id (Binary_tree.of_tree t')))
+        (fun id t' -> ignore (Size_bands.insert bands id ((Tsj_tree.Form.of_tree t').lcrs)))
         members;
-      let b = Binary_tree.of_tree t in
+      let b = (Tsj_tree.Form.of_tree t).lcrs in
       let size = b.Binary_tree.size in
       let found = Array.make (Array.length members) false in
       List.iter

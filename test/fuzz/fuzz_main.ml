@@ -160,10 +160,10 @@ let fuzz_lemma2 iterations rng =
   for i = 1 to iterations do
     let x, x', tau = edited_pair rng in
     let delta = (2 * tau) + 1 in
-    let b = BT.of_tree x in
+    let b = (Tsj_tree.Form.of_tree x).lcrs in
     if b.BT.size >= delta then begin
       let subs = Subgraph.of_partition ~tree_id:0 (Partition.partition b ~delta) in
-      let b' = BT.of_tree x' in
+      let b' = (Tsj_tree.Form.of_tree x').lcrs in
       if not (Array.exists (fun s -> Subgraph.occurs_in s b') subs) then begin
         incr failures;
         report "lemma2" i
@@ -191,10 +191,10 @@ let fuzz_windows iterations rng =
     let x, x', tau = edited_pair rng in
     let x, x' = if Tree.size x <= Tree.size x' then (x, x') else (x', x) in
     let delta = (2 * tau) + 1 in
-    let b = BT.of_tree x in
+    let b = (Tsj_tree.Form.of_tree x).lcrs in
     if b.BT.size >= delta then begin
       let subs = Subgraph.of_partition ~tree_id:0 (Partition.partition b ~delta) in
-      let b' = BT.of_tree x' in
+      let b' = (Tsj_tree.Form.of_tree x').lcrs in
       if not (probe_finds Index.Two_sided tau subs b') then begin
         incr sound_failures;
         report "windows(two-sided)" i
@@ -243,7 +243,8 @@ let fuzz_ted iterations rng =
   for i = 1 to iterations do
     let x = random_tree rng (1 + Prng.int rng 12) in
     let y = random_tree rng (1 + Prng.int rng 12) in
-    let px = Ted.preprocess x and py = Ted.preprocess y in
+    let fx = Tsj_ted.Bounds.of_tree x and fy = Tsj_ted.Bounds.of_tree y in
+    let px = Tsj_ted.Bounds.prep fx and py = Tsj_ted.Bounds.prep fy in
     let zs postorder = Tsj_ted.Zhang_shasha.distance_postorder (postorder px) (postorder py) in
     let l = zs Ted.left_postorder and r = zs Ted.right_postorder in
     let bad = ref [] in
@@ -251,8 +252,7 @@ let fuzz_ted iterations rng =
     if Ted.distance_prep px py <> l then bad := "hybrid<>left" :: !bad;
     if Tree.size x <= 9 && Tree.size y <= 9 && l <> Tsj_ted.Naive.distance x y then
       bad := "zs<>naive" :: !bad;
-    (let fx = Tsj_ted.Bounds.of_prep px and fy = Tsj_ted.Bounds.of_prep py in
-     if
+    (if
        List.exists
          (fun bound -> bound fx fy > l)
          Tsj_ted.Bounds.[ linear_lower; traversal_bound; euler_bound ]

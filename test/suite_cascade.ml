@@ -17,7 +17,7 @@ module Nested_loop = Tsj_join.Nested_loop
 module Types = Tsj_join.Types
 module Prng = Tsj_util.Prng
 
-let form t = Bounds.of_prep (Ted.preprocess t)
+let form t = Bounds.of_tree t
 
 (* --- per-pair reference bounds, computed straight from the trees --- *)
 

@@ -45,7 +45,7 @@ let check_valid_mapping t1 t2 (m : Mapping.t) =
      conditions): for mapped pairs, postorder order agrees in both trees
      and the ancestor relation is preserved.  Ancestorship in postorder
      terms: i1 is an ancestor of i2 iff lld(i1) <= i2 < i1. *)
-  let p1 = Tsj_tree.Postorder.of_tree t1 and p2 = Tsj_tree.Postorder.of_tree t2 in
+  let p1 = (Tsj_tree.Form.of_tree t1).left and p2 = (Tsj_tree.Form.of_tree t2).left in
   let ancestor (p : Tsj_tree.Postorder.t) a b =
     (* is a an ancestor of b? *)
     a > b && p.Tsj_tree.Postorder.lld.(a) <= b

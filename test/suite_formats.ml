@@ -90,11 +90,11 @@ let test_dot_escaping () =
   Alcotest.(check bool) "escaped newline" true (contains s "\\n")
 
 let test_dot_binary_and_partition () =
-  let b = Tsj_tree.Binary_tree.of_tree (t "{a{b{c}}{d}{e}}") in
+  let b = (Tsj_tree.Form.of_tree (t "{a{b{c}}{d}{e}}")).lcrs in
   let s = Dot.of_binary b in
   Alcotest.(check bool) "dashed sibling edges" true (contains s "style=dashed");
   let p = Tsj_core.Partition.partition b ~delta:3 in
-  let s = Dot.of_partition b ~assignment:p.Tsj_core.Partition.assignment in
+  let s = Dot.of_partition b ~assignment:(Tsj_core.Partition.assignment p) in
   Alcotest.(check bool) "bridging edges red" true (contains s "color=red");
   Alcotest.(check bool) "filled components" true (contains s "fillcolor");
   Alcotest.check_raises "length check"

@@ -196,7 +196,7 @@ let model_sweep ~partitioning ~tau trees =
   let probed = ref 0 and matched = ref 0 and small = ref 0 and indexed = ref 0 in
   List.iter
     (fun ti ->
-      let btree = Tsj_tree.Binary_tree.of_tree trees.(ti) in
+      let btree = (Tsj_tree.Form.of_tree trees.(ti)).lcrs in
       let p = Tsj_core.Size_bands.probe bands ~lo:(size ti - tau) ~hi:(size ti) btree in
       List.iter
         (fun tj -> candidates := (min ti tj, max ti tj) :: !candidates)

@@ -10,7 +10,9 @@ module Size_bands = Tsj_core.Size_bands
 
 let t s = Bracket.of_string_exn s
 
-let bt s = Binary_tree.of_tree (t s)
+let lcrs x = (Tsj_tree.Form.of_tree x).lcrs
+
+let bt s = lcrs (t s)
 
 (* --- partitionable / max_min_size --- *)
 
@@ -71,9 +73,10 @@ let test_max_min_size_small () =
 
 (* Brute force: try all (delta-1)-subsets of edges; the best achievable
    minimum component size.  Components of a cut-edge set are exactly what
-   Partition.of_cut_roots computes, so rebuild them independently here. *)
+   Partition.assignment computes, so rebuild them independently here. *)
 let brute_force_max_min (b : Binary_tree.t) ~delta =
   let n = b.Binary_tree.size in
+  let parent = Binary_tree.parents b in
   let best = ref 0 in
   let edges = Array.init (n - 1) (fun i -> i) in
   let rec choose start chosen k =
@@ -87,7 +90,7 @@ let brute_force_max_min (b : Binary_tree.t) ~delta =
       done;
       (* nodes in descending order: parents have larger ids *)
       for v = n - 2 downto 0 do
-        if comp_root.(v) < 0 then comp_root.(v) <- comp_root.(b.Binary_tree.parent.(v))
+        if comp_root.(v) < 0 then comp_root.(v) <- comp_root.(parent.(v))
       done;
       let sizes = Hashtbl.create 8 in
       Array.iter
@@ -108,7 +111,7 @@ let brute_force_max_min (b : Binary_tree.t) ~delta =
 let prop_max_min_size_matches_brute_force =
   Gen.qtest ~count:80 "MaxMinSize = brute force" (Gen.arb_tree ~max_size:9 ())
     (fun x ->
-      let b = Binary_tree.of_tree x in
+      let b = lcrs x in
       let ok = ref true in
       List.iter
         (fun delta ->
@@ -130,26 +133,30 @@ let check_partition_invariants ?(expect_gamma = true) (p : Partition.t) =
   let b = p.Partition.btree in
   let n = b.Binary_tree.size in
   let delta = p.Partition.delta in
+  let assignment = Partition.assignment p and parent = Binary_tree.parents b in
   (* assignment total and within range *)
-  Array.iter (fun k -> assert (k >= 0 && k < delta)) p.Partition.assignment;
+  Array.iter (fun k -> assert (k >= 0 && k < delta)) assignment;
   (* roots strictly increasing, last = tree root, assigned to own component *)
   Array.iteri
     (fun k r ->
-      assert (p.Partition.assignment.(r) = k);
+      assert (assignment.(r) = k);
       if k > 0 then assert (r > p.Partition.roots.(k - 1)))
     p.Partition.roots;
   assert (p.Partition.roots.(delta - 1) = n - 1);
   (* sizes >= gamma *)
   let sizes = Partition.component_sizes p in
+  let counted = Array.make delta 0 in
+  Array.iter (fun k -> counted.(k) <- counted.(k) + 1) assignment;
+  assert (sizes = counted);
   Array.iter (fun s -> assert (s >= 1)) sizes;
   if expect_gamma then Array.iter (fun s -> assert (s >= p.Partition.gamma)) sizes;
   assert (Array.fold_left ( + ) 0 sizes = n);
   (* connectivity: every non-root component member's parent is in the same
      component *)
   for v = 0 to n - 1 do
-    let k = p.Partition.assignment.(v) in
+    let k = assignment.(v) in
     if v <> p.Partition.roots.(k) then
-      assert (p.Partition.assignment.(b.Binary_tree.parent.(v)) = k)
+      assert (assignment.(parent.(v)) = k)
   done;
   (* exactly delta - 1 bridging edges *)
   assert (List.length (Partition.bridging_edges p) = delta - 1)
@@ -157,7 +164,7 @@ let check_partition_invariants ?(expect_gamma = true) (p : Partition.t) =
 let prop_partition_invariants =
   Gen.qtest ~count:150 "balanced partition invariants" (Gen.arb_tree ~max_size:40 ())
     (fun x ->
-      let b = Binary_tree.of_tree x in
+      let b = lcrs x in
       List.iter
         (fun tau ->
           let delta = (2 * tau) + 1 in
@@ -172,7 +179,7 @@ let prop_partition_invariants =
 let prop_random_partition_invariants =
   Gen.qtest ~count:150 "random partition invariants" (Gen.arb_tree ~max_size:40 ())
     (fun x ->
-      let b = Binary_tree.of_tree x in
+      let b = lcrs x in
       let rng = Prng.create (Tree.hash x land 0xFFFFF) in
       List.iter
         (fun delta ->
@@ -186,7 +193,7 @@ let test_partition_delta_one () =
   let b = bt "{a{b}{c}}" in
   let p = Partition.partition b ~delta:1 in
   Alcotest.(check int) "one component" 1 p.Partition.delta;
-  Alcotest.(check (array int)) "all in component 0" [| 0; 0; 0 |] p.Partition.assignment;
+  Alcotest.(check (array int)) "all in component 0" [| 0; 0; 0 |] (Partition.assignment p);
   Alcotest.(check int) "no bridging edges" 0 (List.length (Partition.bridging_edges p))
 
 (* --- subgraphs and matching --- *)
@@ -221,7 +228,7 @@ let test_subgraph_ranks_and_keys () =
 
 let test_subgraph_no_match_on_label_change () =
   let base = t "{a{b{c{d}{e}}}{f}{g{h{i{j}}}}}" in
-  let b = Binary_tree.of_tree base in
+  let b = lcrs base in
   let p = Partition.partition b ~delta:3 in
   let subs = Subgraph.of_partition ~tree_id:0 p in
   (* Rename every node in turn; the subgraph containing the renamed node
@@ -229,7 +236,7 @@ let test_subgraph_no_match_on_label_change () =
   let fresh = Tsj_tree.Label.intern "zz-not-elsewhere" in
   for v_general = 0 to Tree.size base - 1 do
     let changed = Edit_op.apply base (Edit_op.Rename { node = v_general; label = fresh }) in
-    let cb = Binary_tree.of_tree changed in
+    let cb = lcrs changed in
     let occur_count =
       Array.fold_left (fun acc s -> acc + if Subgraph.occurs_in s cb then 1 else 0) 0 subs
     in
@@ -244,12 +251,12 @@ let test_subgraph_no_match_on_label_change () =
 let lemma2_check ~partitioner (x, ops, x') =
   let tau = List.length ops in
   let delta = (2 * tau) + 1 in
-  let b = Binary_tree.of_tree x in
+  let b = lcrs x in
   if b.Binary_tree.size < delta then true
   else begin
     let p = partitioner b ~delta in
     let subs = Subgraph.of_partition ~tree_id:0 p in
-    let b' = Binary_tree.of_tree x' in
+    let b' = lcrs x' in
     Array.exists (fun s -> Subgraph.occurs_in s b') subs
   end
 
@@ -275,8 +282,8 @@ let index_completeness_check (x, ops, x') =
   (* The join always indexes the smaller tree and probes with the larger
      one (trees are processed in ascending size order); mirror that. *)
   let x, x' = if Tree.size x <= Tree.size x' then (x, x') else (x', x) in
-  let b = Binary_tree.of_tree x in
-  let b' = Binary_tree.of_tree x' in
+  let b = lcrs x in
+  let b' = lcrs x' in
   if b.Binary_tree.size < delta then true
   else begin
     let p = Partition.partition b ~delta in
@@ -310,7 +317,7 @@ let test_paper_rank_windows_incomplete () =
   let large = t "{h3{h0{h0}{h3{h2}{h1}}{h1{h3}}{h3{h3}{h5}{h0}{h0}{h1}}{h2}{h4}}{h2}}" in
   let tau = 1 in
   Alcotest.(check int) "TED is 1" 1 (Tsj_ted.Zhang_shasha.distance small large);
-  let b = Binary_tree.of_tree small and b' = Binary_tree.of_tree large in
+  let b = lcrs small and b' = lcrs large in
   let p = Partition.partition b ~delta:((2 * tau) + 1) in
   let subs = Subgraph.of_partition ~tree_id:0 p in
   let probe_finds mode =
@@ -346,10 +353,10 @@ let test_lemma1_deletion_regression () =
   Alcotest.(check bool) "expected shape" true
     (Tree.equal result (t "{l1{l2}{l6{l1}}{l5}{l0}{l7}{l0}}"));
   Alcotest.(check int) "TED 1" 1 (Tsj_ted.Zhang_shasha.distance base result);
-  let b = Binary_tree.of_tree base in
+  let b = lcrs base in
   let p = Partition.partition b ~delta:3 in
   let subs = Subgraph.of_partition ~tree_id:0 p in
-  let b' = Binary_tree.of_tree result in
+  let b' = lcrs result in
   Alcotest.(check bool) "Lemma 2 holds under relaxed matching" true
     (Array.exists (fun s -> Subgraph.occurs_in s b') subs);
   let out = Tsj_core.Partsj.join ~trees:[| base; result |] ~tau:1 () in
@@ -454,9 +461,9 @@ let prop_probe_matches_linear_scan =
   Gen.qtest ~count:300 "Size_bands.probe = linear scan (all modes, wide labels)"
     arb_probe_case (fun (mode, tau, trees, q) ->
       let bands = Size_bands.create ~mode ~tau () in
-      let indexed = List.mapi (fun id x -> (id, Binary_tree.of_tree x)) trees in
+      let indexed = List.mapi (fun id x -> (id, lcrs x)) trees in
       List.iter (fun (id, bt) -> ignore (Size_bands.insert bands id bt)) indexed;
-      let b = Binary_tree.of_tree q in
+      let b = lcrs q in
       let lo = b.Binary_tree.size - tau and hi = b.Binary_tree.size + tau in
       let got = (Size_bands.probe bands ~lo ~hi b).Size_bands.candidates in
       List.sort compare got = reference_candidates mode ~tau indexed b ~lo ~hi
@@ -465,13 +472,13 @@ let prop_probe_matches_linear_scan =
 (* --- the compact subgraph encoding --- *)
 
 (* Subgraph matching as the partition defines it, on the LC-RS tree and
-   the component map (the form [Subgraph.t] held before it became an
-   int code): same labels and edges at every component node, any child
+   the component map [a] (the form [Subgraph.t] held before it became
+   an int code): same labels and edges at every component node, any child
    behind a bridging edge, and a root that keeps whether it has an
    incoming edge but not that edge's left/right category (DESIGN.md,
    finding 3). *)
-let ref_matches (p : Partition.t) k (target : Binary_tree.t) v =
-  let src = p.Partition.btree and a = p.Partition.assignment in
+let ref_matches (p : Partition.t) a k (target : Binary_tree.t) v =
+  let src = p.Partition.btree in
   let root = p.Partition.roots.(k) in
   let rec walk u v =
     src.Binary_tree.label.(u) = target.Binary_tree.label.(v)
@@ -480,14 +487,12 @@ let ref_matches (p : Partition.t) k (target : Binary_tree.t) v =
   and check uc vc =
     if uc < 0 then vc < 0 else if a.(uc) <> k then vc >= 0 else vc >= 0 && walk uc vc
   in
-  (src.Binary_tree.kind.(root) = Binary_tree.Root)
-  = (target.Binary_tree.kind.(v) = Binary_tree.Root)
-  && walk root v
+  (root = Binary_tree.root src) = (v = Binary_tree.root target) && walk root v
 
 (* A serialization of what [ref_matches] reads of component [k]: two
    components with the same one match at the same nodes. *)
-let ref_signature (p : Partition.t) k =
-  let src = p.Partition.btree and a = p.Partition.assignment in
+let ref_signature (p : Partition.t) a k =
+  let src = p.Partition.btree in
   let buf = Buffer.create 32 in
   let rec emit u =
     Buffer.add_string buf (string_of_int src.Binary_tree.label.(u));
@@ -503,7 +508,7 @@ let ref_signature (p : Partition.t) k =
       [ src.Binary_tree.left.(u); src.Binary_tree.right.(u) ]
   in
   let root = p.Partition.roots.(k) in
-  Buffer.add_char buf (if src.Binary_tree.kind.(root) = Binary_tree.Root then 'R' else 'C');
+  Buffer.add_char buf (if root = Binary_tree.root src then 'R' else 'C');
   emit root;
   Buffer.contents buf
 
@@ -511,18 +516,21 @@ let ref_signature (p : Partition.t) k =
    ascending), as [Partition.random_partition] builds one. *)
 let partition_of_cuts (b : Binary_tree.t) cuts =
   let n = b.Binary_tree.size and delta = List.length cuts + 1 in
+  let subtree_size = Binary_tree.subtree_sizes b in
   let assignment = Array.make n (delta - 1) in
   let assigned = Array.make n false in
   List.iteri
     (fun k root ->
-      for v = root - b.Binary_tree.subtree_size.(root) + 1 to root do
+      for v = root - subtree_size.(root) + 1 to root do
         if not assigned.(v) then begin
           assignment.(v) <- k;
           assigned.(v) <- true
         end
       done)
     cuts;
-  { Partition.btree = b; delta; gamma = 0; assignment; roots = Array.of_list (cuts @ [ n - 1 ]) }
+  let sizes = Array.make delta 0 in
+  Array.iter (fun k -> sizes.(k) <- sizes.(k) + 1) assignment;
+  { Partition.btree = b; delta; gamma = 0; roots = Array.of_list (cuts @ [ n - 1 ]); sizes }
 
 let rec choose k = function
   | _ when k = 0 -> [ [] ]
@@ -536,7 +544,7 @@ let rec choose k = function
    one of them stands for all. *)
 let test_compact_encoding_exhaustive () =
   let labels = List.map Tsj_tree.Label.intern [ "a"; "b" ] in
-  let trees = List.map Binary_tree.of_tree (Edit_ball.trees_upto labels 6) in
+  let trees = List.map lcrs (Edit_ball.trees_upto labels 6) in
   let codes = Hashtbl.create 4096 in
   let reps = ref [] in
   let n_components = ref 0 in
@@ -548,29 +556,30 @@ let test_compact_encoding_exhaustive () =
             List.iter
               (fun cuts ->
                 let p = partition_of_cuts b cuts in
+                let a = Partition.assignment p in
                 Array.iter
                   (fun (s : Subgraph.t) ->
                     incr n_components;
-                    let k = p.Partition.assignment.(s.Subgraph.root) in
-                    let signature = ref_signature p k in
+                    let k = a.(s.Subgraph.root) in
+                    let signature = ref_signature p a k in
                     match Hashtbl.find_opt codes signature with
                     | Some code ->
                       if code <> s.Subgraph.code then
                         Alcotest.failf "component %s encoded two ways" signature
                     | None ->
                       Hashtbl.add codes signature s.Subgraph.code;
-                      reps := (s, p, k, signature) :: !reps)
+                      reps := (s, p, a, k, signature) :: !reps)
                   (Subgraph.of_partition ~tree_id:0 p))
               (choose (delta - 1) (List.init (b.Binary_tree.size - 1) Fun.id)))
         [ 3; 5 ])
     trees;
   Alcotest.(check bool) "every partitioning enumerated" true (!n_components > 150_000);
   List.iter
-    (fun (s, p, k, signature) ->
+    (fun (s, p, a, k, signature) ->
       List.iter
         (fun (target : Binary_tree.t) ->
           for v = 0 to target.Binary_tree.size - 1 do
-            if Subgraph.matches s target v <> ref_matches p k target v then
+            if Subgraph.matches s target v <> ref_matches p a k target v then
               Alcotest.failf "component %s at node %d of %s: matches = %b" signature v
                 (Bracket.to_string (Binary_tree.to_tree target))
                 (Subgraph.matches s target v)
@@ -770,7 +779,7 @@ let prop_probe_matches_model =
       List.for_all
         (fun _ ->
           let tree = Gen.random_tree ~labels:probed_labels rng (1 + Prng.int rng 7) in
-          let b = Binary_tree.of_tree tree in
+          let b = lcrs tree in
           let shift = Prng.choice rng collide_offsets in
           let b = { b with Binary_tree.gpost = Array.map (( + ) shift) b.Binary_tree.gpost } in
           let size = Prng.choice rng base_sizes + Prng.int rng 3 in
@@ -786,17 +795,17 @@ let prop_probe_matches_model =
 (* Words the streaming index holds per stored node, on 400 generated
    swissprot trees at τ = 2.  Subgraphs that kept their tree's LC-RS form
    and component map, with boxed postings, read 27.2 here; the compact
-   subgraphs and flat postings read 19.2.  A subgraph that retains the
-   LC-RS tree again (seven arrays a node) reads 26.6 and crosses the
-   bound. *)
+   subgraphs and flat postings read 19.2, and 19.1 once one walk built
+   every form.  The bound is that reading plus 5%: a subgraph that
+   retains the LC-RS tree again (four arrays a node) crosses it. *)
 let test_incremental_words_per_node () =
   let trees = Tsj_datagen.Profiles.instantiate Tsj_datagen.Profiles.swissprot ~seed:25 ~n:400 in
   let inc = Tsj_core.Incremental.create ~tau:2 () in
   Array.iter (fun x -> ignore (Tsj_core.Incremental.add inc x)) trees;
   let nodes = Array.fold_left (fun acc x -> acc + Tree.size x) 0 trees in
   let per_node = float_of_int (Obj.reachable_words (Obj.repr inc)) /. float_of_int nodes in
-  if per_node > 23.0 then
-    Alcotest.failf "Incremental holds %.1f words per stored node (bound 23)" per_node
+  if per_node > 20.0 then
+    Alcotest.failf "Incremental holds %.1f words per stored node (bound 20)" per_node
 
 let test_index_counters () =
   let b = bt "{a{b{c{d}{e}}}{f}{g{h{i{j}}}}}" in
@@ -815,12 +824,12 @@ let test_index_exact_duplicate_found () =
   (* tau = 0: only exact matches; a duplicate tree must be found, a
      renamed one must not produce any matching probe. *)
   let x = t "{a{b{c}}{d}}" in
-  let b = Binary_tree.of_tree x in
+  let b = lcrs x in
   let p = Partition.partition b ~delta:1 in
   let idx = Two_layer_index.create ~tau:0 () in
   Array.iter (Two_layer_index.insert idx) (Subgraph.of_partition ~tree_id:5 p);
   let probe_matches target =
-    let tb = Binary_tree.of_tree target in
+    let tb = lcrs target in
     let found = ref false in
     let size = tb.Binary_tree.size in
     Two_layer_index.probe idx (Two_layer_index.cursor tb) ~lo:size ~hi:size (fun s v ->
@@ -830,6 +839,49 @@ let test_index_exact_duplicate_found () =
   Alcotest.(check bool) "duplicate found" true (probe_matches (t "{a{b{c}}{d}}"));
   Alcotest.(check bool) "different tree not matched" false
     (probe_matches (t "{a{b{x}}{d}}"))
+
+(* --- one walk against the builders it replaced --- *)
+
+(* Every form {!Tsj_tree.Form.of_tree} fills, and the partition and
+   subgraph codes read off its LC-RS form at δ = 3, 5 and 7, equal the
+   reference builders' ([Form_reference]). *)
+let check_one_walk x =
+  let module R = Form_reference in
+  let f = Tsj_tree.Form.of_tree x in
+  let fail what = Alcotest.failf "one walk: %s differs on %s" what (Bracket.to_string x) in
+  let left, mirror = R.postorders x in
+  if f.left <> left then fail "the postorder";
+  if f.mirror <> mirror then fail "the mirror's postorder";
+  if f.degrees <> R.degrees left then fail "the degree histogram";
+  let bag = Tsj_util.Multiset.(to_array (of_unsorted f.left.labels)) in
+  if Array.to_list bag <> R.sorted_bag left.labels then fail "the label bag";
+  let b = R.lcrs x in
+  if f.lcrs <> b then fail "the LC-RS form";
+  List.iter
+    (fun delta ->
+      if b.size >= delta then begin
+        let p = Partition.partition f.lcrs ~delta and r = R.partition b ~delta in
+        if
+          p.gamma <> r.gamma || p.roots <> r.roots
+          || Partition.assignment p <> r.assignment
+          || Partition.component_sizes p
+             <> Array.init delta (fun k ->
+                    Array.fold_left (fun c k' -> if k' = k then c + 1 else c) 0 r.assignment)
+        then fail (Printf.sprintf "the partition at delta = %d" delta);
+        if Subgraph.of_partition ~tree_id:7 p <> R.subgraphs ~tree_id:7 b r then
+          fail (Printf.sprintf "a subgraph code at delta = %d" delta)
+      end)
+    [ 3; 5; 7 ]
+
+let test_one_walk_exhaustive () =
+  let labels = List.map Tsj_tree.Label.intern [ "a"; "b" ] in
+  List.iter check_one_walk (Edit_ball.trees_upto labels 7)
+
+let test_one_walk_profiles () =
+  List.iter
+    (fun profile ->
+      Array.iter check_one_walk (Tsj_datagen.Profiles.instantiate profile ~seed:32 ~n:60))
+    Tsj_datagen.Profiles.all
 
 let suite =
   [
@@ -863,4 +915,8 @@ let suite =
     prop_probe_matches_model;
     Alcotest.test_case "incremental words per stored node" `Quick
       test_incremental_words_per_node;
+    Alcotest.test_case "one walk = reference builders (exhaustive)" `Quick
+      test_one_walk_exhaustive;
+    Alcotest.test_case "one walk = reference builders (profiles)" `Quick
+      test_one_walk_profiles;
   ]

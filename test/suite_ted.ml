@@ -211,7 +211,7 @@ let prop_ted_upper_bound =
 (* Each bound as a function of two trees: the forms' pairwise bounds,
    plus the two traversal strings the STR filter takes the max of. *)
 let all_bounds =
-  let on_forms f a b = f (Bounds.of_prep (Ted.preprocess a)) (Bounds.of_prep (Ted.preprocess b)) in
+  let on_forms f a b = f (Bounds.of_tree a) (Bounds.of_tree b) in
   let sed traversal a b = Tsj_ted.String_edit.distance (traversal a) (traversal b) in
   [
     ("size", on_forms Bounds.size_bound);

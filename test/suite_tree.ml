@@ -11,6 +11,10 @@ let tree = Alcotest.testable (Fmt.of_to_string Bracket.to_string) Tree.equal
 
 let t s = Bracket.of_string_exn s
 
+let lcrs x = (Tsj_tree.Form.of_tree x).lcrs
+
+let postorder x = (Tsj_tree.Form.of_tree x).left
+
 (* The running example from Figure 4 of the paper. *)
 let fig4 = t "{a{b{c{d}{e}}}{f}{g{h{i{j}}}}}"
 
@@ -108,9 +112,9 @@ let small_trees = lazy (Edit_ball.trees_upto (List.map Label.intern [ "a"; "b" ]
    mirroring both trees, which is how the right-path decomposition runs. *)
 let rec mirror (x : Tree.t) = Tree.node x.Tree.label (List.rev_map mirror x.Tree.children)
 
-(* The one-form walk [Postorder.both] replaced: postorder numbers, the
-   first child's lld, and a keyroot at the root and every non-first
-   child. *)
+(* The walk that one walk per tree ([Form.of_tree]) and, before it,
+   [Postorder.both] replaced: postorder numbers, the first child's lld,
+   and a keyroot at the root and every non-first child. *)
 let reference_postorder tree =
   let n = Tree.size tree in
   let labels = Array.make n 0 and lld = Array.make n 0 in
@@ -138,8 +142,11 @@ let test_postorder_both_exhaustive () =
   Alcotest.check tree "mirrored" (t "{a{c}{b{y}{x}}}") (mirror a);
   List.iter
     (fun x ->
-      let left, right = Postorder.both x in
-      if left <> reference_postorder x || right <> reference_postorder (mirror x) then
+      let f = Tsj_tree.Form.of_tree x in
+      let left = reference_postorder x and right = reference_postorder (mirror x) in
+      if f.left <> left || f.mirror <> right then
+        Alcotest.failf "Form.of_tree's postorders differ on %s" (Bracket.to_string x);
+      if Form_reference.postorders x <> (left, right) then
         Alcotest.failf "Postorder.both differs on %s" (Bracket.to_string x))
     (Lazy.force small_trees)
 
@@ -282,7 +289,7 @@ let test_traversal_parent_depth () =
 let test_postorder_lld_keyroots () =
   (* Example: {f{d{a}{c{b}}}{e}} — the classic Zhang–Shasha paper tree. *)
   let a = t "{f{d{a}{c{b}}}{e}}" in
-  let p = Postorder.of_tree a in
+  let p = postorder a in
   Alcotest.(check int) "size" 6 p.Postorder.size;
   (* postorder: a(0) b(1) c(2) d(3) e(4) f(5) *)
   Alcotest.(check (array int)) "lld" [| 0; 1; 1; 0; 4; 0 |] p.Postorder.lld;
@@ -292,7 +299,7 @@ let test_postorder_lld_keyroots () =
 
 let prop_postorder_invariants =
   Gen.qtest "postorder invariants" (Gen.arb_tree ~max_size:25 ()) (fun x ->
-      let p = Postorder.of_tree x in
+      let p = postorder x in
       (* keyroots by definition, straight off the tree: number nodes in
          postorder and keep the root and every non-first child *)
       let expected = ref [] and counter = ref 0 in
@@ -313,7 +320,7 @@ let prop_postorder_invariants =
 
 let test_binary_tree_fig4 () =
   (* Figure 4 of the paper: the LC-RS transform of the general tree. *)
-  let b = Binary_tree.of_tree fig4 in
+  let b = lcrs fig4 in
   Alcotest.(check int) "same node count" 10 b.Binary_tree.size;
   Alcotest.check tree "inverse transform" fig4 (Binary_tree.to_tree b);
   (* Root of the binary tree is the general root and keeps no right child:
@@ -324,20 +331,21 @@ let test_binary_tree_fig4 () =
 
 let prop_binary_roundtrip =
   Gen.qtest "LC-RS roundtrip" (Gen.arb_tree ~max_size:30 ()) (fun x ->
-      Tree.equal x (Binary_tree.to_tree (Binary_tree.of_tree x)))
+      Tree.equal x (Binary_tree.to_tree (lcrs x)))
 
 let prop_binary_structure =
   Gen.qtest "LC-RS structural invariants" (Gen.arb_tree ~max_size:30 ()) (fun x ->
-      let b = Binary_tree.of_tree x in
+      let b = lcrs x in
       let n = b.Binary_tree.size in
+      let parent = Binary_tree.parents b and subtree_size = Binary_tree.subtree_sizes b in
       let ok = ref (n = Tree.size x) in
       for i = 0 to n - 1 do
-        (match b.Binary_tree.kind.(i) with
-        | Binary_tree.Root -> if b.Binary_tree.parent.(i) <> -1 then ok := false
-        | Binary_tree.Left_of_parent ->
-          if b.Binary_tree.left.(b.Binary_tree.parent.(i)) <> i then ok := false
-        | Binary_tree.Right_of_parent ->
-          if b.Binary_tree.right.(b.Binary_tree.parent.(i)) <> i then ok := false);
+        (* the root alone has no parent; every other node hangs off
+           its parent's left or right lane *)
+        let p = parent.(i) in
+        if i = Binary_tree.root b then (if p <> -1 then ok := false)
+        else if p < 0 || (b.Binary_tree.left.(p) <> i && b.Binary_tree.right.(p) <> i) then
+          ok := false;
         (* postorder ids: children have smaller ids than parents *)
         if b.Binary_tree.left.(i) >= i then ok := false;
         if b.Binary_tree.right.(i) >= i then ok := false;
@@ -345,17 +353,17 @@ let prop_binary_structure =
         let expect =
           1
           + (if b.Binary_tree.left.(i) >= 0 then
-               b.Binary_tree.subtree_size.(b.Binary_tree.left.(i))
+               subtree_size.(b.Binary_tree.left.(i))
              else 0)
           + (if b.Binary_tree.right.(i) >= 0 then
-               b.Binary_tree.subtree_size.(b.Binary_tree.right.(i))
+               subtree_size.(b.Binary_tree.right.(i))
              else 0)
         in
-        if b.Binary_tree.subtree_size.(i) <> expect then ok := false;
+        if subtree_size.(i) <> expect then ok := false;
         (* postorder contiguity: subtree occupies [i - size + 1, i] *)
         if b.Binary_tree.left.(i) >= 0 && b.Binary_tree.right.(i) >= 0 then begin
           let l = b.Binary_tree.left.(i) and r = b.Binary_tree.right.(i) in
-          if l + b.Binary_tree.subtree_size.(r) <> r then ok := false
+          if l + subtree_size.(r) <> r then ok := false
         end
       done;
       !ok)
@@ -452,9 +460,9 @@ let test_deep_trees () =
   let deep = Bracket.of_string_exn (Buffer.contents buf) in
   Alcotest.(check int) "size" n (Tree.size deep);
   Alcotest.(check int) "depth" n (Tree.depth deep);
-  let b = Binary_tree.of_tree deep in
+  let b = lcrs deep in
   Alcotest.(check int) "binary size" n b.Binary_tree.size;
-  let po = Postorder.of_tree deep in
+  let po = postorder deep in
   Alcotest.(check int) "single keyroot on a chain" 1 (Array.length po.Postorder.keyroots);
   let p = Tsj_core.Partition.partition b ~delta:7 in
   Alcotest.(check int) "balanced components" 7
@@ -472,7 +480,7 @@ let test_gen_random_tree_size () =
   in
   Alcotest.(check (list int)) "sizes 1..200 not met exactly" [] wrong
 
-(* The two-pass LC-RS construction [Binary_tree.of_tree] replaced: the
+(* The two-pass LC-RS construction that one walk replaced: the
    general tree annotated with general-postorder numbers, converted to
    linked binary nodes, then numbered in binary postorder. *)
 type anode = { alabel : int; apost : int; achildren : anode list }
@@ -494,8 +502,7 @@ let reference_of_tree tree =
   in
   let n = Tree.size tree in
   let label = Array.make n 0 and left = Array.make n (-1) and right = Array.make n (-1) in
-  let parent = Array.make n (-1) and kind = Array.make n Binary_tree.Root in
-  let subtree_size = Array.make n 1 and gpost = Array.make n 0 in
+  let gpost = Array.make n 0 in
   let counter = ref 0 in
   let rec number b =
     let l = Option.map number b.bleft in
@@ -504,23 +511,21 @@ let reference_of_tree tree =
     incr counter;
     label.(me) <- b.blabel;
     gpost.(me) <- b.bpost;
-    let attach lane k c =
-      lane.(me) <- c;
-      parent.(c) <- me;
-      kind.(c) <- k;
-      subtree_size.(me) <- subtree_size.(me) + subtree_size.(c)
-    in
-    Option.iter (attach left Binary_tree.Left_of_parent) l;
-    Option.iter (attach right Binary_tree.Right_of_parent) r;
+    Option.iter (fun c -> left.(me) <- c) l;
+    Option.iter (fun c -> right.(me) <- c) r;
     me
   in
   ignore (number (conv (annotate tree) []));
-  { Binary_tree.size = n; label; left; right; parent; kind; subtree_size; gpost }
+  { Binary_tree.size = n; label; left; right; gpost }
 
 let test_lcrs_exhaustive () =
   List.iter
     (fun x ->
-      if Binary_tree.of_tree x <> reference_of_tree x then
+      let reference = reference_of_tree x in
+      if lcrs x <> reference then
+        Alcotest.failf "Form.of_tree's LC-RS differs from the reference on %s"
+          (Bracket.to_string x);
+      if Form_reference.lcrs x <> reference then
         Alcotest.failf "Binary_tree.of_tree differs from the reference on %s"
           (Bracket.to_string x))
     (Lazy.force small_trees)
