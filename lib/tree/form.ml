@@ -6,27 +6,6 @@ type t = {
   lcrs : Binary_tree.t;
 }
 
-(* One recursion over the sibling chains, [go node siblings], enters
-   [node], numbers its descendants (the call on its first child, which
-   carries the rest of the child list), then its later siblings (the
-   call on [siblings]).  So it meets the nodes in preorder, and:
-
-   - [node]'s postorder number is taken between its descendants and its
-     later siblings; its leftmost leaf is the first node numbered after
-     it was entered;
-   - it is a keyroot iff it is the root or not its parent's first child
-     ([rank > 0]), so the keyroots come out in ascending postorder;
-   - the mirror's postorder is the preorder reversed: [node] is mirror
-     node [m = n - 1 - pre], its mirror subtree holds the same nodes, so
-     its mirror lld is [m] less its subtree size plus one, and it is a
-     mirror keyroot iff it is the root or not its parent's last child
-     (met in descending mirror id);
-   - its LC-RS node is numbered last, after its binary left subtree (its
-     descendants) and right subtree (its later siblings): that is the
-     binary postorder, and the binary node keeps its general postorder
-     number;
-   - a leaf counts one node of degree 0, and the last child of a parent
-     counts one of degree [rank + 1]. *)
 (* Node count, leaf count and largest degree, in a walk ahead of the
    main one so that every array is allocated at its final length: a
    tree has as many keyroots, and mirror keyroots, as leaves. *)
@@ -49,6 +28,27 @@ let shape tree =
   node tree;
   (!n, !leaves, !max_deg)
 
+(* One recursion over the sibling chains, [go node siblings], enters
+   [node], numbers its descendants (the call on its first child, which
+   carries the rest of the child list), then its later siblings (the
+   call on [siblings]).  So it meets the nodes in preorder, and:
+
+   - [node]'s postorder number is taken between its descendants and its
+     later siblings; its leftmost leaf is the first node numbered after
+     it was entered;
+   - it is a keyroot iff it is the root or not its parent's first child
+     ([rank > 0]), so the keyroots come out in ascending postorder;
+   - the mirror's postorder is the preorder reversed: [node] is mirror
+     node [m = n - 1 - pre], its mirror subtree holds the same nodes, so
+     its mirror lld is [m] less its subtree size plus one, and it is a
+     mirror keyroot iff it is the root or not its parent's last child
+     (met in descending mirror id);
+   - its LC-RS node is numbered last, after its binary left subtree (its
+     descendants) and right subtree (its later siblings): that is the
+     binary postorder, and the binary node keeps its general postorder
+     number;
+   - a leaf counts one node of degree 0, and the last child of a parent
+     counts one of degree [rank + 1]. *)
 let of_tree tree =
   let n, leaves, max_deg = shape tree in
   let labels = Array.make n 0 and lld = Array.make n 0 in
