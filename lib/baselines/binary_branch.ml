@@ -1,4 +1,5 @@
 module Label = Tsj_tree.Label
+module Binary_tree = Tsj_tree.Binary_tree
 module Multiset = Tsj_util.Multiset
 
 type bag = Multiset.t
@@ -29,21 +30,24 @@ let decode id =
   if id < 0 || id >= !n_ids then invalid_arg "Binary_branch.decode: unknown branch id";
   !triples.(id)
 
-(* A node's binary branch is its label and the labels of its LC-RS
-   children: its first child and its next sibling.  The walk over the
-   sibling chains meets the nodes in LC-RS postorder (children, later
-   siblings, node), the order branch ids are first handed out in. *)
 let bag_of_tree t =
-  let out = Tsj_util.Vec_int.create () in
-  let head_label = function [] -> Label.epsilon | (x : Tsj_tree.Tree.t) :: _ -> x.label in
-  let rec go (node : Tsj_tree.Tree.t) siblings =
-    (match node.children with [] -> () | c :: rest -> go c rest);
-    (match siblings with [] -> () | s :: rest -> go s rest);
-    Tsj_util.Vec_int.push out
-      (encode (node.label, head_label node.children, head_label siblings))
-  in
-  go t [];
-  Multiset.of_unsorted (Tsj_util.Vec_int.to_array out)
+  let b = (Tsj_tree.Form.of_tree t).lcrs in
+  let n = b.Binary_tree.size in
+  let out = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let left =
+      match b.Binary_tree.left.(i) with
+      | -1 -> Label.epsilon
+      | l -> b.Binary_tree.label.(l)
+    in
+    let right =
+      match b.Binary_tree.right.(i) with
+      | -1 -> Label.epsilon
+      | r -> b.Binary_tree.label.(r)
+    in
+    out.(i) <- encode (b.Binary_tree.label.(i), left, right)
+  done;
+  Multiset.of_unsorted out
 
 let distance x1 x2 = Multiset.symmetric_difference_size x1 x2
 

@@ -307,16 +307,15 @@ type cursor = {
 let cursor (target : Binary_tree.t) =
   let n = target.Binary_tree.size in
   let label = target.Binary_tree.label in
-  let left = target.Binary_tree.left and right = target.Binary_tree.right in
-  let c_ll = Array.make n Label.epsilon and c_lr = Array.make n Label.epsilon in
-  for v = 0 to n - 1 do
-    if left.(v) >= 0 then c_ll.(v) <- label.(left.(v));
-    if right.(v) >= 0 then c_lr.(v) <- label.(right.(v))
-  done;
+  let child lane v =
+    match lane.(v) with
+    | -1 -> Label.epsilon
+    | c -> label.(c)
+  in
   {
     c_l = label; (* shared, read-only *)
-    c_ll;
-    c_lr;
+    c_ll = Array.init n (child target.Binary_tree.left);
+    c_lr = Array.init n (child target.Binary_tree.right);
     c_gpost = target.Binary_tree.gpost;
     c_size = n;
   }

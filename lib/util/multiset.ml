@@ -1,95 +1,54 @@
 type t = int array
 
-(* A monomorphic bottom-up merge sort.  [Array.sort compare] calls the
-   polymorphic comparison (a C call per comparison without flambda) and
-   its heap sort raises an allocated exception per sift; here every
-   comparison is an inline integer test.  Runs of [run] elements are
-   insertion-sorted in the copy, then merged pairwise, doubling the
-   width, back and forth between the copy and one scratch array; the
-   array the last pass wrote is the bag. *)
-let run = 8
-
-let insertion_sort (b : int array) lo hi =
-  for i = lo + 1 to hi - 1 do
-    let x = b.(i) in
-    let j = ref (i - 1) in
-    while !j >= lo && b.(!j) > x do
-      b.(!j + 1) <- b.(!j);
-      decr j
-    done;
-    b.(!j + 1) <- x
+(* One LSD radix pass: [src] sorted stably into [dst] by the 8-bit
+   digit of [x - lo] at [shift]. *)
+let radix_pass counts lo shift (src : int array) (dst : int array) =
+  Array.fill counts 0 (Array.length counts) 0;
+  for i = 0 to Array.length src - 1 do
+    let d = ((src.(i) - lo) lsr shift) land 255 in
+    counts.(d) <- counts.(d) + 1
+  done;
+  let sum = ref 0 in
+  for d = 0 to Array.length counts - 1 do
+    let c = counts.(d) in
+    counts.(d) <- !sum;
+    sum := !sum + c
+  done;
+  for i = 0 to Array.length src - 1 do
+    let x = src.(i) in
+    let d = ((x - lo) lsr shift) land 255 in
+    dst.(counts.(d)) <- x;
+    counts.(d) <- counts.(d) + 1
   done
 
-(* Merge the sorted runs [src.(lo .. mid - 1)] and [src.(mid .. hi - 1)]
-   into [dst.(lo .. hi - 1)]. *)
-let merge (src : int array) (dst : int array) lo mid hi =
-  let i = ref lo and j = ref mid in
-  for o = lo to hi - 1 do
-    if !j >= hi || (!i < mid && src.(!i) <= src.(!j)) then begin
-      dst.(o) <- src.(!i);
-      incr i
-    end
-    else begin
-      dst.(o) <- src.(!j);
-      incr j
-    end
-  done
-
-let merge_sort a =
-  let n = Array.length a in
-  let src = ref (Array.copy a) in
-  let lo = ref 0 in
-  while !lo < n do
-    insertion_sort !src !lo (Int.min n (!lo + run));
-    lo := !lo + run
-  done;
-  if n > run then begin
-    let dst = ref (Array.make n 0) and w = ref run in
-    while !w < n do
-      let lo = ref 0 in
-      while !lo < n do
-        merge !src !dst !lo (Int.min n (!lo + !w)) (Int.min n (!lo + (2 * !w)));
-        lo := !lo + (2 * !w)
-      done;
-      let s = !src in
-      src := !dst;
-      dst := s;
-      w := 2 * !w
-    done
-  end;
-  !src
-
-(* A counting sort over [lo, lo + range]: one pass counts, one writes
-   the values back in order.  Label ids are dense, so a tree's bag
-   usually spans a few hundred ids, where two linear passes beat the
-   merge sort's log n rounds. *)
-let counting_sort a lo range =
-  let counts = Array.make (range + 1) 0 in
-  Array.iter (fun x -> counts.(x - lo) <- counts.(x - lo) + 1) a;
-  let out = Array.make (Array.length a) 0 in
-  let i = ref 0 in
-  for v = 0 to range do
-    for _ = 1 to counts.(v) do
-      out.(!i) <- v + lo;
-      incr i
-    done
-  done;
-  out
-
-(* The counting sort runs when its count array is short: below
-   [4 n + 256] cells it costs at most a few passes of the bag.  A
-   [range] past [max_int] wraps negative and falls to the merge sort. *)
+(* An LSD radix sort of the offsets [x - lo], one pass per 8-bit digit
+   of the span [hi - lo].  Label ids are handed out first-seen, so the
+   label bag of a dataset with at most 256 labels takes one pass over
+   [span + 1] counters; each further 8 bits of span add a pass.
+   Offsets are read as unsigned 63-bit numbers, which holds every span,
+   even one past [max_int]. *)
 let of_unsorted a =
   let n = Array.length a in
-  if n <= run then merge_sort a
+  if n = 0 then [||]
   else begin
     let lo = ref a.(0) and hi = ref a.(0) in
     for i = 1 to n - 1 do
       let x = a.(i) in
       if x < !lo then lo := x else if x > !hi then hi := x
     done;
-    let range = !hi - !lo in
-    if range >= 0 && range < (4 * n) + 256 then counting_sort a !lo range else merge_sort a
+    let lo = !lo and span = !hi - !lo in
+    let counts = Array.make (if span >= 0 && span < 256 then span + 1 else 256) 0 in
+    let src = ref (Array.make n 0) in
+    radix_pass counts lo 0 a !src;
+    let dst = ref (if span lsr 8 = 0 then [||] else Array.make n 0) and shift = ref 8 in
+    while !shift < Sys.int_size && span lsr !shift <> 0 do
+      radix_pass counts lo !shift !src !dst;
+      let s = !src in
+      src := !dst;
+      dst := s;
+      shift := !shift + 8
+    done;
+    !src
   end
 
 let of_sorted a =

@@ -9,9 +9,8 @@ type t
 (** An immutable bag of integers, stored sorted. *)
 
 val of_unsorted : int array -> t
-(** A sorted copy of the input, which is left unchanged: a counting sort
-    when the values span fewer than [4 n + 256] ids for [n] of them
-    (label bags), a merge sort otherwise. *)
+(** A sorted copy of the input, which is left unchanged: a radix sort
+    with one pass per 8-bit digit of the span [max - min]. *)
 
 val of_sorted : int array -> t
 (** Wraps an array the caller promises is already sorted ascending.

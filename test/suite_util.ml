@@ -206,10 +206,10 @@ let test_statistics_histogram () =
   let total = Array.fold_left (fun acc (_, _, c) -> acc + c) 0 h in
   Alcotest.(check int) "all counted" 4 total
 
-(* Lengths 0..300 cross the insertion-sort run and several merge
-   passes; half the arrays draw from a handful of values, the rest from
-   the full int range with the extremes and hashed-label-sized ids mixed
-   in. *)
+(* Lengths 0..300; a third of the arrays draw from a handful of values
+   (one radix pass), a third from spans of 2^8..2^24 ids (two to four
+   passes, each span's last digit partly filled), the rest from the full
+   int range with the extremes and hashed-label-sized ids mixed in. *)
 let prop_multiset_sort =
   let gen =
     QCheck.Gen.(
@@ -222,9 +222,10 @@ let prop_multiset_sort =
           ]
       in
       int_range 0 300 >>= fun n ->
-      bool >>= fun dup_heavy ->
-      if dup_heavy then int_range 1 4 >>= fun k -> array_size (return n) (int_range (-k) k)
-      else array_size (return n) value)
+      int_range 0 2 >>= function
+      | 0 -> int_range 1 4 >>= fun k -> array_size (return n) (int_range (-k) k)
+      | 1 -> int_range 8 24 >>= fun b -> array_size (return n) (int_range 0 (1 lsl b))
+      | _ -> array_size (return n) value)
   in
   Gen.qtest ~count:500 "multiset of_unsorted = List.sort Int.compare"
     (QCheck.make ~print:QCheck.Print.(array int) gen)
