@@ -138,8 +138,9 @@ let join_cmd =
   in
   let metric =
     Arg.(value
-         & opt (enum [ ("ted", Tsj_join.Sweep.Ted); ("constrained", Tsj_join.Sweep.Constrained) ])
-             Tsj_join.Sweep.Ted
+         & opt
+             (enum [ ("ted", Tsj_ted.Bounds.Ted); ("constrained", Tsj_ted.Bounds.Constrained) ])
+             Tsj_ted.Bounds.Ted
          & info [ "metric" ] ~doc:"Distance metric: ted or constrained.")
   in
   let jobs =
@@ -231,7 +232,7 @@ let join_cmd =
     let out =
       match
         match (metric, method_) with
-        | Tsj_join.Sweep.Ted, m ->
+        | Tsj_ted.Bounds.Ted, m ->
           Tsj_harness.Methods.run ~domains ?budget ?checkpoint m ~trees ~tau
         | metric, Tsj_harness.Methods.Nl -> Tsj_join.Nested_loop.join ~metric ~trees ~tau ()
         | metric, Tsj_harness.Methods.Str -> Tsj_baselines.Str_join.join ~metric ~trees ~tau ()

@@ -4,7 +4,7 @@ module String_edit = Tsj_ted.String_edit
 type aux = { pre : int array array; post : int array array; tau : int }
 
 let join ?metric ~trees ~tau () =
-  Tsj_join.Sweep.windowed_join ?metric ~trees ~tau
+  Tsj_join.Sweep.windowed_join ?metric ~cascade:true ~trees ~tau
     ~setup:(fun trees ->
       {
         pre = Array.map Traversal.preorder_labels trees;

@@ -6,8 +6,9 @@
 
     The string filters run as banded (threshold-limited) edit distance
     computations in [O(τ · n)] per pair over the size-window sweep;
-    survivors are verified with the exact TED. *)
+    survivors are decided by the pair verifier every method shares
+    ({!Tsj_ted.Bounds.verify}, cascade on). *)
 
 val join :
-  ?metric:Tsj_join.Sweep.metric ->
+  ?metric:Tsj_ted.Bounds.metric ->
   trees:Tsj_tree.Tree.t array -> tau:int -> unit -> Tsj_join.Types.output

@@ -92,8 +92,9 @@ let insert_tree ~verify t tree =
       band_candidates t ~tau:t.tau btree
       |> List.filter_map (fun tj ->
              t.n_candidates <- t.n_candidates + 1;
-             let d = Bounds.distance ~tau:t.tau form t.forms.(tj) in
-             if d <= t.tau then Some (tj, d) else None)
+             match Bounds.verify ~cascade:true ~tau:t.tau form t.forms.(tj) with
+             | (Bounds.Accepted d | Bounds.Verified d) when d <= t.tau -> Some (tj, d)
+             | _ -> None)
       |> List.sort compare
   in
   (* 3. Index the new tree. *)
@@ -152,8 +153,9 @@ let query ?budget ?tau t q =
     if i < n then
       if i mod poll_every <> 0 || live () then begin
         let tj = cands.(i) in
-        let d = Bounds.distance ~tau (Lazy.force qform) t.forms.(tj) in
-        if d <= tau then hits := (tj, d) :: !hits;
+        (match Bounds.verify ~cascade:true ~tau (Lazy.force qform) t.forms.(tj) with
+        | (Bounds.Accepted d | Bounds.Verified d) when d <= tau -> hits := (tj, d) :: !hits
+        | _ -> ());
         go (i + 1)
       end
       else begin
@@ -169,12 +171,8 @@ let query ?budget ?tau t q =
         let qf = Lazy.force qform in
         for k = i to n - 1 do
           let tj = cands.(k) in
-          let f = t.forms.(tj) in
-          let lower = Bounds.linear_lower qf f in
-          if lower <= tau then begin
-            let upper = Bounds.upper qf f in
-            unverified := (tj, lower, upper) :: !unverified
-          end
+          let lower, upper = Bounds.sandwich qf t.forms.(tj) in
+          if lower <= tau then unverified := (tj, lower, upper) :: !unverified
         done
       end
   in

@@ -27,10 +27,10 @@ val create : tau:int -> unit -> t
     the tree's verifier form ({!Tsj_ted.Bounds.t}: its prep plus a
     sorted label bag and a degree histogram) right away, so the read
     paths never fill anything in.  Every candidate pair — of {!add},
-    {!query} and {!nearest} — goes through the filter cascade
-    ({!Tsj_ted.Bounds.distance}), which decides most pairs from the
-    bounds (equal trees are [Accept 0] there); the rest run the
-    τ-banded kernel. *)
+    {!query} and {!nearest} — goes through the pair verifier the joins
+    share ({!Tsj_ted.Bounds.verify} with the cascade on), which decides
+    most pairs from the bounds (equal trees are [Accept 0] there); the
+    rest run the banded kernel. *)
 
 val tau : t -> int
 
@@ -69,10 +69,10 @@ type query_result = {
       (** when degraded: [(id, lower, upper)] bound sandwiches
           ([lower <= TED <= upper]) of the candidates left unverified,
           minus those whose lower bound already exceeds [τ] (provably
-          not results); sorted by id.  [lower] is the largest of the
-          linear bounds ({!Tsj_ted.Bounds.size_bound}, [label_bound],
-          [degree_bound]) and [upper] is {!Tsj_ted.Bounds.upper}, so a
-          degraded answer costs far less than verifying *)
+          not results); sorted by id.  Each is
+          {!Tsj_ted.Bounds.sandwich}: the largest linear lower bound and
+          the greedy upper bound, so a degraded answer costs far less
+          than verifying *)
 }
 
 val query :

@@ -29,33 +29,9 @@ type phase_times = {
    checkpoint journal are the same whatever the parallelism. *)
 let block_size = 32
 
-(* Verifier decision codes, indexing the per-stage counter array: how
-   each candidate pair was decided.  The order mirrors the cascade;
-   [stage_quarantined] marks pairs the resilience layer diverted instead
-   of deciding (per-pair budget, verifier exception, deadline). *)
-let stage_size = 0
-
-let stage_labels = 1
-
-let stage_degrees = 2
-
-let stage_sed = 3
-
-let stage_early = 4
-
-let stage_kernel = 5
-
-let stage_quarantined = 6
-
-let n_stages = 7
-
-(* Outcome of verifying one candidate pair: either a decision (distance
-   + stage code) or a quarantine reason. *)
-type verdict = { v_dist : int; v_stage : int; v_reason : Types.quarantine_reason option }
-
 let join_with_probe_stats ?(partitioning = Balanced)
     ?(index_mode = Two_layer_index.Two_sided) ?(domains = 1)
-    ?(bounded_verify = true) ?(cascade = true) ?metric ?budget
+    ?(cascade = true) ?metric ?budget
     ?checkpoint ?on_phases ~trees ~tau () =
   if tau < 0 then invalid_arg "Partsj.join: negative threshold";
   if domains < 1 then invalid_arg "Partsj.join: domains must be >= 1";
@@ -151,86 +127,39 @@ let join_with_probe_stats ?(partitioning = Balanced)
     n_matched := !n_matched + p.matched;
     n_small_hits := !n_small_hits + p.small_hits
   in
-  (* The staged verifier.  Returns a {!verdict}: the (threshold-clamped)
-     distance and the stage code that decided the pair, or a quarantine
-     reason when the resilience layer diverted it:
-     - with the cascade on, the compiled lower bounds run cheapest first
-       with short-circuit, the greedy upper bound early-accepts a pair
-       whose bound sandwich closes, and surviving pairs run the kernel
-       with the band shrunk to the upper bound when that is below τ — all
-       lossless, so results (pairs and distances) are bit-identical to
-       the uncascaded verifier;
-     - with the cascade off, this is the seed verifier: the banded
-       preorder-SED prefilter followed by the τ-banded kernel;
-     - [bounded_verify:false] forces the full kernel on every candidate
-       (ablation);
-     - a pair that reaches the exact kernel with a cost estimate over the
-       per-pair budget is quarantined with its bound sandwich (still a
-       pure function of the pair, so budgeted joins stay deterministic at
-       every domain count); a verifier exception quarantines the pair
-       instead of killing the join. *)
-  let verify_pair (i, j) =
-    let decide dist stage = { v_dist = dist; v_stage = stage; v_reason = None } in
-    let kernel_allowed () =
-      match budget with
-      | None -> true
-      | Some b ->
-        Budget.pair_within b ~cost:(Budget.pair_cost sizes.(i) sizes.(j))
-    in
+  (* The pair verifier ({!Bounds.verify}) inside the resilience wrapper.
+     It writes pair [idx] of a batch into [verdicts] and [reasons]; a
+     pair left [Unverified] carries its quarantine reason:
+     - a pair whose kernel run the per-pair budget refuses is quarantined
+       with its bound sandwich (still a pure function of the pair, so
+       budgeted joins stay deterministic at every domain count);
+     - a verifier exception quarantines the pair instead of killing the
+       join. *)
+  let admit =
+    Option.map
+      (fun b fi fj ->
+        Budget.pair_within b
+          ~cost:(Budget.pair_cost (Ted.size (Bounds.prep fi)) (Ted.size (Bounds.prep fj))))
+      budget
+  in
+  let verify_pair verdicts reasons idx (i, j) =
     let fi = forms.(i) and fj = forms.(j) in
-    let pi = Bounds.prep fi and pj = Bounds.prep fj in
-    let over_budget () =
-      let lower = Bounds.linear_lower fi fj in
-      let upper = Bounds.upper fi fj in
-      {
-        v_dist = tau + 1;
-        v_stage = stage_quarantined;
-        v_reason = Some (Types.Pair_budget { lower; upper });
-      }
-    in
-    try
-      Fault.hit "partsj.verify" i;
-      if not bounded_verify then
-        if kernel_allowed () then
-          decide (Tsj_join.Sweep.verify_distance ?metric pi pj) stage_kernel
-        else over_budget ()
-      else if not cascade then
-        (* The mirror's postorder is the preorder reversed, and
-           reversing both strings keeps their edit distance. *)
-        if
-          not
-            (Tsj_ted.String_edit.within (Ted.right_postorder pi).labels
-               (Ted.right_postorder pj).labels tau)
-        then decide (tau + 1) stage_sed
-        else if kernel_allowed () then
-          decide (Tsj_join.Sweep.verify_bounded ?metric ~tau pi pj) stage_kernel
-        else over_budget ()
-      else
-        match Bounds.cascade ~tau fi fj with
-        | Bounds.Pruned stage ->
-          let code =
-            match stage with
-            | Bounds.Size -> stage_size
-            | Bounds.Labels -> stage_labels
-            | Bounds.Degrees -> stage_degrees
-            | Bounds.Sed -> stage_sed
-          in
-          decide (tau + 1) code
-        | Bounds.Accept dist -> decide dist stage_early
-        | Bounds.Verify { band } ->
-          if kernel_allowed () then
-            decide (Tsj_join.Sweep.verify_bounded ?metric ~tau:band pi pj) stage_kernel
-          else over_budget ()
-    with exn ->
-      {
-        v_dist = tau + 1;
-        v_stage = stage_quarantined;
-        v_reason = Some (Types.Verify_failed (Printexc.to_string exn));
-      }
+    reasons.(idx) <-
+      (match
+         Fault.hit "partsj.verify" i;
+         Bounds.verify ?metric ?admit ~cascade ~tau fi fj
+       with
+      | Bounds.Unverified ->
+        let lower, upper = Bounds.sandwich fi fj in
+        Some (Types.Pair_budget { lower; upper })
+      | v ->
+        verdicts.(idx) <- v;
+        None
+      | exception exn -> Some (Types.Verify_failed (Printexc.to_string exn)))
   in
   (* Per-stage decision counters; pure sums of per-pair outcomes, so they
      are deterministic at every domain count. *)
-  let stage_counts = Array.make n_stages 0 in
+  let stage_counts = Types.tally () in
   let results = ref [] in
   let quarantine_sweep = ref [] in
   let candidates = ref 0 in
@@ -243,41 +172,32 @@ let join_with_probe_stats ?(partitioning = Balanced)
     let nb = Array.length batch in
     if nb = 0 then ([||], fun () -> ())
     else begin
-      let verdicts : verdict option array = Array.make nb None in
+      (* A task that never ran (the stop flag drained the pool before
+         it was claimed) leaves its pair unprocessed work, not a
+         non-result: [Unverified] with the [Deadline] reason. *)
+      let verdicts = Array.make nb Bounds.Unverified in
+      let reasons = Array.make nb (Some Types.Deadline) in
       let elapsed = Array.make nb 0.0 in
       let tasks =
         Array.init nb (fun idx ->
             fun () ->
-              if budget_live () then begin
-                let v, dt = Timer.wall (fun () -> verify_pair batch.(idx)) in
-                verdicts.(idx) <- Some v;
-                elapsed.(idx) <- dt
-              end)
+              if budget_live () then
+                elapsed.(idx) <-
+                  snd (Timer.wall (fun () -> verify_pair verdicts reasons idx batch.(idx))))
       in
       let commit () =
         Array.iter (fun dt -> verify_attr := !verify_attr +. dt) elapsed;
         Array.iteri
           (fun idx (i, j) ->
             let a = min i j and b = max i j in
-            match verdicts.(idx) with
-            | Some v -> (
-              stage_counts.(v.v_stage) <- stage_counts.(v.v_stage) + 1;
-              match v.v_reason with
-              | Some reason ->
-                quarantine_sweep :=
-                  { Types.q_i = a; q_j = Some b; q_reason = reason }
-                  :: !quarantine_sweep
-              | None ->
-                if v.v_dist <= tau then
-                  results := { Types.i = a; j = b; distance = v.v_dist } :: !results)
-            | None ->
-              (* The task never ran: the stop flag drained the pool
-                 before it was claimed.  The pair is unprocessed work,
-                 not a non-result — quarantine it. *)
-              stage_counts.(stage_quarantined) <- stage_counts.(stage_quarantined) + 1;
+            Types.count stage_counts verdicts.(idx);
+            match (reasons.(idx), verdicts.(idx)) with
+            | Some reason, _ ->
               quarantine_sweep :=
-                { Types.q_i = a; q_j = Some b; q_reason = Types.Deadline }
-                :: !quarantine_sweep)
+                { Types.q_i = a; q_j = Some b; q_reason = reason } :: !quarantine_sweep
+            | None, (Bounds.Accepted d | Bounds.Verified d) when d <= tau ->
+              results := { Types.i = a; j = b; distance = d } :: !results
+            | None, _ -> ())
           batch;
         pending_batch := [||]
       in
@@ -297,7 +217,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
     | Some _ ->
       let params =
         Printf.sprintf
-          "v4|block=%d|part=%s|index=%s|metric=%s|bounded=%b|cascade=%b"
+          "v5|block=%d|part=%s|index=%s|metric=%s|cascade=%b"
           block_size
           (match partitioning with
           | Balanced -> "balanced"
@@ -307,9 +227,9 @@ let join_with_probe_stats ?(partitioning = Balanced)
           | Two_layer_index.Paper_rank -> "paper-rank"
           | Two_layer_index.Label_only -> "label-only")
           (match metric with
-          | None | Some Tsj_join.Sweep.Ted -> "ted"
-          | Some Tsj_join.Sweep.Constrained -> "constrained")
-          bounded_verify cascade
+          | None | Some Bounds.Ted -> "ted"
+          | Some Bounds.Constrained -> "constrained")
+          cascade
       in
       Checkpoint.fingerprint ~tau ~params trees
   in
@@ -325,7 +245,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
                "Partsj.join: checkpoint %s was written by a different dataset or \
                 join configuration"
                cfg.Checkpoint.path)
-        else if Array.length st.Checkpoint.stage_counts <> n_stages then
+        else if Array.length st.Checkpoint.stage_counts <> Array.length stage_counts then
           invalid_arg
             (Printf.sprintf "Partsj.join: checkpoint %s has an incompatible format"
                cfg.Checkpoint.path)
@@ -343,7 +263,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
       results := List.rev st.Checkpoint.pairs;
       quarantine_sweep := List.rev st.Checkpoint.quarantined;
       candidates := st.Checkpoint.n_candidates;
-      Array.blit st.Checkpoint.stage_counts 0 stage_counts 0 n_stages;
+      Array.blit st.Checkpoint.stage_counts 0 stage_counts 0 (Array.length stage_counts);
       n_probed := st.Checkpoint.n_probed;
       n_matched := st.Checkpoint.n_matched;
       n_small_hits := st.Checkpoint.n_small_hits;
@@ -524,18 +444,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
           n_results = List.length pairs;
           candidate_time_s = !cand_attr;
           verify_time_s = !verify_attr;
-          cascade =
-            {
-              Types.pruned_size = stage_counts.(stage_size);
-              pruned_labels = stage_counts.(stage_labels);
-              pruned_degrees = stage_counts.(stage_degrees);
-              pruned_sed = stage_counts.(stage_sed);
-              early_accepted = stage_counts.(stage_early);
-              kernel_verified = stage_counts.(stage_kernel);
-              quarantined = stage_counts.(stage_quarantined);
-              memo_hits = 0;
-              memo_misses = 0;
-            };
+          cascade = Types.cascade_of_tally stage_counts;
         };
     },
     {
@@ -545,8 +454,8 @@ let join_with_probe_stats ?(partitioning = Balanced)
       n_subgraphs_indexed = !n_indexed;
     } )
 
-let join ?partitioning ?index_mode ?domains ?bounded_verify ?cascade ?metric ?budget
-    ?checkpoint ?on_phases ~trees ~tau () =
+let join ?partitioning ?index_mode ?domains ?cascade ?metric ?budget ?checkpoint
+    ?on_phases ~trees ~tau () =
   fst
-    (join_with_probe_stats ?partitioning ?index_mode ?domains ?bounded_verify ?cascade
-       ?metric ?budget ?checkpoint ?on_phases ~trees ~tau ())
+    (join_with_probe_stats ?partitioning ?index_mode ?domains ?cascade ?metric ?budget
+       ?checkpoint ?on_phases ~trees ~tau ())

@@ -82,9 +82,8 @@ val join :
   ?partitioning:partitioning ->
   ?index_mode:Two_layer_index.mode ->
   ?domains:int ->
-  ?bounded_verify:bool ->
   ?cascade:bool ->
-  ?metric:Tsj_join.Sweep.metric ->
+  ?metric:Tsj_ted.Bounds.metric ->
   ?budget:Tsj_join.Budget.t ->
   ?checkpoint:Tsj_join.Checkpoint.config ->
   ?on_phases:(phase_times -> unit) ->
@@ -100,23 +99,21 @@ val join :
     pairs (see {!Two_layer_index}).  [domains] (default 1) runs
     preprocessing, and verification pipelined beside the sequential
     candidate sweep, on that many OCaml domains; the result is identical
-    at every count.  [metric] swaps the verifier (default:
-    unrestricted TED); any metric that never underestimates TED — e.g.
-    {!Tsj_ted.Constrained} — keeps the subgraph filter {e and} the bound
-    cascade lossless, realizing the paper's "other tree distance metrics"
-    future-work point.  [bounded_verify] (default [true]) verifies with
-    the τ-banded DP; pass [false] to force the full cubic verifier with
-    no prefilter (ablation).  [cascade] (default [true]) runs the staged
-    filter cascade of {!Tsj_ted.Bounds} (the verifier {!Incremental}
-    shares) in front of the kernel, on per-tree forms built once in
-    preprocessing: lower bounds cheapest-first with short-circuit
-    (size → label histogram → degree histogram → banded traversal SED),
-    then the greedy-mapping upper bound, which early-accepts a pair whose
-    bound sandwich closes and otherwise shrinks the kernel band below τ.
+    at every count.  Every candidate is decided by
+    {!Tsj_ted.Bounds.verify}, the pair verifier every join method and
+    {!Incremental} share, on per-tree forms built once in preprocessing.
+    [metric] swaps its kernel (default: unrestricted TED); any metric
+    that never underestimates TED — e.g. {!Tsj_ted.Constrained} — keeps
+    the subgraph filter {e and} the bound cascade lossless, realizing the
+    paper's "other tree distance metrics" future-work point.  [cascade]
+    (default [true]) runs the staged filter cascade in front of the
+    kernel: lower bounds cheapest-first with short-circuit (size → label
+    histogram → degree histogram → banded traversal SED), then the
+    greedy-mapping upper bound, which early-accepts a pair whose bound
+    sandwich closes and otherwise shrinks the kernel band below τ;
+    [cascade:false] runs the τ-banded kernel alone on every candidate.
     Every stage is lossless, so pairs {e and} distances are bit-identical
-    with the cascade on or off; [cascade:false] restores the seed
-    verifier (banded preorder-SED prefilter + τ-banded kernel) for
-    before/after benchmarking.  Per-stage decisions are reported in
+    with the cascade on or off.  Per-stage decisions are reported in
     [stats.cascade]; the counters (including [quarantined]) partition the
     candidate set.  [budget] enables the resilience limits and
     [checkpoint] the progress journal described above.  In the reported
@@ -135,9 +132,8 @@ val join_with_probe_stats :
   ?partitioning:partitioning ->
   ?index_mode:Two_layer_index.mode ->
   ?domains:int ->
-  ?bounded_verify:bool ->
   ?cascade:bool ->
-  ?metric:Tsj_join.Sweep.metric ->
+  ?metric:Tsj_ted.Bounds.metric ->
   ?budget:Tsj_join.Budget.t ->
   ?checkpoint:Tsj_join.Checkpoint.config ->
   ?on_phases:(phase_times -> unit) ->

@@ -1,5 +1,5 @@
 let join ?metric ~trees ~tau () =
-  Sweep.windowed_join ?metric ~trees ~tau
+  Sweep.windowed_join ?metric ~cascade:false ~trees ~tau
     ~setup:(fun _ -> ())
     ~filter:(fun () _ _ -> true)
     ()

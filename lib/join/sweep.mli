@@ -5,21 +5,18 @@
     collection by tree size; for every tree, pair it with the already-seen
     trees whose size is within [τ] (one edit operation changes the size by
     at most one, so larger gaps cannot be similar); apply a per-method
-    candidate filter; verify surviving candidates with the exact TED.
+    candidate filter; decide surviving candidates with the pair verifier
+    every join shares, {!Tsj_ted.Bounds.verify}.
 
     Filtering (including the method's one-off [setup] such as extracting
     traversal strings or binary-branch bags) is charged to the
-    candidate-generation timer; exact TED work is charged to the
+    candidate-generation timer; verification (each tree's verifier form,
+    built lazily, the cascade and the kernel) is charged to the
     verification timer — matching how the paper attributes runtime. *)
 
-type metric =
-  | Ted          (** unrestricted tree edit distance (the paper's metric) *)
-  | Constrained  (** Zhang's constrained edit distance; since it never
-                     underestimates TED, every TED-based filter remains a
-                     valid filter for it *)
-
 val windowed_join :
-  ?metric:metric ->
+  ?metric:Tsj_ted.Bounds.metric ->
+  cascade:bool ->
   trees:Tsj_tree.Tree.t array ->
   tau:int ->
   setup:(Tsj_tree.Tree.t array -> 'aux) ->
@@ -28,14 +25,6 @@ val windowed_join :
   Types.output
 (** [filter aux i j] receives original array indices.  It must be a true
     filter: returning [false] for a pair whose TED is [<= tau] loses
-    results.  @raise Invalid_argument if [tau < 0]. *)
-
-val verify_distance : ?metric:metric -> Tsj_ted.Ted.prep -> Tsj_ted.Ted.prep -> int
-(** Exact (unbanded) verification; with the default metric, hybrid-strategy
-    Zhang–Shasha (see {!Tsj_ted.Ted}). *)
-
-val verify_bounded :
-  ?metric:metric -> tau:int -> Tsj_ted.Ted.prep -> Tsj_ted.Ted.prep -> int
-(** [min (distance, tau + 1)] through the τ-banded DP — the verifier the
-    join drivers use: results only need distances up to the threshold,
-    which the banded computation returns exactly. *)
+    results.  [metric] (default [Ted]) and [cascade] are passed to
+    {!Tsj_ted.Bounds.verify}; [stats.cascade] counts how each candidate
+    was decided.  @raise Invalid_argument if [tau < 0]. *)

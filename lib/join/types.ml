@@ -36,18 +36,35 @@ type cascade = {
   memo_misses : int;
 }
 
-let empty_cascade =
+let tally () = Array.make 7 0
+
+let count tally (v : Tsj_ted.Bounds.verdict) =
+  let k =
+    match v with
+    | Pruned Size -> 0
+    | Pruned Labels -> 1
+    | Pruned Degrees -> 2
+    | Pruned Sed -> 3
+    | Accepted _ -> 4
+    | Verified _ -> 5
+    | Unverified -> 6
+  in
+  tally.(k) <- tally.(k) + 1
+
+let cascade_of_tally c =
   {
-    pruned_size = 0;
-    pruned_labels = 0;
-    pruned_degrees = 0;
-    pruned_sed = 0;
-    early_accepted = 0;
-    kernel_verified = 0;
-    quarantined = 0;
+    pruned_size = c.(0);
+    pruned_labels = c.(1);
+    pruned_degrees = c.(2);
+    pruned_sed = c.(3);
+    early_accepted = c.(4);
+    kernel_verified = c.(5);
+    quarantined = c.(6);
     memo_hits = 0;
     memo_misses = 0;
   }
+
+let empty_cascade = cascade_of_tally (tally ())
 
 let cascade_total c =
   c.pruned_size + c.pruned_labels + c.pruned_degrees + c.pruned_sed

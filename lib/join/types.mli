@@ -69,12 +69,23 @@ type cascade = {
 }
 (** Per-stage counters of the verification filter cascade.  For every
     join they partition the candidate set:
-    [cascade_total stats.cascade = stats.n_candidates].  Methods without
-    a cascade report every candidate under [kernel_verified].
+    [cascade_total stats.cascade = stats.n_candidates].  A join run
+    without the cascade counts every pair it decides under
+    [kernel_verified].
     [memo_hits]/[memo_misses] are kept for readers compiled against
     them and sit outside the partition. *)
 
 val empty_cascade : cascade
+
+val tally : unit -> int array
+(** A fresh tally: one zero counter per partition field of {!cascade},
+    in field order ([pruned_size] .. [quarantined]). *)
+
+val count : int array -> Tsj_ted.Bounds.verdict -> unit
+(** [count tally v] counts one pair decided [v] under its {!cascade}
+    field; an {!Tsj_ted.Bounds.Unverified} pair counts as [quarantined]. *)
+
+val cascade_of_tally : int array -> cascade
 
 val cascade_total : cascade -> int
 (** Sum of the partition counters ({!cascade.memo_hits}/[memo_misses]

@@ -64,7 +64,7 @@ let linear_lower a b = Int.max (size_bound a b) (Int.max (label_bound a b) (degr
    subtrees, so it upper-bounds not only the unrestricted TED but also
    every restricted metric whose scripts include it — in particular the
    constrained edit distance, which is what keeps the early-accept
-   stage lossless under [Sweep.Constrained].
+   stage lossless under [Constrained].
 
    It walks the mirrors' postorders: there the children of node [i] are
    [i - 1], [lld (i - 1) - 1], ... down to [lld i], which is the
@@ -146,8 +146,31 @@ let cascade ~tau a b =
     end
   end
 
-let distance ~tau a b =
-  match cascade ~tau a b with
-  | Pruned _ -> tau + 1
-  | Accept d -> d
-  | Verify { band } -> Ted.bounded_distance_prep a.prep b.prep band
+(* --- the pair verifier --- *)
+
+type metric = Ted | Constrained
+
+type verdict = Pruned of stage | Accepted of int | Verified of int | Unverified
+
+(* The only call sites of the exact kernels.  [admit] runs first: a
+   pair it refuses stays undecided. *)
+let kernel metric admit a b band =
+  match admit with
+  | Some admit when not (admit a b) -> Unverified
+  | _ -> (
+    match metric with
+    | Ted -> Verified (Ted.bounded_distance_prep a.prep b.prep band)
+    | Constrained ->
+      Verified
+        (Int.min (Constrained.distance (Ted.tree a.prep) (Ted.tree b.prep)) (band + 1)))
+
+let verify ?(metric = Ted) ?admit ~cascade:staged ~tau a b =
+  if tau < 0 then invalid_arg "Bounds.verify: negative threshold";
+  if not staged then kernel metric admit a b tau
+  else
+    match cascade ~tau a b with
+    | Pruned stage -> Pruned stage
+    | Accept d -> Accepted d
+    | Verify { band } -> kernel metric admit a b band
+
+let sandwich a b = (linear_lower a b, upper a b)

@@ -1,7 +1,9 @@
 (** The pair verifier: lower and upper bounds on the tree edit distance,
     the staged filter cascade built from them, and the banded kernel
-    behind it.  The PartSJ join and the streaming index both verify
-    through it.
+    behind it.  Every join method (PartSJ, STR, SET, the nested loop) and
+    the streaming index decide their candidate pairs with {!verify}, the
+    only caller of the exact kernels, so the methods differ only in how
+    they generate candidates.
 
     Every lower bound satisfies [bound a b <= TED] (so [bound > τ] prunes
     a candidate pair without an exact TED computation); {!upper}
@@ -51,8 +53,7 @@ val euler_bound : t -> t -> int
 
 val linear_lower : t -> t -> int
 (** [max] of the size, label-bag and degree-bag bounds: the linear-time
-    lower bounds, and the [lower] of every sandwich a budget leaves
-    unverified (a degraded query's tail, a quarantined join pair).  The
+    lower bounds, and the [lower] of every {!sandwich}.  The
     traversal SEDs are left out: unbanded they cost [O(|a| * |b|)] each,
     and the cascade's bounded ones answer only up to τ. *)
 
@@ -89,8 +90,39 @@ val cascade : tau:int -> t -> t -> outcome
     constrained edit distance).
     @raise Invalid_argument if [tau < 0]. *)
 
-val distance : tau:int -> t -> t -> int
-(** [distance ~tau a b] is [min (TED, tau + 1)]: the {!cascade}, then
-    {!Ted.bounded_distance_prep} at the cascade's band when it leaves
-    the pair undecided.  Equal to [Ted.bounded_distance_prep] at [tau]
-    on the two preps.  @raise Invalid_argument if [tau < 0]. *)
+type metric =
+  | Ted          (** unrestricted tree edit distance (the paper's metric) *)
+  | Constrained  (** Zhang's constrained edit distance ({!Constrained});
+                     it never underestimates TED and never exceeds
+                     {!upper}, so every bound and the whole cascade stay
+                     lossless for it *)
+
+type verdict =
+  | Pruned of stage  (** a lower bound exceeds τ: not a result *)
+  | Accepted of int  (** the bounds sandwich closed at this distance *)
+  | Verified of int  (** the kernel's [min (distance, band + 1)], which is
+                         the exact distance when it is [<= τ] *)
+  | Unverified       (** [admit] refused the kernel run: undecided *)
+
+val verify :
+  ?metric:metric ->
+  ?admit:(t -> t -> bool) ->
+  cascade:bool ->
+  tau:int ->
+  t ->
+  t ->
+  verdict
+(** [verify ~cascade ~tau a b] decides one candidate pair.  With
+    [cascade:true] it runs the {!cascade}, then the banded kernel of
+    [metric] (default [Ted]) at the cascade's band when the pair is left
+    undecided; with [cascade:false] it runs the τ-banded kernel alone.
+    Either way a pair is a result iff it comes back [Accepted d] or
+    [Verified d] with [d <= tau], and then [d] is its exact distance, so
+    the switch changes only which stage decides.  [admit a b] (default:
+    always) is asked just before the kernel would run; [false] makes the
+    pair [Unverified] (a per-pair budget).
+    @raise Invalid_argument if [tau < 0]. *)
+
+val sandwich : t -> t -> int * int
+(** [(linear_lower a b, upper a b)]: the bounds reported for a pair that
+    a budget leaves {!Unverified}. *)

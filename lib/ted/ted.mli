@@ -6,15 +6,16 @@
     hybrid over the Zhang–Shasha left-path decomposition and its mirror
     image (the right-path decomposition): for every tree pair it estimates
     the number of relevant subproblems of both and runs the cheaper one.
-    The τ-banded {!bounded_distance_prep}, which the joins and the serving
-    path verify with, always runs the left decomposition: its band already
-    bounds the work, and the choice measured within noise there.  (See
-    DESIGN.md, substitution 1.) *)
+    The τ-banded {!bounded_distance_prep}, which the pair verifier
+    ([Bounds.verify]) runs for every join and the serving path, always
+    runs the left decomposition: its band already bounds the work, and
+    the choice measured within noise there.  (See DESIGN.md,
+    substitution 1.) *)
 
 type prep
 (** Per-tree preprocessing (postorder arrays for both decompositions).
     Joins preprocess every tree once and verify pairs with
-    {!distance_prep}. *)
+    {!bounded_distance_prep}. *)
 
 val preprocess : Tsj_tree.Tree.t -> prep
 

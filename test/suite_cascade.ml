@@ -328,6 +328,11 @@ let prop_cascade_join_equals_truth (seed, n, max_size) =
   then
     QCheck.Test.fail_reportf
       "cascade counters do not partition the candidates (seed=%d)" seed
+  else if
+    off.Types.stats.Types.cascade.Types.kernel_verified
+    <> off.Types.stats.Types.n_candidates
+  then
+    QCheck.Test.fail_reportf "cascade:false left a candidate to a filter (seed=%d)" seed
   else true
 
 let prop_cascade_join_constrained_metric (seed, n, max_size) =
@@ -335,8 +340,8 @@ let prop_cascade_join_constrained_metric (seed, n, max_size) =
      lossless when the verifier metric is the constrained edit distance. *)
   let trees = forest_of_seed seed n max_size in
   let tau = 1 + (seed mod 3) in
-  let off = Partsj.join ~metric:Tsj_join.Sweep.Constrained ~cascade:false ~trees ~tau () in
-  let on_ = Partsj.join ~metric:Tsj_join.Sweep.Constrained ~cascade:true ~trees ~tau () in
+  let off = Partsj.join ~metric:Tsj_ted.Bounds.Constrained ~cascade:false ~trees ~tau () in
+  let on_ = Partsj.join ~metric:Tsj_ted.Bounds.Constrained ~cascade:true ~trees ~tau () in
   Types.equal_results off on_
 
 let test_cascade_counters_clustered () =

@@ -350,8 +350,10 @@ let test_fingerprint_mismatch_refused () =
   Sys.remove path
 
 (* A journal written before the index was keyed by twig and size band
-   (fingerprint version v3) holds pairs in the old candidate order, so
-   resuming it must be refused; the same state under the current
+   (fingerprint version v3) holds pairs in the old candidate order, and
+   a v4 journal written with the cascade off holds the stage counters of
+   the SED-prefiltered verifier that [cascade:false] no longer runs, so
+   resuming either must be refused; the same state under the current
    fingerprint resumes. *)
 let test_v3_journal_refused () =
   let trees = clustered 29 40 in
@@ -362,15 +364,21 @@ let test_v3_journal_refused () =
     | Ok (Some st) -> st
     | _ -> Alcotest.fail "journal not written"
   in
-  let v3 =
-    Checkpoint.fingerprint ~tau:2 trees
-      ~params:"v3|block=32|part=balanced|index=two-sided|metric=ted|bounded=true|cascade=true"
-  in
-  Checkpoint.save ~path { st with Checkpoint.fingerprint = v3 };
-  (match Partsj.join ~checkpoint:(Checkpoint.config ~resume:true path) ~trees ~tau:2 () with
-  | _ -> Alcotest.fail "resume of a v3 journal succeeded"
-  | exception Invalid_argument msg ->
-    Alcotest.(check bool) "error names the mismatch" true (contains msg "different"));
+  List.iter
+    (fun (params, cascade) ->
+      let old = Checkpoint.fingerprint ~tau:2 trees ~params in
+      Checkpoint.save ~path { st with Checkpoint.fingerprint = old };
+      match
+        Partsj.join ~cascade ~checkpoint:(Checkpoint.config ~resume:true path) ~trees
+          ~tau:2 ()
+      with
+      | _ -> Alcotest.failf "resume of a journal stamped %s succeeded" params
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool) "error names the mismatch" true (contains msg "different"))
+    [
+      ("v3|block=32|part=balanced|index=two-sided|metric=ted|bounded=true|cascade=true", true);
+      ("v4|block=32|part=balanced|index=two-sided|metric=ted|bounded=true|cascade=false", false);
+    ];
   Checkpoint.save ~path st;
   let resumed = Partsj.join ~checkpoint:(Checkpoint.config ~resume:true path) ~trees ~tau:2 () in
   Sys.remove path;

@@ -147,7 +147,7 @@ let test_sweep_rejects_negative_tau () =
   Alcotest.check_raises "negative" (Invalid_argument "Sweep.windowed_join: negative threshold")
     (fun () ->
       ignore
-        (Tsj_join.Sweep.windowed_join ~trees:[||] ~tau:(-1)
+        (Tsj_join.Sweep.windowed_join ~cascade:true ~trees:[||] ~tau:(-1)
            ~setup:(fun _ -> ())
            ~filter:(fun () _ _ -> true)
            ()))
@@ -158,7 +158,7 @@ let test_sweep_window_semantics () =
   let trees = [| t 1; t 3; t 6 |] in
   let seen = ref [] in
   let _ =
-    Tsj_join.Sweep.windowed_join ~trees ~tau:2
+    Tsj_join.Sweep.windowed_join ~cascade:true ~trees ~tau:2
       ~setup:(fun _ -> ())
       ~filter:(fun () i j ->
         seen := (min i j, max i j) :: !seen;

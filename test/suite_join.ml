@@ -32,6 +32,20 @@ let clustered_dataset ~seed ~n_base ~copies ~max_size ~max_edits =
 let sorted_triples output =
   List.sort compare (List.map (fun p -> (p.Types.i, p.Types.j, p.Types.distance)) output.Types.pairs)
 
+(* Every method decides its candidates with [Bounds.verify]: STR, SET and
+   PRT with the cascade, whose counters partition the candidates, and NL
+   with the kernel alone. *)
+let check_verifier_counters name out =
+  let s = out.Types.stats in
+  if name = "NL" then
+    Alcotest.(check int) "NL: kernel_verified = candidates" s.Types.n_candidates
+      s.Types.cascade.Types.kernel_verified
+  else
+    Alcotest.(check int)
+      (name ^ ": cascade counters = candidates")
+      s.Types.n_candidates
+      (Types.cascade_total s.Types.cascade)
+
 let check_method_against_ground_truth name join_fn trees tau =
   let truth = Nested_loop.join ~trees ~tau () in
   let out = join_fn ~trees ~tau in
@@ -43,7 +57,9 @@ let check_method_against_ground_truth name join_fn trees tau =
   Alcotest.(check bool) "candidates >= results" true
     (out.Types.stats.Types.n_candidates >= out.Types.stats.Types.n_results);
   Alcotest.(check bool) "candidates <= window" true
-    (out.Types.stats.Types.n_candidates <= out.Types.stats.Types.n_window_pairs)
+    (out.Types.stats.Types.n_candidates <= out.Types.stats.Types.n_window_pairs);
+  check_verifier_counters name out;
+  check_verifier_counters "NL" truth
 
 let methods =
   [
@@ -88,7 +104,22 @@ let test_identical_trees () =
   Alcotest.(check int) "all pairs found" 15 out.Types.stats.Types.n_results;
   List.iter
     (fun p -> Alcotest.(check int) "distance 0" 0 p.Types.distance)
-    out.Types.pairs
+    out.Types.pairs;
+  (* The cascade accepts every duplicate without a kernel run; the
+     nested loop runs the kernel on each. *)
+  List.iter
+    (fun (name, out, early, kernel) ->
+      let c = out.Types.stats.Types.cascade in
+      Alcotest.(check (pair int int))
+        (name ^ ": (early, kernel)")
+        (early, kernel)
+        (c.Types.early_accepted, c.Types.kernel_verified))
+    [
+      ("PRT", out, 15, 0);
+      ("STR", Str_join.join ~trees ~tau:0 (), 15, 0);
+      ("SET", Set_join.join ~trees ~tau:0 (), 15, 0);
+      ("NL", Nested_loop.join ~trees ~tau:0 (), 0, 15);
+    ]
 
 let test_empty_and_singleton () =
   let out = Partsj.join ~trees:[||] ~tau:2 () in
@@ -150,16 +181,23 @@ let prop_str_set_equal_nested_loop =
       && Types.equal_results truth (Set_join.join ~trees ~tau ()))
 
 let test_exact_verification_ablation () =
-  (* bounded_verify:false must give identical results (just slower). *)
+  (* The join verifies with the banded kernel; its pairs and distances
+     must equal those of an all-pairs loop over the unbanded exact TED. *)
   let trees = clustered_dataset ~seed:61 ~n_base:10 ~copies:2 ~max_size:16 ~max_edits:3 in
+  let n = Array.length trees in
   List.iter
     (fun tau ->
-      let banded = Partsj.join ~trees ~tau () in
-      let exact = Partsj.join ~bounded_verify:false ~trees ~tau () in
-      Alcotest.(check bool)
+      let exact = ref [] in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          let d = Tsj_ted.Ted.distance trees.(i) trees.(j) in
+          if d <= tau then exact := (i, j, d) :: !exact
+        done
+      done;
+      Alcotest.(check (list (triple int int int)))
         (Printf.sprintf "banded = exact verification (tau=%d)" tau)
-        true
-        (Types.equal_results banded exact))
+        (List.sort compare !exact)
+        (sorted_triples (Partsj.join ~trees ~tau ())))
     [ 0; 1; 2; 3 ]
 
 let test_constrained_metric_join () =
@@ -168,14 +206,16 @@ let test_constrained_metric_join () =
   let trees = clustered_dataset ~seed:55 ~n_base:10 ~copies:2 ~max_size:12 ~max_edits:2 in
   List.iter
     (fun tau ->
-      let metric = Tsj_join.Sweep.Constrained in
+      let metric = Tsj_ted.Bounds.Constrained in
       let truth = Nested_loop.join ~metric ~trees ~tau () in
+      check_verifier_counters "NL" truth;
       List.iter
         (fun (name, out) ->
           Alcotest.(check bool)
             (Printf.sprintf "%s constrained join (tau=%d)" name tau)
             true
-            (Types.equal_results truth out))
+            (Types.equal_results truth out);
+          check_verifier_counters name out)
         [
           ("STR", Str_join.join ~metric ~trees ~tau ());
           ("SET", Set_join.join ~metric ~trees ~tau ());

@@ -252,8 +252,8 @@ let prop_sweep_model (seed, n, domains, random) =
   let partitioning = if random then Partsj.Random seed else Partsj.Balanced in
   let candidates, results, stats = model_sweep ~partitioning ~tau trees in
   let join ?budget () =
-    Partsj.join_with_probe_stats ~partitioning ~domains ?budget ~bounded_verify:false
-      ~trees ~tau ()
+    Partsj.join_with_probe_stats ~partitioning ~domains ?budget ~cascade:false ~trees
+      ~tau ()
   in
   let out, probe = join () in
   (* A zero per-pair budget quarantines every candidate with its pair, so
