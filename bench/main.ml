@@ -47,18 +47,24 @@ let micro () =
   (* The probe runs against the index a perfbench [query] server holds:
      2,000 swissprot trees at τ = 2, probed with a fresh tree of the same
      profile over its size window.  A probe does one lookup per (size
-     band with subgraphs, node, coordinate, twig variant of the node);
-     [probe_lookups] counts them, so the time per lookup can be read
-     off. *)
+     band with subgraphs, node, coordinate, twig variant of the node
+     whose shape some subgraph has); [probe_lookups] counts them, so
+     the time per lookup can be read off. *)
   let probe_tau = 2 in
   let stored = Tsj_datagen.Profiles.(instantiate swissprot ~seed:801 ~n:2000) in
   let filled_index = Tsj_core.Two_layer_index.create ~tau:probe_tau () in
+  let shape ~left ~right = 1 lsl (Bool.to_int left + (2 * Bool.to_int right)) in
+  let held = ref 0 (* the twig shapes of the indexed subgraphs *) in
   Array.iteri
     (fun id tree ->
       let b = (Tsj_tree.Form.of_tree tree).lcrs in
       if b.Tsj_tree.Binary_tree.size >= (2 * probe_tau) + 1 then
         Array.iter
-          (Tsj_core.Two_layer_index.insert filled_index)
+          (fun s ->
+            let _, left, right = Tsj_core.Subgraph.label_key s in
+            let e = Tsj_tree.Label.epsilon in
+            held := !held lor shape ~left:(left <> e) ~right:(right <> e);
+            Tsj_core.Two_layer_index.insert filled_index s)
           (Tsj_core.Subgraph.of_partition ~tree_id:id
              (Tsj_core.Partition.partition b ~delta:((2 * probe_tau) + 1))))
     stored;
@@ -69,7 +75,7 @@ let micro () =
   let probe_lo = probed.Tsj_tree.Binary_tree.size - probe_tau in
   let probe_hi = probed.Tsj_tree.Binary_tree.size + probe_tau in
   let probe_lookups =
-    let width = probe_tau + 1 in
+    let width = (2 * probe_tau) + 1 in
     let band_indexed band =
       Array.exists
         (fun tree ->
@@ -82,12 +88,16 @@ let micro () =
         (List.init ((probe_hi / width) - (probe_lo / width) + 1) (( + ) (probe_lo / width)))
     in
     (* (ll, lr), (ll, ε), (ε, lr), (ε, ε), less those a missing child
-       makes equal. *)
+       makes equal and those of a shape no subgraph has. *)
     let variants = ref 0 in
     let { Tsj_tree.Binary_tree.left; right; _ } = probed in
     for v = 0 to probed.Tsj_tree.Binary_tree.size - 1 do
-      let sides lane = if lane.(v) < 0 then 1 else 2 in
-      variants := !variants + (sides left * sides right)
+      List.iter
+        (fun l ->
+          List.iter
+            (fun r -> if !held land shape ~left:l ~right:r <> 0 then incr variants)
+            (List.sort_uniq compare [ false; right.(v) >= 0 ]))
+        (List.sort_uniq compare [ false; left.(v) >= 0 ])
     done;
     2 * List.length bands * !variants
   in

@@ -230,16 +230,7 @@ let join_cmd =
       else (load_trees ~format file, [])
     in
     let out =
-      match
-        match (metric, method_) with
-        | Tsj_ted.Bounds.Ted, m ->
-          Tsj_harness.Methods.run ~domains ?budget ?checkpoint m ~trees ~tau
-        | metric, Tsj_harness.Methods.Nl -> Tsj_join.Nested_loop.join ~metric ~trees ~tau ()
-        | metric, Tsj_harness.Methods.Str -> Tsj_baselines.Str_join.join ~metric ~trees ~tau ()
-        | metric, Tsj_harness.Methods.Set -> Tsj_baselines.Set_join.join ~metric ~trees ~tau ()
-        | metric, _ ->
-          Tsj_core.Partsj.join ~domains ~metric ?budget ?checkpoint ~trees ~tau ()
-      with
+      match Tsj_harness.Methods.run ~domains ~metric ?budget ?checkpoint method_ ~trees ~tau with
       | out -> out
       | exception Invalid_argument msg ->
         (* e.g. a corrupt or mismatched --resume journal *)

@@ -217,7 +217,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
     | Some _ ->
       let params =
         Printf.sprintf
-          "v5|block=%d|part=%s|index=%s|metric=%s|cascade=%b"
+          "v6|block=%d|part=%s|index=%s|metric=%s|cascade=%b"
           block_size
           (match partitioning with
           | Balanced -> "balanced"

@@ -34,12 +34,12 @@ let[@inline] mix k =
    130-word buckets and 192- and 256-word chunks perfbench [join] peaked
    at 91.9 MB instead of 87.1 (2 runs each, 2-vCPU host).
 
-   Most lookups of a probe miss (~610 lookups return ~5 postings on the
-   swissprot [query] preload), and a bucket is a cache miss, so a
+   Most lookups of a probe miss, and a bucket is a cache miss, so a
    presence filter sits in front: one bit per hash value modulo its
-   length, 8 to 16 bits per key, rebuilt at twice the length when the
+   length, 32 to 64 bits per key, rebuilt at twice the length when the
    keys outgrow it.  A clear bit answers a lookup without touching the
-   buckets. *)
+   buckets.  At 8 to 16 bits per key, 84% of the lookups that passed
+   the filter on perfbench's first [join] collection found no key. *)
 
 let slots = 32
 let max_fill = 24 (* keys per bucket before it splits *)
@@ -71,7 +71,7 @@ let new_bucket depth =
   b
 
 let table () =
-  { dir = [| new_bucket 0 |]; depth = 0; keys = 0; filter = Bytes.make 64 '\000' }
+  { dir = [| new_bucket 0 |]; depth = 0; keys = 0; filter = Bytes.make 256 '\000' }
 
 (* Rebuilds the filter at twice its length from every bucket, each met
    once: at the first directory entry that reaches it. *)
@@ -98,11 +98,11 @@ let slot_in b k h =
   done;
   2 * !i
 
-(* The head stored for [k], or -1.  A probe does ~600 lookups for ~5
+(* The head stored for [k], or -1.  A probe does ~250 lookups for ~5
    postings, so [walk], [find], [mix] and the filter test are inlined
-   into each lookup: as calls, the probes of perfbench [query]'s 9,000
-   trees took 11.9-12.3 µs each against 9.2-9.6 (7 of 8 interleaved
-   pairs, 2-vCPU host). *)
+   into each lookup: as calls (at ~600 lookups a probe), the probes of
+   perfbench [query]'s 9,000 trees took 11.9-12.3 µs each against
+   9.2-9.6 (7 of 8 interleaved pairs, 2-vCPU host). *)
 let[@inline] find tbl k =
   let h = mix k in
   if not (may_hold tbl.filter h) then -1
@@ -163,7 +163,7 @@ let rec exchange tbl k v =
   else begin
     put b k v h;
     tbl.keys <- tbl.keys + 1;
-    if tbl.keys > Bytes.length tbl.filter then refilter tbl;
+    if 4 * tbl.keys > Bytes.length tbl.filter then refilter tbl;
     mark tbl.filter h
   end;
   old
@@ -184,6 +184,7 @@ type t = {
   by_start : table; (* position: general postorder number *)
   by_end : table; (* position: size - 1 - general postorder *)
   bands : table; (* the size bands with indexed subgraphs *)
+  mutable shapes : int; (* bit [shape left right] of each indexed twig *)
   mutable postings : int array array;
   mutable n_postings : int;
   mutable fields : int array array;
@@ -199,6 +200,7 @@ let create ?(mode = Two_sided) ~tau () =
     by_start = table ();
     by_end = table ();
     bands = table ();
+    shapes = 0;
     postings = [||];
     n_postings = 0;
     fields = [||];
@@ -246,12 +248,23 @@ let add_posting t tbl k ~pos ~slot =
   chain.(o + 2) <- exchange tbl k p;
   t.n_postings <- p + 1
 
+(* A size band spans 2τ + 1 sizes, so the size window [[n - τ, n + τ]]
+   of a query meets at most two bands.  At τ + 1 sizes it met two or
+   three, and perfbench's first [join] collection did 18% more lookups. *)
+let[@inline] band_width t = (2 * t.tau) + 1
+
+(* A twig's shape: which of its slots are set.  One bit of [t.shapes]
+   each, so a probe skips the twig variants that no subgraph has. *)
+let[@inline] shape ~left ~right =
+  1 lsl (Bool.to_int (left <> Label.epsilon) + (2 * Bool.to_int (right <> Label.epsilon)))
+
 let insert t (s : Subgraph.t) =
   let slot = t.count in
   let label, left, right = Subgraph.label_key s in
   add_slot t s ~label ~left ~right;
+  t.shapes <- t.shapes lor shape ~left ~right;
   let size = s.Subgraph.tree_size in
-  let band = size / (t.tau + 1) in
+  let band = size / band_width t in
   let add tbl pos = add_posting t tbl (key ~band ~pos ~label ~left ~right) ~pos ~slot in
   let add_window tbl center half =
     for pos = max 0 (center - half) to center + half do
@@ -305,20 +318,13 @@ type cursor = {
 }
 
 let cursor (target : Binary_tree.t) =
-  let n = target.Binary_tree.size in
-  let label = target.Binary_tree.label in
-  let child lane v =
-    match lane.(v) with
-    | -1 -> Label.epsilon
-    | c -> label.(c)
-  in
-  {
-    c_l = label; (* shared, read-only *)
-    c_ll = Array.init n (child target.Binary_tree.left);
-    c_lr = Array.init n (child target.Binary_tree.right);
-    c_gpost = target.Binary_tree.gpost;
-    c_size = n;
-  }
+  let { Binary_tree.size = n; label; left; right; gpost; _ } = target in
+  let c_ll = Array.make n Label.epsilon and c_lr = Array.make n Label.epsilon in
+  for v = 0 to n - 1 do
+    if left.(v) >= 0 then c_ll.(v) <- label.(left.(v));
+    if right.(v) >= 0 then c_lr.(v) <- label.(right.(v))
+  done;
+  { c_l = label (* shared, read-only *); c_ll; c_lr; c_gpost = gpost; c_size = n }
 
 (* Calls [f sub v] on the chain from posting [p] for the postings
    whose exact fields are (pos, label), whose size is in [[lo, hi]] and
@@ -347,10 +353,13 @@ let[@inline] walk t tbl k ~lo ~hi ~pos label ll lr v f =
   if p >= 0 then visit t ~lo ~hi ~pos label ll lr v f p
 
 (* Walks the chains of node [v]'s twig variants (ll, lr), (ll, ε),
-   (ε, lr), (ε, ε) in this band and position, each distinct key once: a
-   side with no child makes two variants equal, and two variants whose
-   keys collide share one chain, which [visit]'s twig check reads for
-   both. *)
+   (ε, lr), (ε, ε) in this band and position, each distinct key once,
+   and only the variants whose shape some indexed subgraph has.  A
+   posting [visit] keeps has slots each ε or [v]'s child label, so its
+   key is the variant of its own shape: a skipped variant holds none.
+   A side with no child makes two variants equal, and two variants
+   whose keys collide share one chain, which [visit]'s twig check reads
+   for both. *)
 let scan t tbl ~band ~lo ~hi ~pos (cur : cursor) v f =
   let label = cur.c_l.(v) and ll = cur.c_ll.(v) and lr = cur.c_lr.(v) in
   let e = Label.epsilon in
@@ -358,13 +367,22 @@ let scan t tbl ~band ~lo ~hi ~pos (cur : cursor) v f =
   let k2 = key ~band ~pos ~label ~left:ll ~right:e in
   let k3 = key ~band ~pos ~label ~left:e ~right:lr in
   let k4 = key ~band ~pos ~label ~left:e ~right:e in
-  walk t tbl k1 ~lo ~hi ~pos label ll lr v f;
-  if k2 <> k1 then walk t tbl k2 ~lo ~hi ~pos label ll lr v f;
-  if k3 <> k1 && k3 <> k2 then walk t tbl k3 ~lo ~hi ~pos label ll lr v f;
-  if k4 <> k1 && k4 <> k2 && k4 <> k3 then walk t tbl k4 ~lo ~hi ~pos label ll lr v f
+  let w1 = t.shapes land shape ~left:ll ~right:lr <> 0 in
+  let w2 = t.shapes land shape ~left:ll ~right:e <> 0 && not (w1 && k2 = k1) in
+  let w3 =
+    t.shapes land shape ~left:e ~right:lr <> 0
+    && not ((w1 && k3 = k1) || (w2 && k3 = k2))
+  in
+  let w4 =
+    t.shapes land 1 <> 0 && not ((w1 && k4 = k1) || (w2 && k4 = k2) || (w3 && k4 = k3))
+  in
+  if w1 then walk t tbl k1 ~lo ~hi ~pos label ll lr v f;
+  if w2 then walk t tbl k2 ~lo ~hi ~pos label ll lr v f;
+  if w3 then walk t tbl k3 ~lo ~hi ~pos label ll lr v f;
+  if w4 then walk t tbl k4 ~lo ~hi ~pos label ll lr v f
 
 let probe t (cur : cursor) ~lo ~hi f =
-  let w = t.tau + 1 and lo = max 1 lo in
+  let w = band_width t and lo = max 1 lo in
   for band = lo / w to hi / w do
     let lo = max lo (band * w) and hi = min hi ((band * w) + w - 1) in
     if lo <= hi && find t.bands band >= 0 then

@@ -8,7 +8,7 @@
     postorder number) and [by_end] (tree size − 1 − that number), map
     one int key to the head of a chain of postings.  The key packs (size
     band, position, root label) 21 bits apart, where the band is the
-    tree size divided by τ + 1, and adds the twig (the left and right
+    tree size divided by 2τ + 1, and adds the twig (the left and right
     slot of {!Subgraph.label_key}, each times an odd constant).  A
     posting is an int triple (position, subgraph slot, next posting) in
     a pool of 32-posting chunks; a slot holds its subgraph's exact size,
@@ -28,34 +28,48 @@
     at a time, with no capacity step and no copy of the table, and every
     chunk and bucket is small enough for the minor heap and the major
     heap's size classes.  A presence filter (one bit per hash value
-    modulo its length, 8 to 16 bits per key) answers most missing keys
-    without touching a bucket.
+    modulo its length, 32 to 64 bits per key) answers most missing keys
+    without touching a bucket: on perfbench's first [join] collection
+    (800 trees, τ = 3), 11,826 of 222,564 lookups pass it and 7,237
+    find a key (at 8 to 16 bits per key, 48,231 passed for 7,671 keys
+    found).
 
     {b Memory per key and posting.}  A bucket holds 12 to 24 keys in 67
-    words.  On 2,000 swissprot trees at τ = 2 (42,742 keys; 41,252 when
-    the key was (size, position, root label)) the key tables, directory
-    and filter included, hold 4.2 words per key; the [Hashtbl]
-    they replace held 4.5 to 5 (a 4-word cell per key and ½ to 1 bucket
-    word).  A posting costs 3 words (it was a 7-word block), a subgraph
-    5 words of slot beside its record and code.  There the streaming
-    index ({!Incremental}) holds 19.0 words per stored node, against
-    27.0 with boxed postings and subgraphs that kept their tree.
+    words.  On 2,000 swissprot trees at τ = 2 (41,433 keys; 42,097 with
+    bands of τ + 1 sizes) the key tables, directory and filter included,
+    hold 4.8 words per key (4.2 with a filter of 8 to 16 bits per key);
+    the [Hashtbl] they replace held 4.5 to 5 (a 4-word cell per key and
+    ½ to 1 bucket word).  A posting costs 3 words (it was a 7-word
+    block), a subgraph 5 words of slot beside its record and code.
+    There the streaming index ({!Incremental}) holds 19.1 words per
+    stored node (19.0 with the smaller filter), against 27.0 with boxed
+    postings and subgraphs that kept their tree.
 
     {b Lookups.}  A probe over sizes [[lo, hi]] walks the bands from
-    [lo / (τ + 1)] to [hi / (τ + 1)] and does one lookup per (band,
-    node, coordinate, twig variant) — two coordinates in {!Two_sided},
-    one otherwise — plus one per band to skip bands with no subgraph.
-    The twig variants of node [v] are (ll, lr), (ll, ε), (ε, lr) and
-    (ε, ε), where ll and lr are the labels of [v]'s left and right
-    child; a side where [v] has no child gives only ε, and variants
-    whose keys are equal share one walk of their chain.  The walk keeps
-    the postings whose exact position and root label match, whose size
-    lies in [[lo, hi]] and in the band, and whose twig slots are each ε
-    or [v]'s child label.  A lookup allocates nothing.  On perfbench's
-    first [join] collection (800 trees, τ = 3) the join's probes walk
-    12,379 postings for 11,901 calls of [f] (118,233 postings with the
-    twig checked on the chain and the exact size in the key), in 494K
-    lookups (507K).
+    [lo / (2τ + 1)] to [hi / (2τ + 1)] — at most two for a window of
+    2τ + 1 sizes — and does one lookup per (band, node, coordinate, twig
+    variant) — two coordinates in {!Two_sided}, one otherwise — plus one
+    per band to skip bands with no subgraph.  The twig variants of node
+    [v] are (ll, lr), (ll, ε), (ε, lr) and (ε, ε), where ll and lr are
+    the labels of [v]'s left and right child; a side where [v] has no
+    child gives only ε, and variants whose keys are equal share one
+    walk of their chain.  A variant's shape is which of its slots are
+    set; the index keeps one bit per shape it holds, and a probe skips
+    the variants of the other shapes, which hold no posting the walk
+    would keep.  Shape (ε, ε) takes a one-node component, so a
+    partition with γ = 1 (e.g. of a tree of δ to 2δ − 1 nodes): no
+    subgraph of 2,000 trees of any generated profile at τ = 1..3 has
+    it, so that variant, 45% of the lookups, goes.  The walk keeps the
+    postings whose exact position and root label match, whose size lies
+    in [[lo, hi]] and in the band, and whose twig slots are each ε or
+    [v]'s child label.  A lookup allocates nothing.  On
+    perfbench's first [join] collection (800 trees, τ = 3) the join's
+    probes walk 12,664 postings for 11,901 calls of [f] (118,233
+    postings with the twig checked on the chain and the exact size in
+    the key), in 223K lookups (494K with bands of τ + 1 sizes and every
+    variant looked up); a probe of perfbench [query]'s swissprot
+    preload (2,000 trees, τ = 2) does 245 lookups for ~5 postings
+    (604).
 
     {b Postorder windows.}  The paper registers subgraph [s_k] (rank [k],
     root postorder [p_k]) under keys [p_k ± (τ - ⌊k/2⌋)].  Our property

@@ -20,15 +20,15 @@ let supports_resilience = function
   | Nl | Str | Set -> false
   | Prt | Prt_random | Prt_paper_index -> true
 
-let run ?(domains = 1) ?budget ?checkpoint method_ ~trees ~tau =
+let run ?(domains = 1) ?metric ?budget ?checkpoint method_ ~trees ~tau =
   match method_ with
-  | Nl -> Tsj_join.Nested_loop.join ~trees ~tau ()
-  | Str -> Tsj_baselines.Str_join.join ~trees ~tau ()
-  | Set -> Tsj_baselines.Set_join.join ~trees ~tau ()
-  | Prt -> Tsj_core.Partsj.join ~domains ?budget ?checkpoint ~trees ~tau ()
+  | Nl -> Tsj_join.Nested_loop.join ?metric ~trees ~tau ()
+  | Str -> Tsj_baselines.Str_join.join ?metric ~trees ~tau ()
+  | Set -> Tsj_baselines.Set_join.join ?metric ~trees ~tau ()
+  | Prt -> Tsj_core.Partsj.join ~domains ?metric ?budget ?checkpoint ~trees ~tau ()
   | Prt_random ->
-    Tsj_core.Partsj.join ~domains ?budget ?checkpoint
+    Tsj_core.Partsj.join ~domains ?metric ?budget ?checkpoint
       ~partitioning:(Tsj_core.Partsj.Random 0xBEEF) ~trees ~tau ()
   | Prt_paper_index ->
-    Tsj_core.Partsj.join ~domains ?budget ?checkpoint
+    Tsj_core.Partsj.join ~domains ?metric ?budget ?checkpoint
       ~index_mode:Tsj_core.Two_layer_index.Paper_rank ~trees ~tau ()

@@ -31,6 +31,7 @@ val supports_resilience : t -> bool
 
 val run :
   ?domains:int ->
+  ?metric:Tsj_ted.Bounds.metric ->
   ?budget:Tsj_join.Budget.t ->
   ?checkpoint:Tsj_join.Checkpoint.config ->
   t ->
@@ -39,6 +40,7 @@ val run :
   Tsj_join.Types.output
 (** [domains] (default 1) is forwarded to the PartSJ variants, which run
     their whole pipeline on that many OCaml domains; the baselines are
-    sequential and ignore it.  [budget] and [checkpoint] enable the
+    sequential and ignore it.  [metric] (default TED) is passed to every
+    method.  [budget] and [checkpoint] enable the
     resilient execution of {!Tsj_core.Partsj} and are likewise
     PartSJ-only (see {!supports_resilience}). *)

@@ -350,11 +350,12 @@ let test_fingerprint_mismatch_refused () =
   Sys.remove path
 
 (* A journal written before the index was keyed by twig and size band
-   (fingerprint version v3) holds pairs in the old candidate order, and
-   a v4 journal written with the cascade off holds the stage counters of
-   the SED-prefiltered verifier that [cascade:false] no longer runs, so
-   resuming either must be refused; the same state under the current
-   fingerprint resumes. *)
+   (fingerprint version v3), or before its bands were 2τ + 1 sizes wide
+   (v5), holds pairs in an older candidate order, and a v4 journal
+   written with the cascade off holds the stage counters of the
+   SED-prefiltered verifier that [cascade:false] no longer runs, so
+   resuming any of them must be refused; the same state under the
+   current fingerprint resumes. *)
 let test_v3_journal_refused () =
   let trees = clustered 29 40 in
   let path = Faults.fresh_journal () in
@@ -378,6 +379,7 @@ let test_v3_journal_refused () =
     [
       ("v3|block=32|part=balanced|index=two-sided|metric=ted|bounded=true|cascade=true", true);
       ("v4|block=32|part=balanced|index=two-sided|metric=ted|bounded=true|cascade=false", false);
+      ("v5|block=32|part=balanced|index=two-sided|metric=ted|cascade=true", true);
     ];
   Checkpoint.save ~path st;
   let resumed = Partsj.join ~checkpoint:(Checkpoint.config ~resume:true path) ~trees ~tau:2 () in

@@ -48,6 +48,34 @@ let test_all_methods_run_and_agree () =
         Alcotest.(check bool) (Methods.name m ^ " exact") true (Types.equal_results truth out))
     Methods.all
 
+(* With the constrained metric each PRT variant keeps its partitioning
+   and index mode: [run] gives the output of the [Partsj.join] it names,
+   whose candidate count on this set differs from plain PRT's, and whose
+   results differ from those under TED. *)
+let test_run_passes_metric () =
+  let trees = Tsj_datagen.Profiles.(instantiate sentiment ~seed:7 ~n:120) in
+  let metric = Tsj_ted.Bounds.Constrained and tau = 3 in
+  let candidates (out : Types.output) = out.Types.stats.Types.n_candidates in
+  let prt = candidates (Methods.run ~metric Methods.Prt ~trees ~tau) in
+  List.iter
+    (fun (m, direct) ->
+      let got = Methods.run ~metric m ~trees ~tau and want = direct () in
+      Alcotest.(check int) (Methods.name m ^ " candidates") (candidates want) (candidates got);
+      Alcotest.(check bool) (Methods.name m ^ " output") true (Types.equal_deterministic want got);
+      Alcotest.(check bool) (Methods.name m ^ " differs from PRT") true (candidates got <> prt);
+      Alcotest.(check bool) (Methods.name m ^ " differs under TED") false
+        (Types.equal_results got (Methods.run m ~trees ~tau)))
+    [
+      ( Methods.Prt_random,
+        fun () ->
+          Tsj_core.Partsj.join ~metric ~partitioning:(Tsj_core.Partsj.Random 0xBEEF) ~trees
+            ~tau () );
+      ( Methods.Prt_paper_index,
+        fun () ->
+          Tsj_core.Partsj.join ~metric ~index_mode:Tsj_core.Two_layer_index.Paper_rank ~trees
+            ~tau () );
+    ]
+
 let test_table_rendering () =
   let buf_path = Filename.temp_file "tsj" ".tbl" in
   let oc = open_out buf_path in
@@ -212,4 +240,5 @@ let suite =
     Alcotest.test_case "sweep window semantics" `Quick test_sweep_window_semantics;
     Alcotest.test_case "nested loop rel_count" `Quick test_nested_loop_rel_count;
     Alcotest.test_case "types helpers" `Quick test_types_helpers;
+    Alcotest.test_case "run passes the metric to every method" `Quick test_run_passes_metric;
   ]
