@@ -245,13 +245,17 @@ let join_cmd =
       Printf.printf "quarantined: %d\n" (List.length qs);
       if show_pairs then
         List.iter (fun q -> Format.printf "  %a@." Types.pp_quarantined q) qs);
+    (* Sorted by (i, j), so the lines do not depend on the order in
+       which a method finds its candidates. *)
     if show_pairs then
       List.iter
         (fun p ->
           Printf.printf "%d\t%d\t%d\t%s\t%s\n" p.Types.i p.Types.j p.Types.distance
             (Bracket.to_string trees.(p.Types.i))
             (Bracket.to_string trees.(p.Types.j)))
-        out.Types.pairs
+        (List.sort
+           (fun (p : Types.pair) (q : Types.pair) -> compare (p.i, p.j) (q.i, q.j))
+           out.Types.pairs)
   in
   Cmd.v
     (Cmd.info "join" ~doc:"Similarity self-join over a tree collection")

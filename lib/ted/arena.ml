@@ -24,11 +24,18 @@ type t = {
   mutable rows : int; (* allocated rows, >= n1 + 1 *)
   mutable cols : int; (* allocated columns, >= n2 + 1 *)
   mutable serial : int; (* bounded-call counter for td stamps *)
-  (* The bounded string edit distance's two rolling rounds: the
-     furthest row per diagonal, 2k + 3 slots for threshold k (the
-     diagonals [-k, k] and a sentinel at each end). *)
-  mutable band_prev : int array;
-  mutable band_cur : int array;
+  (* The bounded string edit distance's rounds: round e holds the
+     furthest row per diagonal in 2k + 3 slots for threshold k (the
+     diagonals [-k, k] and a sentinel at each end), at offset
+     e * (2k + 3).  Every round is kept, so an alignment can be traced
+     back from the last one. *)
+  mutable rounds : int array;
+  (* The alignment certificate: the string position each position of
+     the first string is aligned with (-1 if deleted), and the
+     prefix counts of aligned positions of both strings. *)
+  mutable mate : int array;
+  mutable count_a : int array;
+  mutable count_b : int array;
   (* The banded Zhang–Shasha kernel's keyroot window: the T2 keyroot of
      each leaf of T2, and the window of one T1 keyroot, sorted. *)
   mutable leaf_keyroot : int array;
@@ -45,8 +52,10 @@ let create () =
     rows = 0;
     cols = 0;
     serial = 0;
-    band_prev = [||];
-    band_cur = [||];
+    rounds = [||];
+    mate = [||];
+    count_a = [||];
+    count_b = [||];
     leaf_keyroot = [||];
     window = [||];
     in_use = Atomic.make false;
@@ -59,17 +68,21 @@ let key = Domain.DLS.new_key create
    whole call; a thread that finds it claimed runs on a private arena
    allocated for the call rather than overwriting the first thread's
    tables. *)
-let use f =
+let acquire () =
   let a = Domain.DLS.get key in
-  if Atomic.compare_and_set a.in_use false true then
-    match f a with
-    | v ->
-      Atomic.set a.in_use false;
-      v
-    | exception e ->
-      Atomic.set a.in_use false;
-      raise e
-  else f (create ())
+  if Atomic.compare_and_set a.in_use false true then a else create ()
+
+let release a = Atomic.set a.in_use false
+
+let use f =
+  let a = acquire () in
+  match f a with
+  | v ->
+    release a;
+    v
+  | exception e ->
+    release a;
+    raise e
 
 let reserve_matrices a n1 n2 =
   if n1 + 1 > a.rows || n2 + 1 > a.cols then begin
@@ -104,15 +117,15 @@ let next_serial a =
   a.serial <- a.serial + 1;
   a.serial
 
-let reserve_bands a width =
-  if Array.length a.band_prev < width then begin
-    let cap = max width (2 * Array.length a.band_prev) in
-    a.band_prev <- Array.make cap 0;
-    a.band_cur <- Array.make cap 0
-  end
+let grow arr n = if Array.length arr < n then Array.make (max n (2 * Array.length arr)) 0 else arr
+
+let reserve_rounds a cells = a.rounds <- grow a.rounds cells
+
+let reserve_alignment a la lb =
+  a.mate <- grow a.mate la;
+  a.count_a <- grow a.count_a la;
+  a.count_b <- grow a.count_b lb
 
 let reserve_keyroots a n2 width =
-  if Array.length a.leaf_keyroot < n2 then
-    a.leaf_keyroot <- Array.make (max n2 (2 * Array.length a.leaf_keyroot)) 0;
-  if Array.length a.window < width then
-    a.window <- Array.make (max width (2 * Array.length a.window)) 0
+  a.leaf_keyroot <- grow a.leaf_keyroot n2;
+  a.window <- grow a.window width

@@ -14,9 +14,16 @@ type t = {
   mutable rows : int;  (** allocated rows *)
   mutable cols : int;  (** allocated columns *)
   mutable serial : int;  (** bounded-call counter for the td stamps *)
-  mutable band_prev : int array;
-      (** bounded string edit distance: furthest row per diagonal, one round *)
-  mutable band_cur : int array;  (** the same, the other round *)
+  mutable rounds : int array;
+      (** bounded string edit distance: furthest row per diagonal, every
+          round kept *)
+  mutable mate : int array;
+      (** alignment certificate: the position of the second string each
+          position of the first is aligned with, or [-1] *)
+  mutable count_a : int array;
+      (** alignment certificate: aligned positions before each position
+          of the first string *)
+  mutable count_b : int array;  (** the same for the second string *)
   mutable leaf_keyroot : int array;
       (** banded TED: the keyroot of T2 whose leftmost leaf is node [p],
           valid at the leaves [p] of the current call's T2 *)
@@ -30,6 +37,13 @@ val use : (t -> 'a) -> 'a
     domain share its arena, so a thread that finds it claimed by
     another runs [f] on a fresh private arena instead. *)
 
+val acquire : unit -> t
+(** The arena {!use} would pass, claimed: the caller must {!release} it
+    on every exit path.  Lets a hot path claim the arena without
+    allocating a closure. *)
+
+val release : t -> unit
+
 val reserve_matrices : t -> int -> int -> unit
 (** [reserve_matrices a n1 n2] ensures [a.rows > n1] and [a.cols > n2].
     When the existing slabs already hold [(n1 + 1) * (n2 + 1)] cells the
@@ -41,8 +55,12 @@ val reserve_matrices : t -> int -> int -> unit
 val next_serial : t -> int
 (** Fresh per-call serial for the [td_stamp] protocol. *)
 
-val reserve_bands : t -> int -> unit
-(** [reserve_bands a w] ensures both band rows hold at least [w] cells. *)
+val reserve_rounds : t -> int -> unit
+(** [reserve_rounds a n] ensures [rounds] holds at least [n] cells. *)
+
+val reserve_alignment : t -> int -> int -> unit
+(** [reserve_alignment a la lb] ensures [mate] and [count_a] hold at
+    least [la] cells and [count_b] at least [lb]. *)
 
 val reserve_keyroots : t -> int -> int -> unit
 (** [reserve_keyroots a n2 w] ensures [leaf_keyroot] holds at least

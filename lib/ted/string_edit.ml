@@ -41,46 +41,87 @@ let distance a b =
    it, so the cost is O(k² + total slide) <= O(k · min(|a|, |b|)); a
    near pair of long strings costs about O(k²) plus its matched runs.
 
-   The two rolling rounds come from the per-domain {!Arena}'s band rows:
-   round e lives at slots [d + k + 1] of one row and reads round e - 1
-   from the other, 2k + 3 slots each so that the neighbours of the
-   outermost diagonals are sentinels.  Both rows are filled with the
-   sentinel once per call; round e then overwrites the array that held
-   round e - 2 on a superset of that round's diagonals, so every slot a
-   round reads was either written in the previous round or still holds
-   the sentinel. *)
-let bounded_distance a b k =
+   Every round is kept in the per-domain {!Arena}'s [rounds] table, so
+   that {!alignment} can trace one back: round e lives at slots
+   [e * (2k + 3) + d + k + 1], 2k + 3 a round so that the neighbours
+   of the outermost diagonals are sentinels.  Each round's slots are
+   filled with the sentinel before the round writes its diagonals, so
+   every slot a round reads was either written in the previous round
+   or holds the sentinel. *)
+let rec slide (a : int array) b la lb i d =
+  if i < la && i + d < lb && a.(i) = b.(i + d) then slide a b la lb (i + 1) d else i
+
+let rounds arena a b k =
   if k < 0 then invalid_arg "String_edit.bounded_distance: negative threshold";
   let la = Array.length a and lb = Array.length b in
   let target = lb - la in
   if abs target > k then k + 1
-  else
-    Arena.use (fun arena ->
-        let width = (2 * k) + 3 and off = k + 1 in
-        Arena.reserve_bands arena width;
-        let prev = ref arena.Arena.band_prev and cur = ref arena.Arena.band_cur in
-        Array.fill !prev 0 width min_int;
-        Array.fill !cur 0 width min_int;
-        let slide i d =
-          let i = ref i in
-          while !i < la && !i + d < lb && a.(!i) = b.(!i + d) do
-            incr i
-          done;
-          !i
-        in
-        (!cur).(off) <- slide 0 0;
-        let e = ref 0 in
-        while !e < k && (!cur).(target + off) < la do
-          incr e;
-          let p = !cur and c = !prev in
-          prev := p;
-          cur := c;
-          for d = Int.max (- !e) (-la) to Int.min !e lb do
-            let s = d + off in
-            let i = Int.max (p.(s) + 1) (Int.max (p.(s + 1) + 1) p.(s - 1)) in
-            c.(s) <- slide (Int.min i (Int.min la (lb - d))) d
-          done
-        done;
-        if (!cur).(target + off) >= la then !e else k + 1)
+  else begin
+    let width = (2 * k) + 3 and off = k + 1 in
+    Arena.reserve_rounds arena ((k + 1) * width);
+    let r = arena.Arena.rounds in
+    Array.fill r 0 width min_int;
+    r.(off) <- slide a b la lb 0 0;
+    let e = ref 0 in
+    while !e < k && r.((!e * width) + target + off) < la do
+      incr e;
+      let c = (!e * width) + off in
+      let p = c - width in
+      Array.fill r (c - off) width min_int;
+      for d = Int.max (- !e) (-la) to Int.min !e lb do
+        let i = Int.max (r.(p + d) + 1) (Int.max (r.(p + d + 1) + 1) r.(p + d - 1)) in
+        r.(c + d) <- slide a b la lb (Int.min i (Int.min la (lb - d))) d
+      done
+    done;
+    if r.((!e * width) + target + off) >= la then !e else k + 1
+  end
+
+(* The trace back walks from cell (|a|, |b|) to (0, 0) holding the
+   invariant D(x, y) <= e, with y = x + d: x <= L(e, d).  At each cell
+   it steps to a neighbour before it that keeps the invariant, in this
+   order: to (x - 1, y), deleting a.(x - 1), or to (x, y - 1), inserting
+   b.(y - 1), when round e - 1 reaches that neighbour on its diagonal;
+   else to (x - 1, y - 1), aligning a.(x - 1) with b.(y - 1): free when
+   they match (D never decreases along a diagonal), an edit when round
+   e - 1 reaches it.  One step always exists: by the DP recurrence a
+   cell of cost at most e whose symbols differ has a neighbour before
+   it of cost at most e - 1.  At most e edit steps are taken, so the
+   alignment is optimal.  Taking the gaps before the matches
+   puts each gap as late in the strings as an optimal alignment
+   allows; on near copies of trees that gives a valid tree mapping
+   more often than matching first. *)
+let alignment arena (a : int array) b k e =
+  let la = Array.length a and lb = Array.length b in
+  let width = (2 * k) + 3 and off = k + 1 in
+  let r = arena.Arena.rounds and mate = arena.Arena.mate in
+  Array.fill mate 0 la (-1);
+  let e = ref e and d = ref (lb - la) and x = ref la and ok = ref true in
+  while !ok && (!x > 0 || !d > 0) do
+    let x0 = !x and y0 = !x + !d in
+    (* Round e - 1's slot of diagonal d; unread when e = 0. *)
+    let p = ((!e - 1) * width) + off + !d in
+    if !e > 0 && x0 > 0 && r.(p + 1) >= x0 - 1 then begin
+      x := x0 - 1;
+      incr d;
+      decr e
+    end
+    else if !e > 0 && y0 > 0 && r.(p - 1) >= x0 then begin
+      decr d;
+      decr e
+    end
+    else if x0 > 0 && y0 > 0 && a.(x0 - 1) = b.(y0 - 1) then begin
+      mate.(x0 - 1) <- y0 - 1;
+      x := x0 - 1
+    end
+    else if !e > 0 && x0 > 0 && y0 > 0 && r.(p) >= x0 - 1 then begin
+      mate.(x0 - 1) <- y0 - 1;
+      x := x0 - 1;
+      decr e
+    end
+    else ok := false
+  done;
+  !ok
+
+let bounded_distance a b k = Arena.use (fun arena -> rounds arena a b k)
 
 let within a b k = if k < 0 then false else bounded_distance a b k <= k

@@ -21,6 +21,20 @@ val bounded_distance : int array -> int array -> int -> int
     matching symbols, stopping at the first [e] that reaches the end of
     both strings.  Worst case [O(k * min(|a|,|b|))] time; a near pair
     costs about [O(k^2)] plus its matched runs.  A length difference
-    above [k] answers [k + 1] at once.  The working rows come from the
-    per-domain {!Arena}, so a call allocates only its two closures.
+    above [k] answers [k + 1] at once.  The working rounds come from the
+    per-domain {!Arena}, so a call allocates only its closure.
     @raise Invalid_argument if [k < 0]. *)
+
+val rounds : Arena.t -> int array -> int array -> int -> int
+(** [rounds arena a b k] is [bounded_distance a b k] computed on
+    [arena], which is left holding every round of the loop
+    ([(k + 1) * (2k + 3)] ints) for {!alignment}. *)
+
+val alignment : Arena.t -> int array -> int array -> int -> int -> bool
+(** [alignment arena a b k e], right after [rounds arena a b k] answered
+    [e <= k], traces back one optimal alignment of [a] and [b] into
+    [arena.mate] (which must hold [|a|] cells): [mate.(i) = j] when
+    [a.(i)] is aligned with [b.(j)] (a match or a substitution) and [-1]
+    when [a.(i)] is deleted.  [O(|a| + |b|)] time.  [false] if the
+    rounds do not trace back, which a table left by that call never
+    does. *)

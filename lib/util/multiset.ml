@@ -72,17 +72,27 @@ let inter_size a b =
 let union_size a b = Array.length a + Array.length b - inter_size a b
 
 (* The merge walk counting unmatched elements, stopped at [cap]. *)
-let symmetric_difference_at_most a b cap =
+(* A loop rather than a local recursive function, which would allocate
+   its closure on every call: the filter cascade runs this per pair. *)
+let symmetric_difference_at_most (a : t) (b : t) cap =
   let na = Array.length a and nb = Array.length b in
-  let rec go i j d =
-    if d >= cap then cap
-    else if i >= na then Int.min cap (d + nb - j)
-    else if j >= nb then Int.min cap (d + na - i)
-    else if a.(i) < b.(j) then go (i + 1) j (d + 1)
-    else if a.(i) > b.(j) then go i (j + 1) (d + 1)
-    else go (i + 1) (j + 1) d
-  in
-  go 0 0 0
+  let i = ref 0 and j = ref 0 and d = ref 0 in
+  while !d < cap && !i < na && !j < nb do
+    let x = a.(!i) and y = b.(!j) in
+    if x < y then begin
+      incr i;
+      incr d
+    end
+    else if x > y then begin
+      incr j;
+      incr d
+    end
+    else begin
+      incr i;
+      incr j
+    end
+  done;
+  Int.min cap (!d + (na - !i) + (nb - !j))
 
 let symmetric_difference_size a b = symmetric_difference_at_most a b max_int
 

@@ -38,9 +38,11 @@
      random k in 0..5 (expected: 0);
    - kernel: every pair of trees of <= 6 nodes (or the given bound) over
      {a, b} with sizes <= 3 apart, k = 0..3: the banded kernel must
-     equal min (TED, k + 1); the numbers after the mode are the node
-     bound, not iterations and seed (expected: 0, about a minute at 6
-     nodes);
+     equal min (TED, k + 1), and the filter cascade at tau = k must
+     prune only pairs beyond k and accept only at TED (pairs further
+     apart in size must stop at its size stage); the numbers after the
+     mode are the node bound, not iterations and seed (expected: 0,
+     about a minute at 6 nodes);
    - ball: every tree of <= 6 nodes (or the given bound) over {a, b}
      and every tree within tau = 1 and tau = 2 node edits of it: the
      edited tree must be a candidate through [Size_bands.probe] with the
@@ -281,37 +283,52 @@ let fuzz_ted iterations rng =
   done;
   !failures
 
-(* Exhaustive check of the banded kernel: every pair of trees of
-   <= [max_nodes] nodes over {a, b} whose sizes differ by <= 3, at
-   k = 0..3, against [min (unbounded TED, k + 1)].  Pairs further apart in size
-   only reach the kernel's size exit. *)
+(* Exhaustive check of the banded kernel and of the filter cascade in
+   front of it: every pair of trees of <= [max_nodes] nodes over {a, b}
+   whose sizes differ by <= 3, at k = 0..3, against [min (unbounded
+   TED, k + 1)]; the cascade at tau = k may prune a pair only beyond k
+   and accept it only at its TED.  Pairs further apart in size only
+   reach the kernel's size exit and the cascade's size stage. *)
 let fuzz_kernel max_nodes =
   let module Ted = Tsj_ted.Ted in
+  let module Bounds = Tsj_ted.Bounds in
   let ab = List.map Tsj_tree.Label.intern [ "a"; "b" ] in
   let trees = Array.of_list (Edit_ball.trees_upto ab max_nodes) in
-  let preps = Array.map (fun t -> Ted.preprocess t) trees in
+  let forms = Array.map Bounds.of_tree trees in
   let failures = ref 0 and pairs = ref 0 in
+  let fail i j msg =
+    incr failures;
+    report "kernel" !pairs
+      (Printf.sprintf "%s on %s vs %s" msg (Tsj_tree.Bracket.to_string trees.(i))
+         (Tsj_tree.Bracket.to_string trees.(j)))
+  in
   Array.iteri
-    (fun i pi ->
+    (fun i fi ->
+      let pi = Bounds.prep fi in
       Array.iteri
-        (fun j pj ->
+        (fun j fj ->
+          let pj = Bounds.prep fj in
           if abs (Ted.size pi - Ted.size pj) <= 3 then begin
             incr pairs;
             let exact = Ted.distance_prep pi pj in
             for k = 0 to 3 do
               let got = Ted.bounded_distance_prep pi pj k in
-              if got <> min exact (k + 1) then begin
-                incr failures;
-                report "kernel" !pairs
-                  (Printf.sprintf "k=%d: %d, want %d on %s vs %s" k got (min exact (k + 1))
-                     (Tsj_tree.Bracket.to_string trees.(i))
-                     (Tsj_tree.Bracket.to_string trees.(j)))
-              end
+              if got <> min exact (k + 1) then
+                fail i j (Printf.sprintf "k=%d: %d, want %d" k got (min exact (k + 1)));
+              match Bounds.cascade ~tau:k fi fj with
+              | Bounds.Accept d when d <> exact ->
+                fail i j (Printf.sprintf "cascade tau=%d: accepted at %d, TED %d" k d exact)
+              | Bounds.Pruned _ when exact <= k ->
+                fail i j (Printf.sprintf "cascade tau=%d: pruned at TED %d" k exact)
+              | _ -> ()
             done
-          end)
-        preps)
-    preps;
-  Printf.printf "kernel: %d trees of <= %d nodes, %d pairs checked at k = 0..3\n"
+          end
+          else if Bounds.cascade ~tau:3 fi fj <> Bounds.Pruned Bounds.Size then
+            fail i j "cascade: passed the size stage")
+        forms)
+    forms;
+  Printf.printf
+    "kernel: %d trees of <= %d nodes, %d pairs checked at k = 0..3 (kernel and cascade)\n"
     (Array.length trees) max_nodes !pairs;
   !failures
 

@@ -291,6 +291,190 @@ let test_cascade_exhaustive () =
         trees)
     trees
 
+(* --- the alignment certificate --- *)
+
+let ab_trees n =
+  Array.of_list (Edit_ball.trees_upto [ Tsj_tree.Label.intern "a"; Tsj_tree.Label.intern "b" ] n)
+
+(* On every pair of trees of <= 5 nodes over {a, b}, at k = 0..4: a
+   certificate is a valid mapping of cost <= k, so TED <= k.  It must
+   also certify pairs that the greedy bound does not (upper > k), or
+   the cascade's new stage would decide nothing. *)
+let test_certificate_exhaustive () =
+  let trees = ab_trees 5 in
+  let forms = Array.map form trees in
+  let beyond_greedy = ref 0 in
+  Array.iteri
+    (fun i fa ->
+      Array.iteri
+        (fun j fb ->
+          let ted = Ted.distance_prep (Bounds.prep fa) (Bounds.prep fb) in
+          for k = 0 to 4 do
+            if Bounds.certify fa fb k then begin
+              if ted > k then
+                Alcotest.failf "k=%d certified %s / %s at TED %d" k (Gen.pp_tree trees.(i))
+                  (Gen.pp_tree trees.(j)) ted;
+              if Bounds.upper fa fb > k then incr beyond_greedy
+            end
+          done)
+        forms)
+    forms;
+  if !beyond_greedy = 0 then Alcotest.fail "no pair certified beyond the greedy bound"
+
+(* Postorder node -> preorder number, read off the tree. *)
+let preorder_of_postorder (t : Tree.t) =
+  let pre = Array.make (Tree.size t) 0 in
+  let next_pre = ref 0 and next_post = ref 0 in
+  let rec walk (n : Tree.t) =
+    let p = !next_pre in
+    incr next_pre;
+    List.iter walk n.children;
+    pre.(!next_post) <- p;
+    incr next_post
+  in
+  walk t;
+  pre
+
+(* [Bounds.mapping_certifies] against a reference on every strictly
+   increasing partial mapping between the postorders of every pair of
+   trees of <= 4 nodes over {a, b}: a mapping is valid iff it keeps the
+   preorder order too (checked pair by pair on preorder numbers), and
+   it certifies k iff it is valid and costs <= k.  A valid mapping
+   never costs less than TED. *)
+let test_mapping_certifies_exhaustive () =
+  let trees = ab_trees 4 in
+  let forms = Array.map form trees in
+  let pres = Array.map preorder_of_postorder trees in
+  let labels = Array.map Traversal.postorder_labels trees in
+  let checked = ref 0 in
+  Array.iteri
+    (fun i fa ->
+      Array.iteri
+        (fun j fb ->
+          let na = Array.length labels.(i) and nb = Array.length labels.(j) in
+          let ted = Ted.distance_prep (Bounds.prep fa) (Bounds.prep fb) in
+          let mate = Array.make na (-1) in
+          let check () =
+            let valid = ref true and cost = ref (na + nb) in
+            for x = 0 to na - 1 do
+              let y = mate.(x) in
+              if y >= 0 then begin
+                cost := !cost - 2 + if labels.(i).(x) = labels.(j).(y) then 0 else 1;
+                for x' = 0 to x - 1 do
+                  let y' = mate.(x') in
+                  if y' >= 0 && pres.(i).(x') < pres.(i).(x) <> (pres.(j).(y') < pres.(j).(y))
+                  then valid := false
+                done
+              end
+            done;
+            if !valid && !cost < ted then
+              Alcotest.failf "valid mapping of cost %d < TED %d" !cost ted;
+            List.iter
+              (fun k ->
+                incr checked;
+                if Bounds.mapping_certifies fa fb mate k <> (!valid && !cost <= k) then
+                  Alcotest.failf "k=%d mapping [%s] of %s / %s: valid %b, cost %d" k
+                    (String.concat ";" (Array.to_list (Array.map string_of_int mate)))
+                    (Gen.pp_tree trees.(i)) (Gen.pp_tree trees.(j)) !valid !cost)
+              [ !cost - 1; !cost ]
+          in
+          (* Every strictly increasing choice of mates for x .. na - 1. *)
+          let rec enum x last =
+            if x = na then check ()
+            else begin
+              mate.(x) <- -1;
+              enum (x + 1) last;
+              for y = last + 1 to nb - 1 do
+                mate.(x) <- y;
+                enum (x + 1) y
+              done;
+              mate.(x) <- -1
+            end
+          in
+          enum 0 (-1))
+        forms)
+    forms;
+  Alcotest.(check bool) "mappings checked" true (!checked > 100_000)
+
+(* Near pairs of 50–150-node trees over three labels, at most [k]
+   random edits apart: an accepted distance is TED, and a certificate
+   at k implies TED <= k. *)
+let prop_certificate_near_pairs =
+  Gen.qtest ~count:60 "certificate on 50-150-node near pairs"
+    (Gen.arb_tree_with_edits ~min_size:50 ~max_size:150 ~max_edits:5 ~labels:(Gen.alphabet 3) ())
+    (fun (a, ops, b) ->
+      let fa = form a and fb = form b in
+      let k = List.length ops in
+      let ted = Ted.distance_prep (Bounds.prep fa) (Bounds.prep fb) in
+      (if Bounds.certify fa fb k && ted > k then
+         QCheck.Test.fail_reportf "certified at k=%d, TED %d" k ted);
+      List.for_all
+        (fun tau ->
+          match Bounds.cascade ~tau fa fb with
+          | Bounds.Accept d when d <> ted ->
+            QCheck.Test.fail_reportf "tau=%d accepted at %d, TED %d" tau d ted
+          | Bounds.Pruned _ when ted <= tau ->
+            QCheck.Test.fail_reportf "tau=%d pruned at TED %d" tau ted
+          | _ -> true)
+        [ k; 5 ])
+
+(* The certificate is a Tai mapping, not a constrained one, so it is
+   off under [Constrained]: the verifier's answers there are exactly
+   the constrained distance's, on every pair of trees of <= 5 nodes. *)
+let test_constrained_exhaustive () =
+  let trees = ab_trees 5 in
+  let forms = Array.map form trees in
+  Array.iteri
+    (fun i fa ->
+      Array.iteri
+        (fun j fb ->
+          let ced = Constrained.distance trees.(i) trees.(j) in
+          for tau = 0 to 3 do
+            let ok =
+              match Bounds.verify ~metric:Bounds.Constrained ~cascade:true ~tau fa fb with
+              | Bounds.Accepted d | Bounds.Verified d -> if ced <= tau then d = ced else d > tau
+              | Bounds.Pruned _ -> ced > tau
+              | Bounds.Unverified -> false
+            in
+            if not ok then
+              Alcotest.failf "tau=%d constrained verify disagrees on %s / %s (CED %d)" tau
+                (Gen.pp_tree trees.(i)) (Gen.pp_tree trees.(j)) ced
+          done)
+        forms)
+    forms
+
+(* No cascade stage allocates: beyond its two-word outcome, a cascade
+   run on near pairs that reach the certificate allocates nothing. *)
+let test_cascade_allocates_nothing () =
+  let rng = Prng.create 77 in
+  let labels = Gen.alphabet 3 in
+  let pairs =
+    Array.init 50 (fun _ ->
+        let a = Gen.random_tree ~labels rng 120 in
+        let _, b = Tsj_tree.Edit_op.random_script rng ~labels 3 a in
+        (form a, form b))
+  in
+  let run () =
+    Array.fold_left
+      (fun n (fa, fb) ->
+        match Bounds.cascade ~tau:3 fa fb with
+        | Bounds.Accept _ | Bounds.Verify _ -> n + 1
+        | Bounds.Pruned _ -> n)
+      0 pairs
+  in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let boxed = run () in
+  let words = Gc.minor_words () -. before in
+  let certified =
+    Array.fold_left
+      (fun n (fa, fb) -> if Bounds.upper fa fb > 3 && Bounds.certify fa fb 3 then n + 1 else n)
+      0 pairs
+  in
+  Alcotest.(check bool) "some pairs reach the certificate" true (certified > 0);
+  if words > float_of_int ((2 * boxed) + 8) then
+    Alcotest.failf "%d cascade runs allocated %.0f words" (Array.length pairs) words
+
 (* --- end-to-end: cascaded join = uncascaded join = ground truth --- *)
 
 let forest_of_seed seed n max_size =
@@ -396,4 +580,12 @@ let suite =
     Alcotest.test_case "copy of a tree <= 7 nodes: Accept 0" `Quick
       test_copies_accepted_exhaustive;
     prop_copies_accepted_large;
+    Alcotest.test_case "certificate exhaustive on trees <= 5 nodes" `Quick
+      test_certificate_exhaustive;
+    Alcotest.test_case "mapping check = reference on trees <= 4 nodes" `Quick
+      test_mapping_certifies_exhaustive;
+    prop_certificate_near_pairs;
+    Alcotest.test_case "constrained verify exhaustive on trees <= 5 nodes" `Quick
+      test_constrained_exhaustive;
+    Alcotest.test_case "cascade allocates nothing" `Quick test_cascade_allocates_nothing;
   ]

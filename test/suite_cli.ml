@@ -55,6 +55,25 @@ let test_join () =
       check_exit "join constrained" 0 (code, out);
       Alcotest.(check bool) "constrained runs" true (contains out "results="))
 
+(* [--pairs] prints the pairs sorted by (i, j): PRT, which finds its
+   candidates in index order, prints the same lines as STR. *)
+let test_join_pairs_sorted () =
+  let path = Filename.temp_file "tsjcli" ".gen" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      check_exit "gen" 0
+        (run [ "gen"; path; "--count"; "200"; "--profile"; "sentiment"; "--seed"; "7" ]);
+      let pair_lines m =
+        let code, out = run [ "join"; path; "--tau"; "2"; "-m"; m; "--pairs"; "-j"; "1" ] in
+        check_exit ("join " ^ m) 0 (code, out);
+        List.filter (fun l -> String.contains l '\t') (String.split_on_char '\n' out)
+      in
+      let prt = pair_lines "PRT" in
+      let key l = Scanf.sscanf l "%d\t%d" (fun i j -> (i, j)) in
+      Alcotest.(check bool) "some pairs" true (List.length prt > 10);
+      Alcotest.(check bool) "sorted by (i, j)" true
+        (List.sort (fun a b -> compare (key a) (key b)) prt = prt);
+      Alcotest.(check (list string)) "PRT lines = STR lines" (pair_lines "STR") prt)
+
 let test_search () =
   with_dataset (fun path ->
       let code, out = run [ "search"; path; "{a{b}{c}}"; "--tau"; "1" ] in
@@ -211,6 +230,7 @@ let suite =
   [
     Alcotest.test_case "cli ted" `Slow test_ted;
     Alcotest.test_case "cli join" `Slow test_join;
+    Alcotest.test_case "cli join pairs sorted" `Slow test_join_pairs_sorted;
     Alcotest.test_case "cli search" `Slow test_search;
     Alcotest.test_case "cli gen/partition" `Slow test_gen_and_partition;
     Alcotest.test_case "cli sexp format" `Slow test_sexp_format;

@@ -758,18 +758,22 @@ let test_server_knn_spent_budget () =
       Client.close conn)
 
 (* A snapshot on which one unbudgeted read takes well over the budgets
-   below (0.2–0.36 s on a 2-vCPU host): [slow_read_trees] near-duplicates
-   (three random edits each) of one 150-node tree at τ = 5.  Every
-   stored tree is a candidate of a query one edit from that tree, and
-   each costs a cascade run.  Returns the query. *)
+   below (0.23–0.25 s on a 2-vCPU host): [slow_read_trees] near-duplicates
+   (four random edits each) of one 150-node tree over two labels, at
+   τ = 5.  Every stored tree is a candidate of a query one edit from
+   that tree, and each costs a cascade run.  Over two labels the
+   cascade's bounds and alignment certificate leave about half of the
+   pairs to the kernel; over eight labels they decide nearly all of
+   them, and the read takes a fifth of the time.  Returns the query. *)
 let slow_read_tau = 5
 let slow_read_trees = 3000
 
 let slow_read_fixture dir =
   let rng = Prng.create 2401 in
-  let base = Gen.random_tree rng 150 in
-  let edited k = snd (Tsj_tree.Edit_op.random_script rng ~labels:Gen.default_alphabet k base) in
-  let stored = Array.init slow_read_trees (fun _ -> edited 3) in
+  let labels = Gen.alphabet 2 in
+  let base = Gen.random_tree ~labels rng 150 in
+  let edited k = snd (Tsj_tree.Edit_op.random_script rng ~labels k base) in
+  let stored = Array.init slow_read_trees (fun _ -> edited 4) in
   Unix.mkdir dir 0o755;
   Store.save_collection ~tau:slow_read_tau stored (Filename.concat dir "snapshot");
   edited 1
