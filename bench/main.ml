@@ -47,9 +47,10 @@ let micro () =
   (* The probe runs against the index a perfbench [query] server holds:
      2,000 swissprot trees at τ = 2, probed with a fresh tree of the same
      profile over its size window.  A probe does one lookup per (size
-     band with subgraphs, node, coordinate, twig variant of the node
-     whose shape some subgraph has); [probe_lookups] counts them, so
-     the time per lookup can be read off. *)
+     band with subgraphs, node, twig variant of the node whose shape
+     some subgraph has), in the bucket of the node's position;
+     [probe_lookups] counts them, so the time per lookup can be read
+     off. *)
   let probe_tau = 2 in
   let stored = Tsj_datagen.Profiles.(instantiate swissprot ~seed:801 ~n:2000) in
   let filled_index = Tsj_core.Two_layer_index.create ~tau:probe_tau () in
@@ -99,7 +100,7 @@ let micro () =
             (List.sort_uniq compare [ false; right.(v) >= 0 ]))
         (List.sort_uniq compare [ false; left.(v) >= 0 ])
     done;
-    2 * List.length bands * !variants
+    List.length bands * !variants
   in
   let probe_name =
     Printf.sprintf "partsj/index-probe (%d nodes, 2000 trees)" probed.Tsj_tree.Binary_tree.size

@@ -153,6 +153,7 @@ let query ?budget ?tau t q =
     if i < n then
       if i mod poll_every <> 0 || live () then begin
         let tj = cands.(i) in
+        Tsj_util.Fault_inject.hit "incremental.verify" tj;
         (match Bounds.verify ~cascade:true ~tau (Lazy.force qform) t.forms.(tj) with
         | (Bounds.Accepted d | Bounds.Verified d) when d <= tau -> hits := (tj, d) :: !hits
         | _ -> ());

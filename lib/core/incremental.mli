@@ -90,7 +90,9 @@ val query :
     [budget] is polled before the first and then once per 128: an
     expired budget degrades the answer instead of hanging — see
     {!type:query_result}; its sandwiches are computed from the stored
-    forms.  With no budget the result is exact.
+    forms.  With no budget the result is exact.  Fault-injection hit
+    point: [incremental.verify] (payload = the candidate's id), once
+    before each candidate is verified.
     @raise Invalid_argument if [tau] exceeds the index threshold or is
     negative. *)
 

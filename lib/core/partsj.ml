@@ -30,7 +30,7 @@ type phase_times = {
 let block_size = 32
 
 let join_with_probe_stats ?(partitioning = Balanced)
-    ?(index_mode = Two_layer_index.Two_sided) ?(domains = 1)
+    ?(index_mode = Two_layer_index.Start_window) ?(domains = 1)
     ?(cascade = true) ?metric ?budget
     ?checkpoint ?on_phases ~trees ~tau () =
   if tau < 0 then invalid_arg "Partsj.join: negative threshold";
@@ -217,13 +217,13 @@ let join_with_probe_stats ?(partitioning = Balanced)
     | Some _ ->
       let params =
         Printf.sprintf
-          "v6|block=%d|part=%s|index=%s|metric=%s|cascade=%b"
+          "v7|block=%d|part=%s|index=%s|metric=%s|cascade=%b"
           block_size
           (match partitioning with
           | Balanced -> "balanced"
           | Random seed -> "random:" ^ string_of_int seed)
           (match index_mode with
-          | Two_layer_index.Two_sided -> "two-sided"
+          | Two_layer_index.Start_window -> "start"
           | Two_layer_index.Paper_rank -> "paper-rank"
           | Two_layer_index.Label_only -> "label-only")
           (match metric with

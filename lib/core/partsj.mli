@@ -94,7 +94,7 @@ val join :
 (** @raise Invalid_argument if [tau < 0], [domains < 1], or a
     [checkpoint] with [resume:true] names a journal that is corrupt or
     was written by a different dataset/configuration.  [index_mode]
-    defaults to the sound {!Two_layer_index.Two_sided} windows; with
+    defaults to the sound {!Two_layer_index.Start_window} windows; with
     {!Two_layer_index.Paper_rank} the join is faster but may miss result
     pairs (see {!Two_layer_index}).  [domains] (default 1) runs
     preprocessing, and verification pipelined beside the sequential

@@ -8,7 +8,7 @@ type t = {
          subgraphs to index (overflow list, newest first) *)
 }
 
-let create ?(mode = Two_layer_index.Two_sided) ~tau () =
+let create ?(mode = Two_layer_index.Start_window) ~tau () =
   if tau < 0 then invalid_arg "Size_bands.create: negative threshold";
   {
     delta = (2 * tau) + 1;

@@ -20,7 +20,7 @@ type t
 
 val create : ?mode:Two_layer_index.mode -> tau:int -> unit -> t
 (** Empty bands for threshold [tau]; the two-layer index uses [mode]
-    (default {!Two_layer_index.Two_sided}).
+    (default {!Two_layer_index.Start_window}).
     @raise Invalid_argument if [tau < 0]. *)
 
 val insert :

@@ -1,14 +1,14 @@
 module Binary_tree = Tsj_tree.Binary_tree
 module Label = Tsj_tree.Label
 
-type mode = Two_sided | Paper_rank | Label_only
+type mode = Start_window | Paper_rank | Label_only
 
-(* Packs (size band, position, root label) 21 bits apart and adds the
-   twig slots, each times an odd constant, so two twigs that differ in
-   one slot never share a key.  Wider fields overlap and collide, which
-   the postings' exact fields make harmless. *)
-let key ~band ~pos ~label ~left ~right =
-  (((band lsl 21) + pos) lsl 21) + label + (left * 0x1E3779B97F4A7C15)
+(* Packs (size band, position bucket, root label) 21 bits apart and
+   adds the twig slots, each times an odd constant, so two twigs that
+   differ in one slot never share a key.  Wider fields overlap and
+   collide, which the postings' exact fields make harmless. *)
+let key ~band ~bucket ~label ~left ~right =
+  (((band lsl 21) + bucket) lsl 21) + label + (left * 0x1E3779B97F4A7C15)
   + (right * 0x2545F4914F6CDD1D)
 
 (* Mix the key: an (ε, ε) twig leaves the packed key's low bits to the
@@ -170,7 +170,7 @@ let rec exchange tbl k v =
 
 (* --- postings and subgraph slots -------------------------------------- *)
 
-(* Postings are (position, subgraph slot, next posting) int triples and
+(* Postings are (window, subgraph slot, next posting) int triples and
    slots (size, root label, left slot, right slot) quadruples, both in
    chunks of [chunk] entries (96 and 128 words); the slot's subgraph
    sits in a parallel chunk of pointers.  Chunk [c] of a pool holds
@@ -181,9 +181,9 @@ let chunk = 1 lsl chunk_bits
 type t = {
   tau : int;
   mode : mode;
-  by_start : table; (* position: general postorder number *)
-  by_end : table; (* position: size - 1 - general postorder *)
+  chains : table; (* (band, bucket, root label, twig) -> newest posting *)
   bands : table; (* the size bands with indexed subgraphs *)
+  len_bits : int; (* a window's length field, wide enough for 2τ *)
   mutable shapes : int; (* bit [shape left right] of each indexed twig *)
   mutable postings : int array array;
   mutable n_postings : int;
@@ -192,14 +192,16 @@ type t = {
   mutable count : int; (* subgraphs inserted = slots used *)
 }
 
-let create ?(mode = Two_sided) ~tau () =
+let rec bits n = if n = 0 then 0 else 1 + bits (n lsr 1)
+
+let create ?(mode = Start_window) ~tau () =
   if tau < 0 then invalid_arg "Two_layer_index.create: negative threshold";
   {
     tau;
     mode;
-    by_start = table ();
-    by_end = table ();
+    chains = table ();
     bands = table ();
+    len_bits = bits (2 * tau);
     shapes = 0;
     postings = [||];
     n_postings = 0;
@@ -237,20 +239,22 @@ let add_slot t (s : Subgraph.t) ~label ~left ~right =
   t.subs.(slot lsr chunk_bits).(slot land (chunk - 1)) <- s;
   t.count <- slot + 1
 
-(* Pushes a posting for [slot] at [pos] onto the chain of key [k]. *)
-let add_posting t tbl k ~pos ~slot =
+(* Pushes a posting for [slot] with [window] onto the chain of key [k]. *)
+let add_posting t k ~window ~slot =
   let p = t.n_postings in
   if p land (chunk - 1) = 0 then
     t.postings <- extend t.postings p (Array.make (3 * chunk) 0);
   let chain = t.postings.(p lsr chunk_bits) and o = 3 * (p land (chunk - 1)) in
-  chain.(o) <- pos;
+  chain.(o) <- window;
   chain.(o + 1) <- slot;
-  chain.(o + 2) <- exchange tbl k p;
+  chain.(o + 2) <- exchange t.chains k p;
   t.n_postings <- p + 1
 
 (* A size band spans 2τ + 1 sizes, so the size window [[n - τ, n + τ]]
    of a query meets at most two bands.  At τ + 1 sizes it met two or
-   three, and perfbench's first [join] collection did 18% more lookups. *)
+   three, and perfbench's first [join] collection did 18% more lookups.
+   A position bucket has the same width, so a window of at most 2τ + 1
+   positions meets at most two buckets. *)
 let[@inline] band_width t = (2 * t.tau) + 1
 
 (* A twig's shape: which of its slots are set.  One bit of [t.shapes]
@@ -258,57 +262,59 @@ let[@inline] band_width t = (2 * t.tau) + 1
 let[@inline] shape ~left ~right =
   1 lsl (Bool.to_int (left <> Label.epsilon) + (2 * Bool.to_int (right <> Label.epsilon)))
 
+(* Registers the subgraph in every bucket that its window [[c - h,
+   c + h]] meets, with the window clipped to that bucket, packed as
+   (first position, length).  Clipped windows of one subgraph are
+   disjoint, so a node reaches it through one posting at most, even
+   when the keys of two buckets share a chain. *)
 let insert t (s : Subgraph.t) =
   let slot = t.count in
   let label, left, right = Subgraph.label_key s in
   add_slot t s ~label ~left ~right;
   t.shapes <- t.shapes lor shape ~left ~right;
-  let size = s.Subgraph.tree_size in
-  let band = size / band_width t in
-  let add tbl pos = add_posting t tbl (key ~band ~pos ~label ~left ~right) ~pos ~slot in
-  let add_window tbl center half =
-    for pos = max 0 (center - half) to center + half do
-      add tbl pos
-    done
+  let w = band_width t in
+  let band = s.Subgraph.tree_size / w in
+  let c, h =
+    match t.mode with
+    | Start_window ->
+      (* Over a script of at most τ insert/delete/relabel operations,
+         the postorder number of an untouched subgraph's image shifts
+         by the number of node insertions and deletions placed before
+         it, which is at most τ. *)
+      (s.Subgraph.root_gpost, t.tau)
+    | Paper_rank ->
+      (* The paper's postorder pruning (Section 3.4): Δ' = τ - ⌊k/2⌋
+         keyed by subgraph rank k.  Read end-relative, which is the
+         interpretation consistent with the paper's proof sketch ("∆
+         operations change the size of N_k by at most ∆").  NOT
+         guaranteed complete: the fallback argument ("an earlier
+         subgraph will be selected instead") does not cover operations
+         that touch an early subgraph through a bridging edge while
+         their node sits late — see the test suite.  Provided for
+         ablation against the sound default. *)
+      (s.Subgraph.tree_size - 1 - s.Subgraph.root_gpost, t.tau - (s.Subgraph.rank / 2))
+    | Label_only ->
+      (* Ablation: no postorder layer at all — every subgraph sits at
+         position 0 and only the twig keys select. *)
+      (0, 0)
   in
-  let pk = s.Subgraph.root_gpost in
-  let qk = size - 1 - pk in
-  (match t.mode with
-  | Two_sided ->
-    (* Over a script of lambda <= tau insert/delete operations, the
-       postorder number of an untouched subgraph's image shifts by the
-       number of node insertions/deletions positioned before it, and its
-       end-relative position by the number positioned after it.  The two
-       shift budgets sum to <= tau, so one of them is <= tau/2: register
-       the subgraph under both coordinates with half windows and probe
-       both tables. *)
-    let half = t.tau / 2 in
-    add_window t.by_start pk half;
-    add_window t.by_end qk half
-  | Paper_rank ->
-    (* The paper's postorder pruning (Section 3.4): Δ' = τ - ⌊k/2⌋ keyed by
-       subgraph rank k.  Read end-relative, which is the interpretation
-       consistent with the paper's proof sketch ("∆ operations change the
-       size of N_k by at most ∆").  NOT guaranteed complete: the fallback
-       argument ("an earlier subgraph will be selected instead") does not
-       cover operations that touch an early subgraph through a bridging
-       edge while their node sits late — see the test suite.  Provided for
-       ablation against the sound default. *)
-    add_window t.by_end qk (t.tau - (s.Subgraph.rank / 2))
-  | Label_only ->
-    (* Ablation: no postorder layer at all — every subgraph of a size
-       sits at position 0 and only the twig keys select. *)
-    add t.by_start 0);
+  let lo = max 0 (c - h) and hi = c + h in
+  if lo <= hi then
+    for bucket = lo / w to hi / w do
+      let first = max lo (bucket * w) in
+      let window = (first lsl t.len_bits) lor (min hi ((bucket * w) + w - 1) - first) in
+      add_posting t (key ~band ~bucket ~label ~left ~right) ~window ~slot
+    done;
   ignore (exchange t.bands band 0)
 
 let n_subgraphs t = t.count
 
-let n_groups t = t.by_start.keys + t.by_end.keys
+let n_groups t = t.chains.keys
 
 (* Precomputed per-node twig labels of a probed tree.  Probing runs the
-   same tree over every size band of a window and up to two coordinates —
-   recomputing the twig of node [v] for every lookup showed up in join
-   profiles.  A cursor computes all of them once. *)
+   same tree over every size band of a window — recomputing the twig of
+   node [v] for every lookup showed up in join profiles.  A cursor
+   computes all of them once. *)
 type cursor = {
   c_l : int array;
   c_ll : int array; (* left-child label, ε when absent *)
@@ -327,13 +333,15 @@ let cursor (target : Binary_tree.t) =
   { c_l = label (* shared, read-only *); c_ll; c_lr; c_gpost = gpost; c_size = n }
 
 (* Calls [f sub v] on the chain from posting [p] for the postings
-   whose exact fields are (pos, label), whose size is in [[lo, hi]] and
-   whose twig slots are each ε or equal to the node's child label
-   ([ll], [lr]). *)
+   whose window holds [pos], whose root label is [label], whose size is
+   in [[lo, hi]] and whose twig slots are each ε or equal to the node's
+   child label ([ll], [lr]). *)
 let rec visit t ~lo ~hi ~pos label ll lr v f p =
   if p >= 0 then begin
     let chain = t.postings.(p lsr chunk_bits) and o = 3 * (p land (chunk - 1)) in
-    if chain.(o) = pos then begin
+    let window = chain.(o) in
+    let d = pos - (window lsr t.len_bits) in
+    if d >= 0 && d <= window land ((1 lsl t.len_bits) - 1) then begin
       let slot = chain.(o + 1) in
       let c = slot lsr chunk_bits and fo = 4 * (slot land (chunk - 1)) in
       let fs = t.fields.(c) in
@@ -348,25 +356,25 @@ let rec visit t ~lo ~hi ~pos label ll lr v f p =
     visit t ~lo ~hi ~pos label ll lr v f chain.(o + 2)
   end
 
-let[@inline] walk t tbl k ~lo ~hi ~pos label ll lr v f =
-  let p = find tbl k in
+let[@inline] walk t k ~lo ~hi ~pos label ll lr v f =
+  let p = find t.chains k in
   if p >= 0 then visit t ~lo ~hi ~pos label ll lr v f p
 
 (* Walks the chains of node [v]'s twig variants (ll, lr), (ll, ε),
-   (ε, lr), (ε, ε) in this band and position, each distinct key once,
-   and only the variants whose shape some indexed subgraph has.  A
-   posting [visit] keeps has slots each ε or [v]'s child label, so its
-   key is the variant of its own shape: a skipped variant holds none.
-   A side with no child makes two variants equal, and two variants
-   whose keys collide share one chain, which [visit]'s twig check reads
-   for both. *)
-let scan t tbl ~band ~lo ~hi ~pos (cur : cursor) v f =
+   (ε, lr), (ε, ε) in this band and in the bucket of position [pos],
+   each distinct key once, and only the variants whose shape some
+   indexed subgraph has.  A posting [visit] keeps has slots each ε or
+   [v]'s child label, so its key is the variant of its own shape: a
+   skipped variant holds none.  A side with no child makes two variants
+   equal, and two variants whose keys collide share one chain, which
+   [visit]'s twig check reads for both. *)
+let scan t ~band ~lo ~hi ~pos (cur : cursor) v f =
   let label = cur.c_l.(v) and ll = cur.c_ll.(v) and lr = cur.c_lr.(v) in
-  let e = Label.epsilon in
-  let k1 = key ~band ~pos ~label ~left:ll ~right:lr in
-  let k2 = key ~band ~pos ~label ~left:ll ~right:e in
-  let k3 = key ~band ~pos ~label ~left:e ~right:lr in
-  let k4 = key ~band ~pos ~label ~left:e ~right:e in
+  let e = Label.epsilon and bucket = pos / band_width t in
+  let k1 = key ~band ~bucket ~label ~left:ll ~right:lr in
+  let k2 = key ~band ~bucket ~label ~left:ll ~right:e in
+  let k3 = key ~band ~bucket ~label ~left:e ~right:lr in
+  let k4 = key ~band ~bucket ~label ~left:e ~right:e in
   let w1 = t.shapes land shape ~left:ll ~right:lr <> 0 in
   let w2 = t.shapes land shape ~left:ll ~right:e <> 0 && not (w1 && k2 = k1) in
   let w3 =
@@ -376,10 +384,10 @@ let scan t tbl ~band ~lo ~hi ~pos (cur : cursor) v f =
   let w4 =
     t.shapes land 1 <> 0 && not ((w1 && k4 = k1) || (w2 && k4 = k2) || (w3 && k4 = k3))
   in
-  if w1 then walk t tbl k1 ~lo ~hi ~pos label ll lr v f;
-  if w2 then walk t tbl k2 ~lo ~hi ~pos label ll lr v f;
-  if w3 then walk t tbl k3 ~lo ~hi ~pos label ll lr v f;
-  if w4 then walk t tbl k4 ~lo ~hi ~pos label ll lr v f
+  if w1 then walk t k1 ~lo ~hi ~pos label ll lr v f;
+  if w2 then walk t k2 ~lo ~hi ~pos label ll lr v f;
+  if w3 then walk t k3 ~lo ~hi ~pos label ll lr v f;
+  if w4 then walk t k4 ~lo ~hi ~pos label ll lr v f
 
 let probe t (cur : cursor) ~lo ~hi f =
   let w = band_width t and lo = max 1 lo in
@@ -387,13 +395,12 @@ let probe t (cur : cursor) ~lo ~hi f =
     let lo = max lo (band * w) and hi = min hi ((band * w) + w - 1) in
     if lo <= hi && find t.bands band >= 0 then
       for v = 0 to cur.c_size - 1 do
-        match t.mode with
-        | Label_only -> scan t t.by_start ~band ~lo ~hi ~pos:0 cur v f
-        | Two_sided ->
-          let p = cur.c_gpost.(v) in
-          scan t t.by_start ~band ~lo ~hi ~pos:p cur v f;
-          scan t t.by_end ~band ~lo ~hi ~pos:(cur.c_size - 1 - p) cur v f
-        | Paper_rank ->
-          scan t t.by_end ~band ~lo ~hi ~pos:(cur.c_size - 1 - cur.c_gpost.(v)) cur v f
+        let pos =
+          match t.mode with
+          | Start_window -> cur.c_gpost.(v)
+          | Paper_rank -> cur.c_size - 1 - cur.c_gpost.(v)
+          | Label_only -> 0
+        in
+        scan t ~band ~lo ~hi ~pos cur v f
       done
   done

@@ -3,7 +3,8 @@
     STR, SET and PRT are the three methods compared throughout Section 4;
     NL is the unfiltered ground truth; the PRT variants drive the ablation
     experiments (random partitioning, and the paper's literal postorder
-    windows vs. our sound two-sided default — see {!Tsj_core.Two_layer_index}). *)
+    windows vs. our sound start-relative default — see
+    {!Tsj_core.Two_layer_index}). *)
 
 type t =
   | Nl          (** nested loop + size filter (ground truth) *)

@@ -27,7 +27,7 @@
      (2 tau + 1)-partitioning must occur in the edited tree (expected: 0
      failures — finding 3's fix);
    - windows: same, but through the two-layer index with the sound
-     Two_sided windows (expected: 0) and with the paper's rank windows
+     Start_window windows (expected: 0) and with the paper's rank windows
      (failures are counted and expected — finding 2);
    - join: PartSJ must equal the nested-loop ground truth on random
      clustered datasets (expected: 0);
@@ -46,7 +46,7 @@
    - ball: every tree of <= 6 nodes (or the given bound) over {a, b}
      and every tree within tau = 1 and tau = 2 node edits of it: the
      edited tree must be a candidate through [Size_bands.probe] with the
-     Two_sided windows (expected: 0, about a minute at 6 nodes); the
+     Start_window windows (expected: 0, about a minute at 6 nodes); the
      paper's rank windows' misses are printed (256 at tau = 1);
    - xml: the XML parser on truncated/garbled/token-soup inputs must
      return [Ok]/[Error] without ever raising, and the lenient fragment
@@ -197,9 +197,9 @@ let fuzz_windows iterations rng =
     if b.BT.size >= delta then begin
       let subs = Subgraph.of_partition ~tree_id:0 (Partition.partition b ~delta) in
       let b' = (Tsj_tree.Form.of_tree x').lcrs in
-      if not (probe_finds Index.Two_sided tau subs b') then begin
+      if not (probe_finds Index.Start_window tau subs b') then begin
         incr sound_failures;
-        report "windows(two-sided)" i
+        report "windows(start)" i
           (Printf.sprintf "tau=%d base=%s edited=%s" tau
              (Tsj_tree.Bracket.to_string x)
              (Tsj_tree.Bracket.to_string x'))
@@ -335,7 +335,7 @@ let fuzz_kernel max_nodes =
 (* Exhaustive edit-ball sweep of the candidate filter: for every tree of
    <= [max_nodes] nodes over {a, b}, every tree within tau = 1 and within
    tau = 2 node edits of it must be a candidate through
-   [Size_bands.probe] with the Two_sided windows (expected: 0 misses);
+   [Size_bands.probe] with the Start_window windows (expected: 0 misses);
    the paper's rank windows' misses are counted and printed (expected:
    nonzero at tau = 1, DESIGN.md finding 2). *)
 let fuzz_ball max_nodes =
@@ -352,7 +352,7 @@ let fuzz_ball max_nodes =
       in
       let sound = Edit_ball.sweep ~labels ~tau ~on_miss trees in
       let paper = Edit_ball.sweep ~mode:Index.Paper_rank ~labels ~tau trees in
-      Printf.printf "ball tau=%d: %d trees of <= %d nodes, two-sided misses %d, paper-rank misses %d\n%!"
+      Printf.printf "ball tau=%d: %d trees of <= %d nodes, start-window misses %d, paper-rank misses %d\n%!"
         tau (List.length trees) max_nodes sound paper)
     [ 1; 2 ];
   !failures

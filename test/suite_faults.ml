@@ -350,8 +350,9 @@ let test_fingerprint_mismatch_refused () =
   Sys.remove path
 
 (* A journal written before the index was keyed by twig and size band
-   (fingerprint version v3), or before its bands were 2τ + 1 sizes wide
-   (v5), holds pairs in an older candidate order, and a v4 journal
+   (fingerprint version v3), before its bands were 2τ + 1 sizes wide
+   (v5), or before it keyed one start-relative coordinate by position
+   bucket (v6), holds pairs in an older candidate order, and a v4 journal
    written with the cascade off holds the stage counters of the
    SED-prefiltered verifier that [cascade:false] no longer runs, so
    resuming any of them must be refused; the same state under the
@@ -380,6 +381,7 @@ let test_v3_journal_refused () =
       ("v3|block=32|part=balanced|index=two-sided|metric=ted|bounded=true|cascade=true", true);
       ("v4|block=32|part=balanced|index=two-sided|metric=ted|bounded=true|cascade=false", false);
       ("v5|block=32|part=balanced|index=two-sided|metric=ted|cascade=true", true);
+      ("v6|block=32|part=balanced|index=two-sided|metric=ted|cascade=true", true);
     ];
   Checkpoint.save ~path st;
   let resumed = Partsj.join ~checkpoint:(Checkpoint.config ~resume:true path) ~trees ~tau:2 () in

@@ -88,10 +88,10 @@ let test_pool_shutdown_idempotent () =
 
 let all_configs =
   [
-    (Partsj.Balanced, Two_layer_index.Two_sided, "balanced/two-sided");
+    (Partsj.Balanced, Two_layer_index.Start_window, "balanced/start");
     (Partsj.Balanced, Two_layer_index.Paper_rank, "balanced/paper-rank");
     (Partsj.Balanced, Two_layer_index.Label_only, "balanced/label-only");
-    (Partsj.Random 0xBEEF, Two_layer_index.Two_sided, "random/two-sided");
+    (Partsj.Random 0xBEEF, Two_layer_index.Start_window, "random/start");
     (Partsj.Random 0xBEEF, Two_layer_index.Paper_rank, "random/paper-rank");
     (Partsj.Random 0xBEEF, Two_layer_index.Label_only, "random/label-only");
   ]

@@ -309,7 +309,7 @@ let prop_index_completeness =
    children, landing after the untouched subgraphs in postorder and
    shifting their end-relative positions past the k >= 2 windows, while
    the rank-1 subgraph (whose window would be wide enough) is exactly the
-   changed one.  The sound two-sided default finds the pair.  A randomized
+   changed one.  The sound start-window default finds the pair.  A randomized
    hunt reproduces this class of failure roughly 100 times per million
    random (tree, script) draws. *)
 let test_paper_rank_windows_incomplete () =
@@ -333,8 +333,8 @@ let test_paper_rank_windows_incomplete () =
   Alcotest.(check bool) "some subgraph occurs" true
     (Array.exists (fun s -> Subgraph.occurs_in s b') subs);
   (* ...the sound windows find it... *)
-  Alcotest.(check bool) "two-sided finds it" true
-    (probe_finds Two_layer_index.Two_sided);
+  Alcotest.(check bool) "start window finds it" true
+    (probe_finds Two_layer_index.Start_window);
   (* ...and the paper's windows do not. *)
   Alcotest.(check bool) "paper windows miss it" false
     (probe_finds Two_layer_index.Paper_rank)
@@ -375,9 +375,9 @@ let test_edit_ball_sweep () =
   let on_miss t t' =
     Alcotest.failf "%s is not a candidate of %s" (Bracket.to_string t') (Bracket.to_string t)
   in
-  Alcotest.(check int) "two-sided misses, tau = 1, <= 7 nodes" 0
+  Alcotest.(check int) "start-window misses, tau = 1, <= 7 nodes" 0
     (Edit_ball.sweep ~labels ~tau:1 ~on_miss (Edit_ball.trees_upto labels 7));
-  Alcotest.(check int) "two-sided misses, tau = 2, <= 5 nodes" 0
+  Alcotest.(check int) "start-window misses, tau = 2, <= 5 nodes" 0
     (Edit_ball.sweep ~labels ~tau:2 ~on_miss (Edit_ball.trees_upto labels 5));
   Alcotest.(check int) "paper-rank misses, tau = 1, <= 6 nodes" 256
     (Edit_ball.sweep ~mode:Two_layer_index.Paper_rank ~labels ~tau:1
@@ -395,6 +395,11 @@ let test_edit_ball_sweep () =
 let wide_labels =
   [| 1; 2; (1 lsl 21) + 1; (1 lsl 40) + 1; (1 lsl 40) + 2; (1 lsl 42) + 1; max_int |]
 
+let mode_name = function
+  | Two_layer_index.Start_window -> "start"
+  | Two_layer_index.Paper_rank -> "paper-rank"
+  | Two_layer_index.Label_only -> "label-only"
+
 let rec show_wide (x : Tree.t) =
   Printf.sprintf "{%d%s}" x.Tree.label (String.concat "" (List.map show_wide x.Tree.children))
 
@@ -404,7 +409,7 @@ let reference_candidates mode ~tau indexed b ~lo ~hi =
     let p = b.Binary_tree.gpost.(v) and pk = s.Subgraph.root_gpost in
     let shift_end = abs (m - 1 - p - (s.Subgraph.tree_size - 1 - pk)) in
     match mode with
-    | Two_layer_index.Two_sided -> abs (p - pk) <= tau / 2 || shift_end <= tau / 2
+    | Two_layer_index.Start_window -> abs (p - pk) <= tau
     | Two_layer_index.Paper_rank -> shift_end <= tau - (s.Subgraph.rank / 2)
     | Two_layer_index.Label_only -> true
   in
@@ -428,10 +433,7 @@ let arb_probe_case =
   QCheck.make
     ~print:(fun (mode, tau, trees, q) ->
       Printf.sprintf "mode=%s tau=%d trees=[%s] probe=%s"
-        (match mode with
-        | Two_layer_index.Two_sided -> "two-sided"
-        | Two_layer_index.Paper_rank -> "paper-rank"
-        | Two_layer_index.Label_only -> "label-only")
+        (mode_name mode)
         tau
         (String.concat " " (List.map show_wide trees))
         (show_wide q))
@@ -439,7 +441,7 @@ let arb_probe_case =
       let rng = Prng.create (Random.State.int st 0x3FFFFFFF) in
       let mode =
         Prng.choice rng
-          [| Two_layer_index.Two_sided; Two_layer_index.Paper_rank; Two_layer_index.Label_only |]
+          [| Two_layer_index.Start_window; Two_layer_index.Paper_rank; Two_layer_index.Label_only |]
       in
       let tau = Prng.int rng 3 in
       let trees =
@@ -590,38 +592,58 @@ let test_compact_encoding_exhaustive () =
 (* --- the flat index against a list-based model --- *)
 
 (* The index as a list: every posting [insert] makes, newest first,
-   with its coordinate and exact fields.  [model_probe] is [probe]'s
-   contract read literally: size bands (width 2τ + 1) ascending, then
-   nodes, then the coordinates, then the node's distinct twig variants
-   (ll, lr), (ll, ε), (ε, lr), (ε, ε) whose shape (which slots are set)
-   some posting has, each variant's postings newest first. *)
+   with its bucket, its window clipped to that bucket, and its exact
+   fields.  [model_probe] is [probe]'s contract read literally: size
+   bands (width 2τ + 1) ascending, then nodes, then the node's distinct
+   twig variants (ll, lr), (ll, ε), (ε, lr), (ε, ε) whose shape (which
+   slots are set) some posting has, each variant's postings newest
+   first, those in the bucket of the node's coordinate whose window
+   holds it. *)
 type model_posting = {
-  m_start : bool; (* by_start, else by_end *)
   m_size : int;
-  m_pos : int;
+  m_bucket : int;
+  m_first : int;
+  m_last : int;
   m_key : int * int * int;
   m_sub : Subgraph.t;
 }
 
+(* Centre and half-width of a subgraph's window in the mode's
+   coordinate. *)
+let model_window mode ~tau (s : Subgraph.t) =
+  match mode with
+  | Two_layer_index.Start_window -> (s.Subgraph.root_gpost, tau)
+  | Two_layer_index.Paper_rank ->
+    (s.Subgraph.tree_size - 1 - s.Subgraph.root_gpost, tau - (s.Subgraph.rank / 2))
+  | Two_layer_index.Label_only -> (0, 0)
+
+let model_coordinate mode (b : Binary_tree.t) v =
+  match mode with
+  | Two_layer_index.Start_window -> b.Binary_tree.gpost.(v)
+  | Two_layer_index.Paper_rank -> b.Binary_tree.size - 1 - b.Binary_tree.gpost.(v)
+  | Two_layer_index.Label_only -> 0
+
+(* One posting per bucket that a position of the window falls in, over
+   the window's positions from 0 on. *)
 let model_insert mode ~tau model (s : Subgraph.t) =
-  let size = s.Subgraph.tree_size in
-  let added = ref [] in
-  let window m_start center half =
-    for pos = max 0 (center - half) to center + half do
-      added :=
-        { m_start; m_size = size; m_pos = pos; m_key = Subgraph.label_key s; m_sub = s }
-        :: !added
-    done
+  let w = (2 * tau) + 1 and c, h = model_window mode ~tau s in
+  let positions =
+    List.filter (fun x -> x >= 0) (List.init (max 0 ((2 * h) + 1)) (fun i -> c - h + i))
   in
-  let pk = s.Subgraph.root_gpost in
-  let qk = size - 1 - pk in
-  (match mode with
-  | Two_layer_index.Two_sided ->
-    window true pk (tau / 2);
-    window false qk (tau / 2)
-  | Two_layer_index.Paper_rank -> window false qk (tau - (s.Subgraph.rank / 2))
-  | Two_layer_index.Label_only -> window true 0 0);
-  !added @ model
+  let buckets = List.sort_uniq compare (List.map (fun x -> x / w) positions) in
+  List.rev_map
+    (fun bucket ->
+      let inside = List.filter (fun x -> x / w = bucket) positions in
+      {
+        m_size = s.Subgraph.tree_size;
+        m_bucket = bucket;
+        m_first = List.fold_left min max_int inside;
+        m_last = List.fold_left max min_int inside;
+        m_key = Subgraph.label_key s;
+        m_sub = s;
+      })
+    buckets
+  @ model
 
 let model_shape (left, right) =
   (left <> Tsj_tree.Label.epsilon, right <> Tsj_tree.Label.epsilon)
@@ -635,7 +657,7 @@ let model_probe mode ~tau model (b : Binary_tree.t) ~lo ~hi =
   let held =
     List.map (fun m -> let _, left, right = m.m_key in model_shape (left, right)) model
   in
-  let scan m_start band pos v =
+  let scan band p v =
     let e = Tsj_tree.Label.epsilon in
     let ll = child b.Binary_tree.left v and lr = child b.Binary_tree.right v in
     let variants =
@@ -650,8 +672,8 @@ let model_probe mode ~tau model (b : Binary_tree.t) ~lo ~hi =
           (fun m ->
             let label, left, right = m.m_key in
             if
-              m.m_start = m_start && m.m_size / w = band && lo <= m.m_size && m.m_size <= hi
-              && m.m_pos = pos
+              m.m_size / w = band && lo <= m.m_size && m.m_size <= hi
+              && m.m_bucket = p / w && m.m_first <= p && p <= m.m_last
               && label = b.Binary_tree.label.(v)
               && left = vl && right = vr
             then calls := (m.m_sub.Subgraph.tree_id, v) :: !calls)
@@ -660,22 +682,17 @@ let model_probe mode ~tau model (b : Binary_tree.t) ~lo ~hi =
   in
   for band = max 1 lo / w to hi / w do
     for v = 0 to n - 1 do
-      let p = b.Binary_tree.gpost.(v) in
-      match mode with
-      | Two_layer_index.Label_only -> scan true band 0 v
-      | Two_layer_index.Two_sided ->
-        scan true band p v;
-        scan false band (n - 1 - p) v
-      | Two_layer_index.Paper_rank -> scan false band (n - 1 - p) v
+      scan band (model_coordinate mode b v) v
     done
   done;
   List.rev !calls
 
 (* Synthetic subgraphs: a root twig encoded directly, with positions,
-   sizes and labels chosen so that packed keys collide: a position
-   past 2^21 packs like the next size band, a label past 2^21 like the
-   next position, one past 2^42 like the next band. *)
-let collide_offsets = [| 0; 1 lsl 21; (1 lsl 21) - 1; 1 lsl 42 |]
+   sizes and labels chosen so that packed keys collide: a position in
+   bucket 2^21 and past packs like the next size band, a label past
+   2^21 like the next bucket, one past 2^42 like the next band. *)
+let collide_offsets ~tau =
+  Array.map (( * ) ((2 * tau) + 1)) [| 0; 1 lsl 21; (1 lsl 21) - 1; 1 lsl 42 |]
 
 (* Labels whose twig terms cancel a band or twig-variant difference.
    [key] adds [left * m1 + right * m2] (mod 2^63) with odd [m1], [m2],
@@ -698,7 +715,7 @@ let inverse m =
   done;
   !x
 
-let twig_key ~band ~left ~right = Two_layer_index.key ~band ~pos:0 ~label:0 ~left ~right
+let twig_key ~band ~left ~right = Two_layer_index.key ~band ~bucket:0 ~label:0 ~left ~right
 let m1 = twig_key ~band:0 ~left:1 ~right:0 - twig_key ~band:0 ~left:0 ~right:0
 let m2 = twig_key ~band:0 ~left:0 ~right:1 - twig_key ~band:0 ~left:0 ~right:0
 let band_step = twig_key ~band:1 ~left:0 ~right:0 - twig_key ~band:0 ~left:0 ~right:0
@@ -710,7 +727,7 @@ let posting_labels = Array.append wide_labels [| twig_left; twig_right |]
 let probed_labels = Array.append wide_labels [| band_up; band_down; twig_right |]
 
 let test_colliding_labels () =
-  let key = Two_layer_index.key ~pos:5 ~label:7 in
+  let key = Two_layer_index.key ~bucket:5 ~label:7 in
   Alcotest.(check int) "band_up" (key ~band:3 ~left:0 ~right:0)
     (key ~band:4 ~left:band_up ~right:0);
   Alcotest.(check int) "band_down" (key ~band:3 ~left:0 ~right:0)
@@ -749,14 +766,11 @@ let arb_index_case =
   QCheck.make
     ~print:(fun (seed, mode, tau, n) ->
       Printf.sprintf "seed=%d mode=%s tau=%d subgraphs=%d" seed
-        (match mode with
-        | Two_layer_index.Two_sided -> "two-sided"
-        | Two_layer_index.Paper_rank -> "paper-rank"
-        | Two_layer_index.Label_only -> "label-only")
+        (mode_name mode)
         tau n)
     (fun st ->
       ( Random.State.int st 0x3FFFFFFF,
-        [| Two_layer_index.Two_sided; Two_layer_index.Paper_rank; Two_layer_index.Label_only |].(Random.State.int st 3),
+        [| Two_layer_index.Start_window; Two_layer_index.Paper_rank; Two_layer_index.Label_only |].(Random.State.int st 3),
         Random.State.int st 4,
         200 + Random.State.int st 800 ))
 
@@ -781,7 +795,7 @@ let prop_probe_matches_model =
             Subgraph.tree_id = id;
             tree_size = Prng.choice rng base_sizes + Prng.int rng 3;
             root = 0;
-            root_gpost = Prng.choice rng collide_offsets + Prng.int rng 6;
+            root_gpost = Prng.choice rng (collide_offsets ~tau) + Prng.int rng 6;
             rank = 1 + Prng.int rng 5;
             n_nodes = (Array.length code - 1) / 2;
             code;
@@ -799,7 +813,7 @@ let prop_probe_matches_model =
         (fun _ ->
           let tree = Gen.random_tree ~labels:probed_labels rng (1 + Prng.int rng 7) in
           let b = lcrs tree in
-          let shift = Prng.choice rng collide_offsets in
+          let shift = Prng.choice rng (collide_offsets ~tau) in
           let b = { b with Binary_tree.gpost = Array.map (( + ) shift) b.Binary_tree.gpost } in
           let size = Prng.choice rng base_sizes + Prng.int rng 3 in
           let lo = size - Prng.int rng 3 and hi = size + Prng.int rng 3 in
@@ -852,7 +866,62 @@ let test_probe_model_empty_twigs () =
       if !empty_calls = 0 then Alcotest.failf "tau = %d: no (ε, ε) subgraph reached" tau)
     (List.concat_map
        (fun mode -> List.map (fun tau -> (mode, tau)) [ 0; 1; 2; 3 ])
-       [ Two_layer_index.Two_sided; Two_layer_index.Paper_rank; Two_layer_index.Label_only ])
+       [ Two_layer_index.Start_window; Two_layer_index.Paper_rank; Two_layer_index.Label_only ])
+
+(* A window that straddles two position buckets is registered in both.
+   For each mode and τ = 1..3, a subgraph whose window [[c − h, c + h]]
+   starts in one bucket of 2τ + 1 positions and ends in the next is
+   found from its own root node placed at either end of the window, and
+   not one position past either end.  [Label_only] keys every subgraph
+   at position 0 with h = 0, so both ends are position 0. *)
+let test_probe_window_across_buckets () =
+  let rng = Prng.create 36 in
+  List.iter
+    (fun (mode, tau) ->
+      let w = (2 * tau) + 1 in
+      let b = lcrs (Gen.random_tree rng (4 * w)) in
+      let n = b.Binary_tree.size in
+      let s = (Subgraph.of_partition ~tree_id:0 (Partition.partition b ~delta:w)).(0) in
+      (* Centre c on the first position of bucket 3, so that c − τ lies
+         in bucket 2; rank 0 gives [Paper_rank] h = τ too. *)
+      let c = 3 * w in
+      let s =
+        match mode with
+        | Two_layer_index.Start_window -> { s with Subgraph.root_gpost = c }
+        | Two_layer_index.Paper_rank -> { s with Subgraph.root_gpost = n - 1 - c; rank = 0 }
+        | Two_layer_index.Label_only -> s
+      in
+      let c, h = model_window mode ~tau s in
+      if mode <> Two_layer_index.Label_only && (c - h) / w = (c + h) / w then
+        Alcotest.failf "tau = %d: the window does not straddle a bucket boundary" tau;
+      let idx = Two_layer_index.create ~mode ~tau () in
+      Two_layer_index.insert idx s;
+      let root = s.Subgraph.root in
+      (* The probe tree is [b] with its postorder numbers shifted so that
+         [root]'s coordinate is [at]. *)
+      let finds at =
+        let g =
+          match mode with
+          | Two_layer_index.Paper_rank -> n - 1 - at
+          | Two_layer_index.Start_window | Two_layer_index.Label_only -> at
+        in
+        let shift = g - b.Binary_tree.gpost.(root) in
+        let b' = { b with Binary_tree.gpost = Array.map (( + ) shift) b.Binary_tree.gpost } in
+        let found = ref false in
+        Two_layer_index.probe idx (Two_layer_index.cursor b') ~lo:n ~hi:n (fun _ v ->
+            if v = root then found := true);
+        !found
+      in
+      let name = mode_name mode in
+      if not (finds (c - h)) then Alcotest.failf "%s, tau = %d: missed from c - h" name tau;
+      if not (finds (c + h)) then Alcotest.failf "%s, tau = %d: missed from c + h" name tau;
+      if mode <> Two_layer_index.Label_only then begin
+        if finds (c - h - 1) then Alcotest.failf "%s, tau = %d: found from c - h - 1" name tau;
+        if finds (c + h + 1) then Alcotest.failf "%s, tau = %d: found from c + h + 1" name tau
+      end)
+    (List.concat_map
+       (fun mode -> List.map (fun tau -> (mode, tau)) [ 1; 2; 3 ])
+       [ Two_layer_index.Start_window; Two_layer_index.Paper_rank; Two_layer_index.Label_only ])
 
 (* --- memory --- *)
 
@@ -860,17 +929,21 @@ let test_probe_model_empty_twigs () =
    swissprot trees at τ = 2.  Subgraphs that kept their tree's LC-RS form
    and component map, with boxed postings, read 27.2 here; the compact
    subgraphs and flat postings read 19.2, and 19.1 once one walk built
-   every form.  The bound is that reading plus 5%: a subgraph that
-   retains the LC-RS tree again (four arrays a node) crosses it.  A
-   presence filter of 32 to 64 bits per key reads 19.3. *)
+   every form.  A presence filter of 32 to 64 bits per key read 19.3.
+   One key table, with each subgraph in the one or two position buckets
+   its window meets, reads 17.12 (six postings a subgraph in two tables
+   read 19.27).  The bound is that reading plus 5%: a subgraph that
+   retains the LC-RS tree again (four arrays a node), or a return to six
+   postings a subgraph, crosses it. *)
 let test_incremental_words_per_node () =
   let trees = Tsj_datagen.Profiles.instantiate Tsj_datagen.Profiles.swissprot ~seed:25 ~n:400 in
   let inc = Tsj_core.Incremental.create ~tau:2 () in
   Array.iter (fun x -> ignore (Tsj_core.Incremental.add inc x)) trees;
   let nodes = Array.fold_left (fun acc x -> acc + Tree.size x) 0 trees in
   let per_node = float_of_int (Obj.reachable_words (Obj.repr inc)) /. float_of_int nodes in
-  if per_node > 20.0 then
-    Alcotest.failf "Incremental holds %.1f words per stored node (bound 20)" per_node
+  let bound = 17.12 *. 1.05 in
+  if per_node > bound then
+    Alcotest.failf "Incremental holds %.2f words per stored node (bound %.2f)" per_node bound
 
 let test_index_counters () =
   let b = bt "{a{b{c{d}{e}}}{f}{g{h{i{j}}}}}" in
@@ -986,4 +1059,6 @@ let suite =
       test_one_walk_profiles;
     Alcotest.test_case "Two_layer_index.probe = list model on (ε, ε) twigs" `Quick
       test_probe_model_empty_twigs;
+    Alcotest.test_case "probe finds a window across a bucket boundary" `Quick
+      test_probe_window_across_buckets;
   ]

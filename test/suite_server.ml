@@ -758,13 +758,15 @@ let test_server_knn_spent_budget () =
       Client.close conn)
 
 (* A snapshot on which one unbudgeted read takes well over the budgets
-   below (0.23–0.25 s on a 2-vCPU host): [slow_read_trees] near-duplicates
-   (four random edits each) of one 150-node tree over two labels, at
-   τ = 5.  Every stored tree is a candidate of a query one edit from
-   that tree, and each costs a cascade run.  Over two labels the
-   cascade's bounds and alignment certificate leave about half of the
-   pairs to the kernel; over eight labels they decide nearly all of
-   them, and the read takes a fifth of the time.  Returns the query. *)
+   below: [slow_read_trees] near-duplicates (four random edits each) of
+   one 150-node tree over two labels, at τ = 5.  Every stored tree is a
+   candidate of a query one edit from that tree, and each costs a
+   cascade run.  Over two labels the cascade's bounds and alignment
+   certificate leave about half of the pairs to the kernel (0.065 s a
+   read on a 2-vCPU host).  The tests that use it also hold each
+   candidate [slow_verify_s] at the [incremental.verify] fault point
+   ({!with_slow_verify}), so a read takes at least 0.15 s however many
+   pairs the cascade decides.  Returns the query. *)
 let slow_read_tau = 5
 let slow_read_trees = 3000
 
@@ -777,6 +779,24 @@ let slow_read_fixture dir =
   Unix.mkdir dir 0o755;
   Store.save_collection ~tau:slow_read_tau stored (Filename.concat dir "snapshot");
   edited 1
+
+(* The wait per verified candidate: 3,000 candidates wait 0.15 s. *)
+let slow_verify_s = 50e-6
+
+(* Runs [f] with every candidate that [Incremental.query] verifies
+   spinning [slow_verify_s] first.  It spins rather than sleeps, so the
+   read holds the domain as verification does.  Fails if no candidate
+   reached the fault point. *)
+let with_slow_verify f =
+  let before = Fault.hits "incremental.verify" in
+  Fault.arm_action "incremental.verify" (fun _ ->
+      let t0 = Tsj_util.Timer.now () in
+      while Tsj_util.Timer.now () -. t0 < slow_verify_s do
+        ()
+      done);
+  Fun.protect ~finally:(fun () -> Fault.disarm "incremental.verify") f;
+  if Fault.hits "incremental.verify" = before then
+    Alcotest.fail "no read reached the incremental.verify fault point"
 
 (* Send text requests in one write, without waiting for the replies. *)
 let send_lines ?deadline_ms (_, _, oc) reqs =
@@ -852,6 +872,7 @@ let check_inline_read_liveness ?deadline_s ?client_ms ~reads dir q =
       Client.close b)
 
 let test_inline_read_liveness () =
+  with_slow_verify @@ fun () ->
   with_store_dir (fun dir ->
       let q = slow_read_fixture dir in
       (* The server budget, a client pipelining 12 reads. *)
@@ -866,6 +887,7 @@ let test_drain_cancels_inline_read () =
      budget it published.  [Server.drain] is the SIGTERM path; a wire
      DRAIN would be read only after the read returns. *)
   let drain_budget_s = 0.03 in
+  with_slow_verify @@ fun () ->
   with_store_dir (fun dir ->
       let q = slow_read_fixture dir in
       with_server ~tau:slow_read_tau ~dir ~drain_budget_s (fun addr server ->
