@@ -35,7 +35,7 @@ let micro () =
   let prep1 = Tsj_ted.Bounds.prep cb1 in
   let prep2 = Tsj_ted.Bounds.prep cb2 in
   let prep_near = Tsj_ted.Bounds.prep cb_near in
-  let btree = (Tsj_tree.Form.of_tree t80).lcrs in
+  let btree = Tsj_tree.Binary_tree.of_postorder (Tsj_ted.Ted.left_postorder prep1) in
   let pre1 = Tsj_tree.Traversal.preorder_labels t80 in
   let pre2 = Tsj_tree.Traversal.preorder_labels t80b in
   let pre_near = Tsj_tree.Traversal.preorder_labels near in
@@ -58,7 +58,7 @@ let micro () =
   let held = ref 0 (* the twig shapes of the indexed subgraphs *) in
   Array.iteri
     (fun id tree ->
-      let b = (Tsj_tree.Form.of_tree tree).lcrs in
+      let b = Tsj_tree.Binary_tree.of_postorder (Tsj_tree.Form.of_tree tree).left in
       if b.Tsj_tree.Binary_tree.size >= (2 * probe_tau) + 1 then
         Array.iter
           (fun s ->
@@ -70,7 +70,8 @@ let micro () =
              (Tsj_core.Partition.partition b ~delta:((2 * probe_tau) + 1))))
     stored;
   let probed =
-    (Tsj_tree.Form.of_tree Tsj_datagen.Profiles.(instantiate swissprot ~seed:802 ~n:1).(0)).lcrs
+    let tree = Tsj_datagen.Profiles.(instantiate swissprot ~seed:802 ~n:1).(0) in
+    Tsj_tree.Binary_tree.of_postorder (Tsj_tree.Form.of_tree tree).left
   in
   let probe_cursor = Tsj_core.Two_layer_index.cursor probed in
   let probe_lo = probed.Tsj_tree.Binary_tree.size - probe_tau in
@@ -132,6 +133,9 @@ let micro () =
       Test.make ~name:"ted/banded tau=3 (80 vs 80, far)"
         (Staged.stage (fun () -> Tsj_ted.Ted.bounded_distance_prep prep1 prep2 3));
       Test.make ~name:"form/one walk (80)" (Staged.stage (fun () -> Tsj_tree.Form.of_tree t80));
+      Test.make ~name:"lcrs/of postorder (80)"
+        (Staged.stage (fun () ->
+             Tsj_tree.Binary_tree.of_postorder (Tsj_ted.Ted.left_postorder prep1)));
       Test.make ~name:"filter/banded-sed tau=3 (80)"
         (Staged.stage (fun () -> Tsj_ted.String_edit.within pre1 pre2 3));
       Test.make ~name:"filter/banded-sed tau=3 (80 vs 80, near)"

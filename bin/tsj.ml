@@ -317,7 +317,7 @@ let partition_cmd =
   let run tree tau dot =
     let t = parse_tree_arg tree in
     let delta = (2 * tau) + 1 in
-    let b = (Tsj_tree.Form.of_tree t).lcrs in
+    let b = Tsj_tree.Binary_tree.of_postorder (Tsj_tree.Form.of_tree t).left in
     if b.Tsj_tree.Binary_tree.size < delta then begin
       Printf.printf
         "tree has %d nodes < delta = %d: too small to partition (kept whole by the join)\n"

@@ -31,7 +31,7 @@ let decode id =
   !triples.(id)
 
 let bag_of_tree t =
-  let b = (Tsj_tree.Form.of_tree t).lcrs in
+  let b = Tsj_tree.Binary_tree.of_postorder (Tsj_tree.Form.of_tree t).left in
   let n = b.Binary_tree.size in
   let out = Array.make n 0 in
   for i = 0 to n - 1 do

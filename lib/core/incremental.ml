@@ -83,7 +83,7 @@ let insert_tree ~verify t tree =
   (let key = tree_key tree in
    let ids = Option.value (Hashtbl.find_opt t.exact key) ~default:[] in
    Hashtbl.replace t.exact key (id :: ids));
-  let btree = f.lcrs in
+  let btree = Binary_tree.of_postorder f.left in
   (* 1. Probe: candidates among all previously inserted trees in the
      size band, in either direction; 2. verify them. *)
   let results =
@@ -138,7 +138,8 @@ let query ?budget ?tau t q =
   end
   else begin
   let f = Form.of_tree q in
-  let cands = Array.of_list (List.sort compare (band_candidates t ~tau f.lcrs)) in
+  let btree = Binary_tree.of_postorder f.left in
+  let cands = Array.of_list (List.sort compare (band_candidates t ~tau btree)) in
   let n = Array.length cands in
   (* Most queries meet no candidate: sort the query's label bag only
      for one. *)

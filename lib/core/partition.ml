@@ -86,7 +86,7 @@ let max_min_size b ~delta =
 (* The remainder of the final cut, which holds the tree root, is
    component [delta - 1]. *)
 let partition b ~delta =
-  check_size "max_min_size" b ~delta;
+  check_size "partition" b ~delta;
   let ((_, roots, sizes) as s) = scratch b ~delta in
   let gamma = search b s ~delta in
   sizes.(delta - 1) <- b.Binary_tree.size - Array.fold_left ( + ) 0 sizes;

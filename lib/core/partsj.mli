@@ -22,7 +22,10 @@
     probe-then-insert sweep over one {!Size_bands}, as in Algorithm 1;
     with [domains > 1] the work around it runs on the shared
     work-stealing pool of {!Tsj_join.Pool}.  Preprocessing compiles
-    every tree's verifier form in parallel up front.  The sweep goes in
+    every tree's verifier form in parallel up front; the LC-RS form the
+    sweep probes, partitions and indexes is derived from that form's
+    postorder ({!Tsj_tree.Binary_tree.of_postorder}) when the sweep
+    reaches the tree, and dropped after its insert.  The sweep goes in
     fixed-size blocks: a block's sweep runs as one task while the
     {e previous} block's candidates are verified by the other tasks of
     the same pool job (software pipelining).  Blocks are only the unit

@@ -28,6 +28,51 @@ let parents t =
   done;
   parent
 
+(* A node's binary subtree holds its descendants and its later siblings
+   with theirs: for a child [c] of [g], the general postorder ids
+   [lld c .. g - 1].  So when [c]'s binary subtree starts at binary id
+   [s], [c] is binary node [s + (g - lld c) - 1]; its first child heads
+   its descendants' [c - lld c] ids, at [s + (c - lld c) - 1]; and its
+   next sibling heads the rest, right below [c].  A child with [r]
+   earlier siblings starts where their descendants end, at
+   [start g + (lld c - lld g) - r].  The parents are visited in
+   descending postorder, so a parent's start is known before its
+   children are placed.  A parent's children are [g - 1], then
+   [lld c - 1] while that is at least [lld g], last child first; they
+   are walked twice, to count them and then to place them. *)
+let of_postorder (p : Postorder.t) =
+  let { Postorder.size = n; labels; lld; _ } = p in
+  let label = Array.make n 0 and left = Array.make n (-1) and right = Array.make n (-1) in
+  let gpost = Array.make n 0 and start = Array.make n 0 in
+  if n > 0 then begin
+    label.(n - 1) <- labels.(n - 1);
+    gpost.(n - 1) <- n - 1;
+    if n > 1 then left.(n - 1) <- n - 2
+  end;
+  for g = n - 1 downto 0 do
+    let lg = lld.(g) in
+    let k = ref 0 and c = ref (g - 1) in
+    while !c >= lg do
+      incr k;
+      c := lld.(!c) - 1
+    done;
+    let sg = start.(g) and r = ref (!k - 1) and c = ref (g - 1) in
+    while !c >= lg do
+      let x = !c in
+      let lx = lld.(x) in
+      let s = sg + (lx - lg) - !r in
+      let b = s + (g - lx) - 1 in
+      start.(x) <- s;
+      label.(b) <- labels.(x);
+      gpost.(b) <- x;
+      if lx < x then left.(b) <- s + (x - lx) - 1;
+      if x < g - 1 then right.(b) <- b - 1;
+      decr r;
+      c := lx - 1
+    done
+  done;
+  { size = n; label; left; right; gpost }
+
 let to_tree t =
   (* [general i] rebuilds the general-tree node for binary node [i];
      [sibling_chain i] follows right pointers collecting a child list. *)

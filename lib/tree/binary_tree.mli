@@ -11,8 +11,8 @@
     This numbering is exactly the key space of the PartSJ postorder-pruning
     index layer. *)
 
-(** Built by {!Form.of_tree}, in the same walk as the tree's other
-    forms.  The root is the only node without an incoming edge. *)
+(** Built by {!of_postorder}.  The root is the only node without an
+    incoming edge. *)
 type t = {
   size : int;
   label : int array;        (** label of node [i] *)
@@ -27,8 +27,14 @@ type t = {
           postorder-pruning index. *)
 }
 
+val of_postorder : Postorder.t -> t
+(** [of_postorder p]: the LC-RS form of the tree whose postorder form is
+    [p] (its [labels] and [lld]; the keyroots are not read), in [O(size)]
+    time without recursion. *)
+
 val to_tree : t -> Tree.t
-(** Inverse transformation: [to_tree (Form.of_tree t).lcrs = t]. *)
+(** Inverse transformation:
+    [to_tree (of_postorder (Form.of_tree t).left) = t]. *)
 
 val root : t -> int
 (** Always [size - 1]. *)

@@ -3,7 +3,6 @@ type t = {
   left : Postorder.t;
   mirror : Postorder.t;
   degrees : int array;
-  lcrs : Binary_tree.t;
 }
 
 (* Node count, leaf count and largest degree, in a walk ahead of the
@@ -43,10 +42,6 @@ let shape tree =
      its mirror lld is [m] less its subtree size plus one, and it is a
      mirror keyroot iff it is the root or not its parent's last child
      (met in descending mirror id);
-   - its LC-RS node is numbered last, after its binary left subtree (its
-     descendants) and right subtree (its later siblings): that is the
-     binary postorder, and the binary node keeps its general postorder
-     number;
    - a leaf counts one node of degree 0, and the last child of a parent
      counts one of degree [rank + 1]. *)
 let of_tree tree =
@@ -54,10 +49,8 @@ let of_tree tree =
   let labels = Array.make n 0 and lld = Array.make n 0 in
   let m_labels = Array.make n 0 and m_lld = Array.make n 0 in
   let keyroots = Array.make leaves 0 and m_keyroots = Array.make leaves 0 in
-  let label = Array.make n 0 and left = Array.make n 0 and right = Array.make n 0 in
-  let gpost = Array.make n 0 in
   let degrees = Array.make (max_deg + 1) 0 in
-  let pre = ref 0 and post = ref 0 and bpost = ref 0 in
+  let pre = ref 0 and post = ref 0 in
   let n_kr = ref 0 and n_mkr = ref 0 in
   let rec go (node : Tree.t) siblings ~root ~rank =
     let m = n - 1 - !pre in
@@ -71,13 +64,9 @@ let of_tree tree =
       incr n_mkr;
       m_keyroots.(leaves - !n_mkr) <- m);
     let first_leaf = !post in
-    let l =
-      match node.children with
-      | [] ->
-        degrees.(0) <- degrees.(0) + 1;
-        -1
-      | c :: rest -> go c rest ~root:false ~rank:0
-    in
+    (match node.children with
+    | [] -> degrees.(0) <- degrees.(0) + 1
+    | c :: rest -> go c rest ~root:false ~rank:0);
     let g = !post in
     incr post;
     labels.(g) <- lab;
@@ -87,26 +76,14 @@ let of_tree tree =
       keyroots.(!n_kr) <- g;
       incr n_kr
     end;
-    let r =
-      match siblings with
-      | [] ->
-        if not root then degrees.(rank + 1) <- degrees.(rank + 1) + 1;
-        -1
-      | s :: rest -> go s rest ~root:false ~rank:(rank + 1)
-    in
-    let me = !bpost in
-    incr bpost;
-    label.(me) <- lab;
-    gpost.(me) <- g;
-    left.(me) <- l;
-    right.(me) <- r;
-    me
+    match siblings with
+    | [] -> if not root then degrees.(rank + 1) <- degrees.(rank + 1) + 1
+    | s :: rest -> go s rest ~root:false ~rank:(rank + 1)
   in
-  ignore (go tree [] ~root:true ~rank:0);
+  go tree [] ~root:true ~rank:0;
   {
     size = n;
     left = { Postorder.size = n; labels; lld; keyroots };
     mirror = { Postorder.size = n; labels = m_labels; lld = m_lld; keyroots = m_keyroots };
     degrees;
-    lcrs = { Binary_tree.size = n; label; left; right; gpost };
   }

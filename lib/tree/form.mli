@@ -1,12 +1,13 @@
-(** Every array form of a tree, built in one walk.
+(** The stored array forms of a tree, built in one walk.
 
-    The join and the streaming index read a tree through three array
-    forms: its postorder (the Zhang–Shasha kernel, the traversal-string
-    bounds), its mirror's postorder (the preorder reversed: the
-    right-path decomposition, the greedy upper bound) and its LC-RS
-    binary tree (partitioning, subgraph codes, the index probe).  The
-    verifier's degree histogram comes with them.  {!of_tree} fills all
-    of them in a single recursion over the {!Tree.t}. *)
+    The verifier reads a tree through two array forms: its postorder
+    (the Zhang–Shasha kernel, the traversal-string bounds) and its
+    mirror's postorder (the preorder reversed: the right-path
+    decomposition, the greedy upper bound), plus its degree histogram.
+    {!of_tree} fills all of them in a single recursion over the
+    {!Tree.t}.  The LC-RS binary tree that partitioning, subgraph codes
+    and the index probe read is not stored: {!Binary_tree.of_postorder}
+    derives it from [left] while the tree is probed or indexed. *)
 
 type t = {
   size : int;
@@ -17,7 +18,6 @@ type t = {
   degrees : int array;
       (** [degrees.(d)]: the number of nodes with [d] children; the
           length is the largest degree plus one *)
-  lcrs : Binary_tree.t;  (** the left-child / right-sibling form *)
 }
 
 val of_tree : Tree.t -> t

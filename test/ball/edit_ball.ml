@@ -96,15 +96,16 @@ let ball labels radius t =
    [|t| - tau, |t| + tau] and call [on_miss t t'] for every ball member
    [t'] that is not a candidate.  Returns the number of misses. *)
 let sweep ?mode ~labels ~tau ?(on_miss = fun _ _ -> ()) trees =
+  let lcrs x = Binary_tree.of_postorder (Tsj_tree.Form.of_tree x).left in
   let misses = ref 0 in
   List.iter
     (fun t ->
       let members = Array.of_list (ball labels tau t) in
       let bands = Size_bands.create ?mode ~tau () in
       Array.iteri
-        (fun id t' -> ignore (Size_bands.insert bands id ((Tsj_tree.Form.of_tree t').lcrs)))
+        (fun id t' -> ignore (Size_bands.insert bands id (lcrs t')))
         members;
-      let b = (Tsj_tree.Form.of_tree t).lcrs in
+      let b = lcrs t in
       let size = b.Binary_tree.size in
       let found = Array.make (Array.length members) false in
       List.iter

@@ -162,10 +162,10 @@ let fuzz_lemma2 iterations rng =
   for i = 1 to iterations do
     let x, x', tau = edited_pair rng in
     let delta = (2 * tau) + 1 in
-    let b = (Tsj_tree.Form.of_tree x).lcrs in
+    let b = BT.of_postorder (Tsj_tree.Form.of_tree x).left in
     if b.BT.size >= delta then begin
       let subs = Subgraph.of_partition ~tree_id:0 (Partition.partition b ~delta) in
-      let b' = (Tsj_tree.Form.of_tree x').lcrs in
+      let b' = BT.of_postorder (Tsj_tree.Form.of_tree x').left in
       if not (Array.exists (fun s -> Subgraph.occurs_in s b') subs) then begin
         incr failures;
         report "lemma2" i
@@ -193,10 +193,10 @@ let fuzz_windows iterations rng =
     let x, x', tau = edited_pair rng in
     let x, x' = if Tree.size x <= Tree.size x' then (x, x') else (x', x) in
     let delta = (2 * tau) + 1 in
-    let b = (Tsj_tree.Form.of_tree x).lcrs in
+    let b = BT.of_postorder (Tsj_tree.Form.of_tree x).left in
     if b.BT.size >= delta then begin
       let subs = Subgraph.of_partition ~tree_id:0 (Partition.partition b ~delta) in
-      let b' = (Tsj_tree.Form.of_tree x').lcrs in
+      let b' = BT.of_postorder (Tsj_tree.Form.of_tree x').left in
       if not (probe_finds Index.Start_window tau subs b') then begin
         incr sound_failures;
         report "windows(start)" i

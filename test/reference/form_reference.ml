@@ -3,8 +3,9 @@
    degree histogram in two passes over the postorder, the LC-RS form in
    a walk of its own, the label bag by merge sort, and the partition with
    a fresh scratch per greedy cut and a component map that the subgraph
-   encoder read.  Kept only as the references the one walk and the
-   partition are compared against. *)
+   encoder read.  Kept only as the references the one walk, the LC-RS
+   form derived from its postorder and the partition are compared
+   against. *)
 
 module Tree = Tsj_tree.Tree
 module Postorder = Tsj_tree.Postorder

@@ -90,7 +90,7 @@ let test_dot_escaping () =
   Alcotest.(check bool) "escaped newline" true (contains s "\\n")
 
 let test_dot_binary_and_partition () =
-  let b = (Tsj_tree.Form.of_tree (t "{a{b{c}}{d}{e}}")).lcrs in
+  let b = Tsj_tree.Binary_tree.of_postorder (Tsj_tree.Form.of_tree (t "{a{b{c}}{d}{e}}")).left in
   let s = Dot.of_binary b in
   Alcotest.(check bool) "dashed sibling edges" true (contains s "style=dashed");
   let p = Tsj_core.Partition.partition b ~delta:3 in

@@ -285,6 +285,25 @@ let test_verify_time_without_candidates () =
   Alcotest.(check int) "no candidates" 0 out.Types.stats.Types.n_candidates;
   Alcotest.(check (float 0.0)) "verify time" 0.0 out.Types.stats.Types.verify_time_s
 
+(* Words a 1-domain join promotes from the minor to the major heap, per
+   input node, on 400 generated synthetic trees at τ = 3.  State the join
+   holds from the parallel prep until the sweep reaches each tree is
+   promoted: with every tree's LC-RS form kept from prep to sweep this
+   read 15.16; with the form derived from the postorder when the sweep
+   reaches the tree it reads 11.05 (the same in every run).  The bound
+   is that reading plus 5%. *)
+let test_join_promoted_words_per_node () =
+  let trees = Tsj_datagen.Profiles.instantiate Tsj_datagen.Profiles.synthetic ~seed:37 ~n:400 in
+  let nodes = Array.fold_left (fun acc x -> acc + Tree.size x) 0 trees in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  ignore (Partsj.join ~domains:1 ~trees ~tau:3 ());
+  Gc.minor ();
+  let per_node = ((Gc.quick_stat ()).Gc.promoted_words -. before) /. float_of_int nodes in
+  let bound = 11.05 *. 1.05 in
+  if per_node > bound then
+    Alcotest.failf "Partsj.join promotes %.2f words per input node (bound %.2f)" per_node bound
+
 let suite =
   [
     Alcotest.test_case "all methods, small clustered dataset" `Slow
@@ -307,4 +326,6 @@ let suite =
     Alcotest.test_case "binary branch decode" `Quick test_bib_decode;
     Alcotest.test_case "no candidates, no verify time" `Quick
       test_verify_time_without_candidates;
+    Alcotest.test_case "join promoted words per input node" `Quick
+      test_join_promoted_words_per_node;
   ]

@@ -10,7 +10,7 @@ module Size_bands = Tsj_core.Size_bands
 
 let t s = Bracket.of_string_exn s
 
-let lcrs x = (Tsj_tree.Form.of_tree x).lcrs
+let lcrs x = Binary_tree.of_postorder (Tsj_tree.Form.of_tree x).left
 
 let bt s = lcrs (t s)
 
@@ -37,7 +37,13 @@ let test_partitionable_args () =
   Alcotest.check_raises "delta 0" (Invalid_argument "Partition.partitionable: delta must be >= 1")
     (fun () -> ignore (Partition.partitionable b ~delta:0 ~gamma:1));
   Alcotest.check_raises "gamma 0" (Invalid_argument "Partition.partitionable: gamma must be >= 1")
-    (fun () -> ignore (Partition.partitionable b ~delta:1 ~gamma:0))
+    (fun () -> ignore (Partition.partitionable b ~delta:1 ~gamma:0));
+  Alcotest.check_raises "partition, delta 0"
+    (Invalid_argument "Partition.partition: delta must be >= 1")
+    (fun () -> ignore (Partition.partition b ~delta:0));
+  Alcotest.check_raises "partition, tree too small"
+    (Invalid_argument "Partition.partition: tree of 2 nodes has no 3-partitioning")
+    (fun () -> ignore (Partition.partition b ~delta:3))
 
 let test_paper_unbalanced_example () =
   (* Section 3.3's motivating observation, scaled down: a binary tree made
@@ -980,9 +986,10 @@ let test_index_exact_duplicate_found () =
 
 (* --- one walk against the builders it replaced --- *)
 
-(* Every form {!Tsj_tree.Form.of_tree} fills, and the partition and
-   subgraph codes read off its LC-RS form at δ = 3, 5 and 7, equal the
-   reference builders' ([Form_reference]). *)
+(* Every form {!Tsj_tree.Form.of_tree} fills, the LC-RS form
+   {!Tsj_tree.Binary_tree.of_postorder} derives from its postorder, and
+   the partition and subgraph codes read off that LC-RS form at δ = 3, 5
+   and 7, equal the reference builders' ([Form_reference]). *)
 let check_one_walk x =
   let module R = Form_reference in
   let f = Tsj_tree.Form.of_tree x in
@@ -993,12 +1000,12 @@ let check_one_walk x =
   if f.degrees <> R.degrees left then fail "the degree histogram";
   let bag = Tsj_util.Multiset.(to_array (of_unsorted f.left.labels)) in
   if Array.to_list bag <> R.sorted_bag left.labels then fail "the label bag";
-  let b = R.lcrs x in
-  if f.lcrs <> b then fail "the LC-RS form";
+  let b = R.lcrs x and lcrs = Binary_tree.of_postorder f.left in
+  if lcrs <> b then fail "the LC-RS form derived from the postorder";
   List.iter
     (fun delta ->
       if b.size >= delta then begin
-        let p = Partition.partition f.lcrs ~delta and r = R.partition b ~delta in
+        let p = Partition.partition lcrs ~delta and r = R.partition b ~delta in
         if
           p.gamma <> r.gamma || p.roots <> r.roots
           || Partition.assignment p <> r.assignment

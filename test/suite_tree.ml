@@ -11,7 +11,7 @@ let tree = Alcotest.testable (Fmt.of_to_string Bracket.to_string) Tree.equal
 
 let t s = Bracket.of_string_exn s
 
-let lcrs x = (Tsj_tree.Form.of_tree x).lcrs
+let lcrs x = Binary_tree.of_postorder (Tsj_tree.Form.of_tree x).left
 
 let postorder x = (Tsj_tree.Form.of_tree x).left
 
@@ -480,9 +480,9 @@ let test_gen_random_tree_size () =
   in
   Alcotest.(check (list int)) "sizes 1..200 not met exactly" [] wrong
 
-(* The two-pass LC-RS construction that one walk replaced: the
-   general tree annotated with general-postorder numbers, converted to
-   linked binary nodes, then numbered in binary postorder. *)
+(* The two-pass LC-RS construction that [Binary_tree.of_postorder]
+   replaced: the general tree annotated with general-postorder numbers,
+   converted to linked binary nodes, then numbered in binary postorder. *)
 type anode = { alabel : int; apost : int; achildren : anode list }
 
 type bnode = { blabel : int; bpost : int; bleft : bnode option; bright : bnode option }
@@ -523,7 +523,7 @@ let test_lcrs_exhaustive () =
     (fun x ->
       let reference = reference_of_tree x in
       if lcrs x <> reference then
-        Alcotest.failf "Form.of_tree's LC-RS differs from the reference on %s"
+        Alcotest.failf "Binary_tree.of_postorder differs from the reference on %s"
           (Bracket.to_string x);
       if Form_reference.lcrs x <> reference then
         Alcotest.failf "Binary_tree.of_tree differs from the reference on %s"
