@@ -124,9 +124,9 @@ let micro () =
         (Staged.stage (fun () -> Tsj_tree.Bracket.of_string codec_text));
       Test.make ~name:("codec/render " ^ codec_shape)
         (Staged.stage (fun () -> Tsj_tree.Bracket.to_string codec_tree));
-      Test.make ~name:"ted/zhang-shasha (80 vs 80, far)"
+      Test.make ~name:"ted/full band (80 vs 80, far)"
         (Staged.stage (fun () -> Tsj_ted.Ted.distance_prep prep1 prep2));
-      Test.make ~name:"ted/zhang-shasha (80 vs 80, near)"
+      Test.make ~name:"ted/full band (80 vs 80, near)"
         (Staged.stage (fun () -> Tsj_ted.Ted.distance_prep prep1 prep_near));
       Test.make ~name:"ted/banded tau=3 (80 vs 80, near)"
         (Staged.stage (fun () -> Tsj_ted.Ted.bounded_distance_prep prep1 prep_near 3));

@@ -13,7 +13,8 @@ let () =
   let album2 = Bracket.of_string_exn "{album{title{Abbey Road}}{artist{Beatles}}{year{1969}}{tracks{t{Come Together}}{t{Something}}}}" in
   let album3 = Bracket.of_string_exn "{album{title{Let It Be}}{artist{The Beatles}}{year{1970}}{tracks{t{Two of Us}}{t{Across the Universe}}}}" in
 
-  (* 2. Exact tree edit distance (RTED-style hybrid Zhang–Shasha). *)
+  (* 2. Exact tree edit distance (Zhang–Shasha, the verifier's banded
+     kernel run at the full band |T1| + |T2| - 1). *)
   Printf.printf "TED(album1, album2) = %d   (one rename: the artist tag)\n"
     (Ted.distance album1 album2);
   Printf.printf "TED(album1, album3) = %d   (different record)\n"
@@ -44,17 +45,7 @@ let () =
     (String.concat ", "
        (Array.to_list (Array.map string_of_int (Tsj_core.Partition.component_sizes p))));
 
-  (* 6. Beyond distances: the optimal edit mapping says *which* nodes
-     correspond — a structural diff. *)
-  let mapping = Tsj_ted.Mapping.compute album1 album2 in
-  Format.printf "\nedit mapping album1 -> album2:@.%a@."
-    (Tsj_ted.Mapping.pp ~source:album1 ~target:album2)
-    { mapping with Tsj_ted.Mapping.ops =
-        List.filter
-          (function Tsj_ted.Mapping.Match _ -> false | _ -> true)
-          mapping.Tsj_ted.Mapping.ops };
-
-  (* 7. The same size-banded index answers similarity search and top-k
+  (* 6. The same size-banded index answers similarity search and top-k
      queries over a collection without re-joining. *)
   let idx = Tsj_core.Incremental.create ~tau:3 () in
   Array.iter (Tsj_core.Incremental.insert idx) catalog;

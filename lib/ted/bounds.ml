@@ -1,4 +1,3 @@
-module Traversal = Tsj_tree.Traversal
 module Multiset = Tsj_util.Multiset
 module Postorder = Tsj_tree.Postorder
 
@@ -20,17 +19,10 @@ let of_tree tree = of_form tree (Tsj_tree.Form.of_tree tree)
 
 let prep f = f.prep
 
-let postorder f = (Ted.left_postorder f.prep).labels
-
-(* The mirrored tree's postorder is the preorder reversed.  Reversing
-   both strings of a pair keeps their edit distance, banded or not, so
-   it stands in for the preorder in every SED bound. *)
-let rev_preorder f = (Ted.right_postorder f.prep).labels
-
-(* Pairwise lower bounds.  Each runs without any per-pair allocation
-   except the Euler bound: the bag bounds are merge walks over the
-   sorted label arrays and the degree histograms, the banded SED draws
-   its rolling rows from the per-domain arena. *)
+(* Pairwise lower bounds.  Each runs without any per-pair allocation:
+   the bag bounds are merge walks over the sorted label arrays and the
+   degree histograms, the banded SED draws its rolling rows from the
+   per-domain arena. *)
 
 let size_bound a b = abs (Ted.size a.prep - Ted.size b.prep)
 
@@ -45,16 +37,6 @@ let degree_bound a b =
     diff := !diff + abs (ca - cb)
   done;
   (!diff + 2) / 3
-
-let traversal_bound a b =
-  Int.max
-    (String_edit.distance (rev_preorder a) (rev_preorder b))
-    (String_edit.distance (postorder a) (postorder b))
-
-(* The Euler string is built on demand, so no form keeps it. *)
-let euler_bound a b =
-  let euler f = Traversal.euler_tour (Ted.tree f.prep) in
-  (String_edit.distance (euler a) (euler b) + 1) / 2
 
 let linear_lower a b = Int.max (size_bound a b) (Int.max (label_bound a b) (degree_bound a b))
 
@@ -176,7 +158,9 @@ let sed_stages arena certify tau lb a b =
   (* Banded traversal SED: each tree edit operation edits the preorder
      (resp. postorder) label sequence in exactly one position, so both
      are TED lower bounds; within the band the returned values are
-     exact. *)
+     exact.  The mirrored tree's postorder is the preorder reversed, and
+     reversing both strings of a pair keeps their edit distance, so it
+     stands in for the preorder. *)
   let ra = Ted.right_postorder a.prep and rb = Ted.right_postorder b.prep in
   let s1 = String_edit.rounds arena ra.labels rb.labels tau in
   if s1 > tau then Pruned Sed

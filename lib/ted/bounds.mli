@@ -22,9 +22,7 @@
       by at most 3 (the reconnected parent's degree moves, and a node
       appears or disappears);
     - preorder / postorder strings: Guha et al. — each operation edits the
-      traversal label sequence in exactly one position;
-    - Euler string: Akutsu et al. — each operation edits the Euler tour in
-      at most two positions. *)
+      traversal label sequence in exactly one position. *)
 
 type t
 (** The per-tree form, built once per tree: its {!Ted.prep} plus a
@@ -47,12 +45,6 @@ val size_bound : t -> t -> int
 val label_bound : t -> t -> int
 
 val degree_bound : t -> t -> int
-
-val traversal_bound : t -> t -> int
-(** [max preorder_sed postorder_sed] — the STR filter (unbanded). *)
-
-val euler_bound : t -> t -> int
-(** Builds both Euler strings on the call (no form stores them). *)
 
 val linear_lower : t -> t -> int
 (** [max] of the size, label-bag and degree-bag bounds: the linear-time

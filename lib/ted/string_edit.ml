@@ -1,24 +1,3 @@
-let distance a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 then lb
-  else if lb = 0 then la
-  else begin
-    (* Keep the shorter sequence as the row dimension. *)
-    let a, b, la, lb = if la <= lb then (a, b, la, lb) else (b, a, lb, la) in
-    let prev = Array.init (la + 1) (fun i -> i) in
-    let cur = Array.make (la + 1) 0 in
-    for j = 1 to lb do
-      cur.(0) <- j;
-      let bj = b.(j - 1) in
-      for i = 1 to la do
-        let cost = if a.(i - 1) = bj then 0 else 1 in
-        cur.(i) <- Int.min (Int.min (cur.(i - 1) + 1) (prev.(i) + 1)) (prev.(i - 1) + cost)
-      done;
-      Array.blit cur 0 prev 0 (la + 1)
-    done;
-    prev.(la)
-  end
-
 (* Diagonal transition (Ukkonen 1985; Landau–Vishkin 1989).  Cell
    (i, j) of the DP matrix lies on diagonal [d = j - i]; along a
    diagonal D never decreases, and neighbouring cells differ by at most

@@ -1,11 +1,10 @@
-(** Levenshtein edit distance over interned-label arrays.
+(** Levenshtein edit distance over interned-label arrays, bounded by a
+    threshold.
 
-    Used by the STR baseline: the string edit distance between the
+    Used by the filter cascade: the string edit distance between the
     preorder (resp. postorder) label sequences of two trees lower-bounds
-    their tree edit distance (Guha et al.). *)
-
-val distance : int array -> int array -> int
-(** Full [O(|a| * |b|)] dynamic program with two rolling rows. *)
+    their tree edit distance (Guha et al.).  Below, [distance a b] is
+    that string edit distance. *)
 
 val within : int array -> int array -> int -> bool
 (** [within a b k] is [true] iff [distance a b <= k], decided by

@@ -1,19 +1,16 @@
 (** Exact tree edit distance — the verifier shared by all join methods.
 
-    The paper verifies candidates with RTED (Pawlik & Augsten), whose key
-    idea is to pick a decomposition strategy based on the shapes of the two
-    trees.  The unbounded {!distance_prep} implements that idea as a
-    hybrid over the Zhang–Shasha left-path decomposition and its mirror
-    image (the right-path decomposition): for every tree pair it estimates
-    the number of relevant subproblems of both and runs the cheaper one.
-    The τ-banded {!bounded_distance_prep}, which the pair verifier
-    ([Bounds.verify]) runs for every join and the serving path, always
-    runs the left decomposition: its band already bounds the work, and
-    the choice measured within noise there.  (See DESIGN.md,
-    substitution 1.) *)
+    The paper verifies candidates with RTED (Pawlik & Augsten).  Here
+    one kernel computes every distance: the τ-banded Zhang–Shasha DP on
+    the left-path decomposition ({!Zhang_shasha.bounded_distance_postorder}).
+    The pair verifier ([Bounds.verify]), which every join and the
+    serving path run, calls it at the pair's band
+    ({!bounded_distance_prep}); the exact distance ({!distance_prep},
+    [tsj ted]) is the same kernel at the full band [|T1| + |T2| - 1].
+    (See DESIGN.md, substitution 1.) *)
 
 type prep
-(** Per-tree preprocessing (postorder arrays for both decompositions).
+(** Per-tree preprocessing (the tree's postorder and its mirror's).
     Joins preprocess every tree once and verify pairs with
     {!bounded_distance_prep}. *)
 
@@ -38,8 +35,10 @@ val right_postorder : prep -> Tsj_tree.Postorder.t
 val distance : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
 
 val distance_prep : prep -> prep -> int
-(** The exact TED, under whichever decomposition has fewer relevant
-    subproblems for this pair. *)
+(** The exact TED: [bounded_distance_prep p1 p2 (size p1 + size p2 - 1)].
+    The band is sound because TED [<= |T1| + |T2| - 1]: keep the two
+    roots mapped, delete every other node of T1 and insert every other
+    node of T2. *)
 
 val bounded_distance_prep : prep -> prep -> int -> int
 (** [bounded_distance_prep p1 p2 k] is [min (TED, k + 1)] through the

@@ -3,101 +3,32 @@ module Postorder = Tsj_tree.Postorder
 (* DP scratch.
 
    The two tables of the Zhang–Shasha DP — treedist (n1 × n2) and the
-   forest-distance table fd ((n1+1) × (n2+1)) — used to be allocated per
-   call.  For join-sized trees that is ~100 KB of major-heap allocation
-   and an O(n1·n2) initialization per verified pair, which dominates the
-   τ-banded verifier whose actual DP work is only O(rows · (2τ+1)) cells
-   per keyroot pair.  Instead both kernels draw on the per-domain
-   {!Arena} (pool workers are domains, and systhreads sharing a domain
-   claim it per call, so concurrent verification is safe) and the
-   tables are reused without clearing:
+   forest-distance table fd ((n1+1) × (n2+1)) — are not allocated per
+   call.  For join-sized trees that would be ~100 KB of major-heap
+   allocation and an O(n1·n2) initialization per verified pair, which
+   dominates the τ-banded DP's work of O(rows · (2τ+1)) cells per
+   keyroot pair.  Instead the kernel draws on the per-domain {!Arena}
+   (pool workers are domains, and systhreads sharing a domain claim it
+   per call, so concurrent verification is safe) and the tables are
+   reused without clearing:
 
    - [fd] needs no initialization at all: every cell the DP reads is
      either written earlier in the same keyroot-pair computation or
-     rejected by the band check (bounded variant) / the first-row and
-     first-column writes (unbounded variant).
-   - [td] (treedist) in the unbounded variant is only read for subtree
-     pairs computed earlier in the same call (the keyroot-order
-     invariant), so stale values are never observed.  The bounded variant
-     must distinguish "computed this call" from "out of band" (which
-     defaults to the clamp value), so each cell carries a stamp: the
-     serial number of the call that wrote it.  Stale stamps read as the
-     clamp, exactly like the former fresh-[inf] matrix. *)
+     rejected by the band check.
+   - [td] must distinguish "computed this call" from "out of band"
+     (which defaults to the clamp value), so each cell carries a stamp:
+     the serial number of the call that wrote it.  Stale stamps read as
+     the clamp, exactly like a fresh matrix of [k + 1].
 
-(* Both DP kernels below use [Array.unsafe_get]/[unsafe_set] on the
-   scratch tables and the postorder arrays.  Safety: [Arena.reserve_matrices]
+   The kernel uses [Array.unsafe_get]/[unsafe_set] on the scratch
+   tables and the postorder arrays.  Safety: [Arena.reserve_matrices]
    guarantees [rows > n1] and [cols > n2]; every flat offset is [x * stride + y] or
    [a * stride + b] with [x, a <= n1 - 1 < rows] and [y, b <= n2 - 1 <
    cols], hence [< rows * cols]; and [a] ranges over [l1 .. k1] within
    [0 .. n1), [b] over [l2 .. k2] within [0 .. n2), the index ranges of
-   the lld / label arrays.  The join verifier spends nearly all its time
-   in these loops, and the bounds checks were a measurable fraction of
-   the per-cell cost. *)
-
-let distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) =
-  let n1 = p1.size and n2 = p2.size in
-  if n1 = 0 || n2 = 0 then Int.max n1 n2
-  else
-    Arena.use (fun s ->
-    Arena.reserve_matrices s n1 n2;
-    let stride = s.Arena.cols in
-    let lld1 = p1.lld and lld2 = p2.lld in
-    let lab1 = p1.labels and lab2 = p2.labels in
-    (* td.(i*stride + j): TED between the subtrees rooted at postorder
-       nodes i and j; filled in increasing keyroot order, so the forest DP
-       only ever reads entries written earlier in this call. *)
-    let td = s.Arena.td and fd = s.Arena.fd in
-    let compute k1 k2 =
-      let l1 = lld1.(k1) and l2 = lld2.(k2) in
-      let m = k1 - l1 + 1 and n = k2 - l2 + 1 in
-      if m = 1 && n = 1 then
-        (* Leaf keyroot pair: the single DP cell reduces to
-           min (2, label cost) = label cost. *)
-        Array.unsafe_set td ((k1 * stride) + k2)
-          (if Array.unsafe_get lab1 k1 = Array.unsafe_get lab2 k2 then 0 else 1)
-      else begin
-      fd.(0) <- 0;
-      for x = 1 to m do
-        Array.unsafe_set fd (x * stride) x
-      done;
-      for y = 1 to n do
-        Array.unsafe_set fd y y
-      done;
-      for x = 1 to m do
-        let a = l1 + x - 1 in
-        let la = Array.unsafe_get lld1 a in
-        let on_path1 = la = l1 in
-        let lab_a = Array.unsafe_get lab1 a in
-        let row = x * stride and prev = (x - 1) * stride in
-        for y = 1 to n do
-          let b = l2 + y - 1 in
-          let lb = Array.unsafe_get lld2 b in
-          let up = Array.unsafe_get fd (prev + y) in
-          let left = Array.unsafe_get fd (row + y - 1) in
-          if on_path1 && lb = l2 then begin
-            let cost = if lab_a = Array.unsafe_get lab2 b then 0 else 1 in
-            let v =
-              Int.min (Int.min (up + 1) (left + 1)) (Array.unsafe_get fd (prev + y - 1) + cost)
-            in
-            Array.unsafe_set fd (row + y) v;
-            Array.unsafe_set td ((a * stride) + b) v
-          end
-          else begin
-            let x' = la - l1 and y' = lb - l2 in
-            Array.unsafe_set fd (row + y)
-              (Int.min
-                 (Int.min (up + 1) (left + 1))
-                 (Array.unsafe_get fd ((x' * stride) + y')
-                 + Array.unsafe_get td ((a * stride) + b)))
-          end
-        done
-      done
-      end
-    in
-    Array.iter
-      (fun k1 -> Array.iter (fun k2 -> compute k1 k2) p2.keyroots)
-      p1.keyroots;
-    td.(((n1 - 1) * stride) + (n2 - 1)))
+   the lld / label arrays.  The verifier spends nearly all its time in
+   these loops, and the bounds checks were a measurable fraction of the
+   per-cell cost. *)
 
 (* Threshold-banded variant: the DP restricted to Touzet's postorder
    strip ("A linear tree edit distance algorithm for similar ordered
@@ -140,10 +71,17 @@ let distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) =
      value of at most what M pays on it, at most k; the clamp never
      touches it, and the result is at most c.
 
-   The right-path decomposition runs this kernel on the mirrored
-   trees.  Mirroring both trees maps M to a mapping of the mirrors of
-   the same cost, so the argument holds there on the mirrored
-   postorders.
+   The kernel also runs on mirrored postorders (the right-path
+   decomposition, which the tests check).  Mirroring both trees maps M
+   to a mapping of the mirrors of the same cost, so the argument holds
+   there too.
+
+   The full band.  TED <= |T1| + |T2| - 1 (keep the roots mapped,
+   delete the rest of T1, insert the rest of T2), so at
+   k = |T1| + |T2| - 1 nothing is clamped and the kernel returns the
+   exact TED; {!Ted.distance_prep} calls it so.  A narrower band such
+   as max (|T1|, |T2|) is not enough: {a{b{c{d}}}} and {w{x}{y}{z}}
+   are at TED 6 with 4 nodes each.
 
    Keyroot window.  The kept pairs are found, not filtered: every leaf
    of T2 is the leftmost leaf of exactly one keyroot (the top of its
@@ -291,9 +229,3 @@ let bounded_distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) k =
         done)
       p1.keyroots;
     Int.min (td_get (n1 - 1) (n2 - 1)) inf)
-
-let postorder t = (Tsj_tree.Form.of_tree t).left
-
-let distance t1 t2 = distance_postorder (postorder t1) (postorder t2)
-
-let bounded_distance t1 t2 k = bounded_distance_postorder (postorder t1) (postorder t2) k

@@ -1,27 +1,19 @@
-(** The Zhang–Shasha tree edit distance algorithm (SIAM J. Comput. 1989).
+(** The Zhang–Shasha tree edit distance (SIAM J. Comput. 1989), banded.
 
-    Computes the exact TED between two rooted ordered labeled trees with
-    unit costs, in [O(|T1| |T2| min(d1,l1) min(d2,l2))] time and
-    [O(|T1| |T2|)] space, by solving one forest-distance dynamic program
-    per pair of LR-keyroots.
+    The one exact-TED kernel: one forest-distance dynamic program per
+    pair of LR-keyroots over the left-path decomposition, with unit
+    costs, restricted to Touzet's postorder strip of width [k].  At
+    [k = |T1| + |T2| - 1] the strip holds every cell and the result is
+    the exact TED, in [O(|T1| |T2| min(d1,l1) min(d2,l2))] time; that is
+    {!Ted.distance_prep}.
 
-    This left-path decomposition is one half of the RTED-style hybrid in
-    {!Ted}; its mirror image (running on mirrored trees) gives the
-    right-path decomposition.
-
-    Both entry points reuse a growable domain-local scratch (via
-    [Domain.DLS]) for the DP tables instead of allocating O(|T1| |T2|)
-    matrices per call — for join workloads the per-pair allocation and
-    initialization used to dwarf the banded DP itself.  Concurrent calls
-    from different domains are safe (each domain owns its scratch);
-    recursive calls from the cost functions of the DP would not be, and
-    do not occur. *)
-
-val distance_postorder : Tsj_tree.Postorder.t -> Tsj_tree.Postorder.t -> int
-(** TED between two trees already compiled to postorder form. *)
-
-val distance : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-(** Convenience wrapper compiling both trees first. *)
+    The kernel reuses a growable domain-local scratch (via {!Arena})
+    for the DP tables instead of allocating O(|T1| |T2|) matrices per
+    call — for join workloads the per-pair allocation and
+    initialization used to dwarf the banded DP itself.  Concurrent
+    calls from different domains are safe (each domain owns its
+    scratch); recursive calls from the cost functions of the DP would
+    not be, and do not occur. *)
 
 val bounded_distance_postorder : Tsj_tree.Postorder.t -> Tsj_tree.Postorder.t -> int -> int
 (** [bounded_distance_postorder p1 p2 k] is [min (distance, k + 1)].
@@ -43,5 +35,3 @@ val bounded_distance_postorder : Tsj_tree.Postorder.t -> Tsj_tree.Postorder.t ->
     O(rows * (2k + 1 - |d|)) cells instead of [rows * cols].  The stamp-tracked scratch avoids any O(rows * cols)
     per-call initialization, and size-incompatible pairs exit at once.
     @raise Invalid_argument if [k < 0]. *)
-
-val bounded_distance : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int -> int

@@ -15,14 +15,3 @@ type t = {
                              every node that is not its parent's first
                              child *)
 }
-
-val n_leaves : t -> int
-
-val subtree_size : t -> int -> int
-(** [subtree_size p i] is [i - lld.(i) + 1], the number of nodes in the
-    subtree rooted at postorder node [i]. *)
-
-val keyroot_cost : t -> int
-(** [Σ_{k ∈ keyroots} subtree_size k] — the per-tree factor of the number
-    of relevant subproblems Zhang–Shasha solves; the hybrid TED strategy
-    compares this between the left-path and right-path decompositions. *)

@@ -7,42 +7,3 @@ let postorder_labels t =
   let acc = Tsj_util.Vec_int.create ~capacity:(Tree.size t) () in
   Tree.iter_postorder (fun (n : Tree.t) -> Tsj_util.Vec_int.push acc n.label) t;
   Tsj_util.Vec_int.to_array acc
-
-let euler_tour t =
-  let acc = Tsj_util.Vec_int.create ~capacity:(2 * Tree.size t) () in
-  let rec go (n : Tree.t) =
-    Tsj_util.Vec_int.push acc n.label;
-    List.iter go n.children;
-    Tsj_util.Vec_int.push acc n.label
-  in
-  go t;
-  Tsj_util.Vec_int.to_array acc
-
-let parent_postorder t =
-  let n = Tree.size t in
-  let parent = Array.make n (-1) in
-  (* Postorder-number nodes on the fly; children are numbered before their
-     parent, so we collect child numbers and patch them once the parent's
-     number is known. *)
-  let counter = ref 0 in
-  let rec go (node : Tree.t) =
-    let child_ids = List.map go node.children in
-    let me = !counter in
-    incr counter;
-    List.iter (fun c -> parent.(c) <- me) child_ids;
-    me
-  in
-  ignore (go t);
-  parent
-
-let depths_postorder t =
-  let n = Tree.size t in
-  let depths = Array.make n 0 in
-  let counter = ref 0 in
-  let rec go d (node : Tree.t) =
-    List.iter (go (d + 1)) node.children;
-    depths.(!counter) <- d;
-    incr counter
-  in
-  go 1 t;
-  depths

@@ -8,15 +8,3 @@
 val preorder_labels : Tree.t -> Label.t array
 
 val postorder_labels : Tree.t -> Label.t array
-
-val euler_tour : Tree.t -> Label.t array
-(** Euler-tour sequence: each node's label appears on entering and leaving
-    the node (so the sequence has length [2 * size]).  Used by the
-    Akutsu-style Euler-string bound. *)
-
-val parent_postorder : Tree.t -> int array
-(** [parent.(i)] is the 0-based postorder number of the parent of the node
-    with postorder number [i]; [-1] for the root. *)
-
-val depths_postorder : Tree.t -> int array
-(** Depth of each node in postorder (root has depth 1). *)

@@ -31,14 +31,17 @@
      (failures are counted and expected — finding 2);
    - join: PartSJ must equal the nested-loop ground truth on random
      clustered datasets (expected: 0);
-   - ted: Zhang-Shasha left/right/hybrid must agree, match the naive
-     reference on small inputs, and every bound must lower-bound it;
-     the banded kernel on a tree of up to 80 nodes
-     and a copy <= k + 2 edits away must equal min (TED, k + 1) for a
-     random k in 0..5 (expected: 0);
+   - ted: the reference Zhang-Shasha must give the same distance on the
+     left and the right decomposition and match the naive reference on
+     trees of <= 9 nodes; the banded kernel must equal it at the full
+     band (and the naive one on <= 9 nodes) and equal min (TED, k + 1)
+     at a random k in 0..5, the linear lower bound must not exceed it;
+     the same kernel checks run on a tree of up to 80 nodes and a copy
+     <= k + 2 edits away (expected: 0);
    - kernel: every pair of trees of <= 6 nodes (or the given bound) over
      {a, b} with sizes <= 3 apart, k = 0..3: the banded kernel must
-     equal min (TED, k + 1), and the filter cascade at tau = k must
+     equal min (TED, k + 1) against the reference Zhang-Shasha, and
+     TED at the full band, and the filter cascade at tau = k must
      prune only pairs beyond k and accept only at TED (pairs further
      apart in size must stop at its size stage); the numbers after the
      mode are the node bound, not iterations and seed (expected: 0,
@@ -247,33 +250,39 @@ let fuzz_ted iterations rng =
     let y = random_tree rng (1 + Prng.int rng 12) in
     let fx = Tsj_ted.Bounds.of_tree x and fy = Tsj_ted.Bounds.of_tree y in
     let px = Tsj_ted.Bounds.prep fx and py = Tsj_ted.Bounds.prep fy in
-    let zs postorder = Tsj_ted.Zhang_shasha.distance_postorder (postorder px) (postorder py) in
+    let zs postorder = Ted_reference.distance_postorder (postorder px) (postorder py) in
     let l = zs Ted.left_postorder and r = zs Ted.right_postorder in
     let bad = ref [] in
     if l <> r then bad := "left<>right" :: !bad;
-    if Ted.distance_prep px py <> l then bad := "hybrid<>left" :: !bad;
-    if Tree.size x <= 9 && Tree.size y <= 9 && l <> Tsj_ted.Naive.distance x y then
-      bad := "zs<>naive" :: !bad;
-    (if
-       List.exists
-         (fun bound -> bound fx fy > l)
-         Tsj_ted.Bounds.[ linear_lower; traversal_bound; euler_bound ]
-     then bad := "bound>ted" :: !bad);
+    let full = Ted.distance_prep px py in
+    if full <> l then bad := "full band<>reference" :: !bad;
+    let k = Prng.int rng 6 in
+    if Ted.bounded_distance_prep px py k <> min l (k + 1) then
+      bad := Printf.sprintf "k=%d<>reference" k :: !bad;
+    (if Tree.size x <= 9 && Tree.size y <= 9 then
+       let naive = Ted_reference.Naive.distance x y in
+       if l <> naive then bad := "reference<>naive" :: !bad;
+       if full <> naive then bad := "full band<>naive" :: !bad);
+    if Tsj_ted.Bounds.linear_lower fx fy > l then bad := "bound>ted" :: !bad;
     if Tsj_ted.Constrained.distance x y < l then bad := "constrained<ted" :: !bad;
     (* The banded kernel on a near pair: a tree of up to 80 nodes and a
        copy at most k + 2 edits away, so the optimal mapping runs near
        the edge of the kernel's strip. *)
-    let k = Prng.int rng 6 in
     let base = random_tree rng (1 + Prng.int rng 80) in
     let _, near = Tsj_tree.Edit_op.random_script rng ~labels (Prng.int_in rng 0 (k + 2)) base in
     let pa = Ted.preprocess base and pb = Ted.preprocess near in
-    let want = min (Ted.distance_prep pa pb) (k + 1) in
-    let got = Ted.bounded_distance_prep pa pb k in
-    if got <> want then
-      bad :=
-        Printf.sprintf "banded k=%d: %d, want %d on %s vs %s" k got want
-          (Tsj_tree.Bracket.to_string base) (Tsj_tree.Bracket.to_string near)
-        :: !bad;
+    let exact = Ted_reference.distance_postorder (Ted.left_postorder pa) (Ted.left_postorder pb) in
+    List.iter
+      (fun (what, got, want) ->
+        if got <> want then
+          bad :=
+            Printf.sprintf "banded %s: %d, want %d on %s vs %s" what got want
+              (Tsj_tree.Bracket.to_string base) (Tsj_tree.Bracket.to_string near)
+            :: !bad)
+      [
+        (Printf.sprintf "k=%d" k, Ted.bounded_distance_prep pa pb k, min exact (k + 1));
+        ("full band", Ted.distance_prep pa pb, exact);
+      ];
     if !bad <> [] then begin
       incr failures;
       report "ted" i
@@ -285,10 +294,11 @@ let fuzz_ted iterations rng =
 
 (* Exhaustive check of the banded kernel and of the filter cascade in
    front of it: every pair of trees of <= [max_nodes] nodes over {a, b}
-   whose sizes differ by <= 3, at k = 0..3, against [min (unbounded
-   TED, k + 1)]; the cascade at tau = k may prune a pair only beyond k
-   and accept it only at its TED.  Pairs further apart in size only
-   reach the kernel's size exit and the cascade's size stage. *)
+   whose sizes differ by <= 3, at k = 0..3, against [min (TED, k + 1)]
+   with the TED from the reference Zhang-Shasha, and at the full band
+   against the TED itself; the cascade at tau = k may prune a pair only
+   beyond k and accept it only at its TED.  Pairs further apart in size
+   only reach the kernel's size exit and the cascade's size stage. *)
 let fuzz_kernel max_nodes =
   let module Ted = Tsj_ted.Ted in
   let module Bounds = Tsj_ted.Bounds in
@@ -310,7 +320,11 @@ let fuzz_kernel max_nodes =
           let pj = Bounds.prep fj in
           if abs (Ted.size pi - Ted.size pj) <= 3 then begin
             incr pairs;
-            let exact = Ted.distance_prep pi pj in
+            let exact =
+              Ted_reference.distance_postorder (Ted.left_postorder pi) (Ted.left_postorder pj)
+            in
+            let full = Ted.distance_prep pi pj in
+            if full <> exact then fail i j (Printf.sprintf "full band: %d, want %d" full exact);
             for k = 0 to 3 do
               let got = Ted.bounded_distance_prep pi pj k in
               if got <> min exact (k + 1) then

@@ -6,7 +6,7 @@ type op = Match of int * int | Rename of int * int | Delete of int | Insert of i
 type t = { ops : op list; cost : int }
 
 (* Zhang–Shasha with a backtrace.  First the full treedist matrix is
-   computed (exactly as in Zhang_shasha.distance_postorder); then the
+   computed (the same DP as the reference distance); then the
    forest DP of a subproblem is recomputed on demand and walked backwards.
    The recomputation keeps memory at O(n^2) while the total work stays
    within a constant factor of the forward pass. *)
@@ -17,8 +17,7 @@ let compute t1 t2 =
   let lab1 = p1.Postorder.labels and lab2 = p2.Postorder.labels in
   let treedist = Array.make_matrix (Int.max n1 1) (Int.max n2 1) 0 in
   let fd = Array.make_matrix (n1 + 1) (n2 + 1) 0 in
-  (* Forward forest DP for the keyroot pair (k1, k2); identical recurrence
-     to Zhang_shasha.distance_postorder. *)
+  (* Forward forest DP for the keyroot pair (k1, k2). *)
   let forest k1 k2 ~record =
     let l1 = lld1.(k1) and l2 = lld2.(k2) in
     let m = k1 - l1 + 1 and n = k2 - l2 + 1 in

@@ -18,7 +18,7 @@ type op =
 
 type t = {
   ops : op list;  (** every node of both trees appears exactly once *)
-  cost : int;     (** = [Zhang_shasha.distance t1 t2] *)
+  cost : int;     (** the exact TED of the two trees *)
 }
 
 val compute : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> t

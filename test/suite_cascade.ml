@@ -7,10 +7,8 @@
 module Tree = Tsj_tree.Tree
 module Traversal = Tsj_tree.Traversal
 module Multiset = Tsj_util.Multiset
-module String_edit = Tsj_ted.String_edit
 module Ted = Tsj_ted.Ted
 module Bounds = Tsj_ted.Bounds
-module Zhang_shasha = Tsj_ted.Zhang_shasha
 module Constrained = Tsj_ted.Constrained
 module Partsj = Tsj_core.Partsj
 module Nested_loop = Tsj_join.Nested_loop
@@ -29,20 +27,20 @@ let ref_degrees t =
 let ref_bag f a b =
   Multiset.symmetric_difference_size (Multiset.of_unsorted (f a)) (Multiset.of_unsorted (f b))
 
-let ref_sed f a b = String_edit.distance (f a) (f b)
-
 let ref_size a b = abs (Tree.size a - Tree.size b)
 
 let ref_labels a b = (ref_bag Traversal.preorder_labels a b + 1) / 2
 
 let ref_degree a b = (ref_bag ref_degrees a b + 2) / 3
 
-let ref_traversal a b =
-  max (ref_sed Traversal.preorder_labels a b) (ref_sed Traversal.postorder_labels a b)
-
-let ref_euler a b = (ref_sed Traversal.euler_tour a b + 1) / 2
-
 let ref_linear a b = max (ref_size a b) (max (ref_labels a b) (ref_degree a b))
+
+(* The exact TED of two forms, by the reference Zhang–Shasha on their
+   left postorders. *)
+let ref_ted fa fb =
+  Ted_reference.distance_postorder
+    (Ted.left_postorder (Bounds.prep fa))
+    (Ted.left_postorder (Bounds.prep fb))
 
 (* The greedy script: rename the roots if they differ, pair the children
    left to right, delete / insert the unmatched tail. *)
@@ -63,8 +61,6 @@ let prop_compiled_matches_per_pair =
       Bounds.size_bound ca cb = ref_size a b
       && Bounds.label_bound ca cb = ref_labels a b
       && Bounds.degree_bound ca cb = ref_degree a b
-      && Bounds.traversal_bound ca cb = ref_traversal a b
-      && Bounds.euler_bound ca cb = ref_euler a b
       && Bounds.linear_lower ca cb = ref_linear a b
       && Bounds.upper ca cb = ref_upper a b)
 
@@ -103,7 +99,7 @@ let prop_compiled_lower_bounds =
   Gen.qtest ~count:150 "every compiled lower bound <= TED"
     (Gen.arb_tree_pair ~max_size:12 ()) (fun (a, b) ->
       let ca = form a and cb = form b in
-      let d = Zhang_shasha.distance a b in
+      let d = Ted_reference.distance a b in
       List.for_all
         (fun (name, v) ->
           if v > d then
@@ -114,8 +110,6 @@ let prop_compiled_lower_bounds =
           ("size", Bounds.size_bound ca cb);
           ("labels", Bounds.label_bound ca cb);
           ("degrees", Bounds.degree_bound ca cb);
-          ("traversal", Bounds.traversal_bound ca cb);
-          ("euler", Bounds.euler_bound ca cb);
           ("linear", Bounds.linear_lower ca cb);
         ])
 
@@ -125,7 +119,7 @@ let prop_upper_bounds_ted =
   Gen.qtest ~count:200 "TED <= constrained <= greedy upper"
     (Gen.arb_tree_pair ~max_size:12 ()) (fun (a, b) ->
       let ub = Bounds.upper (form a) (form b) in
-      let ted = Zhang_shasha.distance a b in
+      let ted = Ted_reference.distance a b in
       let ced = Constrained.distance a b in
       if not (ted <= ced && ced <= ub) then
         QCheck.Test.fail_reportf "TED %d / CED %d / upper %d on %s / %s" ted ced
@@ -144,7 +138,7 @@ let prop_cascade_sound =
   Gen.qtest ~count:200 "cascade outcomes are sound for tau in 0..5"
     (Gen.arb_tree_pair ~max_size:12 ()) (fun (a, b) ->
       let ca = form a and cb = form b in
-      let exact = Zhang_shasha.distance a b in
+      let exact = Ted_reference.distance a b in
       (* The stage that prunes is the first whose full bound exceeds τ:
          the cascade's label walk, which stops at 2τ + 1, must decide as
          the unbounded [label_bound] does. *)
@@ -179,7 +173,7 @@ let prop_cascade_sound =
                pair exactly like the full kernel at tau would: the band
                only shrinks below tau when the upper bound certifies
                TED <= band + 1. *)
-            let bd = Zhang_shasha.bounded_distance a b band in
+            let bd = Ted.bounded_distance_prep (Bounds.prep ca) (Bounds.prep cb) band in
             if band < 0 || band > tau then
               QCheck.Test.fail_reportf "tau=%d band=%d out of range" tau band
             else if exact <= tau && bd <> exact then
@@ -269,7 +263,7 @@ let test_cascade_exhaustive () =
       Array.iteri
         (fun j b ->
           let fa = forms.(i) and fb = forms.(j) in
-          let ted = Ted.distance_prep (Bounds.prep fa) (Bounds.prep fb) in
+          let ted = ref_ted fa fb in
           if Bounds.upper fa fb <> ref_upper a b then
             fail "upper %s / %s: %d <> reference %d" (Gen.pp_tree a) (Gen.pp_tree b)
               (Bounds.upper fa fb) (ref_upper a b);
@@ -308,7 +302,7 @@ let test_certificate_exhaustive () =
     (fun i fa ->
       Array.iteri
         (fun j fb ->
-          let ted = Ted.distance_prep (Bounds.prep fa) (Bounds.prep fb) in
+          let ted = ref_ted fa fb in
           for k = 0 to 4 do
             if Bounds.certify fa fb k then begin
               if ted > k then
@@ -352,7 +346,7 @@ let test_mapping_certifies_exhaustive () =
       Array.iteri
         (fun j fb ->
           let na = Array.length labels.(i) and nb = Array.length labels.(j) in
-          let ted = Ted.distance_prep (Bounds.prep fa) (Bounds.prep fb) in
+          let ted = ref_ted fa fb in
           let mate = Array.make na (-1) in
           let check () =
             let valid = ref true and cost = ref (na + nb) in
@@ -405,7 +399,7 @@ let prop_certificate_near_pairs =
     (fun (a, ops, b) ->
       let fa = form a and fb = form b in
       let k = List.length ops in
-      let ted = Ted.distance_prep (Bounds.prep fa) (Bounds.prep fb) in
+      let ted = Ted_reference.distance a b in
       (if Bounds.certify fa fb k && ted > k then
          QCheck.Test.fail_reportf "certified at k=%d, TED %d" k ted);
       List.for_all

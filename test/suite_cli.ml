@@ -29,6 +29,11 @@ let test_ted () =
   let code, out = run [ "ted"; "{a}"; "{a}" ] in
   check_exit "ted self" 0 (code, out);
   Alcotest.(check string) "zero" "0" (String.trim out);
+  (* The full band is |T1| + |T2| - 1: a band of the larger size would
+     print 5 here. *)
+  let code, out = run [ "ted"; "{a{b{c{d}}}}"; "{w{x}{y}{z}}" ] in
+  check_exit "ted chain vs star" 0 (code, out);
+  Alcotest.(check string) "chain vs star" "6" (String.trim out);
   let code, _ = run [ "ted"; "{bad"; "{a}" ] in
   Alcotest.(check bool) "bad tree rejected" true (code <> 0)
 

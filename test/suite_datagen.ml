@@ -3,7 +3,6 @@ module Prng = Tsj_util.Prng
 module Generator = Tsj_datagen.Generator
 module Decay = Tsj_datagen.Decay
 module Profiles = Tsj_datagen.Profiles
-module Zhang_shasha = Tsj_ted.Zhang_shasha
 
 let test_capacity () =
   Alcotest.(check int) "f=1" 5 (Generator.capacity ~max_fanout:1 ~max_depth:5);
@@ -109,7 +108,7 @@ let test_decay_ted_bounded () =
     let t = Gen.random_tree rng 15 in
     let t' = Decay.perturb rng ~dz:0.3 ~labels t in
     Alcotest.(check bool) "ted bounded by size" true
-      (Zhang_shasha.distance t t' <= Tree.size t)
+      (Ted_reference.distance t t' <= Tree.size t)
   done
 
 let test_decay_validation () =

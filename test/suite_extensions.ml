@@ -6,8 +6,7 @@ module Bracket = Tsj_tree.Bracket
 module Traversal = Tsj_tree.Traversal
 module Prng = Tsj_util.Prng
 module Edit_op = Tsj_tree.Edit_op
-module Mapping = Tsj_ted.Mapping
-module Zhang_shasha = Tsj_ted.Zhang_shasha
+module Mapping = Ted_reference.Mapping
 module Incremental = Tsj_core.Incremental
 module Store = Tsj_server.Store
 
@@ -98,7 +97,7 @@ let prop_mapping_cost_equals_ted =
   Gen.qtest ~count:150 "mapping cost = TED" (Gen.arb_tree_pair ~max_size:12 ())
     (fun (a, b) ->
       let m = Mapping.compute a b in
-      m.Mapping.cost = Zhang_shasha.distance a b)
+      m.Mapping.cost = Ted_reference.distance a b)
 
 let prop_mapping_valid =
   Gen.qtest ~count:100 "mapping is a valid TED mapping" (Gen.arb_tree_pair ~max_size:10 ())
@@ -128,7 +127,7 @@ let brute_force_query trees q tau =
   let res = ref [] in
   Array.iteri
     (fun i t ->
-      let d = Zhang_shasha.distance q t in
+      let d = Ted_reference.distance q t in
       if d <= tau then res := (i, d) :: !res)
     trees;
   List.sort
@@ -202,7 +201,7 @@ let test_join_with_non_self () =
     (fun j q ->
       Array.iteri
         (fun i tl ->
-          let d = Zhang_shasha.distance tl q in
+          let d = Ted_reference.distance tl q in
           if d <= 2 then expected := (i, j, d) :: !expected)
         left)
     right;

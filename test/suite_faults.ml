@@ -214,7 +214,7 @@ let test_pair_budget_sandwich_holds_ted () =
   Alcotest.(check bool) "some pairs quarantined by the budget" true (sandwiches <> []);
   List.iter
     (fun (i, j, lower, upper) ->
-      let d = Tsj_ted.Zhang_shasha.distance trees.(i) trees.(j) in
+      let d = Ted_reference.distance trees.(i) trees.(j) in
       if d < lower || d > upper then
         Alcotest.failf "pair (%d, %d): TED %d outside [%d, %d]" i j d lower upper)
     sandwiches

@@ -11,7 +11,6 @@ module Str_join = Tsj_baselines.Str_join
 module Set_join = Tsj_baselines.Set_join
 module Binary_branch = Tsj_baselines.Binary_branch
 module Partsj = Tsj_core.Partsj
-module Zhang_shasha = Tsj_ted.Zhang_shasha
 
 (* A clustered dataset: [n_base] independent random trees, each with a few
    perturbed near-copies, so the join result is non-trivial at small tau. *)
@@ -143,7 +142,7 @@ let test_pair_indices_are_original () =
   | [ p ] ->
     Alcotest.(check int) "i" 1 p.Types.i;
     Alcotest.(check int) "j" 2 p.Types.j;
-    Alcotest.(check int) "distance" (Zhang_shasha.distance a b) p.Types.distance
+    Alcotest.(check int) "distance" (Ted_reference.distance a b) p.Types.distance
   | l -> Alcotest.failf "expected exactly one pair, got %d" (List.length l));
   ignore unrelated
 
@@ -182,7 +181,7 @@ let prop_str_set_equal_nested_loop =
 
 let test_exact_verification_ablation () =
   (* The join verifies with the banded kernel; its pairs and distances
-     must equal those of an all-pairs loop over the unbanded exact TED. *)
+     must equal those of an all-pairs loop over the reference TED. *)
   let trees = clustered_dataset ~seed:61 ~n_base:10 ~copies:2 ~max_size:16 ~max_edits:3 in
   let n = Array.length trees in
   List.iter
@@ -190,7 +189,7 @@ let test_exact_verification_ablation () =
       let exact = ref [] in
       for i = 0 to n - 1 do
         for j = i + 1 to n - 1 do
-          let d = Tsj_ted.Ted.distance trees.(i) trees.(j) in
+          let d = Ted_reference.distance trees.(i) trees.(j) in
           if d <= tau then exact := (i, j, d) :: !exact
         done
       done;
@@ -239,7 +238,7 @@ let prop_bib_bound =
     (fun (a, b) ->
       let x1 = Binary_branch.bag_of_tree a in
       let x2 = Binary_branch.bag_of_tree b in
-      Binary_branch.distance x1 x2 <= 5 * Zhang_shasha.distance a b)
+      Binary_branch.distance x1 x2 <= 5 * Ted_reference.distance a b)
 
 let prop_bib_bag_size =
   Gen.qtest "binary branch bag has |T| elements" (Gen.arb_tree ~max_size:20 ())

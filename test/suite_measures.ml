@@ -4,7 +4,6 @@ module Bracket = Tsj_tree.Bracket
 module Prng = Tsj_util.Prng
 module Edit_op = Tsj_tree.Edit_op
 module Incremental = Tsj_core.Incremental
-module Zhang_shasha = Tsj_ted.Zhang_shasha
 
 let t s = Bracket.of_string_exn s
 
@@ -45,7 +44,7 @@ let test_nearest_matches_brute_force () =
   for _ = 1 to 10 do
     let q = trees.(Prng.int rng (Array.length trees)) in
     let brute =
-      Array.to_list (Array.mapi (fun i x -> (i, Zhang_shasha.distance q x)) trees)
+      Array.to_list (Array.mapi (fun i x -> (i, Ted_reference.distance q x)) trees)
       |> List.filter (fun (_, d) -> d <= tau)
       |> List.sort (fun (i1, d1) (i2, d2) ->
              if d1 <> d2 then compare d1 d2 else compare i1 i2)

@@ -210,7 +210,7 @@ let model_sweep ~partitioning ~tau trees =
   let results =
     List.filter_map
       (fun (i, j) ->
-        let d = Tsj_ted.Ted.distance trees.(i) trees.(j) in
+        let d = Ted_reference.distance trees.(i) trees.(j) in
         if d <= tau then Some (i, j, d) else None)
       candidates
   in

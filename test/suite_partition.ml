@@ -322,7 +322,7 @@ let test_paper_rank_windows_incomplete () =
   let small = t "{h3{h0}{h3{h2}{h1}}{h1{h3}}{h3{h3}{h5}{h0}{h0}{h1}}{h2}{h4}{h2}}" in
   let large = t "{h3{h0{h0}{h3{h2}{h1}}{h1{h3}}{h3{h3}{h5}{h0}{h0}{h1}}{h2}{h4}}{h2}}" in
   let tau = 1 in
-  Alcotest.(check int) "TED is 1" 1 (Tsj_ted.Zhang_shasha.distance small large);
+  Alcotest.(check int) "TED is 1" 1 (Ted_reference.distance small large);
   let b = lcrs small and b' = lcrs large in
   let p = Partition.partition b ~delta:((2 * tau) + 1) in
   let subs = Subgraph.of_partition ~tree_id:0 p in
@@ -358,7 +358,7 @@ let test_lemma1_deletion_regression () =
   let result = Edit_op.apply base (Edit_op.Delete { node = 5 }) in
   Alcotest.(check bool) "expected shape" true
     (Tree.equal result (t "{l1{l2}{l6{l1}}{l5}{l0}{l7}{l0}}"));
-  Alcotest.(check int) "TED 1" 1 (Tsj_ted.Zhang_shasha.distance base result);
+  Alcotest.(check int) "TED 1" 1 (Ted_reference.distance base result);
   let b = lcrs base in
   let p = Partition.partition b ~delta:3 in
   let subs = Subgraph.of_partition ~tree_id:0 p in

@@ -126,7 +126,7 @@ let test_incremental_disparate_sizes_early_exit () =
 
 let brute_force trees q tau =
   Array.to_list trees
-  |> List.mapi (fun i t -> (i, Tsj_ted.Zhang_shasha.distance q t))
+  |> List.mapi (fun i t -> (i, Ted_reference.distance q t))
   |> List.filter (fun (_, d) -> d <= tau)
   |> List.sort (fun (i1, d1) (i2, d2) ->
          if d1 <> d2 then compare d1 d2 else compare i1 i2)
@@ -213,7 +213,7 @@ let test_incremental_nearest () =
       else Gen.random_tree rng (3 + Prng.int rng 14)
     in
     let brute =
-      Array.to_list (Array.mapi (fun i x -> (i, Tsj_ted.Zhang_shasha.distance q x)) trees)
+      Array.to_list (Array.mapi (fun i x -> (i, Ted_reference.distance q x)) trees)
       |> List.filter (fun (_, d) -> d <= tau)
       |> List.sort (fun (i1, d1) (i2, d2) ->
              if d1 <> d2 then compare d1 d2 else compare i1 i2)

@@ -4,9 +4,10 @@ module Traversal = Tsj_tree.Traversal
 module Edit_op = Tsj_tree.Edit_op
 module String_edit = Tsj_ted.String_edit
 module Zhang_shasha = Tsj_ted.Zhang_shasha
-module Naive = Tsj_ted.Naive
 module Bounds = Tsj_ted.Bounds
 module Ted = Tsj_ted.Ted
+module Reference = Ted_reference
+module Naive = Ted_reference.Naive
 
 let t s = Bracket.of_string_exn s
 
@@ -16,10 +17,12 @@ let arr_of_string s = Array.map Char.code (Array.init (String.length s) (String.
 
 let test_sed_known () =
   let check a b expect =
+    let a' = arr_of_string a and b' = arr_of_string b in
+    Alcotest.(check int) (Printf.sprintf "reference sed(%s,%s)" a b) expect (Reference.sed a' b');
     Alcotest.(check int)
-      (Printf.sprintf "sed(%s,%s)" a b)
+      (Printf.sprintf "banded sed(%s,%s)" a b)
       expect
-      (String_edit.distance (arr_of_string a) (arr_of_string b))
+      (String_edit.bounded_distance a' b' (String.length a + String.length b))
   in
   check "" "" 0;
   check "abc" "" 3;
@@ -29,37 +32,15 @@ let test_sed_known () =
   check "abc" "abc" 0;
   check "abc" "acb" 2
 
-let naive_sed a b =
-  let la = Array.length a and lb = Array.length b in
-  let d = Array.make_matrix (la + 1) (lb + 1) 0 in
-  for i = 0 to la do
-    d.(i).(0) <- i
-  done;
-  for j = 0 to lb do
-    d.(0).(j) <- j
-  done;
-  for i = 1 to la do
-    for j = 1 to lb do
-      let cost = if a.(i - 1) = b.(j - 1) then 0 else 1 in
-      d.(i).(j) <-
-        min (min (d.(i - 1).(j) + 1) (d.(i).(j - 1) + 1)) (d.(i - 1).(j - 1) + cost)
-    done
-  done;
-  d.(la).(lb)
-
 let arb_int_arrays =
   QCheck.(
     pair
       (array_of_size Gen.(int_bound 15) (int_bound 4))
       (array_of_size Gen.(int_bound 15) (int_bound 4)))
 
-let prop_sed_matches_naive =
-  Gen.qtest "rolling-row sed = naive DP" arb_int_arrays (fun (a, b) ->
-      String_edit.distance a b = naive_sed a b)
-
 let prop_sed_banded_consistent =
   Gen.qtest "banded sed consistent with exact" arb_int_arrays (fun (a, b) ->
-      let d = String_edit.distance a b in
+      let d = Reference.sed a b in
       let ok = ref true in
       for k = 0 to 8 do
         let bd = String_edit.bounded_distance a b k in
@@ -95,7 +76,7 @@ let test_sed_banded_exhaustive () =
       (fun a ->
         Array.iter
           (fun b ->
-            let d = String_edit.distance a b in
+            let d = Reference.sed a b in
             for k = 0 to 7 do
               let bd = String_edit.bounded_distance a b k in
               if bd <> Int.min d (k + 1) || String_edit.within a b k <> (d <= k) then begin
@@ -117,14 +98,18 @@ let test_sed_banded_exhaustive () =
 
 (* --- TED: fixed examples --- *)
 
+(* A known distance, through the library ([Ted.distance]: the banded
+   kernel at the full band) and through the reference Zhang–Shasha. *)
+let check_ted name expect t1 t2 =
+  Alcotest.(check int) name expect (Ted.distance t1 t2);
+  Alcotest.(check int) (name ^ " (reference)") expect (Reference.distance t1 t2)
+
 let test_ted_identical () =
   let a = t "{a{b{c}}{d}}" in
-  Alcotest.(check int) "identical" 0 (Zhang_shasha.distance a a)
+  check_ted "identical" 0 a a
 
 let test_ted_single_ops () =
-  let check t1 t2 expect name =
-    Alcotest.(check int) name expect (Zhang_shasha.distance (t t1) (t t2))
-  in
+  let check t1 t2 expect name = check_ted name expect (t t1) (t t2) in
   check "{a}" "{b}" 1 "rename";
   check "{a}" "{a{b}}" 1 "insert leaf";
   check "{a{b}}" "{a}" 1 "delete leaf";
@@ -137,97 +122,104 @@ let test_ted_paper_fig3 () =
      binary: T1 = l1(l2, l1(l3)), T2 = l1(l2(l1, l3)). *)
   let t1 = t "{1{2}{1{3}}}" in
   let t2 = t "{1{2{1}{3}}}" in
-  Alcotest.(check int) "TED = 3" 3 (Zhang_shasha.distance t1 t2);
+  check_ted "TED = 3" 3 t1 t2;
   (* and the traversal-string bounds from the same figure *)
   Alcotest.(check int) "preorder sed = 0" 0
-    (String_edit.distance (Traversal.preorder_labels t1) (Traversal.preorder_labels t2));
+    (String_edit.bounded_distance (Traversal.preorder_labels t1) (Traversal.preorder_labels t2) 8);
   Alcotest.(check int) "postorder sed = 2" 2
-    (String_edit.distance (Traversal.postorder_labels t1) (Traversal.postorder_labels t2))
+    (String_edit.bounded_distance (Traversal.postorder_labels t1) (Traversal.postorder_labels t2) 8)
 
 let test_ted_zs_classic () =
   (* The running example of the Zhang–Shasha paper: distance 2. *)
   let t1 = t "{f{d{a}{c{b}}}{e}}" in
   let t2 = t "{f{c{d{a}{b}}}{e}}" in
-  Alcotest.(check int) "zs paper example" 2 (Zhang_shasha.distance t1 t2);
+  check_ted "zs paper example" 2 t1 t2;
   Alcotest.(check int) "naive agrees" 2 (Naive.distance t1 t2)
 
 let test_ted_empty_vs () =
   let single = t "{a}" in
   let five = t "{a{b}{c}{d}{e}}" in
-  Alcotest.(check int) "grow by 4" 4 (Zhang_shasha.distance single five)
+  check_ted "grow by 4" 4 single five
+
+(* The full band is |T1| + |T2| - 1, not max (|T1|, |T2|): a chain and
+   a star of 4 nodes each, all labels distinct, map at most the roots
+   and one more pair, so their TED is 2 renames + 2 deletes + 2 inserts
+   = 6, and a band of 4 would answer 5. *)
+let test_ted_full_band () =
+  let chain = t "{a{b{c{d}}}}" and star = t "{w{x}{y}{z}}" in
+  check_ted "chain vs star" 6 chain star;
+  Alcotest.(check int) "naive agrees" 6 (Naive.distance chain star);
+  let pc = Ted.preprocess chain and ps = Ted.preprocess star in
+  Alcotest.(check int) "a band of max size clamps" 5 (Ted.bounded_distance_prep pc ps 4)
 
 (* --- TED: differential and metric properties --- *)
 
 let prop_zs_matches_naive =
   Gen.qtest ~count:150 "Zhang-Shasha = naive forest DP"
     (Gen.arb_tree_pair ~max_size:9 ()) (fun (a, b) ->
-      Zhang_shasha.distance a b = Naive.distance a b)
+      Reference.distance a b = Naive.distance a b)
 
-let prop_ted_algorithms_agree =
-  Gen.qtest ~count:150 "left/right/hybrid agree" (Gen.arb_tree_pair ~max_size:14 ())
+(* The reference on the left and the right decomposition, and the
+   kernel at the full band. *)
+let prop_ted_reference_mirror =
+  Gen.qtest ~count:150 "reference left/right = full band" (Gen.arb_tree_pair ~max_size:14 ())
     (fun (a, b) ->
       let pa = Ted.preprocess a and pb = Ted.preprocess b in
-      let l =
-        Zhang_shasha.distance_postorder (Ted.left_postorder pa) (Ted.left_postorder pb)
-      in
-      let r =
-        Zhang_shasha.distance_postorder (Ted.right_postorder pa) (Ted.right_postorder pb)
-      in
-      let h = Ted.distance_prep pa pb in
-      l = r && r = h)
+      let l = Reference.distance_postorder (Ted.left_postorder pa) (Ted.left_postorder pb) in
+      let r = Reference.distance_postorder (Ted.right_postorder pa) (Ted.right_postorder pb) in
+      l = r && r = Ted.distance_prep pa pb)
 
 let prop_ted_symmetry =
   Gen.qtest "TED is symmetric" (Gen.arb_tree_pair ~max_size:14 ()) (fun (a, b) ->
-      Zhang_shasha.distance a b = Zhang_shasha.distance b a)
+      Ted.distance a b = Ted.distance b a)
 
 let prop_ted_identity =
   Gen.qtest "TED(t,t) = 0 and positivity" (Gen.arb_tree_pair ~max_size:14 ())
     (fun (a, b) ->
-      Zhang_shasha.distance a a = 0
-      && (Tree.equal a b || Zhang_shasha.distance a b > 0))
+      Ted.distance a a = 0
+      && (Tree.equal a b || Ted.distance a b > 0))
 
 let prop_ted_triangle =
   Gen.qtest ~count:100 "triangle inequality" (Gen.arb_tree_triple ~max_size:10 ())
     (fun (a, b, c) ->
-      Zhang_shasha.distance a c
-      <= Zhang_shasha.distance a b + Zhang_shasha.distance b c)
+      Ted.distance a c
+      <= Ted.distance a b + Ted.distance b c)
 
 let prop_ted_edit_script_bound =
   Gen.qtest "TED(t, edits(t)) <= #edits" (Gen.arb_tree_with_edits ~max_edits:4 ())
     (fun (base, ops, result) ->
-      Zhang_shasha.distance base result <= List.length ops)
+      Ted.distance base result <= List.length ops)
 
 let prop_ted_size_diff =
   Gen.qtest "TED >= size difference" (Gen.arb_tree_pair ~max_size:14 ())
-    (fun (a, b) -> Zhang_shasha.distance a b >= abs (Tree.size a - Tree.size b))
+    (fun (a, b) -> Ted.distance a b >= abs (Tree.size a - Tree.size b))
 
+(* The bound that makes the full band sound, on the reference. *)
 let prop_ted_upper_bound =
   Gen.qtest "TED <= size1 + size2" (Gen.arb_tree_pair ~max_size:14 ()) (fun (a, b) ->
       (* delete everything but the root, rename it, insert the rest *)
-      Zhang_shasha.distance a b <= Tree.size a + Tree.size b - 1)
+      Reference.distance a b <= Tree.size a + Tree.size b - 1)
 
 (* --- bounds --- *)
 
 (* Each bound as a function of two trees: the forms' pairwise bounds,
-   plus the two traversal strings the STR filter takes the max of. *)
+   plus the two traversal strings the cascade's SED stage bounds. *)
 let all_bounds =
   let on_forms f a b = f (Bounds.of_tree a) (Bounds.of_tree b) in
-  let sed traversal a b = Tsj_ted.String_edit.distance (traversal a) (traversal b) in
+  let sed traversal a b = Reference.sed (traversal a) (traversal b) in
   [
     ("size", on_forms Bounds.size_bound);
     ("label_histogram", on_forms Bounds.label_bound);
     ("degree_histogram", on_forms Bounds.degree_bound);
     ("preorder_string", sed Tsj_tree.Traversal.preorder_labels);
     ("postorder_string", sed Tsj_tree.Traversal.postorder_labels);
-    ("traversal", on_forms Bounds.traversal_bound);
-    ("euler_string", on_forms Bounds.euler_bound);
     ("linear_lower", on_forms Bounds.linear_lower);
   ]
 
 let prop_bounds_are_lower_bounds =
   Gen.qtest ~count:150 "every bound <= TED" (Gen.arb_tree_pair ~max_size:12 ())
     (fun (a, b) ->
-      let d = Zhang_shasha.distance a b in
+      let d = Reference.distance a b in
       List.for_all
         (fun (name, f) ->
           let v = f a b in
@@ -248,59 +240,66 @@ let test_bounds_zero_on_equal () =
 let prop_banded_ted_consistent =
   Gen.qtest ~count:200 "banded TED = min(TED, k+1)" (Gen.arb_tree_pair ~max_size:14 ())
     (fun (a, b) ->
-      let exact = Zhang_shasha.distance a b in
+      let exact = Reference.distance a b in
+      let pa = Ted.preprocess a and pb = Ted.preprocess b in
       let ok = ref true in
       for k = 0 to 8 do
-        if Zhang_shasha.bounded_distance a b k <> min exact (k + 1) then ok := false
+        if Ted.bounded_distance_prep pa pb k <> min exact (k + 1) then ok := false
       done;
       !ok)
 
-let prop_banded_hybrid_consistent =
-  Gen.qtest ~count:100 "banded hybrid/left/right agree" (Gen.arb_tree_pair ~max_size:14 ())
+(* The kernel on the left and on the mirrored postorders, at k = 0..5
+   and at the full band. *)
+let prop_banded_mirror_consistent =
+  Gen.qtest ~count:100 "banded left/right = reference" (Gen.arb_tree_pair ~max_size:14 ())
     (fun (a, b) ->
       let pa = Ted.preprocess a and pb = Ted.preprocess b in
-      let h = Ted.distance_prep pa pb in
-      let ok = ref true in
-      for k = 0 to 5 do
-        let l = Ted.bounded_distance_prep pa pb k in
-        let r =
-          Zhang_shasha.bounded_distance_postorder (Ted.right_postorder pa)
-            (Ted.right_postorder pb) k
-        in
-        if not (min h (k + 1) = l && l = r) then ok := false
-      done;
-      !ok)
+      let exact = Reference.distance a b in
+      List.for_all
+        (fun k ->
+          List.for_all
+            (fun postorder ->
+              Zhang_shasha.bounded_distance_postorder (postorder pa) (postorder pb) k
+              = min exact (k + 1))
+            [ Ted.left_postorder; Ted.right_postorder ])
+        [ 0; 1; 2; 3; 4; 5; Tree.size a + Tree.size b - 1 ])
 
-(* The strip kernel against unbounded Zhang–Shasha on every pair of
-   trees of <= 5 nodes over {a, b} (550 trees), for k = 0..3, on the
-   left and the mirrored postorders. *)
+(* The strip kernel against the reference Zhang–Shasha on every pair of
+   trees of <= 5 nodes over {a, b} (550 trees): for k = 0..3 on the
+   left and the mirrored postorders, and at the full band through
+   [Ted.distance_prep]. *)
 let test_banded_exhaustive () =
   let labels = List.map Tsj_tree.Label.intern [ "a"; "b" ] in
   let trees = Array.of_list (Edit_ball.trees_upto labels 5) in
   Alcotest.(check int) "trees of <= 5 nodes" 550 (Array.length trees);
   let preps = Array.map Ted.preprocess trees in
   let mismatches = ref 0 and first = ref None in
+  let check ti tj what got want =
+    if got <> want then begin
+      incr mismatches;
+      if !first = None then
+        first :=
+          Some
+            (Printf.sprintf "%s / %s %s: %d, want %d" (Bracket.to_string ti)
+               (Bracket.to_string tj) what got want)
+    end
+  in
   Array.iteri
     (fun i ti ->
       Array.iteri
         (fun j tj ->
-          let exact = Zhang_shasha.distance ti tj in
+          let exact =
+            Reference.distance_postorder (Ted.left_postorder preps.(i))
+              (Ted.left_postorder preps.(j))
+          in
+          check ti tj "full band" (Ted.distance_prep preps.(i) preps.(j)) exact;
           for k = 0 to 3 do
-            let want = min exact (k + 1) in
             List.iter
               (fun postorder ->
-                let got =
-                  Zhang_shasha.bounded_distance_postorder (postorder preps.(i))
-                    (postorder preps.(j)) k
-                in
-                if got <> want then begin
-                  incr mismatches;
-                  if !first = None then
-                    first :=
-                      Some
-                        (Printf.sprintf "%s / %s k=%d: %d, want %d" (Bracket.to_string ti)
-                           (Bracket.to_string tj) k got want)
-                end)
+                check ti tj (Printf.sprintf "k=%d" k)
+                  (Zhang_shasha.bounded_distance_postorder (postorder preps.(i))
+                     (postorder preps.(j)) k)
+                  (min exact (k + 1)))
               [ Ted.left_postorder; Ted.right_postorder ]
           done)
         trees)
@@ -315,7 +314,7 @@ let prop_banded_near_pairs =
   Gen.qtest ~count:300 "banded TED = min(TED, k+1) on near pairs"
     (Gen.arb_tree_with_edits ~min_size:30 ~max_size:80 ~max_edits:7 ())
     (fun (a, _, b) ->
-      let exact = Zhang_shasha.distance a b in
+      let exact = Reference.distance a b in
       let pa = Ted.preprocess a and pb = Ted.preprocess b in
       List.for_all
         (fun k ->
@@ -327,16 +326,16 @@ let prop_banded_near_pairs =
         [ 0; 1; 2; 3; 4; 5 ])
 
 let test_banded_validation () =
-  let a = t "{a}" in
+  let a = Ted.preprocess (t "{a}") in
   Alcotest.check_raises "negative threshold"
     (Invalid_argument "Zhang_shasha.bounded_distance_postorder: negative threshold")
-    (fun () -> ignore (Zhang_shasha.bounded_distance a a (-1)))
+    (fun () -> ignore (Ted.bounded_distance_prep a a (-1)))
 
 let test_arena_reshape_alternating_shapes () =
   (* Alternating (wide, narrow) and (narrow, wide) pairs exercises the
      reshape-in-place path of [Arena.reserve_matrices] (capacity
      suffices, stride changes).  Every distance must agree with the
-     Naive reference kernel, which allocates fresh tables per call. *)
+     naive reference, which allocates fresh tables per call. *)
   let rng = Tsj_util.Prng.create 2026 in
   let wide = Gen.random_tree rng 34 in
   let narrow = Gen.random_tree rng 6 in
@@ -349,7 +348,7 @@ let test_arena_reshape_alternating_shapes () =
     (fun i (a, b) ->
       let pa = Ted.preprocess a and pb = Ted.preprocess b in
       let exact = Naive.distance a b in
-      Alcotest.(check int) (Printf.sprintf "pair %d unbounded" i) exact (Ted.distance_prep pa pb);
+      Alcotest.(check int) (Printf.sprintf "pair %d full band" i) exact (Ted.distance_prep pa pb);
       List.iter
         (fun k ->
           Alcotest.(check int)
@@ -376,7 +375,7 @@ let test_constrained_known () =
      mappings, so the constrained distance exceeds TED = 1. *)
   check "{f{a}{b}{c}}" "{f{g{a}{b}}{c}}" 3 "isolated-subtree violation";
   Alcotest.(check int) "its TED is 1" 1
-    (Zhang_shasha.distance (t "{f{a}{b}{c}}") (t "{f{g{a}{b}}{c}}"))
+    (Reference.distance (t "{f{a}{b}{c}}") (t "{f{g{a}{b}}{c}}"))
 
 let test_constrained_within () =
   let a = t "{f{a}{b}{c}}" and b = t "{f{g{a}{b}}{c}}" in
@@ -386,7 +385,7 @@ let test_constrained_within () =
 
 let prop_constrained_upper_bounds_ted =
   Gen.qtest ~count:200 "TED <= constrained distance" (Gen.arb_tree_pair ~max_size:12 ())
-    (fun (x, y) -> Zhang_shasha.distance x y <= Constrained.distance x y)
+    (fun (x, y) -> Reference.distance x y <= Constrained.distance x y)
 
 let prop_constrained_metric =
   Gen.qtest ~count:120 "constrained distance is a metric"
@@ -410,7 +409,7 @@ let prop_constrained_often_equals_ted =
       for _ = 1 to total do
         let x = Gen.random_tree rng (1 + Tsj_util.Prng.int rng 10) in
         let y = Gen.random_tree rng (1 + Tsj_util.Prng.int rng 10) in
-        if Constrained.distance x y = Zhang_shasha.distance x y then incr equal_count
+        if Constrained.distance x y = Reference.distance x y then incr equal_count
       done;
       !equal_count * 2 >= total)
 
@@ -477,7 +476,6 @@ let test_kernels_under_systhreads () =
 let suite =
   [
     Alcotest.test_case "sed known values" `Quick test_sed_known;
-    prop_sed_matches_naive;
     prop_sed_banded_consistent;
     Alcotest.test_case "sed negative thresholds" `Quick test_sed_banded_negative;
     Alcotest.test_case "ted identical" `Quick test_ted_identical;
@@ -485,8 +483,9 @@ let suite =
     Alcotest.test_case "ted paper fig. 3" `Quick test_ted_paper_fig3;
     Alcotest.test_case "ted zhang-shasha classic" `Quick test_ted_zs_classic;
     Alcotest.test_case "ted growth" `Quick test_ted_empty_vs;
+    Alcotest.test_case "ted full band (chain vs star)" `Quick test_ted_full_band;
     prop_zs_matches_naive;
-    prop_ted_algorithms_agree;
+    prop_ted_reference_mirror;
     prop_ted_symmetry;
     prop_ted_identity;
     prop_ted_triangle;
@@ -496,7 +495,7 @@ let suite =
     prop_bounds_are_lower_bounds;
     Alcotest.test_case "bounds zero on equal" `Quick test_bounds_zero_on_equal;
     prop_banded_ted_consistent;
-    prop_banded_hybrid_consistent;
+    prop_banded_mirror_consistent;
     Alcotest.test_case "banded TED exhaustive on trees <= 5 nodes" `Quick test_banded_exhaustive;
     prop_banded_near_pairs;
     Alcotest.test_case "banded validation" `Quick test_banded_validation;

@@ -277,14 +277,7 @@ let test_traversal_sequences () =
   Alcotest.(check (array string)) "preorder" [| "a"; "b"; "c"; "d" |]
     (names (Traversal.preorder_labels a));
   Alcotest.(check (array string)) "postorder" [| "c"; "b"; "d"; "a" |]
-    (names (Traversal.postorder_labels a));
-  Alcotest.(check (array string)) "euler" [| "a"; "b"; "c"; "c"; "b"; "d"; "d"; "a" |]
-    (names (Traversal.euler_tour a))
-
-let test_traversal_parent_depth () =
-  let a = t "{a{b{c}}{d}}" in
-  Alcotest.(check (array int)) "parents" [| 1; 3; 3; -1 |] (Traversal.parent_postorder a);
-  Alcotest.(check (array int)) "depths" [| 3; 2; 2; 1 |] (Traversal.depths_postorder a)
+    (names (Traversal.postorder_labels a))
 
 let test_postorder_lld_keyroots () =
   (* Example: {f{d{a}{c{b}}}{e}} — the classic Zhang–Shasha paper tree. *)
@@ -293,9 +286,7 @@ let test_postorder_lld_keyroots () =
   Alcotest.(check int) "size" 6 p.Postorder.size;
   (* postorder: a(0) b(1) c(2) d(3) e(4) f(5) *)
   Alcotest.(check (array int)) "lld" [| 0; 1; 1; 0; 4; 0 |] p.Postorder.lld;
-  Alcotest.(check (array int)) "keyroots" [| 2; 4; 5 |] p.Postorder.keyroots;
-  Alcotest.(check int) "leaves" 3 (Postorder.n_leaves p);
-  Alcotest.(check int) "subtree size at root" 6 (Postorder.subtree_size p 5)
+  Alcotest.(check (array int)) "keyroots" [| 2; 4; 5 |] p.Postorder.keyroots
 
 let prop_postorder_invariants =
   Gen.qtest "postorder invariants" (Gen.arb_tree ~max_size:25 ()) (fun x ->
@@ -557,7 +548,6 @@ let suite =
     Alcotest.test_case "fold" `Quick test_fold;
     Alcotest.test_case "map_labels" `Quick test_map_labels;
     Alcotest.test_case "traversal sequences" `Quick test_traversal_sequences;
-    Alcotest.test_case "traversal parent/depth" `Quick test_traversal_parent_depth;
     Alcotest.test_case "postorder lld/keyroots" `Quick test_postorder_lld_keyroots;
     prop_postorder_invariants;
     Alcotest.test_case "binary tree (paper fig. 4)" `Quick test_binary_tree_fig4;
