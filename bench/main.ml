@@ -35,11 +35,11 @@ let micro () =
   let prep1 = Tsj_ted.Bounds.prep cb1 in
   let prep2 = Tsj_ted.Bounds.prep cb2 in
   let prep_near = Tsj_ted.Bounds.prep cb_near in
-  let btree = Tsj_tree.Binary_tree.of_postorder (Tsj_ted.Ted.left_postorder prep1) in
+  let btree = Tsj_tree.Binary_tree.of_postorder prep1.left in
   let pre1 = Tsj_tree.Traversal.preorder_labels t80 in
   let pre2 = Tsj_tree.Traversal.preorder_labels t80b in
   let pre_near = Tsj_tree.Traversal.preorder_labels near in
-  let labels1 = (Tsj_ted.Ted.left_postorder prep1).Tsj_tree.Postorder.labels in
+  let labels1 = prep1.left.labels in
   let bag1 = Tsj_baselines.Binary_branch.bag_of_tree t80 in
   let bag2 = Tsj_baselines.Binary_branch.bag_of_tree t80b in
   let partition = Tsj_core.Partition.partition btree ~delta:7 in
@@ -133,9 +133,12 @@ let micro () =
       Test.make ~name:"ted/banded tau=3 (80 vs 80, far)"
         (Staged.stage (fun () -> Tsj_ted.Ted.bounded_distance_prep prep1 prep2 3));
       Test.make ~name:"form/one walk (80)" (Staged.stage (fun () -> Tsj_tree.Form.of_tree t80));
+      Test.make ~name:"form/to tree (80)"
+        (Staged.stage (fun () -> Tsj_tree.Form.to_tree prep1.left));
+      Test.make ~name:"form/equal tree walk (80)"
+        (Staged.stage (fun () -> Tsj_tree.Form.equal_tree t80 prep1.left));
       Test.make ~name:"lcrs/of postorder (80)"
-        (Staged.stage (fun () ->
-             Tsj_tree.Binary_tree.of_postorder (Tsj_ted.Ted.left_postorder prep1)));
+        (Staged.stage (fun () -> Tsj_tree.Binary_tree.of_postorder prep1.left));
       Test.make ~name:"filter/banded-sed tau=3 (80)"
         (Staged.stage (fun () -> Tsj_ted.String_edit.within pre1 pre2 3));
       Test.make ~name:"filter/banded-sed tau=3 (80 vs 80, near)"

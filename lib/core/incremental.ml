@@ -1,21 +1,22 @@
 module Tree = Tsj_tree.Tree
 module Binary_tree = Tsj_tree.Binary_tree
-module Ted = Tsj_ted.Ted
 module Bounds = Tsj_ted.Bounds
 module Form = Tsj_tree.Form
 
 type t = {
   tau : int;
   mutable forms : Bounds.t array;
-      (* growable; slot i = tree id i: its prep (which holds the stored
-         tree) and bound form, built eagerly by the single writer so
-         readers never fill anything in *)
+      (* growable; slot i = tree id i: its bound form (the stored form
+         and label bag; the tree itself is not kept), built eagerly by
+         the single writer so readers never fill anything in *)
   mutable count : int;
   bands : Size_bands.t;
   exact : (int, int list) Hashtbl.t;
-      (* structural hash -> ids, newest first; collisions are resolved
-         by [Tree.equal].  Serves tau = 0 point queries without probing
-         or TED: distance 0 is exactly structural equality. *)
+      (* structural hash of the inserted tree -> ids, newest first;
+         collisions are resolved by walking the asked tree against each
+         id's stored postorder ([Form.equal_tree]).  Serves tau = 0
+         point queries without probing or TED: distance 0 is exactly
+         structural equality. *)
   mutable n_candidates : int;
   mutable n_indexed : int;
 }
@@ -41,11 +42,15 @@ let tau t = t.tau
 
 let n_trees t = t.count
 
-let stored t id = Ted.tree (Bounds.prep t.forms.(id))
+let holds t id q = Form.equal_tree q (Bounds.prep t.forms.(id)).left
 
 let tree t id =
   if id < 0 || id >= t.count then invalid_arg "Incremental.tree: unknown id";
-  stored t id
+  Form.to_tree (Bounds.prep t.forms.(id)).left
+
+let same_tree t id q =
+  if id < 0 || id >= t.count then invalid_arg "Incremental.same_tree: unknown id";
+  holds t id q
 
 let stats t = (t.n_candidates, t.n_indexed)
 
@@ -63,12 +68,13 @@ let band_candidates t ~tau btree =
   let size = btree.Binary_tree.size in
   (Size_bands.probe t.bands ~lo:(size - tau) ~hi:(size + tau) btree).Size_bands.candidates
 
-let find_equal t q =
+(* The ids whose tree equals [q]: the exact table's bucket, checked. *)
+let equal_ids t q =
   Option.value (Hashtbl.find_opt t.exact (tree_key q)) ~default:[]
-  |> List.filter (fun id -> Tree.equal (stored t id) q)
-  |> function
-  | [] -> None
-  | ids -> Some (List.fold_left min max_int ids)
+  |> List.filter (fun id -> holds t id q)
+
+let find_equal t q =
+  match equal_ids t q with [] -> None | ids -> Some (List.fold_left min max_int ids)
 
 (* Store [tree] under the next id and index it.  With [verify] it
    first probes and verifies the earlier trees in its size band and
@@ -77,7 +83,7 @@ let insert_tree ~verify t tree =
   grow t;
   let id = t.count in
   let f = Form.of_tree tree in
-  let form = Bounds.of_form tree f in
+  let form = Bounds.of_form f in
   t.forms.(id) <- form;
   t.count <- t.count + 1;
   (let key = tree_key tree in
@@ -128,12 +134,7 @@ let query ?budget ?tau t q =
        exact-match hash answers without probing, preprocessing or any
        distance computation — this is the hot read of the serving
        path. *)
-    let hits =
-      Option.value (Hashtbl.find_opt t.exact (tree_key q)) ~default:[]
-      |> List.filter (fun id -> Tree.equal (stored t id) q)
-      |> List.sort compare
-      |> List.map (fun id -> (id, 0))
-    in
+    let hits = equal_ids t q |> List.sort compare |> List.map (fun id -> (id, 0)) in
     { hits; degraded = false; unverified = [] }
   end
   else begin
@@ -143,7 +144,7 @@ let query ?budget ?tau t q =
   let n = Array.length cands in
   (* Most queries meet no candidate: sort the query's label bag only
      for one. *)
-  let qform = lazy (Bounds.of_form q f) in
+  let qform = lazy (Bounds.of_form f) in
   let hits = ref [] in
   let unverified = ref [] in
   let degraded = ref false in

@@ -24,13 +24,15 @@ type t
 
 val create : tau:int -> unit -> t
 (** @raise Invalid_argument if [tau < 0].  {!add} and {!insert} build
-    the tree's verifier form ({!Tsj_ted.Bounds.t}: its prep plus a
-    sorted label bag and a degree histogram) right away, so the read
-    paths never fill anything in.  Every candidate pair — of {!add},
-    {!query} and {!nearest} — goes through the pair verifier the joins
-    share ({!Tsj_ted.Bounds.verify} with the cascade on), which decides
-    most pairs from the bounds (equal trees are [Accept 0] there); the
-    rest run the banded kernel. *)
+    the tree's verifier form ({!Tsj_ted.Bounds.t}: its stored
+    {!Tsj_tree.Form.t} plus a sorted label bag) right away, so the read
+    paths never fill anything in.  That form is all the index keeps of
+    a tree: no {!Tsj_tree.Tree.t} is stored, and {!tree} rebuilds one.
+    Every candidate pair — of {!add}, {!query} and {!nearest} — goes
+    through the pair verifier the joins share ({!Tsj_ted.Bounds.verify}
+    with the cascade on), which decides most pairs from the bounds
+    (equal trees are [Accept 0] there); the rest run the banded
+    kernel. *)
 
 val tau : t -> int
 
@@ -49,12 +51,20 @@ val insert : t -> Tsj_tree.Tree.t -> unit
     the primary's records). *)
 
 val tree : t -> int -> Tsj_tree.Tree.t
-(** @raise Invalid_argument on an unknown id. *)
+(** The tree stored under an id, rebuilt from its postorder form
+    ({!Tsj_tree.Form.to_tree}): a fresh value on every call.
+    @raise Invalid_argument on an unknown id. *)
+
+val same_tree : t -> int -> Tsj_tree.Tree.t -> bool
+(** [same_tree t id x] is [Tree.equal (tree t id) x], without
+    rebuilding the tree ({!Tsj_tree.Form.equal_tree}).
+    @raise Invalid_argument on an unknown id. *)
 
 val find_equal : t -> Tsj_tree.Tree.t -> int option
 (** The smallest id whose tree is structurally equal to the argument
-    (distance 0), if any — an O(1) hash probe, no TED.  This is the
-    whole-tree dedup primitive of the serving store. *)
+    (distance 0), if any — an O(1) hash probe checked by {!same_tree},
+    no TED.  This is the whole-tree dedup primitive of the serving
+    store. *)
 
 val stats : t -> int * int
 (** [(candidates verified, subgraphs indexed)] so far. *)

@@ -1,5 +1,4 @@
 module Tree = Tsj_tree.Tree
-module Ted = Tsj_ted.Ted
 module Bounds = Tsj_ted.Bounds
 module Timer = Tsj_util.Timer
 module Fault = Tsj_util.Fault_inject
@@ -60,9 +59,9 @@ let join_with_probe_stats ?(partitioning = Balanced)
       | Some p -> Tsj_join.Pool.run_tasks p ?stop:stop_flag ~width:domains tasks
       | None -> Array.iter (fun f -> if not (budget_stopped ()) then f ()) tasks
   in
-  (* Eager parallel preprocessing: every tree's verifier form (the TED
-     preparation of both decompositions plus the label bag and degree
-     histogram the filter cascade compares), built in one walk
+  (* Eager parallel preprocessing: every tree's verifier form (its
+     stored form, the two postorders and the degree histogram, plus the
+     label bag the filter cascade compares), built in one walk
      ({!Tsj_tree.Form.of_tree}), once, up front, on all domains, into
      [forms].  The verify tasks only read that immutable array, which is
      what makes them safe to run beside the sweep (no lazy fill-on-demand
@@ -106,7 +105,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
     prep_failures;
   let sizes =
     Array.mapi
-      (fun i f -> if excluded i then Tree.size trees.(i) else Ted.size (Bounds.prep f))
+      (fun i f -> if excluded i then Tree.size trees.(i) else (Bounds.prep f).size)
       forms
   in
   let order = Array.init n (fun i -> i) in
@@ -135,7 +134,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
     Option.map
       (fun b fi fj ->
         Budget.pair_within b
-          ~cost:(Budget.pair_cost (Ted.size (Bounds.prep fi)) (Ted.size (Bounds.prep fj))))
+          ~cost:(Budget.pair_cost (Bounds.prep fi).size (Bounds.prep fj).size))
       budget
   in
   let verify_pair verdicts reasons idx (i, j) =
@@ -308,7 +307,7 @@ let join_with_probe_stats ?(partitioning = Balanced)
   (* A tree's LC-RS form lives only while the sweep probes, partitions
      and indexes that tree. *)
   let lcrs ti =
-    Tsj_tree.Binary_tree.of_postorder (Ted.left_postorder (Bounds.prep forms.(ti)))
+    Tsj_tree.Binary_tree.of_postorder (Bounds.prep forms.(ti)).left
   in
   (* Algorithm 1 over trees [b0, b1) of the size order: each tree's LC-RS
      form probes the bands for the trees before it — the sweep runs in

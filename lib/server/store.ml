@@ -596,10 +596,11 @@ let stage_batch t items =
         | Some s when s > !count ->
           `Bad (Printf.sprintf "seq gap: ADD seq %d but only %d trees known" s !count)
         | Some s ->
-          let bound =
-            if s < n0 then Incremental.tree t.inc s else Hashtbl.find fresh_trees s
+          let same =
+            if s < n0 then Incremental.same_tree t.inc s tree
+            else Tsj_tree.Tree.equal (Hashtbl.find fresh_trees s) tree
           in
-          if Bracket.to_string bound <> Bracket.to_string tree then
+          if not same then
             `Bad (Printf.sprintf "seq %d is already bound to a different tree" s)
           else `Replay (s, tree))
       items

@@ -1,35 +1,33 @@
 module Multiset = Tsj_util.Multiset
 module Postorder = Tsj_tree.Postorder
 
-(* The per-tree form: the TED prep plus the two arrays no postorder
-   holds.  Everything else the bounds read comes from the prep's
-   postorders: the postorder labels from the left one, the preorder
-   reversed (the mirror's postorder) and the greedy walk from the right
-   one. *)
+(* The per-tree form: the tree's stored form plus its sorted label bag.
+   Everything else the bounds read comes from the stored form: the
+   postorder labels from its left postorder, the preorder reversed (the
+   mirror's postorder) and the greedy walk from the mirror, the degree
+   histogram as it is. *)
 type t = {
-  prep : Ted.prep;
+  form : Tsj_tree.Form.t;
   labels : Multiset.t;  (* sorted label bag *)
-  degrees : int array;  (* degrees.(d): number of nodes with d children *)
 }
 
-let of_form tree (f : Tsj_tree.Form.t) =
-  { prep = Ted.of_form tree f; labels = Multiset.of_unsorted f.left.labels; degrees = f.degrees }
+let of_form (f : Tsj_tree.Form.t) = { form = f; labels = Multiset.of_unsorted f.left.labels }
 
-let of_tree tree = of_form tree (Tsj_tree.Form.of_tree tree)
+let of_tree tree = of_form (Tsj_tree.Form.of_tree tree)
 
-let prep f = f.prep
+let prep f = f.form
 
 (* Pairwise lower bounds.  Each runs without any per-pair allocation:
    the bag bounds are merge walks over the sorted label arrays and the
    degree histograms, the banded SED draws its rolling rows from the
    per-domain arena. *)
 
-let size_bound a b = abs (Ted.size a.prep - Ted.size b.prep)
+let size_bound a b = abs (a.form.size - b.form.size)
 
 let label_bound a b = (Multiset.symmetric_difference_size a.labels b.labels + 1) / 2
 
 let degree_bound a b =
-  let ha = a.degrees and hb = b.degrees in
+  let ha = a.form.degrees and hb = b.form.degrees in
   let la = Array.length ha and lb = Array.length hb in
   let diff = ref 0 in
   for d = 0 to Int.max la lb - 1 do
@@ -66,7 +64,7 @@ let rec greedy (la : int array) (lb : int array) llda lldb i j =
   !c + (!x - stop_a + 1) + (!y - stop_b + 1)
 
 let upper a b =
-  let pa = Ted.right_postorder a.prep and pb = Ted.right_postorder b.prep in
+  let pa = a.form.mirror and pb = b.form.mirror in
   greedy pa.labels pb.labels pa.lld pb.lld (pa.size - 1) (pb.size - 1)
 
 (* --- the alignment certificate --- *)
@@ -131,12 +129,12 @@ let side_certifies arena (pa : Postorder.t) (pb : Postorder.t) k limit =
 let certify a b k =
   if k < 0 then invalid_arg "Bounds.certify: negative threshold";
   Arena.use (fun arena ->
-      side_certifies arena (Ted.left_postorder a.prep) (Ted.left_postorder b.prep) k k
-      || side_certifies arena (Ted.right_postorder a.prep) (Ted.right_postorder b.prep) k k)
+      side_certifies arena a.form.left b.form.left k k
+      || side_certifies arena a.form.mirror b.form.mirror k k)
 
 let mapping_certifies a b mate k =
-  if Array.length mate < Ted.size a.prep then invalid_arg "Bounds.mapping_certifies: short mapping";
-  let pa = Ted.left_postorder a.prep and pb = Ted.left_postorder b.prep in
+  if Array.length mate < a.form.size then invalid_arg "Bounds.mapping_certifies: short mapping";
+  let pa = a.form.left and pb = b.form.left in
   Arena.use (fun arena ->
       Arena.reserve_alignment arena pa.size pb.size;
       check_mapping arena pa pb mate k)
@@ -161,11 +159,11 @@ let sed_stages arena certify tau lb a b =
      exact.  The mirrored tree's postorder is the preorder reversed, and
      reversing both strings of a pair keeps their edit distance, so it
      stands in for the preorder. *)
-  let ra = Ted.right_postorder a.prep and rb = Ted.right_postorder b.prep in
+  let ra = a.form.mirror and rb = b.form.mirror in
   let s1 = String_edit.rounds arena ra.labels rb.labels tau in
   if s1 > tau then Pruned Sed
   else begin
-    let pa = Ted.left_postorder a.prep and pb = Ted.left_postorder b.prep in
+    let pa = a.form.left and pb = b.form.left in
     let s2 = String_edit.rounds arena pa.labels pb.labels tau in
     if s2 > tau then Pruned Sed
     else begin
@@ -238,10 +236,9 @@ let kernel metric admit a b band =
   | Some admit when not (admit a b) -> Unverified
   | _ -> (
     match metric with
-    | Ted -> Verified (Ted.bounded_distance_prep a.prep b.prep band)
+    | Ted -> Verified (Ted.bounded_distance_prep a.form b.form band)
     | Constrained ->
-      Verified
-        (Int.min (Constrained.distance (Ted.tree a.prep) (Ted.tree b.prep)) (band + 1)))
+      Verified (Int.min (Constrained.distance a.form.left b.form.left) (band + 1)))
 
 let verify ?(metric = Ted) ?admit ~cascade:staged ~tau a b =
   if tau < 0 then invalid_arg "Bounds.verify: negative threshold";

@@ -25,20 +25,21 @@
       traversal label sequence in exactly one position. *)
 
 type t
-(** The per-tree form, built once per tree: its {!Ted.prep} plus a
-    sorted label bag and a degree histogram.  The traversal strings and
-    the greedy walk read the prep's postorders, so a form costs about
-    one word per node beyond its prep. *)
+(** The per-tree form, built once per tree: the tree's stored form
+    ({!Tsj_tree.Form.t}, which is its {!Ted.prep}) plus a sorted label
+    bag.  The traversal strings, the greedy walk and the degree bound
+    read the stored form, so a form costs about one word per node
+    beyond it.  It holds no {!Tsj_tree.Tree.t}. *)
 
-val of_form : Tsj_tree.Tree.t -> Tsj_tree.Form.t -> t
-(** [of_form tree f] is the form of [tree] read off [f = Form.of_tree
-    tree]: its postorders and degree histogram are shared, and only the
-    label bag is computed, by {!Tsj_util.Multiset.of_unsorted}. *)
+val of_form : Tsj_tree.Form.t -> t
+(** [of_form f] shares [f] and computes only the label bag, by
+    {!Tsj_util.Multiset.of_unsorted}. *)
 
 val of_tree : Tsj_tree.Tree.t -> t
-(** [of_form tree (Form.of_tree tree)]. *)
+(** [of_form (Form.of_tree tree)]. *)
 
 val prep : t -> Ted.prep
+(** The stored form [f] of [of_form f]. *)
 
 val size_bound : t -> t -> int
 

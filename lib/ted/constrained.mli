@@ -15,8 +15,10 @@
     with equality whenever some optimal unrestricted mapping happens to be
     constrained (very common in practice). *)
 
-val distance : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
-(** Unit-cost constrained edit distance. *)
+val distance : Tsj_tree.Postorder.t -> Tsj_tree.Postorder.t -> int
+(** Unit-cost constrained edit distance between the trees whose
+    postorder forms are given (the [left] of their {!Tsj_tree.Form.t}),
+    by Zhang's [O(|T1| |T2|)] recurrence over the postorder numbering. *)
 
-val within : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int -> bool
-(** [within t1 t2 k] is [distance t1 t2 <= k]. *)
+val within : Tsj_tree.Postorder.t -> Tsj_tree.Postorder.t -> int -> bool
+(** [within p1 p2 k] is [distance p1 p2 <= k]. *)

@@ -9,33 +9,19 @@
     [tsj ted]) is the same kernel at the full band [|T1| + |T2| - 1].
     (See DESIGN.md, substitution 1.) *)
 
-type prep
-(** Per-tree preprocessing (the tree's postorder and its mirror's).
-    Joins preprocess every tree once and verify pairs with
-    {!bounded_distance_prep}. *)
+type prep = Tsj_tree.Form.t
+(** Per-tree preprocessing: the tree's stored form (its postorder and
+    its mirror's, and its degree histogram), nothing else.  Joins
+    preprocess every tree once and verify pairs with
+    {!bounded_distance_prep}, which reads the postorders ([left]). *)
 
 val preprocess : Tsj_tree.Tree.t -> prep
-
-val of_form : Tsj_tree.Tree.t -> Tsj_tree.Form.t -> prep
-(** [of_form tree f] is [preprocess tree] read off [f = Form.of_tree
-    tree], which a caller that also needs the form's degree histogram
-    has already built.  Shares [f]'s postorders. *)
-
-val tree : prep -> Tsj_tree.Tree.t
-
-val size : prep -> int
-
-val left_postorder : prep -> Tsj_tree.Postorder.t
-(** The tree's postorder form (shared — do not mutate). *)
-
-val right_postorder : prep -> Tsj_tree.Postorder.t
-(** The mirrored tree's postorder form, i.e. the preorder reversed
-    (shared — do not mutate). *)
+(** [Form.of_tree]. *)
 
 val distance : Tsj_tree.Tree.t -> Tsj_tree.Tree.t -> int
 
 val distance_prep : prep -> prep -> int
-(** The exact TED: [bounded_distance_prep p1 p2 (size p1 + size p2 - 1)].
+(** The exact TED: [bounded_distance_prep p1 p2 (p1.size + p2.size - 1)].
     The band is sound because TED [<= |T1| + |T2| - 1]: keep the two
     roots mapped, delete every other node of T1 and insert every other
     node of T2. *)

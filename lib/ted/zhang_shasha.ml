@@ -71,10 +71,9 @@ module Postorder = Tsj_tree.Postorder
      value of at most what M pays on it, at most k; the clamp never
      touches it, and the result is at most c.
 
-   The kernel also runs on mirrored postorders (the right-path
-   decomposition, which the tests check).  Mirroring both trees maps M
-   to a mapping of the mirrors of the same cost, so the argument holds
-   there too.
+   The argument holds on both trees mirrored too (the right-path
+   decomposition, which the tests run on the mirrored trees' own
+   postorders): mirroring maps M to a mapping of the same cost.
 
    The full band.  TED <= |T1| + |T2| - 1 (keep the roots mapped,
    delete the rest of T1, insert the rest of T2), so at

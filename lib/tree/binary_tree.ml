@@ -73,16 +73,6 @@ let of_postorder (p : Postorder.t) =
   done;
   { size = n; label; left; right; gpost }
 
-let to_tree t =
-  (* [general i] rebuilds the general-tree node for binary node [i];
-     [sibling_chain i] follows right pointers collecting a child list. *)
-  let rec general i =
-    Tree.node t.label.(i) (match t.left.(i) with -1 -> [] | l -> sibling_chain l)
-  and sibling_chain i =
-    general i :: (match t.right.(i) with -1 -> [] | r -> sibling_chain r)
-  in
-  general (root t)
-
 let pp fmt t =
   let parent = parents t in
   for i = 0 to t.size - 1 do

@@ -32,10 +32,6 @@ val of_postorder : Postorder.t -> t
     [p] (its [labels] and [lld]; the keyroots are not read), in [O(size)]
     time without recursion. *)
 
-val to_tree : t -> Tree.t
-(** Inverse transformation:
-    [to_tree (of_postorder (Form.of_tree t).left) = t]. *)
-
 val root : t -> int
 (** Always [size - 1]. *)
 

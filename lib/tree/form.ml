@@ -7,7 +7,7 @@ type t = {
 
 (* Node count, leaf count and largest degree, in a walk ahead of the
    main one so that every array is allocated at its final length: a
-   tree has as many keyroots, and mirror keyroots, as leaves. *)
+   tree has as many keyroots as leaves. *)
 let shape tree =
   let n = ref 0 and leaves = ref 0 and max_deg = ref 0 in
   let rec node (x : Tree.t) =
@@ -39,30 +39,23 @@ let shape tree =
      ([rank > 0]), so the keyroots come out in ascending postorder;
    - the mirror's postorder is the preorder reversed: [node] is mirror
      node [m = n - 1 - pre], its mirror subtree holds the same nodes, so
-     its mirror lld is [m] less its subtree size plus one, and it is a
-     mirror keyroot iff it is the root or not its parent's last child
-     (met in descending mirror id);
+     its mirror lld is [m] less its subtree size plus one (its
+     keyroots are left empty: no kernel runs on the mirror);
    - a leaf counts one node of degree 0, and the last child of a parent
      counts one of degree [rank + 1]. *)
 let of_tree tree =
   let n, leaves, max_deg = shape tree in
   let labels = Array.make n 0 and lld = Array.make n 0 in
   let m_labels = Array.make n 0 and m_lld = Array.make n 0 in
-  let keyroots = Array.make leaves 0 and m_keyroots = Array.make leaves 0 in
+  let keyroots = Array.make leaves 0 in
   let degrees = Array.make (max_deg + 1) 0 in
   let pre = ref 0 and post = ref 0 in
-  let n_kr = ref 0 and n_mkr = ref 0 in
+  let n_kr = ref 0 in
   let rec go (node : Tree.t) siblings ~root ~rank =
     let m = n - 1 - !pre in
     incr pre;
     let lab = node.label in
     m_labels.(m) <- lab;
-    (match siblings with
-    | [] when not root -> ()
-    | _ ->
-      (* Met in descending mirror id: filled from the back. *)
-      incr n_mkr;
-      m_keyroots.(leaves - !n_mkr) <- m);
     let first_leaf = !post in
     (match node.children with
     | [] -> degrees.(0) <- degrees.(0) + 1
@@ -84,6 +77,34 @@ let of_tree tree =
   {
     size = n;
     left = { Postorder.size = n; labels; lld; keyroots };
-    mirror = { Postorder.size = n; labels = m_labels; lld = m_lld; keyroots = m_keyroots };
+    mirror = { Postorder.size = n; labels = m_labels; lld = m_lld; keyroots = [||] };
     degrees;
   }
+
+(* Node [g] of a postorder form has the children [g - 1], then [lld c - 1]
+   for each child [c] met, while at or after [lld g]: right to left. *)
+let to_tree (p : Postorder.t) =
+  let rec node g =
+    let rec children c acc =
+      if c < p.lld.(g) then acc else children (p.lld.(c) - 1) (node c :: acc)
+    in
+    Tree.node p.labels.(g) (children (g - 1) [])
+  in
+  node (p.size - 1)
+
+(* [walk p x post]: [x]'s subtree, its first node numbered [post],
+   against [p]; the number after the subtree, or -1 at the first node
+   whose label or leftmost leaf differs.  Labels and llds determine the
+   tree, so a walk that matches [p.size] nodes has met [p]'s tree. *)
+let rec walk (p : Postorder.t) (x : Tree.t) post =
+  let g = walk_siblings p x.children post in
+  if g < 0 || g >= p.size || p.labels.(g) <> x.label || p.lld.(g) <> post then -1 else g + 1
+
+and walk_siblings p l post =
+  match l with
+  | [] -> post
+  | c :: rest ->
+    let g = walk p c post in
+    if g < 0 then g else walk_siblings p rest g
+
+let equal_tree x p = walk p x 0 = p.size

@@ -13,5 +13,5 @@ type t = {
   lld : int array;       (** leftmost leaf descendant of node [i] *)
   keyroots : int array;  (** LR-keyroots in ascending order: the root and
                              every node that is not its parent's first
-                             child *)
+                             child ([[||]] in a form's [mirror]) *)
 }

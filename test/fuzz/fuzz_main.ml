@@ -35,9 +35,11 @@
      left and the right decomposition and match the naive reference on
      trees of <= 9 nodes; the banded kernel must equal it at the full
      band (and the naive one on <= 9 nodes) and equal min (TED, k + 1)
-     at a random k in 0..5, the linear lower bound must not exceed it;
-     the same kernel checks run on a tree of up to 80 nodes and a copy
-     <= k + 2 edits away (expected: 0);
+     at a random k in 0..5, the linear lower bound must not exceed it,
+     and the constrained kernel on the postorders must equal the
+     tree-based reference and not fall below it; the same kernel
+     checks run on a tree of up to 80 nodes and a copy <= k + 2 edits
+     away (expected: 0);
    - kernel: every pair of trees of <= 6 nodes (or the given bound) over
      {a, b} with sizes <= 3 apart, k = 0..3: the banded kernel must
      equal min (TED, k + 1) against the reference Zhang-Shasha, and
@@ -250,8 +252,8 @@ let fuzz_ted iterations rng =
     let y = random_tree rng (1 + Prng.int rng 12) in
     let fx = Tsj_ted.Bounds.of_tree x and fy = Tsj_ted.Bounds.of_tree y in
     let px = Tsj_ted.Bounds.prep fx and py = Tsj_ted.Bounds.prep fy in
-    let zs postorder = Ted_reference.distance_postorder (postorder px) (postorder py) in
-    let l = zs Ted.left_postorder and r = zs Ted.right_postorder in
+    let l = Ted_reference.distance_postorder px.left py.left in
+    let r = Ted_reference.distance_postorder px.mirror py.mirror in
     let bad = ref [] in
     if l <> r then bad := "left<>right" :: !bad;
     let full = Ted.distance_prep px py in
@@ -264,14 +266,16 @@ let fuzz_ted iterations rng =
        if l <> naive then bad := "reference<>naive" :: !bad;
        if full <> naive then bad := "full band<>naive" :: !bad);
     if Tsj_ted.Bounds.linear_lower fx fy > l then bad := "bound>ted" :: !bad;
-    if Tsj_ted.Constrained.distance x y < l then bad := "constrained<ted" :: !bad;
+    let ced = Tsj_ted.Constrained.distance px.left py.left in
+    if ced < l then bad := "constrained<ted" :: !bad;
+    if ced <> Ted_reference.Constrained.distance x y then bad := "constrained<>reference" :: !bad;
     (* The banded kernel on a near pair: a tree of up to 80 nodes and a
        copy at most k + 2 edits away, so the optimal mapping runs near
        the edge of the kernel's strip. *)
     let base = random_tree rng (1 + Prng.int rng 80) in
     let _, near = Tsj_tree.Edit_op.random_script rng ~labels (Prng.int_in rng 0 (k + 2)) base in
     let pa = Ted.preprocess base and pb = Ted.preprocess near in
-    let exact = Ted_reference.distance_postorder (Ted.left_postorder pa) (Ted.left_postorder pb) in
+    let exact = Ted_reference.distance_postorder pa.left pb.left in
     List.iter
       (fun (what, got, want) ->
         if got <> want then
@@ -318,11 +322,9 @@ let fuzz_kernel max_nodes =
       Array.iteri
         (fun j fj ->
           let pj = Bounds.prep fj in
-          if abs (Ted.size pi - Ted.size pj) <= 3 then begin
+          if abs (pi.size - pj.size) <= 3 then begin
             incr pairs;
-            let exact =
-              Ted_reference.distance_postorder (Ted.left_postorder pi) (Ted.left_postorder pj)
-            in
+            let exact = Ted_reference.distance_postorder pi.left pj.left in
             let full = Ted.distance_prep pi pj in
             if full <> exact then fail i j (Printf.sprintf "full band: %d, want %d" full exact);
             for k = 0 to 3 do

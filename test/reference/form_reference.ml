@@ -5,7 +5,8 @@
    a fresh scratch per greedy cut and a component map that the subgraph
    encoder read.  Kept only as the references the one walk, the LC-RS
    form derived from its postorder and the partition are compared
-   against. *)
+   against; with them the LC-RS form's inverse, which rebuilds the tree
+   from it. *)
 
 module Tree = Tsj_tree.Tree
 module Postorder = Tsj_tree.Postorder
@@ -13,23 +14,23 @@ module Binary_tree = Tsj_tree.Binary_tree
 module Subgraph = Tsj_core.Subgraph
 
 (* The left postorder and the mirror's, in one walk over the general
-   tree: the mirror's postorder is the preorder reversed. *)
+   tree: the mirror's postorder is the preorder reversed.  The mirror's
+   keyroots are left empty, as in the stored form. *)
 let postorders tree =
   let n = Tree.size tree in
   let labels = Array.make n 0 and lld = Array.make n 0 in
   let m_labels = Array.make n 0 and m_lld = Array.make n 0 in
-  let keyroots = Tsj_util.Vec_int.create () and m_keyroots = Tsj_util.Vec_int.create () in
+  let keyroots = Tsj_util.Vec_int.create () in
   let post = ref 0 and pre = ref 0 in
-  let rec go ~first ~last (node : Tree.t) =
+  let rec go ~first (node : Tree.t) =
     let m = n - 1 - !pre in
     incr pre;
     m_labels.(m) <- node.label;
-    if not last then Tsj_util.Vec_int.push m_keyroots m;
     let my_lld =
       match node.children with
       | [] -> !post
       | c :: rest ->
-        let l = go ~first:true ~last:(rest = []) c in
+        let l = go ~first:true c in
         siblings rest;
         l
     in
@@ -43,15 +44,12 @@ let postorders tree =
   and siblings = function
     | [] -> ()
     | c :: rest ->
-      ignore (go ~first:false ~last:(rest = []) c);
+      ignore (go ~first:false c);
       siblings rest
   in
-  ignore (go ~first:false ~last:false tree);
-  let m_keyroots = Tsj_util.Vec_int.to_array m_keyroots in
-  let k = Array.length m_keyroots in
-  let m_keyroots = Array.init k (fun i -> m_keyroots.(k - 1 - i)) in
+  ignore (go ~first:false tree);
   ( { Postorder.size = n; labels; lld; keyroots = Tsj_util.Vec_int.to_array keyroots },
-    { Postorder.size = n; labels = m_labels; lld = m_lld; keyroots = m_keyroots } )
+    { Postorder.size = n; labels = m_labels; lld = m_lld; keyroots = [||] } )
 
 (* Number of children of postorder node [i], read off the lld array. *)
 let n_children (po : Postorder.t) i =
@@ -96,6 +94,17 @@ let lcrs tree =
   in
   ignore (go tree []);
   { Binary_tree.size = n; label; left; right; gpost }
+
+(* The inverse of the LC-RS transformation: [general i] rebuilds the
+   general-tree node for binary node [i], [sibling_chain i] follows the
+   right pointers collecting a child list. *)
+let lcrs_to_tree (b : Binary_tree.t) =
+  let rec general i =
+    Tree.node b.label.(i) (match b.left.(i) with -1 -> [] | l -> sibling_chain l)
+  and sibling_chain i =
+    general i :: (match b.right.(i) with -1 -> [] | r -> sibling_chain r)
+  in
+  general (b.size - 1)
 
 (* Binary subtree sizes, children before parents. *)
 let subtree_sizes (b : Binary_tree.t) =

@@ -1,6 +1,20 @@
 module Postorder = Tsj_tree.Postorder
 module Naive = Naive
 module Mapping = Mapping
+module Constrained = Constrained
+
+(* The LR-keyroots, read off [lld] rather than the form's [keyroots]
+   (a mirror's are not stored): the highest node with each leftmost
+   leaf, ascending. *)
+let keyroots (p : Postorder.t) =
+  let seen = Array.make p.size false and kr = ref [] in
+  for k = p.size - 1 downto 0 do
+    if not seen.(p.lld.(k)) then begin
+      seen.(p.lld.(k)) <- true;
+      kr := k :: !kr
+    end
+  done;
+  Array.of_list !kr
 
 (* Zhang–Shasha: one forest DP per pair of keyroots, in ascending
    order, so that td (the subtree-pair distances) holds every entry a
@@ -33,7 +47,8 @@ let distance_postorder (p1 : Postorder.t) (p2 : Postorder.t) =
         done
       done
     in
-    Array.iter (fun k1 -> Array.iter (forest k1) p2.keyroots) p1.keyroots;
+    let kr2 = keyroots p2 in
+    Array.iter (fun k1 -> Array.iter (forest k1) kr2) (keyroots p1);
     td.(n1 - 1).(n2 - 1)
   end
 

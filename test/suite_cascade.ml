@@ -37,10 +37,7 @@ let ref_linear a b = max (ref_size a b) (max (ref_labels a b) (ref_degree a b))
 
 (* The exact TED of two forms, by the reference Zhang–Shasha on their
    left postorders. *)
-let ref_ted fa fb =
-  Ted_reference.distance_postorder
-    (Ted.left_postorder (Bounds.prep fa))
-    (Ted.left_postorder (Bounds.prep fb))
+let ref_ted fa fb = Ted_reference.distance_postorder (Bounds.prep fa).left (Bounds.prep fb).left
 
 (* The greedy script: rename the roots if they differ, pair the children
    left to right, delete / insert the unmatched tail. *)
@@ -120,7 +117,7 @@ let prop_upper_bounds_ted =
     (Gen.arb_tree_pair ~max_size:12 ()) (fun (a, b) ->
       let ub = Bounds.upper (form a) (form b) in
       let ted = Ted_reference.distance a b in
-      let ced = Constrained.distance a b in
+      let ced = Constrained.distance (Bounds.prep (form a)).left (Bounds.prep (form b)).left in
       if not (ted <= ced && ced <= ub) then
         QCheck.Test.fail_reportf "TED %d / CED %d / upper %d on %s / %s" ted ced
           ub (Gen.pp_tree a) (Gen.pp_tree b)
@@ -414,7 +411,9 @@ let prop_certificate_near_pairs =
 
 (* The certificate is a Tai mapping, not a constrained one, so it is
    off under [Constrained]: the verifier's answers there are exactly
-   the constrained distance's, on every pair of trees of <= 5 nodes. *)
+   the constrained distance's, on every pair of trees of <= 5 nodes.
+   The distance is the tree-based reference's, and the library's kernel
+   on the two postorders must equal it on every pair. *)
 let test_constrained_exhaustive () =
   let trees = ab_trees 5 in
   let forms = Array.map form trees in
@@ -422,7 +421,11 @@ let test_constrained_exhaustive () =
     (fun i fa ->
       Array.iteri
         (fun j fb ->
-          let ced = Constrained.distance trees.(i) trees.(j) in
+          let ced = Ted_reference.Constrained.distance trees.(i) trees.(j) in
+          let kernel = Constrained.distance (Bounds.prep fa).left (Bounds.prep fb).left in
+          if kernel <> ced then
+            Alcotest.failf "constrained kernel %d, reference %d on %s / %s" kernel ced
+              (Gen.pp_tree trees.(i)) (Gen.pp_tree trees.(j));
           for tau = 0 to 3 do
             let ok =
               match Bounds.verify ~metric:Bounds.Constrained ~cascade:true ~tau fa fb with

@@ -589,7 +589,7 @@ let test_compact_encoding_exhaustive () =
           for v = 0 to target.Binary_tree.size - 1 do
             if Subgraph.matches s target v <> ref_matches p a k target v then
               Alcotest.failf "component %s at node %d of %s: matches = %b" signature v
-                (Bracket.to_string (Binary_tree.to_tree target))
+                (Bracket.to_string (Form_reference.lcrs_to_tree target))
                 (Subgraph.matches s target v)
           done)
         trees)
@@ -938,16 +938,18 @@ let test_probe_window_across_buckets () =
    every form.  A presence filter of 32 to 64 bits per key read 19.3.
    One key table, with each subgraph in the one or two position buckets
    its window meets, reads 17.12 (six postings a subgraph in two tables
-   read 19.27).  The bound is that reading plus 5%: a subgraph that
-   retains the LC-RS tree again (four arrays a node), or a return to six
-   postings a subgraph, crosses it. *)
+   read 19.27).  With the stored form the only copy of a tree (no
+   [Tree.t] beside it, no mirror keyroots) it reads 10.85.  The bound is
+   that reading plus 5%: storing each tree's [Tree.t] again (about 5.4
+   words a node), a subgraph that retains the LC-RS tree again (four
+   arrays a node), or a return to six postings a subgraph, crosses it. *)
 let test_incremental_words_per_node () =
   let trees = Tsj_datagen.Profiles.instantiate Tsj_datagen.Profiles.swissprot ~seed:25 ~n:400 in
   let inc = Tsj_core.Incremental.create ~tau:2 () in
   Array.iter (fun x -> ignore (Tsj_core.Incremental.add inc x)) trees;
   let nodes = Array.fold_left (fun acc x -> acc + Tree.size x) 0 trees in
   let per_node = float_of_int (Obj.reachable_words (Obj.repr inc)) /. float_of_int nodes in
-  let bound = 17.12 *. 1.05 in
+  let bound = 10.85 *. 1.05 in
   if per_node > bound then
     Alcotest.failf "Incremental holds %.2f words per stored node (bound %.2f)" per_node bound
 
@@ -986,7 +988,8 @@ let test_index_exact_duplicate_found () =
 
 (* --- one walk against the builders it replaced --- *)
 
-(* Every form {!Tsj_tree.Form.of_tree} fills, the LC-RS form
+(* Every form {!Tsj_tree.Form.of_tree} fills, the tree
+   {!Tsj_tree.Form.to_tree} rebuilds from its postorder, the LC-RS form
    {!Tsj_tree.Binary_tree.of_postorder} derives from its postorder, and
    the partition and subgraph codes read off that LC-RS form at δ = 3, 5
    and 7, equal the reference builders' ([Form_reference]). *)
@@ -997,6 +1000,7 @@ let check_one_walk x =
   let left, mirror = R.postorders x in
   if f.left <> left then fail "the postorder";
   if f.mirror <> mirror then fail "the mirror's postorder";
+  if not (Tree.equal (Tsj_tree.Form.to_tree f.left) x) then fail "the tree rebuilt from the postorder";
   if f.degrees <> R.degrees left then fail "the degree histogram";
   let bag = Tsj_util.Multiset.(to_array (of_unsorted f.left.labels)) in
   if Array.to_list bag <> R.sorted_bag left.labels then fail "the label bag";

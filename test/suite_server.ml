@@ -443,6 +443,33 @@ let test_store_seq_gap_rejected () =
         Alcotest.(check bool) ("mentions gap: " ^ msg) true
           (String.length msg > 5))
 
+(* An explicit-seq ADD of a bound seq re-answers when the tree is the
+   one bound there and is refused otherwise: for a seq already in the
+   index (checked against its stored postorder) and for one fresh in
+   the same batch. *)
+let test_store_seq_retry_binding () =
+  with_store_dir (fun dir ->
+      let store = ok_or_fail (Store.open_ ~dir ~tau:1 ()) in
+      let first = Store.add store (t "{a{b}{c}}") in
+      ignore (Store.add store (t "{a{b}}"));
+      let refused s = function
+        | Error msg -> msg = Printf.sprintf "seq %d is already bound to a different tree" s
+        | Ok _ -> false
+      in
+      Alcotest.(check bool) "indexed seq, same tree" true
+        (Store.add_seq store ~seq:0 (t "{a{b}{c}}") = Ok first);
+      List.iter
+        (fun other ->
+          Alcotest.(check bool) ("indexed seq, " ^ other) true
+            (refused 0 (Store.add_seq store ~seq:0 (t other))))
+        [ "{a{c}{b}}"; "{a{b{c}}}"; "{a{b}{c}{d}}"; "{a{b}}" ];
+      (match Store.add_batch store [| (Some 2, t "{q}"); (Some 2, t "{q}"); (Some 2, t "{r}") |] with
+      | [| Ok (2, _); Ok (2, _); r |] ->
+        Alcotest.(check bool) "fresh seq, other tree" true (refused 2 r)
+      | _ -> Alcotest.fail "batch with a fresh seq");
+      Alcotest.(check int) "three trees" 3 (Store.n_trees store);
+      Store.close store)
+
 (* --- kill-and-restart (the acceptance scenario) --- *)
 
 let test_kill_and_restart () =
@@ -3021,6 +3048,8 @@ let suite =
     Alcotest.test_case "store rejects mid-journal corruption" `Quick
       test_store_corrupt_journal_rejected;
     Alcotest.test_case "store rejects seq gaps" `Quick test_store_seq_gap_rejected;
+    Alcotest.test_case "store seq retries keep their binding" `Quick
+      test_store_seq_retry_binding;
     Alcotest.test_case "kill and restart" `Quick test_kill_and_restart;
     Alcotest.test_case "kill and restart with torn tail" `Quick
       test_kill_and_restart_torn_tail;

@@ -90,6 +90,12 @@ let test_incremental_accessors () =
   Alcotest.(check bool) "tree back" true (Tree.equal a (Incremental.tree inc 0));
   Alcotest.check_raises "unknown id" (Invalid_argument "Incremental.tree: unknown id")
     (fun () -> ignore (Incremental.tree inc 1));
+  Alcotest.(check bool) "same tree" true (Incremental.same_tree inc 0 a);
+  Alcotest.(check bool) "not the same tree" false
+    (Incremental.same_tree inc 0 (Gen.random_tree (Prng.create 2) 6));
+  Alcotest.check_raises "same_tree: unknown id"
+    (Invalid_argument "Incremental.same_tree: unknown id") (fun () ->
+      ignore (Incremental.same_tree inc 1 a));
   let hits = Incremental.add inc a in
   Alcotest.(check (list (pair int int))) "duplicate found" [ (0, 0) ] hits;
   let verified, indexed = Incremental.stats inc in

@@ -11,6 +11,16 @@ module Naive = Ted_reference.Naive
 
 let t s = Bracket.of_string_exn s
 
+(* Every child list reversed.  No kernel in the library runs on the
+   mirror (its stored postorder has no keyroots), so the kernel checks
+   on the mirror decomposition run on the mirrored tree's own
+   postorder. *)
+let rec mirror (x : Tree.t) = Tree.node x.label (List.rev_map mirror x.children)
+
+let left x = (Ted.preprocess x).left
+
+let right x = left (mirror x)
+
 let arr_of_string s = Array.map Char.code (Array.init (String.length s) (String.get s))
 
 (* --- string edit distance --- *)
@@ -165,8 +175,8 @@ let prop_ted_reference_mirror =
   Gen.qtest ~count:150 "reference left/right = full band" (Gen.arb_tree_pair ~max_size:14 ())
     (fun (a, b) ->
       let pa = Ted.preprocess a and pb = Ted.preprocess b in
-      let l = Reference.distance_postorder (Ted.left_postorder pa) (Ted.left_postorder pb) in
-      let r = Reference.distance_postorder (Ted.right_postorder pa) (Ted.right_postorder pb) in
+      let l = Reference.distance_postorder pa.left pb.left in
+      let r = Reference.distance_postorder pa.mirror pb.mirror in
       l = r && r = Ted.distance_prep pa pb)
 
 let prop_ted_symmetry =
@@ -253,15 +263,14 @@ let prop_banded_ted_consistent =
 let prop_banded_mirror_consistent =
   Gen.qtest ~count:100 "banded left/right = reference" (Gen.arb_tree_pair ~max_size:14 ())
     (fun (a, b) ->
-      let pa = Ted.preprocess a and pb = Ted.preprocess b in
       let exact = Reference.distance a b in
       List.for_all
         (fun k ->
           List.for_all
             (fun postorder ->
-              Zhang_shasha.bounded_distance_postorder (postorder pa) (postorder pb) k
+              Zhang_shasha.bounded_distance_postorder (postorder a) (postorder b) k
               = min exact (k + 1))
-            [ Ted.left_postorder; Ted.right_postorder ])
+            [ left; right ])
         [ 0; 1; 2; 3; 4; 5; Tree.size a + Tree.size b - 1 ])
 
 (* The strip kernel against the reference Zhang–Shasha on every pair of
@@ -273,6 +282,7 @@ let test_banded_exhaustive () =
   let trees = Array.of_list (Edit_ball.trees_upto labels 5) in
   Alcotest.(check int) "trees of <= 5 nodes" 550 (Array.length trees);
   let preps = Array.map Ted.preprocess trees in
+  let sides = [ Array.map (fun (p : Ted.prep) -> p.left) preps; Array.map right trees ] in
   let mismatches = ref 0 and first = ref None in
   let check ti tj what got want =
     if got <> want then begin
@@ -288,19 +298,15 @@ let test_banded_exhaustive () =
     (fun i ti ->
       Array.iteri
         (fun j tj ->
-          let exact =
-            Reference.distance_postorder (Ted.left_postorder preps.(i))
-              (Ted.left_postorder preps.(j))
-          in
+          let exact = Reference.distance_postorder preps.(i).left preps.(j).left in
           check ti tj "full band" (Ted.distance_prep preps.(i) preps.(j)) exact;
           for k = 0 to 3 do
             List.iter
-              (fun postorder ->
+              (fun postorders ->
                 check ti tj (Printf.sprintf "k=%d" k)
-                  (Zhang_shasha.bounded_distance_postorder (postorder preps.(i))
-                     (postorder preps.(j)) k)
+                  (Zhang_shasha.bounded_distance_postorder postorders.(i) postorders.(j) k)
                   (min exact (k + 1)))
-              [ Ted.left_postorder; Ted.right_postorder ]
+              sides
           done)
         trees)
     trees;
@@ -315,14 +321,11 @@ let prop_banded_near_pairs =
     (Gen.arb_tree_with_edits ~min_size:30 ~max_size:80 ~max_edits:7 ())
     (fun (a, _, b) ->
       let exact = Reference.distance a b in
-      let pa = Ted.preprocess a and pb = Ted.preprocess b in
+      let pa = left a and pb = left b and ra = right a and rb = right b in
       List.for_all
         (fun k ->
-          List.for_all
-            (fun postorder ->
-              Zhang_shasha.bounded_distance_postorder (postorder pa) (postorder pb) k
-              = min exact (k + 1))
-            [ Ted.left_postorder; Ted.right_postorder ])
+          Zhang_shasha.bounded_distance_postorder pa pb k = min exact (k + 1)
+          && Zhang_shasha.bounded_distance_postorder ra rb k = min exact (k + 1))
         [ 0; 1; 2; 3; 4; 5 ])
 
 let test_banded_validation () =
@@ -360,11 +363,12 @@ let test_arena_reshape_alternating_shapes () =
 
 (* --- constrained edit distance --- *)
 
-module Constrained = Tsj_ted.Constrained
+(* The library kernel on the trees' postorders. *)
+let ced x y = Tsj_ted.Constrained.distance (left x) (left y)
 
 let test_constrained_known () =
   let check t1s t2s expect name =
-    Alcotest.(check int) name expect (Constrained.distance (t t1s) (t t2s))
+    Alcotest.(check int) name expect (ced (t t1s) (t t2s))
   in
   check "{a}" "{a}" 0 "equal singletons";
   check "{a}" "{b}" 1 "rename";
@@ -378,19 +382,19 @@ let test_constrained_known () =
     (Reference.distance (t "{f{a}{b}{c}}") (t "{f{g{a}{b}}{c}}"))
 
 let test_constrained_within () =
-  let a = t "{f{a}{b}{c}}" and b = t "{f{g{a}{b}}{c}}" in
-  Alcotest.(check bool) "within 3" true (Constrained.within a b 3);
-  Alcotest.(check bool) "not within 2" false (Constrained.within a b 2);
-  Alcotest.(check bool) "negative" false (Constrained.within a b (-1))
+  let a = left (t "{f{a}{b}{c}}") and b = left (t "{f{g{a}{b}}{c}}") in
+  Alcotest.(check bool) "within 3" true (Tsj_ted.Constrained.within a b 3);
+  Alcotest.(check bool) "not within 2" false (Tsj_ted.Constrained.within a b 2);
+  Alcotest.(check bool) "negative" false (Tsj_ted.Constrained.within a b (-1))
 
 let prop_constrained_upper_bounds_ted =
   Gen.qtest ~count:200 "TED <= constrained distance" (Gen.arb_tree_pair ~max_size:12 ())
-    (fun (x, y) -> Reference.distance x y <= Constrained.distance x y)
+    (fun (x, y) -> Reference.distance x y <= ced x y)
 
 let prop_constrained_metric =
   Gen.qtest ~count:120 "constrained distance is a metric"
     (Gen.arb_tree_triple ~max_size:10 ()) (fun (x, y, z) ->
-      let d = Constrained.distance in
+      let d = ced in
       d x x = 0
       && d x y = d y x
       && (Tree.equal x y || d x y > 0)
@@ -409,14 +413,14 @@ let prop_constrained_often_equals_ted =
       for _ = 1 to total do
         let x = Gen.random_tree rng (1 + Tsj_util.Prng.int rng 10) in
         let y = Gen.random_tree rng (1 + Tsj_util.Prng.int rng 10) in
-        if Constrained.distance x y = Reference.distance x y then incr equal_count
+        if ced x y = Reference.distance x y then incr equal_count
       done;
       !equal_count * 2 >= total)
 
 let prop_constrained_size_bounds =
   Gen.qtest "constrained distance bounded by sizes" (Gen.arb_tree_pair ~max_size:14 ())
     (fun (x, y) ->
-      let d = Constrained.distance x y in
+      let d = ced x y in
       d >= abs (Tree.size x - Tree.size y) && d <= Tree.size x + Tree.size y)
 
 (* --- Ted facade --- *)
@@ -434,8 +438,8 @@ let test_ted_within () =
 let test_ted_prep_accessors () =
   let tree = t "{a{b}}" in
   let p = Ted.preprocess tree in
-  Alcotest.(check int) "size" 2 (Ted.size p);
-  Alcotest.(check bool) "tree" true (Tree.equal tree (Ted.tree p))
+  Alcotest.(check int) "size" 2 p.size;
+  Alcotest.(check bool) "tree" true (Tree.equal tree (Tsj_tree.Form.to_tree p.left))
 
 let test_ted_naive_algorithm_facade () =
   let a = t "{a{b{x}}{c}}" and b = t "{a{c{x}}{b}}" in

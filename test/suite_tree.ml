@@ -137,18 +137,40 @@ let reference_postorder tree =
   ignore (go ~first:false tree);
   { Postorder.size = n; labels; lld; keyroots = Array.of_list (List.rev !keyroots) }
 
+(* The mirror's keyroots are not stored, so they are left out of the
+   comparison; the tree rebuilt from the postorder must be the input. *)
 let test_postorder_both_exhaustive () =
   let a = t "{a{b{x}{y}}{c}}" in
   Alcotest.check tree "mirrored" (t "{a{c}{b{y}{x}}}") (mirror a);
   List.iter
     (fun x ->
       let f = Tsj_tree.Form.of_tree x in
-      let left = reference_postorder x and right = reference_postorder (mirror x) in
+      let left = reference_postorder x in
+      let right = { (reference_postorder (mirror x)) with keyroots = [||] } in
       if f.left <> left || f.mirror <> right then
         Alcotest.failf "Form.of_tree's postorders differ on %s" (Bracket.to_string x);
+      if not (Tree.equal (Tsj_tree.Form.to_tree f.left) x) then
+        Alcotest.failf "Form.to_tree differs on %s" (Bracket.to_string x);
       if Form_reference.postorders x <> (left, right) then
         Alcotest.failf "Postorder.both differs on %s" (Bracket.to_string x))
     (Lazy.force small_trees)
+
+(* The walk against a stored postorder is [Tree.equal] on every pair of
+   trees of <= 5 nodes over {a, b} (550 trees), sizes that differ
+   included. *)
+let test_equal_tree_exhaustive () =
+  let trees = List.filter (fun x -> Tree.size x <= 5) (Lazy.force small_trees) in
+  Alcotest.(check int) "trees of <= 5 nodes" 550 (List.length trees);
+  let forms = List.map (fun x -> (Tsj_tree.Form.of_tree x).left) trees in
+  List.iter
+    (fun x ->
+      List.iter2
+        (fun y p ->
+          if Tsj_tree.Form.equal_tree x p <> Tree.equal x y then
+            Alcotest.failf "equal_tree %s against %s" (Bracket.to_string x)
+              (Bracket.to_string y))
+        trees forms)
+    trees
 
 let test_tree_label_set () =
   let a = t "{a{b}{a{b}}}" in
@@ -313,7 +335,7 @@ let test_binary_tree_fig4 () =
   (* Figure 4 of the paper: the LC-RS transform of the general tree. *)
   let b = lcrs fig4 in
   Alcotest.(check int) "same node count" 10 b.Binary_tree.size;
-  Alcotest.check tree "inverse transform" fig4 (Binary_tree.to_tree b);
+  Alcotest.check tree "inverse transform" fig4 (Form_reference.lcrs_to_tree b);
   (* Root of the binary tree is the general root and keeps no right child:
      the root has no siblings. *)
   let r = Binary_tree.root b in
@@ -322,7 +344,7 @@ let test_binary_tree_fig4 () =
 
 let prop_binary_roundtrip =
   Gen.qtest "LC-RS roundtrip" (Gen.arb_tree ~max_size:30 ()) (fun x ->
-      Tree.equal x (Binary_tree.to_tree (lcrs x)))
+      Tree.equal x (Form_reference.lcrs_to_tree (lcrs x)))
 
 let prop_binary_structure =
   Gen.qtest "LC-RS structural invariants" (Gen.arb_tree ~max_size:30 ()) (fun x ->
@@ -455,6 +477,9 @@ let test_deep_trees () =
   Alcotest.(check int) "binary size" n b.Binary_tree.size;
   let po = postorder deep in
   Alcotest.(check int) "single keyroot on a chain" 1 (Array.length po.Postorder.keyroots);
+  Alcotest.(check bool) "rebuilt from the postorder" true
+    (Tree.equal deep (Tsj_tree.Form.to_tree po));
+  Alcotest.(check bool) "walk against the postorder" true (Tsj_tree.Form.equal_tree deep po);
   let p = Tsj_core.Partition.partition b ~delta:7 in
   Alcotest.(check int) "balanced components" 7
     (Array.length (Tsj_core.Partition.component_sizes p));
@@ -531,6 +556,8 @@ let suite =
     Alcotest.test_case "equal/compare/hash" `Quick test_tree_equal_compare;
     Alcotest.test_case "Postorder.both (exhaustive)" `Quick
       test_postorder_both_exhaustive;
+    Alcotest.test_case "Form.equal_tree = Tree.equal (exhaustive)" `Quick
+      test_equal_tree_exhaustive;
     Alcotest.test_case "label_set" `Quick test_tree_label_set;
     Alcotest.test_case "nodes pre/postorder" `Quick test_nodes_postorder;
     Alcotest.test_case "subtree_at_postorder" `Quick test_subtree_at_postorder;
